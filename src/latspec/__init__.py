@@ -47,7 +47,6 @@ from .hardy import (
 from .lattice import MomentSet, Potential, brute_force_moments, quasi_norm, trace_moments
 from .resolvent import GreenValue, green_auto, green_boundary, green_time, green_torus
 from .zeros import ZeroIsolationError, ZeroRecord, coupling_threshold, count_zeros, find_zeros
-from ._util import set_default_threads
 
 __version__ = "0.1.0"
 
@@ -93,7 +92,6 @@ __all__ = [
     "propagator_kernel",
     "quasi_norm",
     "real_case_report",
-    "set_default_threads",
     "sqrt_branch",
     "taylor_coeffs",
     "trace_moments",

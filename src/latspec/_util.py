@@ -1,73 +1,13 @@
-"""Small shared helpers: deterministic reductions, thread mapping, JSON codecs."""
+"""Small shared helpers: the subdivision jitter constant and JSON codecs."""
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-T = TypeVar("T")
-R = TypeVar("R")
-
 # Golden-ratio fraction used for deterministic jitter of subdivision angles.
 GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def thread_count(requested: int | None = None) -> int:
-    """Resolve the worker count: explicit argument, else LATSPEC_THREADS, else 1."""
-    if requested is not None:
-        if requested < 1:
-            raise ValueError(f"thread count must be >= 1, got {requested}")
-        return requested
-    env = os.environ.get("LATSPEC_THREADS")
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError(f"LATSPEC_THREADS must be >= 1, got {env}")
-        return n
-    return 1
-
-
-_DEFAULT_THREADS = 1
-
-
-def set_default_threads(n: int | None) -> None:
-    """Set the worker count used by map_ordered when none is given."""
-    global _DEFAULT_THREADS
-    _DEFAULT_THREADS = thread_count(n)
-
-
-def map_ordered(fn: Callable[[T], R], items: Sequence[T], threads: int | None = None) -> list[R]:
-    """Map `fn` over `items`, preserving order.
-
-    With threads > 1 the work is farmed to a thread pool but results are
-    collected by index, so the output (and any reduction over it) is
-    independent of the worker count.
-    """
-    if threads is None:
-        threads = _DEFAULT_THREADS
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def pairwise_sum(values: Iterable[complex]) -> complex:
-    """Deterministic pairwise summation of a sequence of scalars."""
-    vals = list(values)
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(vals[i] + vals[i + 1])
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
 
 
 def complex_to_json(value: complex) -> dict:

@@ -16,8 +16,7 @@ import math
 import sys
 from typing import Optional
 
-from . import _util
-from ._util import complex_to_json, json_sanitize, parse_complex, thread_count
+from ._util import complex_to_json, json_sanitize, parse_complex
 from .lattice import Potential, brute_force_moments, quasi_norm, trace_moments
 from .resolvent import green_auto, green_boundary, green_time, green_torus
 from .determinant import QuadPolicy, det_eval, moment_relation_check, taylor_coeffs
@@ -359,7 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON file with defaults for the subcommand options")
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker threads (default: LATSPEC_THREADS or 1)")
+                        help="accepted for compatibility (must be >= 1); has no "
+                        "effect, evaluation is sequential")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="recorded in the report")
 
@@ -447,7 +447,18 @@ _HANDLERS = {
 }
 
 
-def _apply_config(args, parser, argv: "list[str]") -> None:
+def _given_dests(argv: "list[str]") -> set:
+    """Dests of the options spelled out in ``argv``: a second parse in which
+    no option has a default, so only the given ones land in the namespace."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for p in (parser, *sub.choices.values()):
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _apply_config(args, argv: "list[str]") -> None:
     if not args.config:
         return
     try:
@@ -460,7 +471,7 @@ def _apply_config(args, parser, argv: "list[str]") -> None:
     if not isinstance(cfg, dict):
         raise ValidationError("config file must hold a JSON object")
     # config supplies defaults; explicit command-line flags win
-    given = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
+    given = _given_dests(argv)
     for key, value in cfg.items():
         attr = key.replace("-", "_")
         if attr in ("command", "config"):
@@ -482,8 +493,8 @@ def main(argv: Optional[list] = None) -> int:
         if not hasattr(args, attr):
             setattr(args, attr, fallback)
     try:
-        _apply_config(args, parser, argv)
-        _util.set_default_threads(thread_count(args.threads))
+        _apply_config(args, argv)
+        _require(args.threads is None or args.threads >= 1, "--threads must be >= 1")
         handler = _HANDLERS[args.command]
         report, flags = handler(args)
     except ValidationError as exc:
@@ -495,8 +506,6 @@ def main(argv: Optional[list] = None) -> int:
     except RuntimeError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
-    # thread count is intentionally not recorded: reports must be identical
-    # across worker counts, differing only in the timestamp
     report["seed"] = args.seed
     report["flags"] = flags
     _write_json(report, getattr(args, "out", None) if args.command != "sweep" else None)

@@ -6,13 +6,19 @@ ordinary one.  Everything downstream (zero finding, Hardy-space
 factorization, trace residuals) consumes the three entry points here:
 
     det_eval        one sample, interior or boundary of the disc
-    log_det_path    a continuous branch of log D along a path, anchored
-                    at log D(0) = 0
+    march_log       the one phase marcher: a continuous branch of log D
+                    along a parametrised curve, bisecting every step whose
+                    phase turns by more than pi/2
+    log_det_path    march_log along the polygon through given points,
+                    anchored at log D(0) = 0
     taylor_coeffs   c_n with  log D(z) = -sum_n c_n z^n,  via the Cauchy
-                    integral on a circle that encloses no zeros
+                    integral on a circle that march_log shows encloses no
+                    zeros
 
 plus ``moment_relation_check`` which arbitrates, numerically, between
 the two candidate closed forms tying c_n to the lattice trace moments.
+The argument-principle zero search in ``zeros`` marches its contours
+with ``march_log`` too.
 """
 
 from __future__ import annotations
@@ -20,21 +26,22 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .lattice import Potential, quasi_norm, trace_moments
 from .conformal import lambda_of_z
 from .resolvent import green_auto, green_torus, green_time, green_boundary
-from ._util import map_ordered
 
 __all__ = [
     "QuadPolicy",
     "DeterminantSample",
     "TaylorCoeffs",
     "PathRefinementError",
+    "PhaseMarch",
     "det_eval",
+    "march_log",
     "log_det_path",
     "taylor_coeffs",
     "moment_relation_check",
@@ -42,10 +49,15 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-12
+# interior samples must satisfy |z| <= 1 - margin; the rim in between is refused
+_INTERIOR_MARGIN = 1e-3
+# bisections of one marched step before march_log gives up on it
+_MARCH_MAX_DEPTH = 40
 
 
 class PathRefinementError(ValueError):
-    """Raised when consecutive path samples fail the phase-jump guard."""
+    """Raised when march_log cannot resolve the phase along a step: the
+    step passes through, or numerically next to, a zero of D."""
 
 
 @dataclass(frozen=True)
@@ -56,23 +68,16 @@ class QuadPolicy:
     distance to the band; "torus"/"time" force one representation (the
     forcing modes exist so tests can collapse the dual route on purpose).
     boundary_method: passed to green_boundary for |z| = 1 samples.
-    n_quad: torus grid override, only honored when engine == "torus".
-    interior_margin: interior samples must satisfy |z| <= 1 - margin.
     """
 
     engine: str = "auto"
     boundary_method: str = "time"
-    dist_switch: float = 0.35
-    n_quad: Optional[int] = None
-    interior_margin: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.engine not in ("auto", "torus", "time"):
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.boundary_method not in ("time", "extrapolated"):
             raise ValueError(f"unknown boundary method {self.boundary_method!r}")
-        if not 0.0 < self.interior_margin < 1.0:
-            raise ValueError("interior_margin must lie in (0, 1)")
 
 
 @dataclass
@@ -96,10 +101,10 @@ class TaylorCoeffs:
 
 def _green_interior(n, lam, d, policy: QuadPolicy):
     if policy.engine == "torus":
-        return green_torus(n, lam, d, n_quad=policy.n_quad)
+        return green_torus(n, lam, d)
     if policy.engine == "time":
         return green_time(n, lam, d)
-    return green_auto(n, lam, d, dist_switch=policy.dist_switch)
+    return green_auto(n, lam, d)
 
 
 def _green_on_circle(n, t, d, policy: QuadPolicy):
@@ -162,9 +167,9 @@ def det_eval(V: Potential, z: complex, policy: QuadPolicy = QuadPolicy()) -> Det
         t = cmath.phase(z)
         M, E = _assemble(V, lambda diff: _green_on_circle(diff, t, d, policy))
         return _det_with_err(M, E, z)
-    if az > 1.0 - policy.interior_margin + 1e-12:
+    if az > 1.0 - _INTERIOR_MARGIN + 1e-12:
         raise ValueError(
-            f"|z|={az:.6g} is inside the rim margin {policy.interior_margin:g}; "
+            f"|z|={az:.6g} is inside the rim margin {_INTERIOR_MARGIN:g}; "
             "evaluate on |z|=1 (boundary policy) or deeper inside the disc"
         )
     lam = lambda_of_z(z, d)
@@ -172,60 +177,114 @@ def det_eval(V: Potential, z: complex, policy: QuadPolicy = QuadPolicy()) -> Det
     return _det_with_err(M, E, z)
 
 
+@dataclass
+class PhaseMarch:
+    """What march_log returns.
+
+    logs: continuous log D at the nodes; logs[0] is the principal log.
+    min_abs, max_abs: extremes of |D| over every sample, bisection points
+    included.
+    z_dlog: sum over the marched steps of midpoint(z) * (increment of
+    log D); over a closed contour, z_dlog / (2 pi i) approximates the sum
+    of the enclosed zeros.
+    """
+
+    logs: np.ndarray
+    min_abs: float
+    max_abs: float
+    z_dlog: complex
+
+
+def march_log(
+    f: Callable[[complex], complex],
+    z_of: Callable[[float], complex],
+    params: Sequence[float],
+    values: Optional[Sequence[complex]] = None,
+) -> PhaseMarch:
+    """Phase-continuous log of f along the curve z_of over the nodes ``params``.
+
+    ``values`` may hold f at the nodes already; otherwise they are sampled.
+    Each step between neighbouring nodes is the principal log of the ratio
+    of its end values.  A step whose phase turns by more than pi/2 is
+    bisected in the parameter, recursively, so the march cannot drop a
+    turn.  A step still unresolved after _MARCH_MAX_DEPTH bisections, or
+    a sample where f vanishes, raises PathRefinementError.
+    """
+    zs = [z_of(s) for s in params]
+    vals = [f(z) for z in zs] if values is None else list(values)
+    min_abs = min(abs(v) for v in vals)
+    max_abs = max(abs(v) for v in vals)
+    if min_abs == 0.0:
+        raise PathRefinementError("D vanishes at a node of the march")
+    z_dlog = 0.0 + 0.0j
+
+    def step(sa, sb, za, zb, fa, fb, depth):
+        nonlocal min_abs, max_abs, z_dlog
+        inc = cmath.log(fb / fa)
+        if abs(inc.imag) <= 0.5 * math.pi:
+            # log(|fb|/|fa|) equals inc.real to rounding; this form keeps the
+            # zero finder's reported roots bit-identical to earlier releases
+            z_dlog += 0.5 * (za + zb) * complex(math.log(abs(fb) / abs(fa)), inc.imag)
+            return inc
+        if depth >= _MARCH_MAX_DEPTH:
+            raise PathRefinementError(
+                f"phase step from z={za} to z={zb} still turns by {inc.imag:+.3f} "
+                f"after {depth} bisections; a zero of D lies on or next to the path"
+            )
+        sm = 0.5 * (sa + sb)
+        zm = z_of(sm)
+        fm = f(zm)
+        min_abs = min(min_abs, abs(fm))
+        max_abs = max(max_abs, abs(fm))
+        if fm == 0:
+            raise PathRefinementError(f"D vanishes at z={zm}")
+        return step(sa, sm, za, zm, fa, fm, depth + 1) + step(sm, sb, zm, zb, fm, fb, depth + 1)
+
+    logs = np.empty(len(vals), dtype=complex)
+    logs[0] = cmath.log(vals[0])
+    for k in range(1, len(vals)):
+        inc = step(params[k - 1], params[k], zs[k - 1], zs[k], vals[k - 1], vals[k], 0)
+        logs[k] = logs[k - 1] + inc
+    return PhaseMarch(logs=logs, min_abs=min_abs, max_abs=max_abs, z_dlog=z_dlog)
+
+
 def log_det_path(
     V: Potential,
     path: Sequence[complex],
     policy: QuadPolicy = QuadPolicy(),
-    jump_guard: float = 2.8,
 ) -> "list[DeterminantSample]":
     """Continuous branch of log D along ``path``, anchored at log D(0) = 0.
 
     The path must start at |z| <= 0.01 where D is within O(|z|) of 1, so
     the principal logarithm of the first sample is the anchored branch.
-    Between consecutive samples the phase increment must stay below
-    ``jump_guard`` < pi, otherwise the path is too coarse to track the
-    branch and we refuse instead of guessing a winding.
+    The straight segments between consecutive points are marched by
+    ``march_log``, which bisects them where the phase turns fast; a
+    segment that passes through or next to a zero raises
+    PathRefinementError instead of guessing a winding.
     """
     if not path:
         return []
     if abs(path[0]) > 0.01:
         raise ValueError(f"path must start at |z| <= 0.01, got |z|={abs(path[0]):.4g}")
-    if not 0.0 < jump_guard < math.pi:
-        raise ValueError("jump_guard must lie in (0, pi)")
-    samples = [det_eval(V, z, policy) for z in path]
-    prev = None
-    for k, smp in enumerate(samples):
+    pts = [complex(z) for z in path]
+    samples = [det_eval(V, z, policy) for z in pts]
+    for z, smp in zip(pts, samples):
         if abs(smp.value) < 1e-13:
-            raise ValueError(
-                f"path passes through a zero of the determinant at z={path[k]}"
-            )
-        if prev is None:
-            smp.log_value = cmath.log(smp.value)
-        else:
-            step = cmath.log(smp.value / prev.value)  # principal branch
-            if abs(step.imag) > jump_guard:
-                raise PathRefinementError(
-                    f"phase jump {step.imag:+.3f} between path points {k-1} and {k} "
-                    f"exceeds the guard {jump_guard:g}; refine the path"
-                )
-            smp.log_value = prev.log_value + step
-        prev = smp
+            raise ValueError(f"path passes through a zero of the determinant at z={z}")
+
+    def z_of(s: float) -> complex:
+        k = int(s)
+        return pts[k] if s == k else pts[k] + (s - k) * (pts[k + 1] - pts[k])
+
+    march = march_log(
+        lambda z: det_eval(V, z, policy).value,
+        z_of,
+        range(len(pts)),
+        [smp.value for smp in samples],
+    )
+    for smp, log_value in zip(samples, march.logs):
+        smp.log_value = complex(log_value)
     return samples
-
-
-def _march_log(values: "list[complex]", closed: bool) -> "tuple[np.ndarray, int]":
-    """Phase-continuous log along a sample sequence; returns logs and,
-    for a closed loop, the integer winding of the final-to-first return."""
-    logs = np.empty(len(values), dtype=complex)
-    logs[0] = cmath.log(values[0])
-    for k in range(1, len(values)):
-        logs[k] = logs[k - 1] + cmath.log(values[k] / values[k - 1])
-    winding = 0
-    if closed:
-        ret = cmath.log(values[0] / values[-1])
-        total = (logs[-1] + ret - logs[0]).imag
-        winding = int(round(total / (2.0 * math.pi)))
-    return logs, winding
 
 
 def taylor_coeffs(
@@ -239,7 +298,9 @@ def taylor_coeffs(
 
     Samples D on |z| = r at 2*m_samples equispaced points (the requested
     grid plus its refinement, so the error estimate is a strict byproduct),
-    marches a continuous log around the circle, checks that the loop closes
+    marches a continuous log around the circle with ``march_log`` (which
+    bisects between samples wherever the phase turns fast, so a zero close
+    to the circle cannot hide between them), checks that the loop closes
     with winding zero (no zeros inside), and reads off
 
         c_n = -(1/(2 pi i)) oint log D(z) / z^{n+1} dz .
@@ -255,18 +316,24 @@ def taylor_coeffs(
         return TaylorCoeffs(r=r, c=zeros, err_estimate=[0.0] * n_max)
 
     m2 = 2 * m_samples
-    ts = 2.0 * math.pi * np.arange(m2) / m2
-    pts = r * np.exp(1j * ts)
-    vals = map_ordered(lambda z: det_eval(V, z, policy).value, list(pts))
-    amin = min(abs(v) for v in vals)
-    logs, winding = _march_log(vals, closed=True)
+    ts = 2.0 * math.pi * np.arange(m2 + 1) / m2  # the last node closes the loop
+    pts = r * np.exp(1j * ts[:-1])
+    vals = [det_eval(V, z, policy).value for z in pts]
+    march = march_log(
+        lambda z: det_eval(V, z, policy).value,
+        lambda t: r * cmath.exp(1j * t),
+        ts,
+        vals + vals[:1],
+    )
+    winding = int(round((march.logs[-1] - march.logs[0]).imag / (2.0 * math.pi)))
     if winding != 0:
         raise ValueError(
             f"circle |z|={r:g} encloses {winding} zero(s) of the determinant; "
             "shrink the radius below r0"
         )
-    if amin <= 1e-13:
+    if march.min_abs <= 1e-13:
         raise ValueError(f"determinant vanishes on the sampling circle |z|={r:g}")
+    logs = march.logs[:-1]
 
     def coeffs_from(logvals: np.ndarray) -> np.ndarray:
         m = len(logvals)
@@ -371,7 +438,7 @@ def hinf_constant(
     radii = np.linspace(0.15, r_max, n_radii)
     angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
     grid = [complex(r * math.cos(t), r * math.sin(t)) for r in radii for t in angles]
-    vals = map_ordered(lambda z: det_eval(V, z, policy), grid)
+    vals = [det_eval(V, z, policy) for z in grid]
     logmods = [math.log(abs(s.value)) for s in vals]
     k = int(np.argmax(logmods))
     qn = quasi_norm(V)

@@ -32,7 +32,6 @@ from .lattice import Potential, require_dimension_3
 from .quadrature import gl_panels
 from .determinant import QuadPolicy, TaylorCoeffs, det_eval
 from .zeros import ZeroRecord
-from ._util import map_ordered
 
 __all__ = [
     "BlaschkeData",
@@ -110,7 +109,7 @@ def jensen_check(
             r *= 1.0 + 1e-6
     ts = _TWO_PI * np.arange(n_grid) / n_grid
     pts = [r * cmath.exp(1j * t) for t in ts]
-    vals = map_ordered(lambda z: abs(det_eval(V, z, policy).value), pts)
+    vals = [abs(det_eval(V, z, policy).value) for z in pts]
     lhs = float(np.mean(np.log(np.asarray(vals))))
     rhs = math.fsum(
         rec.multiplicity * math.log(r / abs(rec.z)) for rec in zeros if abs(rec.z) < r
@@ -245,10 +244,10 @@ def boundary_trace(
     def safe_eval(t: float) -> "float | None":
         try:
             return _boundary_logmod(V, t, policy)
-        except Exception:
+        except (ValueError, ArithmeticError):  # LinAlgError is a ValueError
             return None
 
-    raw = map_ordered(safe_eval, list(ts))
+    raw = [safe_eval(t) for t in ts]
     log_mod = np.zeros(n_grid)
     for k, v in enumerate(raw):
         if v is None:
@@ -280,7 +279,7 @@ def boundary_trace(
             n2, w2 = _graded_nodes(e_hi, t_star)  # panels are re-oriented inside
             nodes = np.concatenate([n1, n2])
             weights = np.concatenate([w1, w2])
-            node_vals = map_ordered(safe_eval, [float(x) for x in nodes])
+            node_vals = [safe_eval(float(x)) for x in nodes]
             if any(v is None for v in node_vals):
                 dropped_windows += 1
                 continue

@@ -1,9 +1,9 @@
 """Quadrature building blocks: composite Gauss-Legendre panels and the
 asymptotic tail of oscillatory integrals with power-law decay.
 
-``tail_integral`` computes I(s, w, T) = integral over [T, inf) of
-t^(-s) * exp(i w t) dt for s > 1 and Im(w) >= 0 (so the exponential is
-bounded on the ray).  Three regimes:
+``tail_integral_vec`` computes I(s, w, T) = integral over [T, inf) of
+t^(-s) * exp(i w t) dt for several s > 1 at one w with Im(w) >= 0 (so the
+exponential is bounded on the ray).  Three regimes:
 
 * w == 0: the integral is elementary, T^(1-s)/(s-1).
 * |w| T large: integration by parts gives the asymptotic series
@@ -90,27 +90,10 @@ def _check_tail_args(s: float, w: complex, T: float) -> None:
         raise ValueError(f"tail requires Im(w) >= 0 for convergence, got w={w}")
 
 
-def tail_integral(s: float, w: complex, T: float) -> complex:
-    """integral_T^inf t^(-s) exp(i w t) dt for s > 1, Im(w) >= 0."""
-    w = complex(w)
-    _check_tail_args(s, w, T)
-    aw = abs(w)
-    if aw * T < 1e-13:
-        return T ** (1.0 - s) / (s - 1.0)
-    if aw * T >= 2.0 * s + 30.0:
-        return _tail_series(s, w, T)
-    # Bridge [T, T*] on a logarithmic grid, then use the series at T*.
-    t_star = (2.0 * s + 32.0) / aw
-    u_nodes, u_weights = gl_panels(0.0, np.log(t_star / T), 0.25, npts=12)
-    t = T * np.exp(u_nodes)
-    vals = t ** (1.0 - s) * np.exp(1j * w * t)
-    bridge = complex(np.sum(vals * u_weights))
-    return bridge + _tail_series(s, w, t_star)
-
-
 def tail_integral_vec(s_list: np.ndarray, w: complex, T: float) -> np.ndarray:
-    """``tail_integral`` for several exponents s at one frequency w, sharing
-    the logarithmic bridge grid across all s that need it."""
+    """integral_T^inf t^(-s) exp(i w t) dt for each s > 1 in ``s_list`` at
+    one frequency w with Im(w) >= 0, sharing the logarithmic bridge grid
+    across all s that need it."""
     s_list = np.asarray(s_list, dtype=float)
     w = complex(w)
     out = np.empty(s_list.size, dtype=complex)
@@ -135,11 +118,3 @@ def tail_integral_vec(s_list: np.ndarray, w: complex, T: float) -> np.ndarray:
             out[i] = bridge[k] + _tail_series(s_list[i], w, t_star)
     return out
 
-
-def trapezoid_periodic(values: np.ndarray, period: float = 2.0 * np.pi) -> float | complex:
-    """Trapezoid rule for a periodic integrand sampled at n equispaced points
-    covering one full period (endpoint excluded)."""
-    n = len(values)
-    if n < 1:
-        raise ValueError("need at least one sample")
-    return (period / n) * np.sum(values)

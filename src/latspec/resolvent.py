@@ -47,6 +47,10 @@ Site = tuple[int, ...]
 # Quarter-turn phases i^(+k) for k mod 4.
 _IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
+# green_auto uses the torus engine at distances to the band >= this, the
+# oscillatory time engine closer in
+_DIST_SWITCH = 0.35
+
 _MEMO: dict = {}
 _MEMO_LOCK = threading.Lock()
 
@@ -297,7 +301,7 @@ def _green_osc(canon_n: Site, lam: complex, d: int, T0: float | None = None, n_t
     return complex(value), float(err)
 
 
-def green_auto(n: Sequence[int], lam: complex, d: int, dist_switch: float = 0.35) -> GreenValue:
+def green_auto(n: Sequence[int], lam: complex, d: int) -> GreenValue:
     """Dispatcher used by determinant assembly: torus quadrature while the
     auto grid stays cheap (roughly 40/dist points per axis), oscillatory
     time engine closer in where its flat ~ms cost wins."""
@@ -306,7 +310,7 @@ def green_auto(n: Sequence[int], lam: complex, d: int, dist_switch: float = 0.35
     dist = dist_to_band(lam, d)
     if dist == 0.0:
         raise ValueError(f"lambda={lam} lies on the band; use green_boundary")
-    if dist >= dist_switch:
+    if dist >= _DIST_SWITCH:
         return green_torus(n, lam, d)
     canon = _canon(n)
     key = ("osc", canon, lam, d)
@@ -400,20 +404,3 @@ def green_boundary(
         err = math.inf
     return _memo_put(key, GreenValue(nt, complex(lambda0), value, err, "extrapolated"))
 
-
-# ------------------------------------------------------------------ utilities
-
-def resolvent_identity_residual(
-    n: Sequence[int], lam1: complex, lam2: complex, d: int, m_radius: int
-) -> float:
-    """Residual of the first resolvent identity with the convolution sum
-    truncated to the box |m|_inf <= m_radius:
-    (G(lam1) - G(lam2))(n) = (lam1 - lam2) sum_m G(n - m, lam1) G(m, lam2)."""
-    d = validate_dimension(d)
-    lhs = green_torus(n, lam1, d).value - green_torus(n, lam2, d).value
-    total = 0.0 + 0.0j
-    n = tuple(int(c) for c in n)
-    for m in itertools.product(range(-m_radius, m_radius + 1), repeat=d):
-        shifted = tuple(a - b for a, b in zip(n, m))
-        total += green_torus(shifted, lam1, d).value * green_torus(m, lam2, d).value
-    return abs(lhs - (lam1 - lam2) * total)

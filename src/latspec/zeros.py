@@ -6,7 +6,8 @@ root-search for an analytic function we can only evaluate pointwise.
 The strategy is classical:
 
   1. count zeros in annular sectors by the argument principle, with the
-     phase marched adaptively so no step can hide a full turn;
+     phase marched adaptively (``determinant.march_log``) so no step can
+     hide a full turn;
   2. quad-subdivide until every nonempty cell isolates one zero cluster;
   3. polish with a multiplicity-aware Newton step (derivative by central
      differences) and re-verify each root by a small winding circle.
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 from .lattice import Potential
 from .conformal import lambda_of_z
 from .resolvent import green_boundary
-from .determinant import QuadPolicy, det_eval
+from .determinant import PathRefinementError, QuadPolicy, det_eval, march_log
 from ._util import GOLDEN_FRAC
 
 __all__ = [
@@ -107,59 +108,30 @@ class _DetCache:
         return got
 
 
-def _march_arg(cache: _DetCache, z_fun, s0: float, s1: float, n_init: int = 16):
-    """Total continuous arg-change of D along the curve z_fun([s0, s1]).
+def _winding(cache: _DetCache, pieces, where: str):
+    """(winding, centroid) of D around a closed contour.
 
-    Starts from n_init equispaced samples and bisects any step whose
-    principal phase increment exceeds pi/2, so the marched argument cannot
-    drop a turn.  Returns (delta_arg, centroid_sum, min_abs, max_abs) where
-    centroid_sum approximates the contour integral of z dlogD / (2 pi i)
-    restricted to this piece.
+    ``pieces`` are (z_fun, s0, s1, n_init): curves z_fun([s0, s1]) that
+    join into the contour, each marched by march_log from n_init + 1
+    equispaced nodes.  The centroid is sum (1/2 pi i) oint z dlogD, the sum
+    of the enclosed zeros.  Raises _BoundaryTooClose when |D| dips below
+    _MIN_ABS_FRAC of its maximum on a piece or the phase cannot be marched.
     """
-    params = [s0 + (s1 - s0) * k / n_init for k in range(n_init + 1)]
-    pts = [z_fun(s) for s in params]
-    vals = [cache(z) for z in pts]
     total = 0.0
     centroid = 0.0 + 0.0j
-    max_abs = max(abs(v) for v in vals)
-    min_abs = min(abs(v) for v in vals)
-
-    def segment(sa, sb, za, zb, fa, fb, depth):
-        nonlocal total, centroid, min_abs, max_abs
-        if fa == 0 or fb == 0:
+    for z_fun, s0, s1, n_init in pieces:
+        params = [s0 + (s1 - s0) * k / n_init for k in range(n_init + 1)]
+        try:
+            march = march_log(cache, z_fun, params)
+        except PathRefinementError:
+            raise _BoundaryTooClose from None
+        if march.min_abs < _MIN_ABS_FRAC * max(march.max_abs, 1e-30):
             raise _BoundaryTooClose
-        dphi = cmath.phase(fb / fa)
-        if abs(dphi) <= 0.5 * math.pi or depth >= 40:
-            total += dphi
-            dlog = math.log(abs(fb) / abs(fa)) + 1j * dphi
-            centroid += 0.5 * (za + zb) * dlog
-            return
-        sm = 0.5 * (sa + sb)
-        zm = z_fun(sm)
-        fm = cache(zm)
-        max_abs = max(max_abs, abs(fm))
-        min_abs = min(min_abs, abs(fm))
-        segment(sa, sm, za, zm, fa, fm, depth + 1)
-        segment(sm, sb, zm, zb, fm, fb, depth + 1)
-
-    for k in range(n_init):
-        segment(params[k], params[k + 1], pts[k], pts[k + 1], vals[k], vals[k + 1], 0)
-    return total, centroid / (2.0j * math.pi), min_abs, max_abs
-
-
-def _circle_winding(cache: _DetCache, center: complex, radius: float, n_init: int = 16):
-    """(winding, centroid) of D around a circle; centroid is the mean zero
-    location sum (1/2 pi i) oint z dlogD, exact for the enclosed zeros."""
-    total, centroid, min_abs, max_abs = _march_arg(
-        cache, lambda t: center + radius * cmath.exp(1j * t), 0.0, _TWO_PI, n_init
-    )
-    if min_abs < _MIN_ABS_FRAC * max(max_abs, 1e-30):
-        raise _BoundaryTooClose
+        total += (march.logs[-1] - march.logs[0]).imag
+        centroid += march.z_dlog / (2.0j * math.pi)
     w = total / _TWO_PI
     if abs(w - round(w)) > _WINDING_GUARD:
-        raise ZeroIsolationError(
-            f"non-integer winding {w:.4f} on circle center={center}, r={radius:g}"
-        )
+        raise ZeroIsolationError(f"non-integer winding {w:.4f} on {where}")
     return int(round(w)), centroid
 
 
@@ -178,18 +150,7 @@ def _sector_winding(cache: _DetCache, sec: AnnularSector):
         pieces.append((lambda r: cmath.rect(r, sec.t_hi), sec.r_hi, sec.r_lo, 8))
         pieces.append((lambda t: cmath.rect(sec.r_lo, t), sec.t_hi, sec.t_lo, 12))
         pieces.append((lambda r: cmath.rect(r, sec.t_lo), sec.r_lo, sec.r_hi, 8))
-    total = 0.0
-    centroid = 0.0 + 0.0j
-    for z_fun, a, b, n_init in pieces:
-        dphi, cen, min_abs, max_abs = _march_arg(cache, z_fun, a, b, n_init)
-        if min_abs < _MIN_ABS_FRAC * max(max_abs, 1e-30):
-            raise _BoundaryTooClose
-        total += dphi
-        centroid += cen
-    w = total / _TWO_PI
-    if abs(w - round(w)) > _WINDING_GUARD:
-        raise ZeroIsolationError(f"non-integer winding {w:.4f} on sector {sec}")
-    return int(round(w)), centroid
+    return _winding(cache, pieces, f"sector {sec}")
 
 
 def _count_with_retry(cache: _DetCache, sec: AnnularSector, max_retries: int = 5):
@@ -354,8 +315,9 @@ def find_zeros(
         for _ in range(8):
             if rad > 0.25:
                 break
+            circle = (lambda t: z_hat + rad * cmath.exp(1j * t), 0.0, _TWO_PI, 16)
             try:
-                wv, _ = _circle_winding(cache, z_hat, rad)
+                wv, _ = _winding(cache, [circle], f"circle center={z_hat}, r={rad:g}")
             except (_BoundaryTooClose, ZeroIsolationError):
                 rad *= 3.0
                 continue

@@ -109,6 +109,7 @@ def test_trace_check_and_thread_determinism(v3_file, tmp_path):
     a.pop("generated_at"), b.pop("generated_at")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert a["rho0"] >= -1e-6
+    assert main(["--threads", "0", "trace-check", "-p", v3_file]) == EXIT_VALIDATION
 
 
 def test_bounds_report_subcommand(v3_file, tmp_path):
@@ -165,6 +166,18 @@ def test_config_defaults_and_override(v3_file, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"no-such": 1}))
     assert main(["taylor-check", "-p", v3_file, "--config", str(bad), "--r", "0.05"]) == EXIT_VALIDATION
+
+
+def test_config_never_overrides_explicit_flags(tmp_path):
+    # short flags and renamed dests (-o -> out, --lambda -> lam) count as given
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path / "from_config.json"), "lam": "5,0"}))
+    out = tmp_path / "explicit.json"
+    rc = main(["green", "--d", "3", "--lambda", "4,1", "--site", "0,0,0",
+               "--config", str(cfg), "-o", str(out)])
+    assert rc == EXIT_OK
+    assert not (tmp_path / "from_config.json").exists()
+    assert _load(out)["lambda"] == {"re": 4.0, "im": 1.0}
 
 
 def test_seed_position_agnostic(tmp_path):

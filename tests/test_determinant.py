@@ -98,10 +98,11 @@ def test_log_det_path_winding_continuity(v3):
 
 
 def test_log_det_path_refuses_coarse_jumps(v3):
-    # stepping right over the zero forces a phase jump beyond the guard
+    # the segment 0.05 -> 0.56 runs right over the zero: no bisection can
+    # resolve the phase jump there
     path = [0.05, 0.56, 0.05 + 0.4j]
     with pytest.raises((PathRefinementError, ValueError)):
-        log_det_path(v3, path, jump_guard=0.5)
+        log_det_path(v3, path)
 
 
 def test_taylor_radius_independence(v3):
@@ -124,6 +125,14 @@ def test_taylor_rejects_enclosed_zero(v3):
     # r = 0.7 circle encloses z1 ~ 0.55: winding makes the log ill-defined
     with pytest.raises(ValueError):
         taylor_coeffs(v3, 0.7)
+    # a zero just inside the circle turns the phase by ~2 pi between two
+    # neighbouring samples; only bisection between them sees the winding.
+    # V = 3 e^{0.3i} delta_0 has z1 ~ 0.503197 - 0.188434i, |z1| ~ 0.537322
+    V = Potential(3, [((0, 0, 0), 3.0 * cmath.exp(0.3j))])
+    with pytest.raises(ValueError):
+        taylor_coeffs(V, 0.537322 + 1e-5)
+    with pytest.raises(ValueError):
+        taylor_coeffs(V, 0.537322 + 1e-4, m_samples=32)
 
 
 def test_moment_relation_unique_winner(v3, tc_v3):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from latspec import hardy
 from latspec.hardy import (
     blaschke_eval,
     boundary_trace,
@@ -85,6 +86,21 @@ def test_boundary_trace_requires_power_of_two(v3):
         boundary_trace(v3, n_grid=300)
     with pytest.raises(ValueError):
         boundary_trace(v3, n_grid=128)
+
+
+def test_boundary_trace_flags_only_numerical_failures(v3, monkeypatch):
+    # a numerical failure is flagged and infilled; a programming error raises
+    def fail_with(exc):
+        def det_eval(*args, **kwargs):
+            raise exc
+        return det_eval
+
+    monkeypatch.setattr(hardy, "det_eval", fail_with(np.linalg.LinAlgError("singular")))
+    bt = boundary_trace(v3, n_grid=256)
+    assert len(bt.flagged) == 256 and bt.low_confidence
+    monkeypatch.setattr(hardy, "det_eval", fail_with(TypeError("bad call")))
+    with pytest.raises(TypeError):
+        boundary_trace(v3, n_grid=256)
 
 
 def test_trace_residuals_suite(v3, zeros_v3, bt_v3, tc_v3):

@@ -1,17 +1,13 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from latspec.conformal import dist_to_band
-from latspec.resolvent import (
-    green_auto,
-    green_boundary,
-    green_time,
-    green_torus,
-    resolvent_identity_residual,
-)
+from latspec.lattice import validate_dimension
+from latspec.resolvent import green_auto, green_boundary, green_time, green_torus
 
 
 def _watson_band_edge() -> float:
@@ -127,6 +123,20 @@ def test_boundary_rejects_outside_band():
         green_boundary((0, 0, 0), 3.5, "plus", 3)
     with pytest.raises(ValueError):
         green_boundary((0, 0, 0), 1.0, "sideways", 3)
+
+
+def resolvent_identity_residual(n, lam1, lam2, d, m_radius):
+    """Residual of the first resolvent identity with the convolution sum
+    truncated to the box |m|_inf <= m_radius:
+    (G(lam1) - G(lam2))(n) = (lam1 - lam2) sum_m G(n - m, lam1) G(m, lam2)."""
+    d = validate_dimension(d)
+    lhs = green_torus(n, lam1, d).value - green_torus(n, lam2, d).value
+    total = 0.0 + 0.0j
+    n = tuple(int(c) for c in n)
+    for m in itertools.product(range(-m_radius, m_radius + 1), repeat=d):
+        shifted = tuple(a - b for a, b in zip(n, m))
+        total += green_torus(shifted, lam1, d).value * green_torus(m, lam2, d).value
+    return abs(lhs - (lam1 - lam2) * total)
 
 
 def test_resolvent_identity():

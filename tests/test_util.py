@@ -1,20 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latspec._util import (
-    complex_from_json,
-    complex_to_json,
-    json_sanitize,
-    map_ordered,
-    pairwise_sum,
-    parse_complex,
-    set_default_threads,
-    thread_count,
-)
+from latspec._util import complex_from_json, complex_to_json, json_sanitize, parse_complex
 
 
 def test_parse_complex_forms():
@@ -43,37 +32,3 @@ def test_json_sanitize_nested():
     assert out["b"] == [0.5, 3]
     assert out["c"] == [1, 2]
 
-
-def test_pairwise_sum_matches_fsum():
-    rng = np.random.default_rng(7)
-    vals = list(rng.standard_normal(1001) * 10.0 ** rng.integers(-8, 8, 1001))
-    assert pairwise_sum(vals) == pytest.approx(math.fsum(vals), rel=1e-14)
-
-
-def test_pairwise_sum_is_order_deterministic():
-    # same values, same order -> bitwise identical result
-    vals = [complex(math.sin(k), math.cos(3 * k)) for k in range(257)]
-    assert pairwise_sum(vals) == pairwise_sum(list(vals))
-
-
-def test_map_ordered_preserves_order_across_thread_counts():
-    items = list(range(101))
-    fn = lambda k: k * k - 1
-    seq = map_ordered(fn, items, threads=1)
-    par = map_ordered(fn, items, threads=8)
-    assert seq == par == [k * k - 1 for k in items]
-
-
-def test_default_thread_plumbing():
-    from latspec import _util
-
-    set_default_threads(4)
-    try:
-        assert _util._DEFAULT_THREADS == 4
-        # explicit request always wins over env/default
-        assert thread_count(2) == 2
-    finally:
-        set_default_threads(1)
-    assert _util._DEFAULT_THREADS == 1
-    with pytest.raises(ValueError):
-        thread_count(0)
