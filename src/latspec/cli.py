@@ -19,7 +19,7 @@ from typing import Optional
 from ._util import complex_to_json, json_sanitize, parse_complex
 from .lattice import Potential, brute_force_moments, quasi_norm, trace_moments
 from .resolvent import green_auto, green_boundary, green_time, green_torus
-from .determinant import QuadPolicy, det_eval, moment_relation_check, taylor_coeffs
+from .determinant import det_eval, moment_relation_check, taylor_coeffs
 from .zeros import coupling_threshold, find_zeros
 from .hardy import boundary_trace, jensen_check, outer_reconstruct, trace_residuals
 from .bounds import check_bounds, real_case_report
@@ -72,6 +72,16 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
+def _require_search_options(args) -> None:
+    """Checks shared by the subcommands that run the zero search: --r-outer,
+    --tol, and --n-grid where the subcommand samples the boundary."""
+    if hasattr(args, "n_grid"):
+        _require(args.n_grid >= 256 and args.n_grid & (args.n_grid - 1) == 0,
+                 "--n-grid must be a power of two >= 256")
+    _require(0.0 < args.r_outer <= 1.0 - 1e-3, "--r-outer must lie in (0, 1 - 1e-3]")
+    _require(args.tol > 0.0, "--tol must be positive")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (report dict, flags list)
 
@@ -114,8 +124,7 @@ def _cmd_det_eval(args) -> tuple:
     V = _load_potential(args.potential)
     z = parse_complex(args.z)
     _require(abs(z) <= 1.0 + 1e-12, "--z must lie in the closed unit disc")
-    policy = QuadPolicy(boundary_method=args.boundary_method)
-    smp = det_eval(V, z, policy)
+    smp = det_eval(V, z)
     report = {
         "command": "det-eval",
         "z": complex_to_json(z),
@@ -160,8 +169,7 @@ def _cmd_taylor_check(args) -> tuple:
 
 def _cmd_eigs(args) -> tuple:
     V = _load_potential(args.potential)
-    _require(0.0 < args.r_outer <= 1.0 - 1e-3, "--r-outer must lie in (0, 1 - 1e-3]")
-    _require(args.tol > 0.0, "--tol must be positive")
+    _require_search_options(args)
     recs = find_zeros(V, args.r_outer, args.tol)
     report = {
         "command": "eigs",
@@ -197,10 +205,7 @@ def _pipeline(V: Potential, n_grid: int, r_outer: float, tol: float, n_max: int,
 
 def _cmd_trace_check(args) -> tuple:
     V = _load_potential(args.potential)
-    _require(args.n_grid >= 256 and args.n_grid & (args.n_grid - 1) == 0,
-             "--n-grid must be a power of two >= 256")
-    _require(0.0 < args.r_outer <= 1.0 - 1e-3, "--r-outer must lie in (0, 1 - 1e-3]")
-    _require(args.tol > 0.0, "--tol must be positive")
+    _require_search_options(args)
     _require(args.n_max >= 1, "--n-max must be >= 1")
     try:
         r_list = [float(x) for x in args.r_list.split(",") if x]
@@ -229,7 +234,7 @@ def _cmd_trace_check(args) -> tuple:
         "outer_error": outer["max_rel_err"],
         "zeros": [complex_to_json(r.z) for r in zeros],
         "taylor_r": tc.r,
-        "flagged_points": len([k for k in bt.flagged if k >= 0]),
+        "flagged_points": len(bt.flagged),
         "low_confidence": bt.low_confidence,
     }
     flags = []
@@ -242,10 +247,7 @@ def _cmd_trace_check(args) -> tuple:
 
 def _cmd_bounds_report(args) -> tuple:
     V = _load_potential(args.potential)
-    _require(args.n_grid >= 256 and args.n_grid & (args.n_grid - 1) == 0,
-             "--n-grid must be a power of two >= 256")
-    _require(0.0 < args.r_outer <= 1.0 - 1e-3, "--r-outer must lie in (0, 1 - 1e-3]")
-    _require(args.tol > 0.0, "--tol must be positive")
+    _require_search_options(args)
     zeros = find_zeros(V, args.r_outer, args.tol)
     bt = boundary_trace(V, args.n_grid)
     rep = check_bounds(V, zeros, bt)
@@ -306,8 +308,7 @@ def _cmd_sweep(args) -> tuple:
     except ValueError:
         raise ValidationError(f"--scale-grid must be lo:hi:num, got {args.scale_grid!r}")
     _require(num >= 1 and hi >= lo > 0.0, "--scale-grid must satisfy 0 < lo <= hi, num >= 1")
-    _require(args.n_grid >= 256 and args.n_grid & (args.n_grid - 1) == 0,
-             "--n-grid must be a power of two >= 256")
+    _require_search_options(args)
     _require(args.out is not None, "sweep requires -o/--out for the CSV file")
 
     rows = []
@@ -383,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
     de = sub.add_parser("det-eval", help="one determinant sample", parents=[common])
     de.add_argument("-p", "--potential", required=True)
     de.add_argument("--z", required=True, help="'re,im'")
-    de.add_argument("--boundary-method", default="time", choices=["time", "extrapolated"])
     de.add_argument("-o", "--out")
 
     tc = sub.add_parser("taylor-check", help="Taylor coefficients + moment relations", parents=[common])
@@ -447,18 +447,35 @@ _HANDLERS = {
 }
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    """Subcommand name -> its parser."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _given_dests(argv: "list[str]") -> set:
     """Dests of the options spelled out in ``argv``: a second parse in which
     no option has a default, so only the given ones land in the namespace."""
     parser = _build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for p in (parser, *sub.choices.values()):
+    for p in (parser, *_subparsers(parser).values()):
         for action in p._actions:
             action.default = argparse.SUPPRESS
     return set(vars(parser.parse_args(argv)))
 
 
-def _apply_config(args, argv: "list[str]") -> None:
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value converted as if str(value) had been given for the
+    option on the command line: the option's type, then its choices."""
+    text = str(value)
+    try:
+        out = action.type(text) if action.type else text
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        raise ValidationError(f"config key {key!r}: invalid value {value!r}")
+    if action.choices is not None and out not in action.choices:
+        raise ValidationError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+    return out
+
+
+def _apply_config(parser: argparse.ArgumentParser, args, argv: "list[str]") -> None:
     if not args.config:
         return
     try:
@@ -472,6 +489,7 @@ def _apply_config(args, argv: "list[str]") -> None:
         raise ValidationError("config file must hold a JSON object")
     # config supplies defaults; explicit command-line flags win
     given = _given_dests(argv)
+    actions = {a.dest: a for a in _subparsers(parser)[args.command]._actions}
     for key, value in cfg.items():
         attr = key.replace("-", "_")
         if attr in ("command", "config"):
@@ -479,7 +497,7 @@ def _apply_config(args, argv: "list[str]") -> None:
         if not hasattr(args, attr):
             raise ValidationError(f"config key {key!r} is not an option of {args.command!r}")
         if attr not in given:
-            setattr(args, attr, value)
+            setattr(args, attr, _config_value(actions[attr], key, value))
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -493,7 +511,7 @@ def main(argv: Optional[list] = None) -> int:
         if not hasattr(args, attr):
             setattr(args, attr, fallback)
     try:
-        _apply_config(args, argv)
+        _apply_config(parser, args, argv)
         _require(args.threads is None or args.threads >= 1, "--threads must be >= 1")
         handler = _HANDLERS[args.command]
         report, flags = handler(args)

@@ -62,22 +62,22 @@ class PathRefinementError(ValueError):
 
 @dataclass(frozen=True)
 class QuadPolicy:
-    """How Green's functions are evaluated inside det_eval.
+    """Which Green engine det_eval uses at interior points.
 
-    engine: "auto" switches torus quadrature <-> damped time integral on
-    distance to the band; "torus"/"time" force one representation (the
-    forcing modes exist so tests can collapse the dual route on purpose).
-    boundary_method: passed to green_boundary for |z| = 1 samples.
+    engine "auto" (the default, and the only mode the pipeline uses) lets
+    green_auto pick torus quadrature or the oscillatory time engine by
+    distance to the band.  "torus" and "time" force one interior engine, so
+    a determinant can be cross-checked against an independent route.  The
+    forced engines refuse points that "auto" handles: "torus" within 1e-3
+    of the band, "time" on the real axis.  Samples on |z| = 1 always go
+    through green_boundary.
     """
 
     engine: str = "auto"
-    boundary_method: str = "time"
 
     def __post_init__(self) -> None:
         if self.engine not in ("auto", "torus", "time"):
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.boundary_method not in ("time", "extrapolated"):
-            raise ValueError(f"unknown boundary method {self.boundary_method!r}")
 
 
 @dataclass
@@ -107,13 +107,13 @@ def _green_interior(n, lam, d, policy: QuadPolicy):
     return green_auto(n, lam, d)
 
 
-def _green_on_circle(n, t, d, policy: QuadPolicy):
+def _green_on_circle(n, t, d):
     # z = e^{it} is approached radially from inside; lambda(z) then tends
     # to d*cos t with Im lambda -> -d*eps*sin t, so the upper semicircle
     # means the lower side of the cut.
     lam0 = d * math.cos(t)
     side = "minus" if math.sin(t) > 0.0 else "plus"
-    return green_boundary(n, lam0, side, d, method=policy.boundary_method)
+    return green_boundary(n, lam0, side, d)
 
 
 def _assemble(V: Potential, green_of_diff) -> "tuple[np.ndarray, np.ndarray]":
@@ -149,9 +149,9 @@ def det_eval(V: Potential, z: complex, policy: QuadPolicy = QuadPolicy()) -> Det
     """One determinant sample at z in the closed unit disc.
 
     Interior points (|z| <= 1 - margin) go through the off-spectrum Green
-    evaluators; |z| = 1 goes through the two-sided boundary limit with the
-    side fixed by the semicircle.  The thin rim in between is refused.
-    Empty support returns exactly 1.
+    engine that ``policy`` names; |z| = 1 goes through the two-sided
+    boundary limit with the side fixed by the semicircle.  The thin rim in
+    between is refused.  Empty support returns exactly 1.
     """
     z = complex(z)
     d = V.d
@@ -165,12 +165,12 @@ def det_eval(V: Potential, z: complex, policy: QuadPolicy = QuadPolicy()) -> Det
         return DeterminantSample(z=z, value=1.0 + 0.0j, err_estimate=0.0)
     if abs(az - 1.0) <= _BOUNDARY_TOL:
         t = cmath.phase(z)
-        M, E = _assemble(V, lambda diff: _green_on_circle(diff, t, d, policy))
+        M, E = _assemble(V, lambda diff: _green_on_circle(diff, t, d))
         return _det_with_err(M, E, z)
     if az > 1.0 - _INTERIOR_MARGIN + 1e-12:
         raise ValueError(
             f"|z|={az:.6g} is inside the rim margin {_INTERIOR_MARGIN:g}; "
-            "evaluate on |z|=1 (boundary policy) or deeper inside the disc"
+            "evaluate on |z|=1 or deeper inside the disc"
         )
     lam = lambda_of_z(z, d)
     M, E = _assemble(V, lambda diff: _green_interior(diff, lam, d, policy))
@@ -248,11 +248,7 @@ def march_log(
     return PhaseMarch(logs=logs, min_abs=min_abs, max_abs=max_abs, z_dlog=z_dlog)
 
 
-def log_det_path(
-    V: Potential,
-    path: Sequence[complex],
-    policy: QuadPolicy = QuadPolicy(),
-) -> "list[DeterminantSample]":
+def log_det_path(V: Potential, path: Sequence[complex]) -> "list[DeterminantSample]":
     """Continuous branch of log D along ``path``, anchored at log D(0) = 0.
 
     The path must start at |z| <= 0.01 where D is within O(|z|) of 1, so
@@ -267,7 +263,7 @@ def log_det_path(
     if abs(path[0]) > 0.01:
         raise ValueError(f"path must start at |z| <= 0.01, got |z|={abs(path[0]):.4g}")
     pts = [complex(z) for z in path]
-    samples = [det_eval(V, z, policy) for z in pts]
+    samples = [det_eval(V, z) for z in pts]
     for z, smp in zip(pts, samples):
         if abs(smp.value) < 1e-13:
             raise ValueError(f"path passes through a zero of the determinant at z={z}")
@@ -277,7 +273,7 @@ def log_det_path(
         return pts[k] if s == k else pts[k] + (s - k) * (pts[k + 1] - pts[k])
 
     march = march_log(
-        lambda z: det_eval(V, z, policy).value,
+        lambda z: det_eval(V, z).value,
         z_of,
         range(len(pts)),
         [smp.value for smp in samples],
@@ -292,7 +288,6 @@ def taylor_coeffs(
     r: float,
     n_max: int = 4,
     m_samples: int = 64,
-    policy: QuadPolicy = QuadPolicy(),
 ) -> TaylorCoeffs:
     """Taylor coefficients c_n of -log D at 0 from the Cauchy integral.
 
@@ -318,9 +313,9 @@ def taylor_coeffs(
     m2 = 2 * m_samples
     ts = 2.0 * math.pi * np.arange(m2 + 1) / m2  # the last node closes the loop
     pts = r * np.exp(1j * ts[:-1])
-    vals = [det_eval(V, z, policy).value for z in pts]
+    vals = [det_eval(V, z).value for z in pts]
     march = march_log(
-        lambda z: det_eval(V, z, policy).value,
+        lambda z: det_eval(V, z).value,
         lambda t: r * cmath.exp(1j * t),
         ts,
         vals + vals[:1],
@@ -425,7 +420,6 @@ def hinf_constant(
     n_radii: int = 6,
     n_angles: int = 32,
     r_max: float = 0.997,
-    policy: QuadPolicy = QuadPolicy(),
 ) -> dict:
     """Empirical constant in the uniform bound log|D| <= C * ||V||_{2/3}.
 
@@ -438,7 +432,7 @@ def hinf_constant(
     radii = np.linspace(0.15, r_max, n_radii)
     angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
     grid = [complex(r * math.cos(t), r * math.sin(t)) for r in radii for t in angles]
-    vals = [det_eval(V, z, policy) for z in grid]
+    vals = [det_eval(V, z) for z in grid]
     logmods = [math.log(abs(s.value)) for s in vals]
     k = int(np.argmax(logmods))
     qn = quasi_norm(V)

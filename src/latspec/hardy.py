@@ -30,7 +30,7 @@ import numpy as np
 
 from .lattice import Potential, require_dimension_3
 from .quadrature import gl_panels
-from .determinant import QuadPolicy, TaylorCoeffs, det_eval
+from .determinant import TaylorCoeffs, det_eval
 from .zeros import ZeroRecord
 
 __all__ = [
@@ -45,6 +45,11 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# boundary_trace keeps the Fourier moments n = 1.._N_FOURIER of log|D|
+_N_FOURIER = 4
+# half-width (radians) of the graded-quadrature window around each kink
+# angle, shrunk where kinks sit closer together
+_KINK_WINDOW = 0.12
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +99,6 @@ def jensen_check(
     zeros: "Sequence[ZeroRecord]",
     r: float,
     n_grid: int = 4096,
-    policy: QuadPolicy = QuadPolicy(),
 ) -> float:
     """|mean of log|D| on |z|=r  -  sum_{|z_j|<r} m_j log(r/|z_j|)|.
 
@@ -109,7 +113,7 @@ def jensen_check(
             r *= 1.0 + 1e-6
     ts = _TWO_PI * np.arange(n_grid) / n_grid
     pts = [r * cmath.exp(1j * t) for t in ts]
-    vals = [abs(det_eval(V, z, policy).value) for z in pts]
+    vals = [abs(det_eval(V, z).value) for z in pts]
     lhs = float(np.mean(np.log(np.asarray(vals))))
     rhs = math.fsum(
         rec.multiplicity * math.log(r / abs(rec.z)) for rec in zeros if abs(rec.z) < r
@@ -175,7 +179,7 @@ class BoundaryTrace:
     t_grid: np.ndarray
     log_mod: np.ndarray
     I0: float
-    fourier: "list[complex]"  # (1/pi) int e^{-int} log|D| dt, n = 1..n_fourier
+    fourier: "list[complex]"  # (1/pi) int e^{-int} log|D| dt, n = 1.._N_FOURIER
     flagged: "list[int]"
     low_confidence: bool
     windows: "list[_Window]" = field(default_factory=list, repr=False)
@@ -213,21 +217,15 @@ class BoundaryTrace:
         return total
 
 
-def _boundary_logmod(V: Potential, t: float, policy: QuadPolicy) -> float:
-    val = det_eval(V, cmath.exp(1j * t), policy)
+def _boundary_logmod(V: Potential, t: float) -> float:
+    val = det_eval(V, cmath.exp(1j * t))
     a = abs(val.value)
     if not math.isfinite(a) or a <= 1e-300:
         raise ArithmeticError(f"boundary determinant collapsed at t={t:.6f}")
     return math.log(a)
 
 
-def boundary_trace(
-    V: Potential,
-    n_grid: int = 1024,
-    policy: QuadPolicy = QuadPolicy(),
-    n_fourier: int = 4,
-    kink_window: float = 0.12,
-) -> BoundaryTrace:
+def boundary_trace(V: Potential, n_grid: int = 1024) -> BoundaryTrace:
     """Sample log|D| on the boundary circle and integrate it.
 
     Failed grid points are infilled by neighbor averaging and flagged;
@@ -243,7 +241,7 @@ def boundary_trace(
 
     def safe_eval(t: float) -> "float | None":
         try:
-            return _boundary_logmod(V, t, policy)
+            return _boundary_logmod(V, t)
         except (ValueError, ArithmeticError):  # LinAlgError is a ValueError
             return None
 
@@ -267,7 +265,7 @@ def boundary_trace(
         (kinks[i + 1] - kinks[i] for i in range(len(kinks) - 1)),
         default=_TWO_PI,
     )
-    width = min(kink_window, 0.35 * min_gap)
+    width = min(_KINK_WINDOW, 0.35 * min_gap)
     windows: "list[_Window]" = []
     dropped_windows = 0
     if V.support:
@@ -308,7 +306,7 @@ def boundary_trace(
     bt.I0 = float(bt.integrate_kernel(lambda t: np.ones_like(t)).real) / _TWO_PI
     bt.fourier = [
         complex(bt.integrate_kernel(lambda t, n=n: np.exp(-1j * n * t))) / math.pi
-        for n in range(1, n_fourier + 1)
+        for n in range(1, _N_FOURIER + 1)
     ]
     return bt
 
@@ -387,7 +385,6 @@ def outer_reconstruct(
     bt: BoundaryTrace,
     zeros: "Sequence[ZeroRecord]",
     z_probes: "Sequence[complex]",
-    policy: QuadPolicy = QuadPolicy(),
 ) -> dict:
     """Rebuild D from its zeros and boundary modulus, report the misfit.
 
@@ -408,7 +405,7 @@ def outer_reconstruct(
             lambda t, z=z: (np.exp(1j * t) + z) / (np.exp(1j * t) - z)
         ) / _TWO_PI
         recon = blaschke_eval(bl, z) * cmath.exp(k_val)
-        d_val = det_eval(V, z, policy).value
+        d_val = det_eval(V, z).value
         rel = abs(d_val - recon) / abs(d_val)
         details.append({"z": z, "rel_err": rel})
         if rel > worst:

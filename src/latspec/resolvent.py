@@ -1,6 +1,6 @@
 """Free resolvent kernel G(n, lam) = (H0 - lam)^(-1)(n, 0) on Z^d.
 
-Three independent evaluators:
+Three interior evaluators, independent of each other:
 
 * ``green_torus``: the momentum-space form, a d-fold periodic integral of
   cos(n.k) / (h(k) - lam) with h(k) = sum_j cos k_j, by tensor-product
@@ -10,10 +10,16 @@ Three independent evaluators:
 * ``green_time``: the damped time representation, -i times the Fourier-
   Laplace transform of the free propagator, truncated at a horizon T where
   the factor e^(t Im lam) is negligible.  Needs Im(lam) bounded away from 0.
-* an oscillatory time engine (used by ``green_boundary`` and the automatic
-  dispatcher): the same integral split at a moderate T0, with the remainder
-  summed analytically mode by mode from the large-argument Bessel expansion.
-  This one stays accurate arbitrarily close to, and on, the band.
+* an oscillatory time engine: the same integral split at a moderate T0,
+  with the remainder summed analytically mode by mode from the
+  large-argument Bessel expansion.  It stays accurate arbitrarily close
+  to, and on, the band.
+
+``green_auto`` picks the torus engine far from the band and the
+oscillatory engine close to it.  ``green_boundary`` gives the boundary
+values G(n, lambda0 -/+ i0) on the band through the oscillatory engine
+alone; its independent checks are Watson's closed form at the band edge
+and the small-epsilon limit of the interior engines.
 
 The time integrand pairs e^(-i lam t) with the forward evolution kernel,
 whose quarter-turn phase is i^(+|n|) per the Fourier expansion of e^(i t
@@ -31,7 +37,6 @@ import functools
 import itertools
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,6 +55,14 @@ _IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 # green_auto uses the torus engine at distances to the band >= this, the
 # oscillatory time engine closer in
 _DIST_SWITCH = 0.35
+# quadrature size law of auto_n_quad
+_NQ_RATE = 40.0
+_NQ_MIN = 32
+_NQ_MAX = 512
+# green_torus refuses lambda closer to the band than this
+_TORUS_DELTA_MIN = 1e-3
+# green_time truncates its horizon where the neglected tail drops below this
+_TIME_TOL = 1e-10
 
 _MEMO: dict = {}
 _MEMO_LOCK = threading.Lock()
@@ -58,7 +71,6 @@ _MEMO_LOCK = threading.Lock()
 def clear_green_cache() -> None:
     with _MEMO_LOCK:
         _MEMO.clear()
-    _torus_value.cache_clear()
     _osc_nodes.cache_clear()
     _osc_jgrid.cache_clear()
     _osc_kernel.cache_clear()
@@ -67,11 +79,14 @@ def clear_green_cache() -> None:
 
 @dataclass(frozen=True)
 class GreenValue:
-    n: Site
-    lam: complex
+    """One kernel value and its error estimate.
+
+    Memoized per symmetry orbit of the site, so one object answers every
+    site of the orbit; it therefore records neither the site nor lambda.
+    """
+
     value: complex
     err_estimate: float
-    method: str  # "torus" | "time" | "extrapolated"
 
 
 def _canon(n: Sequence[int]) -> Site:
@@ -92,7 +107,6 @@ def _memo_put(key, gv: GreenValue) -> GreenValue:
 
 # ---------------------------------------------------------------- torus path
 
-@functools.lru_cache(maxsize=100000)
 def _torus_value(canon_n: Site, lam: complex, d: int, N: int) -> complex:
     """Folded trapezoidal value with N points per dimension (N even).
 
@@ -127,13 +141,13 @@ def _torus_value(canon_n: Site, lam: complex, d: int, N: int) -> complex:
     return acc / float(N) ** d
 
 
-def auto_n_quad(lam: complex, d: int, rate: float = 40.0, n_min: int = 32, n_max: int = 512) -> int:
-    """Quadrature size law: points per dimension ~ rate / dist(lam, band),
-    clipped to [n_min, n_max] and rounded up to even."""
+def auto_n_quad(lam: complex, d: int) -> int:
+    """Quadrature size law: points per dimension ~ _NQ_RATE / dist(lam, band),
+    clipped to [_NQ_MIN, _NQ_MAX] and rounded up to even."""
     dist = dist_to_band(lam, d)
     if dist <= 0:
-        return n_max
-    n = int(min(max(math.ceil(rate / dist), n_min), n_max))
+        return _NQ_MAX
+    n = int(min(max(math.ceil(_NQ_RATE / dist), _NQ_MIN), _NQ_MAX))
     return n + (n % 2)
 
 
@@ -142,7 +156,6 @@ def green_torus(
     lam: complex,
     d: int,
     n_quad: int | None = None,
-    delta_min: float = 1e-3,
 ) -> GreenValue:
     """Momentum-representation kernel value with a doubled-grid error estimate.
 
@@ -152,9 +165,9 @@ def green_torus(
     d = validate_dimension(d)
     lam = complex(lam)
     dist = dist_to_band(lam, d)
-    if dist < delta_min:
+    if dist < _TORUS_DELTA_MIN:
         raise ValueError(
-            f"lambda={lam} is within {delta_min} of the band [-{d},{d}] "
+            f"lambda={lam} is within {_TORUS_DELTA_MIN} of the band [-{d},{d}] "
             "(dist={:.3e}); use green_boundary for on-band limits".format(dist)
         )
     if n_quad is None:
@@ -173,24 +186,18 @@ def green_torus(
         return hit
     v1 = _torus_value(canon, lam, d, n_quad)
     v2 = _torus_value(canon, lam, d, 2 * n_quad)
-    return _memo_put(key, GreenValue(tuple(int(c) for c in n), lam, v2, abs(v2 - v1), "torus"))
+    return _memo_put(key, GreenValue(v2, abs(v2 - v1)))
 
 
 # ----------------------------------------------------------- damped time path
 
-def green_time(
-    n: Sequence[int],
-    lam: complex,
-    d: int,
-    T: float | None = None,
-    tol: float = 1e-10,
-) -> GreenValue:
+def green_time(n: Sequence[int], lam: complex, d: int) -> GreenValue:
     """Time-representation kernel value for lam off the real axis.
 
     Quadrature of -i int_0^T e^(-i lam t) K_n(t) dt with the forward kernel
     K_n(t) = i^(|n|) prod J_(n_j)(t); the horizon T is set so the neglected
-    tail e^(T Im lam)/|Im lam| (using |K_n| <= 1) is below tol, capped at
-    1200 with the cap reflected honestly in err_estimate.
+    tail e^(T Im lam)/|Im lam| (using |K_n| <= 1) is below _TIME_TOL, capped
+    at 1200 with the cap reflected honestly in err_estimate.
     """
     d = validate_dimension(d)
     lam = complex(lam)
@@ -203,11 +210,10 @@ def green_time(
     if len(canon) != d:
         raise ValueError(f"site {tuple(n)} has {len(canon)} coordinates, expected {d}")
     if lam.imag > 0:
-        gv = green_time(n, lam.conjugate(), d, T=T, tol=tol)
-        return GreenValue(gv.n, lam, gv.value.conjugate(), gv.err_estimate, "time")
-    if T is None:
-        T = min(math.log(1.0 / tol) / abs(lam.imag), 1200.0)
-    key = ("dtime", canon, lam, d, float(T), float(tol))
+        gv = green_time(n, lam.conjugate(), d)
+        return GreenValue(gv.value.conjugate(), gv.err_estimate)
+    T = min(math.log(1.0 / _TIME_TOL) / abs(lam.imag), 1200.0)
+    key = ("dtime", canon, lam, d)
     hit = _memo_get(key)
     if hit is not None:
         return hit
@@ -223,7 +229,7 @@ def green_time(
         vals.append(pref * np.sum(weights * np.exp(-1j * lam * nodes) * kern))
     tail = math.exp(T * lam.imag) / abs(lam.imag)
     err = abs(vals[0] - vals[1]) + tail
-    return _memo_put(key, GreenValue(tuple(int(c) for c in n), lam, complex(vals[0]), err, "time"))
+    return _memo_put(key, GreenValue(complex(vals[0]), err))
 
 
 # ------------------------------------------------------ oscillatory time path
@@ -322,49 +328,18 @@ def green_auto(n: Sequence[int], lam: complex, d: int) -> GreenValue:
     else:
         value, err = _green_osc(canon, lam.conjugate(), d)
         value = value.conjugate()
-    return _memo_put(key, GreenValue(tuple(int(c) for c in n), lam, value, err, "time"))
+    return _memo_put(key, GreenValue(value, err))
 
 
 # -------------------------------------------------------------- boundary path
 
-def _neville_to_zero(u: np.ndarray, g: np.ndarray) -> tuple[complex, float, bool]:
-    """Polynomial extrapolation of samples g(u) to u = 0, keeping the
-    diagonal whose increment is smallest; flags non-convergent ladders."""
-    n = len(u)
-    tab = [list(g)]
-    diag = [g[0]]
-    for j in range(1, n):
-        prev = tab[-1]
-        row = []
-        for i in range(n - j):
-            row.append((u[i] * prev[i + 1] - u[i + j] * prev[i]) / (u[i] - u[i + j]))
-        tab.append(row)
-        diag.append(row[0])
-    inc = np.abs(np.diff(np.asarray(diag)))
-    best = int(np.argmin(inc)) + 1
-    increasing = bool(np.all(np.diff(inc) > 0)) and len(inc) > 2
-    return complex(diag[best]), float(inc[best - 1]), increasing
+def green_boundary(n: Sequence[int], lambda0: float, side: str, d: int) -> GreenValue:
+    """Boundary value G(n, lambda0 +/- i0) on the band [-d, d], d >= 3.
 
-
-def green_boundary(
-    n: Sequence[int],
-    lambda0: float,
-    side: str,
-    d: int,
-    method: str = "time",
-    eps0: float = 1e-2,
-    n_levels: int = 6,
-    n_quad_cap: int = 512,
-) -> GreenValue:
-    """Boundary value G(n, lambda0 +/- i0) on the band, d >= 3.
-
-    method "time" evaluates the oscillatory time representation directly at
-    real lambda0 (its analytic tail sums are valid on the closed lower half
-    plane, giving the minus side; the plus side is its conjugate).  method
-    "extrapolated" runs the off-axis ladder lambda0 +/- i eps, eps = eps0
-    2^(-k), through polynomial extrapolation in sqrt(eps); it is kept as an
-    independent cross-check and is the cheaper choice at the band edge.
-    A non-convergent ladder returns err_estimate = inf rather than a guess.
+    The oscillatory time engine evaluates directly at real lambda0: its
+    analytic tail sums are valid on the closed lower half plane, which
+    gives the minus side; the plus side is its conjugate.  The band edges
+    need no special treatment.
     """
     d = require_dimension_3(d, "green_boundary")
     lambda0 = float(lambda0)
@@ -375,32 +350,11 @@ def green_boundary(
     canon = _canon(n)
     if len(canon) != d:
         raise ValueError(f"site {tuple(n)} has {len(canon)} coordinates, expected {d}")
-    key = ("boundary", canon, lambda0, side, d, method, eps0, n_levels, n_quad_cap)
+    key = ("boundary", canon, lambda0, side, d)
     hit = _memo_get(key)
     if hit is not None:
         return hit
-    nt = tuple(int(c) for c in n)
-    if method == "time":
-        value, err = _green_osc(canon, complex(lambda0), d)
-        if side == "plus":
-            value = value.conjugate()
-        return _memo_put(key, GreenValue(nt, complex(lambda0), value, err, "time"))
-    if method != "extrapolated":
-        raise ValueError(f"method must be 'time' or 'extrapolated', got {method!r}")
-    if abs(abs(lambda0) - d) < 1e-12:
-        warnings.warn(
-            "band-edge extrapolation converges slowly; the 'time' method is exact there",
-            stacklevel=2,
-        )
-    sgn = 1.0 if side == "plus" else -1.0
-    eps = eps0 * 0.5 ** np.arange(n_levels + 1)
-    samples = []
-    for e in eps:
-        lam_e = complex(lambda0, sgn * e)
-        nq = auto_n_quad(lam_e, d, n_max=n_quad_cap)
-        samples.append(_torus_value(canon, lam_e, d, nq))
-    value, err, bad = _neville_to_zero(np.sqrt(eps), np.asarray(samples))
-    if bad:
-        err = math.inf
-    return _memo_put(key, GreenValue(nt, complex(lambda0), value, err, "extrapolated"))
-
+    value, err = _green_osc(canon, complex(lambda0), d)
+    if side == "plus":
+        value = value.conjugate()
+    return _memo_put(key, GreenValue(value, err))

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .lattice import Potential
 from .conformal import lambda_of_z
 from .resolvent import green_boundary
-from .determinant import PathRefinementError, QuadPolicy, det_eval, march_log
+from .determinant import PathRefinementError, det_eval, march_log
 from ._util import GOLDEN_FRAC
 
 __all__ = [
@@ -93,16 +93,15 @@ class _BoundaryTooClose(Exception):
 class _DetCache:
     """Memoized D(z) evaluations shared across all contours of one search."""
 
-    def __init__(self, V: Potential, policy: QuadPolicy):
+    def __init__(self, V: Potential):
         self.V = V
-        self.policy = policy
         self._memo: dict = {}
         self.n_evals = 0
 
     def __call__(self, z: complex) -> complex:
         got = self._memo.get(z)
         if got is None:
-            got = det_eval(self.V, z, self.policy).value
+            got = det_eval(self.V, z).value
             self._memo[z] = got
             self.n_evals += 1
         return got
@@ -171,17 +170,13 @@ def _count_with_retry(cache: _DetCache, sec: AnnularSector, max_retries: int = 5
     raise ZeroIsolationError(f"contour keeps landing on zeros near {sec}")
 
 
-def count_zeros(
-    V: Potential,
-    region: "AnnularSector | Sequence[float]",
-    policy: QuadPolicy = QuadPolicy(),
-) -> int:
+def count_zeros(V: Potential, region: "AnnularSector | Sequence[float]") -> int:
     """Number of zeros of D in an annular sector, counted with multiplicity."""
     if not isinstance(region, AnnularSector):
         region = AnnularSector(*region)
     if not V.support:
         return 0
-    cache = _DetCache(V, policy)
+    cache = _DetCache(V)
     (w, _), _ = _count_with_retry(cache, region)
     return w
 
@@ -257,7 +252,6 @@ def find_zeros(
     V: Potential,
     r_outer: float = 1.0 - 1e-3,
     tol: float = 1e-10,
-    policy: QuadPolicy = QuadPolicy(),
 ) -> "list[ZeroRecord]":
     """All zeros of D in {1e-3 <= |z| <= r_outer}, polished and verified.
 
@@ -269,7 +263,7 @@ def find_zeros(
         raise ValueError("r_outer must be <= 1 - 1e-3")
     if not V.support:
         return []
-    cache = _DetCache(V, policy)
+    cache = _DetCache(V)
     # angular datum at an irrational-ish angle: real potentials put zeros on
     # the real axis, which must not coincide with any subdivision seam
     root = AnnularSector(1e-3, r_outer, GOLDEN_FRAC, GOLDEN_FRAC + _TWO_PI)

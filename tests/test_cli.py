@@ -150,6 +150,9 @@ def test_sweep_subcommand(v3_file, tmp_path):
     assert int(rows[-1]["n_zeros"]) == 1
     assert main(["sweep", "-p", v3_file, "--scale-grid", "0.5:1.1:3"]) == EXIT_VALIDATION
     assert main(["sweep", "-p", v3_file, "--scale-grid", "junk", "-o", str(out)]) == EXIT_VALIDATION
+    for tol in ("-1", "0"):
+        assert main(["sweep", "-p", v3_file, "--scale-grid", "1:1:1", "--tol", tol,
+                     "-o", str(out)]) == EXIT_VALIDATION
 
 
 def test_config_defaults_and_override(v3_file, tmp_path):
@@ -166,6 +169,25 @@ def test_config_defaults_and_override(v3_file, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"no-such": 1}))
     assert main(["taylor-check", "-p", v3_file, "--config", str(bad), "--r", "0.05"]) == EXIT_VALIDATION
+
+
+def test_config_values_parse_like_flags(v3_file, tmp_path):
+    # a config value goes through its option's type and choices, as if it
+    # had been given on the command line; a bad one is invalid input
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "t.json"
+    taylor = ["taylor-check", "-p", v3_file, "--r", "0.03", "--config", str(cfg), "-o", str(out)]
+    cfg.write_text(json.dumps({"n_max": "3"}))
+    assert main(taylor) == EXIT_OK
+    assert len(_load(out)["c"]) == 3
+    cfg.write_text(json.dumps({"n_max": "three"}))
+    assert main(taylor) == EXIT_VALIDATION
+    green = ["green", "--d", "3", "--lambda", "5", "--site", "0,0,0", "--config", str(cfg),
+             "-o", str(out)]
+    cfg.write_text(json.dumps({"threads": "2"}))
+    assert main(green) == EXIT_OK
+    cfg.write_text(json.dumps({"method": "sideways"}))
+    assert main(green) == EXIT_VALIDATION
 
 
 def test_config_never_overrides_explicit_flags(tmp_path):

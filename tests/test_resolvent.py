@@ -7,6 +7,7 @@ import pytest
 
 from latspec.conformal import dist_to_band
 from latspec.lattice import validate_dimension
+from latspec import resolvent
 from latspec.resolvent import green_auto, green_boundary, green_time, green_torus
 
 
@@ -81,13 +82,19 @@ def test_free_green_large_lambda_asymptote():
 
 
 def test_green_auto_continuity_at_switch():
-    # the engine seam must not show in the values
-    for t in (0.0, 0.4, 1.1):
-        lam_near = (3 + 0.349) * cmath.exp(1j * t)
-        lam_far = (3 + 0.351) * cmath.exp(1j * t)
-        a = green_auto((1, 1, 0), lam_near, 3).value
-        b = green_auto((1, 1, 0), lam_far, 3).value
-        assert abs(a - b) < 2e-3  # plain continuity, not equality
+    # at the switching distance both engines of green_auto must give the
+    # same value within their own error estimates: beside the band segment
+    # and beyond both band edges (lower half plane, where _green_osc works)
+    dist = resolvent._DIST_SWITCH
+    lams = [x - 1j * dist for x in (0.0, 1.7, -2.5)]
+    lams += [3.0 + dist * cmath.exp(-1j * t) for t in (0.0, 0.6, 1.4)]
+    lams += [-3.0 - dist * cmath.exp(1j * t) for t in (0.3, 1.1)]
+    for lam in lams:
+        assert dist_to_band(lam, 3) == pytest.approx(dist, rel=1e-12)
+        for n in ((0, 0, 0), (1, 1, 0), (2, 1, 0)):
+            torus = green_torus(n, lam, 3)
+            osc, osc_err = resolvent._green_osc(resolvent._canon(n), lam, 3)
+            assert abs(torus.value - osc) <= torus.err_estimate + osc_err
 
 
 def test_boundary_two_sides_conjugate():
@@ -107,15 +114,6 @@ def test_boundary_matches_small_epsilon_limit():
     errs = [abs(s - b) for s in seq]
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 2e-3
-
-
-def test_boundary_extrapolated_method_at_edge():
-    exact = _watson_band_edge()
-    with pytest.warns(UserWarning):
-        got = green_boundary((0, 0, 0), 3.0, "plus", 3, method="extrapolated")
-    assert got.value.real == pytest.approx(exact, abs=1e-5)
-    # the reported uncertainty covers the true gap
-    assert abs(got.value.real - exact) <= 10.0 * got.err_estimate
 
 
 def test_boundary_rejects_outside_band():
