@@ -19,7 +19,7 @@ from typing import Optional
 from ._util import complex_to_json, json_sanitize, parse_complex
 from .lattice import Potential, brute_force_moments, quasi_norm, trace_moments
 from .resolvent import green_auto, green_boundary, green_time, green_torus
-from .determinant import det_eval, moment_relation_check, taylor_coeffs
+from .determinant import RIM_RADIUS, det_eval, moment_relation_check, taylor_coeffs
 from .zeros import coupling_threshold, find_zeros
 from .hardy import boundary_trace, jensen_check, outer_reconstruct, trace_residuals
 from .bounds import check_bounds, real_case_report
@@ -78,7 +78,7 @@ def _require_search_options(args) -> None:
     if hasattr(args, "n_grid"):
         _require(args.n_grid >= 256 and args.n_grid & (args.n_grid - 1) == 0,
                  "--n-grid must be a power of two >= 256")
-    _require(0.0 < args.r_outer <= 1.0 - 1e-3, "--r-outer must lie in (0, 1 - 1e-3]")
+    _require(0.0 < args.r_outer <= RIM_RADIUS, f"--r-outer must lie in (0, {RIM_RADIUS:g}]")
     _require(args.tol > 0.0, "--tol must be positive")
 
 
@@ -211,7 +211,7 @@ def _cmd_trace_check(args) -> tuple:
         r_list = [float(x) for x in args.r_list.split(",") if x]
     except ValueError:
         raise ValidationError(f"bad --r-list {args.r_list!r}")
-    _require(all(0.0 < r < 1.0 - 1e-3 for r in r_list), "jensen radii must lie in (0, 1 - 1e-3)")
+    _require(all(0.0 < r < RIM_RADIUS for r in r_list), f"jensen radii must lie in (0, {RIM_RADIUS:g})")
 
     zeros, bt, tc = _pipeline(V, args.n_grid, args.r_outer, args.tol, args.n_max, args.taylor_r)
     resid = trace_residuals(V, zeros, bt, tc)
@@ -395,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ei = sub.add_parser("eigs", help="all disc zeros / eigenvalues", parents=[common])
     ei.add_argument("-p", "--potential", required=True)
-    ei.add_argument("--r-outer", type=float, default=1.0 - 1e-3)
+    ei.add_argument("--r-outer", type=float, default=RIM_RADIUS)
     ei.add_argument("--tol", type=float, default=1e-10)
     ei.add_argument("-o", "--out")
 
@@ -404,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--n-grid", type=int, default=256)
     tr.add_argument("--r-list", default="0.5,0.8,0.95")
     tr.add_argument("--jensen-grid", type=int, default=1024)
-    tr.add_argument("--r-outer", type=float, default=1.0 - 1e-3)
+    tr.add_argument("--r-outer", type=float, default=RIM_RADIUS)
     tr.add_argument("--tol", type=float, default=1e-10)
     tr.add_argument("--n-max", type=int, default=4)
     tr.add_argument("--taylor-r", type=float, default=None)
@@ -413,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     br = sub.add_parser("bounds-report", help="eigenvalue-sum estimates", parents=[common])
     br.add_argument("-p", "--potential", required=True)
     br.add_argument("--n-grid", type=int, default=256)
-    br.add_argument("--r-outer", type=float, default=1.0 - 1e-3)
+    br.add_argument("--r-outer", type=float, default=RIM_RADIUS)
     br.add_argument("--tol", type=float, default=1e-10)
     br.add_argument("-o", "--out")
 
@@ -428,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("-p", "--potential", required=True)
     sw.add_argument("--scale-grid", required=True, help="lo:hi:num")
     sw.add_argument("--n-grid", type=int, default=256)
-    sw.add_argument("--r-outer", type=float, default=1.0 - 1e-3)
+    sw.add_argument("--r-outer", type=float, default=RIM_RADIUS)
     sw.add_argument("--tol", type=float, default=1e-9)
     sw.add_argument("-o", "--out")
 

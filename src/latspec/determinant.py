@@ -49,8 +49,9 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-12
-# interior samples must satisfy |z| <= 1 - margin; the rim in between is refused
-_INTERIOR_MARGIN = 1e-3
+# interior samples must satisfy |z| <= RIM_RADIUS; the rim between it and
+# the unit circle is refused
+RIM_RADIUS = 1.0 - 1e-3
 # bisections of one marched step before march_log gives up on it
 _MARCH_MAX_DEPTH = 40
 
@@ -167,9 +168,9 @@ def det_eval(V: Potential, z: complex, policy: QuadPolicy = QuadPolicy()) -> Det
         t = cmath.phase(z)
         M, E = _assemble(V, lambda diff: _green_on_circle(diff, t, d))
         return _det_with_err(M, E, z)
-    if az > 1.0 - _INTERIOR_MARGIN + 1e-12:
+    if az > RIM_RADIUS + 1e-12:
         raise ValueError(
-            f"|z|={az:.6g} is inside the rim margin {_INTERIOR_MARGIN:g}; "
+            f"|z|={az:.6g} lies in the rim {RIM_RADIUS:g} < |z| < 1; "
             "evaluate on |z|=1 or deeper inside the disc"
         )
     lam = lambda_of_z(z, d)

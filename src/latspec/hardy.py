@@ -30,7 +30,7 @@ import numpy as np
 
 from .lattice import Potential, require_dimension_3
 from .quadrature import gl_panels
-from .determinant import TaylorCoeffs, det_eval
+from .determinant import RIM_RADIUS, TaylorCoeffs, det_eval
 from .zeros import ZeroRecord
 
 __all__ = [
@@ -105,8 +105,8 @@ def jensen_check(
     Jensen's formula makes this exactly zero, so the return value is a
     joint accuracy measure of determinant sampling and zero locations.
     """
-    if not 0.0 < r < 1.0 - 1e-3:
-        raise ValueError("Jensen radius must lie in (0, 1 - 1e-3)")
+    if not 0.0 < r < RIM_RADIUS:
+        raise ValueError(f"Jensen radius must lie in (0, {RIM_RADIUS:g})")
     # a zero sitting on the circle makes the integral singular; nudge r
     for rec in zeros:
         if abs(abs(rec.z) - r) < 1e-9:

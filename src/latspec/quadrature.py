@@ -96,18 +96,17 @@ def tail_integral_vec(s_list: np.ndarray, w: complex, T: float) -> np.ndarray:
     across all s that need it."""
     s_list = np.asarray(s_list, dtype=float)
     w = complex(w)
+    _check_tail_args(float(s_list.min()), w, T)
     out = np.empty(s_list.size, dtype=complex)
     aw = abs(w)
     if aw * T < 1e-13:
         return T ** (1.0 - s_list) / (s_list - 1.0) + 0.0j
     direct = aw * T >= 2.0 * s_list + 30.0
     for i in np.nonzero(direct)[0]:
-        _check_tail_args(s_list[i], w, T)
         out[i] = _tail_series(s_list[i], w, T)
     bridged = np.nonzero(~direct)[0]
     if bridged.size:
         s_b = s_list[bridged]
-        _check_tail_args(float(s_b.min()), w, T)
         t_star = (2.0 * float(s_b.max()) + 32.0) / aw
         u_nodes, u_weights = gl_panels(0.0, np.log(t_star / T), 0.25, npts=12)
         t = T * np.exp(u_nodes)

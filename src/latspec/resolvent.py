@@ -13,22 +13,29 @@ Three interior evaluators, independent of each other:
 * an oscillatory time engine: the same integral split at a moderate T0,
   with the remainder summed analytically mode by mode from the
   large-argument Bessel expansion.  It stays accurate arbitrarily close
-  to, and on, the band.
+  to, and on, the band, for d >= 3.
 
 ``green_auto`` picks the torus engine far from the band and the
-oscillatory engine close to it.  ``green_boundary`` gives the boundary
-values G(n, lambda0 -/+ i0) on the band through the oscillatory engine
-alone; its independent checks are Watson's closed form at the band edge
-and the small-epsilon limit of the interior engines.
+oscillatory engine close to it; d = 1 and 2 are refused there, at the
+entry.  ``green_boundary`` gives the boundary values G(n, lambda0 -/+ i0)
+on the band through the oscillatory engine alone; its independent checks
+are Watson's closed form at the band edge and the small-epsilon limit of
+the interior engines.
 
-The time integrand pairs e^(-i lam t) with the forward evolution kernel,
-whose quarter-turn phase is i^(+|n|) per the Fourier expansion of e^(i t
-cos k); damping then requires Im(lam) <= 0, and the opposite half plane is
-reached through the conjugation symmetry G(n, conj lam) = conj G(n, lam).
+Two exact symmetries are applied in one place each.  G depends on n only
+through its orbit under sign flips and coordinate permutations: ``_orbit``
+maps every site to the orbit's representative and checks that it has d
+coordinates.  The time integrand pairs e^(-i lam t) with the forward
+evolution kernel, whose quarter-turn phase is i^(+|n|) per the Fourier
+expansion of e^(i t cos k); damping then requires Im(lam) <= 0, and
+``_lower_half`` reaches the opposite half plane through the reflection
+G(n, conj lam) = conj G(n, lam).  The plus side of the band is the
+reflection of the minus side.
 
-All evaluators canonicalize n up to sign flips and coordinate permutations
-(exact symmetries of the kernel) and share a memo cache, so repeated
-evaluations during determinant assembly are free and bit-identical.
+Each engine core keeps its own ``functools.lru_cache`` of at most
+``_MEMO_SIZE`` values, keyed by (orbit, lam, d), so repeated evaluations
+during determinant assembly are free and bit-identical;
+``clear_green_cache`` empties them all.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,26 +69,31 @@ _NQ_MAX = 512
 _TORUS_DELTA_MIN = 1e-3
 # green_time truncates its horizon where the neglected tail drops below this
 _TIME_TOL = 1e-10
-
-_MEMO: dict = {}
-_MEMO_LOCK = threading.Lock()
+# the oscillatory engine integrates numerically up to
+# T0 = _OSC_T0 + _OSC_T0_PER_ORDER * max_j |n_j| and keeps _OSC_N_TERMS
+# terms of each mode's large-t expansion beyond it
+_OSC_T0 = 240.0
+_OSC_T0_PER_ORDER = 10.0
+_OSC_N_TERMS = 11
+# values kept per engine cache; the largest benchmark run (eigs on the
+# 5-site draw 2 of perfbench's panel) fills 3635 torus and 3170 oscillatory
+# entries, so no benchmark run evicts
+_MEMO_SIZE = 8192
 
 
 def clear_green_cache() -> None:
-    with _MEMO_LOCK:
-        _MEMO.clear()
-    _osc_nodes.cache_clear()
-    _osc_jgrid.cache_clear()
-    _osc_kernel.cache_clear()
-    _osc_tail_data.cache_clear()
+    for cache in (_torus_cached, _time_cached, _osc_cached,
+                  _osc_nodes, _osc_kernel, _osc_tail_data):
+        cache.cache_clear()
 
 
 @dataclass(frozen=True)
 class GreenValue:
     """One kernel value and its error estimate.
 
-    Memoized per symmetry orbit of the site, so one object answers every
-    site of the orbit; it therefore records neither the site nor lambda.
+    Memoized per symmetry orbit of the site, so one value answers every
+    site of the orbit (and its reflection answers conj lambda); it
+    therefore records neither the site nor lambda.
     """
 
     value: complex
@@ -94,15 +105,24 @@ def _canon(n: Sequence[int]) -> Site:
     return tuple(sorted((abs(int(c)) for c in n), reverse=True))
 
 
-def _memo_get(key):
-    with _MEMO_LOCK:
-        return _MEMO.get(key)
+def _orbit(n: Sequence[int], d: int) -> Site:
+    """_canon(n) for a site that must have exactly d coordinates."""
+    canon = _canon(n)
+    if len(canon) != d:
+        raise ValueError(f"site {tuple(n)} has {len(canon)} coordinates, expected {d}")
+    return canon
 
 
-def _memo_put(key, gv: GreenValue) -> GreenValue:
-    with _MEMO_LOCK:
-        _MEMO[key] = gv
-    return gv
+def _conj(gv: GreenValue) -> GreenValue:
+    return GreenValue(gv.value.conjugate(), gv.err_estimate)
+
+
+def _lower_half(core, canon: Site, lam: complex, d: int) -> GreenValue:
+    """core(canon, lam, d) for a core that needs Im(lam) <= 0, extended to
+    the upper half plane by G(n, conj lam) = conj G(n, lam)."""
+    if lam.imag > 0:
+        return _conj(core(canon, lam.conjugate(), d))
+    return core(canon, lam, d)
 
 
 # ---------------------------------------------------------------- torus path
@@ -122,14 +142,12 @@ def _torus_value(canon_n: Site, lam: complex, d: int, N: int) -> complex:
     u = [w * np.cos(canon_n[j] * k) for j in range(d)]
     if d == 1:
         acc = complex(np.sum(u[0] / (c - lam)))
-    elif d == 2:
-        r = 1.0 / (c[:, None] + c[None, :] - lam)
-        acc = complex(u[0] @ r @ u[1])
     else:
+        # one 2-d slab over the first two axes per point of the other d - 2
+        # (a single empty point when d = 2)
         c01 = c[:, None] + c[None, :]
         acc = 0.0 + 0.0j
-        extra_axes = list(itertools.product(range(m + 1), repeat=d - 2))
-        for idx in extra_axes:
+        for idx in itertools.product(range(m + 1), repeat=d - 2):
             shift = sum(c[i] for i in idx) - lam
             wex = 1.0
             for j, i in enumerate(idx):
@@ -141,12 +159,10 @@ def _torus_value(canon_n: Site, lam: complex, d: int, N: int) -> complex:
     return acc / float(N) ** d
 
 
-def auto_n_quad(lam: complex, d: int) -> int:
-    """Quadrature size law: points per dimension ~ _NQ_RATE / dist(lam, band),
-    clipped to [_NQ_MIN, _NQ_MAX] and rounded up to even."""
-    dist = dist_to_band(lam, d)
-    if dist <= 0:
-        return _NQ_MAX
+def auto_n_quad(dist: float) -> int:
+    """Quadrature size law: points per dimension ~ _NQ_RATE / dist, for
+    lambda at distance dist > 0 from the band, clipped to
+    [_NQ_MIN, _NQ_MAX] and rounded up to even."""
     n = int(min(max(math.ceil(_NQ_RATE / dist), _NQ_MIN), _NQ_MAX))
     return n + (n % 2)
 
@@ -171,22 +187,20 @@ def green_torus(
             "(dist={:.3e}); use green_boundary for on-band limits".format(dist)
         )
     if n_quad is None:
-        n_quad = auto_n_quad(lam, d)
+        n_quad = auto_n_quad(dist)
     else:
         n_quad = int(n_quad)
         if n_quad < 8:
             raise ValueError(f"n_quad must be >= 8, got {n_quad}")
         n_quad += n_quad % 2
-    canon = _canon(n)
-    if len(canon) != d:
-        raise ValueError(f"site {tuple(n)} has {len(canon)} coordinates, expected {d}")
-    key = ("torus", canon, lam, d, n_quad)
-    hit = _memo_get(key)
-    if hit is not None:
-        return hit
+    return _torus_cached(_orbit(n, d), lam, d, n_quad)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _torus_cached(canon: Site, lam: complex, d: int, n_quad: int) -> GreenValue:
     v1 = _torus_value(canon, lam, d, n_quad)
     v2 = _torus_value(canon, lam, d, 2 * n_quad)
-    return _memo_put(key, GreenValue(v2, abs(v2 - v1)))
+    return GreenValue(v2, abs(v2 - v1))
 
 
 # ----------------------------------------------------------- damped time path
@@ -206,63 +220,54 @@ def green_time(n: Sequence[int], lam: complex, d: int) -> GreenValue:
             f"green_time needs |Im lambda| >= 1e-6 (got {lam.imag:.2e}): "
             "the truncation tail is uncontrolled on the real axis; use green_boundary"
         )
-    canon = _canon(n)
-    if len(canon) != d:
-        raise ValueError(f"site {tuple(n)} has {len(canon)} coordinates, expected {d}")
-    if lam.imag > 0:
-        gv = green_time(n, lam.conjugate(), d)
-        return GreenValue(gv.value.conjugate(), gv.err_estimate)
+    return _lower_half(_time_cached, _orbit(n, d), lam, d)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _time_cached(canon: Site, lam: complex, d: int) -> GreenValue:
     T = min(math.log(1.0 / _TIME_TOL) / abs(lam.imag), 1200.0)
-    key = ("dtime", canon, lam, d)
-    hit = _memo_get(key)
-    if hit is not None:
-        return hit
-    phase_total = sum(canon) % 4
-    pref = -1j * _IPOW[phase_total]
+    pref = -1j * _IPOW[sum(canon) % 4]
     vals = []
     for npts in (12, 10):
         nodes, weights = gl_panels(0.0, T, 0.5, npts=npts)
-        rows = bessel_j_grid(nodes, canon[0] if canon else 0)
+        rows = bessel_j_grid(nodes, canon[0])
         kern = np.ones_like(nodes)
         for m in canon:
             kern = kern * rows[m]
         vals.append(pref * np.sum(weights * np.exp(-1j * lam * nodes) * kern))
     tail = math.exp(T * lam.imag) / abs(lam.imag)
     err = abs(vals[0] - vals[1]) + tail
-    return _memo_put(key, GreenValue(complex(vals[0]), err))
+    return GreenValue(complex(vals[0]), err)
 
 
 # ------------------------------------------------------ oscillatory time path
+
+def _osc_t0(canon_n: Site) -> float:
+    return _OSC_T0 + _OSC_T0_PER_ORDER * canon_n[0]
+
 
 @functools.lru_cache(maxsize=32)
 def _osc_nodes(T0: float) -> tuple[np.ndarray, np.ndarray]:
     return gl_panels(0.0, T0, 0.5, npts=10)
 
 
-@functools.lru_cache(maxsize=32)
-def _osc_jgrid(T0: float, m_cap: int) -> np.ndarray:
-    nodes, _ = _osc_nodes(T0)
-    return bessel_j_grid(nodes, m_cap)
-
-
 @functools.lru_cache(maxsize=4096)
-def _osc_kernel(canon_n: Site, T0: float) -> np.ndarray:
+def _osc_kernel(canon_n: Site) -> np.ndarray:
     """prod_j J_(n_j) on the numeric nodes (real; phases applied by callers)."""
-    m_max = canon_n[0] if canon_n else 0
-    m_cap = ((m_max // 8) + 1) * 8  # quantized so the J-grid cache is shared
-    rows = _osc_jgrid(T0, m_cap)
-    kern = rows[canon_n[0]].copy() if canon_n else np.ones(rows.shape[1])
+    nodes, _ = _osc_nodes(_osc_t0(canon_n))
+    rows = bessel_j_grid(nodes, canon_n[0])
+    kern = rows[canon_n[0]].copy()
     for m in canon_n[1:]:
         kern *= rows[m]
     return kern
 
 
 @functools.lru_cache(maxsize=4096)
-def _osc_tail_data(canon_n: Site, n_terms: int) -> tuple:
+def _osc_tail_data(canon_n: Site) -> tuple:
     """Per sign pattern s in {+,-}^d: (constant phase, integer frequency S,
-    coefficient polynomial of prod_j A or conj(A) truncated at n_terms)."""
+    coefficient polynomial of prod_j A or conj(A) truncated at _OSC_N_TERMS)."""
     d = len(canon_n)
-    amps = {m: hankel_amplitude_coeffs(m, n_terms) for m in set(canon_n)}
+    amps = {m: hankel_amplitude_coeffs(m, _OSC_N_TERMS) for m in set(canon_n)}
     out = []
     for signs in itertools.product((1, -1), repeat=d):
         s_freq = sum(signs)
@@ -271,12 +276,12 @@ def _osc_tail_data(canon_n: Site, n_terms: int) -> tuple:
         poly = np.ones(1, dtype=complex)
         for s, m in zip(signs, canon_n):
             factor = amps[m] if s > 0 else np.conj(amps[m])
-            poly = np.convolve(poly, factor)[:n_terms]
+            poly = np.convolve(poly, factor)[:_OSC_N_TERMS]
         out.append((ph0, s_freq, poly))
     return tuple(out)
 
 
-def _green_osc(canon_n: Site, lam: complex, d: int, T0: float | None = None, n_terms: int = 11) -> tuple[complex, float]:
+def _green_osc(canon_n: Site, lam: complex, d: int) -> tuple[complex, float]:
     """High-accuracy kernel value for Im(lam) <= 0, including real lam.
 
     Numeric Gauss-Legendre integral on [0, T0] plus 2^d analytic mode tails:
@@ -286,17 +291,15 @@ def _green_osc(canon_n: Site, lam: complex, d: int, T0: float | None = None, n_t
     """
     if lam.imag > 1e-15:
         raise ValueError("oscillatory engine requires Im(lambda) <= 0")
-    m_max = canon_n[0] if canon_n else 0
-    if T0 is None:
-        T0 = 240.0 + 10.0 * m_max
+    T0 = _osc_t0(canon_n)
     nodes, weights = _osc_nodes(T0)
-    kern = _osc_kernel(canon_n, T0)
+    kern = _osc_kernel(canon_n)
     main = np.sum(weights * np.exp(-1j * lam * nodes) * kern)
     mode_factor = (2.0 / np.pi) ** (0.5 * d) * 0.5 ** d
-    s_exps = 0.5 * d + np.arange(n_terms, dtype=float)
+    s_exps = 0.5 * d + np.arange(_OSC_N_TERMS, dtype=float)
     tail = 0.0 + 0.0j
     trunc = 0.0
-    for ph0, s_freq, poly in _osc_tail_data(canon_n, n_terms):
+    for ph0, s_freq, poly in _osc_tail_data(canon_n):
         omega = s_freq - lam
         pieces = tail_integral_vec(s_exps[: poly.size], omega, T0)
         tail += ph0 * np.dot(poly, pieces)
@@ -307,10 +310,16 @@ def _green_osc(canon_n: Site, lam: complex, d: int, T0: float | None = None, n_t
     return complex(value), float(err)
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _osc_cached(canon: Site, lam: complex, d: int) -> GreenValue:
+    return GreenValue(*_green_osc(canon, lam, d))
+
+
 def green_auto(n: Sequence[int], lam: complex, d: int) -> GreenValue:
     """Dispatcher used by determinant assembly: torus quadrature while the
     auto grid stays cheap (roughly 40/dist points per axis), oscillatory
-    time engine closer in where its flat ~ms cost wins."""
+    time engine closer in where its flat ~ms cost wins; the latter needs
+    d >= 3."""
     d = validate_dimension(d)
     lam = complex(lam)
     dist = dist_to_band(lam, d)
@@ -318,17 +327,8 @@ def green_auto(n: Sequence[int], lam: complex, d: int) -> GreenValue:
         raise ValueError(f"lambda={lam} lies on the band; use green_boundary")
     if dist >= _DIST_SWITCH:
         return green_torus(n, lam, d)
-    canon = _canon(n)
-    key = ("osc", canon, lam, d)
-    hit = _memo_get(key)
-    if hit is not None:
-        return hit
-    if lam.imag <= 0:
-        value, err = _green_osc(canon, lam, d)
-    else:
-        value, err = _green_osc(canon, lam.conjugate(), d)
-        value = value.conjugate()
-    return _memo_put(key, GreenValue(value, err))
+    d = require_dimension_3(d, f"green_auto within {_DIST_SWITCH} of the band")
+    return _lower_half(_osc_cached, _orbit(n, d), lam, d)
 
 
 # -------------------------------------------------------------- boundary path
@@ -338,8 +338,8 @@ def green_boundary(n: Sequence[int], lambda0: float, side: str, d: int) -> Green
 
     The oscillatory time engine evaluates directly at real lambda0: its
     analytic tail sums are valid on the closed lower half plane, which
-    gives the minus side; the plus side is its conjugate.  The band edges
-    need no special treatment.
+    gives the minus side; the plus side is its conjugate, served from the
+    same cached value.  The band edges need no special treatment.
     """
     d = require_dimension_3(d, "green_boundary")
     lambda0 = float(lambda0)
@@ -347,14 +347,5 @@ def green_boundary(n: Sequence[int], lambda0: float, side: str, d: int) -> Green
         raise ValueError(f"lambda0={lambda0} is off the band [-{d},{d}]; use green_torus")
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    canon = _canon(n)
-    if len(canon) != d:
-        raise ValueError(f"site {tuple(n)} has {len(canon)} coordinates, expected {d}")
-    key = ("boundary", canon, lambda0, side, d)
-    hit = _memo_get(key)
-    if hit is not None:
-        return hit
-    value, err = _green_osc(canon, complex(lambda0), d)
-    if side == "plus":
-        value = value.conjugate()
-    return _memo_put(key, GreenValue(value, err))
+    gv = _osc_cached(_orbit(n, d), complex(lambda0), d)
+    return _conj(gv) if side == "plus" else gv

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .lattice import Potential
 from .conformal import lambda_of_z
 from .resolvent import green_boundary
-from .determinant import PathRefinementError, det_eval, march_log
+from .determinant import RIM_RADIUS, PathRefinementError, det_eval, march_log
 from ._util import GOLDEN_FRAC
 
 __all__ = [
@@ -163,7 +163,7 @@ def _count_with_retry(cache: _DetCache, sec: AnnularSector, max_retries: int = 5
             bump_r = GOLDEN_FRAC * (sec.r_hi - sec.r_lo) * 1e-3 * (attempt + 1)
             sec = AnnularSector(
                 max(sec.r_lo - bump_r, 1e-6),
-                min(sec.r_hi + bump_r, 1.0 - 1e-3),
+                min(sec.r_hi + bump_r, RIM_RADIUS),
                 sec.t_lo - bump_t,
                 min(sec.t_hi + bump_t, sec.t_lo - bump_t + _TWO_PI),
             )
@@ -250,7 +250,7 @@ def _newton_polish(cache: _DetCache, x0: complex, m: int, scale: float, tol: flo
 
 def find_zeros(
     V: Potential,
-    r_outer: float = 1.0 - 1e-3,
+    r_outer: float = RIM_RADIUS,
     tol: float = 1e-10,
 ) -> "list[ZeroRecord]":
     """All zeros of D in {1e-3 <= |z| <= r_outer}, polished and verified.
@@ -259,8 +259,8 @@ def find_zeros(
     (eigenvalues collapsing onto the band) are out of scope and their
     absence from the output is the caller's responsibility to mind.
     """
-    if r_outer > 1.0 - 1e-3 + 1e-12:
-        raise ValueError("r_outer must be <= 1 - 1e-3")
+    if r_outer > RIM_RADIUS + 1e-12:
+        raise ValueError(f"r_outer must be <= {RIM_RADIUS:g}")
     if not V.support:
         return []
     cache = _DetCache(V)

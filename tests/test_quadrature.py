@@ -45,3 +45,10 @@ def test_tail_integral_oscillatory_vs_quadrature():
         brute = np.sum(weights * nodes ** (-s) * np.exp(1j * w * nodes))
         ref = brute + rest[k]
         assert abs(got[k] - ref) <= 1e-11 * abs(ref)
+
+
+def test_tail_integral_refuses_divergent_exponents():
+    # at w = 0 the tail of t^(-s) diverges for s <= 1
+    for s in (0.5, 1.0):
+        with pytest.raises(ValueError, match="s > 1"):
+            tail_integral_vec([s], 0.0, 2.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from latspec.conformal import dist_to_band
+from latspec.conformal import dist_to_band, z_of_lambda
 from latspec.lattice import validate_dimension
 from latspec import resolvent
 from latspec.resolvent import green_auto, green_boundary, green_time, green_torus
@@ -150,3 +150,53 @@ def test_error_estimates_are_honest():
         b = green_time(n, lam, 3)
         true_gap = abs(a.value - b.value)
         assert true_gap <= 10.0 * (a.err_estimate + b.err_estimate) + 1e-12
+
+
+def test_green_auto_checks_site_length_on_both_branches():
+    # near the band (oscillatory branch) as well as far from it (torus)
+    for lam in (2.0 - 0.1j, 5.0):
+        for n in ((0, 0), (0, 0, 0, 0)):
+            with pytest.raises(ValueError, match="coordinates"):
+                green_auto(n, lam, 3)
+
+
+def test_oscillatory_branch_refuses_low_dimensions():
+    for n, d in (((0,), 1), ((0, 0), 2)):
+        with pytest.raises(ValueError, match="d >= 3"):
+            green_auto(n, 0.5 - 0.1j, d)
+
+
+def test_boundary_sides_share_one_evaluation(monkeypatch):
+    calls = []
+    osc = resolvent._green_osc
+
+    def counted(*args):
+        calls.append(args)
+        return osc(*args)
+
+    monkeypatch.setattr(resolvent, "_green_osc", counted)
+    resolvent.clear_green_cache()
+    minus = green_boundary((1, 0, 0), 1.5, "minus", 3)
+    plus = green_boundary((1, 0, 0), 1.5, "plus", 3)
+    assert len(calls) == 1
+    assert plus.value == minus.value.conjugate()
+    assert plus.err_estimate == minus.err_estimate
+    resolvent.clear_green_cache()
+    green_boundary((1, 0, 0), 1.5, "plus", 3)
+    assert len(calls) == 2
+
+
+def test_torus_matches_closed_form_in_one_dimension():
+    # G(n, lam) = 2 z^(|n|+1) / (z^2 - 1) with z = z(lam) in the unit disc
+    for lam in (2.5 + 0.3j, -1.7 - 0.6j, 0.2 + 1.1j, 3.0, -4.0 + 0.2j):
+        z = z_of_lambda(lam, 1)
+        for n in (0, 1, 3):
+            exact = 2.0 * z ** (n + 1) / (z * z - 1.0)
+            assert abs(green_torus((n,), lam, 1).value - exact) <= 1e-13
+
+
+def test_torus_matches_time_in_two_dimensions():
+    for lam in (3.5 + 0.2j, -1.0 - 1.0j, 0.5 + 1.5j, -3.2 + 0.9j):
+        for n in ((0, 0), (1, 0), (2, 1)):
+            gap = abs(green_torus(n, lam, 2).value - green_time(n, lam, 2).value)
+            assert gap <= 1e-8
