@@ -25,6 +25,7 @@ from .bounds import BoundsReport, check_bounds, real_case_report
 from .conformal import SpectralPoint, dist_to_band, lambda_of_z, sqrt_branch, z_of_lambda
 from .determinant import (
     DeterminantSample,
+    NumericalError,
     PathRefinementError,
     QuadPolicy,
     TaylorCoeffs,
@@ -57,6 +58,7 @@ __all__ = [
     "DeterminantSample",
     "GreenValue",
     "MomentSet",
+    "NumericalError",
     "PathRefinementError",
     "Potential",
     "QuadPolicy",

@@ -2,7 +2,8 @@
 
 Every subcommand validates its options fully before the first Green
 evaluation, writes one JSON report (CSV for sweeps), and exits with
-0 = ok, 2 = validation error, 3 = numerical-quality flags raised.
+0 = ok, 2 = validation error, 3 = numerical-quality flags raised or a
+numerical failure (no report is written then).
 Reports are deterministic for a fixed config apart from the timestamp.
 """
 
@@ -19,7 +20,9 @@ from typing import Optional
 from ._util import complex_to_json, json_sanitize, parse_complex
 from .lattice import Potential, brute_force_moments, quasi_norm, trace_moments
 from .resolvent import green_auto, green_boundary, green_time, green_torus
-from .determinant import RIM_RADIUS, det_eval, moment_relation_check, taylor_coeffs
+from .determinant import (
+    RIM_RADIUS, NumericalError, det_eval, moment_relation_check, taylor_coeffs,
+)
 from .zeros import coupling_threshold, find_zeros
 from .hardy import boundary_trace, jensen_check, outer_reconstruct, trace_residuals
 from .bounds import check_bounds, real_case_report
@@ -518,6 +521,9 @@ def main(argv: Optional[list] = None) -> int:
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
+    except (NumericalError, ArithmeticError) as exc:
+        sys.stderr.write(f"numerical failure: {exc}\n")
+        return EXIT_NUMERICAL
     except (ValueError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

@@ -38,6 +38,7 @@ __all__ = [
     "QuadPolicy",
     "DeterminantSample",
     "TaylorCoeffs",
+    "NumericalError",
     "PathRefinementError",
     "PhaseMarch",
     "det_eval",
@@ -56,7 +57,12 @@ RIM_RADIUS = 1.0 - 1e-3
 _MARCH_MAX_DEPTH = 40
 
 
-class PathRefinementError(ValueError):
+class NumericalError(ValueError):
+    """A computation on valid input that cannot deliver a trustworthy
+    result (the CLI exits 3 on it, not 2)."""
+
+
+class PathRefinementError(NumericalError):
     """Raised when march_log cannot resolve the phase along a step: the
     step passes through, or numerically next to, a zero of D."""
 
@@ -323,12 +329,12 @@ def taylor_coeffs(
     )
     winding = int(round((march.logs[-1] - march.logs[0]).imag / (2.0 * math.pi)))
     if winding != 0:
-        raise ValueError(
+        raise NumericalError(
             f"circle |z|={r:g} encloses {winding} zero(s) of the determinant; "
             "shrink the radius below r0"
         )
     if march.min_abs <= 1e-13:
-        raise ValueError(f"determinant vanishes on the sampling circle |z|={r:g}")
+        raise NumericalError(f"determinant vanishes on the sampling circle |z|={r:g}")
     logs = march.logs[:-1]
 
     def coeffs_from(logvals: np.ndarray) -> np.ndarray:

@@ -15,10 +15,12 @@ Three interior evaluators, independent of each other:
   large-argument Bessel expansion.  It stays accurate arbitrarily close
   to, and on, the band, for d >= 3.
 
-``green_auto`` picks the torus engine far from the band and the
-oscillatory engine close to it; d = 1 and 2 are refused there, at the
-entry.  ``green_boundary`` gives the boundary values G(n, lambda0 -/+ i0)
-on the band through the oscillatory engine alone; its independent checks
+``green_auto`` picks, at d >= 3, the oscillatory engine within distance
+1.25 of the band, where the torus grid is larger than its floor, and the
+torus engine from there out; at d = 1 and 2 only the torus exists, and
+distances below 0.35 are refused at the entry (see ``green_auto``).
+``green_boundary`` gives the boundary values G(n, lambda0 -/+ i0) on the
+band through the oscillatory engine alone; its independent checks
 are Watson's closed form at the band edge and the small-epsilon limit of
 the interior engines.
 
@@ -58,13 +60,15 @@ Site = tuple[int, ...]
 # Quarter-turn phases i^(+k) for k mod 4.
 _IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
-# green_auto uses the torus engine at distances to the band >= this, the
-# oscillatory time engine closer in
-_DIST_SWITCH = 0.35
 # quadrature size law of auto_n_quad
 _NQ_RATE = 40.0
 _NQ_MIN = 32
 _NQ_MAX = 512
+# green_auto's torus/oscillatory switch at d >= 3: the distance to the band
+# at which auto_n_quad reaches its floor
+_DIST_SWITCH = _NQ_RATE / _NQ_MIN
+# green_auto's torus refuses distances below this at d = 1, 2
+_DIST_MIN_LOW_D = 0.35
 # green_torus refuses lambda closer to the band than this
 _TORUS_DELTA_MIN = 1e-3
 # green_time truncates its horizon where the neglected tail drops below this
@@ -76,8 +80,8 @@ _OSC_T0 = 240.0
 _OSC_T0_PER_ORDER = 10.0
 _OSC_N_TERMS = 11
 # values kept per engine cache; the largest benchmark run (eigs on the
-# 5-site draw 2 of perfbench's panel) fills 3635 torus and 3170 oscillatory
-# entries, so no benchmark run evicts
+# 5-site draw 2 of perfbench's panel) fills 5310 oscillatory entries, so no
+# benchmark run evicts
 _MEMO_SIZE = 8192
 
 
@@ -297,11 +301,13 @@ def _green_osc(canon_n: Site, lam: complex, d: int) -> tuple[complex, float]:
     main = np.sum(weights * np.exp(-1j * lam * nodes) * kern)
     mode_factor = (2.0 / np.pi) ** (0.5 * d) * 0.5 ** d
     s_exps = 0.5 * d + np.arange(_OSC_N_TERMS, dtype=float)
+    # the tail integrals depend on a sign pattern only through its frequency
+    # S in {-d, -d + 2, ..., d}: d + 1 evaluations serve all 2^d patterns
+    pieces_at = {S: tail_integral_vec(s_exps, S - lam, T0) for S in range(-d, d + 1, 2)}
     tail = 0.0 + 0.0j
     trunc = 0.0
     for ph0, s_freq, poly in _osc_tail_data(canon_n):
-        omega = s_freq - lam
-        pieces = tail_integral_vec(s_exps[: poly.size], omega, T0)
+        pieces = pieces_at[s_freq]
         tail += ph0 * np.dot(poly, pieces)
         trunc += abs(poly[-1] * pieces[-1])
     pref = -1j * _IPOW[sum(canon_n) % 4]
@@ -316,18 +322,30 @@ def _osc_cached(canon: Site, lam: complex, d: int) -> GreenValue:
 
 
 def green_auto(n: Sequence[int], lam: complex, d: int) -> GreenValue:
-    """Dispatcher used by determinant assembly: torus quadrature while the
-    auto grid stays cheap (roughly 40/dist points per axis), oscillatory
-    time engine closer in where its flat ~ms cost wins; the latter needs
-    d >= 3."""
+    """Dispatcher used by determinant assembly.
+
+    At d >= 3: the oscillatory time engine within _DIST_SWITCH =
+    _NQ_RATE / _NQ_MIN (1.25) of the band, torus quadrature from there out.
+    The oscillatory engine costs about the same at every distance (0.4-0.5
+    ms a value for n = (1, 0, 0), one BLAS thread on a 2-core Xeon).  The
+    torus grid has _NQ_RATE / dist points per axis until it reaches its
+    _NQ_MIN floor at 1.25, so closer in it costs more the closer lam is
+    (11 ms at 0.35, 1.3 ms at 1.0).  From 1.25 out its cost is flat (0.7-0.9
+    ms), and it stays accurate for every lam, whereas the oscillatory
+    engine's fixed Gauss panels stop resolving e^(-i lam t) once |lam| is
+    large.
+
+    At d = 1, 2 the oscillatory engine does not exist: the torus serves
+    distances >= _DIST_MIN_LOW_D (0.35) and closer points are refused.
+    """
     d = validate_dimension(d)
     lam = complex(lam)
     dist = dist_to_band(lam, d)
     if dist == 0.0:
         raise ValueError(f"lambda={lam} lies on the band; use green_boundary")
-    if dist >= _DIST_SWITCH:
+    if dist >= (_DIST_SWITCH if d >= 3 else _DIST_MIN_LOW_D):
         return green_torus(n, lam, d)
-    d = require_dimension_3(d, f"green_auto within {_DIST_SWITCH} of the band")
+    d = require_dimension_3(d, f"green_auto within {_DIST_MIN_LOW_D} of the band")
     return _lower_half(_osc_cached, _orbit(n, d), lam, d)
 
 

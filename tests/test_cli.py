@@ -90,6 +90,17 @@ def test_taylor_check_subcommand(v3_file, tmp_path):
     assert rep["c"][0]["re"] == pytest.approx(2.0, abs=1e-8)
 
 
+def test_taylor_check_around_a_zero_is_a_numerical_failure(v3_file, tmp_path, capsys):
+    # the lone zero of V = 3 delta_0 sits at |z| ~ 0.55: a Taylor circle of
+    # radius 0.7 encloses it, which is a numerical refusal (exit 3), not
+    # bad input (exit 2)
+    out = tmp_path / "t.json"
+    rc = main(["taylor-check", "-p", v3_file, "--r", "0.7", "-o", str(out)])
+    assert rc == EXIT_NUMERICAL
+    assert "encloses 1 zero(s)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eigs_subcommand(v3_file, tmp_path):
     out = tmp_path / "e.json"
     rc = main(["eigs", "-p", v3_file, "-o", str(out)])

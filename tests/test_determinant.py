@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from latspec.conformal import lambda_of_z
+from latspec.conformal import dist_to_band, lambda_of_z
 from latspec.determinant import (
     PathRefinementError,
     QuadPolicy,
@@ -15,6 +15,7 @@ from latspec.determinant import (
     taylor_coeffs,
 )
 from latspec.lattice import Potential
+from latspec import resolvent
 from latspec.resolvent import green_auto
 
 
@@ -52,12 +53,17 @@ def test_conjugation_symmetry_real_potential():
 
 
 def test_engine_consistency(mix3):
-    z = 0.35 - 0.55j  # far side: torus-eligible distances
-    auto = det_eval(mix3, z, QuadPolicy(engine="auto")).value
-    torus = det_eval(mix3, z, QuadPolicy(engine="torus")).value
-    time_ = det_eval(mix3, z, QuadPolicy(engine="time")).value
-    assert abs(auto - torus) < 1e-9
-    assert abs(auto - time_) < 1e-9
+    # "auto" against both forced engines on each of its routes: lambda(z)
+    # at distance 1.12 from the band (oscillatory engine) and 1.63 (torus)
+    near, far = 0.35 - 0.55j, 0.3 - 0.45j
+    dist = [dist_to_band(lambda_of_z(z, 3), 3) for z in (near, far)]
+    assert dist[0] < resolvent._DIST_SWITCH < dist[1]
+    for z in (near, far):
+        auto = det_eval(mix3, z, QuadPolicy(engine="auto")).value
+        torus = det_eval(mix3, z, QuadPolicy(engine="torus")).value
+        time_ = det_eval(mix3, z, QuadPolicy(engine="time")).value
+        assert abs(auto - torus) < 1e-9
+        assert abs(auto - time_) < 1e-9
 
 
 def test_rim_refusal_and_boundary_dispatch(v3):

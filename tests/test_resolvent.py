@@ -200,3 +200,80 @@ def test_torus_matches_time_in_two_dimensions():
         for n in ((0, 0), (1, 0), (2, 1)):
             gap = abs(green_torus(n, lam, 2).value - green_time(n, lam, 2).value)
             assert gap <= 1e-8
+
+
+def _count_engines(monkeypatch):
+    calls = {"osc": 0, "torus": 0}
+    osc, torus = resolvent._green_osc, resolvent._torus_value
+
+    def counted_osc(*args):
+        calls["osc"] += 1
+        return osc(*args)
+
+    def counted_torus(*args):
+        calls["torus"] += 1
+        return torus(*args)
+
+    monkeypatch.setattr(resolvent, "_green_osc", counted_osc)
+    monkeypatch.setattr(resolvent, "_torus_value", counted_torus)
+    return calls
+
+
+def test_green_auto_routes_by_distance_at_d3(monkeypatch):
+    # the oscillatory engine up to distance _NQ_RATE / _NQ_MIN = 1.25 from
+    # the band, the torus beyond; both sides of the segment and an edge
+    assert resolvent._DIST_SWITCH == 1.25
+    calls = _count_engines(monkeypatch)
+    for lam, engine in ((0.5 - 1.2j, "osc"), (-1.0 + 1.2j, "osc"), (4.2, "osc"),
+                        (0.5 - 1.3j, "torus"), (-1.0 + 1.3j, "torus"), (4.3, "torus")):
+        resolvent.clear_green_cache()
+        calls.update(osc=0, torus=0)
+        got = green_auto((1, 0, 0), lam, 3)
+        assert np.isfinite(got.value)
+        other = "torus" if engine == "osc" else "osc"
+        assert calls[engine] > 0 and calls[other] == 0, lam
+
+
+def test_green_auto_routes_low_dimensions_unchanged(monkeypatch):
+    # d = 2 has no oscillatory engine: the torus serves distance 0.5, and
+    # distance 0.3 is refused as before
+    calls = _count_engines(monkeypatch)
+    resolvent.clear_green_cache()
+    got = green_auto((1, 0), 0.5 - 0.5j, 2)
+    assert got.value == green_torus((1, 0), 0.5 - 0.5j, 2).value
+    assert calls["torus"] > 0 and calls["osc"] == 0
+    with pytest.raises(ValueError, match="d >= 3"):
+        green_auto((1, 0), 0.5 - 0.3j, 2)
+    assert calls["osc"] == 0
+
+
+def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
+    # the 8 sign patterns at d = 3 have 4 distinct frequencies S; the value
+    # must equal, bit for bit, one tail evaluation per sign pattern
+    lam = 1.7 - 0.4j
+    canon = (0, 0, 0)
+    tail_vec = resolvent.tail_integral_vec
+    calls = []
+
+    def counted(s, w, T):
+        calls.append(w)
+        return tail_vec(s, w, T)
+
+    monkeypatch.setattr(resolvent, "tail_integral_vec", counted)
+    value, err = resolvent._green_osc(canon, lam, 3)
+    assert len(calls) == 4
+
+    T0 = resolvent._osc_t0(canon)
+    nodes, weights = resolvent._osc_nodes(T0)
+    main = np.sum(weights * np.exp(-1j * lam * nodes) * resolvent._osc_kernel(canon))
+    s_exps = 1.5 + np.arange(resolvent._OSC_N_TERMS, dtype=float)
+    tail = 0.0 + 0.0j
+    trunc = 0.0
+    for ph0, s_freq, poly in resolvent._osc_tail_data(canon):
+        pieces = tail_vec(s_exps, s_freq - lam, T0)
+        tail += ph0 * np.dot(poly, pieces)
+        trunc += abs(poly[-1] * pieces[-1])
+    mode_factor = (2.0 / np.pi) ** 1.5 * 0.5 ** 3
+    ref = complex(-1j * resolvent._IPOW[0] * (main + mode_factor * tail))
+    assert value == ref
+    assert err == float(mode_factor * trunc + 1e-14 * (1.0 + abs(ref)))
