@@ -30,7 +30,6 @@ from .determinant import (
     QuadPolicy,
     TaylorCoeffs,
     det_eval,
-    hinf_constant,
     log_det_path,
     moment_relation_check,
     taylor_coeffs,
@@ -84,7 +83,6 @@ __all__ = [
     "green_boundary",
     "green_time",
     "green_torus",
-    "hinf_constant",
     "integral_representation",
     "jensen_check",
     "lambda_of_z",

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .lattice import Potential, quasi_norm, trace_moments
+from .lattice import Potential, trace_moments
 from .conformal import lambda_of_z
 from .resolvent import green_auto, green_torus, green_time, green_boundary
 
@@ -46,7 +46,6 @@ __all__ = [
     "log_det_path",
     "taylor_coeffs",
     "moment_relation_check",
-    "hinf_constant",
 ]
 
 _BOUNDARY_TOL = 1e-12
@@ -141,6 +140,10 @@ def _assemble(V: Potential, green_of_diff) -> "tuple[np.ndarray, np.ndarray]":
 
 def _det_with_err(M: np.ndarray, E: np.ndarray, z: complex) -> DeterminantSample:
     s = M.shape[0]
+    if s == 1:
+        # the general bound below, with the adjugate norm 1 and sigma = |A|
+        a = 1.0 + complex(M[0, 0])
+        return DeterminantSample(z=z, value=a, err_estimate=float(E[0, 0]) + 2.3e-16 * abs(a))
     A = np.eye(s, dtype=complex) + M
     det = complex(np.linalg.det(A))
     # |d det| <= ||adj(A)||_2 * ||dA||_2; the adjugate's 2-norm is the
@@ -421,31 +424,3 @@ def moment_relation_check(
     }
     return report
 
-
-def hinf_constant(
-    V: Potential,
-    n_radii: int = 6,
-    n_angles: int = 32,
-    r_max: float = 0.997,
-) -> dict:
-    """Empirical constant in the uniform bound log|D| <= C * ||V||_{2/3}.
-
-    Scans a polar grid of the disc, returns the maximum of log|D| and its
-    ratio to the quasi-norm.  Reported, never asserted against theory: the
-    true constant depends only on d but its value is unknown.
-    """
-    if not V.support:
-        return {"c_emp": 0.0, "max_log_mod": 0.0, "quasi_norm": 0.0, "argmax_z": 0.0 + 0.0j}
-    radii = np.linspace(0.15, r_max, n_radii)
-    angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
-    grid = [complex(r * math.cos(t), r * math.sin(t)) for r in radii for t in angles]
-    vals = [det_eval(V, z) for z in grid]
-    logmods = [math.log(abs(s.value)) for s in vals]
-    k = int(np.argmax(logmods))
-    qn = quasi_norm(V)
-    return {
-        "c_emp": logmods[k] / qn,
-        "max_log_mod": logmods[k],
-        "quasi_norm": qn,
-        "argmax_z": grid[k],
-    }

@@ -79,6 +79,14 @@ _TIME_TOL = 1e-10
 _OSC_T0 = 240.0
 _OSC_T0_PER_ORDER = 10.0
 _OSC_N_TERMS = 11
+# its Gauss panels on [0, T0]: T0 / _OSC_PANEL panels (T0 is a whole number
+# of them) of _OSC_NPTS nodes at _OSC_OFFSETS from the panel's midpoint;
+# _osc_main builds the per-panel phases from _OSC_FINE consecutive panels
+# and every _OSC_FINE-th one
+_OSC_PANEL = 0.5
+_OSC_NPTS = 10
+_OSC_OFFSETS = 0.5 * _OSC_PANEL * np.polynomial.legendre.leggauss(_OSC_NPTS)[0]
+_OSC_FINE = 16
 # values kept per engine cache; the largest benchmark run (eigs on the
 # 5-site draw 2 of perfbench's panel) fills 5310 oscillatory entries, so no
 # benchmark run evicts
@@ -87,7 +95,7 @@ _MEMO_SIZE = 8192
 
 def clear_green_cache() -> None:
     for cache in (_torus_cached, _time_cached, _osc_cached,
-                  _osc_nodes, _osc_kernel, _osc_tail_data):
+                  _osc_nodes, _osc_kw, _osc_tail_data):
         cache.cache_clear()
 
 
@@ -252,18 +260,44 @@ def _osc_t0(canon_n: Site) -> float:
 
 @functools.lru_cache(maxsize=32)
 def _osc_nodes(T0: float) -> tuple[np.ndarray, np.ndarray]:
-    return gl_panels(0.0, T0, 0.5, npts=10)
+    nodes, weights = gl_panels(0.0, T0, _OSC_PANEL, npts=_OSC_NPTS)
+    # _osc_main's factoring needs whole panels, all of length _OSC_PANEL
+    assert nodes.size == _OSC_NPTS * T0 / _OSC_PANEL, f"T0={T0} is not a whole number of panels"
+    return nodes, weights
 
 
 @functools.lru_cache(maxsize=4096)
-def _osc_kernel(canon_n: Site) -> np.ndarray:
-    """prod_j J_(n_j) on the numeric nodes (real; phases applied by callers)."""
-    nodes, _ = _osc_nodes(_osc_t0(canon_n))
+def _osc_kw(canon_n: Site) -> np.ndarray:
+    """Gauss weight times prod_j J_(n_j) at each numeric node, one row per
+    panel (real; _osc_main applies the phases)."""
+    nodes, weights = _osc_nodes(_osc_t0(canon_n))
     rows = bessel_j_grid(nodes, canon_n[0])
     kern = rows[canon_n[0]].copy()
     for m in canon_n[1:]:
         kern *= rows[m]
-    return kern
+    return (weights * kern).reshape(-1, _OSC_NPTS)
+
+
+def _osc_main(kw: np.ndarray, lam: complex) -> complex:
+    """The numeric part sum_t kw(t) e^(-i lam t) over the Gauss nodes.
+
+    Node j of panel p sits at t = 0.25 + 0.5 p + offset_j, so the phase
+    factors into a per-panel factor times a row of _OSC_NPTS offset phases,
+    and the sum is panel @ (kw @ row).  The P per-panel factors are the
+    outer product of _OSC_FINE consecutive panel steps and ceil(P /
+    _OSC_FINE) coarse ones: _OSC_FINE + ceil(P / _OSC_FINE) exponentials in
+    place of one per node.
+    """
+    n_panels = kw.shape[0]
+    row = np.exp(-1j * lam * _OSC_OFFSETS)
+    fine = np.exp(-1j * lam * _OSC_PANEL * np.arange(_OSC_FINE))
+    coarse_t = 0.5 * _OSC_PANEL + _OSC_FINE * _OSC_PANEL * np.arange(-(-n_panels // _OSC_FINE))
+    panel = np.outer(np.exp(-1j * lam * coarse_t), fine).ravel()[:n_panels]
+    # kw @ row in real arithmetic: the complex product would cast kw and
+    # run a complex gemv, which OpenBLAS splits across threads at this size
+    # for no gain in wall time
+    kw_row = (kw @ row.view(float).reshape(-1, 2)).view(complex).ravel()
+    return complex(panel @ kw_row)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -296,9 +330,7 @@ def _green_osc(canon_n: Site, lam: complex, d: int) -> tuple[complex, float]:
     if lam.imag > 1e-15:
         raise ValueError("oscillatory engine requires Im(lambda) <= 0")
     T0 = _osc_t0(canon_n)
-    nodes, weights = _osc_nodes(T0)
-    kern = _osc_kernel(canon_n)
-    main = np.sum(weights * np.exp(-1j * lam * nodes) * kern)
+    main = _osc_main(_osc_kw(canon_n), lam)
     mode_factor = (2.0 / np.pi) ** (0.5 * d) * 0.5 ** d
     s_exps = 0.5 * d + np.arange(_OSC_N_TERMS, dtype=float)
     # the tail integrals depend on a sign pattern only through its frequency
@@ -326,14 +358,14 @@ def green_auto(n: Sequence[int], lam: complex, d: int) -> GreenValue:
 
     At d >= 3: the oscillatory time engine within _DIST_SWITCH =
     _NQ_RATE / _NQ_MIN (1.25) of the band, torus quadrature from there out.
-    The oscillatory engine costs about the same at every distance (0.4-0.5
-    ms a value for n = (1, 0, 0), one BLAS thread on a 2-core Xeon).  The
-    torus grid has _NQ_RATE / dist points per axis until it reaches its
-    _NQ_MIN floor at 1.25, so closer in it costs more the closer lam is
-    (11 ms at 0.35, 1.3 ms at 1.0).  From 1.25 out its cost is flat (0.7-0.9
-    ms), and it stays accurate for every lam, whereas the oscillatory
-    engine's fixed Gauss panels stop resolving e^(-i lam t) once |lam| is
-    large.
+    The oscillatory engine costs about the same at every distance (0.10-0.16
+    ms a value for n = (1, 0, 0) from distance 0.35 to 5, one BLAS thread on
+    a 2-core Xeon).  The torus grid has _NQ_RATE / dist points per axis
+    until it reaches its _NQ_MIN floor at 1.25, so closer in it costs more
+    the closer lam is (11-12 ms at 0.35, 0.9-1.3 ms at 1.0).  From 1.25 out
+    its cost is flat (0.6-0.9 ms), and it stays accurate for every lam,
+    whereas the oscillatory engine's fixed Gauss panels stop resolving
+    e^(-i lam t) once |lam| is large.
 
     At d = 1, 2 the oscillatory engine does not exist: the torus serves
     distances >= _DIST_MIN_LOW_D (0.35) and closer points are refused.

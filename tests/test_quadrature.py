@@ -1,6 +1,9 @@
+import cmath
+
 import numpy as np
 import pytest
 
+from latspec import quadrature
 from latspec.quadrature import gl_panels, tail_integral_vec
 
 
@@ -32,18 +35,83 @@ def test_tail_integral_against_closed_form():
         assert got[k] == pytest.approx(50.0 ** (1.0 - s) / (s - 1.0), rel=1e-10)
 
 
-def test_tail_integral_oscillatory_vs_quadrature():
-    # moderate w: compare against brute-force finite quadrature on [T, T+many cycles];
-    # |w| T = 36 puts s = 1.5 on the direct series (|w| T >= 2 s + 30) and
-    # s = 3.5 on the logarithmic bridge
-    s_list, w, T = np.array([1.5, 3.5]), 0.9, 40.0
+def _brute_tail(s_list, w, T):
+    # brute-force finite quadrature on [T, T + 2000] (many cycles), plus the
+    # remaining tail beyond it, which is ~1e-5 of the whole at s = 1.5
     nodes, weights = gl_panels(T, T + 2000.0, 0.5, npts=12)
-    # remaining tail beyond T+2000 is ~1e-5 in size; integrate it too
     rest = tail_integral_vec(s_list, w, T + 2000.0)
+    return [np.sum(weights * nodes ** (-s) * np.exp(1j * w * nodes)) + rest[k]
+            for k, s in enumerate(s_list)]
+
+
+def test_tail_integral_oscillatory_vs_quadrature():
+    # moderate w: |w| T = 36 puts s = 1.5 on the direct series
+    # (|w| T >= 2 s + 30) and s = 3.5 on the logarithmic bridge
+    s_list, w, T = np.array([1.5, 3.5]), 0.9, 40.0
     got = tail_integral_vec(s_list, w, T)
-    for k, s in enumerate(s_list):
-        brute = np.sum(weights * nodes ** (-s) * np.exp(1j * w * nodes))
-        ref = brute + rest[k]
+    for k, ref in enumerate(_brute_tail(s_list, w, T)):
+        assert abs(got[k] - ref) <= 1e-11 * abs(ref)
+
+
+def test_tail_series_stops_relative_to_its_sum():
+    # |I| ~ 1e-26 here: a stopping test absolute below |sum| = 1 kept one
+    # term and came out 19% off (exactly the first omitted term)
+    s_list, w, T = np.array([10.5]), 0.2206, 250.0
+    assert abs(w) * T >= 2.0 * s_list[0] + 30.0
+    got = tail_integral_vec(s_list, w, T)[0]
+    ref = _brute_tail(s_list, w, T)[0]
+    assert abs(got - ref) <= 1e-11 * abs(ref)
+
+
+def _direct_w(w_t, theta, T):
+    # w = (w_t / T) e^(i theta), nudged up until |w| T >= w_t in floating point
+    w = w_t / T * cmath.exp(1j * theta)
+    while abs(w) * T < w_t:
+        w *= 1.0 + 2.0 ** -52
+    return w
+
+
+def test_tail_recurrence_matches_series_per_exponent():
+    # the Green engine's exponents s = d/2 + j, j = 0..10, all in the direct
+    # regime, from its edge |w| T = 2 s_max + 30 outward, with Im(w) up to
+    # 1.25 as at distance 1.25 from the band: one series and the downward
+    # recurrence must reproduce the series at every exponent
+    for d in (3, 4):
+        s_exps = 0.5 * d + np.arange(11, dtype=float)
+        edge = 2.0 * s_exps[-1] + 30.0
+        for T in (240.0, 290.0):
+            for w_t in (edge, edge + 5.0, 80.0, 200.0, 1000.0):
+                for theta in np.linspace(0.0, np.pi, 13):
+                    w = _direct_w(w_t, theta, T)
+                    if w.imag > 1.25:
+                        continue
+                    got = tail_integral_vec(s_exps, w, T)
+                    for k, s in enumerate(s_exps):
+                        ref = quadrature._tail_series(s, w, T)
+                        assert abs(got[k] - ref) <= 1e-14 * abs(ref)
+
+
+def test_tail_mixed_exponents_keep_the_bridge(monkeypatch):
+    # |w| T = 40 puts s = 1.5 .. 4.5 in the direct regime and the rest on
+    # the logarithmic bridge, which must still run; every exponent must
+    # also match the brute-force oracle
+    s_exps = 1.5 + np.arange(11, dtype=float)
+    w, T = 40.0 / 240.0, 240.0
+    direct = abs(w) * T >= 2.0 * s_exps + 30.0
+    assert direct.any() and not direct.all()
+    panels = []
+
+    def counted(*args, **kwargs):
+        panels.append(args)
+        return gl_panels(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "gl_panels", counted)
+    got = tail_integral_vec(s_exps, w, T)
+    assert len(panels) == 1
+    for k in np.nonzero(direct)[0]:
+        ref = quadrature._tail_series(s_exps[k], w, T)
+        assert abs(got[k] - ref) <= 1e-14 * abs(ref)
+    for k, ref in enumerate(_brute_tail(s_exps, w, T)):
         assert abs(got[k] - ref) <= 1e-11 * abs(ref)
 
 

@@ -249,7 +249,8 @@ def test_green_auto_routes_low_dimensions_unchanged(monkeypatch):
 
 def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
     # the 8 sign patterns at d = 3 have 4 distinct frequencies S; the value
-    # must equal, bit for bit, one tail evaluation per sign pattern
+    # must equal, bit for bit, the engine's numeric sum plus one tail
+    # evaluation per sign pattern
     lam = 1.7 - 0.4j
     canon = (0, 0, 0)
     tail_vec = resolvent.tail_integral_vec
@@ -264,8 +265,7 @@ def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
     assert len(calls) == 4
 
     T0 = resolvent._osc_t0(canon)
-    nodes, weights = resolvent._osc_nodes(T0)
-    main = np.sum(weights * np.exp(-1j * lam * nodes) * resolvent._osc_kernel(canon))
+    main = resolvent._osc_main(resolvent._osc_kw(canon), lam)
     s_exps = 1.5 + np.arange(resolvent._OSC_N_TERMS, dtype=float)
     tail = 0.0 + 0.0j
     trunc = 0.0
@@ -277,3 +277,23 @@ def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
     ref = complex(-1j * resolvent._IPOW[0] * (main + mode_factor * tail))
     assert value == ref
     assert err == float(mode_factor * trunc + 1e-14 * (1.0 + abs(ref)))
+
+
+def test_factored_gauss_phase_matches_direct_sum():
+    # the per-panel factoring of e^(-i lam t) against the plain sum over the
+    # nodes, on the band, at the Van Hove levels +-1 and the edges +-3, from
+    # the real axis out to the switching distance; the two differ only by
+    # rounding, bounded here by 4 ulps of sum |w K| (1.2 ulps seen)
+    eps = np.finfo(float).eps
+    for canon in ((0, 0, 0), (1, 0, 0), (2, 1, 0), (5, 3, 1)):
+        nodes, weights = resolvent._osc_nodes(resolvent._osc_t0(canon))
+        rows = resolvent.bessel_j_grid(nodes, canon[0])
+        kern = np.prod([rows[m] for m in canon], axis=0)
+        kw = resolvent._osc_kw(canon)
+        assert kw.shape == (nodes.size // 10, 10)
+        bound = 4.0 * eps * float(np.sum(np.abs(weights * kern)))
+        for re in (0.0, 1.0, -1.0, 3.0, -3.0):
+            for im in (0.0, -0.01, -0.5, -1.25):
+                lam = complex(re, im)
+                direct = np.sum(weights * np.exp(-1j * lam * nodes) * kern)
+                assert abs(resolvent._osc_main(kw, lam) - direct) <= bound
