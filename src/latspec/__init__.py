@@ -19,10 +19,9 @@ from .bessel import (
     beta_estimate,
     check_uniform_bound,
     integral_representation,
-    propagator_kernel,
 )
 from .bounds import BoundsReport, check_bounds, real_case_report
-from .conformal import SpectralPoint, dist_to_band, lambda_of_z, sqrt_branch, z_of_lambda
+from .conformal import dist_to_band, lambda_of_z, z_of_lambda
 from .determinant import (
     DeterminantSample,
     NumericalError,
@@ -30,6 +29,7 @@ from .determinant import (
     QuadPolicy,
     TaylorCoeffs,
     det_eval,
+    det_eval_many,
     log_det_path,
     moment_relation_check,
     taylor_coeffs,
@@ -45,7 +45,16 @@ from .hardy import (
     trace_residuals,
 )
 from .lattice import MomentSet, Potential, brute_force_moments, quasi_norm, trace_moments
-from .resolvent import GreenValue, green_auto, green_boundary, green_time, green_torus
+from .resolvent import (
+    GreenValue,
+    green_auto,
+    green_boundary,
+    green_boundary_many,
+    green_cache_info,
+    green_many,
+    green_time,
+    green_torus,
+)
 from .zeros import ZeroIsolationError, ZeroRecord, coupling_threshold, count_zeros, find_zeros
 
 __version__ = "0.1.0"
@@ -61,7 +70,6 @@ __all__ = [
     "PathRefinementError",
     "Potential",
     "QuadPolicy",
-    "SpectralPoint",
     "TaylorCoeffs",
     "ZeroIsolationError",
     "ZeroRecord",
@@ -77,10 +85,14 @@ __all__ = [
     "coupling_threshold",
     "count_zeros",
     "det_eval",
+    "det_eval_many",
     "dist_to_band",
     "find_zeros",
     "green_auto",
     "green_boundary",
+    "green_boundary_many",
+    "green_cache_info",
+    "green_many",
     "green_time",
     "green_torus",
     "integral_representation",
@@ -89,10 +101,8 @@ __all__ = [
     "log_det_path",
     "moment_relation_check",
     "outer_reconstruct",
-    "propagator_kernel",
     "quasi_norm",
     "real_case_report",
-    "sqrt_branch",
     "taylor_coeffs",
     "trace_moments",
     "trace_residuals",

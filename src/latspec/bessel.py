@@ -1,4 +1,4 @@
-"""Integer-order Bessel functions J_m(t) and the lattice free propagator.
+"""Integer-order Bessel functions J_m(t), the factors of the lattice free propagator.
 
 Everything here is self-contained (no external special-function library) so
 that the evaluation chain stays auditable:
@@ -33,8 +33,6 @@ from .quadrature import gl_panels
 
 _RESCALE = 1e250
 _INV_RESCALE = 1e-250
-# i^(-k) for k mod 4; exact quarter-turn phases.
-_QUARTER_TURN = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
 
 
 @dataclass(frozen=True)
@@ -190,19 +188,6 @@ def integral_representation(m: int, t: float, n_panels: int | None = None) -> fl
     nodes, weights = gl_panels(0.0, math.pi, math.pi / n_panels, npts=12)
     vals = np.cos(m * nodes - t * np.sin(nodes))
     return float(np.sum(vals * weights) / math.pi)
-
-
-def propagator_kernel(n: Sequence[int], t: float) -> complex:
-    """Kernel value of the free evolution at lattice offset n and time t:
-    i^(-|n|) prod_j J_{n_j}(t), |n| = sum |n_j|."""
-    n = tuple(int(c) for c in n)
-    total = sum(abs(c) for c in n)
-    prod = 1.0
-    for c in n:
-        prod *= bessel_j(c, t)
-        if prod == 0.0:
-            break
-    return _QUARTER_TURN[total % 4] * prod
 
 
 def check_uniform_bound(

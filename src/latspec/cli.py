@@ -233,6 +233,7 @@ def _cmd_trace_check(args) -> tuple:
         "rho": [complex_to_json(r) for r in resid["rho"]],
         "t52": resid["t52"],
         "ratio_rho1": resid["ratio_rho1"],
+        "ratio_rho1_reason": resid["ratio_rho1_reason"],
         "jensen": jensen,
         "outer_error": outer["max_rel_err"],
         "zeros": [complex_to_json(r.z) for r in zeros],

@@ -18,8 +18,6 @@ upper half plane is the lower half disk).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .lattice import validate_dimension
@@ -83,47 +81,9 @@ def z_of_lambda(lam: complex, d: int, side: str = "auto") -> complex:
     return z
 
 
-def sqrt_branch(lam: complex, d: int, side: str = "auto") -> complex:
-    """sqrt(lam^2 - d^2) on the same branch as ``z_of_lambda``.
-
-    Equals (d/2)(1/z - z) with z the disk coordinate, so it is ~ lam at
-    infinity and has positive real part off the band.
-    """
-    z = z_of_lambda(lam, d, side=side)
-    return 0.5 * d * (1.0 / z - z)
-
-
 def dist_to_band(lam: complex, d: int) -> float:
     """Euclidean distance from lam to the segment [-d, d]."""
     validate_dimension(d)
     lam = complex(lam)
     x = min(max(lam.real, -float(d)), float(d))
     return abs(lam - x)
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """A resolvent-set point with both coordinates and branch data attached."""
-
-    lam: complex
-    z: complex
-    d: int
-    side: str = "auto"
-
-    @staticmethod
-    def from_lambda(lam: complex, d: int, side: str = "auto") -> "SpectralPoint":
-        z = z_of_lambda(lam, d, side=side)
-        return SpectralPoint(complex(lam), z, validate_dimension(d), side)
-
-    @staticmethod
-    def from_z(z: complex, d: int) -> "SpectralPoint":
-        lam = lambda_of_z(z, d)
-        return SpectralPoint(lam, complex(z), validate_dimension(d))
-
-    @property
-    def sqrt_branch(self) -> complex:
-        return 0.5 * self.d * (1.0 / self.z - self.z)
-
-    @property
-    def dist(self) -> float:
-        return dist_to_band(self.lam, self.d)

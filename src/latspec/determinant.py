@@ -3,9 +3,11 @@
 The potential has finite support S, so the Birman-Schwinger operator
 V R0 restricted to S is an |S| x |S| matrix and the determinant is an
 ordinary one.  Everything downstream (zero finding, Hardy-space
-factorization, trace residuals) consumes the three entry points here:
+factorization, trace residuals) consumes the entry points here:
 
-    det_eval        one sample, interior or boundary of the disc
+    det_eval_many   samples at many points of the closed disc, the one
+                    evaluation path
+    det_eval        its one-point case
     march_log       the one phase marcher: a continuous branch of log D
                     along a parametrised curve, bisecting every step whose
                     phase turns by more than pi/2
@@ -19,6 +21,17 @@ plus ``moment_relation_check`` which arbitrates, numerically, between
 the two candidate closed forms tying c_n to the lattice trace moments.
 The argument-principle zero search in ``zeros`` marches its contours
 with ``march_log`` too.
+
+Sampling is array-at-a-time.  A consumer that knows its points in
+advance (Taylor and Jensen circles, the boundary grid and kink windows,
+path nodes, the initial nodes of a counting contour) passes them all to
+``det_eval_many``.  That makes one block request per point group to the
+Green engines (support differences x lambdas; the engines chunk the
+lambda axis and memoize per value) and one stacked det/svd over the
+(K, |S|, |S|) matrices.  Only ``march_log``'s bisection points and the
+Newton steps of the zero polish, which are not known in advance, come
+one at a time.  Batching changes no number: each sample equals, bit for
+bit, the one ``det_eval`` returns for its point alone.
 """
 
 from __future__ import annotations
@@ -32,7 +45,7 @@ import numpy as np
 
 from .lattice import Potential, trace_moments
 from .conformal import lambda_of_z
-from .resolvent import green_auto, green_torus, green_time, green_boundary
+from .resolvent import green_boundary_many, green_many
 
 __all__ = [
     "QuadPolicy",
@@ -42,6 +55,7 @@ __all__ = [
     "PathRefinementError",
     "PhaseMarch",
     "det_eval",
+    "det_eval_many",
     "march_log",
     "log_det_path",
     "taylor_coeffs",
@@ -105,86 +119,111 @@ class TaylorCoeffs:
         return len(self.c)
 
 
-def _green_interior(n, lam, d, policy: QuadPolicy):
-    if policy.engine == "torus":
-        return green_torus(n, lam, d)
-    if policy.engine == "time":
-        return green_time(n, lam, d)
-    return green_auto(n, lam, d)
+def _det_with_err(M: np.ndarray, E: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """det(I + M[k]) and its error bound for a stack of K matrices M (K, s,
+    s) with entrywise error bounds E.
+
+    |d det| <= ||adj(A)||_2 ||dA||_2, where the adjugate's 2-norm is the
+    product of all singular values of A but the smallest; rounding adds s
+    ulps of the largest.  For s = 1 that is E + 2.3e-16 |1 + M|, with no
+    LAPACK call (det of a 1x1 matrix goes through slogdet and need not
+    return its entry).  Stacked det and svd factor each matrix on its own,
+    so a sample does not depend on the others in the stack.
+    """
+    s = M.shape[1]
+    if s == 1:
+        a = 1.0 + M[:, 0, 0]
+        return a, E[:, 0, 0] + 2.3e-16 * np.abs(a)
+    A = np.eye(s) + M
+    sigma = np.linalg.svd(A, compute_uv=False)
+    adj_norm = sigma[:, 0].copy()
+    for j in range(1, s - 1):
+        adj_norm *= sigma[:, j]
+    de = np.linalg.norm(E, 2, axis=(1, 2))
+    return np.linalg.det(A), adj_norm * (de + s * 2.3e-16 * sigma[:, 0])
 
 
-def _green_on_circle(n, t, d):
-    # z = e^{it} is approached radially from inside; lambda(z) then tends
-    # to d*cos t with Im lambda -> -d*eps*sin t, so the upper semicircle
-    # means the lower side of the cut.
-    lam0 = d * math.cos(t)
-    side = "minus" if math.sin(t) > 0.0 else "plus"
-    return green_boundary(n, lam0, side, d)
+def det_eval_many(
+    V: Potential,
+    zs: "Sequence[complex]",
+    policy: QuadPolicy = QuadPolicy(),
+) -> "list[DeterminantSample]":
+    """Determinant samples at every z of ``zs`` in the closed unit disc.
 
+    This is the one evaluation path; ``det_eval`` is its one-point case.
+    Interior points (|z| <= 1 - margin) go through the off-spectrum Green
+    engines that ``policy`` names, |z| = 1 through the two-sided boundary
+    limit with the side fixed by the semicircle; the thin rim in between
+    is refused, as is any point outside the disc.  z = 0 and an empty
+    support give exactly 1.
 
-def _assemble(V: Potential, green_of_diff) -> "tuple[np.ndarray, np.ndarray]":
+    The points are sorted into interior and boundary groups, and each group
+    takes one block of Green values (support differences x lambdas) from
+    ``green_many`` or ``green_boundary_many``, which route interior lambdas
+    to the oscillatory or the torus engine.  The blocks fill stacked
+    (K, |S|, |S|) matrices for ``_det_with_err``.  A sample is computed
+    the same way whichever batch it is in.
+    """
+    zs = [complex(z) for z in zs]
+    d = V.d
+    out = [DeterminantSample(z=z, value=1.0 + 0.0j, err_estimate=0.0) for z in zs]
+    if not V.support:
+        return out
+    inner: "list[int]" = []
+    lams: "list[complex]" = []
+    rim: "list[int]" = []
+    lam0s: "list[float]" = []
+    plus: "list[bool]" = []
+    for k, z in enumerate(zs):
+        az = abs(z)
+        if az >= 1.0 + _BOUNDARY_TOL:
+            raise ValueError(f"z={z} lies outside the closed unit disc")
+        if az == 0.0:
+            # D(0) = 1 exactly: lambda -> infinity and V R0 -> 0.
+            continue
+        if abs(az - 1.0) <= _BOUNDARY_TOL:
+            # z = e^{it} is approached radially from inside; lambda(z) then
+            # tends to d*cos t with Im lambda -> -d*eps*sin t, so the upper
+            # semicircle means the lower side of the cut.
+            t = cmath.phase(z)
+            rim.append(k)
+            lam0s.append(d * math.cos(t))
+            plus.append(not math.sin(t) > 0.0)
+        elif az > RIM_RADIUS + 1e-12:
+            raise ValueError(
+                f"|z|={az:.6g} lies in the rim {RIM_RADIUS:g} < |z| < 1; "
+                "evaluate on |z|=1 or deeper inside the disc"
+            )
+        else:
+            inner.append(k)
+            lams.append(lambda_of_z(z, d))
+    idx = inner + rim
+    if not idx:
+        return out
     sites = V.support
     s = len(sites)
-    M = np.empty((s, s), dtype=complex)
-    E = np.empty((s, s), dtype=float)
+    diffs = [tuple(a - b for a, b in zip(x, y)) for x in sites for y in sites]
     vd = V.as_dict()
-    vals = [vd[x] for x in sites]
-    for i, x in enumerate(sites):
-        for j, y in enumerate(sites):
-            diff = tuple(a - b for a, b in zip(x, y))
-            g = green_of_diff(diff)
-            M[i, j] = vals[i] * g.value
-            E[i, j] = abs(vals[i]) * g.err_estimate
-    return M, E
-
-
-def _det_with_err(M: np.ndarray, E: np.ndarray, z: complex) -> DeterminantSample:
-    s = M.shape[0]
-    if s == 1:
-        # the general bound below, with the adjugate norm 1 and sigma = |A|
-        a = 1.0 + complex(M[0, 0])
-        return DeterminantSample(z=z, value=a, err_estimate=float(E[0, 0]) + 2.3e-16 * abs(a))
-    A = np.eye(s, dtype=complex) + M
-    det = complex(np.linalg.det(A))
-    # |d det| <= ||adj(A)||_2 * ||dA||_2; the adjugate's 2-norm is the
-    # product of all singular values but the smallest.
-    sigma = np.linalg.svd(A, compute_uv=False)
-    adj_norm = float(np.prod(sigma[:-1])) if s > 1 else 1.0
-    de = float(np.linalg.norm(E, 2))
-    float_noise = s * 2.3e-16 * float(sigma[0]) if s else 0.0
-    return DeterminantSample(z=z, value=det, err_estimate=adj_norm * (de + float_noise))
+    v = np.array([vd[x] for x in sites], dtype=complex)
+    G = np.empty((s * s, len(idx)), dtype=complex)
+    Gerr = np.empty(G.shape)
+    if inner:
+        G[:, :len(inner)], Gerr[:, :len(inner)] = green_many(diffs, lams, d, policy.engine)
+    if rim:
+        G[:, len(inner):], Gerr[:, len(inner):] = green_boundary_many(diffs, lam0s, plus, d)
+    # row i of the Birman-Schwinger matrix is v_i G(x_i - y_j)
+    M = v[None, :, None] * G.T.reshape(-1, s, s)
+    E = np.abs(v)[None, :, None] * Gerr.T.reshape(-1, s, s)
+    dets, errs = _det_with_err(M, E)
+    for j, k in enumerate(idx):
+        out[k] = DeterminantSample(z=zs[k], value=complex(dets[j]), err_estimate=float(errs[j]))
+    return out
 
 
 def det_eval(V: Potential, z: complex, policy: QuadPolicy = QuadPolicy()) -> DeterminantSample:
-    """One determinant sample at z in the closed unit disc.
-
-    Interior points (|z| <= 1 - margin) go through the off-spectrum Green
-    engine that ``policy`` names; |z| = 1 goes through the two-sided
-    boundary limit with the side fixed by the semicircle.  The thin rim in
-    between is refused.  Empty support returns exactly 1.
-    """
-    z = complex(z)
-    d = V.d
-    if not V.support:
-        return DeterminantSample(z=z, value=1.0 + 0.0j, err_estimate=0.0)
-    az = abs(z)
-    if az >= 1.0 + _BOUNDARY_TOL:
-        raise ValueError(f"z={z} lies outside the closed unit disc")
-    if az == 0.0:
-        # D(0) = 1 exactly: lambda -> infinity and V R0 -> 0.
-        return DeterminantSample(z=z, value=1.0 + 0.0j, err_estimate=0.0)
-    if abs(az - 1.0) <= _BOUNDARY_TOL:
-        t = cmath.phase(z)
-        M, E = _assemble(V, lambda diff: _green_on_circle(diff, t, d))
-        return _det_with_err(M, E, z)
-    if az > RIM_RADIUS + 1e-12:
-        raise ValueError(
-            f"|z|={az:.6g} lies in the rim {RIM_RADIUS:g} < |z| < 1; "
-            "evaluate on |z|=1 or deeper inside the disc"
-        )
-    lam = lambda_of_z(z, d)
-    M, E = _assemble(V, lambda diff: _green_interior(diff, lam, d, policy))
-    return _det_with_err(M, E, z)
+    """One determinant sample at z in the closed unit disc: the one-point
+    case of ``det_eval_many``."""
+    return det_eval_many(V, [z], policy)[0]
 
 
 @dataclass
@@ -273,7 +312,7 @@ def log_det_path(V: Potential, path: Sequence[complex]) -> "list[DeterminantSamp
     if abs(path[0]) > 0.01:
         raise ValueError(f"path must start at |z| <= 0.01, got |z|={abs(path[0]):.4g}")
     pts = [complex(z) for z in path]
-    samples = [det_eval(V, z) for z in pts]
+    samples = det_eval_many(V, pts)
     for z, smp in zip(pts, samples):
         if abs(smp.value) < 1e-13:
             raise ValueError(f"path passes through a zero of the determinant at z={z}")
@@ -323,7 +362,7 @@ def taylor_coeffs(
     m2 = 2 * m_samples
     ts = 2.0 * math.pi * np.arange(m2 + 1) / m2  # the last node closes the loop
     pts = r * np.exp(1j * ts[:-1])
-    vals = [det_eval(V, z).value for z in pts]
+    vals = [smp.value for smp in det_eval_many(V, pts)]
     march = march_log(
         lambda z: det_eval(V, z).value,
         lambda t: r * cmath.exp(1j * t),

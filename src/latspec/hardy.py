@@ -30,7 +30,7 @@ import numpy as np
 
 from .lattice import Potential, require_dimension_3
 from .quadrature import gl_panels
-from .determinant import RIM_RADIUS, TaylorCoeffs, det_eval
+from .determinant import RIM_RADIUS, TaylorCoeffs, det_eval_many
 from .zeros import ZeroRecord
 
 __all__ = [
@@ -113,7 +113,7 @@ def jensen_check(
             r *= 1.0 + 1e-6
     ts = _TWO_PI * np.arange(n_grid) / n_grid
     pts = [r * cmath.exp(1j * t) for t in ts]
-    vals = [abs(det_eval(V, z).value) for z in pts]
+    vals = [abs(smp.value) for smp in det_eval_many(V, pts)]
     lhs = float(np.mean(np.log(np.asarray(vals))))
     rhs = math.fsum(
         rec.multiplicity * math.log(r / abs(rec.z)) for rec in zeros if abs(rec.z) < r
@@ -217,17 +217,34 @@ class BoundaryTrace:
         return total
 
 
-def _boundary_logmod(V: Potential, t: float) -> float:
-    val = det_eval(V, cmath.exp(1j * t))
-    a = abs(val.value)
-    if not math.isfinite(a) or a <= 1e-300:
-        raise ArithmeticError(f"boundary determinant collapsed at t={t:.6f}")
-    return math.log(a)
+def _boundary_logmod(V: Potential, ts: np.ndarray) -> "list[float | None]":
+    """log|D(e^{it})| at every angle of ``ts``, None where the evaluation
+    fails numerically: the point raises ValueError or ArithmeticError
+    (LinAlgError is a ValueError), or |D| is not finite or collapses.  One
+    batched evaluation; if it raises such an error, the points are
+    evaluated one by one to find the failing ones.  Any other exception
+    propagates."""
+    zs = [cmath.exp(1j * float(t)) for t in ts]
+    try:
+        samples = det_eval_many(V, zs)
+    except (ValueError, ArithmeticError):
+        samples = []
+        for z in zs:
+            try:
+                samples.append(det_eval_many(V, [z])[0])
+            except (ValueError, ArithmeticError):
+                samples.append(None)
+    out: "list[float | None]" = []
+    for smp in samples:
+        a = abs(smp.value) if smp is not None else math.nan
+        out.append(math.log(a) if math.isfinite(a) and a > 1e-300 else None)
+    return out
 
 
 def boundary_trace(V: Potential, n_grid: int = 1024) -> BoundaryTrace:
     """Sample log|D| on the boundary circle and integrate it.
 
+    The grid and every kink-window node are evaluated in one batch.
     Failed grid points are infilled by neighbor averaging and flagged;
     more than 5% flags marks the whole trace low-confidence.  Kink windows
     are skipped (falling back to plain trapezoid there) if any of their
@@ -237,60 +254,51 @@ def boundary_trace(V: Potential, n_grid: int = 1024) -> BoundaryTrace:
         raise ValueError("n_grid must be a power of two, >= 256")
     d = require_dimension_3(V.d, "boundary trace")
     ts = _TWO_PI * np.arange(n_grid) / n_grid
-    flagged: "list[int]" = []
+    h = _TWO_PI / n_grid
 
-    def safe_eval(t: float) -> "float | None":
-        try:
-            return _boundary_logmod(V, t)
-        except (ValueError, ArithmeticError):  # LinAlgError is a ValueError
-            return None
+    # kink windows: snap edges outward to grid nodes, grade toward the kink
+    kinks = _kink_angles(d) if V.support else []
+    min_gap = min(
+        (kinks[i + 1] - kinks[i] for i in range(len(kinks) - 1)),
+        default=_TWO_PI,
+    )
+    width = min(_KINK_WINDOW, 0.35 * min_gap)
+    spans = []
+    for t_star in kinks:
+        k_lo = math.floor((t_star - width) / h)
+        k_hi = math.ceil((t_star + width) / h)
+        n1, w1 = _graded_nodes(k_lo * h, t_star)
+        n2, w2 = _graded_nodes(k_hi * h, t_star)  # panels are re-oriented inside
+        spans.append((t_star, k_lo, k_hi, np.concatenate([n1, n2]), np.concatenate([w1, w2])))
 
-    raw = [safe_eval(t) for t in ts]
-    log_mod = np.zeros(n_grid)
-    for k, v in enumerate(raw):
-        if v is None:
-            flagged.append(k)
-        else:
-            log_mod[k] = v
+    raw = _boundary_logmod(V, np.concatenate([ts] + [span[3] for span in spans]))
+    flagged = [k for k in range(n_grid) if raw[k] is None]
+    log_mod = np.array([0.0 if v is None else v for v in raw[:n_grid]])
     for k in flagged:
         left = next((raw[(k - j) % n_grid] for j in range(1, n_grid) if raw[(k - j) % n_grid] is not None), 0.0)
         right = next((raw[(k + j) % n_grid] for j in range(1, n_grid) if raw[(k + j) % n_grid] is not None), 0.0)
         log_mod[k] = 0.5 * (left + right)
     low_confidence = len(flagged) > 0.05 * n_grid
 
-    # kink windows: snap edges outward to grid nodes, grade toward the kink
-    h = _TWO_PI / n_grid
-    kinks = _kink_angles(d)
-    min_gap = min(
-        (kinks[i + 1] - kinks[i] for i in range(len(kinks) - 1)),
-        default=_TWO_PI,
-    )
-    width = min(_KINK_WINDOW, 0.35 * min_gap)
     windows: "list[_Window]" = []
     dropped_windows = 0
-    if V.support:
-        for t_star in kinks:
-            k_lo = math.floor((t_star - width) / h)
-            k_hi = math.ceil((t_star + width) / h)
-            e_lo, e_hi = k_lo * h, k_hi * h
-            n1, w1 = _graded_nodes(e_lo, t_star)
-            n2, w2 = _graded_nodes(e_hi, t_star)  # panels are re-oriented inside
-            nodes = np.concatenate([n1, n2])
-            weights = np.concatenate([w1, w2])
-            node_vals = [safe_eval(float(x)) for x in nodes]
-            if any(v is None for v in node_vals):
-                dropped_windows += 1
-                continue
-            windows.append(
-                _Window(
-                    t_star=t_star,
-                    k_lo=k_lo,
-                    k_hi=k_hi,
-                    nodes=nodes,
-                    weights=weights,
-                    log_mod=np.array(node_vals, dtype=float),
-                )
+    at = n_grid
+    for t_star, k_lo, k_hi, nodes, weights in spans:
+        node_vals = raw[at:at + nodes.size]
+        at += nodes.size
+        if any(v is None for v in node_vals):
+            dropped_windows += 1
+            continue
+        windows.append(
+            _Window(
+                t_star=t_star,
+                k_lo=k_lo,
+                k_hi=k_hi,
+                nodes=nodes,
+                weights=weights,
+                log_mod=np.array(node_vals, dtype=float),
             )
+        )
 
     bt = BoundaryTrace(
         d=d,
@@ -326,7 +334,11 @@ def trace_residuals(
     hypothesis that the singular inner factor is trivial.
 
     rho_0 estimates the total singular mass (must be >= -tol up to
-    quadrature); rho_n pair the Taylor coefficients of -log D with the
+    quadrature); ``ratio_rho1`` = |rho_1| / rho_0 is reported only where
+    rho_0 > tol.  Below that rho_0 is quadrature noise, and dividing by it
+    (or by tol) would turn rounding-level changes of rho_1 into changes of
+    the ratio a million times larger, so the ratio is None and
+    ``ratio_rho1_reason`` says why.  rho_n pair the Taylor coefficients of -log D with the
     Blaschke moments and the boundary Fourier data; the two real-form
     identities recombine the n = 1 moment with the eigenvalue sums.
     """
@@ -351,6 +363,12 @@ def trace_residuals(
     # the sin/cos forms are the real and imaginary parts of the same
     # complex moment; their recombination must agree to the bit
     internal = abs(complex(rhs_cos, rhs_sin) - rhs_complex)
+    if not rho:
+        ratio, reason = None, "no boundary moments"
+    elif rho0 > tol:
+        ratio, reason = abs(rho[0]) / rho0, None
+    else:
+        ratio, reason = None, f"rho0 = {rho0:.3e} is not above tol = {tol:g}"
 
     return {
         "rho0": rho0,
@@ -368,7 +386,8 @@ def trace_residuals(
             },
             "internal_consistency": internal,
         },
-        "ratio_rho1": (abs(rho[0]) / max(rho0, tol)) if rho else 0.0,
+        "ratio_rho1": ratio,
+        "ratio_rho1_reason": reason,
         "moment_interpretation": "boundary moment symbols read as Taylor coefficients of -log D",
         "B0": bl.B0,
         "Bn": bl.Bn,
@@ -400,12 +419,12 @@ def outer_reconstruct(
     worst = 0.0
     worst_z = None
     details = []
-    for z in probes:
+    d_vals = [smp.value for smp in det_eval_many(V, probes)]
+    for z, d_val in zip(probes, d_vals):
         k_val = bt.integrate_kernel(
             lambda t, z=z: (np.exp(1j * t) + z) / (np.exp(1j * t) - z)
         ) / _TWO_PI
         recon = blaschke_eval(bl, z) * cmath.exp(k_val)
-        d_val = det_eval(V, z).value
         rel = abs(d_val - recon) / abs(d_val)
         details.append({"z": z, "rel_err": rel})
         if rel > worst:

@@ -24,20 +24,45 @@ band through the oscillatory engine alone; its independent checks
 are Watson's closed form at the band edge and the small-epsilon limit of
 the interior engines.
 
+Every engine is array-at-a-time.  Its core takes a list of orbits (rows)
+and an array of lambdas (columns) and returns the whole block of values
+and error estimates.  ``green_many`` (interior, with the engine routing of
+``green_auto`` or one forced engine) and ``green_boundary_many`` serve
+such blocks to determinant assembly; ``green_auto``, ``green_torus``,
+``green_time`` and ``green_boundary`` are their one-value cases.
+
+* The oscillatory engine walks the lambda axis in chunks whose phase
+  block stays within _CHUNK_BYTES (512 KB).  In a chunk the phases are
+  built once and shared by every orbit, and the mode tails are computed
+  once per (T0, frequency, lambda) and shared by the orbits with that T0
+  (T0 depends only on max_j |n_j|).
+* The torus engine builds 1 / (h(k) - lam) on the folded grid once per
+  lambda, for a chunk of lambdas at a time, and contracts it against each
+  orbit's separable cosine weights.  The integrand is symmetric in the
+  first three axes, so it is built on their sorted index triples only
+  (one sixth of the grid), against weights summed over the orderings.
+* Batching changes no number: a block entry is computed exactly as it is
+  alone.  Array operations act elementwise along the lambda axis, and the
+  contractions are ``np.einsum`` calls whose summation order is set by the
+  grid, never by the number of lambdas (a BLAS product across lambdas
+  could block differently for different batch sizes).
+
 Two exact symmetries are applied in one place each.  G depends on n only
 through its orbit under sign flips and coordinate permutations: ``_orbit``
 maps every site to the orbit's representative and checks that it has d
 coordinates.  The time integrand pairs e^(-i lam t) with the forward
 evolution kernel, whose quarter-turn phase is i^(+|n|) per the Fourier
 expansion of e^(i t cos k); damping then requires Im(lam) <= 0, and
-``_lower_half`` reaches the opposite half plane through the reflection
-G(n, conj lam) = conj G(n, lam).  The plus side of the band is the
-reflection of the minus side.
+``_lower_half_block`` reaches the opposite half plane through the
+reflection G(n, conj lam) = conj G(n, lam).  The plus side of the band is
+the reflection of the minus side.
 
-Each engine core keeps its own ``functools.lru_cache`` of at most
-``_MEMO_SIZE`` values, keyed by (orbit, lam, d), so repeated evaluations
-during determinant assembly are free and bit-identical;
-``clear_green_cache`` empties them all.
+Each engine keeps one memo: a dict of at most _MEMO_SIZE values keyed by
+(orbit, lam), plus the grid size for the torus, that a block looks up and
+fills many keys at a time, evicting the least recently used entry.
+Repeated evaluations during determinant assembly are therefore free and
+bit-identical.  ``green_cache_info`` reports each memo's hits, misses and
+size; ``clear_green_cache`` empties them all.
 """
 
 from __future__ import annotations
@@ -45,6 +70,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -81,7 +107,7 @@ _OSC_T0_PER_ORDER = 10.0
 _OSC_N_TERMS = 11
 # its Gauss panels on [0, T0]: T0 / _OSC_PANEL panels (T0 is a whole number
 # of them) of _OSC_NPTS nodes at _OSC_OFFSETS from the panel's midpoint;
-# _osc_main builds the per-panel phases from _OSC_FINE consecutive panels
+# _osc_phases builds the per-panel phases from _OSC_FINE consecutive panels
 # and every _OSC_FINE-th one
 _OSC_PANEL = 0.5
 _OSC_NPTS = 10
@@ -91,12 +117,9 @@ _OSC_FINE = 16
 # 5-site draw 2 of perfbench's panel) fills 5310 oscillatory entries, so no
 # benchmark run evicts
 _MEMO_SIZE = 8192
-
-
-def clear_green_cache() -> None:
-    for cache in (_torus_cached, _time_cached, _osc_cached,
-                  _osc_nodes, _osc_kw, _osc_tail_data):
-        cache.cache_clear()
+# largest array of one chunk of lambdas: oscillatory phases, or torus
+# values on the grid's index triples
+_CHUNK_BYTES = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -112,6 +135,74 @@ class GreenValue:
     err_estimate: float
 
 
+class _Memo:
+    """Bounded map from a kernel key to (value, err_estimate), with hit and
+    miss counts; beyond _MEMO_SIZE entries the least recently used goes."""
+
+    def __init__(self) -> None:
+        self.data: OrderedDict = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def clear(self) -> None:
+        self.data.clear()
+        self.hits = self.misses = 0
+
+
+_MEMOS = {"torus": _Memo(), "time": _Memo(), "osc": _Memo()}
+
+
+def clear_green_cache() -> None:
+    for memo in _MEMOS.values():
+        memo.clear()
+    for cache in (_osc_nodes, _osc_kw, _osc_tail_data, _one_chunk_triples, _torus_chunk_cached):
+        cache.cache_clear()
+
+
+def green_cache_info() -> dict:
+    """Per engine ("torus", "time", "osc"): memo hits, misses and size since
+    the last ``clear_green_cache``.  A request counts once per (orbit,
+    lambda) pair, a hit when the value was already known."""
+    return {name: {"hits": m.hits, "misses": m.misses, "size": len(m.data)}
+            for name, m in _MEMOS.items()}
+
+
+def _memo_block(engine: str, core, canons: "list[Site]", lams: np.ndarray, extra: tuple = ()):
+    """core's block (values, errors) of shape (len(canons), len(lams)),
+    served from the engine's memo where it can be.  core(canons, lams,
+    *extra) is called once, on the orbits and distinct lambdas that have
+    a miss; the memo key is (canon, lam, *extra)."""
+    memo = _MEMOS[engine]
+    data = memo.data
+    lam_list = lams.tolist()
+    uniq = list(dict.fromkeys(lam_list))
+    keys = [[(canon, lam, *extra) for lam in uniq] for canon in canons]
+    got = [[data.get(key) for key in row] for row in keys]
+    miss = [[g is None for g in row] for row in got]
+    rows = [u for u, row in enumerate(miss) if any(row)]
+    cols = [k for k in range(len(uniq)) if any(row[k] for row in miss)]
+    n_miss = sum(map(sum, miss))
+    memo.misses += n_miss
+    memo.hits += len(canons) * len(lam_list) - n_miss
+    for u, row in enumerate(keys):
+        for k, key in enumerate(row):
+            if not miss[u][k]:
+                data.move_to_end(key)
+    if n_miss:
+        v, e = core([canons[u] for u in rows], np.array([uniq[k] for k in cols]), *extra)
+        for i, u in enumerate(rows):
+            for j, k in enumerate(cols):
+                if miss[u][k]:
+                    got[u][k] = data[keys[u][k]] = (complex(v[i, j]), float(e[i, j]))
+                    if len(data) > _MEMO_SIZE:
+                        data.popitem(last=False)
+    at = {lam: k for k, lam in enumerate(uniq)}
+    index = [at[lam] for lam in lam_list]
+    vals = np.array([[row[k][0] for k in index] for row in got], dtype=complex).reshape(len(canons), len(index))
+    errs = np.array([[row[k][1] for k in index] for row in got]).reshape(vals.shape)
+    return vals, errs
+
+
 def _canon(n: Sequence[int]) -> Site:
     """Representative of the signed-permutation orbit of n (kernel symmetry)."""
     return tuple(sorted((abs(int(c)) for c in n), reverse=True))
@@ -125,50 +216,159 @@ def _orbit(n: Sequence[int], d: int) -> Site:
     return canon
 
 
-def _conj(gv: GreenValue) -> GreenValue:
-    return GreenValue(gv.value.conjugate(), gv.err_estimate)
+def _orbits(sites: "Sequence[Sequence[int]]", d: int) -> "tuple[list[Site], np.ndarray]":
+    """The distinct orbits of ``sites`` and, per site, its orbit's row."""
+    rows: dict = {}
+    index = [rows.setdefault(_orbit(n, d), len(rows)) for n in sites]
+    return list(rows), np.array(index, dtype=int)
 
 
-def _lower_half(core, canon: Site, lam: complex, d: int) -> GreenValue:
-    """core(canon, lam, d) for a core that needs Im(lam) <= 0, extended to
-    the upper half plane by G(n, conj lam) = conj G(n, lam)."""
-    if lam.imag > 0:
-        return _conj(core(canon, lam.conjugate(), d))
-    return core(canon, lam, d)
+def _lower_half_block(engine: str, core, canons: "list[Site]", lams: np.ndarray):
+    """_memo_block for a core that needs Im(lam) <= 0, extended to the upper
+    half plane by G(n, conj lam) = conj G(n, lam)."""
+    up = lams.imag > 0
+    vals, errs = _memo_block(engine, core, canons, np.where(up, lams.conj(), lams))
+    vals[:, up] = vals[:, up].conj()
+    return vals, errs
 
 
 # ---------------------------------------------------------------- torus path
 
-def _torus_value(canon_n: Site, lam: complex, d: int, N: int) -> complex:
-    """Folded trapezoidal value with N points per dimension (N even).
-
-    (2 pi)^(-d) int cos(n1 k1)...cos(nd kd) / (sum cos kj - lam) dk over the
-    d-torus; evenness in each kj folds the grid to N/2 + 1 points per axis.
-    """
+def _torus_weights(canons: "list[Site]", N: int) -> np.ndarray:
+    """Trapezoid weight times cos(n_j k) on the folded grid k = 2 pi i / N,
+    i = 0..N/2, per orbit and axis: shape (orbits, d, N/2 + 1)."""
     m = N // 2
     k = 2.0 * np.pi * np.arange(m + 1) / N
     w = np.full(m + 1, 2.0)
     w[0] = 1.0
     w[-1] = 1.0
-    c = np.cos(k)
-    u = [w * np.cos(canon_n[j] * k) for j in range(d)]
+    return np.array([[w * np.cos(n_j * k) for n_j in canon] for canon in canons])
+
+
+def _torus_low_d(u: np.ndarray, lam: complex, N: int) -> np.ndarray:
+    """Folded trapezoidal values with N points per dimension at d = 1, 2,
+    one per orbit of the weights u from _torus_weights."""
+    d = u.shape[1]
+    c = np.cos(2.0 * np.pi * np.arange(u.shape[2]) / N)
     if d == 1:
-        acc = complex(np.sum(u[0] / (c - lam)))
-    else:
-        # one 2-d slab over the first two axes per point of the other d - 2
-        # (a single empty point when d = 2)
-        c01 = c[:, None] + c[None, :]
-        acc = 0.0 + 0.0j
-        for idx in itertools.product(range(m + 1), repeat=d - 2):
-            shift = sum(c[i] for i in idx) - lam
-            wex = 1.0
+        return np.array([np.sum(uo[0] / (c - lam)) for uo in u]) / float(N)
+    r = 1.0 / (c[:, None] + c[None, :] - lam)
+    return np.array([np.einsum("a,a->", uo[0], np.einsum("ab,b->a", r, uo[1])) for uo in u]) / float(N) ** 2
+
+
+_TRIPLE_CHUNK = _CHUNK_BYTES // 64
+
+
+def _triple_chunks(m1: int):
+    """The index triples a <= b <= c of a folded grid axis of m1 points, in
+    chunks of at most _TRIPLE_CHUNK triples: (a, b, c) index arrays."""
+    parts = []
+    for c in range(m1):
+        a, b = np.triu_indices(c + 1)
+        parts.append((a, b, np.full(a.size, c)))
+        if sum(p[0].size for p in parts) >= _TRIPLE_CHUNK or c == m1 - 1:
+            yield tuple(np.concatenate(x) for x in zip(*parts))
+            parts = []
+
+
+def _symmetric_weights(u: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per orbit and sorted triple (a, b, c): the sum of u_0 u_1 u_2 over
+    the distinct orderings of the triple, shape (orbits, triples)."""
+    total = sum(u[:, 0, p] * u[:, 1, q] * u[:, 2, r] for p, q, r in itertools.permutations((a, b, c)))
+    # each distinct ordering appears 6 / (number of distinct orderings) times
+    return total / np.where(a == c, 6.0, np.where((a == b) | (b == c), 2.0, 1.0))
+
+
+def _torus_chunk(canons: "list[Site]", n_quad: int, a, b, c) -> tuple:
+    """One chunk of fine-grid triples: (a, b, c, even, fine weights, coarse
+    weights), ``even`` indexing the triples of even points, which form the
+    coarse grid."""
+    even = np.nonzero((a % 2 == 0) & (b % 2 == 0) & (c % 2 == 0))[0]
+    return (a, b, c, even,
+            _symmetric_weights(_torus_weights(canons, 2 * n_quad), a, b, c),
+            _symmetric_weights(_torus_weights(canons, n_quad), a[even] // 2, b[even] // 2, c[even] // 2))
+
+
+@functools.lru_cache(maxsize=4)
+def _one_chunk_triples(m1: int) -> tuple:
+    return next(_triple_chunks(m1))
+
+
+@functools.lru_cache(maxsize=64)
+def _torus_chunk_cached(canon: Site, n_quad: int) -> tuple:
+    return _torus_chunk([canon], n_quad, *_one_chunk_triples(n_quad + 1))
+
+
+def _torus_chunks(canons: "list[Site]", n_quad: int):
+    """_torus_chunk over the fine grid's triples.  A grid of one chunk (the
+    n_quad = 32 floor that green_auto uses has 6,545 triples) is cached
+    per orbit; larger ones are built as they are walked."""
+    m1 = n_quad + 1
+    if m1 * (m1 + 1) * (m1 + 2) // 6 > _TRIPLE_CHUNK:
+        return (_torus_chunk(canons, n_quad, *abc) for abc in _triple_chunks(m1))
+    parts = [_torus_chunk_cached(canon, n_quad) for canon in canons]
+    a, b, c, even = parts[0][:4]
+    return [(a, b, c, even, np.concatenate([p[4] for p in parts]), np.concatenate([p[5] for p in parts]))]
+
+
+def _torus_block(canons: "list[Site]", lams: np.ndarray, n_quad: int):
+    """Torus values on the doubled grid (2 n_quad points per dimension) with
+    the difference from n_quad points as error estimate, per orbit (rows)
+    and lambda (columns).
+
+    (2 pi)^(-d) int cos(n1 k1)...cos(nd kd) / (sum cos kj - lam) dk over the
+    d-torus; evenness in each kj folds the grid to N/2 + 1 points per axis.
+    From d = 3 up, 1 / (h(k) - lam) = (x + i y) / (x^2 + y^2), x = h(k) -
+    Re lam and y = Im lam, is symmetric in the first three axes: it is
+    built on their sorted index triples only, per point of the other d - 3
+    axes, for a chunk of lambdas at a time, and contracted against each
+    orbit's weights summed over the orderings of a triple.  The coarse
+    grid is the fine grid's even points, so it reads the same values.
+    """
+    coarse = _torus_weights(canons, n_quad)
+    fine = _torus_weights(canons, 2 * n_quad)
+    n_orb, d, m1 = fine.shape
+    if d < 3:
+        vals = np.empty((n_orb, lams.size), dtype=complex)
+        errs = np.empty(vals.shape)
+        for k, lam in enumerate(lams.tolist()):
+            v1, v2 = _torus_low_d(coarse, lam, n_quad), _torus_low_d(fine, lam, 2 * n_quad)
+            vals[:, k] = v2
+            errs[:, k] = np.abs(v2 - v1)
+        return vals, errs
+    cos_k = np.cos(2.0 * np.pi * np.arange(m1) / (2 * n_quad))
+    acc_c = np.zeros((n_orb, lams.size), dtype=complex)
+    acc_f = np.zeros((n_orb, lams.size), dtype=complex)
+    for a, b, c, even, s_f, s_c in _torus_chunks(canons, n_quad):
+        h3 = cos_k[a] + cos_k[b] + cos_k[c]
+        step = max(1, _CHUNK_BYTES // (24 * a.size))
+        for idx in itertools.product(range(m1), repeat=d - 3):
+            w_f = np.ones(n_orb)
+            w_c = np.ones(n_orb)
             for j, i in enumerate(idx):
-                wex *= u[j + 2][i]
-            if wex == 0.0:
-                continue
-            r = 1.0 / (c01 + shift)
-            acc += wex * complex(u[0] @ (r @ u[1]))
-    return acc / float(N) ** d
+                w_f = w_f * fine[:, j + 3, i]
+                w_c = w_c * coarse[:, j + 3, i // 2]
+            on_coarse = all(i % 2 == 0 for i in idx)
+            h = h3 + sum(cos_k[i] for i in idx)
+            for lo in range(0, lams.size, step):
+                lam = lams[lo:lo + step]
+                x = h - lam.real[:, None]
+                inv = x * x
+                inv += (lam.imag * lam.imag)[:, None]
+                np.reciprocal(inv, out=inv)
+                x *= inv
+                inv *= lam.imag[:, None]
+                cols = slice(lo, lo + lam.size)
+                acc_f[:, cols] += w_f[:, None] * (np.einsum("ol,kl->ok", s_f, x)
+                                                  + 1j * np.einsum("ol,kl->ok", s_f, inv))
+                if on_coarse:
+                    # gathered columns come out column-major; the contraction
+                    # must see rows laid out as for a single lambda
+                    x_c, inv_c = (np.ascontiguousarray(f[:, even]) for f in (x, inv))
+                    acc_c[:, cols] += w_c[:, None] * (np.einsum("ol,kl->ok", s_c, x_c)
+                                                      + 1j * np.einsum("ol,kl->ok", s_c, inv_c))
+    v2 = acc_f / float(2 * n_quad) ** d
+    return v2, np.abs(v2 - acc_c / float(n_quad) ** d)
 
 
 def auto_n_quad(dist: float) -> int:
@@ -177,6 +377,19 @@ def auto_n_quad(dist: float) -> int:
     [_NQ_MIN, _NQ_MAX] and rounded up to even."""
     n = int(min(max(math.ceil(_NQ_RATE / dist), _NQ_MIN), _NQ_MAX))
     return n + (n % 2)
+
+
+def _torus_many(canons: "list[Site]", lams: np.ndarray, n_quads: np.ndarray):
+    """Torus block with a grid size per lambda; one core call per size."""
+    sizes = sorted(set(n_quads.tolist()))
+    if len(sizes) == 1:
+        return _memo_block("torus", _torus_block, canons, lams, (sizes[0],))
+    vals = np.empty((len(canons), lams.size), dtype=complex)
+    errs = np.empty(vals.shape)
+    for nq in sizes:
+        cols = np.nonzero(n_quads == nq)[0]
+        vals[:, cols], errs[:, cols] = _memo_block("torus", _torus_block, canons, lams[cols], (nq,))
+    return vals, errs
 
 
 def green_torus(
@@ -192,12 +405,7 @@ def green_torus(
     """
     d = validate_dimension(d)
     lam = complex(lam)
-    dist = dist_to_band(lam, d)
-    if dist < _TORUS_DELTA_MIN:
-        raise ValueError(
-            f"lambda={lam} is within {_TORUS_DELTA_MIN} of the band [-{d},{d}] "
-            "(dist={:.3e}); use green_boundary for on-band limits".format(dist)
-        )
+    dist = _torus_distance(lam, d)
     if n_quad is None:
         n_quad = auto_n_quad(dist)
     else:
@@ -205,14 +413,17 @@ def green_torus(
         if n_quad < 8:
             raise ValueError(f"n_quad must be >= 8, got {n_quad}")
         n_quad += n_quad % 2
-    return _torus_cached(_orbit(n, d), lam, d, n_quad)
+    return _one(_torus_many([_orbit(n, d)], np.array([lam]), np.array([n_quad])))
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _torus_cached(canon: Site, lam: complex, d: int, n_quad: int) -> GreenValue:
-    v1 = _torus_value(canon, lam, d, n_quad)
-    v2 = _torus_value(canon, lam, d, 2 * n_quad)
-    return GreenValue(v2, abs(v2 - v1))
+def _torus_distance(lam: complex, d: int) -> float:
+    dist = dist_to_band(lam, d)
+    if dist < _TORUS_DELTA_MIN:
+        raise ValueError(
+            f"lambda={lam} is within {_TORUS_DELTA_MIN} of the band [-{d},{d}] "
+            "(dist={:.3e}); use green_boundary for on-band limits".format(dist)
+        )
+    return dist
 
 
 # ----------------------------------------------------------- damped time path
@@ -225,18 +436,10 @@ def green_time(n: Sequence[int], lam: complex, d: int) -> GreenValue:
     tail e^(T Im lam)/|Im lam| (using |K_n| <= 1) is below _TIME_TOL, capped
     at 1200 with the cap reflected honestly in err_estimate.
     """
-    d = validate_dimension(d)
-    lam = complex(lam)
-    if abs(lam.imag) < 1e-6:
-        raise ValueError(
-            f"green_time needs |Im lambda| >= 1e-6 (got {lam.imag:.2e}): "
-            "the truncation tail is uncontrolled on the real axis; use green_boundary"
-        )
-    return _lower_half(_time_cached, _orbit(n, d), lam, d)
+    return _one(green_many([n], [complex(lam)], d, engine="time"))
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _time_cached(canon: Site, lam: complex, d: int) -> GreenValue:
+def _time_value(canon: Site, lam: complex) -> "tuple[complex, float]":
     T = min(math.log(1.0 / _TIME_TOL) / abs(lam.imag), 1200.0)
     pref = -1j * _IPOW[sum(canon) % 4]
     vals = []
@@ -249,7 +452,18 @@ def _time_cached(canon: Site, lam: complex, d: int) -> GreenValue:
         vals.append(pref * np.sum(weights * np.exp(-1j * lam * nodes) * kern))
     tail = math.exp(T * lam.imag) / abs(lam.imag)
     err = abs(vals[0] - vals[1]) + tail
-    return GreenValue(complex(vals[0]), err)
+    return complex(vals[0]), err
+
+
+def _time_block(canons: "list[Site]", lams: np.ndarray):
+    """The time engine has a horizon, hence nodes, per lambda: one value at
+    a time."""
+    vals = np.empty((len(canons), lams.size), dtype=complex)
+    errs = np.empty(vals.shape)
+    for u, canon in enumerate(canons):
+        for k, lam in enumerate(lams.tolist()):
+            vals[u, k], errs[u, k] = _time_value(canon, lam)
+    return vals, errs
 
 
 # ------------------------------------------------------ oscillatory time path
@@ -268,36 +482,43 @@ def _osc_nodes(T0: float) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=4096)
 def _osc_kw(canon_n: Site) -> np.ndarray:
-    """Gauss weight times prod_j J_(n_j) at each numeric node, one row per
-    panel (real; _osc_main applies the phases)."""
+    """Gauss weight times prod_j J_(n_j) at each numeric node, shape
+    (_OSC_NPTS, panels): row j holds node j of every panel (real;
+    _osc_main applies the phases)."""
     nodes, weights = _osc_nodes(_osc_t0(canon_n))
     rows = bessel_j_grid(nodes, canon_n[0])
     kern = rows[canon_n[0]].copy()
     for m in canon_n[1:]:
         kern *= rows[m]
-    return (weights * kern).reshape(-1, _OSC_NPTS)
+    return np.ascontiguousarray((weights * kern).reshape(-1, _OSC_NPTS).T)
 
 
-def _osc_main(kw: np.ndarray, lam: complex) -> complex:
-    """The numeric part sum_t kw(t) e^(-i lam t) over the Gauss nodes.
-
-    Node j of panel p sits at t = 0.25 + 0.5 p + offset_j, so the phase
-    factors into a per-panel factor times a row of _OSC_NPTS offset phases,
-    and the sum is panel @ (kw @ row).  The P per-panel factors are the
-    outer product of _OSC_FINE consecutive panel steps and ceil(P /
-    _OSC_FINE) coarse ones: _OSC_FINE + ceil(P / _OSC_FINE) exponentials in
-    place of one per node.
-    """
-    n_panels = kw.shape[0]
-    row = np.exp(-1j * lam * _OSC_OFFSETS)
-    fine = np.exp(-1j * lam * _OSC_PANEL * np.arange(_OSC_FINE))
+def _osc_phases(lams: np.ndarray, n_panels: int) -> "tuple[np.ndarray, np.ndarray]":
+    """e^(-i lam t) on the Gauss nodes of n_panels panels, factored, one row
+    per lambda: (row, panel).  row[:, j] is the phase of node j's offset
+    from its panel's midpoint; panel[0] and panel[1] are the real and
+    imaginary parts of the phase of panel p's midpoint (t = 0.25 + 0.5 p)
+    in column p.  The panel phases are the outer product of _OSC_FINE
+    consecutive panel steps and ceil(n_panels / _OSC_FINE) coarse ones:
+    _OSC_FINE + ceil(n_panels / _OSC_FINE) exponentials per lambda in place
+    of one per panel.  Panel p's phase does not depend on n_panels, so one
+    set serves every orbit with a shorter T0."""
+    mlam = -1j * lams[:, None]
+    row = np.exp(mlam * _OSC_OFFSETS)
+    fine = np.exp(mlam * (_OSC_PANEL * np.arange(_OSC_FINE)))
     coarse_t = 0.5 * _OSC_PANEL + _OSC_FINE * _OSC_PANEL * np.arange(-(-n_panels // _OSC_FINE))
-    panel = np.outer(np.exp(-1j * lam * coarse_t), fine).ravel()[:n_panels]
-    # kw @ row in real arithmetic: the complex product would cast kw and
-    # run a complex gemv, which OpenBLAS splits across threads at this size
-    # for no gain in wall time
-    kw_row = (kw @ row.view(float).reshape(-1, 2)).view(complex).ravel()
-    return complex(panel @ kw_row)
+    panel = (np.exp(mlam * coarse_t)[:, :, None] * fine[:, None, :]).reshape(lams.size, -1)
+    return row, np.stack([panel.real[:, :n_panels], panel.imag[:, :n_panels]])
+
+
+def _osc_main(kw: np.ndarray, row: np.ndarray, panel: np.ndarray) -> np.ndarray:
+    """The numeric part sum_t kw(t) e^(-i lam t) over the Gauss nodes, per
+    lambda of the phases (row, panel) from _osc_phases: the panel phases
+    are summed against each node row of kw first, in real arithmetic (a
+    dot product over the panels per lambda, node and part), then the
+    offset phases against those _OSC_NPTS sums."""
+    sums = np.einsum("rkp,jp->rkj", panel[:, :, :kw.shape[1]], kw)
+    return np.einsum("kj,kj->k", sums[0] + 1j * sums[1], row)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -319,69 +540,145 @@ def _osc_tail_data(canon_n: Site) -> tuple:
     return tuple(out)
 
 
-def _green_osc(canon_n: Site, lam: complex, d: int) -> tuple[complex, float]:
-    """High-accuracy kernel value for Im(lam) <= 0, including real lam.
+def _osc_block(canons: "list[Site]", lams: np.ndarray):
+    """High-accuracy kernel values for Im(lam) <= 0, including real lam, per
+    orbit (rows) and lambda (columns), with error estimates.
 
     Numeric Gauss-Legendre integral on [0, T0] plus 2^d analytic mode tails:
     beyond T0 each J-product factor is replaced by its two-sided large-t
     expansion, turning the remainder into sums of t^(-d/2-q) e^(i(S-lam)t)
-    integrals with integer S in [-d, d].
+    integrals with integer S in [-d, d].  They depend on a sign pattern
+    only through its frequency S, so each chunk of lambdas makes one
+    tail_integral_vec call per T0 for all d + 1 frequencies.
     """
-    if lam.imag > 1e-15:
+    if (lams.imag > 1e-15).any():
         raise ValueError("oscillatory engine requires Im(lambda) <= 0")
-    T0 = _osc_t0(canon_n)
-    main = _osc_main(_osc_kw(canon_n), lam)
-    mode_factor = (2.0 / np.pi) ** (0.5 * d) * 0.5 ** d
+    d = len(canons[0])
+    kws = [_osc_kw(canon) for canon in canons]
+    n_panels = max(kw.shape[1] for kw in kws)
+    chunk = max(1, _CHUNK_BYTES // (16 * n_panels))
+    freqs = np.arange(-d, d + 1, 2)
     s_exps = 0.5 * d + np.arange(_OSC_N_TERMS, dtype=float)
-    # the tail integrals depend on a sign pattern only through its frequency
-    # S in {-d, -d + 2, ..., d}: d + 1 evaluations serve all 2^d patterns
-    pieces_at = {S: tail_integral_vec(s_exps, S - lam, T0) for S in range(-d, d + 1, 2)}
-    tail = 0.0 + 0.0j
-    trunc = 0.0
-    for ph0, s_freq, poly in _osc_tail_data(canon_n):
-        pieces = pieces_at[s_freq]
-        tail += ph0 * np.dot(poly, pieces)
-        trunc += abs(poly[-1] * pieces[-1])
-    pref = -1j * _IPOW[sum(canon_n) % 4]
-    value = pref * (main + mode_factor * tail)
-    err = mode_factor * trunc + 1e-14 * (1.0 + abs(value))
-    return complex(value), float(err)
+    mode_factor = (2.0 / np.pi) ** (0.5 * d) * 0.5 ** d
+    vals = np.empty((len(canons), lams.size), dtype=complex)
+    errs = np.empty(vals.shape)
+    for lo in range(0, lams.size, chunk):
+        lam = lams[lo:lo + chunk]
+        cols = slice(lo, lo + lam.size)
+        row, panel = _osc_phases(lam, n_panels)
+        w = (freqs[:, None] - lam).ravel()
+        tails = {T0: tail_integral_vec(s_exps, w, T0).reshape(freqs.size, lam.size, -1)
+                 for T0 in sorted({_osc_t0(canon) for canon in canons})}
+        for u, canon in enumerate(canons):
+            pieces = tails[_osc_t0(canon)]
+            tail = np.zeros(lam.size, dtype=complex)
+            trunc = np.zeros(lam.size)
+            for ph0, s_freq, poly in _osc_tail_data(canon):
+                at_s = pieces[(s_freq + d) // 2]
+                tail += ph0 * np.einsum("kj,j->k", at_s, poly)
+                trunc += np.abs(poly[-1] * at_s[:, -1])
+            pref = -1j * _IPOW[sum(canon) % 4]
+            vals[u, cols] = value = pref * (_osc_main(kws[u], row, panel) + mode_factor * tail)
+            errs[u, cols] = mode_factor * trunc + 1e-14 * (1.0 + np.abs(value))
+    return vals, errs
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _osc_cached(canon: Site, lam: complex, d: int) -> GreenValue:
-    return GreenValue(*_green_osc(canon, lam, d))
+# ------------------------------------------------------------ front doors
+
+def _one(block) -> GreenValue:
+    vals, errs = block
+    return GreenValue(complex(vals[0, 0]), float(errs[0, 0]))
+
+
+def green_many(
+    sites: "Sequence[Sequence[int]]",
+    lams: "Sequence[complex]",
+    d: int,
+    engine: str = "auto",
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Kernel values off the band for every site (rows) at every lambda
+    (columns), and their error estimates: two arrays of shape (len(sites),
+    len(lams)).  Sites of one orbit share a row of work.
+
+    engine "auto" routes each lambda as ``green_auto`` does; "torus" and
+    "time" force that engine, with the same refusals as ``green_torus``
+    and ``green_time``.
+    """
+    d = validate_dimension(d)
+    lams = np.array([complex(lam) for lam in lams], dtype=complex)
+    canons, index = _orbits(sites, d)
+    if engine == "time":
+        flat = np.abs(lams.imag) < 1e-6
+        if flat.any():
+            raise ValueError(
+                f"green_time needs |Im lambda| >= 1e-6 (got {lams[flat][0].imag:.2e}): "
+                "the truncation tail is uncontrolled on the real axis; use green_boundary"
+            )
+        vals, errs = _lower_half_block("time", _time_block, canons, lams)
+        return vals[index], errs[index]
+    if engine == "torus":
+        dist = np.array([_torus_distance(lam, d) for lam in lams.tolist()])
+        torus = np.ones(lams.size, dtype=bool)
+    elif engine == "auto":
+        dist = np.array([dist_to_band(lam, d) for lam in lams.tolist()])
+        on_band = dist == 0.0
+        if on_band.any():
+            raise ValueError(f"lambda={lams[on_band][0]} lies on the band; use green_boundary")
+        torus = dist >= (_DIST_SWITCH if d >= 3 else _DIST_MIN_LOW_D)
+        if not torus.all():
+            require_dimension_3(d, f"green_auto within {_DIST_MIN_LOW_D} of the band")
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
+    vals = np.empty((len(canons), lams.size), dtype=complex)
+    errs = np.empty(vals.shape)
+    if torus.any():
+        n_quads = np.array([auto_n_quad(x) for x in dist[torus].tolist()])
+        vals[:, torus], errs[:, torus] = _torus_many(canons, lams[torus], n_quads)
+    if not torus.all():
+        vals[:, ~torus], errs[:, ~torus] = _lower_half_block("osc", _osc_block, canons, lams[~torus])
+    return vals[index], errs[index]
 
 
 def green_auto(n: Sequence[int], lam: complex, d: int) -> GreenValue:
-    """Dispatcher used by determinant assembly.
+    """Dispatcher used by determinant assembly (through ``green_many``).
 
     At d >= 3: the oscillatory time engine within _DIST_SWITCH =
     _NQ_RATE / _NQ_MIN (1.25) of the band, torus quadrature from there out.
-    The oscillatory engine costs about the same at every distance (0.10-0.16
-    ms a value for n = (1, 0, 0) from distance 0.35 to 5, one BLAS thread on
-    a 2-core Xeon).  The torus grid has _NQ_RATE / dist points per axis
-    until it reaches its _NQ_MIN floor at 1.25, so closer in it costs more
-    the closer lam is (11-12 ms at 0.35, 0.9-1.3 ms at 1.0).  From 1.25 out
-    its cost is flat (0.6-0.9 ms), and it stays accurate for every lam,
+    The oscillatory engine costs about the same at every distance.  The
+    torus grid has _NQ_RATE / dist points per axis until it reaches its
+    _NQ_MIN floor at 1.25, so closer in it costs more the closer lam is.
+    From 1.25 out its cost is flat, and it stays accurate for every lam,
     whereas the oscillatory engine's fixed Gauss panels stop resolving
     e^(-i lam t) once |lam| is large.
 
     At d = 1, 2 the oscillatory engine does not exist: the torus serves
     distances >= _DIST_MIN_LOW_D (0.35) and closer points are refused.
     """
-    d = validate_dimension(d)
-    lam = complex(lam)
-    dist = dist_to_band(lam, d)
-    if dist == 0.0:
-        raise ValueError(f"lambda={lam} lies on the band; use green_boundary")
-    if dist >= (_DIST_SWITCH if d >= 3 else _DIST_MIN_LOW_D):
-        return green_torus(n, lam, d)
-    d = require_dimension_3(d, f"green_auto within {_DIST_MIN_LOW_D} of the band")
-    return _lower_half(_osc_cached, _orbit(n, d), lam, d)
+    return _one(green_many([n], [complex(lam)], d))
 
 
 # -------------------------------------------------------------- boundary path
+
+def green_boundary_many(
+    sites: "Sequence[Sequence[int]]",
+    lambda0s: "Sequence[float]",
+    plus: "Sequence[bool]",
+    d: int,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Boundary values G(n, lambda0 + i0) where plus[k], else G(n, lambda0 -
+    i0), for every site (rows) and band point lambda0 (columns), d >= 3,
+    with error estimates; shapes as in ``green_many``."""
+    d = require_dimension_3(d, "green_boundary")
+    lam0 = np.array([float(x) for x in lambda0s])
+    off = np.abs(lam0) > d
+    if off.any():
+        raise ValueError(f"lambda0={lam0[off][0]} is off the band [-{d},{d}]; use green_torus")
+    canons, index = _orbits(sites, d)
+    vals, errs = _memo_block("osc", _osc_block, canons, lam0.astype(complex))
+    plus = np.asarray(plus, dtype=bool)
+    vals[:, plus] = vals[:, plus].conj()
+    return vals[index], errs[index]
+
 
 def green_boundary(n: Sequence[int], lambda0: float, side: str, d: int) -> GreenValue:
     """Boundary value G(n, lambda0 +/- i0) on the band [-d, d], d >= 3.
@@ -391,11 +688,7 @@ def green_boundary(n: Sequence[int], lambda0: float, side: str, d: int) -> Green
     gives the minus side; the plus side is its conjugate, served from the
     same cached value.  The band edges need no special treatment.
     """
-    d = require_dimension_3(d, "green_boundary")
-    lambda0 = float(lambda0)
-    if abs(lambda0) > d:
-        raise ValueError(f"lambda0={lambda0} is off the band [-{d},{d}]; use green_torus")
     if side not in ("plus", "minus"):
+        require_dimension_3(d, "green_boundary")
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    gv = _osc_cached(_orbit(n, d), complex(lambda0), d)
-    return _conj(gv) if side == "plus" else gv
+    return _one(green_boundary_many([n], [lambda0], [side == "plus"], d))

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .lattice import Potential
 from .conformal import lambda_of_z
 from .resolvent import green_boundary
-from .determinant import RIM_RADIUS, PathRefinementError, det_eval, march_log
+from .determinant import RIM_RADIUS, PathRefinementError, det_eval, det_eval_many, march_log
 from ._util import GOLDEN_FRAC
 
 __all__ = [
@@ -91,7 +91,9 @@ class _BoundaryTooClose(Exception):
 
 
 class _DetCache:
-    """Memoized D(z) evaluations shared across all contours of one search."""
+    """Memoized D(z) evaluations shared across all contours of one search:
+    called with one point, or through ``many`` with the points known in
+    advance, which evaluates the new ones in one batch."""
 
     def __init__(self, V: Potential):
         self.V = V
@@ -106,22 +108,33 @@ class _DetCache:
             self.n_evals += 1
         return got
 
+    def many(self, zs: "Sequence[complex]") -> "list[complex]":
+        new = [z for z in dict.fromkeys(zs) if z not in self._memo]
+        if new:
+            for z, smp in zip(new, det_eval_many(self.V, new)):
+                self._memo[z] = smp.value
+            self.n_evals += len(new)
+        return [self._memo[z] for z in zs]
+
 
 def _winding(cache: _DetCache, pieces, where: str):
     """(winding, centroid) of D around a closed contour.
 
     ``pieces`` are (z_fun, s0, s1, n_init): curves z_fun([s0, s1]) that
     join into the contour, each marched by march_log from n_init + 1
-    equispaced nodes.  The centroid is sum (1/2 pi i) oint z dlogD, the sum
+    equispaced nodes, which are evaluated together up front.  The centroid is sum (1/2 pi i) oint z dlogD, the sum
     of the enclosed zeros.  Raises _BoundaryTooClose when |D| dips below
     _MIN_ABS_FRAC of its maximum on a piece or the phase cannot be marched.
     """
     total = 0.0
     centroid = 0.0 + 0.0j
-    for z_fun, s0, s1, n_init in pieces:
-        params = [s0 + (s1 - s0) * k / n_init for k in range(n_init + 1)]
+    grids = [[s0 + (s1 - s0) * k / n_init for k in range(n_init + 1)] for _, s0, s1, n_init in pieces]
+    # the initial nodes of every piece in one batch
+    nodes = [[z_fun(s) for s in params] for (z_fun, *_), params in zip(pieces, grids)]
+    cache.many([z for zs in nodes for z in zs])
+    for (z_fun, *_), params, zs in zip(pieces, grids, nodes):
         try:
-            march = march_log(cache, z_fun, params)
+            march = march_log(cache, z_fun, params, cache.many(zs))
         except PathRefinementError:
             raise _BoundaryTooClose from None
         if march.min_abs < _MIN_ABS_FRAC * max(march.max_abs, 1e-30):

@@ -10,7 +10,6 @@ from latspec.bessel import (
     beta_estimate,
     check_uniform_bound,
     integral_representation,
-    propagator_kernel,
 )
 
 
@@ -76,26 +75,6 @@ def test_bounded_by_one():
     for m in (0, 1, 13, 200):
         for t in (0.1, 1.0, 47.0, 2000.0):
             assert abs(bessel_j(m, t)) <= 1.0 + 1e-15
-
-
-def test_propagator_kernel_values():
-    assert propagator_kernel((0, 0, 0), 0.0) == 1.0 + 0.0j
-    assert propagator_kernel((1, 0, 0), 0.0) == 0.0
-    # i^(-|n|) prefactor: |n|=2 flips the sign of the J product
-    t = 2.5
-    val = propagator_kernel((1, 1), t)
-    assert val == pytest.approx(-bessel_j(1, t) ** 2, rel=1e-13)
-    val = propagator_kernel((1,), t)
-    assert val == pytest.approx(-1j * bessel_j(1, t), rel=1e-13)
-    # 2-d site with one zero component keeps the J_0 factor
-    val = propagator_kernel((1, 0), t)
-    assert val == pytest.approx(-1j * bessel_j(1, t) * bessel_j(0, t), rel=1e-13)
-
-
-def test_propagator_unitarity_1d():
-    t = 3.7
-    total = sum(abs(propagator_kernel((n,), t)) ** 2 for n in range(-60, 61))
-    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_propagator_dispersive_decay_bounded():

@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latspec.conformal import (
-    SpectralPoint,
-    dist_to_band,
-    lambda_of_z,
-    sqrt_branch,
-    z_of_lambda,
-)
+from latspec.conformal import dist_to_band, lambda_of_z, z_of_lambda
 
 
 def _disc_points():
@@ -44,33 +38,19 @@ def test_z_of_lambda_lands_inside_disc():
         assert lambda_of_z(z, 3) == pytest.approx(lam, rel=1e-12)
 
 
-def test_sqrt_branch_squares_back():
+def test_z_of_lambda_on_band_two_sides():
+    # approaching the open band from above/below gives conjugate points on
+    # the unit circle, and the one-sided limits pick them: lam + i0 lands
+    # in the lower half disc
     d = 3
-    for lam in (3.5, -3.5, 0.4 + 0.9j, -1.0 - 2.0j):
-        s = sqrt_branch(lam, d)
-        assert s * s == pytest.approx(lam * lam - d * d, rel=1e-12)
-
-
-def test_sqrt_branch_sign_above_band():
-    # for real lam > d the branch is the positive square root
-    s = sqrt_branch(5.0, 3)
-    assert abs(s.imag) < 1e-14 and s.real == pytest.approx(4.0, rel=1e-13)
-    # mirror: lam < -d gives the negative root
-    s = sqrt_branch(-5.0, 3)
-    assert s.real == pytest.approx(-4.0, rel=1e-13)
-
-
-def test_sqrt_branch_on_band_two_sides():
-    # approaching the open band from above/below gives conjugate values
-    d = 3
-    up = sqrt_branch(1.0 + 1e-12j, d, side="auto")
-    dn = sqrt_branch(1.0 - 1e-12j, d, side="auto")
+    up = z_of_lambda(1.0 + 1e-12j, d, side="auto")
+    dn = z_of_lambda(1.0 - 1e-12j, d, side="auto")
     assert up == pytest.approx(dn.conjugate(), rel=1e-6)
-    plus = sqrt_branch(1.0, d, side="plus")
-    minus = sqrt_branch(1.0, d, side="minus")
+    plus = z_of_lambda(1.0, d, side="plus")
+    minus = z_of_lambda(1.0, d, side="minus")
     assert plus == pytest.approx(minus.conjugate(), rel=1e-12)
-    assert plus.imag != 0.0
-
+    assert abs(plus) == pytest.approx(1.0, abs=1e-15) and plus.imag < 0.0
+    assert plus == pytest.approx(up, abs=1e-6)
 
 def test_dist_to_band():
     assert dist_to_band(3.5, 3) == pytest.approx(0.5, abs=1e-14)
@@ -78,14 +58,6 @@ def test_dist_to_band():
     assert dist_to_band(0.0 + 2.0j, 3) == pytest.approx(2.0, abs=1e-14)
     assert dist_to_band(1.0, 3) == 0.0
     assert dist_to_band(4.0 + 3.0j, 3) == pytest.approx(math.hypot(1.0, 3.0), abs=1e-12)
-
-
-def test_spectral_point_consistency():
-    p = SpectralPoint.from_z(0.3 + 0.1j, 3)
-    q = SpectralPoint.from_lambda(p.lam, 3)
-    assert q.z == pytest.approx(p.z, rel=1e-12)
-    # the closed form (d/2)(1/z - z) must agree with the branch by lam
-    assert p.sqrt_branch == pytest.approx(sqrt_branch(p.lam, 3), rel=1e-12)
 
 
 def test_joukowski_circle_to_ellipse():

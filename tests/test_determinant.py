@@ -9,6 +9,7 @@ from latspec.determinant import (
     PathRefinementError,
     QuadPolicy,
     det_eval,
+    det_eval_many,
     log_det_path,
     moment_relation_check,
     taylor_coeffs,
@@ -152,3 +153,31 @@ def test_moment_relation_unique_winner(v3, tc_v3):
     assert max(win["residual_rel"][1:]) <= 1e-6
     assert max(lose["residual_rel"][1:]) > 1e-2
 
+
+
+def test_batch_invariance(v3, mix3):
+    # a sample is the same, bit for bit, in a mixed batch and alone, with
+    # every Green memo cleared before each evaluation: torus (distance 1.63
+    # and beyond, several per block) and oscillatory (1.12, and next to the
+    # rim) interior points, both
+    # sides of the boundary, a conjugate pair, a repeat and z = 0, for
+    # |S| = 1 and |S| = 3
+    zs = [0.3 - 0.45j, 0.35 - 0.55j, 0.8 * cmath.exp(0.4j), 0.8 * cmath.exp(-0.4j),
+          cmath.exp(0.7j), cmath.exp(-2.1j), 1.0, 0.0, -0.62 + 0.1j, 0.3 - 0.45j,
+          -0.2 + 0.25j, 0.12j, 0.05 - 0.3j]
+    for V in (v3, mix3):
+        resolvent.clear_green_cache()
+        batch = det_eval_many(V, zs)
+        for z, smp in zip(zs, batch):
+            resolvent.clear_green_cache()
+            one = det_eval_many(V, [z])[0]
+            assert (one.value, one.err_estimate) == (smp.value, smp.err_estimate), z
+            assert det_eval(V, z).value == smp.value
+
+
+def test_det_eval_many_refuses_like_det_eval(v3):
+    with pytest.raises(ValueError, match="rim"):
+        det_eval_many(v3, [0.5, 0.9995])
+    with pytest.raises(ValueError, match="outside"):
+        det_eval_many(v3, [0.5, 1.2j])
+    assert det_eval_many(Potential(3, []), [0.4, 2.0])[1].value == 1.0

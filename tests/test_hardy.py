@@ -89,16 +89,29 @@ def test_boundary_trace_requires_power_of_two(v3):
 
 
 def test_boundary_trace_flags_only_numerical_failures(v3, monkeypatch):
-    # a numerical failure is flagged and infilled; a programming error raises
-    def fail_with(exc):
-        def det_eval(*args, **kwargs):
-            raise exc
-        return det_eval
+    # a numerical failure is flagged and infilled, point by point; a
+    # programming error raises
+    batched = hardy.det_eval_many
 
-    monkeypatch.setattr(hardy, "det_eval", fail_with(np.linalg.LinAlgError("singular")))
+    def fail_with(exc, at=None):
+        # raise for every batch, or for any batch holding the point ``at``
+        def det_eval_many(V, zs, *args, **kwargs):
+            if at is None or any(abs(complex(z) - at) < 1e-12 for z in zs):
+                raise exc
+            return batched(V, zs, *args, **kwargs)
+        return det_eval_many
+
+    monkeypatch.setattr(hardy, "det_eval_many", fail_with(np.linalg.LinAlgError("singular")))
     bt = boundary_trace(v3, n_grid=256)
     assert len(bt.flagged) == 256 and bt.low_confidence
-    monkeypatch.setattr(hardy, "det_eval", fail_with(TypeError("bad call")))
+    # one grid point away from every kink window fails: only it is flagged
+    k = 20
+    at = cmath.exp(2j * math.pi * k / 256)
+    monkeypatch.setattr(hardy, "det_eval_many", fail_with(ArithmeticError("collapsed"), at))
+    bt = boundary_trace(v3, n_grid=256)
+    assert bt.flagged == [k] and not bt.low_confidence and bt.dropped_windows == 0
+    assert bt.log_mod[k] == 0.5 * (bt.log_mod[k - 1] + bt.log_mod[k + 1])
+    monkeypatch.setattr(hardy, "det_eval_many", fail_with(TypeError("bad call")))
     with pytest.raises(TypeError):
         boundary_trace(v3, n_grid=256)
 
@@ -114,7 +127,9 @@ def test_trace_residuals_suite(v3, zeros_v3, bt_v3, tc_v3):
     assert res["t52"]["cos"]["residual"] <= 1e-3
     # the recombination consistency is an algebraic identity
     assert res["t52"]["internal_consistency"] == 0.0
-    assert res["ratio_rho1"] < 0.05
+    # rho0 sits at the quadrature floor, below tol: no ratio, and a reason
+    assert res["ratio_rho1"] is None
+    assert "not above tol" in res["ratio_rho1_reason"]
 
 
 def test_exact_inequalities(zeros_v3):

@@ -63,6 +63,58 @@ def test_tail_series_stops_relative_to_its_sum():
     assert abs(got - ref) <= 1e-11 * abs(ref)
 
 
+def _tail_series(s, w, T, max_terms=60):
+    # the integration-by-parts series term by term, each term the previous
+    # one times (s + k) / (iwT), stopped before a growing term or at a
+    # term below 1e-18 of the sum: the sequential oracle of the engine's
+    # array series
+    iw = 1j * w
+    x = abs(w) * T
+    q = 1.0 / (iw * T)
+    term = -T ** (-s) / iw
+    total = term
+    mag = abs(term)
+    for k in range(max_terms - 1):
+        r = (s + k) / x
+        if r > 1.0:
+            break
+        term *= (s + k) * q
+        total += term
+        mag *= r
+        if mag < 1e-18 * abs(total):
+            break
+    return cmath.exp(iw * T) * total
+
+
+def test_series_block_matches_sequential_series(rng):
+    # one cumprod/cumsum block over 60 terms, truncated per row, against
+    # the term-by-term loop, over exponents 1.5..12.5 and the whole direct
+    # regime; numpy's complex products and quotients may round differently
+    # from Python's (fused multiply-add), so the bound is 4 ulps (2 seen)
+    s = rng.choice(np.arange(1.5, 13.0), 2000)
+    T = rng.uniform(50.0, 300.0, 2000)
+    w = rng.uniform(2.0 * s + 30.0, 3000.0) / T * np.exp(1j * rng.uniform(0.0, np.pi, 2000))
+    # damping up to that at distance 1.25 from the band, as in the engine
+    w.imag = np.minimum(w.imag, 1.25)
+    for s_k in np.unique(s):
+        at = s == s_k
+        got = quadrature._series(float(s_k), w[at], T[at])
+        for g, w_k, T_k in zip(got, w[at], T[at]):
+            ref = _tail_series(float(s_k), complex(w_k), float(T_k))
+            assert abs(g - ref) <= 4 * np.finfo(float).eps * abs(ref)
+
+
+def test_tail_rows_do_not_depend_on_the_batch():
+    # a frequency's row is the same, bit for bit, alone or among others,
+    # in the direct, bridged and w = 0 regimes
+    s_exps = 1.5 + np.arange(11, dtype=float)
+    ws = np.array([0.0, 1e-3 + 2e-4j, 0.05, 0.1 - 0.0j, 0.21 + 0.03j, 1.7, -2.3 + 0.4j, 6.0])
+    got = tail_integral_vec(s_exps, ws, 240.0)
+    for k, w in enumerate(ws):
+        assert np.array_equal(tail_integral_vec(s_exps, w, 240.0), got[k])
+        assert np.array_equal(tail_integral_vec(s_exps, ws[k:k + 1], 240.0)[0], got[k])
+
+
 def _direct_w(w_t, theta, T):
     # w = (w_t / T) e^(i theta), nudged up until |w| T >= w_t in floating point
     w = w_t / T * cmath.exp(1j * theta)
@@ -87,29 +139,30 @@ def test_tail_recurrence_matches_series_per_exponent():
                         continue
                     got = tail_integral_vec(s_exps, w, T)
                     for k, s in enumerate(s_exps):
-                        ref = quadrature._tail_series(s, w, T)
+                        ref = _tail_series(s, w, T)
                         assert abs(got[k] - ref) <= 1e-14 * abs(ref)
 
 
 def test_tail_mixed_exponents_keep_the_bridge(monkeypatch):
     # |w| T = 40 puts s = 1.5 .. 4.5 in the direct regime and the rest on
-    # the logarithmic bridge, which must still run; every exponent must
-    # also match the brute-force oracle
+    # the logarithmic bridge, which must still run, once, for exactly those
+    # exponents; every exponent must also match the brute-force oracle
     s_exps = 1.5 + np.arange(11, dtype=float)
     w, T = 40.0 / 240.0, 240.0
     direct = abs(w) * T >= 2.0 * s_exps + 30.0
     assert direct.any() and not direct.all()
-    panels = []
+    bridged = []
+    bridge = quadrature._tail_bridged
 
-    def counted(*args, **kwargs):
-        panels.append(args)
-        return gl_panels(*args, **kwargs)
+    def counted(s_list, ws, T, mask):
+        bridged.append(mask.copy())
+        return bridge(s_list, ws, T, mask)
 
-    monkeypatch.setattr(quadrature, "gl_panels", counted)
+    monkeypatch.setattr(quadrature, "_tail_bridged", counted)
     got = tail_integral_vec(s_exps, w, T)
-    assert len(panels) == 1
+    assert len(bridged) == 1 and np.array_equal(bridged[0], [~direct])
     for k in np.nonzero(direct)[0]:
-        ref = quadrature._tail_series(s_exps[k], w, T)
+        ref = _tail_series(s_exps[k], w, T)
         assert abs(got[k] - ref) <= 1e-14 * abs(ref)
     for k, ref in enumerate(_brute_tail(s_exps, w, T)):
         assert abs(got[k] - ref) <= 1e-11 * abs(ref)

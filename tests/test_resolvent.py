@@ -93,8 +93,8 @@ def test_green_auto_continuity_at_switch():
         assert dist_to_band(lam, 3) == pytest.approx(dist, rel=1e-12)
         for n in ((0, 0, 0), (1, 1, 0), (2, 1, 0)):
             torus = green_torus(n, lam, 3)
-            osc, osc_err = resolvent._green_osc(resolvent._canon(n), lam, 3)
-            assert abs(torus.value - osc) <= torus.err_estimate + osc_err
+            osc, osc_err = resolvent._osc_block([resolvent._canon(n)], np.array([lam]))
+            assert abs(torus.value - osc[0, 0]) <= torus.err_estimate + osc_err[0, 0]
 
 
 def test_boundary_two_sides_conjugate():
@@ -168,22 +168,28 @@ def test_oscillatory_branch_refuses_low_dimensions():
 
 def test_boundary_sides_share_one_evaluation(monkeypatch):
     calls = []
-    osc = resolvent._green_osc
+    osc = resolvent._osc_block
 
-    def counted(*args):
-        calls.append(args)
-        return osc(*args)
+    def counted(canons, lams):
+        calls.append(len(canons) * lams.size)
+        return osc(canons, lams)
 
-    monkeypatch.setattr(resolvent, "_green_osc", counted)
+    monkeypatch.setattr(resolvent, "_osc_block", counted)
     resolvent.clear_green_cache()
     minus = green_boundary((1, 0, 0), 1.5, "minus", 3)
     plus = green_boundary((1, 0, 0), 1.5, "plus", 3)
-    assert len(calls) == 1
+    assert calls == [1]
     assert plus.value == minus.value.conjugate()
     assert plus.err_estimate == minus.err_estimate
     resolvent.clear_green_cache()
     green_boundary((1, 0, 0), 1.5, "plus", 3)
-    assert len(calls) == 2
+    assert calls == [1, 1]
+    # both sides in one block: one value computed
+    resolvent.clear_green_cache()
+    vals, errs = resolvent.green_boundary_many([(1, 0, 0)], [1.5, 1.5], [False, True], 3)
+    assert calls == [1, 1, 1]
+    assert vals[0, 1] == vals[0, 0].conjugate() == plus.value
+    assert errs[0, 1] == errs[0, 0] == plus.err_estimate
 
 
 def test_torus_matches_closed_form_in_one_dimension():
@@ -203,19 +209,20 @@ def test_torus_matches_time_in_two_dimensions():
 
 
 def _count_engines(monkeypatch):
+    # values computed by each engine core
     calls = {"osc": 0, "torus": 0}
-    osc, torus = resolvent._green_osc, resolvent._torus_value
+    osc, torus = resolvent._osc_block, resolvent._torus_block
 
-    def counted_osc(*args):
-        calls["osc"] += 1
-        return osc(*args)
+    def counted_osc(canons, lams):
+        calls["osc"] += len(canons) * lams.size
+        return osc(canons, lams)
 
-    def counted_torus(*args):
-        calls["torus"] += 1
-        return torus(*args)
+    def counted_torus(canons, lams, n_quad):
+        calls["torus"] += len(canons) * lams.size
+        return torus(canons, lams, n_quad)
 
-    monkeypatch.setattr(resolvent, "_green_osc", counted_osc)
-    monkeypatch.setattr(resolvent, "_torus_value", counted_torus)
+    monkeypatch.setattr(resolvent, "_osc_block", counted_osc)
+    monkeypatch.setattr(resolvent, "_torus_block", counted_torus)
     return calls
 
 
@@ -248,35 +255,42 @@ def test_green_auto_routes_low_dimensions_unchanged(monkeypatch):
 
 
 def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
-    # the 8 sign patterns at d = 3 have 4 distinct frequencies S; the value
-    # must equal, bit for bit, the engine's numeric sum plus one tail
-    # evaluation per sign pattern
-    lam = 1.7 - 0.4j
-    canon = (0, 0, 0)
+    # the 8 sign patterns at d = 3 have 4 distinct frequencies S, and T0
+    # depends on the orbit only through max_j |n_j|: one block makes one
+    # tail_integral_vec call per T0, over every (S, lambda) pair, and must
+    # equal, bit for bit, the engine's numeric sum plus one tail evaluation
+    # per sign pattern and lambda
+    lams = np.array([1.7 - 0.4j, -0.3 - 0.1j, 2.9 + 0.0j, -3.0 + 0.0j])
+    canons = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)]
     tail_vec = resolvent.tail_integral_vec
     calls = []
 
     def counted(s, w, T):
-        calls.append(w)
+        calls.append((np.array(w), T))
         return tail_vec(s, w, T)
 
     monkeypatch.setattr(resolvent, "tail_integral_vec", counted)
-    value, err = resolvent._green_osc(canon, lam, 3)
-    assert len(calls) == 4
+    vals, errs = resolvent._osc_block(canons, lams)
+    freqs = np.arange(-3, 4, 2)
+    assert sorted(T for _, T in calls) == [240.0, 250.0, 260.0]
+    for w, _ in calls:
+        assert np.array_equal(w, (freqs[:, None] - lams).ravel())
 
-    T0 = resolvent._osc_t0(canon)
-    main = resolvent._osc_main(resolvent._osc_kw(canon), lam)
     s_exps = 1.5 + np.arange(resolvent._OSC_N_TERMS, dtype=float)
-    tail = 0.0 + 0.0j
-    trunc = 0.0
-    for ph0, s_freq, poly in resolvent._osc_tail_data(canon):
-        pieces = tail_vec(s_exps, s_freq - lam, T0)
-        tail += ph0 * np.dot(poly, pieces)
-        trunc += abs(poly[-1] * pieces[-1])
     mode_factor = (2.0 / np.pi) ** 1.5 * 0.5 ** 3
-    ref = complex(-1j * resolvent._IPOW[0] * (main + mode_factor * tail))
-    assert value == ref
-    assert err == float(mode_factor * trunc + 1e-14 * (1.0 + abs(ref)))
+    for u, canon in enumerate(canons):
+        T0 = resolvent._osc_t0(canon)
+        kw = resolvent._osc_kw(canon)
+        main = resolvent._osc_main(kw, *resolvent._osc_phases(lams, kw.shape[1]))
+        tail = np.zeros(lams.size, dtype=complex)
+        trunc = np.zeros(lams.size)
+        for ph0, s_freq, poly in resolvent._osc_tail_data(canon):
+            pieces = np.array([tail_vec(s_exps, s_freq - lam, T0) for lam in lams])
+            tail += ph0 * np.einsum("kj,j->k", pieces, poly)
+            trunc += np.abs(poly[-1] * pieces[:, -1])
+        ref = -1j * resolvent._IPOW[sum(canon) % 4] * (main + mode_factor * tail)
+        assert np.array_equal(vals[u], ref)
+        assert np.array_equal(errs[u], mode_factor * trunc + 1e-14 * (1.0 + np.abs(ref)))
 
 
 def test_factored_gauss_phase_matches_direct_sum():
@@ -285,15 +299,41 @@ def test_factored_gauss_phase_matches_direct_sum():
     # the real axis out to the switching distance; the two differ only by
     # rounding, bounded here by 4 ulps of sum |w K| (1.2 ulps seen)
     eps = np.finfo(float).eps
+    lams = np.array([complex(re, im) for re in (0.0, 1.0, -1.0, 3.0, -3.0)
+                     for im in (0.0, -0.01, -0.5, -1.25)])
     for canon in ((0, 0, 0), (1, 0, 0), (2, 1, 0), (5, 3, 1)):
         nodes, weights = resolvent._osc_nodes(resolvent._osc_t0(canon))
         rows = resolvent.bessel_j_grid(nodes, canon[0])
         kern = np.prod([rows[m] for m in canon], axis=0)
         kw = resolvent._osc_kw(canon)
-        assert kw.shape == (nodes.size // 10, 10)
+        assert kw.shape == (10, nodes.size // 10)
         bound = 4.0 * eps * float(np.sum(np.abs(weights * kern)))
-        for re in (0.0, 1.0, -1.0, 3.0, -3.0):
-            for im in (0.0, -0.01, -0.5, -1.25):
-                lam = complex(re, im)
-                direct = np.sum(weights * np.exp(-1j * lam * nodes) * kern)
-                assert abs(resolvent._osc_main(kw, lam) - direct) <= bound
+        # phases built for a longer T0 serve a shorter one
+        got = resolvent._osc_main(kw, *resolvent._osc_phases(lams, kw.shape[1] + 37))
+        for lam, value in zip(lams, got):
+            direct = np.sum(weights * np.exp(-1j * lam * nodes) * kern)
+            assert abs(value - direct) <= bound
+
+
+def test_green_cache_counters_repeat(v3):
+    # the memo counters of a pipeline are deterministic: two cold runs of
+    # zeros, boundary trace and Taylor data on V = 3 delta_0 count the same
+    # hits, misses and sizes per engine
+    from latspec.determinant import taylor_coeffs
+    from latspec.hardy import boundary_trace
+    from latspec.zeros import find_zeros
+
+    infos = []
+    for _ in range(2):
+        resolvent.clear_green_cache()
+        assert all(v == {"hits": 0, "misses": 0, "size": 0}
+                   for v in resolvent.green_cache_info().values())
+        find_zeros(v3)
+        boundary_trace(v3, n_grid=256)
+        taylor_coeffs(v3, 0.25)
+        infos.append(resolvent.green_cache_info())
+    assert infos[0] == infos[1]
+    osc, torus = infos[0]["osc"], infos[0]["torus"]
+    assert osc["misses"] == osc["size"] > 0 and osc["hits"] > 0
+    assert torus["misses"] == torus["size"] > 0
+    assert infos[0]["time"] == {"hits": 0, "misses": 0, "size": 0}
