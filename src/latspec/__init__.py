@@ -14,7 +14,6 @@ The package is organised bottom-up:
 """
 
 from .bessel import (
-    bessel_eval,
     bessel_j,
     beta_estimate,
     check_uniform_bound,
@@ -73,7 +72,6 @@ __all__ = [
     "TaylorCoeffs",
     "ZeroIsolationError",
     "ZeroRecord",
-    "bessel_eval",
     "bessel_j",
     "beta_estimate",
     "blaschke_eval",

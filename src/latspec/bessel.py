@@ -17,30 +17,24 @@ t^(-d/3) is what makes the time representation of the resolvent integrable
 for d >= 3.  ``check_uniform_bound`` and ``beta_estimate`` measure the
 transition-regime constant and the integral beta = sup_m int_1^inf |J_m|^d dt
 empirically; both are reported artifacts with no asserted ground truth.
+
+scipy is imported only inside ``beta_estimate``, for its Simpson rule, and
+only the ``bessel-check`` subcommand calls that; the pipeline subcommands
+load numpy alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .lattice import require_dimension_3
 from .quadrature import gl_panels
 
 _RESCALE = 1e250
 _INV_RESCALE = 1e-250
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    m: int
-    t: float
-    value: float
-    method: str  # "series" | "recurrence" | "asymptotic"
 
 
 def _series_value(m: int, t: float, max_terms: int = 120) -> float:
@@ -152,8 +146,10 @@ def bessel_j_grid(t: Sequence[float] | np.ndarray, m_max: int) -> np.ndarray:
     return out
 
 
-def bessel_eval(m: int, t: float) -> BesselEval:
-    """J_m(t) with the evaluation method recorded."""
+def bessel_j(m: int, t: float) -> float:
+    """J_m(t) for any integer m and real t: power series for |t| <= 12,
+    the large-argument expansion for |t| >= max(35, 3 m^2), Miller's
+    recurrence in between."""
     m = int(m)
     t = float(t)
     sign = 1.0
@@ -164,15 +160,11 @@ def bessel_eval(m: int, t: float) -> BesselEval:
     if t < 0 and mm % 2 == 1:
         sign = -sign  # J_m(-t) = (-1)^m J_m(t)
     if tt <= 12.0:
-        return BesselEval(m, t, sign * _series_value(mm, tt), "series")
+        return sign * _series_value(mm, tt)
     if tt >= max(35.0, 3.0 * mm * mm):
-        return BesselEval(m, t, sign * _asymptotic_value(mm, tt), "asymptotic")
+        return sign * _asymptotic_value(mm, tt)
     col = _miller_grid(np.array([tt]), mm)
-    return BesselEval(m, t, sign * float(col[mm, 0]), "recurrence")
-
-
-def bessel_j(m: int, t: float) -> float:
-    return bessel_eval(m, t).value
+    return sign * float(col[mm, 0])
 
 
 def integral_representation(m: int, t: float, n_panels: int | None = None) -> float:
@@ -259,6 +251,10 @@ def beta_estimate(d: int, m_max: int = 200, T: float = 1000.0, dt: float = 0.05)
     bounded analytically through |J_m(t)| <= sqrt(2/(pi t)):
     tail <= (2/pi)^(d/2) * (2/(d-2)) * T^(1-d/2).
     """
+    # imported here, not at the top: loading scipy would add most of a fresh
+    # interpreter's start-up to every CLI run
+    from scipy.integrate import simpson
+
     d = require_dimension_3(d, "beta_estimate")
     if T < 10.0:
         raise ValueError(f"T must be >= 10, got {T}")

@@ -315,7 +315,7 @@ def log_det_path(V: Potential, path: Sequence[complex]) -> "list[DeterminantSamp
     samples = det_eval_many(V, pts)
     for z, smp in zip(pts, samples):
         if abs(smp.value) < 1e-13:
-            raise ValueError(f"path passes through a zero of the determinant at z={z}")
+            raise NumericalError(f"path passes through a zero of the determinant at z={z}")
 
     def z_of(s: float) -> complex:
         k = int(s)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from latspec.bessel import (
-    bessel_eval,
     bessel_j,
     bessel_j_grid,
     beta_estimate,
@@ -22,12 +21,6 @@ def test_trivial_values():
 def test_frozen_series_value():
     # 40-term power series evaluated in extended precision beforehand
     assert bessel_j(1, 2.0) == pytest.approx(0.576724807756873, abs=1e-12)
-
-
-def test_method_dispatch():
-    assert bessel_eval(2, 0.5).method == "series"
-    assert bessel_eval(10, 30.0).method in ("recurrence", "asymptotic")
-    assert bessel_eval(0, 5000.0).method == "asymptotic"
 
 
 def test_reflection_identity():

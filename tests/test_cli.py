@@ -230,3 +230,21 @@ def test_module_entry_point_runs(v3_file, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert len(_load(out)["zeros"]) == 1
+
+
+def test_pipeline_never_imports_scipy(v3_file, tmp_path):
+    # scipy serves only bessel-check; importing it costs a fresh interpreter
+    # most of its start-up, so the package and the pipeline subcommands must
+    # not load it
+    script = (
+        "import sys\n"
+        "import latspec\n"
+        "import latspec.cli\n"
+        f"assert latspec.cli.main(['eigs', '-p', {v3_file!r}, '-o', {str(tmp_path / 'e.json')!r}]) == 0\n"
+        f"assert latspec.cli.main(['trace-check', '-p', {v3_file!r}, '-o', {str(tmp_path / 't.json')!r},"
+        " '--jensen-grid', '256', '--r-list', '0.5']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

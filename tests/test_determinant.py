@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from latspec.conformal import dist_to_band, lambda_of_z
+from latspec import determinant
 from latspec.determinant import (
+    DeterminantSample,
+    NumericalError,
     PathRefinementError,
     QuadPolicy,
     det_eval,
@@ -112,6 +115,17 @@ def test_log_det_path_refuses_coarse_jumps(v3):
     path = [0.05, 0.56, 0.05 + 0.4j]
     with pytest.raises((PathRefinementError, ValueError)):
         log_det_path(v3, path)
+
+
+def test_log_det_path_vanishing_node_is_numerical(v3, monkeypatch):
+    # a node where |D| < 1e-13 is a numerical failure (CLI exit 3), not bad
+    # input: the path is valid, the determinant just vanishes on it
+    def one_zero_sample(V, zs, policy=None):
+        return [DeterminantSample(z, 0.0 if k == 1 else 1.0, 0.0) for k, z in enumerate(zs)]
+
+    monkeypatch.setattr(determinant, "det_eval_many", one_zero_sample)
+    with pytest.raises(NumericalError, match="passes through a zero"):
+        log_det_path(v3, [0.005, 0.3, 0.5])
 
 
 def test_taylor_radius_independence(v3):
