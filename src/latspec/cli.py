@@ -75,12 +75,15 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
+def _require_dyadic(n: int, flag: str) -> None:
+    _require(n >= 256 and n & (n - 1) == 0, f"{flag} must be a power of two >= 256")
+
+
 def _require_search_options(args) -> None:
     """Checks shared by the subcommands that run the zero search: --r-outer,
     --tol, and --n-grid where the subcommand samples the boundary."""
     if hasattr(args, "n_grid"):
-        _require(args.n_grid >= 256 and args.n_grid & (args.n_grid - 1) == 0,
-                 "--n-grid must be a power of two >= 256")
+        _require_dyadic(args.n_grid, "--n-grid")
     _require(0.0 < args.r_outer <= RIM_RADIUS, f"--r-outer must lie in (0, {RIM_RADIUS:g}]")
     _require(args.tol > 0.0, "--tol must be positive")
 
@@ -201,7 +204,7 @@ def _pipeline(V: Potential, n_grid: int, r_outer: float, tol: float, n_max: int,
     zeros = find_zeros(V, r_outer, tol)
     bt = boundary_trace(V, n_grid)
     r0 = min((abs(r.z) for r in zeros), default=1.0)
-    r_taylor = taylor_r if taylor_r else min(0.3, 0.5 * r0)
+    r_taylor = taylor_r if taylor_r is not None else min(0.3, 0.5 * r0)
     tc = taylor_coeffs(V, r_taylor, n_max, max(64, 8 * n_max))
     return zeros, bt, tc
 
@@ -215,6 +218,8 @@ def _cmd_trace_check(args) -> tuple:
     except ValueError:
         raise ValidationError(f"bad --r-list {args.r_list!r}")
     _require(all(0.0 < r < RIM_RADIUS for r in r_list), f"jensen radii must lie in (0, {RIM_RADIUS:g})")
+    _require_dyadic(args.jensen_grid, "--jensen-grid")
+    _require(args.taylor_r is None or 0.0 < args.taylor_r < 1.0, "--taylor-r must lie in (0, 1)")
 
     zeros, bt, tc = _pipeline(V, args.n_grid, args.r_outer, args.tol, args.n_max, args.taylor_r)
     resid = trace_residuals(V, zeros, bt, tc)

@@ -32,6 +32,16 @@ lambda axis and memoize per value) and one stacked det/svd over the
 Newton steps of the zero polish, which are not known in advance, come
 one at a time.  Batching changes no number: each sample equals, bit for
 bit, the one ``det_eval`` returns for its point alone.
+
+The circles are sampled as exact mirror images.  ``circle_grid`` builds
+its first quadrant and fills the rest by exact conjugation and
+negation; the Taylor circle here and the Jensen circles and boundary grid
+in ``hardy`` use it.  ``lambda_of_z`` is exactly odd and conjugate-
+equivariant in IEEE arithmetic, and a boundary point's band value
+lambda0 = d Re z / |z| is exactly odd in z, with its side set by the sign
+of Im z.  So the Green values of mirrored points are mirror images of one
+memo entry (see ``resolvent``), and a circle costs about a quarter of its
+points in Green evaluations.
 """
 
 from __future__ import annotations
@@ -56,6 +66,7 @@ __all__ = [
     "PhaseMarch",
     "det_eval",
     "det_eval_many",
+    "circle_grid",
     "march_log",
     "log_det_path",
     "taylor_coeffs",
@@ -184,11 +195,11 @@ def det_eval_many(
         if abs(az - 1.0) <= _BOUNDARY_TOL:
             # z = e^{it} is approached radially from inside; lambda(z) then
             # tends to d*cos t with Im lambda -> -d*eps*sin t, so the upper
-            # semicircle means the lower side of the cut.
-            t = cmath.phase(z)
+            # semicircle means the lower side of the cut.  Re z / |z| <= 1
+            # keeps lambda0 on the band, and it is exactly odd in z.
             rim.append(k)
-            lam0s.append(d * math.cos(t))
-            plus.append(not math.sin(t) > 0.0)
+            lam0s.append(d * (z.real / az))
+            plus.append(not z.imag > 0.0)
         elif az > RIM_RADIUS + 1e-12:
             raise ValueError(
                 f"|z|={az:.6g} lies in the rim {RIM_RADIUS:g} < |z| < 1; "
@@ -218,6 +229,24 @@ def det_eval_many(
     for j, k in enumerate(idx):
         out[k] = DeterminantSample(z=zs[k], value=complex(dets[j]), err_estimate=float(errs[j]))
     return out
+
+
+def circle_grid(r: float, n: int) -> np.ndarray:
+    """The n points r e^(2 pi i k / n), k = 0..n-1, for even n, as exact
+    mirror images: the first quadrant k <= n/4 directly (i r exactly at
+    k = n/4), then z[n/2 - k] = -conj z[k] up to k = n/2 and z[n - k] =
+    conj z[k] beyond, so that z[n/2 + k] = -z[k] as well."""
+    if n < 2 or n % 2:
+        raise ValueError(f"circle_grid needs an even number of points, got {n}")
+    q, h = n // 4, n // 2
+    z = np.empty(n, dtype=complex)
+    z[:q + 1] = r * np.exp(2j * math.pi * np.arange(q + 1) / n)
+    if 4 * q == n:
+        # i r, its own image under z -> -conj z
+        z[q] = complex(0.0, r)
+    z[q + 1:h + 1] = -z[h - q - 1::-1].conj()
+    z[h + 1:] = z[h - 1:0:-1].conj()
+    return z
 
 
 def det_eval(V: Potential, z: complex, policy: QuadPolicy = QuadPolicy()) -> DeterminantSample:
@@ -361,8 +390,7 @@ def taylor_coeffs(
 
     m2 = 2 * m_samples
     ts = 2.0 * math.pi * np.arange(m2 + 1) / m2  # the last node closes the loop
-    pts = r * np.exp(1j * ts[:-1])
-    vals = [smp.value for smp in det_eval_many(V, pts)]
+    vals = [smp.value for smp in det_eval_many(V, circle_grid(r, m2))]
     march = march_log(
         lambda z: det_eval(V, z).value,
         lambda t: r * cmath.exp(1j * t),

@@ -17,6 +17,16 @@ error to O(h^2) with a sizable constant.  Around each such analytically
 known angle the rule is therefore replaced by graded Gauss panels; the
 correction nodes are stored so any later moment against a smooth kernel
 can reuse them via ``BoundaryTrace.integrate_kernel``.
+
+Every circle is sampled as exact mirror images (``circle_grid``): the
+Jensen circles and the boundary grid are built on their first quadrant
+and filled by exact conjugation and negation.  The kink angles come in
+orbits {t*, -t*, pi - t*, pi + t*}; one window is built per orbit, and
+the others take its weights, nodes -x, pi - x, pi + x, grid indices
+mirrored mod N and sample points conj z, -conj z, -z.  Mirrored points
+have mirrored Green values, which ``resolvent`` serves from one memo
+entry, so a circle costs about a quarter of its points in Green
+evaluations.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ import numpy as np
 
 from .lattice import Potential, require_dimension_3
 from .quadrature import gl_panels
-from .determinant import RIM_RADIUS, TaylorCoeffs, det_eval_many
+from .determinant import RIM_RADIUS, TaylorCoeffs, circle_grid, det_eval_many
 from .zeros import ZeroRecord
 
 __all__ = [
@@ -94,6 +104,11 @@ def blaschke_eval(data: BlaschkeData, z: complex) -> complex:
 # Jensen's formula
 
 
+def _check_grid(n_grid: int) -> None:
+    if n_grid < 256 or n_grid & (n_grid - 1):
+        raise ValueError("n_grid must be a power of two, >= 256")
+
+
 def jensen_check(
     V: Potential,
     zeros: "Sequence[ZeroRecord]",
@@ -104,16 +119,17 @@ def jensen_check(
 
     Jensen's formula makes this exactly zero, so the return value is a
     joint accuracy measure of determinant sampling and zero locations.
+    The mean is the trapezoid rule on ``n_grid`` points, a power of two
+    >= 256.
     """
     if not 0.0 < r < RIM_RADIUS:
         raise ValueError(f"Jensen radius must lie in (0, {RIM_RADIUS:g})")
+    _check_grid(n_grid)
     # a zero sitting on the circle makes the integral singular; nudge r
     for rec in zeros:
         if abs(abs(rec.z) - r) < 1e-9:
             r *= 1.0 + 1e-6
-    ts = _TWO_PI * np.arange(n_grid) / n_grid
-    pts = [r * cmath.exp(1j * t) for t in ts]
-    vals = [abs(smp.value) for smp in det_eval_many(V, pts)]
+    vals = [abs(smp.value) for smp in det_eval_many(V, circle_grid(r, n_grid))]
     lhs = float(np.mean(np.log(np.asarray(vals))))
     rhs = math.fsum(
         rec.multiplicity * math.log(r / abs(rec.z)) for rec in zeros if abs(rec.z) < r
@@ -152,6 +168,29 @@ def _kink_angles(d: int) -> "list[float]":
         out.add(t % _TWO_PI)
         out.add((-t) % _TWO_PI)
     return sorted(out)
+
+
+def _window_orbit(lv: int, d: int, width: float, h: float, n_grid: int) -> list:
+    """The kink windows of the orbit {t*, -t*, pi - t*, pi + t*} of t* =
+    acos(lv / d) in [0, pi/2], as (t_star, k_lo, k_hi, nodes, weights,
+    points): the window at t* is built, its images are exact mirrors of it.
+    t* = 0 (lv = d) and t* = pi/2 (lv = 0) have two distinct images."""
+    t_star = math.acos(lv / d)
+    k_lo = math.floor((t_star - width) / h)
+    k_hi = math.ceil((t_star + width) / h)
+    n1, w1 = _graded_nodes(k_lo * h, t_star)
+    n2, w2 = _graded_nodes(k_hi * h, t_star)  # panels are re-oriented inside
+    x, w = np.concatenate([n1, n2]), np.concatenate([w1, w2])
+    z = np.exp(1j * x)
+    half = n_grid // 2
+    out = [(t_star, k_lo, k_hi, x, w, z)]
+    if lv != d:
+        out.append(((-t_star) % _TWO_PI, -k_hi, -k_lo, -x, w, z.conj()))
+    if lv not in (0, d):
+        out.append((math.pi - t_star, half - k_hi, half - k_lo, math.pi - x, w, -z.conj()))
+    if lv != 0:
+        out.append((math.pi + t_star, half + k_lo, half + k_hi, math.pi + x, w, -z))
+    return out
 
 
 def _graded_nodes(edge: float, t_star: float, levels: int = 6, npts: int = 10):
@@ -217,14 +256,14 @@ class BoundaryTrace:
         return total
 
 
-def _boundary_logmod(V: Potential, ts: np.ndarray) -> "list[float | None]":
-    """log|D(e^{it})| at every angle of ``ts``, None where the evaluation
-    fails numerically: the point raises ValueError or ArithmeticError
-    (LinAlgError is a ValueError), or |D| is not finite or collapses.  One
-    batched evaluation; if it raises such an error, the points are
-    evaluated one by one to find the failing ones.  Any other exception
-    propagates."""
-    zs = [cmath.exp(1j * float(t)) for t in ts]
+def _boundary_logmod(V: Potential, zs: np.ndarray) -> "list[float | None]":
+    """log|D(z)| at every point of ``zs`` on the unit circle, None where
+    the evaluation fails numerically: the point raises ValueError or
+    ArithmeticError (LinAlgError is a ValueError), or |D| is not finite or
+    collapses.  One batched evaluation; if it raises such an error, the
+    points are evaluated one by one to find the failing ones.  Any other
+    exception propagates."""
+    zs = zs.tolist()
     try:
         samples = det_eval_many(V, zs)
     except (ValueError, ArithmeticError):
@@ -250,13 +289,14 @@ def boundary_trace(V: Potential, n_grid: int = 1024) -> BoundaryTrace:
     are skipped (falling back to plain trapezoid there) if any of their
     node evaluations fails.
     """
-    if n_grid < 256 or n_grid & (n_grid - 1):
-        raise ValueError("n_grid must be a power of two, >= 256")
+    _check_grid(n_grid)
     d = require_dimension_3(V.d, "boundary trace")
     ts = _TWO_PI * np.arange(n_grid) / n_grid
     h = _TWO_PI / n_grid
 
-    # kink windows: snap edges outward to grid nodes, grade toward the kink
+    # kink windows: snap edges outward to grid nodes, grade toward the kink;
+    # one window per orbit of kink angles, at the levels lv = -d + 2k >= 0
+    # (acos(lv / d) in [0, pi/2]), the rest mirrored
     kinks = _kink_angles(d) if V.support else []
     min_gap = min(
         (kinks[i + 1] - kinks[i] for i in range(len(kinks) - 1)),
@@ -264,14 +304,11 @@ def boundary_trace(V: Potential, n_grid: int = 1024) -> BoundaryTrace:
     )
     width = min(_KINK_WINDOW, 0.35 * min_gap)
     spans = []
-    for t_star in kinks:
-        k_lo = math.floor((t_star - width) / h)
-        k_hi = math.ceil((t_star + width) / h)
-        n1, w1 = _graded_nodes(k_lo * h, t_star)
-        n2, w2 = _graded_nodes(k_hi * h, t_star)  # panels are re-oriented inside
-        spans.append((t_star, k_lo, k_hi, np.concatenate([n1, n2]), np.concatenate([w1, w2])))
+    if kinks:
+        orbits = [_window_orbit(lv, d, width, h, n_grid) for lv in range(d % 2, d + 1, 2)]
+        spans = sorted((span for orbit in orbits for span in orbit), key=lambda span: span[0])
 
-    raw = _boundary_logmod(V, np.concatenate([ts] + [span[3] for span in spans]))
+    raw = _boundary_logmod(V, np.concatenate([circle_grid(1.0, n_grid)] + [span[5] for span in spans]))
     flagged = [k for k in range(n_grid) if raw[k] is None]
     log_mod = np.array([0.0 if v is None else v for v in raw[:n_grid]])
     for k in flagged:
@@ -283,7 +320,7 @@ def boundary_trace(V: Potential, n_grid: int = 1024) -> BoundaryTrace:
     windows: "list[_Window]" = []
     dropped_windows = 0
     at = n_grid
-    for t_star, k_lo, k_hi, nodes, weights in spans:
+    for t_star, k_lo, k_hi, nodes, weights, _ in spans:
         node_vals = raw[at:at + nodes.size]
         at += nodes.size
         if any(v is None for v in node_vals):

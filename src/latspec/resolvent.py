@@ -47,22 +47,37 @@ such blocks to determinant assembly; ``green_auto``, ``green_torus``,
   grid, never by the number of lambdas (a BLAS product across lambdas
   could block differently for different batch sizes).
 
-Two exact symmetries are applied in one place each.  G depends on n only
-through its orbit under sign flips and coordinate permutations: ``_orbit``
-maps every site to the orbit's representative and checks that it has d
-coordinates.  The time integrand pairs e^(-i lam t) with the forward
-evolution kernel, whose quarter-turn phase is i^(+|n|) per the Fourier
-expansion of e^(i t cos k); damping then requires Im(lam) <= 0, and
-``_lower_half_block`` reaches the opposite half plane through the
-reflection G(n, conj lam) = conj G(n, lam).  The plus side of the band is
-the reflection of the minus side.
+Three exact symmetries of the free kernel hold for every lambda, and
+each is applied in one place.
+
+* Lattice symmetry.  G depends on n only through its orbit under sign
+  flips and coordinate permutations: ``_orbit`` maps every site to the
+  orbit's representative and checks that it has d coordinates.
+* Conjugation, G(n, conj lam) = conj G(n, lam).
+* Bipartite staggering, G(n, -lam) = -(-1)^|n| G(n, lam) with |n| = sum_j
+  |n_j|: shifting every k_j by pi turns h(k) into -h(k) and cos(n.k) into
+  (-1)^|n| cos(n.k).
+
+``_memo_block`` applies the last two for every memoised path (torus,
+time, oscillatory, boundary): it asks the engine only for the image of
+each lambda in the quadrant Re lam >= 0, Im lam <= 0, and unfolds the
+value by conjugation and the factor -(-1)^|n|.  The time engines need
+that quadrant's half plane anyway: their integrand pairs e^(-i lam t)
+with the forward evolution kernel, whose quarter-turn phase is i^(+|n|)
+per the Fourier expansion of e^(i t cos k), and damping requires
+Im(lam) <= 0.  On the band a point lambda0 -/+ i0 has the image |lambda0|
+(the minus side), conjugated where the side is plus XOR lambda0 < 0.
+Unfolding is exact, so a lambda and its mirror images share one memo
+entry bit for bit.  For the torus the conjugate fold is even bitwise
+equal to a direct evaluation (the engine negates Im lam exactly); the
+other folds agree with one to rounding.
 
 Each engine keeps one memo: a dict of at most _MEMO_SIZE values keyed by
-(orbit, lam), plus the grid size for the torus, that a block looks up and
-fills many keys at a time, evicting the least recently used entry.
-Repeated evaluations during determinant assembly are therefore free and
-bit-identical.  ``green_cache_info`` reports each memo's hits, misses and
-size; ``clear_green_cache`` empties them all.
+(orbit, quadrant image of lam), plus the grid size for the torus, that a
+block looks up and fills many keys at a time, evicting the least recently
+used entry.  Repeated evaluations during determinant assembly are
+therefore free and bit-identical.  ``green_cache_info`` reports each
+memo's hits, misses and size; ``clear_green_cache`` empties them all.
 """
 
 from __future__ import annotations
@@ -126,9 +141,9 @@ _CHUNK_BYTES = 2 ** 19
 class GreenValue:
     """One kernel value and its error estimate.
 
-    Memoized per symmetry orbit of the site, so one value answers every
-    site of the orbit (and its reflection answers conj lambda); it
-    therefore records neither the site nor lambda.
+    Memoized per symmetry orbit of the site and quadrant image of lambda,
+    so one value answers every site of the orbit and the mirror images of
+    lambda; it therefore records neither the site nor lambda.
     """
 
     value: complex
@@ -167,40 +182,81 @@ def green_cache_info() -> dict:
             for name, m in _MEMOS.items()}
 
 
-def _memo_block(engine: str, core, canons: "list[Site]", lams: np.ndarray, extra: tuple = ()):
+def _memo_block(engine: str, core, canons: "list[Site]", lams: np.ndarray, extra: tuple = (),
+                up: "Sequence[bool] | None" = None):
     """core's block (values, errors) of shape (len(canons), len(lams)),
-    served from the engine's memo where it can be.  core(canons, lams,
-    *extra) is called once, on the orbits and distinct lambdas that have
-    a miss; the memo key is (canon, lam, *extra)."""
+    served from the engine's memo where it can be.
+
+    The memo holds values on the quadrant Re lam >= 0, Im lam <= 0 only,
+    keyed (canon, lam, *extra).  Each lambda is looked up as its image q =
+    |Re lam| - i |Im lam| there and unfolded by the exact symmetries of the
+    module docstring: conjugated where up[k] differs from (Re lam < 0), and
+    times -(-1)^|n| where Re lam < 0.  ``up`` defaults to Im lam > 0;
+    ``green_boundary_many`` passes its side, its lambdas being real.
+    core(canons, qs, *extra) is called once, on the orbits and distinct
+    images that have a miss.  A lambda is a hit only when its image is
+    bitwise a known key; there is no tolerance.
+    """
     memo = _MEMOS[engine]
     data = memo.data
     lam_list = lams.tolist()
-    uniq = list(dict.fromkeys(lam_list))
-    keys = [[(canon, lam, *extra) for lam in uniq] for canon in canons]
+    if up is None:
+        up = [lam.imag > 0 for lam in lam_list]
+    # per lambda: its image, whether the value is conjugated, whether lam -> -lam
+    folds = [(complex(abs(lam.real), 0.0 - abs(lam.imag)), bool(u) != (lam.real < 0), lam.real < 0)
+             for lam, u in zip(lam_list, up)]
+    try:
+        got = [[data[(canon, q, *extra)] for q, _, _ in folds] for canon in canons]
+    except KeyError:
+        got = _memo_fill(memo, core, canons, [q for q, _, _ in folds], extra)
+    else:
+        memo.hits += len(canons) * len(folds)
+        for canon in canons:
+            for q, _, _ in folds:
+                data.move_to_end((canon, q, *extra))
+    # the value changes sign under lam -> -lam where |n| is even
+    flips = [sum(canon) % 2 == 0 for canon in canons]
+    vals = np.array([[_unfold(g[0], c, n and f) for g, (_, c, n) in zip(row, folds)]
+                     for row, f in zip(got, flips)], dtype=complex).reshape(len(canons), len(folds))
+    errs = np.array([[g[1] for g in row] for row in got]).reshape(vals.shape)
+    return vals, errs
+
+
+def _memo_fill(memo: _Memo, core, canons: "list[Site]", quad: list, extra: tuple) -> list:
+    """_memo_block's path when a key is missing: the (value, error) pair of
+    every orbit (rows) at every image in ``quad`` (columns), computing the
+    missing ones in one core call on the distinct images and storing them.
+    Counts one hit or miss per orbit and image."""
+    data = memo.data
+    uniq = list(dict.fromkeys(quad))
+    keys = [[(canon, q, *extra) for q in uniq] for canon in canons]
     got = [[data.get(key) for key in row] for row in keys]
     miss = [[g is None for g in row] for row in got]
     rows = [u for u, row in enumerate(miss) if any(row)]
     cols = [k for k in range(len(uniq)) if any(row[k] for row in miss)]
     n_miss = sum(map(sum, miss))
     memo.misses += n_miss
-    memo.hits += len(canons) * len(lam_list) - n_miss
+    memo.hits += len(canons) * len(quad) - n_miss
     for u, row in enumerate(keys):
         for k, key in enumerate(row):
             if not miss[u][k]:
                 data.move_to_end(key)
-    if n_miss:
-        v, e = core([canons[u] for u in rows], np.array([uniq[k] for k in cols]), *extra)
-        for i, u in enumerate(rows):
-            for j, k in enumerate(cols):
-                if miss[u][k]:
-                    got[u][k] = data[keys[u][k]] = (complex(v[i, j]), float(e[i, j]))
-                    if len(data) > _MEMO_SIZE:
-                        data.popitem(last=False)
-    at = {lam: k for k, lam in enumerate(uniq)}
-    index = [at[lam] for lam in lam_list]
-    vals = np.array([[row[k][0] for k in index] for row in got], dtype=complex).reshape(len(canons), len(index))
-    errs = np.array([[row[k][1] for k in index] for row in got]).reshape(vals.shape)
-    return vals, errs
+    v, e = core([canons[u] for u in rows], np.array([uniq[k] for k in cols]), *extra)
+    for i, u in enumerate(rows):
+        for j, k in enumerate(cols):
+            if miss[u][k]:
+                got[u][k] = data[keys[u][k]] = (complex(v[i, j]), float(e[i, j]))
+                if len(data) > _MEMO_SIZE:
+                    data.popitem(last=False)
+    at = {q: k for k, q in enumerate(uniq)}
+    index = [at[q] for q in quad]
+    return [[row[k] for k in index] for row in got]
+
+
+def _unfold(value: complex, conj: bool, negate: bool) -> complex:
+    if conj:
+        value = value.conjugate()
+    return -value if negate else value
 
 
 def _canon(n: Sequence[int]) -> Site:
@@ -221,15 +277,6 @@ def _orbits(sites: "Sequence[Sequence[int]]", d: int) -> "tuple[list[Site], np.n
     rows: dict = {}
     index = [rows.setdefault(_orbit(n, d), len(rows)) for n in sites]
     return list(rows), np.array(index, dtype=int)
-
-
-def _lower_half_block(engine: str, core, canons: "list[Site]", lams: np.ndarray):
-    """_memo_block for a core that needs Im(lam) <= 0, extended to the upper
-    half plane by G(n, conj lam) = conj G(n, lam)."""
-    up = lams.imag > 0
-    vals, errs = _memo_block(engine, core, canons, np.where(up, lams.conj(), lams))
-    vals[:, up] = vals[:, up].conj()
-    return vals, errs
 
 
 # ---------------------------------------------------------------- torus path
@@ -379,8 +426,10 @@ def auto_n_quad(dist: float) -> int:
     return n + (n % 2)
 
 
-def _torus_many(canons: "list[Site]", lams: np.ndarray, n_quads: np.ndarray):
-    """Torus block with a grid size per lambda; one core call per size."""
+def _torus_many(canons: "list[Site]", lams: np.ndarray, dist: np.ndarray):
+    """Torus block with the grid size auto_n_quad(dist) per lambda; one
+    core call per size."""
+    n_quads = np.array([auto_n_quad(x) for x in dist.tolist()])
     sizes = sorted(set(n_quads.tolist()))
     if len(sizes) == 1:
         return _memo_block("torus", _torus_block, canons, lams, (sizes[0],))
@@ -413,7 +462,7 @@ def green_torus(
         if n_quad < 8:
             raise ValueError(f"n_quad must be >= 8, got {n_quad}")
         n_quad += n_quad % 2
-    return _one(_torus_many([_orbit(n, d)], np.array([lam]), np.array([n_quad])))
+    return _one(_memo_block("torus", _torus_block, [_orbit(n, d)], np.array([lam]), (n_quad,)))
 
 
 def _torus_distance(lam: complex, d: int) -> float:
@@ -614,7 +663,7 @@ def green_many(
                 f"green_time needs |Im lambda| >= 1e-6 (got {lams[flat][0].imag:.2e}): "
                 "the truncation tail is uncontrolled on the real axis; use green_boundary"
             )
-        vals, errs = _lower_half_block("time", _time_block, canons, lams)
+        vals, errs = _memo_block("time", _time_block, canons, lams)
         return vals[index], errs[index]
     if engine == "torus":
         dist = np.array([_torus_distance(lam, d) for lam in lams.tolist()])
@@ -629,13 +678,15 @@ def green_many(
             require_dimension_3(d, f"green_auto within {_DIST_MIN_LOW_D} of the band")
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    vals = np.empty((len(canons), lams.size), dtype=complex)
-    errs = np.empty(vals.shape)
-    if torus.any():
-        n_quads = np.array([auto_n_quad(x) for x in dist[torus].tolist()])
-        vals[:, torus], errs[:, torus] = _torus_many(canons, lams[torus], n_quads)
-    if not torus.all():
-        vals[:, ~torus], errs[:, ~torus] = _lower_half_block("osc", _osc_block, canons, lams[~torus])
+    if torus.all():
+        vals, errs = _torus_many(canons, lams, dist)
+    elif not torus.any():
+        vals, errs = _memo_block("osc", _osc_block, canons, lams)
+    else:
+        vals = np.empty((len(canons), lams.size), dtype=complex)
+        errs = np.empty(vals.shape)
+        vals[:, torus], errs[:, torus] = _torus_many(canons, lams[torus], dist[torus])
+        vals[:, ~torus], errs[:, ~torus] = _memo_block("osc", _osc_block, canons, lams[~torus])
     return vals[index], errs[index]
 
 
@@ -674,9 +725,7 @@ def green_boundary_many(
     if off.any():
         raise ValueError(f"lambda0={lam0[off][0]} is off the band [-{d},{d}]; use green_torus")
     canons, index = _orbits(sites, d)
-    vals, errs = _memo_block("osc", _osc_block, canons, lam0.astype(complex))
-    plus = np.asarray(plus, dtype=bool)
-    vals[:, plus] = vals[:, plus].conj()
+    vals, errs = _memo_block("osc", _osc_block, canons, lam0.astype(complex), up=plus)
     return vals[index], errs[index]
 
 

@@ -123,6 +123,23 @@ def test_trace_check_and_thread_determinism(v3_file, tmp_path):
     assert main(["--threads", "0", "trace-check", "-p", v3_file]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--jensen-grid", "0"), ("--jensen-grid", "-4"), ("--jensen-grid", "3"),
+    ("--taylor-r", "0"), ("--taylor-r", "2"), ("--taylor-r", "-0.1"),
+])
+def test_trace_check_validates_grid_and_taylor_radius_first(v3_file, tmp_path, flag, value):
+    # exit 2 before the first Green evaluation: no memo is touched and no
+    # report is written (--taylor-r 0 used to mean the automatic radius,
+    # --jensen-grid 0 wrote a NaN residual with exit 0)
+    from latspec import resolvent
+
+    out = tmp_path / "t.json"
+    resolvent.clear_green_cache()
+    assert main(["trace-check", "-p", v3_file, flag, value, "-o", str(out)]) == EXIT_VALIDATION
+    assert all(info["hits"] == info["misses"] == 0 for info in resolvent.green_cache_info().values())
+    assert not out.exists()
+
+
 def test_bounds_report_subcommand(v3_file, tmp_path):
     out = tmp_path / "b.json"
     rc = main(["bounds-report", "-p", v3_file, "-o", str(out)])

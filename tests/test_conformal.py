@@ -31,6 +31,17 @@ def test_image_avoids_band(z, d):
         assert abs(lam.real) >= d - 1e-9
 
 
+@settings(max_examples=300, deadline=None)
+@given(_disc_points(), st.integers(min_value=1, max_value=4))
+def test_map_is_exactly_odd_and_conjugate_equivariant(z, d):
+    # bitwise, in IEEE arithmetic: mirrored sample points of the disc
+    # circles must map to exact mirror images, which the Green memo folds
+    lam = lambda_of_z(z, d)
+    assert lambda_of_z(-z, d) == -lam
+    assert lambda_of_z(z.conjugate(), d) == lam.conjugate()
+    assert lambda_of_z(-z.conjugate(), d) == -lam.conjugate()
+
+
 def test_z_of_lambda_lands_inside_disc():
     for lam in (3.2, -4.0, 1.0 + 0.5j, -2.0 - 0.3j, 17.0 + 0j):
         z = z_of_lambda(lam, 3)

@@ -11,6 +11,7 @@ from latspec.determinant import (
     NumericalError,
     PathRefinementError,
     QuadPolicy,
+    circle_grid,
     det_eval,
     det_eval_many,
     log_det_path,
@@ -195,3 +196,34 @@ def test_det_eval_many_refuses_like_det_eval(v3):
     with pytest.raises(ValueError, match="outside"):
         det_eval_many(v3, [0.5, 1.2j])
     assert det_eval_many(Potential(3, []), [0.4, 2.0])[1].value == 1.0
+
+
+def test_circle_grid_is_exact_mirror_images():
+    # z[n - k] = conj z[k] and z[n/2 + k] = -z[k] bit for bit, the first
+    # quadrant as r e^(2 pi i k / n) itself, the rest within the rounding of
+    # the direct formula (whose phase 2 pi k / n grows to 2 pi)
+    for r, n in ((0.8, 1024), (1.0, 256), (0.3, 6), (0.5, 144)):
+        z = circle_grid(r, n)
+        k = np.arange(n)
+        assert np.array_equal(z[(n - k) % n], z.conj())
+        assert np.array_equal(z[(n // 2 + k) % n], -z)
+        exact = r * np.exp(2j * math.pi * k / n)
+        q = n // 4
+        assert np.array_equal(z[:q], exact[:q])
+        assert np.max(np.abs(z - exact)) <= 1e-15
+    with pytest.raises(ValueError):
+        circle_grid(0.5, 7)
+
+
+def test_mirrored_points_give_mirrored_determinants(v3):
+    # for a real potential D(conj z) = conj D(z): on a circle and on the
+    # boundary, where lambda0 = d Re z / |z| is odd in z and the side
+    # follows Im z, the samples of conjugate points are exact conjugates
+    # (z = +-r are their own images; their values carry rounding noise in
+    # the imaginary part)
+    k = np.arange(1, 128)
+    for r in (0.5, 0.8, 1.0):
+        resolvent.clear_green_cache()
+        vals = np.array([smp.value for smp in det_eval_many(v3, circle_grid(r, 256))])
+        assert np.array_equal(vals[256 - k], vals[k].conj())
+        assert np.array_equal(vals[256 - k - 128], vals[k + 128].conj())

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from latspec import hardy
+from latspec import hardy, resolvent
 from latspec.hardy import (
     blaschke_eval,
     boundary_trace,
@@ -69,6 +69,51 @@ def test_jensen_identity_empty_potential():
 def test_jensen_radius_validation(v3, zeros_v3):
     with pytest.raises(ValueError):
         jensen_check(v3, zeros_v3, 1.2)
+
+
+def test_jensen_grid_validation(v3, zeros_v3):
+    # the trapezoid mean needs a power of two >= 256, as the boundary grid
+    for n_grid in (0, -4, 3, 128, 300):
+        with pytest.raises(ValueError, match="power of two"):
+            jensen_check(v3, zeros_v3, 0.5, n_grid=n_grid)
+
+
+def test_jensen_circle_costs_a_quadrant(v3, mix3):
+    # a cold-memo Jensen circle of 1,024 points needs the Green values of
+    # its first quadrant only: at most 257 per orbit of support differences
+    # (one orbit for a single site, three for mix3), over both engines at
+    # r = 0.5, where the circle crosses the engine switch
+    for V, orbits in ((v3, 1), (mix3, 3)):
+        resolvent.clear_green_cache()
+        jensen_check(V, [], 0.5, n_grid=1024)
+        info = resolvent.green_cache_info()
+        assert info["torus"]["misses"] > 0 and info["osc"]["misses"] > 0
+        assert info["torus"]["misses"] + info["osc"]["misses"] <= 257 * orbits
+
+
+def test_kink_windows_are_exact_images(v3):
+    # one window per orbit {t*, -t*, pi - t*, pi + t*} of kink angles is
+    # built, the others mirror it: same weights, nodes -x, pi - x, pi + x
+    # and grid spans mirrored; for a real potential the window at -t* sees
+    # log|D| at conjugate points, bit for bit the values at t*
+    bt = boundary_trace(v3, n_grid=256)
+    n = bt.n_grid
+    by_angle = {round(win.t_star, 12): win for win in bt.windows}
+    assert len(by_angle) == 6
+    t1 = math.acos(1.0 / 3.0)
+    base = by_angle[round(t1, 12)]
+    for angle, sign, shift in ((-t1 % (2 * math.pi), -1, 0.0), (math.pi - t1, -1, math.pi),
+                               (math.pi + t1, 1, math.pi)):
+        win = by_angle[round(angle, 12)]
+        assert np.array_equal(win.weights, base.weights)
+        assert np.array_equal(win.nodes, shift + sign * base.nodes)
+        lo, hi = (base.k_lo, base.k_hi) if sign > 0 else (-base.k_hi, -base.k_lo)
+        assert (win.k_lo, win.k_hi) == (lo + round(shift / math.pi) * n // 2, hi + round(shift / math.pi) * n // 2)
+    assert np.array_equal(by_angle[round(-t1 % (2 * math.pi), 12)].log_mod, base.log_mod)
+    # the band-edge orbit {0, pi} has two windows
+    edge, far = by_angle[0.0], by_angle[round(math.pi, 12)]
+    assert np.array_equal(far.nodes, math.pi + edge.nodes)
+    assert (far.k_lo, far.k_hi) == (edge.k_lo + n // 2, edge.k_hi + n // 2)
 
 
 def test_boundary_trace_structure(bt_v3):

@@ -337,3 +337,94 @@ def test_green_cache_counters_repeat(v3):
     assert osc["misses"] == osc["size"] > 0 and osc["hits"] > 0
     assert torus["misses"] == torus["size"] > 0
     assert infos[0]["time"] == {"hits": 0, "misses": 0, "size": 0}
+
+
+def _mirrors(lam):
+    return [lam.conjugate(), -lam, -lam.conjugate()]
+
+
+def test_fold_matches_closed_form_in_one_dimension():
+    # G(n, lam) = 2 z^(|n|+1) / (z^2 - 1), z = z(lam), at Re lam < 0 and
+    # both parities of |n|: once computed directly (cold memo) and once
+    # served from the memo entry of a mirror image
+    for lam in (-1.7 - 0.6j, -4.0 + 0.2j, -0.3 + 1.1j, -2.5 - 0.01j):
+        z = z_of_lambda(lam, 1)
+        for n in (0, 1, 2, 3):
+            exact = 2.0 * z ** (n + 1) / (z * z - 1.0)
+            resolvent.clear_green_cache()
+            assert abs(green_torus((n,), lam, 1).value - exact) <= 1e-13
+            for image in _mirrors(lam):
+                green_torus((n,), image, 1)
+            served = green_torus((n,), lam, 1).value
+            assert resolvent.green_cache_info()["torus"]["misses"] == 1
+            assert abs(served - exact) <= 1e-13
+
+
+def test_watson_band_edge_value_at_the_lower_edge():
+    # at lambda0 = -3: G(0, -3) = -G(0, 3) is minus Watson's value, and the
+    # difference equation at the edge, 3 G(e1) + 3 G(0) = 1, gives G(e1)
+    watson = _watson_band_edge()
+    for side in ("plus", "minus"):
+        g0 = green_boundary((0, 0, 0), -3.0, side, 3).value
+        g1 = green_boundary((1, 0, 0), -3.0, side, 3).value
+        assert g0.real == pytest.approx(-watson, abs=1e-8)
+        assert g1.real == pytest.approx(1.0 / 3.0 + watson, abs=1e-8)
+        assert abs(g0.imag) < 1e-10 and abs(g1.imag) < 1e-10
+
+
+def test_fold_against_direct_cores():
+    # each engine core called directly at a lambda outside the quadrant
+    # Re >= 0, Im <= 0 against the folded front door: bitwise for the
+    # torus's conjugate fold, to rounding for every other fold
+    def close(a, b):
+        return abs(a - b) <= 1e-15 * (1.0 + abs(b))
+
+    canons = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)]
+    for canon in canons:
+        for lam in (0.4 + 1.6j, -0.4 + 1.6j, -0.7 - 2.1j, -3.5 + 0.0j):
+            resolvent.clear_green_cache()
+            direct = resolvent._torus_block([canon], np.array([lam]), 32)[0][0, 0]
+            folded = green_torus(canon, lam, 3, n_quad=32).value
+            if lam.real >= 0:
+                assert folded == direct
+            else:
+                assert close(folded, direct), (canon, lam)
+        # the time engine's half plane Im <= 0, so its fold is lam -> -conj lam
+        lam = -0.8 - 0.9j
+        direct = resolvent._time_block([canon], np.array([lam]))[0][0, 0]
+        assert close(green_time(canon, lam, 3).value, direct)
+        # the oscillatory engine: interior (Im lam < 0) and the minus side of the band
+        for lam in (-1.3 - 0.4j, -2.9 - 0.05j):
+            direct = resolvent._osc_block([canon], np.array([lam]))[0][0, 0]
+            assert close(green_auto(canon, lam, 3).value, direct)
+        for lam0 in (-0.6, -2.2):
+            direct = resolvent._osc_block([canon], np.array([complex(lam0)]))[0][0, 0]
+            assert close(green_boundary(canon, lam0, "minus", 3).value, direct)
+            assert close(green_boundary(canon, lam0, "plus", 3).value, direct.conjugate())
+
+
+def test_mirror_images_share_one_value():
+    # a lambda and its three mirror images are one memo entry per orbit,
+    # in every engine; a lambda that is not an exact image is a miss
+    sites = [(0, 0, 0), (1, 0, 0), (0, -1, 0), (1, 1, 0)]
+    for lam in (0.6 - 0.3j, 2.0 - 1.0j):  # oscillatory, torus
+        resolvent.clear_green_cache()
+        vals, _ = resolvent.green_many(sites, [lam] + _mirrors(lam), 3)
+        engine = "osc" if dist_to_band(lam, 3) < resolvent._DIST_SWITCH else "torus"
+        assert resolvent.green_cache_info()[engine]["misses"] == 3
+        for row, n in zip(vals, sites):
+            sign = -(-1) ** sum(abs(c) for c in n)
+            assert row[1] == row[0].conjugate()
+            assert row[2] == sign * row[0] and row[3] == sign * row[0].conjugate()
+        resolvent.green_many(sites, [lam + 1e-15], 3)
+        assert resolvent.green_cache_info()[engine]["misses"] == 6
+    resolvent.clear_green_cache()
+    vals, _ = resolvent.green_many(sites, [0.6 - 0.3j, -0.6 + 0.3j], 3, engine="time")
+    assert resolvent.green_cache_info()["time"]["misses"] == 3
+    resolvent.clear_green_cache()
+    vals, _ = resolvent.green_boundary_many(sites, [1.5, 1.5, -1.5, -1.5], [False, True, False, True], 3)
+    assert resolvent.green_cache_info()["osc"]["misses"] == 3
+    for row, n in zip(vals, sites):
+        sign = -(-1) ** sum(abs(c) for c in n)
+        assert row[1] == row[0].conjugate()
+        assert row[2] == sign * row[0].conjugate() and row[3] == sign * row[0]
