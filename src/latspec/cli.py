@@ -24,7 +24,7 @@ from .determinant import (
     RIM_RADIUS, NumericalError, det_eval, moment_relation_check, taylor_coeffs,
 )
 from .zeros import coupling_threshold, find_zeros
-from .hardy import boundary_trace, jensen_check, outer_reconstruct, trace_residuals
+from .hardy import boundary_trace, check_grid, jensen_check, outer_reconstruct, trace_residuals
 from .bounds import check_bounds, real_case_report
 from . import bessel
 
@@ -75,15 +75,11 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
-def _require_dyadic(n: int, flag: str) -> None:
-    _require(n >= 256 and n & (n - 1) == 0, f"{flag} must be a power of two >= 256")
-
-
 def _require_search_options(args) -> None:
     """Checks shared by the subcommands that run the zero search: --r-outer,
     --tol, and --n-grid where the subcommand samples the boundary."""
     if hasattr(args, "n_grid"):
-        _require_dyadic(args.n_grid, "--n-grid")
+        check_grid(args.n_grid, "--n-grid")  # a ValueError: main exits 2
     _require(0.0 < args.r_outer <= RIM_RADIUS, f"--r-outer must lie in (0, {RIM_RADIUS:g}]")
     _require(args.tol > 0.0, "--tol must be positive")
 
@@ -143,7 +139,7 @@ def _cmd_det_eval(args) -> tuple:
 
 def _cmd_taylor_check(args) -> tuple:
     V = _load_potential(args.potential)
-    _require(0.0 < args.r < 1.0, "--r must lie in (0, 1)")
+    _require(0.0 < args.r < RIM_RADIUS, f"--r must lie in (0, {RIM_RADIUS:g})")
     _require(args.n_max >= 1, "--n-max must be >= 1")
     m_samples = args.m_samples if args.m_samples else max(64, 8 * args.n_max)
     _require(m_samples >= 8 * args.n_max, "--m-samples must be >= 8 * n_max")
@@ -218,8 +214,9 @@ def _cmd_trace_check(args) -> tuple:
     except ValueError:
         raise ValidationError(f"bad --r-list {args.r_list!r}")
     _require(all(0.0 < r < RIM_RADIUS for r in r_list), f"jensen radii must lie in (0, {RIM_RADIUS:g})")
-    _require_dyadic(args.jensen_grid, "--jensen-grid")
-    _require(args.taylor_r is None or 0.0 < args.taylor_r < 1.0, "--taylor-r must lie in (0, 1)")
+    check_grid(args.jensen_grid, "--jensen-grid")
+    _require(args.taylor_r is None or 0.0 < args.taylor_r < RIM_RADIUS,
+             f"--taylor-r must lie in (0, {RIM_RADIUS:g})")
 
     zeros, bt, tc = _pipeline(V, args.n_grid, args.r_outer, args.tol, args.n_max, args.taylor_r)
     resid = trace_residuals(V, zeros, bt, tc)

@@ -378,8 +378,8 @@ def taylor_coeffs(
 
         c_n = -(1/(2 pi i)) oint log D(z) / z^{n+1} dz .
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError("radius must lie in (0, 1)")
+    if not 0.0 < r < RIM_RADIUS:
+        raise ValueError(f"radius must lie in (0, {RIM_RADIUS:g})")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if m_samples < 8 * n_max:

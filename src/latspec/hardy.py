@@ -104,9 +104,11 @@ def blaschke_eval(data: BlaschkeData, z: complex) -> complex:
 # Jensen's formula
 
 
-def _check_grid(n_grid: int) -> None:
+def check_grid(n_grid: int, name: str = "n_grid") -> None:
+    """Raise ValueError unless ``n_grid`` is a power of two >= 256, the
+    size of every circle grid here (Jensen circle, boundary grid)."""
     if n_grid < 256 or n_grid & (n_grid - 1):
-        raise ValueError("n_grid must be a power of two, >= 256")
+        raise ValueError(f"{name} must be a power of two >= 256")
 
 
 def jensen_check(
@@ -124,7 +126,7 @@ def jensen_check(
     """
     if not 0.0 < r < RIM_RADIUS:
         raise ValueError(f"Jensen radius must lie in (0, {RIM_RADIUS:g})")
-    _check_grid(n_grid)
+    check_grid(n_grid)
     # a zero sitting on the circle makes the integral singular; nudge r
     for rec in zeros:
         if abs(abs(rec.z) - r) < 1e-9:
@@ -158,24 +160,33 @@ class _Window:
     log_mod: np.ndarray  # log|D| at nodes
 
 
-def _kink_angles(d: int) -> "list[float]":
-    """Angles in [0, 2pi) where t -> log|D(e^{it})| loses smoothness:
-    band edges and Van Hove levels of the symbol, lambda* = -d+2k."""
-    levels = [float(k) for k in range(-d, d + 1, 2)]
-    base = [math.acos(lv / d) for lv in levels]  # in [0, pi]
-    out = set()
-    for t in base:
-        out.add(t % _TWO_PI)
-        out.add((-t) % _TWO_PI)
-    return sorted(out)
+# the mirrors of the circle grid as (sign, half turns): t -> sign * t +
+# half turns * pi, the orbit {t, -t, pi - t, pi + t}
+_MIRRORS = ((1, 0), (-1, 0), (-1, 1), (1, 1))
 
 
-def _window_orbit(lv: int, d: int, width: float, h: float, n_grid: int) -> list:
-    """The kink windows of the orbit {t*, -t*, pi - t*, pi + t*} of t* =
-    acos(lv / d) in [0, pi/2], as (t_star, k_lo, k_hi, nodes, weights,
-    points): the window at t* is built, its images are exact mirrors of it.
-    t* = 0 (lv = d) and t* = pi/2 (lv = 0) have two distinct images."""
-    t_star = math.acos(lv / d)
+def _kink_orbits(d: int) -> list:
+    """The angles where t -> log|D(e^{it})| loses smoothness, the band
+    edges and Van Hove levels lambda* = -d + 2k of the symbol, one entry
+    per orbit {t*, -t*, pi - t*, pi + t*}: t* = acos(lv / d) in [0, pi/2]
+    for a level lv >= 0, and the mirrors giving its distinct images.
+    t* = 0 (lv = d) and t* = pi/2 (lv = 0) have two."""
+    return [
+        (math.acos(lv / d),
+         [(sign, turns) for sign, turns in _MIRRORS if not (lv == d and sign < 0 or lv == 0 and turns)])
+        for lv in range(d % 2, d + 1, 2)
+    ]
+
+
+def _mirror_angle(t: float, sign: int, turns: int) -> float:
+    return (sign * t + turns * math.pi) % _TWO_PI
+
+
+def _window_orbit(t_star: float, mirrors: list, width: float, h: float, n_grid: int) -> list:
+    """The kink windows of one orbit of ``_kink_orbits`` as (t_star, k_lo,
+    k_hi, nodes, weights, points): the window at t* is built, its images
+    are exact mirrors of it, with nodes sign * x + turns * pi, grid indices
+    mirrored mod N and sample points conj z, -conj z, -z."""
     k_lo = math.floor((t_star - width) / h)
     k_hi = math.ceil((t_star + width) / h)
     n1, w1 = _graded_nodes(k_lo * h, t_star)
@@ -183,13 +194,12 @@ def _window_orbit(lv: int, d: int, width: float, h: float, n_grid: int) -> list:
     x, w = np.concatenate([n1, n2]), np.concatenate([w1, w2])
     z = np.exp(1j * x)
     half = n_grid // 2
-    out = [(t_star, k_lo, k_hi, x, w, z)]
-    if lv != d:
-        out.append(((-t_star) % _TWO_PI, -k_hi, -k_lo, -x, w, z.conj()))
-    if lv not in (0, d):
-        out.append((math.pi - t_star, half - k_hi, half - k_lo, math.pi - x, w, -z.conj()))
-    if lv != 0:
-        out.append((math.pi + t_star, half + k_lo, half + k_hi, math.pi + x, w, -z))
+    out = []
+    for sign, turns in mirrors:
+        lo, hi = (k_lo, k_hi) if sign > 0 else (-k_hi, -k_lo)
+        zm = z if sign > 0 else z.conj()
+        out.append((_mirror_angle(t_star, sign, turns), lo + turns * half, hi + turns * half,
+                    sign * x + turns * math.pi, w, -zm if turns else zm))
     return out
 
 
@@ -289,24 +299,21 @@ def boundary_trace(V: Potential, n_grid: int = 1024) -> BoundaryTrace:
     are skipped (falling back to plain trapezoid there) if any of their
     node evaluations fails.
     """
-    _check_grid(n_grid)
+    check_grid(n_grid)
     d = require_dimension_3(V.d, "boundary trace")
     ts = _TWO_PI * np.arange(n_grid) / n_grid
     h = _TWO_PI / n_grid
 
     # kink windows: snap edges outward to grid nodes, grade toward the kink;
-    # one window per orbit of kink angles, at the levels lv = -d + 2k >= 0
-    # (acos(lv / d) in [0, pi/2]), the rest mirrored
-    kinks = _kink_angles(d) if V.support else []
-    min_gap = min(
-        (kinks[i + 1] - kinks[i] for i in range(len(kinks) - 1)),
-        default=_TWO_PI,
-    )
+    # one window per orbit of kink angles, the rest mirrored
+    orbits = _kink_orbits(d) if V.support else []
+    kinks = sorted(_mirror_angle(t, sign, turns) for t, mirrors in orbits for sign, turns in mirrors)
+    min_gap = min((b - a for a, b in zip(kinks, kinks[1:])), default=_TWO_PI)
     width = min(_KINK_WINDOW, 0.35 * min_gap)
-    spans = []
-    if kinks:
-        orbits = [_window_orbit(lv, d, width, h, n_grid) for lv in range(d % 2, d + 1, 2)]
-        spans = sorted((span for orbit in orbits for span in orbit), key=lambda span: span[0])
+    spans = sorted(
+        (span for t, mirrors in orbits for span in _window_orbit(t, mirrors, width, h, n_grid)),
+        key=lambda span: span[0],
+    )
 
     raw = _boundary_logmod(V, np.concatenate([circle_grid(1.0, n_grid)] + [span[5] for span in spans]))
     flagged = [k for k in range(n_grid) if raw[k] is None]

@@ -678,14 +678,11 @@ def green_many(
             require_dimension_3(d, f"green_auto within {_DIST_MIN_LOW_D} of the band")
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    if torus.all():
-        vals, errs = _torus_many(canons, lams, dist)
-    elif not torus.any():
-        vals, errs = _memo_block("osc", _osc_block, canons, lams)
-    else:
-        vals = np.empty((len(canons), lams.size), dtype=complex)
-        errs = np.empty(vals.shape)
+    vals = np.empty((len(canons), lams.size), dtype=complex)
+    errs = np.empty(vals.shape)
+    if torus.any():
         vals[:, torus], errs[:, torus] = _torus_many(canons, lams[torus], dist[torus])
+    if not torus.all():
         vals[:, ~torus], errs[:, ~torus] = _memo_block("osc", _osc_block, canons, lams[~torus])
     return vals[index], errs[index]
 

@@ -124,8 +124,8 @@ def test_trace_check_and_thread_determinism(v3_file, tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--jensen-grid", "0"), ("--jensen-grid", "-4"), ("--jensen-grid", "3"),
-    ("--taylor-r", "0"), ("--taylor-r", "2"), ("--taylor-r", "-0.1"),
+    ("--n-grid", "300"), ("--jensen-grid", "0"), ("--jensen-grid", "-4"), ("--jensen-grid", "3"),
+    ("--taylor-r", "0"), ("--taylor-r", "2"), ("--taylor-r", "-0.1"), ("--taylor-r", "0.9995"),
 ])
 def test_trace_check_validates_grid_and_taylor_radius_first(v3_file, tmp_path, flag, value):
     # exit 2 before the first Green evaluation: no memo is touched and no

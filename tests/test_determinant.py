@@ -77,6 +77,11 @@ def test_rim_refusal_and_boundary_dispatch(v3):
     # strictly inside but within the guard margin: refused
     with pytest.raises(ValueError):
         det_eval(v3, 0.9995)
+    # a Taylor circle in the rim is refused before any sample
+    resolvent.clear_green_cache()
+    with pytest.raises(ValueError, match="radius must lie in"):
+        taylor_coeffs(v3, 0.9995)
+    assert all(info["misses"] == 0 for info in resolvent.green_cache_info().values())
     # exactly on the rim: boundary limiting values are used instead
     s = det_eval(v3, cmath.exp(0.7j))
     assert np.isfinite(s.value.real) and np.isfinite(s.value.imag)
