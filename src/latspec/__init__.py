@@ -29,7 +29,6 @@ from .determinant import (
     TaylorCoeffs,
     det_eval,
     det_eval_many,
-    log_det_path,
     moment_relation_check,
     taylor_coeffs,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "integral_representation",
     "jensen_check",
     "lambda_of_z",
-    "log_det_path",
     "moment_relation_check",
     "outer_reconstruct",
     "quasi_norm",

@@ -16,15 +16,6 @@ def complex_to_json(value: complex) -> dict:
     return {"re": value.real, "im": value.imag}
 
 
-def complex_from_json(obj) -> complex:
-    """Decode {"re": x, "im": y} (a bare real number is accepted too)."""
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-    raise ValueError(f"cannot parse complex value from {obj!r}")
-
-
 def parse_complex(text: str) -> complex:
     """Parse 're,im', a bare real, or a Python literal like '0.3+0.4j'."""
     parts = text.split(",")

@@ -25,18 +25,34 @@ from .lattice import validate_dimension
 _BAND_TOL = 1e-14
 
 
-def lambda_of_z(z: complex, d: int) -> complex:
-    """lam = (d/2)(z + 1/z) for z in the punctured open unit disk."""
+def lambda_of_z(z, d: int):
+    """lam = (d/2)(z + 1/z) for z in the punctured open unit disk,
+    elementwise on a scalar (which gives a Python complex) or an array.
+
+    |z| is ``np.hypot`` and 1/z is ``np.reciprocal`` with the sign of a
+    zero imaginary part set as Python's 1 / z sets it, so an array gives,
+    bit for bit and signed zeros included, what each point gives alone and
+    what the Python form 0.5*d*(z + 1/z) gives.  The map is exactly odd and
+    conjugate-equivariant up to the sign of a zero part, so mirrored points
+    map to exact mirror images.
+    """
     validate_dimension(d)
-    z = complex(z)
-    if z == 0:
+    z = np.asarray(z, dtype=complex)
+    scalar = z.ndim == 0
+    z = z.reshape(-1) if scalar else z
+    az = np.hypot(z.real, z.imag)
+    if not az.all():
         raise ZeroDivisionError("z = 0 maps to infinity")
-    if abs(z) >= 1.0:
+    if (az >= 1.0).any():
         raise ValueError(
-            f"|z| = {abs(z)} >= 1: the map is only used on the open unit disk; "
+            f"|z| = {float(az[az >= 1.0][0])} >= 1: the map is only used on the open unit disk; "
             "boundary values of the resolvent go through green_boundary"
         )
-    return 0.5 * d * (z + 1.0 / z)
+    w = np.reciprocal(z)
+    # np.reciprocal signs a zero Im(1/z) like -Im z, Python like Re z
+    np.copyto(w.imag, np.copysign(0.0, z.real), where=z.imag == 0.0)
+    lam = 0.5 * d * (z + w)
+    return complex(lam[0]) if scalar else lam
 
 
 def _principal_like_sqrt(lam: complex, d: int) -> complex:
@@ -81,9 +97,12 @@ def z_of_lambda(lam: complex, d: int, side: str = "auto") -> complex:
     return z
 
 
-def dist_to_band(lam: complex, d: int) -> float:
-    """Euclidean distance from lam to the segment [-d, d]."""
+def dist_to_band(lam, d: int):
+    """Euclidean distance from lam to the segment [-d, d], elementwise on a
+    scalar (which gives a Python float) or an array: hypot(max(|Re lam| -
+    d, 0), Im lam), bit for bit |lam - x| with x = Re lam clipped to the
+    segment."""
     validate_dimension(d)
-    lam = complex(lam)
-    x = min(max(lam.real, -float(d)), float(d))
-    return abs(lam - x)
+    lam = np.asarray(lam, dtype=complex)
+    dist = np.hypot(np.maximum(np.abs(lam.real) - d, 0.0), lam.imag)
+    return float(dist) if dist.ndim == 0 else dist

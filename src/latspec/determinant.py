@@ -11,8 +11,6 @@ factorization, trace residuals) consumes the entry points here:
     march_log       the one phase marcher: a continuous branch of log D
                     along a parametrised curve, bisecting every step whose
                     phase turns by more than pi/2
-    log_det_path    march_log along the polygon through given points,
-                    anchored at log D(0) = 0
     taylor_coeffs   c_n with  log D(z) = -sum_n c_n z^n,  via the Cauchy
                     integral on a circle that march_log shows encloses no
                     zeros
@@ -24,7 +22,7 @@ with ``march_log`` too.
 
 Sampling is array-at-a-time.  A consumer that knows its points in
 advance (Taylor and Jensen circles, the boundary grid and kink windows,
-path nodes, the initial nodes of a counting contour) passes them all to
+the initial nodes of a counting contour) passes them all to
 ``det_eval_many``.  That makes one block request per point group to the
 Green engines (support differences x lambdas; the engines chunk the
 lambda axis and memoize per value) and one stacked det/svd over the
@@ -68,7 +66,6 @@ __all__ = [
     "det_eval_many",
     "circle_grid",
     "march_log",
-    "log_det_path",
     "taylor_coeffs",
     "moment_relation_check",
 ]
@@ -116,7 +113,6 @@ class DeterminantSample:
     z: complex
     value: complex
     err_estimate: float
-    log_value: Optional[complex] = None
 
 
 @dataclass
@@ -165,50 +161,40 @@ def det_eval_many(
     Interior points (|z| <= 1 - margin) go through the off-spectrum Green
     engines that ``policy`` names, |z| = 1 through the two-sided boundary
     limit with the side fixed by the semicircle; the thin rim in between
-    is refused, as is any point outside the disc.  z = 0 and an empty
-    support give exactly 1.
+    is refused, as is any point outside the disc (the first such point is
+    named).  z = 0 and an empty support give exactly 1.
 
-    The points are sorted into interior and boundary groups, and each group
-    takes one block of Green values (support differences x lambdas) from
-    ``green_many`` or ``green_boundary_many``, which route interior lambdas
-    to the oscillatory or the torus engine.  The blocks fill stacked
-    (K, |S|, |S|) matrices for ``_det_with_err``.  A sample is computed
-    the same way whichever batch it is in.
+    The points are classified by masks on |z| = ``np.hypot``: outside,
+    rim, interior and z = 0.  The interior points are mapped by one
+    ``lambda_of_z`` call and take one block of Green values (support
+    differences x lambdas) from ``green_many``, which routes the lambdas
+    to the oscillatory or the torus engine; the boundary points take one
+    from ``green_boundary_many``.  The blocks fill stacked (K, |S|, |S|)
+    matrices for ``_det_with_err``.  A sample is computed the same way
+    whichever batch it is in.
     """
-    zs = [complex(z) for z in zs]
+    zs = np.asarray(zs, dtype=complex)
+    z_list = zs.tolist()
     d = V.d
-    out = [DeterminantSample(z=z, value=1.0 + 0.0j, err_estimate=0.0) for z in zs]
+    out = [DeterminantSample(z=z, value=1.0 + 0.0j, err_estimate=0.0) for z in z_list]
     if not V.support:
         return out
-    inner: "list[int]" = []
-    lams: "list[complex]" = []
-    rim: "list[int]" = []
-    lam0s: "list[float]" = []
-    plus: "list[bool]" = []
-    for k, z in enumerate(zs):
-        az = abs(z)
-        if az >= 1.0 + _BOUNDARY_TOL:
-            raise ValueError(f"z={z} lies outside the closed unit disc")
-        if az == 0.0:
-            # D(0) = 1 exactly: lambda -> infinity and V R0 -> 0.
-            continue
-        if abs(az - 1.0) <= _BOUNDARY_TOL:
-            # z = e^{it} is approached radially from inside; lambda(z) then
-            # tends to d*cos t with Im lambda -> -d*eps*sin t, so the upper
-            # semicircle means the lower side of the cut.  Re z / |z| <= 1
-            # keeps lambda0 on the band, and it is exactly odd in z.
-            rim.append(k)
-            lam0s.append(d * (z.real / az))
-            plus.append(not z.imag > 0.0)
-        elif az > RIM_RADIUS + 1e-12:
-            raise ValueError(
-                f"|z|={az:.6g} lies in the rim {RIM_RADIUS:g} < |z| < 1; "
-                "evaluate on |z|=1 or deeper inside the disc"
-            )
-        else:
-            inner.append(k)
-            lams.append(lambda_of_z(z, d))
-    idx = inner + rim
+    az = np.hypot(zs.real, zs.imag)
+    rim = abs(az - 1.0) <= _BOUNDARY_TOL
+    bad = (az >= 1.0 + _BOUNDARY_TOL) | ((az > RIM_RADIUS + 1e-12) & ~rim)
+    if bad.any():
+        k = int(bad.argmax())
+        if az[k] >= 1.0 + _BOUNDARY_TOL:
+            raise ValueError(f"z={z_list[k]} lies outside the closed unit disc")
+        raise ValueError(
+            f"|z|={az[k]:.6g} lies in the rim {RIM_RADIUS:g} < |z| < 1; "
+            "evaluate on |z|=1 or deeper inside the disc"
+        )
+    # D(0) = 1 exactly: lambda -> infinity and V R0 -> 0
+    inner = (az != 0.0) & ~rim
+    idx = inner.nonzero()[0].tolist()
+    n_in = len(idx)
+    idx += rim.nonzero()[0].tolist()
     if not idx:
         return out
     sites = V.support
@@ -218,16 +204,22 @@ def det_eval_many(
     v = np.array([vd[x] for x in sites], dtype=complex)
     G = np.empty((s * s, len(idx)), dtype=complex)
     Gerr = np.empty(G.shape)
-    if inner:
-        G[:, :len(inner)], Gerr[:, :len(inner)] = green_many(diffs, lams, d, policy.engine)
-    if rim:
-        G[:, len(inner):], Gerr[:, len(inner):] = green_boundary_many(diffs, lam0s, plus, d)
+    if n_in:
+        G[:, :n_in], Gerr[:, :n_in] = green_many(diffs, lambda_of_z(zs[inner], d), d, policy.engine)
+    if n_in < len(idx):
+        # z = e^{it} is approached radially from inside; lambda(z) then
+        # tends to d*cos t with Im lambda -> -d*eps*sin t, so the upper
+        # semicircle means the lower side of the cut.  Re z / |z| <= 1
+        # keeps lambda0 on the band, and it is exactly odd in z.
+        zb = zs[rim]
+        G[:, n_in:], Gerr[:, n_in:] = green_boundary_many(
+            diffs, d * (zb.real / az[rim]), ~(zb.imag > 0.0), d)
     # row i of the Birman-Schwinger matrix is v_i G(x_i - y_j)
     M = v[None, :, None] * G.T.reshape(-1, s, s)
     E = np.abs(v)[None, :, None] * Gerr.T.reshape(-1, s, s)
     dets, errs = _det_with_err(M, E)
-    for j, k in enumerate(idx):
-        out[k] = DeterminantSample(z=zs[k], value=complex(dets[j]), err_estimate=float(errs[j]))
+    for k, value, err in zip(idx, dets.tolist(), errs.tolist()):
+        out[k] = DeterminantSample(z=z_list[k], value=value, err_estimate=err)
     return out
 
 
@@ -324,41 +316,6 @@ def march_log(
         inc = step(params[k - 1], params[k], zs[k - 1], zs[k], vals[k - 1], vals[k], 0)
         logs[k] = logs[k - 1] + inc
     return PhaseMarch(logs=logs, min_abs=min_abs, max_abs=max_abs, z_dlog=z_dlog)
-
-
-def log_det_path(V: Potential, path: Sequence[complex]) -> "list[DeterminantSample]":
-    """Continuous branch of log D along ``path``, anchored at log D(0) = 0.
-
-    The path must start at |z| <= 0.01 where D is within O(|z|) of 1, so
-    the principal logarithm of the first sample is the anchored branch.
-    The straight segments between consecutive points are marched by
-    ``march_log``, which bisects them where the phase turns fast; a
-    segment that passes through or next to a zero raises
-    PathRefinementError instead of guessing a winding.
-    """
-    if not path:
-        return []
-    if abs(path[0]) > 0.01:
-        raise ValueError(f"path must start at |z| <= 0.01, got |z|={abs(path[0]):.4g}")
-    pts = [complex(z) for z in path]
-    samples = det_eval_many(V, pts)
-    for z, smp in zip(pts, samples):
-        if abs(smp.value) < 1e-13:
-            raise NumericalError(f"path passes through a zero of the determinant at z={z}")
-
-    def z_of(s: float) -> complex:
-        k = int(s)
-        return pts[k] if s == k else pts[k] + (s - k) * (pts[k + 1] - pts[k])
-
-    march = march_log(
-        lambda z: det_eval(V, z).value,
-        z_of,
-        range(len(pts)),
-        [smp.value for smp in samples],
-    )
-    for smp, log_value in zip(samples, march.logs):
-        smp.log_value = complex(log_value)
-    return samples
 
 
 def taylor_coeffs(

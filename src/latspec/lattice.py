@@ -22,7 +22,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -106,12 +106,6 @@ class Potential:
 
     def scale(self, factor: complex) -> "Potential":
         return Potential(self.d, [(s, factor * v) for s, v in self.entries])
-
-    def translate(self, shift: Sequence[int]) -> "Potential":
-        shift = tuple(int(c) for c in shift)
-        if len(shift) != self.d:
-            raise ValueError(f"shift has {len(shift)} coordinates, expected {self.d}")
-        return Potential(self.d, [(tuple(a + b for a, b in zip(s, shift)), v) for s, v in self.entries])
 
     def is_real(self, tol: float = 0.0) -> bool:
         return all(abs(v.imag) <= tol for _, v in self.entries)

@@ -58,26 +58,34 @@ each is applied in one place.
   |n_j|: shifting every k_j by pi turns h(k) into -h(k) and cos(n.k) into
   (-1)^|n| cos(n.k).
 
-``_memo_block`` applies the last two for every memoised path (torus,
-time, oscillatory, boundary): it asks the engine only for the image of
-each lambda in the quadrant Re lam >= 0, Im lam <= 0, and unfolds the
-value by conjugation and the factor -(-1)^|n|.  The time engines need
-that quadrant's half plane anyway: their integrand pairs e^(-i lam t)
-with the forward evolution kernel, whose quarter-turn phase is i^(+|n|)
-per the Fourier expansion of e^(i t cos k), and damping requires
-Im(lam) <= 0.  On the band a point lambda0 -/+ i0 has the image |lambda0|
-(the minus side), conjugated where the side is plus XOR lambda0 < 0.
-Unfolding is exact, so a lambda and its mirror images share one memo
-entry bit for bit.  For the torus the conjugate fold is even bitwise
-equal to a direct evaluation (the engine negates Im lam exactly); the
-other folds agree with one to rounding.
+``_memo_block`` applies the last two for the torus, oscillatory and
+boundary paths: it asks the engine only for the image of each lambda in
+the quadrant Re lam >= 0, Im lam <= 0, and unfolds the value by
+conjugation and the factor -(-1)^|n|.  The oscillatory engine needs that
+quadrant's half plane anyway: its integrand pairs e^(-i lam t) with the
+forward evolution kernel, whose quarter-turn phase is i^(+|n|) per the
+Fourier expansion of e^(i t cos k), and damping requires Im(lam) <= 0.
+On the band a point lambda0 -/+ i0 has the image |lambda0| (the minus
+side), conjugated where the side is plus XOR lambda0 < 0.  Unfolding is
+exact, so a lambda and its mirror images share one memo entry bit for
+bit.  For the torus the conjugate fold is even bitwise equal to a direct
+evaluation (the engine negates Im lam exactly); the other folds agree
+with one to rounding.
 
-Each engine keeps one memo: a dict of at most _MEMO_SIZE values keyed by
-(orbit, quadrant image of lam), plus the grid size for the torus, that a
-block looks up and fills many keys at a time, evicting the least recently
-used entry.  Repeated evaluations during determinant assembly are
-therefore free and bit-identical.  ``green_cache_info`` reports each
-memo's hits, misses and size; ``clear_green_cache`` empties them all.
+The damped time engine is the oracle that the c02 gate checks the torus
+and oscillatory engines against, so it stays outside the fold and the
+memo: ``green_many(engine="time")`` calls ``_time_block`` directly, which
+conjugates for Im lam > 0 (its damping needs Im lam <= 0) and applies no
+other symmetry.
+
+The torus and the oscillatory engine keep one memo each: a dict of at
+most _MEMO_SIZE values keyed by (orbit, quadrant image of lam), plus the
+grid size for the torus, evicting the least recently used entry.  A
+block looks every key up once, computes the missing ones in at most one
+core call and unfolds, in one pass.  Repeated evaluations during
+determinant assembly are therefore free and bit-identical.
+``green_cache_info`` reports each memo's hits, misses and size;
+``clear_green_cache`` empties them all.
 """
 
 from __future__ import annotations
@@ -164,7 +172,7 @@ class _Memo:
         self.hits = self.misses = 0
 
 
-_MEMOS = {"torus": _Memo(), "time": _Memo(), "osc": _Memo()}
+_MEMOS = {"torus": _Memo(), "osc": _Memo()}
 
 
 def clear_green_cache() -> None:
@@ -175,7 +183,7 @@ def clear_green_cache() -> None:
 
 
 def green_cache_info() -> dict:
-    """Per engine ("torus", "time", "osc"): memo hits, misses and size since
+    """Per memoised engine ("torus", "osc"): memo hits, misses and size since
     the last ``clear_green_cache``.  A request counts once per (orbit,
     lambda) pair, a hit when the value was already known."""
     return {name: {"hits": m.hits, "misses": m.misses, "size": len(m.data)}
@@ -185,7 +193,7 @@ def green_cache_info() -> dict:
 def _memo_block(engine: str, core, canons: "list[Site]", lams: np.ndarray, extra: tuple = (),
                 up: "Sequence[bool] | None" = None):
     """core's block (values, errors) of shape (len(canons), len(lams)),
-    served from the engine's memo where it can be.
+    served from the engine's memo where it can be, in one pass.
 
     The memo holds values on the quadrant Re lam >= 0, Im lam <= 0 only,
     keyed (canon, lam, *extra).  Each lambda is looked up as its image q =
@@ -193,64 +201,53 @@ def _memo_block(engine: str, core, canons: "list[Site]", lams: np.ndarray, extra
     module docstring: conjugated where up[k] differs from (Re lam < 0), and
     times -(-1)^|n| where Re lam < 0.  ``up`` defaults to Im lam > 0;
     ``green_boundary_many`` passes its side, its lambdas being real.
-    core(canons, qs, *extra) is called once, on the orbits and distinct
-    images that have a miss.  A lambda is a hit only when its image is
-    bitwise a known key; there is no tolerance.
+
+    Every (orbit, distinct image) key is looked up once.  core(canons, qs,
+    *extra) is then called once, on the orbits and images that have a
+    missing key, or not at all when none is missing; only the missing keys
+    are stored.  Each (orbit, lambda) pair counts once: a miss where its
+    key was missing, else a hit (so a repeat of an image after its miss is
+    a hit).  A lambda is a hit only when its image is bitwise a known key;
+    there is no tolerance.
     """
     memo = _MEMOS[engine]
     data = memo.data
     lam_list = lams.tolist()
     if up is None:
         up = [lam.imag > 0 for lam in lam_list]
-    # per lambda: its image, whether the value is conjugated, whether lam -> -lam
-    folds = [(complex(abs(lam.real), 0.0 - abs(lam.imag)), bool(u) != (lam.real < 0), lam.real < 0)
-             for lam, u in zip(lam_list, up)]
-    try:
-        got = [[data[(canon, q, *extra)] for q, _, _ in folds] for canon in canons]
-    except KeyError:
-        got = _memo_fill(memo, core, canons, [q for q, _, _ in folds], extra)
-    else:
-        memo.hits += len(canons) * len(folds)
-        for canon in canons:
-            for q, _, _ in folds:
-                data.move_to_end((canon, q, *extra))
-    # the value changes sign under lam -> -lam where |n| is even
-    flips = [sum(canon) % 2 == 0 for canon in canons]
-    vals = np.array([[_unfold(g[0], c, n and f) for g, (_, c, n) in zip(row, folds)]
-                     for row, f in zip(got, flips)], dtype=complex).reshape(len(canons), len(folds))
-    errs = np.array([[g[1] for g in row] for row in got]).reshape(vals.shape)
-    return vals, errs
-
-
-def _memo_fill(memo: _Memo, core, canons: "list[Site]", quad: list, extra: tuple) -> list:
-    """_memo_block's path when a key is missing: the (value, error) pair of
-    every orbit (rows) at every image in ``quad`` (columns), computing the
-    missing ones in one core call on the distinct images and storing them.
-    Counts one hit or miss per orbit and image."""
-    data = memo.data
+    quad = [complex(abs(lam.real), 0.0 - abs(lam.imag)) for lam in lam_list]
     uniq = list(dict.fromkeys(quad))
     keys = [[(canon, q, *extra) for q in uniq] for canon in canons]
     got = [[data.get(key) for key in row] for row in keys]
-    miss = [[g is None for g in row] for row in got]
-    rows = [u for u, row in enumerate(miss) if any(row)]
-    cols = [k for k in range(len(uniq)) if any(row[k] for row in miss)]
-    n_miss = sum(map(sum, miss))
-    memo.misses += n_miss
-    memo.hits += len(canons) * len(quad) - n_miss
-    for u, row in enumerate(keys):
-        for k, key in enumerate(row):
-            if not miss[u][k]:
+    missing = [(u, k) for u, row in enumerate(got) for k, g in enumerate(row) if g is None]
+    memo.misses += len(missing)
+    memo.hits += len(canons) * len(quad) - len(missing)
+    for row, known in zip(keys, got):
+        for key, g in zip(row, known):
+            if g is not None:
                 data.move_to_end(key)
-    v, e = core([canons[u] for u in rows], np.array([uniq[k] for k in cols]), *extra)
-    for i, u in enumerate(rows):
-        for j, k in enumerate(cols):
-            if miss[u][k]:
-                got[u][k] = data[keys[u][k]] = (complex(v[i, j]), float(e[i, j]))
-                if len(data) > _MEMO_SIZE:
-                    data.popitem(last=False)
+    if missing:
+        rows = sorted({u for u, _ in missing})
+        cols = sorted({k for _, k in missing})
+        v, e = core([canons[u] for u in rows], np.array([uniq[k] for k in cols]), *extra)
+        v, e = v.tolist(), e.tolist()
+        at_row = {u: i for i, u in enumerate(rows)}
+        at_col = {k: j for j, k in enumerate(cols)}
+        for u, k in missing:
+            i, j = at_row[u], at_col[k]
+            got[u][k] = data[keys[u][k]] = (v[i][j], e[i][j])
+            if len(data) > _MEMO_SIZE:
+                data.popitem(last=False)
     at = {q: k for k, q in enumerate(uniq)}
-    index = [at[q] for q in quad]
-    return [[row[k] for k in index] for row in got]
+    # per lambda: its image's column, whether the value is conjugated,
+    # whether lam -> -lam
+    folds = [(at[q], bool(u) != (lam.real < 0), lam.real < 0) for q, lam, u in zip(quad, lam_list, up)]
+    # the value changes sign under lam -> -lam where |n| is even
+    flips = [sum(canon) % 2 == 0 for canon in canons]
+    vals = np.array([[_unfold(row[k][0], c, n and f) for k, c, n in folds]
+                     for row, f in zip(got, flips)], dtype=complex).reshape(len(canons), len(quad))
+    errs = np.array([[row[k][1] for k, _, _ in folds] for row in got]).reshape(vals.shape)
+    return vals, errs
 
 
 def _unfold(value: complex, conj: bool, negate: bool) -> complex:
@@ -418,27 +415,15 @@ def _torus_block(canons: "list[Site]", lams: np.ndarray, n_quad: int):
     return v2, np.abs(v2 - acc_c / float(n_quad) ** d)
 
 
-def auto_n_quad(dist: float) -> int:
+def auto_n_quad(dist):
     """Quadrature size law: points per dimension ~ _NQ_RATE / dist, for
     lambda at distance dist > 0 from the band, clipped to
-    [_NQ_MIN, _NQ_MAX] and rounded up to even."""
-    n = int(min(max(math.ceil(_NQ_RATE / dist), _NQ_MIN), _NQ_MAX))
-    return n + (n % 2)
-
-
-def _torus_many(canons: "list[Site]", lams: np.ndarray, dist: np.ndarray):
-    """Torus block with the grid size auto_n_quad(dist) per lambda; one
-    core call per size."""
-    n_quads = np.array([auto_n_quad(x) for x in dist.tolist()])
-    sizes = sorted(set(n_quads.tolist()))
-    if len(sizes) == 1:
-        return _memo_block("torus", _torus_block, canons, lams, (sizes[0],))
-    vals = np.empty((len(canons), lams.size), dtype=complex)
-    errs = np.empty(vals.shape)
-    for nq in sizes:
-        cols = np.nonzero(n_quads == nq)[0]
-        vals[:, cols], errs[:, cols] = _memo_block("torus", _torus_block, canons, lams[cols], (nq,))
-    return vals, errs
+    [_NQ_MIN, _NQ_MAX] and rounded up to even; elementwise on a scalar
+    (which gives a Python int) or an array."""
+    n = np.minimum(np.maximum(np.ceil(_NQ_RATE / np.asarray(dist, dtype=float)), _NQ_MIN), _NQ_MAX)
+    n = n.astype(int)
+    n += n % 2
+    return int(n) if n.ndim == 0 else n
 
 
 def green_torus(
@@ -465,12 +450,16 @@ def green_torus(
     return _one(_memo_block("torus", _torus_block, [_orbit(n, d)], np.array([lam]), (n_quad,)))
 
 
-def _torus_distance(lam: complex, d: int) -> float:
+def _torus_distance(lam, d: int):
+    """dist_to_band(lam, d), scalar or array, refusing any lambda the torus
+    cannot serve (the first one is named)."""
     dist = dist_to_band(lam, d)
-    if dist < _TORUS_DELTA_MIN:
+    near = np.ravel(dist) < _TORUS_DELTA_MIN
+    if near.any():
+        k = int(near.argmax())
         raise ValueError(
-            f"lambda={lam} is within {_TORUS_DELTA_MIN} of the band [-{d},{d}] "
-            "(dist={:.3e}); use green_boundary for on-band limits".format(dist)
+            f"lambda={complex(np.ravel(lam)[k])} is within {_TORUS_DELTA_MIN} of the band [-{d},{d}] "
+            "(dist={:.3e}); use green_boundary for on-band limits".format(float(np.ravel(dist)[k]))
         )
     return dist
 
@@ -505,13 +494,21 @@ def _time_value(canon: Site, lam: complex) -> "tuple[complex, float]":
 
 
 def _time_block(canons: "list[Site]", lams: np.ndarray):
-    """The time engine has a horizon, hence nodes, per lambda: one value at
-    a time."""
+    """Time-engine values per orbit (rows) and lambda (columns).  The engine
+    has a horizon, hence nodes, per lambda: one value at a time.  Its
+    damping needs Im lam <= 0, so Im lam > 0 is served by conjugation,
+    G(n, lam) = conj G(n, conj lam); no other symmetry is applied and no
+    value is memoised, which keeps this oracle apart from the fold of the
+    engines it checks."""
     vals = np.empty((len(canons), lams.size), dtype=complex)
     errs = np.empty(vals.shape)
     for u, canon in enumerate(canons):
         for k, lam in enumerate(lams.tolist()):
-            vals[u, k], errs[u, k] = _time_value(canon, lam)
+            if lam.imag > 0:
+                value, errs[u, k] = _time_value(canon, lam.conjugate())
+                vals[u, k] = value.conjugate()
+            else:
+                vals[u, k], errs[u, k] = _time_value(canon, lam)
     return vals, errs
 
 
@@ -654,7 +651,7 @@ def green_many(
     and ``green_time``.
     """
     d = validate_dimension(d)
-    lams = np.array([complex(lam) for lam in lams], dtype=complex)
+    lams = np.asarray(lams, dtype=complex)
     canons, index = _orbits(sites, d)
     if engine == "time":
         flat = np.abs(lams.imag) < 1e-6
@@ -663,13 +660,13 @@ def green_many(
                 f"green_time needs |Im lambda| >= 1e-6 (got {lams[flat][0].imag:.2e}): "
                 "the truncation tail is uncontrolled on the real axis; use green_boundary"
             )
-        vals, errs = _memo_block("time", _time_block, canons, lams)
+        vals, errs = _time_block(canons, lams)
         return vals[index], errs[index]
     if engine == "torus":
-        dist = np.array([_torus_distance(lam, d) for lam in lams.tolist()])
+        dist = _torus_distance(lams, d)
         torus = np.ones(lams.size, dtype=bool)
     elif engine == "auto":
-        dist = np.array([dist_to_band(lam, d) for lam in lams.tolist()])
+        dist = dist_to_band(lams, d)
         on_band = dist == 0.0
         if on_band.any():
             raise ValueError(f"lambda={lams[on_band][0]} lies on the band; use green_boundary")
@@ -678,12 +675,19 @@ def green_many(
             require_dimension_3(d, f"green_auto within {_DIST_MIN_LOW_D} of the band")
     else:
         raise ValueError(f"unknown engine {engine!r}")
+    # per lambda: the torus grid size auto_n_quad(dist), or 0 for the
+    # oscillatory engine; one memoised block per value
+    n_quad = np.zeros(lams.size, dtype=int)
+    n_quad[torus] = auto_n_quad(dist[torus])
     vals = np.empty((len(canons), lams.size), dtype=complex)
     errs = np.empty(vals.shape)
-    if torus.any():
-        vals[:, torus], errs[:, torus] = _torus_many(canons, lams[torus], dist[torus])
-    if not torus.all():
-        vals[:, ~torus], errs[:, ~torus] = _memo_block("osc", _osc_block, canons, lams[~torus])
+    for nq in sorted(set(n_quad.tolist())):
+        cols = n_quad == nq
+        if nq:
+            block = _memo_block("torus", _torus_block, canons, lams[cols], (nq,))
+        else:
+            block = _memo_block("osc", _osc_block, canons, lams[cols])
+        vals[:, cols], errs[:, cols] = block
     return vals[index], errs[index]
 
 
@@ -717,7 +721,7 @@ def green_boundary_many(
     i0), for every site (rows) and band point lambda0 (columns), d >= 3,
     with error estimates; shapes as in ``green_many``."""
     d = require_dimension_3(d, "green_boundary")
-    lam0 = np.array([float(x) for x in lambda0s])
+    lam0 = np.asarray(lambda0s, dtype=float)
     off = np.abs(lam0) > d
     if off.any():
         raise ValueError(f"lambda0={lam0[off][0]} is off the band [-{d},{d}]; use green_torus")

@@ -21,12 +21,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .lattice import Potential
 from .conformal import lambda_of_z
 from .resolvent import green_boundary
-from .determinant import RIM_RADIUS, PathRefinementError, det_eval, det_eval_many, march_log
+from .determinant import RIM_RADIUS, PathRefinementError, det_eval_many, march_log
 from ._util import GOLDEN_FRAC
 
 __all__ = [
@@ -92,28 +92,21 @@ class _BoundaryTooClose(Exception):
 
 class _DetCache:
     """Memoized D(z) evaluations shared across all contours of one search:
-    called with one point, or through ``many`` with the points known in
-    advance, which evaluates the new ones in one batch."""
+    ``many`` evaluates the points not yet known in one batch; a call with
+    one point is its one-point case."""
 
     def __init__(self, V: Potential):
         self.V = V
         self._memo: dict = {}
-        self.n_evals = 0
 
     def __call__(self, z: complex) -> complex:
-        got = self._memo.get(z)
-        if got is None:
-            got = det_eval(self.V, z).value
-            self._memo[z] = got
-            self.n_evals += 1
-        return got
+        return self.many([z])[0]
 
     def many(self, zs: "Sequence[complex]") -> "list[complex]":
         new = [z for z in dict.fromkeys(zs) if z not in self._memo]
         if new:
             for z, smp in zip(new, det_eval_many(self.V, new)):
                 self._memo[z] = smp.value
-            self.n_evals += len(new)
         return [self._memo[z] for z in zs]
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latspec.conformal import dist_to_band, lambda_of_z, z_of_lambda
+from latspec.determinant import circle_grid
 
 
 def _disc_points():
@@ -79,3 +80,53 @@ def test_joukowski_circle_to_ellipse():
     a = 0.5 * d * (1.0 / r + r)
     b = 0.5 * d * (1.0 / r - r)
     assert np.max(np.abs((lam.real / a) ** 2 + (lam.imag / b) ** 2 - 1.0)) < 1e-12
+
+
+def _bits(x):
+    # IEEE bit patterns, so that -0.0 and 0.0 differ
+    return np.asarray(x, dtype=complex).view(np.uint64)
+
+
+def _map_points():
+    pts = [circle_grid(r, 256) for r in (1e-3, 0.5, 0.95, 0.999)]
+    # both axes, both signs, both signs of the zero part
+    for x in (1e-3, 0.3, 0.5, 0.999):
+        for s in (1.0, -1.0):
+            for zero in (0.0, -0.0):
+                pts.append(np.array([complex(s * x, zero), complex(zero, s * x)]))
+    rng = np.random.default_rng(2024)
+    r, t = rng.uniform(1e-3, 0.999, 2000), rng.uniform(0.0, 2.0 * math.pi, 2000)
+    pts.append(r * np.exp(1j * t))
+    pts.append(rng.uniform(-0.7, 0.7, 500) + 1j * rng.uniform(-0.7, 0.7, 500))
+    return np.concatenate(pts)
+
+
+def test_array_map_is_bitwise_the_pointwise_and_python_forms():
+    # lambda_of_z and dist_to_band on an array against each point alone and
+    # against the Python forms 0.5*d*(z + 1/z) and |lam - clip(Re lam)|,
+    # bit for bit with the sign of zero
+    z = _map_points()
+    for d in (1, 2, 3, 4):
+        lam = lambda_of_z(z, d)
+        assert np.array_equal(_bits(lam), _bits([lambda_of_z(p, d) for p in z.tolist()]))
+        assert np.array_equal(_bits(lam), _bits([0.5 * d * (p + 1 / p) for p in z.tolist()]))
+        dist = dist_to_band(lam, d)
+        python = [abs(x - min(max(x.real, -float(d)), float(d))) for x in lam.tolist()]
+        assert np.array_equal(dist.view(np.uint64), np.array(python).view(np.uint64))
+        assert np.array_equal(dist, [dist_to_band(x, d) for x in lam.tolist()])
+        # mirrored points map to exact mirror images, up to the sign of a
+        # zero part (as in the Python form), which the memo's image ignores
+        assert np.array_equal(lambda_of_z(-z, d), -lam)
+        assert np.array_equal(lambda_of_z(z.conj(), d), lam.conj())
+        assert np.array_equal(lambda_of_z(-z.conj(), d), -lam.conj())
+    assert type(lambda_of_z(0.3 + 0.1j, 3)) is complex
+    assert type(dist_to_band(4.0, 3)) is float
+
+
+def test_array_map_refuses_like_a_point():
+    with pytest.raises(ZeroDivisionError):
+        lambda_of_z(np.array([0.5, 0.0]), 3)
+    with pytest.raises(ValueError, match="1.5 >= 1"):
+        lambda_of_z(np.array([0.5, 1.5j]), 3)
+    with pytest.raises(TypeError):
+        dist_to_band(np.array([4.0]), 3.0)

@@ -7,14 +7,12 @@ import pytest
 from latspec.conformal import dist_to_band, lambda_of_z
 from latspec import determinant
 from latspec.determinant import (
-    DeterminantSample,
-    NumericalError,
     PathRefinementError,
     QuadPolicy,
     circle_grid,
     det_eval,
     det_eval_many,
-    log_det_path,
+    march_log,
     moment_relation_check,
     taylor_coeffs,
 )
@@ -94,44 +92,45 @@ def test_det_error_estimate_scales_with_matrix(mix3):
     assert s.err_estimate < 1e-10 * max(1.0, abs(s.value))
 
 
-def test_log_det_path_matches_principal_log(mix3):
+def test_march_log_matches_principal_log(mix3):
     # a short radial path from near zero: continuous log equals principal log
-    path = [0.01 * k * (0.6 + 0.3j) for k in range(1, 101)]
-    samples = log_det_path(mix3, path)
-    for smp in samples[:: 20]:
-        direct = cmath.log(smp.value)
-        assert smp.log_value == pytest.approx(direct, abs=1e-9)
+    def z_of(s):
+        return 0.01 * s * (0.6 + 0.3j)
+
+    params = range(1, 101)
+    march = march_log(lambda z: det_eval(mix3, z).value, z_of, params)
+    for s, log_value in list(zip(params, march.logs))[::20]:
+        direct = cmath.log(det_eval(mix3, z_of(s)).value)
+        assert log_value == pytest.approx(direct, abs=1e-9)
 
 
-def test_log_det_path_winding_continuity(v3):
-    # encircling the lone zero z1 ~ 0.55: the phase must advance by 2 pi;
-    # the radial lead-in runs off-axis so it cannot cross the real zero
-    dir0 = cmath.exp(0.3j)
-    ramp = [(0.005 + 0.71 * k / 80) * dir0 for k in range(81)]
+def test_march_log_winding_continuity(v3):
+    # once round the lone zero z1 ~ 0.55 on |z| = 0.715: the phase must
+    # advance by 2 pi, whichever node the circle starts from
+    def z_of(t):
+        return 0.715 * cmath.exp(1j * t)
+
     n = 160
-    circle = [0.715 * cmath.exp(1j * (0.3 + 2.0 * math.pi * k / n)) for k in range(n + 1)]
-    samples = log_det_path(v3, ramp + circle)
-    dphi = samples[-1].log_value.imag - samples[len(ramp)].log_value.imag
+    params = [0.3 + 2.0 * math.pi * k / n for k in range(n + 1)]
+    values = [smp.value for smp in det_eval_many(v3, [z_of(t) for t in params])]
+    march = march_log(lambda z: det_eval(v3, z).value, z_of, params, values)
+    dphi = march.logs[-1].imag - march.logs[0].imag
     assert dphi == pytest.approx(2.0 * math.pi, abs=1e-6)
 
 
-def test_log_det_path_refuses_coarse_jumps(v3):
-    # the segment 0.05 -> 0.56 runs right over the zero: no bisection can
-    # resolve the phase jump there
-    path = [0.05, 0.56, 0.05 + 0.4j]
-    with pytest.raises((PathRefinementError, ValueError)):
-        log_det_path(v3, path)
+def test_march_log_refuses_after_max_depth(v3):
+    # the segment 0.05 -> 0.56 runs right over the real zero z1 ~ 0.55, where
+    # D changes sign: every bisection keeps a half-turn step, and the march
+    # gives up after _MARCH_MAX_DEPTH of them, one sample each
+    calls = []
 
+    def f(z):
+        calls.append(z)
+        return det_eval(v3, z).value
 
-def test_log_det_path_vanishing_node_is_numerical(v3, monkeypatch):
-    # a node where |D| < 1e-13 is a numerical failure (CLI exit 3), not bad
-    # input: the path is valid, the determinant just vanishes on it
-    def one_zero_sample(V, zs, policy=None):
-        return [DeterminantSample(z, 0.0 if k == 1 else 1.0, 0.0) for k, z in enumerate(zs)]
-
-    monkeypatch.setattr(determinant, "det_eval_many", one_zero_sample)
-    with pytest.raises(NumericalError, match="passes through a zero"):
-        log_det_path(v3, [0.005, 0.3, 0.5])
+    with pytest.raises(PathRefinementError, match=f"after {determinant._MARCH_MAX_DEPTH} bisections"):
+        march_log(f, lambda s: complex(s), [0.05, 0.56])
+    assert len(calls) == 2 + determinant._MARCH_MAX_DEPTH
 
 
 def test_taylor_radius_independence(v3):

@@ -336,7 +336,6 @@ def test_green_cache_counters_repeat(v3):
     osc, torus = infos[0]["osc"], infos[0]["torus"]
     assert osc["misses"] == osc["size"] > 0 and osc["hits"] > 0
     assert torus["misses"] == torus["size"] > 0
-    assert infos[0]["time"] == {"hits": 0, "misses": 0, "size": 0}
 
 
 def _mirrors(lam):
@@ -389,10 +388,10 @@ def test_fold_against_direct_cores():
                 assert folded == direct
             else:
                 assert close(folded, direct), (canon, lam)
-        # the time engine's half plane Im <= 0, so its fold is lam -> -conj lam
+        # the time engine applies no fold: it is its core
         lam = -0.8 - 0.9j
         direct = resolvent._time_block([canon], np.array([lam]))[0][0, 0]
-        assert close(green_time(canon, lam, 3).value, direct)
+        assert green_time(canon, lam, 3).value == direct
         # the oscillatory engine: interior (Im lam < 0) and the minus side of the band
         for lam in (-1.3 - 0.4j, -2.9 - 0.05j):
             direct = resolvent._osc_block([canon], np.array([lam]))[0][0, 0]
@@ -419,12 +418,65 @@ def test_mirror_images_share_one_value():
         resolvent.green_many(sites, [lam + 1e-15], 3)
         assert resolvent.green_cache_info()[engine]["misses"] == 6
     resolvent.clear_green_cache()
-    vals, _ = resolvent.green_many(sites, [0.6 - 0.3j, -0.6 + 0.3j], 3, engine="time")
-    assert resolvent.green_cache_info()["time"]["misses"] == 3
-    resolvent.clear_green_cache()
     vals, _ = resolvent.green_boundary_many(sites, [1.5, 1.5, -1.5, -1.5], [False, True, False, True], 3)
     assert resolvent.green_cache_info()["osc"]["misses"] == 3
     for row, n in zip(vals, sites):
         sign = -(-1) ** sum(abs(c) for c in n)
         assert row[1] == row[0].conjugate()
         assert row[2] == sign * row[0].conjugate() and row[3] == sign * row[0]
+
+
+def test_memo_pass_computes_exactly_the_missing_keys(monkeypatch):
+    # a block of 3 orbits x 4 images with half its 12 keys known: the core
+    # is called once, on exactly the orbits and images with a missing key;
+    # each (orbit, lambda) pair counts once, a hit unless its key was
+    # missing, so a mirror or repeat of an image counts as a hit
+    calls = []
+    torus = resolvent._torus_block
+
+    def counted(canons, lams, n_quad):
+        calls.append((list(canons), lams.tolist(), n_quad))
+        return torus(canons, lams, n_quad)
+
+    monkeypatch.setattr(resolvent, "_torus_block", counted)
+    q = [1.0 - 2.0j, 2.0 - 1.5j, 0.5 - 3.0j, 3.5 - 1.3j]  # torus images at n_quad 32
+    o1, o2, o3 = (0, 0, 0), (1, 0, 0), (1, 1, 0)
+    sites = [o1, o2, (0, -1, 0), o3]
+    lams = [q[0], q[1], -q[0], q[2], q[3], q[1].conjugate()]
+    resolvent.clear_green_cache()
+    cold, cold_err = resolvent.green_many(sites, lams, 3)
+    resolvent.clear_green_cache()
+    resolvent.green_many([o3], q, 3)
+    resolvent.green_many([o1, o2], q[:1], 3)
+    before = resolvent.green_cache_info()["torus"]
+    calls.clear()
+    vals, errs = resolvent.green_many(sites, lams, 3)
+    assert calls == [([o1, o2], q[1:], 32)]
+    after = resolvent.green_cache_info()["torus"]
+    assert after["misses"] - before["misses"] == 6
+    assert after["hits"] - before["hits"] == 3 * len(lams) - 6
+    assert after["size"] == 12
+    assert np.array_equal(vals, cold) and np.array_equal(errs, cold_err)
+    # nothing missing: no core call, every pair a hit
+    resolvent.green_many(sites, lams, 3)
+    assert len(calls) == 1
+    assert resolvent.green_cache_info()["torus"]["hits"] - after["hits"] == 3 * len(lams)
+    resolvent.clear_green_cache()
+
+
+def test_time_engine_is_outside_the_fold():
+    # green_time is its core in all four quadrants, bit for bit; the upper
+    # half plane is the exact conjugate of the lower, and no memo is kept
+    resolvent.clear_green_cache()
+    for canon in ((0, 0, 0), (1, 0, 0), (2, 1, 0)):
+        for lam in (0.8 - 0.9j, -0.8 - 0.9j, 0.8 + 0.9j, -0.8 + 0.9j):
+            got = green_time(canon, lam, 3)
+            vals, errs = resolvent._time_block([canon], np.array([lam]))
+            assert got.value == vals[0, 0] and got.err_estimate == errs[0, 0]
+            if lam.imag > 0:
+                below = green_time(canon, lam.conjugate(), 3)
+                assert got.value == below.value.conjugate()
+                assert got.err_estimate == below.err_estimate
+    info = resolvent.green_cache_info()
+    assert "time" not in info
+    assert all(v == {"hits": 0, "misses": 0, "size": 0} for v in info.values())
