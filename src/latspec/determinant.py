@@ -9,8 +9,8 @@ factorization, trace residuals) consumes the entry points here:
                     evaluation path
     det_eval        its one-point case
     march_log       the one phase marcher: a continuous branch of log D
-                    along a parametrised curve, bisecting every step whose
-                    phase turns by more than pi/2
+                    along parametrised curves, bisecting every step whose
+                    phase turns by more than pi/2, level by level
     taylor_coeffs   c_n with  log D(z) = -sum_n c_n z^n,  via the Cauchy
                     integral on a circle that march_log shows encloses no
                     zeros
@@ -26,10 +26,12 @@ the initial nodes of a counting contour) passes them all to
 ``det_eval_many``.  That makes one block request per point group to the
 Green engines (support differences x lambdas; the engines chunk the
 lambda axis and memoize per value) and one stacked det/svd over the
-(K, |S|, |S|) matrices.  Only ``march_log``'s bisection points and the
-Newton steps of the zero polish, which are not known in advance, come
-one at a time.  Batching changes no number: each sample equals, bit for
-bit, the one ``det_eval`` returns for its point alone.
+(K, |S|, |S|) matrices.  Points that are not known in advance come in
+batches too: ``march_log`` takes the bisection midpoints of all its
+curves one depth at a time, and the zero polish asks for each Newton
+stencil x, x + h, x - h at once.  Batching changes no number: each
+sample equals, bit for bit, the one ``det_eval`` returns for its point
+alone.
 
 The circles are sampled as exact mirror images.  ``circle_grid`` builds
 its first quadrant and fills the rest by exact conjugation and
@@ -47,7 +49,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -249,7 +251,7 @@ def det_eval(V: Potential, z: complex, policy: QuadPolicy = QuadPolicy()) -> Det
 
 @dataclass
 class PhaseMarch:
-    """What march_log returns.
+    """What march_log returns for one curve.
 
     logs: continuous log D at the nodes; logs[0] is the principal log.
     min_abs, max_abs: extremes of |D| over every sample, bisection points
@@ -265,57 +267,104 @@ class PhaseMarch:
     z_dlog: complex
 
 
-def march_log(
-    f: Callable[[complex], complex],
-    z_of: Callable[[float], complex],
-    params: Sequence[float],
-    values: Optional[Sequence[complex]] = None,
-) -> PhaseMarch:
-    """Phase-continuous log of f along the curve z_of over the nodes ``params``.
+class _Step:
+    """One step of a march, from parameter sa to sb: the principal log of
+    the ratio of its end values, and its two halves once it is bisected."""
 
-    ``values`` may hold f at the nodes already; otherwise they are sampled.
+    __slots__ = ("curve", "sa", "sb", "za", "zb", "fa", "fb", "inc", "halves")
+
+    def __init__(self, curve, sa, sb, za, zb, fa, fb):
+        self.curve = curve
+        self.sa, self.sb, self.za, self.zb, self.fa, self.fb = sa, sb, za, zb, fa, fb
+        self.inc = cmath.log(fb / fa)
+        self.halves = None
+
+
+def march_log(
+    f_many: Callable[["list[complex]"], "list[complex]"],
+    curves: "Sequence[tuple]",
+) -> "list[PhaseMarch]":
+    """Phase-continuous log of f along each of ``curves``.
+
+    A curve is (z_of, params, values): the points z_of(s) over the nodes
+    ``params``, with ``values`` holding f at them already, or None to
+    sample them.  f_many maps a list of points to the list of f values.
     Each step between neighbouring nodes is the principal log of the ratio
     of its end values.  A step whose phase turns by more than pi/2 is
-    bisected in the parameter, recursively, so the march cannot drop a
-    turn.  A step still unresolved after _MARCH_MAX_DEPTH bisections, or
-    a sample where f vanishes, raises PathRefinementError.
-    """
-    zs = [z_of(s) for s in params]
-    vals = [f(z) for z in zs] if values is None else list(values)
-    min_abs = min(abs(v) for v in vals)
-    max_abs = max(abs(v) for v in vals)
-    if min_abs == 0.0:
-        raise PathRefinementError("D vanishes at a node of the march")
-    z_dlog = 0.0 + 0.0j
+    bisected in the parameter, and its halves are checked in turn, so the
+    march cannot drop a turn.  A step still unresolved after
+    _MARCH_MAX_DEPTH bisections, or a sample where f vanishes, raises
+    PathRefinementError.
 
-    def step(sa, sb, za, zb, fa, fb, depth):
-        nonlocal min_abs, max_abs, z_dlog
-        inc = cmath.log(fb / fa)
-        if abs(inc.imag) <= 0.5 * math.pi:
-            # log(|fb|/|fa|) equals inc.real to rounding; this form keeps the
-            # zero finder's reported roots bit-identical to earlier releases
-            z_dlog += 0.5 * (za + zb) * complex(math.log(abs(fb) / abs(fa)), inc.imag)
-            return inc
-        if depth >= _MARCH_MAX_DEPTH:
+    The march goes level by level: the unsampled nodes of every curve
+    take one f_many call, and so do the midpoints of all the steps of all
+    the curves that are unresolved at each depth.  A step's refinement
+    depends only on its end values, so the points sampled are those of a
+    depth-first bisection, and each step's increment is summed as left
+    half + right half, with z_dlog accumulated over the resolved steps in
+    depth-first order.  The results equal, bit for bit, those of marching
+    each curve on its own with a one-point f.
+    """
+    zss = [[z_of(s) for s in params] for z_of, params, _ in curves]
+    missing = [zs for (_, _, values), zs in zip(curves, zss) if values is None]
+    fresh = iter(f_many([z for zs in missing for z in zs]) if missing else [])
+    valss = [[next(fresh) for _ in zs] if values is None else list(values)
+             for (_, _, values), zs in zip(curves, zss)]
+    min_abs = [min(abs(v) for v in vals) for vals in valss]
+    max_abs = [max(abs(v) for v in vals) for vals in valss]
+    if min(min_abs) == 0.0:
+        raise PathRefinementError("D vanishes at a node of the march")
+
+    top = [
+        [_Step(c, params[k - 1], params[k], zs[k - 1], zs[k], vals[k - 1], vals[k])
+         for k in range(1, len(vals))]
+        for c, ((_, params, _), zs, vals) in enumerate(zip(curves, zss, valss))
+    ]
+    level = [st for steps in top for st in steps]
+    for depth in range(_MARCH_MAX_DEPTH + 1):
+        # a NaN increment is unresolved too
+        level = [st for st in level if not abs(st.inc.imag) <= 0.5 * math.pi]
+        if not level:
+            break
+        if depth == _MARCH_MAX_DEPTH:
+            st = level[0]
             raise PathRefinementError(
-                f"phase step from z={za} to z={zb} still turns by {inc.imag:+.3f} "
+                f"phase step from z={st.za} to z={st.zb} still turns by {st.inc.imag:+.3f} "
                 f"after {depth} bisections; a zero of D lies on or next to the path"
             )
-        sm = 0.5 * (sa + sb)
-        zm = z_of(sm)
-        fm = f(zm)
-        min_abs = min(min_abs, abs(fm))
-        max_abs = max(max_abs, abs(fm))
-        if fm == 0:
-            raise PathRefinementError(f"D vanishes at z={zm}")
-        return step(sa, sm, za, zm, fa, fm, depth + 1) + step(sm, sb, zm, zb, fm, fb, depth + 1)
+        sms = [0.5 * (st.sa + st.sb) for st in level]
+        zms = [curves[st.curve][0](sm) for st, sm in zip(level, sms)]
+        halves = []
+        for st, sm, zm, fm in zip(level, sms, zms, f_many(zms)):
+            c = st.curve
+            min_abs[c] = min(min_abs[c], abs(fm))
+            max_abs[c] = max(max_abs[c], abs(fm))
+            if fm == 0:
+                raise PathRefinementError(f"D vanishes at z={zm}")
+            st.halves = (_Step(c, st.sa, sm, st.za, zm, st.fa, fm),
+                         _Step(c, sm, st.sb, zm, st.zb, fm, st.fb))
+            halves.extend(st.halves)
+        level = halves
 
-    logs = np.empty(len(vals), dtype=complex)
-    logs[0] = cmath.log(vals[0])
-    for k in range(1, len(vals)):
-        inc = step(params[k - 1], params[k], zs[k - 1], zs[k], vals[k - 1], vals[k], 0)
-        logs[k] = logs[k - 1] + inc
-    return PhaseMarch(logs=logs, min_abs=min_abs, max_abs=max_abs, z_dlog=z_dlog)
+    def total(st):
+        nonlocal z_dlog
+        if st.halves is not None:
+            return total(st.halves[0]) + total(st.halves[1])
+        # log(|fb|/|fa|) equals inc.real to rounding; this form keeps the
+        # zero finder's reported roots bit-identical to earlier releases
+        z_dlog += 0.5 * (st.za + st.zb) * complex(math.log(abs(st.fb) / abs(st.fa)), st.inc.imag)
+        return st.inc
+
+    marches = []
+    for c, steps in enumerate(top):
+        z_dlog = 0.0 + 0.0j
+        vals = valss[c]
+        logs = np.empty(len(vals), dtype=complex)
+        logs[0] = cmath.log(vals[0])
+        for k, st in enumerate(steps, 1):
+            logs[k] = logs[k - 1] + total(st)
+        marches.append(PhaseMarch(logs=logs, min_abs=min_abs[c], max_abs=max_abs[c], z_dlog=z_dlog))
+    return marches
 
 
 def taylor_coeffs(
@@ -348,11 +397,9 @@ def taylor_coeffs(
     m2 = 2 * m_samples
     ts = 2.0 * math.pi * np.arange(m2 + 1) / m2  # the last node closes the loop
     vals = [smp.value for smp in det_eval_many(V, circle_grid(r, m2))]
-    march = march_log(
-        lambda z: det_eval(V, z).value,
-        lambda t: r * cmath.exp(1j * t),
-        ts,
-        vals + vals[:1],
+    (march,) = march_log(
+        lambda zs: [smp.value for smp in det_eval_many(V, zs)],
+        [(lambda t: r * cmath.exp(1j * t), ts, vals + vals[:1])],
     )
     winding = int(round((march.logs[-1] - march.logs[0]).imag / (2.0 * math.pi)))
     if winding != 0:

@@ -12,6 +12,11 @@ The strategy is classical:
   3. polish with a multiplicity-aware Newton step (derivative by central
      differences) and re-verify each root by a small winding circle.
 
+D is sampled in batches through one memo (``_DetCache``): the initial
+nodes of both children of a split, the bisection midpoints of every piece
+of a contour at each depth, the box midpoints and each Newton stencil
+x, x + h, x - h are one ``det_eval_many`` call apiece.
+
 All jitter used to dodge zeros sitting on cell boundaries is a fixed
 golden-ratio offset, so runs are reproducible.
 """
@@ -92,15 +97,11 @@ class _BoundaryTooClose(Exception):
 
 class _DetCache:
     """Memoized D(z) evaluations shared across all contours of one search:
-    ``many`` evaluates the points not yet known in one batch; a call with
-    one point is its one-point case."""
+    ``many`` evaluates the points not yet known in one batch."""
 
     def __init__(self, V: Potential):
         self.V = V
         self._memo: dict = {}
-
-    def __call__(self, z: complex) -> complex:
-        return self.many([z])[0]
 
     def many(self, zs: "Sequence[complex]") -> "list[complex]":
         new = [z for z in dict.fromkeys(zs) if z not in self._memo]
@@ -110,26 +111,31 @@ class _DetCache:
         return [self._memo[z] for z in zs]
 
 
+def _grids(pieces):
+    """(z_fun, params) for each of a contour's ``pieces`` (z_fun, s0, s1,
+    n_init): n_init + 1 equispaced parameters on [s0, s1]."""
+    return [(z_fun, [s0 + (s1 - s0) * k / n_init for k in range(n_init + 1)])
+            for z_fun, s0, s1, n_init in pieces]
+
+
 def _winding(cache: _DetCache, pieces, where: str):
     """(winding, centroid) of D around a closed contour.
 
     ``pieces`` are (z_fun, s0, s1, n_init): curves z_fun([s0, s1]) that
-    join into the contour, each marched by march_log from n_init + 1
-    equispaced nodes, which are evaluated together up front.  The centroid is sum (1/2 pi i) oint z dlogD, the sum
-    of the enclosed zeros.  Raises _BoundaryTooClose when |D| dips below
-    _MIN_ABS_FRAC of its maximum on a piece or the phase cannot be marched.
+    join into the contour, marched from the nodes ``_grids`` gives them.
+    One march_log call marches all the pieces, so their initial nodes are
+    one batch, and so are the bisection points of every piece at each
+    depth.  The centroid is sum (1/2 pi i) oint z dlogD, the sum of the
+    enclosed zeros.  Raises _BoundaryTooClose when the phase cannot be
+    marched or |D| dips below _MIN_ABS_FRAC of its maximum on a piece.
     """
+    try:
+        marches = march_log(cache.many, [(z_fun, params, None) for z_fun, params in _grids(pieces)])
+    except PathRefinementError:
+        raise _BoundaryTooClose from None
     total = 0.0
     centroid = 0.0 + 0.0j
-    grids = [[s0 + (s1 - s0) * k / n_init for k in range(n_init + 1)] for _, s0, s1, n_init in pieces]
-    # the initial nodes of every piece in one batch
-    nodes = [[z_fun(s) for s in params] for (z_fun, *_), params in zip(pieces, grids)]
-    cache.many([z for zs in nodes for z in zs])
-    for (z_fun, *_), params, zs in zip(pieces, grids, nodes):
-        try:
-            march = march_log(cache, z_fun, params, cache.many(zs))
-        except PathRefinementError:
-            raise _BoundaryTooClose from None
+    for march in marches:
         if march.min_abs < _MIN_ABS_FRAC * max(march.max_abs, 1e-30):
             raise _BoundaryTooClose
         total += (march.logs[-1] - march.logs[0]).imag
@@ -140,22 +146,23 @@ def _winding(cache: _DetCache, pieces, where: str):
     return int(round(w)), centroid
 
 
-def _sector_winding(cache: _DetCache, sec: AnnularSector):
-    """(winding, centroid) for an annular sector contour.
+def _sector_pieces(sec: AnnularSector):
+    """The pieces of an annular sector's contour, for ``_winding``.
 
     A full circle decomposes into two closed circles (outer CCW minus
     inner CCW); a proper sector is one closed loop of four pieces.
     """
-    pieces = []
     if sec.full_circle:
-        pieces.append((lambda t: cmath.rect(sec.r_hi, t), sec.t_lo, sec.t_hi, 24))
-        pieces.append((lambda t: cmath.rect(sec.r_lo, t), sec.t_hi, sec.t_lo, 24))
-    else:
-        pieces.append((lambda t: cmath.rect(sec.r_hi, t), sec.t_lo, sec.t_hi, 12))
-        pieces.append((lambda r: cmath.rect(r, sec.t_hi), sec.r_hi, sec.r_lo, 8))
-        pieces.append((lambda t: cmath.rect(sec.r_lo, t), sec.t_hi, sec.t_lo, 12))
-        pieces.append((lambda r: cmath.rect(r, sec.t_lo), sec.r_lo, sec.r_hi, 8))
-    return _winding(cache, pieces, f"sector {sec}")
+        return [
+            (lambda t: cmath.rect(sec.r_hi, t), sec.t_lo, sec.t_hi, 24),
+            (lambda t: cmath.rect(sec.r_lo, t), sec.t_hi, sec.t_lo, 24),
+        ]
+    return [
+        (lambda t: cmath.rect(sec.r_hi, t), sec.t_lo, sec.t_hi, 12),
+        (lambda r: cmath.rect(r, sec.t_hi), sec.r_hi, sec.r_lo, 8),
+        (lambda t: cmath.rect(sec.r_lo, t), sec.t_hi, sec.t_lo, 12),
+        (lambda r: cmath.rect(r, sec.t_lo), sec.r_lo, sec.r_hi, 8),
+    ]
 
 
 def _count_with_retry(cache: _DetCache, sec: AnnularSector, max_retries: int = 5):
@@ -163,7 +170,7 @@ def _count_with_retry(cache: _DetCache, sec: AnnularSector, max_retries: int = 5
     zero sits (numerically) on the contour."""
     for attempt in range(max_retries + 1):
         try:
-            return _sector_winding(cache, sec), sec
+            return _winding(cache, _sector_pieces(sec), f"sector {sec}"), sec
         except _BoundaryTooClose:
             bump_t = GOLDEN_FRAC * (sec.t_hi - sec.t_lo) * 1e-3 * (attempt + 1)
             bump_r = GOLDEN_FRAC * (sec.r_hi - sec.r_lo) * 1e-3 * (attempt + 1)
@@ -210,6 +217,9 @@ def _split_counted(cache: _DetCache, sec: AnnularSector, m: int):
     fractions until the counts exist and add up to the parent's."""
     for attempt in range(4):
         children = _split(sec, attempt)
+        # the initial nodes of both children in one batch; the memo
+        # evaluates the points of their shared edge once
+        cache.many([z_fun(s) for ch in children for z_fun, params in _grids(_sector_pieces(ch)) for s in params])
         try:
             counted = [(_count_with_retry(cache, ch)[0][0], ch) for ch in children]
         except (_BoundaryTooClose, ZeroIsolationError):
@@ -220,20 +230,21 @@ def _split_counted(cache: _DetCache, sec: AnnularSector, m: int):
 
 
 def _newton_polish(cache: _DetCache, x0: complex, m: int, scale: float, tol: float, cell: float):
-    """Multiplicity-aware Newton (Schroeder) iteration with finite-difference
-    derivative.  Returns (root, |D(root)|, last_step)."""
+    """Multiplicity-aware Newton (Schroeder) iteration with central-difference
+    derivative; each iteration samples x, x + h and x - h in one batch.
+    Returns (root, |D(root)|, last_step)."""
     x = x0
     h = max(1e-6 * cell, 1e-12)
-    best = (x, abs(cache(x)))
+    best = None
     last_step = cell
     for _ in range(60):
-        f = cache(x)
+        f, f_plus, f_minus = cache.many([x, x + h, x - h])
         af = abs(f)
-        if af < best[1]:
+        if best is None or af < best[1]:
             best = (x, af)
         if af <= tol * scale:
             return x, af, last_step
-        df = (cache(x + h) - cache(x - h)) / (2.0 * h)
+        df = (f_plus - f_minus) / (2.0 * h)
         if df == 0:
             break
         step = -m * f / df
@@ -248,8 +259,9 @@ def _newton_polish(cache: _DetCache, x0: complex, m: int, scale: float, tol: flo
         last_step = abs(step)
         h = max(1e-9 * cell, min(h, max(last_step, 1e-12)))
         if last_step < 1e-16:
-            f = cache(x)
-            best = min(best, (x, abs(f)), key=lambda p: p[1])
+            af = abs(cache.many([x])[0])
+            if af < best[1]:
+                best = (x, af)
             break
     return best[0], best[1], last_step
 
@@ -297,7 +309,9 @@ def find_zeros(
                 work.append((ch, c, depth + 1))
 
     records: "list[ZeroRecord]" = []
-    for sec, m in boxes:
+    # D at the box midpoints sets each polish's residual scale
+    mids = cache.many([sec.midpoint() for sec, _ in boxes])
+    for (sec, m), mid in zip(boxes, mids):
         # centroid from the cell's own winding integral seeds the polish
         try:
             (w, centroid), sec2 = _count_with_retry(cache, sec)
@@ -306,7 +320,7 @@ def find_zeros(
         if w != m:
             centroid = sec.midpoint() * m
         start = centroid / m if m else sec.midpoint()
-        scale = max(abs(cache(sec.midpoint())), 1.0)
+        scale = max(abs(mid), 1.0)
         z_hat, resid, last_step = _newton_polish(cache, start, m, scale, tol, sec.diameter)
 
         # re-verify: a small circle around the polished root must wind m times

@@ -92,13 +92,53 @@ def test_det_error_estimate_scales_with_matrix(mix3):
     assert s.err_estimate < 1e-10 * max(1.0, abs(s.value))
 
 
+def _det_many(V):
+    return lambda zs: [smp.value for smp in det_eval_many(V, zs)]
+
+
+def _march_log_dfs(f, z_of, params, values=None):
+    """The depth-first recursive marcher that march_log replaced, with a
+    one-point f: the oracle for its level-by-level batched march."""
+    zs = [z_of(s) for s in params]
+    vals = [f(z) for z in zs] if values is None else list(values)
+    min_abs = min(abs(v) for v in vals)
+    max_abs = max(abs(v) for v in vals)
+    if min_abs == 0.0:
+        raise PathRefinementError("D vanishes at a node of the march")
+    z_dlog = 0.0 + 0.0j
+
+    def step(sa, sb, za, zb, fa, fb, depth):
+        nonlocal min_abs, max_abs, z_dlog
+        inc = cmath.log(fb / fa)
+        if abs(inc.imag) <= 0.5 * math.pi:
+            z_dlog += 0.5 * (za + zb) * complex(math.log(abs(fb) / abs(fa)), inc.imag)
+            return inc
+        if depth >= determinant._MARCH_MAX_DEPTH:
+            raise PathRefinementError(f"after {depth} bisections")
+        sm = 0.5 * (sa + sb)
+        zm = z_of(sm)
+        fm = f(zm)
+        min_abs = min(min_abs, abs(fm))
+        max_abs = max(max_abs, abs(fm))
+        if fm == 0:
+            raise PathRefinementError(f"D vanishes at z={zm}")
+        return step(sa, sm, za, zm, fa, fm, depth + 1) + step(sm, sb, zm, zb, fm, fb, depth + 1)
+
+    logs = np.empty(len(vals), dtype=complex)
+    logs[0] = cmath.log(vals[0])
+    for k in range(1, len(vals)):
+        inc = step(params[k - 1], params[k], zs[k - 1], zs[k], vals[k - 1], vals[k], 0)
+        logs[k] = logs[k - 1] + inc
+    return determinant.PhaseMarch(logs=logs, min_abs=min_abs, max_abs=max_abs, z_dlog=z_dlog)
+
+
 def test_march_log_matches_principal_log(mix3):
     # a short radial path from near zero: continuous log equals principal log
     def z_of(s):
         return 0.01 * s * (0.6 + 0.3j)
 
     params = range(1, 101)
-    march = march_log(lambda z: det_eval(mix3, z).value, z_of, params)
+    (march,) = march_log(_det_many(mix3), [(z_of, params, None)])
     for s, log_value in list(zip(params, march.logs))[::20]:
         direct = cmath.log(det_eval(mix3, z_of(s)).value)
         assert log_value == pytest.approx(direct, abs=1e-9)
@@ -113,9 +153,57 @@ def test_march_log_winding_continuity(v3):
     n = 160
     params = [0.3 + 2.0 * math.pi * k / n for k in range(n + 1)]
     values = [smp.value for smp in det_eval_many(v3, [z_of(t) for t in params])]
-    march = march_log(lambda z: det_eval(v3, z).value, z_of, params, values)
+    (march,) = march_log(_det_many(v3), [(z_of, params, values)])
     dphi = march.logs[-1].imag - march.logs[0].imag
     assert dphi == pytest.approx(2.0 * math.pi, abs=1e-6)
+
+
+def test_march_log_batched_equals_depth_first(v3, mix3):
+    # the level-by-level march equals the depth-first recursion bit for bit
+    # (logs, |D| extremes, z_dlog) and samples the same points, on curves
+    # marched together that need several bisection levels: coarse 8-step
+    # circles at |z| = 0.715 and 0.6 around the v3 zero z1 ~ 0.55, and a
+    # four-piece sector contour with a corner next to the zero
+    # 0.329 e^(-0.368i) of mix3 scaled by 4
+    def circle(r):
+        return lambda t: r * cmath.exp(1j * t)
+
+    ts = [0.3 + 2.0 * math.pi * k / 8 for k in range(9)]
+    r_lo, r_hi, t_lo, t_hi = 0.325, 0.6, -0.38, 0.4
+    t_mid = 0.5 * (t_lo + t_hi)
+    cases = [
+        (v3, [(circle(0.715), ts), (circle(0.6), ts)], 2),
+        (mix3.scale(4.0), [
+            (lambda t: cmath.rect(r_hi, t), [t_lo, t_mid, t_hi]),
+            (lambda r: cmath.rect(r, t_hi), [r_hi, r_lo]),
+            (lambda t: cmath.rect(r_lo, t), [t_hi, t_mid, t_lo]),
+            (lambda r: cmath.rect(r, t_lo), [r_lo, r_hi]),
+        ], 1),
+    ]
+    for V, pieces, loops in cases:
+        batches, ones = [], []
+
+        def f_many(zs):
+            batches.append(list(zs))
+            return _det_many(V)(zs)
+
+        def f(z):
+            ones.append(z)
+            return det_eval(V, z).value
+
+        marches = march_log(f_many, [(z_of, params, None) for z_of, params in pieces])
+        for (z_of, params), got in zip(pieces, marches):
+            want = _march_log_dfs(f, z_of, params)
+            assert got.logs.tobytes() == want.logs.tobytes()
+            assert (got.min_abs, got.max_abs, got.z_dlog) == (want.min_abs, want.max_abs, want.z_dlog)
+        assert sorted((z.real, z.imag) for zs in batches for z in zs) == sorted((z.real, z.imag) for z in ones)
+        # one call for the nodes, then one per depth, several levels deep,
+        # with the steps of more than one curve or piece in some level
+        assert len(batches) >= 4
+        assert max(len(zs) for zs in batches[1:]) >= 2
+        # each closed loop winds once around its zero
+        turns = sum((m.logs[-1] - m.logs[0]).imag for m in marches) / (2.0 * math.pi)
+        assert turns == pytest.approx(loops, abs=1e-9)
 
 
 def test_march_log_refuses_after_max_depth(v3):
@@ -124,12 +212,12 @@ def test_march_log_refuses_after_max_depth(v3):
     # gives up after _MARCH_MAX_DEPTH of them, one sample each
     calls = []
 
-    def f(z):
-        calls.append(z)
-        return det_eval(v3, z).value
+    def f_many(zs):
+        calls.extend(zs)
+        return _det_many(v3)(zs)
 
     with pytest.raises(PathRefinementError, match=f"after {determinant._MARCH_MAX_DEPTH} bisections"):
-        march_log(f, lambda s: complex(s), [0.05, 0.56])
+        march_log(f_many, [(lambda s: complex(s), [0.05, 0.56], None)])
     assert len(calls) == 2 + determinant._MARCH_MAX_DEPTH
 
 

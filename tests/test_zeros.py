@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from latspec.conformal import lambda_of_z
+from latspec import zeros
 from latspec.lattice import Potential
 from latspec.resolvent import green_auto
 from latspec.zeros import (
@@ -89,6 +90,27 @@ def test_find_zeros_complex_multi_site(mix3):
     # records arrive sorted by modulus then phase
     keys = [(abs(r.z), cmath.phase(r.z) % (2.0 * math.pi)) for r in recs]
     assert keys == sorted(keys)
+
+
+def test_find_zeros_batches_its_samples(mix3, monkeypatch):
+    # the marches go level by level over every piece of a contour, and the
+    # Newton stencil and the box midpoints come in one call each: the search
+    # on mix3 x 4 makes exactly 41 batched and 7 one-point det_eval_many
+    # calls (one-point calls only where a single step is left at a march
+    # level), and finds the zeros of test_find_zeros_complex_multi_site
+    sizes = []
+    real = zeros.det_eval_many
+
+    def counting(V, zs, *args, **kwargs):
+        sizes.append(len(zs))
+        return real(V, zs, *args, **kwargs)
+
+    monkeypatch.setattr(zeros, "det_eval_many", counting)
+    recs = find_zeros(mix3.scale(4.0), tol=1e-11)
+    assert (sizes.count(1), sum(n > 1 for n in sizes)) == (7, 41)
+    assert len(recs) == 3
+    assert all(rec.residual < 1e-9 and abs(rec.z) < 1.0 for rec in recs)
+    assert any(abs(r.z.imag) > 0.05 for r in recs)
 
 
 def test_find_zeros_deterministic(v3, zeros_v3):
