@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .lattice import Potential, quasi_norm
 from .hardy import BoundaryTrace, build_blaschke
@@ -113,7 +113,7 @@ def real_case_report(
     the report carries both residuals and names the smaller; downstream
     analysis, not this code, decides what that means.
     """
-    if not all(v.imag == 0.0 for _, v in V.entries):
+    if not V.is_real():
         raise ValueError("real_case_report requires a real-valued potential")
     d = V.d
     if any(abs(r.z.imag) > 1e-8 for r in zeros):

@@ -18,12 +18,12 @@ import sys
 from typing import Optional
 
 from ._util import complex_to_json, json_sanitize, parse_complex
-from .lattice import Potential, brute_force_moments, quasi_norm, trace_moments
+from .lattice import Potential, brute_force_moments, trace_moments
 from .resolvent import green_auto, green_boundary, green_time, green_torus
 from .determinant import (
     RIM_RADIUS, NumericalError, det_eval, moment_relation_check, taylor_coeffs,
 )
-from .zeros import coupling_threshold, find_zeros
+from .zeros import find_zeros
 from .hardy import boundary_trace, check_grid, jensen_check, outer_reconstruct, trace_residuals
 from .bounds import check_bounds, real_case_report
 from . import bessel
@@ -94,9 +94,9 @@ def _cmd_green(args) -> tuple:
     lam = parse_complex(args.lam)
     site = _parse_site(args.site)
     _require(len(site) == d, f"site length {len(site)} != d={d}")
-    if args.n_quad is not None:
-        _require(args.n_quad >= 4 and args.n_quad % 2 == 0, "--n-quad must be even, >= 4")
     method = args.method
+    # green_torus owns the rule for the value
+    _require(args.n_quad is None or method == "torus", "--n-quad applies only to --method torus")
     if method == "torus":
         g = green_torus(site, lam, d, n_quad=args.n_quad)
     elif method == "time":

@@ -86,15 +86,6 @@ class Potential:
     def values(self) -> np.ndarray:
         return np.array([v for _, v in self.entries], dtype=complex)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, site: Site) -> complex:
-        for s, v in self.entries:
-            if s == tuple(site):
-                return v
-        return 0.0
-
     def as_dict(self) -> dict[Site, complex]:
         return dict(self.entries)
 
@@ -107,8 +98,8 @@ class Potential:
     def scale(self, factor: complex) -> "Potential":
         return Potential(self.d, [(s, factor * v) for s, v in self.entries])
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return all(abs(v.imag) <= tol for _, v in self.entries)
+    def is_real(self) -> bool:
+        return all(v.imag == 0.0 for _, v in self.entries)
 
     def to_json(self) -> str:
         payload = {

@@ -436,17 +436,15 @@ def green_torus(
 
     The returned value is computed on the doubled grid (2 n_quad points per
     dimension); err_estimate is the difference between the two resolutions.
+    An explicit n_quad must be even and >= 8.
     """
     d = validate_dimension(d)
     lam = complex(lam)
     dist = _torus_distance(lam, d)
     if n_quad is None:
         n_quad = auto_n_quad(dist)
-    else:
-        n_quad = int(n_quad)
-        if n_quad < 8:
-            raise ValueError(f"n_quad must be >= 8, got {n_quad}")
-        n_quad += n_quad % 2
+    elif n_quad < 8 or n_quad % 2:
+        raise ValueError(f"n_quad must be even and >= 8, got {n_quad}")
     return _one(_memo_block("torus", _torus_block, [_orbit(n, d)], np.array([lam]), (n_quad,)))
 
 

@@ -9,8 +9,11 @@ The strategy is classical:
      phase marched adaptively (``determinant.march_log``) so no step can
      hide a full turn;
   2. quad-subdivide until every nonempty cell isolates one zero cluster;
-  3. polish with a multiplicity-aware Newton step (derivative by central
-     differences) and re-verify each root by a small winding circle.
+     each cell is counted once, and carries its count and the centroid of
+     its zeros (the z dlogD integral of the same march) to the polish;
+  3. polish from that centroid with a multiplicity-aware Newton step
+     (derivative by central differences) and re-verify each root by a
+     small winding circle.
 
 D is sampled in batches through one memo (``_DetCache``): the initial
 nodes of both children of a split, the bisection midpoints of every piece
@@ -46,6 +49,7 @@ _TWO_PI = 2.0 * math.pi
 _WINDING_GUARD = 0.05
 _MIN_ABS_FRAC = 1e-4  # boundary-too-close threshold relative to max |D| on the curve
 _MAX_DEPTH = 24
+_MAX_RETRIES = 5  # perturbations of a sector whose contour meets a zero
 
 
 @dataclass(frozen=True)
@@ -165,12 +169,13 @@ def _sector_pieces(sec: AnnularSector):
     ]
 
 
-def _count_with_retry(cache: _DetCache, sec: AnnularSector, max_retries: int = 5):
-    """Sector winding with deterministic golden-ratio perturbation when a
-    zero sits (numerically) on the contour."""
-    for attempt in range(max_retries + 1):
+def _count_with_retry(cache: _DetCache, sec: AnnularSector):
+    """(count, centroid, sector) of a sector's winding, with a deterministic
+    golden-ratio perturbation of the sector when a zero sits (numerically)
+    on the contour; ``sector`` is the one that was counted."""
+    for attempt in range(_MAX_RETRIES + 1):
         try:
-            return _winding(cache, _sector_pieces(sec), f"sector {sec}"), sec
+            return (*_winding(cache, _sector_pieces(sec), f"sector {sec}"), sec)
         except _BoundaryTooClose:
             bump_t = GOLDEN_FRAC * (sec.t_hi - sec.t_lo) * 1e-3 * (attempt + 1)
             bump_r = GOLDEN_FRAC * (sec.r_hi - sec.r_lo) * 1e-3 * (attempt + 1)
@@ -189,9 +194,7 @@ def count_zeros(V: Potential, region: "AnnularSector | Sequence[float]") -> int:
         region = AnnularSector(*region)
     if not V.support:
         return 0
-    cache = _DetCache(V)
-    (w, _), _ = _count_with_retry(cache, region)
-    return w
+    return _count_with_retry(_DetCache(V), region)[0]
 
 
 def _split(sec: AnnularSector, attempt: int = 0) -> "list[AnnularSector]":
@@ -214,17 +217,18 @@ def _split(sec: AnnularSector, attempt: int = 0) -> "list[AnnularSector]":
 
 def _split_counted(cache: _DetCache, sec: AnnularSector, m: int):
     """Split a sector and count the children, retrying with drifted cut
-    fractions until the counts exist and add up to the parent's."""
+    fractions until the counts exist and add up to the parent's.  Returns
+    (count, centroid, child) per child, the child as cut."""
     for attempt in range(4):
         children = _split(sec, attempt)
         # the initial nodes of both children in one batch; the memo
         # evaluates the points of their shared edge once
         cache.many([z_fun(s) for ch in children for z_fun, params in _grids(_sector_pieces(ch)) for s in params])
         try:
-            counted = [(_count_with_retry(cache, ch)[0][0], ch) for ch in children]
-        except (_BoundaryTooClose, ZeroIsolationError):
+            counted = [(*_count_with_retry(cache, ch)[:2], ch) for ch in children]
+        except ZeroIsolationError:
             continue
-        if sum(c for c, _ in counted) == m:
+        if sum(c for c, _, _ in counted) == m:
             return counted
     raise ZeroIsolationError(f"child counts never matched parent count {m} in {sec}")
 
@@ -285,43 +289,35 @@ def find_zeros(
     # angular datum at an irrational-ish angle: real potentials put zeros on
     # the real axis, which must not coincide with any subdivision seam
     root = AnnularSector(1e-3, r_outer, GOLDEN_FRAC, GOLDEN_FRAC + _TWO_PI)
-    (total, _), root = _count_with_retry(cache, root)
+    total, centroid, root = _count_with_retry(cache, root)
     if total == 0:
         return []
 
-    # subdivision: isolate clusters until each nonempty cell is small
-    work = [(root, total, 0)]
-    boxes: "list[tuple[AnnularSector, int]]" = []
+    # subdivision: isolate clusters until each nonempty cell is small; a
+    # cell keeps the centroid its count measured
+    work = [(root, total, centroid, 0)]
+    boxes: "list[tuple[AnnularSector, int, complex]]" = []
     while work:
-        sec, m, depth = work.pop()
-        if m == 0:
-            continue
+        sec, m, centroid, depth = work.pop()
         small = sec.diameter <= (1.2e-1 if m == 1 else 1e-3)
         if small:
-            boxes.append((sec, m))
+            boxes.append((sec, m, centroid))
             continue
         if depth >= _MAX_DEPTH:
             raise ZeroIsolationError(
                 f"subdivision depth cap exceeded; unresolved cell {sec} holding {m} zero(s)"
             )
-        for c, ch in _split_counted(cache, sec, m):
+        for c, ch_centroid, ch in _split_counted(cache, sec, m):
             if c:
-                work.append((ch, c, depth + 1))
+                work.append((ch, c, ch_centroid, depth + 1))
 
     records: "list[ZeroRecord]" = []
     # D at the box midpoints sets each polish's residual scale
-    mids = cache.many([sec.midpoint() for sec, _ in boxes])
-    for (sec, m), mid in zip(boxes, mids):
-        # centroid from the cell's own winding integral seeds the polish
-        try:
-            (w, centroid), sec2 = _count_with_retry(cache, sec)
-        except ZeroIsolationError:
-            w, centroid = m, sec.midpoint() * m
-        if w != m:
-            centroid = sec.midpoint() * m
-        start = centroid / m if m else sec.midpoint()
+    mids = cache.many([sec.midpoint() for sec, _, _ in boxes])
+    for (sec, m, centroid), mid in zip(boxes, mids):
+        # the centroid of the cell's zeros seeds the polish
         scale = max(abs(mid), 1.0)
-        z_hat, resid, last_step = _newton_polish(cache, start, m, scale, tol, sec.diameter)
+        z_hat, resid, last_step = _newton_polish(cache, centroid / m, m, scale, tol, sec.diameter)
 
         # re-verify: a small circle around the polished root must wind m times
         rad = max(10.0 * last_step, 1e-7)

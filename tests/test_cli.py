@@ -57,6 +57,21 @@ def test_green_rejects_complex_boundary():
     assert rc == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("n_quad", ["4", "9"])
+def test_green_torus_refuses_bad_n_quad(n_quad, capsys):
+    # green_torus owns the rule: even and >= 8
+    rc = main(["green", "--d", "3", "--lambda", "5", "--site", "0,0,0",
+               "--method", "torus", "--n-quad", n_quad])
+    assert rc == EXIT_VALIDATION
+    assert "n_quad must be even and >= 8" in capsys.readouterr().err
+
+
+def test_green_n_quad_only_with_torus(tmp_path):
+    base = ["green", "--d", "3", "--lambda", "5", "--site", "0,0,0", "--n-quad", "40"]
+    assert main(base + ["--method", "auto"]) == EXIT_VALIDATION
+    assert main(base + ["--method", "torus", "-o", str(tmp_path / "g.json")]) == EXIT_OK
+
+
 def test_det_eval_subcommand(v3_file, tmp_path):
     out = tmp_path / "d.json"
     rc = main(["det-eval", "-p", v3_file, "--z", "0.25,0.1", "-o", str(out)])

@@ -113,6 +113,48 @@ def test_find_zeros_batches_its_samples(mix3, monkeypatch):
     assert any(abs(r.z.imag) > 0.05 for r in recs)
 
 
+def test_find_zeros_counts_each_cell_once(mix3, v3, monkeypatch):
+    # every march counts the root, a child of a split or a verification
+    # circle: a cell carries the centroid its own count measured to the
+    # polish and is never counted a second time
+    calls = []
+    real = zeros.march_log
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(zeros, "march_log", counting)
+    assert len(find_zeros(mix3.scale(4.0), tol=1e-11)) == 3
+    assert len(calls) == 52
+    calls.clear()
+    assert len(find_zeros(v3, tol=1e-12)) == 1
+    assert len(calls) == 20
+
+
+def test_find_zeros_five_site_complex():
+    # the 5-site potential of benchmark panel draw 2 (panel seed 1): five
+    # simple zeros spread over the disc, each pinned to 1e-12
+    V = Potential(3, [
+        ((-1, -1, 0), -0.7027842035027629 + 1.024389084315739j),
+        ((0, -1, 0), 0.0922031016259035 - 1.3383064090232242j),
+        ((1, -1, 0), 1.3982196432802514 - 0.6958356225452828j),
+        ((1, 0, 0), 0.9797427736582445 - 0.5689165965531313j),
+        ((0, 1, 0), 1.244065031143438 + 0.9038693903920579j),
+    ])
+    pinned = [
+        0.009610715447570715 + 0.8269159187266535j,
+        0.7245397339338525 + 0.5388924776565649j,
+        -0.31195915778077293 - 0.8510759384387299j,
+        0.5314116132228796 - 0.7476848810280294j,
+        0.41508030750663205 + 0.8839040147988874j,
+    ]
+    recs = find_zeros(V)
+    assert [rec.multiplicity for rec in recs] == [1] * 5
+    for rec, z in zip(recs, pinned):
+        assert abs(rec.z - z) <= 1e-12
+
+
 def test_find_zeros_deterministic(v3, zeros_v3):
     again = find_zeros(v3, tol=1e-12)
     assert len(again) == len(zeros_v3)
