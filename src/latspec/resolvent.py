@@ -33,9 +33,10 @@ such blocks to determinant assembly; ``green_auto``, ``green_torus``,
 
 * The oscillatory engine walks the lambda axis in chunks whose phase
   block stays within _CHUNK_BYTES (512 KB).  In a chunk the phases are
-  built once and shared by every orbit, and the mode tails are computed
-  once per (T0, frequency, lambda) and shared by the orbits with that T0
-  (T0 depends only on max_j |n_j|).
+  built once and shared by every orbit, and the mode tails of every
+  (T0, frequency, lambda) come from one tail_integral_vec call, shared by
+  the orbits with that T0 (T0 depends only on max_j |n_j|).  The Gauss
+  kernels of the orbits with one max_j |n_j| come from one Bessel grid.
 * The torus engine builds 1 / (h(k) - lam) on the folded grid once per
   lambda, for a chunk of lambdas at a time, and contracts it against each
   orbit's separable cosine weights.  The integrand is symmetric in the
@@ -136,9 +137,9 @@ _OSC_PANEL = 0.5
 _OSC_NPTS = 10
 _OSC_OFFSETS = 0.5 * _OSC_PANEL * np.polynomial.legendre.leggauss(_OSC_NPTS)[0]
 _OSC_FINE = 16
-# values kept per engine cache; the largest benchmark run (eigs on the
-# 5-site draw 2 of perfbench's panel) fills 5310 oscillatory entries, so no
-# benchmark run evicts
+# values kept per engine cache; the largest benchmark run (a cold eigs on
+# the 5-site draw 2 of perfbench's panel) fills 5325 oscillatory entries,
+# so no benchmark run evicts
 _MEMO_SIZE = 8192
 # largest array of one chunk of lambdas: oscillatory phases, or torus
 # values on the grid's index triples
@@ -178,7 +179,8 @@ _MEMOS = {"torus": _Memo(), "osc": _Memo()}
 def clear_green_cache() -> None:
     for memo in _MEMOS.values():
         memo.clear()
-    for cache in (_osc_nodes, _osc_kw, _osc_tail_data, _one_chunk_triples, _torus_chunk_cached):
+    _OSC_KW.clear()
+    for cache in (_osc_nodes, _osc_tail_data, _one_chunk_triples, _torus_chunk_cached):
         cache.cache_clear()
 
 
@@ -524,17 +526,38 @@ def _osc_nodes(T0: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@functools.lru_cache(maxsize=4096)
+# _osc_kw's values per orbit, least recently used first
+_OSC_KW: OrderedDict = OrderedDict()
+_OSC_KW_SIZE = 4096
+
+
+def _osc_kws(canons: "list[Site]") -> "list[np.ndarray]":
+    """_osc_kw of each orbit.  Its Bessel rows depend on the orbit only
+    through n0 = max_j |n_j| (the nodes through T0, the orders up to n0),
+    so the orbits not yet known share one bessel_j_grid call per n0."""
+    missing = [canon for canon in dict.fromkeys(canons) if canon not in _OSC_KW]
+    for n0 in sorted({canon[0] for canon in missing}):
+        group = [canon for canon in missing if canon[0] == n0]
+        nodes, weights = _osc_nodes(_osc_t0(group[0]))
+        rows = bessel_j_grid(nodes, n0)
+        for canon in group:
+            kern = rows[n0].copy()
+            for m in canon[1:]:
+                kern *= rows[m]
+            _OSC_KW[canon] = np.ascontiguousarray((weights * kern).reshape(-1, _OSC_NPTS).T)
+    for canon in canons:
+        _OSC_KW.move_to_end(canon)
+    kws = [_OSC_KW[canon] for canon in canons]
+    while len(_OSC_KW) > _OSC_KW_SIZE:
+        _OSC_KW.popitem(last=False)
+    return kws
+
+
 def _osc_kw(canon_n: Site) -> np.ndarray:
     """Gauss weight times prod_j J_(n_j) at each numeric node, shape
     (_OSC_NPTS, panels): row j holds node j of every panel (real;
     _osc_main applies the phases)."""
-    nodes, weights = _osc_nodes(_osc_t0(canon_n))
-    rows = bessel_j_grid(nodes, canon_n[0])
-    kern = rows[canon_n[0]].copy()
-    for m in canon_n[1:]:
-        kern *= rows[m]
-    return np.ascontiguousarray((weights * kern).reshape(-1, _OSC_NPTS).T)
+    return _osc_kws([canon_n])[0]
 
 
 def _osc_phases(lams: np.ndarray, n_panels: int) -> "tuple[np.ndarray, np.ndarray]":
@@ -593,17 +616,28 @@ def _osc_block(canons: "list[Site]", lams: np.ndarray):
     expansion, turning the remainder into sums of t^(-d/2-q) e^(i(S-lam)t)
     integrals with integer S in [-d, d].  They depend on a sign pattern
     only through its frequency S, so each chunk of lambdas makes one
-    tail_integral_vec call per T0 for all d + 1 frequencies.
+    tail_integral_vec call for all d + 1 frequencies at every T0 of the
+    block, and an orbit sums its 2^d patterns' polynomials against them in
+    one stacked contraction, added up in pattern order.
     """
     if (lams.imag > 1e-15).any():
         raise ValueError("oscillatory engine requires Im(lambda) <= 0")
     d = len(canons[0])
-    kws = [_osc_kw(canon) for canon in canons]
+    kws = _osc_kws(canons)
     n_panels = max(kw.shape[1] for kw in kws)
     chunk = max(1, _CHUNK_BYTES // (16 * n_panels))
     freqs = np.arange(-d, d + 1, 2)
     s_exps = 0.5 * d + np.arange(_OSC_N_TERMS, dtype=float)
     mode_factor = (2.0 / np.pi) ** (0.5 * d) * 0.5 ** d
+    horizons = sorted({_osc_t0(canon) for canon in canons})
+    # per orbit: its horizon, and per sign pattern the constant phase, the
+    # frequency's row and the coefficient polynomial
+    patterns = []
+    for canon in canons:
+        data = _osc_tail_data(canon)
+        patterns.append((horizons.index(_osc_t0(canon)), [ph0 for ph0, _, _ in data],
+                         np.array([(s_freq + d) // 2 for _, s_freq, _ in data]),
+                         np.array([poly for _, _, poly in data])))
     vals = np.empty((len(canons), lams.size), dtype=complex)
     errs = np.empty(vals.shape)
     for lo in range(0, lams.size, chunk):
@@ -611,16 +645,15 @@ def _osc_block(canons: "list[Site]", lams: np.ndarray):
         cols = slice(lo, lo + lam.size)
         row, panel = _osc_phases(lam, n_panels)
         w = (freqs[:, None] - lam).ravel()
-        tails = {T0: tail_integral_vec(s_exps, w, T0).reshape(freqs.size, lam.size, -1)
-                 for T0 in sorted({_osc_t0(canon) for canon in canons})}
-        for u, canon in enumerate(canons):
-            pieces = tails[_osc_t0(canon)]
+        tails = tail_integral_vec(s_exps, w, horizons).reshape(len(horizons), freqs.size, lam.size, -1)
+        for u, (canon, (h, ph0s, at_freq, polys)) in enumerate(zip(canons, patterns)):
+            sums = np.einsum("pkj,pj->pk", tails[h][at_freq], polys)
+            cut = np.abs(polys[:, -1, None] * tails[h][at_freq, :, -1])
             tail = np.zeros(lam.size, dtype=complex)
             trunc = np.zeros(lam.size)
-            for ph0, s_freq, poly in _osc_tail_data(canon):
-                at_s = pieces[(s_freq + d) // 2]
-                tail += ph0 * np.einsum("kj,j->k", at_s, poly)
-                trunc += np.abs(poly[-1] * at_s[:, -1])
+            for p, ph0 in enumerate(ph0s):
+                tail += ph0 * sums[p]
+                trunc += cut[p]
             pref = -1j * _IPOW[sum(canon) % 4]
             vals[u, cols] = value = pref * (_osc_main(kws[u], row, panel) + mode_factor * tail)
             errs[u, cols] = mode_factor * trunc + 1e-14 * (1.0 + np.abs(value))

@@ -50,6 +50,9 @@ _WINDING_GUARD = 0.05
 _MIN_ABS_FRAC = 1e-4  # boundary-too-close threshold relative to max |D| on the curve
 _MAX_DEPTH = 24
 _MAX_RETRIES = 5  # perturbations of a sector whose contour meets a zero
+# Newton iterates stay within this radius, inside the evaluable disc with
+# room for the difference stencil
+_NEWTON_RADIUS = 1.0 - 1.05e-3
 
 
 @dataclass(frozen=True)
@@ -236,8 +239,10 @@ def _split_counted(cache: _DetCache, sec: AnnularSector, m: int):
 def _newton_polish(cache: _DetCache, x0: complex, m: int, scale: float, tol: float, cell: float):
     """Multiplicity-aware Newton (Schroeder) iteration with central-difference
     derivative; each iteration samples x, x + h and x - h in one batch.
-    Returns (root, |D(root)|, last_step)."""
-    x = x0
+    A start beyond _NEWTON_RADIUS (the centroid of a cell at the rim can
+    lie there) is pulled in radially.  Returns (root, |D(root)|,
+    last_step)."""
+    x = x0 if abs(x0) <= _NEWTON_RADIUS else x0 * (_NEWTON_RADIUS / abs(x0))
     h = max(1e-6 * cell, 1e-12)
     best = None
     last_step = cell
@@ -254,7 +259,7 @@ def _newton_polish(cache: _DetCache, x0: complex, m: int, scale: float, tol: flo
         step = -m * f / df
         # stay strictly inside the evaluable disc
         nxt = x + step
-        while abs(nxt) > 1.0 - 1.05e-3 or abs(nxt) < 5e-4:
+        while abs(nxt) > _NEWTON_RADIUS or abs(nxt) < 5e-4:
             step *= 0.5
             nxt = x + step
             if abs(step) < 1e-17:

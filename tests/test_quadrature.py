@@ -173,3 +173,138 @@ def test_tail_integral_refuses_divergent_exponents():
     for s in (0.5, 1.0):
         with pytest.raises(ValueError, match="s > 1"):
             tail_integral_vec([s], 0.0, 2.0)
+
+
+# ---- the single-horizon tail pass as it was before the multi-horizon
+# pass, kept as the bit-for-bit oracle: one exponent's series per call
+# over all 60 terms, the recurrence and the bridge per horizon
+
+def _ref_series(s, w, T):
+    # (value, stopping index) per row
+    iw = 1j * w
+    x = quadrature._modulus(w) * T
+    q = 1.0 / (iw * T)
+    sk = s + np.arange(59)
+    term0 = -(T ** -s) / iw
+    totals = np.cumsum(np.cumprod(np.column_stack([term0, sk * q[:, None]]), axis=1), axis=1)
+    ratio = sk / x[:, None]
+    mags = np.cumprod(np.column_stack([quadrature._modulus(term0), ratio]), axis=1)
+    grows = ratio > 1.0
+    small = mags[:, 1:] < 1e-18 * quadrature._modulus(totals[:, 1:])
+    stop = np.minimum(np.where(grows.any(axis=1), grows.argmax(axis=1), 59),
+                      np.where(small.any(axis=1), small.argmax(axis=1) + 1, 59))
+    return np.exp(iw * T) * totals[np.arange(w.size), stop], stop
+
+
+def _ref_direct(s_list, w, T, mask):
+    out = np.zeros(mask.shape, dtype=complex)
+    rows = np.nonzero(mask.any(axis=1))[0]
+    if not rows.size:
+        return out
+    sub = mask[rows]
+    wr = w[rows]
+    Tr = T if np.ndim(T) == 0 else T[rows]
+    iw = 1j * wr
+    edge = np.exp(iw * Tr)
+    vals = np.zeros(sub.shape, dtype=complex)
+    column = {s: j for j, s in enumerate(s_list.tolist())}
+    for j in np.argsort(-s_list, kind="stable"):
+        s = float(s_list[j])
+        up = column.get(s + 1.0)
+        head = sub[:, j]
+        if up is not None:
+            vals[:, j] = (s * vals[:, up] - Tr ** -s * edge) / iw
+            head = head & ~sub[:, up]
+        if head.any():
+            vals[head, j] = _ref_series(s, wr[head], Tr if np.ndim(Tr) == 0 else Tr[head])[0]
+    out[rows] = np.where(sub, vals, 0.0)
+    return out
+
+
+def _ref_bridged(s_list, w, T, mask):
+    x0, w0 = (np.asarray(v) for v in quadrature._gl_nodes(12))
+    out = np.zeros(mask.shape, dtype=complex)
+    rows = np.nonzero(mask.any(axis=1))[0]
+    s_max = np.where(mask[rows], s_list, -np.inf).max(axis=1)
+    t_star = (2.0 * s_max + 32.0) / quadrature._modulus(w[rows])
+    b = np.log(t_star / T)
+    n_panels = np.maximum(1, np.floor(b / 0.25).astype(int))
+    extra = n_panels * 0.25 < b - 1e-12 * np.maximum(1.0, np.abs(b))
+    for n_p, ext in sorted(set(zip(n_panels.tolist(), extra.tolist()))):
+        group = np.nonzero((n_panels == n_p) & (extra == ext))[0]
+        step = max(1, 2 ** 19 // (8 * s_list.size * 12 * (n_p + ext)))
+        for g in (group[i:i + step] for i in range(0, group.size, step)):
+            edges = np.tile(0.25 * np.arange(n_p + 1, dtype=float), (g.size, 1))
+            if ext:
+                edges = np.column_stack([edges, b[g]])
+            else:
+                edges[:, -1] = b[g]
+            half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+            mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+            u = (mid[:, :, None] + half[:, :, None] * x0).reshape(g.size, -1)
+            uw = (half[:, :, None] * w0).reshape(g.size, -1)
+            t = T * np.exp(u)
+            phase = np.exp(1j * w[rows[g]][:, None] * t) * uw
+            powers = t[:, None, :] ** (1.0 - s_list[None, :, None])
+            out[rows[g]] = np.einsum("gsn,gn->gs", powers, phase)
+    out[rows] = np.where(mask[rows], out[rows], 0.0) + _ref_direct(s_list, w[rows], t_star, mask[rows])
+    return out
+
+
+def _ref_tail(s_list, w, T):
+    xT = quadrature._modulus(w) * T
+    zero = xT < 1e-13
+    direct = (xT[:, None] >= 2.0 * s_list + 30.0) & ~zero[:, None]
+    bridged = ~direct & ~zero[:, None]
+    out = _ref_direct(s_list, w, T, direct)
+    if bridged.any():
+        out += _ref_bridged(s_list, w, T, bridged)
+    out[zero] = T ** (1.0 - s_list) / (s_list - 1.0)
+    return out
+
+
+def _w_with_stop(s, stop, T, theta):
+    # the first |w| T on a grid from the direct edge out at which the
+    # series at exponent s stops at term ``stop``
+    w = np.arange(2.0 * s + 30.0, 200.0, 0.01) / T * cmath.exp(1j * theta)
+    at = np.nonzero(_ref_series(s, w, T)[1] == stop)[0]
+    assert at.size, f"no |w| T gives stop {stop} at s = {s}"
+    return w[at[0]]
+
+
+def test_multi_horizon_tail_matches_single_horizon_oracle(rng):
+    # one pass over the horizons (240, 250, 260) equals, bit for bit and
+    # per horizon, the single-horizon pass it replaced: rows in the w = 0,
+    # direct and bridged regimes, series stopping just inside the first
+    # pass's window, at its edge, just beyond it and late (the 60-term
+    # pass), including the rows that stop at no term
+    horizons = np.array([240.0, 250.0, 260.0])
+    window = quadrature._SERIES_WINDOW
+    for d in (3, 4):
+        s_exps = 0.5 * d + np.arange(11, dtype=float)
+        freqs = np.arange(-d, d + 1, 2)
+        lams = np.concatenate([rng.uniform(-d - 1.0, d + 1.0, 12) - 1j * rng.uniform(0.0, 1.25, 12),
+                               rng.uniform(-d, d, 6), [float(d), -1.0, 0.0],
+                               [d - 0.02, d - 0.15 - 0.01j, 1e-3, -1.0 + 0.2 - 0.05j]])
+        # rows whose head, where the series runs, is the largest exponent
+        targets = [window - 2, window - 1, window, window + 12, 59]
+        crafted = [_w_with_stop(s_exps[-1], stop, 250.0, theta) for theta in (0.4, 2.0) for stop in targets]
+        w = np.concatenate([(freqs[:, None] - lams).ravel(), crafted])
+        assert _ref_series(s_exps[-1], np.array(crafted), 250.0)[1].tolist() == targets * 2
+        assert (w == 0).any()
+        got = tail_integral_vec(s_exps, w, horizons)
+        assert got.shape == (3, w.size, s_exps.size)
+        for h, T in enumerate(horizons.tolist()):
+            xT = quadrature._modulus(w) * T
+            direct = xT[:, None] >= 2.0 * s_exps + 30.0
+            assert direct.all(axis=1).any() and (~direct & (xT[:, None] > 0)).any()
+            ref = _ref_tail(s_exps, w, T)
+            assert np.array_equal(got[h], ref)
+            assert np.array_equal(tail_integral_vec(s_exps, w, T), ref)
+    # exponents that are not unit-spaced: a series at every direct one
+    s_list = np.array([1.5, 2.0, 3.5, 10.5])
+    w = np.array([0.0, 0.05, 0.2206, 1.7 + 0.3j, 0.9])
+    got = tail_integral_vec(s_list, w, [40.0, 250.0])
+    for h, T in enumerate((40.0, 250.0)):
+        assert np.array_equal(got[h], _ref_tail(s_list, w, T))
+    assert np.array_equal(tail_integral_vec(s_list, 0.9, [40.0, 250.0]), got[:, -1])

@@ -257,7 +257,7 @@ def test_green_auto_routes_low_dimensions_unchanged(monkeypatch):
 def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
     # the 8 sign patterns at d = 3 have 4 distinct frequencies S, and T0
     # depends on the orbit only through max_j |n_j|: one block makes one
-    # tail_integral_vec call per T0, over every (S, lambda) pair, and must
+    # tail_integral_vec call over its T0s and every (S, lambda) pair, and must
     # equal, bit for bit, the engine's numeric sum plus one tail evaluation
     # per sign pattern and lambda
     lams = np.array([1.7 - 0.4j, -0.3 - 0.1j, 2.9 + 0.0j, -3.0 + 0.0j])
@@ -272,7 +272,7 @@ def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
     monkeypatch.setattr(resolvent, "tail_integral_vec", counted)
     vals, errs = resolvent._osc_block(canons, lams)
     freqs = np.arange(-3, 4, 2)
-    assert sorted(T for _, T in calls) == [240.0, 250.0, 260.0]
+    assert len(calls) == 1 and list(calls[0][1]) == [240.0, 250.0, 260.0]
     for w, _ in calls:
         assert np.array_equal(w, (freqs[:, None] - lams).ravel())
 
@@ -291,6 +291,84 @@ def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
         ref = -1j * resolvent._IPOW[sum(canon) % 4] * (main + mode_factor * tail)
         assert np.array_equal(vals[u], ref)
         assert np.array_equal(errs[u], mode_factor * trunc + 1e-14 * (1.0 + np.abs(ref)))
+
+
+def _osc_block_per_pattern(canons, lams):
+    # the oscillatory block as it was before one tail call served every T0:
+    # per orbit its own Bessel grid, per T0 its own tail call, per sign
+    # pattern its own contraction
+    d = len(canons[0])
+    kws = []
+    for canon in canons:
+        nodes, weights = resolvent._osc_nodes(resolvent._osc_t0(canon))
+        rows = resolvent.bessel_j_grid(nodes, canon[0])
+        kern = np.prod([rows[m] for m in canon], axis=0)
+        kws.append(np.ascontiguousarray((weights * kern).reshape(-1, resolvent._OSC_NPTS).T))
+    n_panels = max(kw.shape[1] for kw in kws)
+    chunk = max(1, resolvent._CHUNK_BYTES // (16 * n_panels))
+    freqs = np.arange(-d, d + 1, 2)
+    s_exps = 0.5 * d + np.arange(resolvent._OSC_N_TERMS, dtype=float)
+    mode_factor = (2.0 / np.pi) ** (0.5 * d) * 0.5 ** d
+    vals = np.empty((len(canons), lams.size), dtype=complex)
+    errs = np.empty(vals.shape)
+    for lo in range(0, lams.size, chunk):
+        lam = lams[lo:lo + chunk]
+        cols = slice(lo, lo + lam.size)
+        row, panel = resolvent._osc_phases(lam, n_panels)
+        w = (freqs[:, None] - lam).ravel()
+        tails = {T0: resolvent.tail_integral_vec(s_exps, w, T0).reshape(freqs.size, lam.size, -1)
+                 for T0 in sorted({resolvent._osc_t0(canon) for canon in canons})}
+        for u, canon in enumerate(canons):
+            pieces = tails[resolvent._osc_t0(canon)]
+            tail = np.zeros(lam.size, dtype=complex)
+            trunc = np.zeros(lam.size)
+            for ph0, s_freq, poly in resolvent._osc_tail_data(canon):
+                at_s = pieces[(s_freq + d) // 2]
+                tail += ph0 * np.einsum("kj,j->k", at_s, poly)
+                trunc += np.abs(poly[-1] * at_s[:, -1])
+            pref = -1j * resolvent._IPOW[sum(canon) % 4]
+            vals[u, cols] = value = pref * (resolvent._osc_main(kws[u], row, panel) + mode_factor * tail)
+            errs[u, cols] = mode_factor * trunc + 1e-14 * (1.0 + np.abs(value))
+    return vals, errs
+
+
+# the orbits of the site differences of the benchmark's five-site panel
+# draw 2, and (2, 2, 0)
+_DRAW2_ORBITS = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0), (2, 2, 0)]
+
+
+def test_osc_block_matches_per_pattern_loop(rng):
+    # one tail call over every T0, the stacked pattern contraction and the
+    # shared Bessel rows give the per-T0, per-pattern values bit for bit:
+    # interior lambdas out to the switching distance, band lambdas (edges
+    # and Van Hove levels included), and more lambdas than one chunk holds
+    interior = rng.uniform(-4.0, 4.0, 60) - 1j * rng.uniform(1e-3, 1.25, 60)
+    band = np.concatenate([rng.uniform(-3.0, 3.0, 20), [-3.0, -1.0, 0.0, 1.0, 3.0]])
+    lams = np.concatenate([interior, band.astype(complex)])
+    resolvent.clear_green_cache()
+    got = resolvent._osc_block(_DRAW2_ORBITS, lams)
+    ref = _osc_block_per_pattern(_DRAW2_ORBITS, lams)
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+def test_osc_block_shares_bessel_rows_per_leading_order(monkeypatch):
+    # an orbit's Bessel rows depend on it only through n0 = max_j |n_j|: a
+    # cold block over orbits with n0 in {0, 1, 2} builds three grids, and a
+    # warm one none
+    grid = resolvent.bessel_j_grid
+    calls = []
+
+    def counted(t, m_max):
+        calls.append(m_max)
+        return grid(t, m_max)
+
+    monkeypatch.setattr(resolvent, "bessel_j_grid", counted)
+    resolvent.clear_green_cache()
+    lams = np.array([0.5 - 0.2j, 2.0 + 0.0j])
+    resolvent._osc_block(_DRAW2_ORBITS, lams)
+    assert sorted(calls) == [0, 1, 2]
+    resolvent._osc_block(_DRAW2_ORBITS[::-1], lams)
+    assert len(calls) == 3
 
 
 def test_factored_gauss_phase_matches_direct_sum():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import pytest
 from scipy.optimize import brentq
@@ -176,3 +177,38 @@ def test_threshold_bracketing():
     above = Potential(3, [((0, 0, 0), 1.05 * thr + 0j)])
     assert find_zeros(below) == []
     assert len(find_zeros(above)) == 1
+
+
+def _laplace_green_origin(lam: float) -> float:
+    # G(0, lam) for real lam > 3 at d = 3 from e^(t H0)(0, 0) = I_0(t)^3:
+    # G = -int_0^inf e^(-(lam - 3) t) ive(0, t)^3 dt, with scipy's Bessel
+    # function and quadrature (no library code)
+    from scipy import integrate, special
+
+    a = lam - 3.0
+    with warnings.catch_warnings():
+        # next to the band edge quad reports its roundoff floor
+        warnings.simplefilter("ignore")
+        return -integrate.quad(lambda t: math.exp(-a * t) * special.ive(0, t) ** 3,
+                               0.0, math.inf, epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+
+
+@pytest.mark.parametrize("c", [
+    1.0008,
+    pytest.param(1.0005, marks=pytest.mark.xfail(
+        raises=zeros.ZeroIsolationError, strict=True,
+        reason="ROADMAP item 6(a)-(c): the zero lies between RIM_RADIUS and 1")),
+])
+def test_find_zeros_single_site_next_to_the_rim(c):
+    # V = +-c thr delta_0 just above the threshold: one real zero next to
+    # the rim.  At c = 1.0008 the cell's centroid lay in the rim, outside
+    # the evaluable disc, and the polish started there (exit 2, bad input).
+    # Oracle: brentq on 1 + v G(0, lambda(x)) for real x with the Laplace
+    # kernel above; the zero of -v is the mirror image (staggering).
+    v = c * coupling_threshold(3)
+    x_ref = brentq(lambda x: 1.0 + v * _laplace_green_origin(1.5 * (x + 1.0 / x)),
+                   0.99, 1.0 - 1e-9, xtol=1e-15, rtol=1e-15)
+    for sign in (1.0, -1.0):
+        recs = find_zeros(Potential(3, [((0, 0, 0), complex(sign * v))]))
+        assert [rec.multiplicity for rec in recs] == [1]
+        assert abs(recs[0].z - sign * x_ref) <= 1e-12
