@@ -17,6 +17,8 @@ import math
 import sys
 from typing import Optional
 
+from numpy.linalg import LinAlgError
+
 from ._util import complex_to_json, json_sanitize, parse_complex
 from .lattice import Potential, brute_force_moments, trace_moments
 from .resolvent import green_auto, green_boundary, green_time, green_torus
@@ -59,7 +61,7 @@ def _load_potential(path: str) -> Potential:
         return Potential.from_file(path)
     except FileNotFoundError:
         raise ValidationError(f"potential file not found: {path}")
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"invalid potential file {path}: {exc}")
 
 
@@ -524,7 +526,7 @@ def main(argv: Optional[list] = None) -> int:
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
-    except (NumericalError, ArithmeticError) as exc:
+    except (NumericalError, ArithmeticError, LinAlgError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
     except (ValueError, FileNotFoundError) as exc:

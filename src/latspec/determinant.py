@@ -5,12 +5,15 @@ V R0 restricted to S is an |S| x |S| matrix and the determinant is an
 ordinary one.  Everything downstream (zero finding, Hardy-space
 factorization, trace residuals) consumes the entry points here:
 
-    det_eval_many   samples at many points of the closed disc, the one
-                    evaluation path
-    det_eval        its one-point case
+    det_eval_many   D at many points of the closed disc, as a complex
+                    array: the one sampling path
+    det_eval        one point, with its error bound
     march_log       the one phase marcher: a continuous branch of log D
                     along parametrised curves, bisecting every step whose
-                    phase turns by more than pi/2, level by level
+                    phase turns by more than pi/2, level by level; a
+                    generator that yields the points it needs, run by
+                    ``drive`` or, in the zero search, in lockstep with
+                    other marches
     taylor_coeffs   c_n with  log D(z) = -sum_n c_n z^n,  via the Cauchy
                     integral on a circle that march_log shows encloses no
                     zeros
@@ -20,18 +23,20 @@ the two candidate closed forms tying c_n to the lattice trace moments.
 The argument-principle zero search in ``zeros`` marches its contours
 with ``march_log`` too.
 
-Sampling is array-at-a-time.  A consumer that knows its points in
-advance (Taylor and Jensen circles, the boundary grid and kink windows,
-the initial nodes of a counting contour) passes them all to
-``det_eval_many``.  That makes one block request per point group to the
-Green engines (support differences x lambdas; the engines chunk the
-lambda axis and memoize per value) and one stacked det/svd over the
-(K, |S|, |S|) matrices.  Points that are not known in advance come in
-batches too: ``march_log`` takes the bisection midpoints of all its
-curves one depth at a time, and the zero polish asks for each Newton
-stencil x, x + h, x - h at once.  Batching changes no number: each
-sample equals, bit for bit, the one ``det_eval`` returns for its point
-alone.
+Sampling is array-at-a-time and returns values only.  A consumer that
+knows its points in advance (Taylor and Jensen circles, the boundary grid
+and kink windows, the initial nodes of a counting contour) passes them
+all to ``det_eval_many``.  That makes one block request per point group
+to the Green engines (support differences x lambdas; the engines chunk
+the lambda axis and memoize per value) and one stacked det over the (K,
+|S|, |S|) matrices.  Points that are not known in advance come in
+batches too: ``march_log`` asks for the bisection midpoints of all its
+curves one depth at a time, and the zero search merges the requests of
+all its live cells.  Batching changes no number: each value equals, bit
+for bit, the one ``det_eval`` returns for its point alone.  Only
+``det_eval`` forms the error bound, from a singular value decomposition
+of each |S| x |S| matrix (|S| >= 2) and the 2-norm of its entrywise
+error bounds; the CLI's ``det-eval`` reports it.
 
 The circles are sampled as exact mirror images.  ``circle_grid`` builds
 its first quadrant and fills the rest by exact conjugation and
@@ -68,6 +73,7 @@ __all__ = [
     "det_eval_many",
     "circle_grid",
     "march_log",
+    "drive",
     "taylor_coeffs",
     "moment_relation_check",
 ]
@@ -128,66 +134,32 @@ class TaylorCoeffs:
         return len(self.c)
 
 
-def _det_with_err(M: np.ndarray, E: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """det(I + M[k]) and its error bound for a stack of K matrices M (K, s,
-    s) with entrywise error bounds E.
-
-    |d det| <= ||adj(A)||_2 ||dA||_2, where the adjugate's 2-norm is the
-    product of all singular values of A but the smallest; rounding adds s
-    ulps of the largest.  For s = 1 that is E + 2.3e-16 |1 + M|, with no
-    LAPACK call (det of a 1x1 matrix goes through slogdet and need not
-    return its entry).  Stacked det and svd factor each matrix on its own,
-    so a sample does not depend on the others in the stack.
-    """
-    s = M.shape[1]
-    if s == 1:
-        a = 1.0 + M[:, 0, 0]
-        return a, E[:, 0, 0] + 2.3e-16 * np.abs(a)
-    A = np.eye(s) + M
-    sigma = np.linalg.svd(A, compute_uv=False)
-    adj_norm = sigma[:, 0].copy()
-    for j in range(1, s - 1):
-        adj_norm *= sigma[:, j]
-    de = np.linalg.norm(E, 2, axis=(1, 2))
-    return np.linalg.det(A), adj_norm * (de + s * 2.3e-16 * sigma[:, 0])
-
-
-def det_eval_many(
-    V: Potential,
-    zs: "Sequence[complex]",
-    policy: QuadPolicy = QuadPolicy(),
-) -> "list[DeterminantSample]":
-    """Determinant samples at every z of ``zs`` in the closed unit disc.
-
-    This is the one evaluation path; ``det_eval`` is its one-point case.
-    Interior points (|z| <= 1 - margin) go through the off-spectrum Green
-    engines that ``policy`` names, |z| = 1 through the two-sided boundary
-    limit with the side fixed by the semicircle; the thin rim in between
-    is refused, as is any point outside the disc (the first such point is
-    named).  z = 0 and an empty support give exactly 1.
+def _birman_schwinger(V: Potential, zs: np.ndarray, engine: str):
+    """What the Birman-Schwinger matrices of the points of ``zs`` are built
+    from (``_stack`` builds them): (idx, v, G, Gerr), with the positions
+    idx of the points that need a matrix (interior first, then |z| = 1),
+    the support values v and the Green block G (s*s, K) with its error
+    bounds Gerr.  Points outside the disc or in the rim are refused (the
+    first such point is named); z = 0 and an empty support need no matrix,
+    since D is exactly 1 there.
 
     The points are classified by masks on |z| = ``np.hypot``: outside,
     rim, interior and z = 0.  The interior points are mapped by one
     ``lambda_of_z`` call and take one block of Green values (support
     differences x lambdas) from ``green_many``, which routes the lambdas
-    to the oscillatory or the torus engine; the boundary points take one
-    from ``green_boundary_many``.  The blocks fill stacked (K, |S|, |S|)
-    matrices for ``_det_with_err``.  A sample is computed the same way
-    whichever batch it is in.
+    to the oscillatory or the torus engine named by ``engine``; the
+    boundary points take one from ``green_boundary_many``.
     """
-    zs = np.asarray(zs, dtype=complex)
-    z_list = zs.tolist()
-    d = V.d
-    out = [DeterminantSample(z=z, value=1.0 + 0.0j, err_estimate=0.0) for z in z_list]
     if not V.support:
-        return out
+        return [], None, None, None
+    d = V.d
     az = np.hypot(zs.real, zs.imag)
     rim = abs(az - 1.0) <= _BOUNDARY_TOL
     bad = (az >= 1.0 + _BOUNDARY_TOL) | ((az > RIM_RADIUS + 1e-12) & ~rim)
     if bad.any():
         k = int(bad.argmax())
         if az[k] >= 1.0 + _BOUNDARY_TOL:
-            raise ValueError(f"z={z_list[k]} lies outside the closed unit disc")
+            raise ValueError(f"z={complex(zs[k])} lies outside the closed unit disc")
         raise ValueError(
             f"|z|={az[k]:.6g} lies in the rim {RIM_RADIUS:g} < |z| < 1; "
             "evaluate on |z|=1 or deeper inside the disc"
@@ -198,16 +170,15 @@ def det_eval_many(
     n_in = len(idx)
     idx += rim.nonzero()[0].tolist()
     if not idx:
-        return out
+        return [], None, None, None
     sites = V.support
-    s = len(sites)
     diffs = [tuple(a - b for a, b in zip(x, y)) for x in sites for y in sites]
     vd = V.as_dict()
     v = np.array([vd[x] for x in sites], dtype=complex)
-    G = np.empty((s * s, len(idx)), dtype=complex)
+    G = np.empty((len(sites) ** 2, len(idx)), dtype=complex)
     Gerr = np.empty(G.shape)
     if n_in:
-        G[:, :n_in], Gerr[:, :n_in] = green_many(diffs, lambda_of_z(zs[inner], d), d, policy.engine)
+        G[:, :n_in], Gerr[:, :n_in] = green_many(diffs, lambda_of_z(zs[inner], d), d, engine)
     if n_in < len(idx):
         # z = e^{it} is approached radially from inside; lambda(z) then
         # tends to d*cos t with Im lambda -> -d*eps*sin t, so the upper
@@ -216,12 +187,70 @@ def det_eval_many(
         zb = zs[rim]
         G[:, n_in:], Gerr[:, n_in:] = green_boundary_many(
             diffs, d * (zb.real / az[rim]), ~(zb.imag > 0.0), d)
-    # row i of the Birman-Schwinger matrix is v_i G(x_i - y_j)
-    M = v[None, :, None] * G.T.reshape(-1, s, s)
-    E = np.abs(v)[None, :, None] * Gerr.T.reshape(-1, s, s)
-    dets, errs = _det_with_err(M, E)
-    for k, value, err in zip(idx, dets.tolist(), errs.tolist()):
-        out[k] = DeterminantSample(z=z_list[k], value=value, err_estimate=err)
+    return idx, v, G, Gerr
+
+
+def _stack(v: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The (K, s, s) matrices v_i G(x_i - y_j) of a Green block G (s*s, K):
+    row i of the Birman-Schwinger matrix is v_i G(x_i - y_j)."""
+    s = len(v)
+    return v[None, :, None] * G.T.reshape(-1, s, s)
+
+
+def _det(M: np.ndarray) -> np.ndarray:
+    """det(I + M[k]) for a stack of K matrices M (K, s, s).  For s = 1 it is
+    1 + M, with no LAPACK call (det of a 1x1 matrix goes through slogdet
+    and need not return its entry).  Stacked det factors each matrix on
+    its own, so a value does not depend on the others in the stack."""
+    s = M.shape[1]
+    if s == 1:
+        return 1.0 + M[:, 0, 0]
+    return np.linalg.det(np.eye(s) + M)
+
+
+def _det_err(M: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """The error bound of ``_det(M)`` for entrywise error bounds E.
+
+    |d det| <= ||adj(A)||_2 ||dA||_2 with A = I + M, where the adjugate's
+    2-norm is the product of all singular values of A but the smallest;
+    rounding adds s ulps of the largest.  For s = 1 that is E + 2.3e-16
+    |1 + M|, with no LAPACK call.
+    """
+    s = M.shape[1]
+    if s == 1:
+        return E[:, 0, 0] + 2.3e-16 * np.abs(1.0 + M[:, 0, 0])
+    sigma = np.linalg.svd(np.eye(s) + M, compute_uv=False)
+    adj_norm = sigma[:, 0].copy()
+    for j in range(1, s - 1):
+        adj_norm *= sigma[:, j]
+    de = np.linalg.norm(E, 2, axis=(1, 2))
+    return adj_norm * (de + s * 2.3e-16 * sigma[:, 0])
+
+
+def det_eval_many(
+    V: Potential,
+    zs: "Sequence[complex]",
+    policy: QuadPolicy = QuadPolicy(),
+) -> np.ndarray:
+    """D at every z of ``zs`` in the closed unit disc, as a complex array.
+
+    This is the one sampling path.  Interior points (|z| <= 1 - margin) go
+    through the off-spectrum Green engines that ``policy`` names, |z| = 1
+    through the two-sided boundary limit with the side fixed by the
+    semicircle; the thin rim in between is refused, as is any point
+    outside the disc (the first such point is named).  z = 0 and an empty
+    support give exactly 1.
+
+    One Birman-Schwinger assembly (``_birman_schwinger``) fills stacked
+    (K, |S|, |S|) matrices and one stacked det (``_det``) gives the
+    values.  No error bound is formed: ``det_eval`` is the one place that
+    returns it.  A value is computed the same way whichever batch it is in.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    out = np.ones(len(zs), dtype=complex)
+    idx, v, G, _ = _birman_schwinger(V, zs, policy.engine)
+    if idx:
+        out[idx] = _det(_stack(v, G))
     return out
 
 
@@ -244,9 +273,19 @@ def circle_grid(r: float, n: int) -> np.ndarray:
 
 
 def det_eval(V: Potential, z: complex, policy: QuadPolicy = QuadPolicy()) -> DeterminantSample:
-    """One determinant sample at z in the closed unit disc: the one-point
-    case of ``det_eval_many``."""
-    return det_eval_many(V, [z], policy)[0]
+    """One determinant sample at z in the closed unit disc, with its error
+    bound.  The value comes from the assembly and the det of
+    ``det_eval_many``, so it equals that function's value at z bit for
+    bit; the bound (``_det_err``) takes a singular value decomposition of
+    I + M and the 2-norm of its entrywise error bounds."""
+    zs = np.array([z], dtype=complex)
+    z = zs.tolist()[0]
+    idx, v, G, Gerr = _birman_schwinger(V, zs, policy.engine)
+    if not idx:
+        return DeterminantSample(z=z, value=1.0 + 0.0j, err_estimate=0.0)
+    M = _stack(v, G)
+    err = _det_err(M, _stack(np.abs(v), Gerr))
+    return DeterminantSample(z=z, value=_det(M).tolist()[0], err_estimate=err.tolist()[0])
 
 
 @dataclass
@@ -280,36 +319,37 @@ class _Step:
         self.halves = None
 
 
-def march_log(
-    f_many: Callable[["list[complex]"], "list[complex]"],
-    curves: "Sequence[tuple]",
-) -> "list[PhaseMarch]":
-    """Phase-continuous log of f along each of ``curves``.
+def march_log(curves: "Sequence[tuple]"):
+    """Phase-continuous log of D along each of ``curves``: a generator.
 
     A curve is (z_of, params, values): the points z_of(s) over the nodes
-    ``params``, with ``values`` holding f at them already, or None to
-    sample them.  f_many maps a list of points to the list of f values.
-    Each step between neighbouring nodes is the principal log of the ratio
-    of its end values.  A step whose phase turns by more than pi/2 is
-    bisected in the parameter, and its halves are checked in turn, so the
-    march cannot drop a turn.  A step still unresolved after
-    _MARCH_MAX_DEPTH bisections, or a sample where f vanishes, raises
-    PathRefinementError.
+    ``params``, with ``values`` holding D at them already, or None to
+    sample them.  The generator yields each list of points whose values it
+    needs, is sent the list of values back, and returns one PhaseMarch per
+    curve; ``drive`` runs it against a sampling function, and the zero
+    search runs many marches in lockstep.  Each step between neighbouring
+    nodes is the principal log of the ratio of its end values.  A step
+    whose phase turns by more than pi/2 is bisected in the parameter, and
+    its halves are checked in turn, so the march cannot drop a turn.  A
+    step still unresolved after _MARCH_MAX_DEPTH bisections, or a sample
+    that vanishes or is not finite, raises PathRefinementError.
 
-    The march goes level by level: the unsampled nodes of every curve
-    take one f_many call, and so do the midpoints of all the steps of all
-    the curves that are unresolved at each depth.  A step's refinement
-    depends only on its end values, so the points sampled are those of a
+    The march goes level by level: it asks once for the unsampled nodes of
+    every curve, and once per depth for the midpoints of all the steps of
+    all the curves that are unresolved there.  A step's refinement depends
+    only on its end values, so the points sampled are those of a
     depth-first bisection, and each step's increment is summed as left
     half + right half, with z_dlog accumulated over the resolved steps in
     depth-first order.  The results equal, bit for bit, those of marching
     each curve on its own with a one-point f.
     """
     zss = [[z_of(s) for s in params] for z_of, params, _ in curves]
-    missing = [zs for (_, _, values), zs in zip(curves, zss) if values is None]
-    fresh = iter(f_many([z for zs in missing for z in zs]) if missing else [])
+    missing = [z for (_, _, values), zs in zip(curves, zss) if values is None for z in zs]
+    fresh = iter((yield missing) if missing else [])
     valss = [[next(fresh) for _ in zs] if values is None else list(values)
              for (_, _, values), zs in zip(curves, zss)]
+    if not all(cmath.isfinite(v) for vals in valss for v in vals):
+        raise PathRefinementError("D is not finite at a node of the march")
     min_abs = [min(abs(v) for v in vals) for vals in valss]
     max_abs = [max(abs(v) for v in vals) for vals in valss]
     if min(min_abs) == 0.0:
@@ -322,7 +362,6 @@ def march_log(
     ]
     level = [st for steps in top for st in steps]
     for depth in range(_MARCH_MAX_DEPTH + 1):
-        # a NaN increment is unresolved too
         level = [st for st in level if not abs(st.inc.imag) <= 0.5 * math.pi]
         if not level:
             break
@@ -335,7 +374,9 @@ def march_log(
         sms = [0.5 * (st.sa + st.sb) for st in level]
         zms = [curves[st.curve][0](sm) for st, sm in zip(level, sms)]
         halves = []
-        for st, sm, zm, fm in zip(level, sms, zms, f_many(zms)):
+        for st, sm, zm, fm in zip(level, sms, zms, (yield zms)):
+            if not cmath.isfinite(fm):
+                raise PathRefinementError(f"D is not finite at z={zm}")
             c = st.curve
             min_abs[c] = min(min_abs[c], abs(fm))
             max_abs[c] = max(max_abs[c], abs(fm))
@@ -367,6 +408,18 @@ def march_log(
     return marches
 
 
+def drive(gen, f_many: Callable[["list[complex]"], "list[complex]"]):
+    """Run a sampling generator (``march_log``, or a task built on it) to
+    its return value, answering each list of points it yields with
+    f_many's list of values at them."""
+    try:
+        zs = next(gen)
+        while True:
+            zs = gen.send(f_many(zs))
+    except StopIteration as stop:
+        return stop.value
+
+
 def taylor_coeffs(
     V: Potential,
     r: float,
@@ -396,10 +449,10 @@ def taylor_coeffs(
 
     m2 = 2 * m_samples
     ts = 2.0 * math.pi * np.arange(m2 + 1) / m2  # the last node closes the loop
-    vals = [smp.value for smp in det_eval_many(V, circle_grid(r, m2))]
-    (march,) = march_log(
-        lambda zs: [smp.value for smp in det_eval_many(V, zs)],
-        [(lambda t: r * cmath.exp(1j * t), ts, vals + vals[:1])],
+    vals = det_eval_many(V, circle_grid(r, m2)).tolist()
+    (march,) = drive(
+        march_log([(lambda t: r * cmath.exp(1j * t), ts, vals + vals[:1])]),
+        lambda zs: det_eval_many(V, zs).tolist(),
     )
     winding = int(round((march.logs[-1] - march.logs[0]).imag / (2.0 * math.pi)))
     if winding != 0:

@@ -131,7 +131,7 @@ def jensen_check(
     for rec in zeros:
         if abs(abs(rec.z) - r) < 1e-9:
             r *= 1.0 + 1e-6
-    vals = [abs(smp.value) for smp in det_eval_many(V, circle_grid(r, n_grid))]
+    vals = [abs(v) for v in det_eval_many(V, circle_grid(r, n_grid)).tolist()]
     lhs = float(np.mean(np.log(np.asarray(vals))))
     rhs = math.fsum(
         rec.multiplicity * math.log(r / abs(rec.z)) for rec in zeros if abs(rec.z) < r
@@ -275,17 +275,17 @@ def _boundary_logmod(V: Potential, zs: np.ndarray) -> "list[float | None]":
     exception propagates."""
     zs = zs.tolist()
     try:
-        samples = det_eval_many(V, zs)
+        vals = det_eval_many(V, zs).tolist()
     except (ValueError, ArithmeticError):
-        samples = []
+        vals = []
         for z in zs:
             try:
-                samples.append(det_eval_many(V, [z])[0])
+                vals.append(det_eval_many(V, [z]).tolist()[0])
             except (ValueError, ArithmeticError):
-                samples.append(None)
+                vals.append(None)
     out: "list[float | None]" = []
-    for smp in samples:
-        a = abs(smp.value) if smp is not None else math.nan
+    for val in vals:
+        a = abs(val) if val is not None else math.nan
         out.append(math.log(a) if math.isfinite(a) and a > 1e-300 else None)
     return out
 
@@ -463,7 +463,7 @@ def outer_reconstruct(
     worst = 0.0
     worst_z = None
     details = []
-    d_vals = [smp.value for smp in det_eval_many(V, probes)]
+    d_vals = det_eval_many(V, probes).tolist()
     for z, d_val in zip(probes, d_vals):
         k_val = bt.integrate_kernel(
             lambda t, z=z: (np.exp(1j * t) + z) / (np.exp(1j * t) - z)

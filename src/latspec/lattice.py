@@ -18,6 +18,7 @@ contribute identically to H^n and H0^n.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -31,7 +32,7 @@ Site = tuple[int, ...]
 
 def validate_dimension(d: int) -> int:
     """Check that d is a positive integer lattice dimension."""
-    if not isinstance(d, (int, np.integer)):
+    if isinstance(d, (bool, np.bool_)) or not isinstance(d, (int, np.integer)):
         raise TypeError(f"dimension must be an integer, got {type(d).__name__}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got d={d}")
@@ -50,13 +51,25 @@ def require_dimension_3(d: int, context: str) -> int:
     return d
 
 
+def _is_integer(c) -> bool:
+    """True for an int or an integral float, and for their numpy kinds; a
+    bool is no coordinate."""
+    if isinstance(c, (bool, np.bool_)):
+        return False
+    if isinstance(c, (int, np.integer)):
+        return True
+    return isinstance(c, (float, np.floating)) and float(c).is_integer()
+
+
 @dataclass(frozen=True)
 class Potential:
     """Finitely supported complex potential on Z^d.
 
     Entries are stored sorted lexicographically by site so that iteration
     order (and everything derived from it) is deterministic.  Exact zero
-    values are dropped; duplicate sites are rejected.
+    values are dropped; duplicate sites, site coordinates that are not
+    integers (booleans included) and values that are not finite are
+    rejected.
     """
 
     d: int
@@ -67,12 +80,17 @@ class Potential:
         items = list(values.items()) if isinstance(values, Mapping) else list(values)
         seen: dict[Site, complex] = {}
         for site, val in items:
+            if not all(_is_integer(c) for c in site):
+                raise ValueError(f"site {list(site)} has a coordinate that is not an integer")
             site = tuple(int(c) for c in site)
             if len(site) != d:
                 raise ValueError(f"site {site} has {len(site)} coordinates, expected {d}")
             if site in seen:
                 raise ValueError(f"duplicate site {site}")
-            seen[site] = complex(val)
+            val = complex(val)
+            if not cmath.isfinite(val):
+                raise ValueError(f"site {site} has a value that is not finite: {val}")
+            seen[site] = val
         ordered = tuple(sorted((kv for kv in seen.items() if kv[1] != 0), key=lambda kv: kv[0]))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "entries", ordered)
@@ -115,12 +133,17 @@ class Potential:
         payload = json.loads(text)
         if not isinstance(payload, dict) or "d" not in payload or "entries" not in payload:
             raise ValueError("potential JSON must be an object with 'd' and 'entries'")
-        d = payload["d"]
+        if not isinstance(payload["entries"], list):
+            raise ValueError("'entries' must be a list")
         entries = []
-        for rec in payload["entries"]:
-            site = rec["site"]
-            entries.append((tuple(site), complex(float(rec.get("re", 0.0)), float(rec.get("im", 0.0)))))
-        return Potential(d, entries)
+        for k, rec in enumerate(payload["entries"]):
+            if not isinstance(rec, dict) or not isinstance(rec.get("site"), list):
+                raise ValueError(f"entry {k} must be an object with a 'site' list")
+            x, y = rec.get("re", 0.0), rec.get("im", 0.0)
+            if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in (x, y)):
+                raise ValueError(f"entry {k}: 're' and 'im' must be numbers, got {x!r} and {y!r}")
+            entries.append((tuple(rec["site"]), complex(float(x), float(y))))
+        return Potential(payload["d"], entries)
 
     @staticmethod
     def from_file(path: str) -> "Potential":

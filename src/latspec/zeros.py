@@ -15,10 +15,17 @@ The strategy is classical:
      (derivative by central differences) and re-verify each root by a
      small winding circle.
 
-D is sampled in batches through one memo (``_DetCache``): the initial
-nodes of both children of a split, the bisection midpoints of every piece
-of a contour at each depth, the box midpoints and each Newton stencil
-x, x + h, x - h are one ``det_eval_many`` call apiece.
+Every step of the search is a sampling generator: it yields the points
+it needs and is sent their values (``_winding`` over a marching
+``determinant.march_log``, ``_count_with_retry``, ``_split_counted``,
+``_newton_polish``, and ``_resolve``, which splits a cell or polishes and
+re-verifies it).  ``_together`` runs generators in lockstep and merges
+the requests of all live ones into one round, and ``determinant.drive``
+answers each round with one call to the memo (``_DetCache``), which makes
+at most one ``det_eval_many`` call.  So both children of a split, the
+cells at every depth, and each cell's midpoint, Newton stencils x, x + h,
+x - h and verification circles share batches, while each cell samples
+the points it would sample on its own.
 
 All jitter used to dodge zeros sitting on cell boundaries is a fixed
 golden-ratio offset, so runs are reproducible.
@@ -34,7 +41,7 @@ from typing import Sequence
 from .lattice import Potential
 from .conformal import lambda_of_z
 from .resolvent import green_boundary
-from .determinant import RIM_RADIUS, PathRefinementError, det_eval_many, march_log
+from .determinant import RIM_RADIUS, PathRefinementError, det_eval_many, drive, march_log
 from ._util import GOLDEN_FRAC
 
 __all__ = [
@@ -113,9 +120,42 @@ class _DetCache:
     def many(self, zs: "Sequence[complex]") -> "list[complex]":
         new = [z for z in dict.fromkeys(zs) if z not in self._memo]
         if new:
-            for z, smp in zip(new, det_eval_many(self.V, new)):
-                self._memo[z] = smp.value
+            self._memo.update(zip(new, det_eval_many(self.V, new).tolist()))
         return [self._memo[z] for z in zs]
+
+
+def _together(tasks):
+    """Run sampling generators in lockstep and return their results in
+    task order.
+
+    Each round merges the points that every live task asks for into one
+    request, so they share one ``det_eval_many`` call; each task is sent
+    back the values of its own points.  The first task to raise (in task
+    order within a round) ends the run: its exception propagates and the
+    other tasks are closed.
+    """
+    tasks = list(tasks)
+    results = [None] * len(tasks)
+    answers = dict.fromkeys(range(len(tasks)))
+    try:
+        while answers:
+            asks = {}
+            for k, vals in answers.items():
+                try:
+                    asks[k] = tasks[k].send(vals)
+                except StopIteration as stop:
+                    results[k] = stop.value
+            if not asks:
+                break
+            vals = yield [z for zs in asks.values() for z in zs]
+            answers, pos = {}, 0
+            for k, zs in asks.items():
+                answers[k] = vals[pos:pos + len(zs)]
+                pos += len(zs)
+    finally:
+        for task in tasks:
+            task.close()
+    return results
 
 
 def _grids(pieces):
@@ -125,19 +165,20 @@ def _grids(pieces):
             for z_fun, s0, s1, n_init in pieces]
 
 
-def _winding(cache: _DetCache, pieces, where: str):
-    """(winding, centroid) of D around a closed contour.
+def _winding(pieces, where: str):
+    """(winding, centroid) of D around a closed contour: a sampling
+    generator.
 
     ``pieces`` are (z_fun, s0, s1, n_init): curves z_fun([s0, s1]) that
     join into the contour, marched from the nodes ``_grids`` gives them.
-    One march_log call marches all the pieces, so their initial nodes are
-    one batch, and so are the bisection points of every piece at each
+    One march_log marches all the pieces, so their initial nodes are one
+    request, and so are the bisection points of every piece at each
     depth.  The centroid is sum (1/2 pi i) oint z dlogD, the sum of the
     enclosed zeros.  Raises _BoundaryTooClose when the phase cannot be
     marched or |D| dips below _MIN_ABS_FRAC of its maximum on a piece.
     """
     try:
-        marches = march_log(cache.many, [(z_fun, params, None) for z_fun, params in _grids(pieces)])
+        marches = yield from march_log([(z_fun, params, None) for z_fun, params in _grids(pieces)])
     except PathRefinementError:
         raise _BoundaryTooClose from None
     total = 0.0
@@ -172,13 +213,14 @@ def _sector_pieces(sec: AnnularSector):
     ]
 
 
-def _count_with_retry(cache: _DetCache, sec: AnnularSector):
+def _count_with_retry(sec: AnnularSector):
     """(count, centroid, sector) of a sector's winding, with a deterministic
     golden-ratio perturbation of the sector when a zero sits (numerically)
-    on the contour; ``sector`` is the one that was counted."""
+    on the contour; ``sector`` is the one that was counted.  A sampling
+    generator."""
     for attempt in range(_MAX_RETRIES + 1):
         try:
-            return (*_winding(cache, _sector_pieces(sec), f"sector {sec}"), sec)
+            return (*(yield from _winding(_sector_pieces(sec), f"sector {sec}")), sec)
         except _BoundaryTooClose:
             bump_t = GOLDEN_FRAC * (sec.t_hi - sec.t_lo) * 1e-3 * (attempt + 1)
             bump_r = GOLDEN_FRAC * (sec.r_hi - sec.r_lo) * 1e-3 * (attempt + 1)
@@ -197,7 +239,7 @@ def count_zeros(V: Potential, region: "AnnularSector | Sequence[float]") -> int:
         region = AnnularSector(*region)
     if not V.support:
         return 0
-    return _count_with_retry(_DetCache(V), region)[0]
+    return drive(_count_with_retry(region), _DetCache(V).many)[0]
 
 
 def _split(sec: AnnularSector, attempt: int = 0) -> "list[AnnularSector]":
@@ -218,36 +260,34 @@ def _split(sec: AnnularSector, attempt: int = 0) -> "list[AnnularSector]":
     ]
 
 
-def _split_counted(cache: _DetCache, sec: AnnularSector, m: int):
-    """Split a sector and count the children, retrying with drifted cut
-    fractions until the counts exist and add up to the parent's.  Returns
-    (count, centroid, child) per child, the child as cut."""
+def _split_counted(sec: AnnularSector, m: int):
+    """Split a sector and count the children together, retrying with
+    drifted cut fractions until the counts exist and add up to the
+    parent's.  Returns (count, centroid, child) per child, the child as
+    cut.  A sampling generator."""
     for attempt in range(4):
         children = _split(sec, attempt)
-        # the initial nodes of both children in one batch; the memo
-        # evaluates the points of their shared edge once
-        cache.many([z_fun(s) for ch in children for z_fun, params in _grids(_sector_pieces(ch)) for s in params])
         try:
-            counted = [(*_count_with_retry(cache, ch)[:2], ch) for ch in children]
+            counted = yield from _together(_count_with_retry(ch) for ch in children)
         except ZeroIsolationError:
             continue
         if sum(c for c, _, _ in counted) == m:
-            return counted
+            return [(c, centroid, ch) for (c, centroid, _), ch in zip(counted, children)]
     raise ZeroIsolationError(f"child counts never matched parent count {m} in {sec}")
 
 
-def _newton_polish(cache: _DetCache, x0: complex, m: int, scale: float, tol: float, cell: float):
+def _newton_polish(x0: complex, m: int, scale: float, tol: float, cell: float):
     """Multiplicity-aware Newton (Schroeder) iteration with central-difference
-    derivative; each iteration samples x, x + h and x - h in one batch.
+    derivative; each iteration asks for x, x + h and x - h at once.
     A start beyond _NEWTON_RADIUS (the centroid of a cell at the rim can
-    lie there) is pulled in radially.  Returns (root, |D(root)|,
-    last_step)."""
+    lie there) is pulled in radially.  A sampling generator that returns
+    (root, |D(root)|, last_step)."""
     x = x0 if abs(x0) <= _NEWTON_RADIUS else x0 * (_NEWTON_RADIUS / abs(x0))
     h = max(1e-6 * cell, 1e-12)
     best = None
     last_step = cell
     for _ in range(60):
-        f, f_plus, f_minus = cache.many([x, x + h, x - h])
+        f, f_plus, f_minus = yield [x, x + h, x - h]
         af = abs(f)
         if best is None or af < best[1]:
             best = (x, af)
@@ -268,11 +308,51 @@ def _newton_polish(cache: _DetCache, x0: complex, m: int, scale: float, tol: flo
         last_step = abs(step)
         h = max(1e-9 * cell, min(h, max(last_step, 1e-12)))
         if last_step < 1e-16:
-            af = abs(cache.many([x])[0])
-            if af < best[1]:
-                best = (x, af)
+            (f,) = yield [x]
+            if abs(f) < best[1]:
+                best = (x, abs(f))
             break
     return best[0], best[1], last_step
+
+
+def _resolve(sec: AnnularSector, m: int, centroid: complex, depth: int, tol: float):
+    """The zeros of a counted cell, as (z, multiplicity, residual, radius):
+    a sampling generator.
+
+    A cell that is not yet small is split, and its nonempty children are
+    resolved together.  A small one holds one cluster: the polish starts
+    from the centroid of its zeros, with D at the cell's midpoint setting
+    the residual scale, and a small circle around the polished root must
+    then wind m times.
+    """
+    if sec.diameter > (1.2e-1 if m == 1 else 1e-3):
+        if depth >= _MAX_DEPTH:
+            raise ZeroIsolationError(
+                f"subdivision depth cap exceeded; unresolved cell {sec} holding {m} zero(s)"
+            )
+        counted = yield from _split_counted(sec, m)
+        found = yield from _together(_resolve(ch, c, ch_centroid, depth + 1, tol)
+                                     for c, ch_centroid, ch in counted if c)
+        return [zero for zs in found for zero in zs]
+
+    (mid,) = yield [sec.midpoint()]
+    scale = max(abs(mid), 1.0)
+    z_hat, resid, last_step = yield from _newton_polish(centroid / m, m, scale, tol, sec.diameter)
+    # re-verify: a small circle around the polished root must wind m times
+    rad = max(10.0 * last_step, 1e-7)
+    for _ in range(8):
+        if rad > 0.25:
+            break
+        circle = (lambda t: z_hat + rad * cmath.exp(1j * t), 0.0, _TWO_PI, 16)
+        try:
+            wv, _ = yield from _winding([circle], f"circle center={z_hat}, r={rad:g}")
+        except (_BoundaryTooClose, ZeroIsolationError):
+            rad *= 3.0
+            continue
+        if wv == m:
+            return [(z_hat, m, resid, rad)]
+        rad *= 3.0
+    raise ZeroIsolationError(f"could not re-verify multiplicity {m} around z={z_hat}")
 
 
 def find_zeros(
@@ -294,65 +374,13 @@ def find_zeros(
     # angular datum at an irrational-ish angle: real potentials put zeros on
     # the real axis, which must not coincide with any subdivision seam
     root = AnnularSector(1e-3, r_outer, GOLDEN_FRAC, GOLDEN_FRAC + _TWO_PI)
-    total, centroid, root = _count_with_retry(cache, root)
+    total, centroid, root = drive(_count_with_retry(root), cache.many)
     if total == 0:
         return []
-
-    # subdivision: isolate clusters until each nonempty cell is small; a
-    # cell keeps the centroid its count measured
-    work = [(root, total, centroid, 0)]
-    boxes: "list[tuple[AnnularSector, int, complex]]" = []
-    while work:
-        sec, m, centroid, depth = work.pop()
-        small = sec.diameter <= (1.2e-1 if m == 1 else 1e-3)
-        if small:
-            boxes.append((sec, m, centroid))
-            continue
-        if depth >= _MAX_DEPTH:
-            raise ZeroIsolationError(
-                f"subdivision depth cap exceeded; unresolved cell {sec} holding {m} zero(s)"
-            )
-        for c, ch_centroid, ch in _split_counted(cache, sec, m):
-            if c:
-                work.append((ch, c, ch_centroid, depth + 1))
-
-    records: "list[ZeroRecord]" = []
-    # D at the box midpoints sets each polish's residual scale
-    mids = cache.many([sec.midpoint() for sec, _, _ in boxes])
-    for (sec, m, centroid), mid in zip(boxes, mids):
-        # the centroid of the cell's zeros seeds the polish
-        scale = max(abs(mid), 1.0)
-        z_hat, resid, last_step = _newton_polish(cache, centroid / m, m, scale, tol, sec.diameter)
-
-        # re-verify: a small circle around the polished root must wind m times
-        rad = max(10.0 * last_step, 1e-7)
-        verified = None
-        for _ in range(8):
-            if rad > 0.25:
-                break
-            circle = (lambda t: z_hat + rad * cmath.exp(1j * t), 0.0, _TWO_PI, 16)
-            try:
-                wv, _ = _winding(cache, [circle], f"circle center={z_hat}, r={rad:g}")
-            except (_BoundaryTooClose, ZeroIsolationError):
-                rad *= 3.0
-                continue
-            if wv == m:
-                verified = rad
-                break
-            rad *= 3.0
-        if verified is None:
-            raise ZeroIsolationError(
-                f"could not re-verify multiplicity {m} around z={z_hat}"
-            )
-        records.append(
-            ZeroRecord(
-                z=z_hat,
-                multiplicity=m,
-                lam=lambda_of_z(z_hat, V.d),
-                residual=resid,
-                newton_radius=verified,
-            )
-        )
+    records = [
+        ZeroRecord(z=z, multiplicity=m, lam=lambda_of_z(z, V.d), residual=resid, newton_radius=rad)
+        for z, m, resid, rad in drive(_resolve(root, total, centroid, 0, tol), cache.many)
+    ]
     records.sort(key=lambda rec: (abs(rec.z), cmath.phase(rec.z)))
     return records
 

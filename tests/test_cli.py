@@ -4,8 +4,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from latspec import cli
 from latspec.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -93,6 +95,53 @@ def test_malformed_potential_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dimension": 3}')
     assert main(["eigs", "-p", str(bad)]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"site": [0.5, 0, 0], "re": 3.0}, "site [0.5, 0, 0] has a coordinate that is not an integer"),
+    ({"site": [True, 0, 0], "re": 3.0}, "site [True, 0, 0] has a coordinate that is not an integer"),
+    ({"site": [0, 0, 0], "re": math.nan}, "site (0, 0, 0) has a value that is not finite: (nan+0j)"),
+    ({"site": [0, 0, 0], "re": math.inf}, "site (0, 0, 0) has a value that is not finite: (inf+0j)"),
+    ({"site": [1, 0, 0], "re": 1.0, "im": -math.inf},
+     "site (1, 0, 0) has a value that is not finite: (1-infj)"),
+    ({"site": [0, 0, 0], "re": True}, "entry 1: 're' and 'im' must be numbers, got True and 0.0"),
+    ({"site": [0, 0, 0], "re": 3.0, "im": "1"}, "entry 1: 're' and 'im' must be numbers, got 3.0 and '1'"),
+    ({"site": 5, "re": 3.0}, "entry 1 must be an object with a 'site' list"),
+], ids=["fractional-site", "boolean-site", "nan-value", "infinite-value", "infinite-imaginary-part",
+        "boolean-value", "string-value", "scalar-site"])
+def test_eigs_refuses_bad_potential_entries(tmp_path, capsys, entry, message):
+    # a coordinate is an integer, not truncated (0.5 as 0) or coerced (true
+    # as 1); a value is a finite number, where NaN or Infinity would send
+    # the zero search bisecting non-finite samples; each exits 2 before any
+    # sampling, with a message naming the entry
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"d": 3, "entries": [{"site": [0, 1, 0], "re": 1.0}, entry]}))
+    assert main(["eigs", "-p", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid potential file") and message in err
+
+
+@pytest.mark.parametrize("d, message", [
+    (True, "dimension must be an integer, got bool"),
+    ("3", "dimension must be an integer, got str"),
+])
+def test_eigs_refuses_a_dimension_that_is_not_an_integer(tmp_path, capsys, d, message):
+    # true is no dimension 1, and a string crashed with a TypeError traceback
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"d": d, "entries": [{"site": [0, 0, 0], "re": 3.0}]}))
+    assert main(["eigs", "-p", str(path)]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+def test_linalg_error_is_a_numerical_failure(v3_file, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, the class of bad input; a failed
+    # factorization is a numerical failure
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "det_eval", fail)
+    assert main(["det-eval", "-p", v3_file, "--z", "0.3"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical failure: SVD did not converge\n"
 
 
 def test_taylor_check_subcommand(v3_file, tmp_path):

@@ -12,6 +12,7 @@ from latspec.determinant import (
     circle_grid,
     det_eval,
     det_eval_many,
+    drive,
     march_log,
     moment_relation_check,
     taylor_coeffs,
@@ -93,7 +94,7 @@ def test_det_error_estimate_scales_with_matrix(mix3):
 
 
 def _det_many(V):
-    return lambda zs: [smp.value for smp in det_eval_many(V, zs)]
+    return lambda zs: det_eval_many(V, zs).tolist()
 
 
 def _march_log_dfs(f, z_of, params, values=None):
@@ -138,7 +139,7 @@ def test_march_log_matches_principal_log(mix3):
         return 0.01 * s * (0.6 + 0.3j)
 
     params = range(1, 101)
-    (march,) = march_log(_det_many(mix3), [(z_of, params, None)])
+    (march,) = drive(march_log([(z_of, params, None)]), _det_many(mix3))
     for s, log_value in list(zip(params, march.logs))[::20]:
         direct = cmath.log(det_eval(mix3, z_of(s)).value)
         assert log_value == pytest.approx(direct, abs=1e-9)
@@ -152,8 +153,8 @@ def test_march_log_winding_continuity(v3):
 
     n = 160
     params = [0.3 + 2.0 * math.pi * k / n for k in range(n + 1)]
-    values = [smp.value for smp in det_eval_many(v3, [z_of(t) for t in params])]
-    (march,) = march_log(_det_many(v3), [(z_of, params, values)])
+    values = det_eval_many(v3, [z_of(t) for t in params]).tolist()
+    (march,) = drive(march_log([(z_of, params, values)]), _det_many(v3))
     dphi = march.logs[-1].imag - march.logs[0].imag
     assert dphi == pytest.approx(2.0 * math.pi, abs=1e-6)
 
@@ -191,7 +192,7 @@ def test_march_log_batched_equals_depth_first(v3, mix3):
             ones.append(z)
             return det_eval(V, z).value
 
-        marches = march_log(f_many, [(z_of, params, None) for z_of, params in pieces])
+        marches = drive(march_log([(z_of, params, None) for z_of, params in pieces]), f_many)
         for (z_of, params), got in zip(pieces, marches):
             want = _march_log_dfs(f, z_of, params)
             assert got.logs.tobytes() == want.logs.tobytes()
@@ -217,8 +218,28 @@ def test_march_log_refuses_after_max_depth(v3):
         return _det_many(v3)(zs)
 
     with pytest.raises(PathRefinementError, match=f"after {determinant._MARCH_MAX_DEPTH} bisections"):
-        march_log(f_many, [(lambda s: complex(s), [0.05, 0.56], None)])
+        drive(march_log([(lambda s: complex(s), [0.05, 0.56], None)]), f_many)
     assert len(calls) == 2 + determinant._MARCH_MAX_DEPTH
+
+
+def test_march_log_refuses_a_sample_that_is_not_finite(v3):
+    # a NaN or infinite sample stops the march at once, as a vanishing one
+    # does, instead of being bisected to _MARCH_MAX_DEPTH with the batch
+    # doubling at each level: at a node after the 2 nodes, and at the first
+    # midpoint (0.305, where the step over the zero z1 ~ 0.55 is bisected)
+    # after 3 points
+    for bad, where, asked in ((lambda z: z.real > 0.5, "at a node", 2),
+                              (lambda z: 0.3 < z.real < 0.31, "at z=", 3)):
+        for poison in (complex(math.nan, 0.0), complex(math.inf, 1.0)):
+            calls = []
+
+            def f_many(zs):
+                calls.extend(zs)
+                return [poison if bad(z) else v for z, v in zip(zs, _det_many(v3)(zs))]
+
+            with pytest.raises(PathRefinementError, match=f"not finite {where}"):
+                drive(march_log([(lambda s: complex(s), [0.05, 0.56], None)]), f_many)
+            assert len(calls) == asked
 
 
 def test_taylor_radius_independence(v3):
@@ -275,11 +296,10 @@ def test_batch_invariance(v3, mix3):
     for V in (v3, mix3):
         resolvent.clear_green_cache()
         batch = det_eval_many(V, zs)
-        for z, smp in zip(zs, batch):
+        for z, value in zip(zs, batch.tolist()):
             resolvent.clear_green_cache()
-            one = det_eval_many(V, [z])[0]
-            assert (one.value, one.err_estimate) == (smp.value, smp.err_estimate), z
-            assert det_eval(V, z).value == smp.value
+            assert det_eval_many(V, [z]).tolist() == [value], z
+            assert det_eval(V, z).value == value
 
 
 def test_det_eval_many_refuses_like_det_eval(v3):
@@ -287,7 +307,7 @@ def test_det_eval_many_refuses_like_det_eval(v3):
         det_eval_many(v3, [0.5, 0.9995])
     with pytest.raises(ValueError, match="outside"):
         det_eval_many(v3, [0.5, 1.2j])
-    assert det_eval_many(Potential(3, []), [0.4, 2.0])[1].value == 1.0
+    assert det_eval_many(Potential(3, []), [0.4, 2.0])[1] == 1.0
 
 
 def test_circle_grid_is_exact_mirror_images():
@@ -316,6 +336,71 @@ def test_mirrored_points_give_mirrored_determinants(v3):
     k = np.arange(1, 128)
     for r in (0.5, 0.8, 1.0):
         resolvent.clear_green_cache()
-        vals = np.array([smp.value for smp in det_eval_many(v3, circle_grid(r, 256))])
+        vals = det_eval_many(v3, circle_grid(r, 256))
         assert np.array_equal(vals[256 - k], vals[k].conj())
         assert np.array_equal(vals[256 - k - 128], vals[k + 128].conj())
+
+
+# the 5-site complex potential of benchmark panel draw 2 (panel seed 1)
+_FIVE_SITE = Potential(3, [
+    ((-1, -1, 0), -0.7027842035027629 + 1.024389084315739j),
+    ((0, -1, 0), 0.0922031016259035 - 1.3383064090232242j),
+    ((1, -1, 0), 1.3982196432802514 - 0.6958356225452828j),
+    ((1, 0, 0), 0.9797427736582445 - 0.5689165965531313j),
+    ((0, 1, 0), 1.244065031143438 + 0.9038693903920579j),
+])
+
+
+def test_det_eval_many_values_are_det_eval_values(v3, mix3):
+    # det_eval_many returns the values alone, as one complex array; each
+    # equals det_eval's value at its point bit for bit, in a mixed batch of
+    # interior points (torus and oscillatory engine), points of both
+    # semicircles of |z| = 1, a repeat and z = 0, for |S| = 1, 3 and 5
+    zs = [0.3 - 0.45j, 0.8 * cmath.exp(0.4j), -0.62 + 0.1j, 0.12j, 0.6 + 0.8j,
+          cmath.exp(-2.1j), 1.0, -1.0, 0.0, 0.3 - 0.45j]
+    for V in (v3, mix3, _FIVE_SITE):
+        batch = det_eval_many(V, zs)
+        assert batch.dtype == np.complex128 and batch.shape == (len(zs),)
+        assert batch.tolist() == [det_eval(V, z).value for z in zs]
+    assert det_eval_many(mix3, []).shape == (0,)
+
+
+def _adjugate_bound(M, E):
+    """A private copy of the determinant error bound as the stacked sampler
+    computed it for every point: ||adj(I + M)||_2 ||E||_2 plus s ulps of
+    the largest singular value."""
+    s = M.shape[1]
+    if s == 1:
+        a = 1.0 + M[:, 0, 0]
+        return E[:, 0, 0] + 2.3e-16 * np.abs(a)
+    A = np.eye(s) + M
+    sigma = np.linalg.svd(A, compute_uv=False)
+    adj_norm = sigma[:, 0].copy()
+    for j in range(1, s - 1):
+        adj_norm *= sigma[:, j]
+    de = np.linalg.norm(E, 2, axis=(1, 2))
+    return adj_norm * (de + s * 2.3e-16 * sigma[:, 0])
+
+
+def test_det_eval_error_bound_is_the_adjugate_bound(mix3):
+    # det_eval's err_estimate, for 3 and 5 sites, equals the bound above on
+    # matrices built here from the Green blocks: v_i G(x_i - y_j) with
+    # entrywise errors |v_i| err G, at interior points and on |z| = 1 (the
+    # upper semicircle is the lower side of the cut)
+    for V in (mix3, _FIVE_SITE):
+        sites = V.support
+        s = len(sites)
+        diffs = [tuple(a - b for a, b in zip(x, y)) for x in sites for y in sites]
+        v = np.array([V.as_dict()[x] for x in sites])
+        for z in (0.3 + 0.4j, -0.5 + 0.2j, 0.05 - 0.7j, 0.6 + 0.8j, cmath.exp(-2.1j)):
+            zs = np.array([z])
+            az = np.hypot(zs.real, zs.imag)
+            if abs(az[0] - 1.0) <= 1e-12:
+                G, Gerr = resolvent.green_boundary_many(diffs, 3 * (zs.real / az), ~(zs.imag > 0.0), 3)
+            else:
+                G, Gerr = resolvent.green_many(diffs, lambda_of_z(zs, 3), 3)
+            M = v[None, :, None] * G.T.reshape(-1, s, s)
+            E = np.abs(v)[None, :, None] * Gerr.T.reshape(-1, s, s)
+            got = det_eval(V, z)
+            assert got.err_estimate == _adjugate_bound(M, E)[0], (V, z)
+            assert got.value == np.linalg.det(np.eye(s) + M)[0]

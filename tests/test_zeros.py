@@ -94,36 +94,41 @@ def test_find_zeros_complex_multi_site(mix3):
 
 
 def test_find_zeros_batches_its_samples(mix3, monkeypatch):
-    # the marches go level by level over every piece of a contour, and the
-    # Newton stencil and the box midpoints come in one call each: the search
-    # on mix3 x 4 makes exactly 41 batched and 7 one-point det_eval_many
-    # calls (one-point calls only where a single step is left at a march
-    # level), and finds the zeros of test_find_zeros_complex_multi_site
+    # the search runs every live cell in lockstep: each round merges the
+    # march levels of all contours, the Newton stencils, the box midpoints
+    # and the verification circles into one request, so the search on
+    # mix3 x 4 makes exactly 24 batched and 2 one-point det_eval_many calls
+    # on the 891 distinct points that a cell-by-cell search samples, and
+    # finds the zeros of test_find_zeros_complex_multi_site
     sizes = []
+    points = set()
     real = zeros.det_eval_many
 
     def counting(V, zs, *args, **kwargs):
         sizes.append(len(zs))
+        points.update(zs)
         return real(V, zs, *args, **kwargs)
 
     monkeypatch.setattr(zeros, "det_eval_many", counting)
     recs = find_zeros(mix3.scale(4.0), tol=1e-11)
-    assert (sizes.count(1), sum(n > 1 for n in sizes)) == (7, 41)
+    assert (sizes.count(1), sum(n > 1 for n in sizes)) == (2, 24)
+    assert len(points) == sum(sizes) == 891
     assert len(recs) == 3
     assert all(rec.residual < 1e-9 and abs(rec.z) < 1.0 for rec in recs)
     assert any(abs(r.z.imag) > 0.05 for r in recs)
 
 
 def test_find_zeros_counts_each_cell_once(mix3, v3, monkeypatch):
-    # every march counts the root, a child of a split or a verification
-    # circle: a cell carries the centroid its own count measured to the
-    # polish and is never counted a second time
+    # every march_log generator counts the root, a child of a split or a
+    # verification circle: a cell carries the centroid its own count
+    # measured to the polish and is never counted a second time
     calls = []
     real = zeros.march_log
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        gen = real(*args, **kwargs)
+        calls.append(gen)
+        return gen
 
     monkeypatch.setattr(zeros, "march_log", counting)
     assert len(find_zeros(mix3.scale(4.0), tol=1e-11)) == 3
