@@ -60,7 +60,7 @@ import numpy as np
 
 from .lattice import Potential, trace_moments
 from .conformal import lambda_of_z
-from .resolvent import green_boundary_many, green_many
+from .resolvent import green_boundary_orbits, green_orbits, support_orbits
 
 __all__ = [
     "QuadPolicy",
@@ -146,9 +146,11 @@ def _birman_schwinger(V: Potential, zs: np.ndarray, engine: str):
     The points are classified by masks on |z| = ``np.hypot``: outside,
     rim, interior and z = 0.  The interior points are mapped by one
     ``lambda_of_z`` call and take one block of Green values (support
-    differences x lambdas) from ``green_many``, which routes the lambdas
+    differences x lambdas) from ``green_orbits``, which routes the lambdas
     to the oscillatory or the torus engine named by ``engine``; the
-    boundary points take one from ``green_boundary_many``.
+    boundary points take one from ``green_boundary_orbits``.  Both read
+    the differences as ``support_orbits`` maps them to orbits, once per
+    support.
     """
     if not V.support:
         return [], None, None, None
@@ -172,21 +174,21 @@ def _birman_schwinger(V: Potential, zs: np.ndarray, engine: str):
     if not idx:
         return [], None, None, None
     sites = V.support
-    diffs = [tuple(a - b for a, b in zip(x, y)) for x in sites for y in sites]
+    orbits = support_orbits(sites, d)
     vd = V.as_dict()
     v = np.array([vd[x] for x in sites], dtype=complex)
     G = np.empty((len(sites) ** 2, len(idx)), dtype=complex)
     Gerr = np.empty(G.shape)
     if n_in:
-        G[:, :n_in], Gerr[:, :n_in] = green_many(diffs, lambda_of_z(zs[inner], d), d, engine)
+        G[:, :n_in], Gerr[:, :n_in] = green_orbits(*orbits, lambda_of_z(zs[inner], d), d, engine)
     if n_in < len(idx):
         # z = e^{it} is approached radially from inside; lambda(z) then
         # tends to d*cos t with Im lambda -> -d*eps*sin t, so the upper
         # semicircle means the lower side of the cut.  Re z / |z| <= 1
         # keeps lambda0 on the band, and it is exactly odd in z.
         zb = zs[rim]
-        G[:, n_in:], Gerr[:, n_in:] = green_boundary_many(
-            diffs, d * (zb.real / az[rim]), ~(zb.imag > 0.0), d)
+        G[:, n_in:], Gerr[:, n_in:] = green_boundary_orbits(
+            *orbits, d * (zb.real / az[rim]), ~(zb.imag > 0.0), d)
     return idx, v, G, Gerr
 
 

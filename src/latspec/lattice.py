@@ -133,12 +133,20 @@ class Potential:
         payload = json.loads(text)
         if not isinstance(payload, dict) or "d" not in payload or "entries" not in payload:
             raise ValueError("potential JSON must be an object with 'd' and 'entries'")
+        unknown = sorted(set(payload) - {"d", "entries"})
+        if unknown:
+            raise ValueError(f"potential JSON has an unknown key {unknown[0]!r}")
         if not isinstance(payload["entries"], list):
             raise ValueError("'entries' must be a list")
         entries = []
         for k, rec in enumerate(payload["entries"]):
             if not isinstance(rec, dict) or not isinstance(rec.get("site"), list):
                 raise ValueError(f"entry {k} must be an object with a 'site' list")
+            unknown = sorted(set(rec) - {"site", "re", "im"})
+            if unknown:
+                raise ValueError(f"entry {k} has an unknown key {unknown[0]!r}")
+            if "re" not in rec and "im" not in rec:
+                raise ValueError(f"entry {k} needs 're' or 'im'")
             x, y = rec.get("re", 0.0), rec.get("im", 0.0)
             if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in (x, y)):
                 raise ValueError(f"entry {k}: 're' and 'im' must be numbers, got {x!r} and {y!r}")

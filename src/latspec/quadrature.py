@@ -2,8 +2,9 @@
 asymptotic tail of oscillatory integrals with power-law decay.
 
 ``tail_integral_vec`` computes I(s, w, T) = integral over [T, inf) of
-t^(-s) * exp(i w t) dt for several s > 1, at each frequency w with Im(w) >=
-0 (so the exponential is bounded on the ray) and each horizon T.  Three
+t^(-s) * exp(i w t) dt on an exponent ladder s = s0, s0 + 1, ..., s0 + n - 1
+with s0 > 1 (the Green engine's d/2 + 0..10), at each frequency w with Im(w)
+>= 0 (so the exponential is bounded on the ray) and each horizon T.  Three
 regimes:
 
 * w == 0: the integral is elementary, T^(1-s)/(s-1).
@@ -12,28 +13,32 @@ regimes:
   bounded by the first omitted term.  It is truncated at the first term
   below 1e-18 of the partial sum, or before the first term that grows
   (the optimal truncation of an asymptotic series).
-* |w| T smaller (bridged): push the endpoint out to T* where the series is
-  safe for every bridged s by integrating t = T e^u on log-spaced
-  Gauss-Legendre panels (the integrand is smooth and barely oscillatory
-  over each short panel), then add the tails at T*, all direct there.
+* |w| T smaller (bridged): push the endpoint out to T* = (2 s_max + 32) /
+  |w|, where the series is safe for every rung, by integrating t = T e^u on
+  log-spaced Gauss-Legendre panels (the integrand is smooth and barely
+  oscillatory over each short panel), then add the tails at T*, all direct
+  there.
 
-Integration by parts also gives the downward recurrence (DLMF 8.8)
+The direct edge 2 s + 30 grows with s, so the direct rungs of a row are a
+prefix of the ladder, its first k.  The series runs at the last of them,
+the row's head, and integration by parts gives the rungs below it by the
+downward recurrence (DLMF 8.8)
 
     I(s) = (s I(s + 1) - T^(-s) exp(iwT)) / (iw).
 
-Among the direct exponents of a row, those whose s + 1 is in the list come
-from it, largest first; the series runs only at the others (the heads),
-which is once per row for the unit-spaced exponents of the Green engine.
 Each step multiplies the error carried down by s / (|w| T) <= 1/2, so the
 recurrence is stable, and it reproduces the series at the lower exponents
-to rounding, since the series' terms obey the same recurrence.
+to rounding, since the series' terms obey the same recurrence.  The bridge
+serves rungs k and up: at T* its head is the top rung, and the recurrence
+runs down to rung k.
 
-A call is one pass over all its (horizon, frequency) rows: one recurrence,
-one series call over every head pair, each with its own exponent and
-horizon, and one bridge over the bridged rows.  The series first sums a
-window of _SERIES_WINDOW terms (24) and sums all _SERIES_TERMS (60) again
-only for the rows whose stop lies beyond the window; most stop near term
-12.
+A call is one pass over all its (horizon, frequency) rows: one series call
+over every row's head, one recurrence, and one bridge over the bridged
+rows.  The series lays its terms out term-major, one row of the array per
+term, so each product and sum runs across all rows at once; it first sums
+a window of _SERIES_WINDOW terms (24) and sums all _SERIES_TERMS (60)
+again only for the rows whose stop lies beyond the window; most stop near
+term 12.
 
 At the crossover |w| T = 2 s + 30 itself the series' smallest term, hence
 its error, is about 3e-13 of I at s = 1.5 and 1.4e-11 at s = 11.5 (against
@@ -96,35 +101,34 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 
 
 def _series_terms(s: np.ndarray, w: np.ndarray, T: np.ndarray, t_pow: np.ndarray, n_terms: int):
-    """The series over n_terms terms, one row per frequency: (value at the
-    row's stop, whether the stop was found within the n_terms).  Products,
-    sums and ratios are taken in place, which keeps a call's memory near
-    three arrays of its size."""
+    """The series over n_terms terms, one column per row (frequency w,
+    exponent s, horizon T, t_pow = T^(-s)): (value at the row's stop,
+    whether the stop was found within the n_terms).  Products, sums and
+    ratios are taken in place, which keeps a call's memory near three
+    arrays of its size."""
     iw = 1j * w
-    sk = s[:, None] + np.arange(n_terms - 1.0)
-    totals = np.column_stack([-t_pow / iw, sk * (1.0 / (iw * T))[:, None]])
-    np.cumprod(totals, axis=1, out=totals)
-    np.cumsum(totals, axis=1, out=totals)
+    sk = s + np.arange(n_terms - 1.0)[:, None]
+    totals = np.concatenate([(-t_pow / iw)[None], sk * (1.0 / (iw * T))])
+    np.cumprod(totals, axis=0, out=totals)
+    np.cumsum(totals, axis=0, out=totals)
     ratio = sk
-    ratio /= (_modulus(w) * T)[:, None]
+    ratio /= _modulus(w) * T
     grows = ratio > 1.0
-    mags = np.column_stack([_modulus(totals[:, 0]), ratio])
-    np.cumprod(mags, axis=1, out=mags)
-    floor = _modulus(totals[:, 1:])
+    mags = np.concatenate([_modulus(totals[:1]), ratio])
+    np.cumprod(mags, axis=0, out=mags)
+    floor = _modulus(totals[1:])
     floor *= 1e-18
-    small = mags[:, 1:] < floor
-    found = grows.any(axis=1), small.any(axis=1)
+    small = mags[1:] < floor
+    found = grows.any(axis=0), small.any(axis=0)
     last = n_terms - 1
-    stop = np.minimum(np.where(found[0], grows.argmax(axis=1), last),
-                      np.where(found[1], small.argmax(axis=1) + 1, last))
-    return np.exp(iw * T) * totals[np.arange(w.size), stop], found[0] | found[1]
+    stop = np.minimum(np.where(found[0], grows.argmax(axis=0), last),
+                      np.where(found[1], small.argmax(axis=0) + 1, last))
+    return np.exp(iw * T) * totals[stop, np.arange(w.size)], found[0] | found[1]
 
 
-def _series(s, w: np.ndarray, T, t_pow=None) -> np.ndarray:
-    """Integration-by-parts series for each frequency w[i], at exponent s
-    and horizon T (each one value or one per frequency); valid when |w| T
-    >> s.  ``t_pow`` is T^(-s) per frequency where the caller has it
-    (T ** -s otherwise).
+def _series(s: np.ndarray, w: np.ndarray, T: np.ndarray, t_pow: np.ndarray) -> np.ndarray:
+    """Integration-by-parts series for each row: frequency w[i], exponent
+    s[i], horizon T[i] and t_pow[i] = T[i]^(-s[i]); valid when |w| T >> s.
 
     Term k is -(s)_k T^(-(s+k)) / (iw)^(k+1), the previous term times
     (s + k - 1) / (iw T).  A row's terms come from one cumprod and their
@@ -138,9 +142,6 @@ def _series(s, w: np.ndarray, T, t_pow=None) -> np.ndarray:
     either pass.  Each pass takes its rows in blocks of _SERIES_BLOCK
     (row, term) entries.
     """
-    if t_pow is None:
-        t_pow = T ** -s
-    s, T, t_pow = (np.broadcast_to(np.asarray(v, dtype=float), w.shape) for v in (s, T, t_pow))
     out = np.empty(w.shape, dtype=complex)
     found = np.empty(w.shape, dtype=bool)
 
@@ -155,55 +156,33 @@ def _series(s, w: np.ndarray, T, t_pow=None) -> np.ndarray:
 
 
 def _tail_direct(s_list: np.ndarray, w: np.ndarray, T: np.ndarray, t_pow: np.ndarray,
-                 mask: np.ndarray) -> np.ndarray:
-    """Tails at the (row, exponent) pairs of ``mask``, all in the direct
-    regime, at horizon T[i] for row i, with t_pow[i, j] = T[i]^(-s_j).
-    Largest exponent first: the downward recurrence from I(s + 1) where
-    s + 1 is in the list and masked in the same row, the series elsewhere,
-    at every such head pair of every row in one call.  Unmasked pairs are
-    0.  The recurrence runs on every row that has a masked pair, and the
-    series values replace it at the heads."""
-    rows = np.nonzero(mask.any(axis=1))[0]
-    if not rows.size:
-        return np.zeros(mask.shape, dtype=complex)
-    sub = mask[rows]
-    wr = w[rows]
-    Tr = T[rows]
-    iw = 1j * wr
-    edge = np.exp(iw * Tr)
-    column = {s: j for j, s in enumerate(s_list.tolist())}
-    steps = [(j, float(s_list[j]), column.get(float(s_list[j]) + 1.0))
-             for j in np.argsort(-s_list, kind="stable")]
-    heads = sub.copy()
-    for j, _, up in steps:
-        if up is not None:
-            heads[:, j] &= ~sub[:, up]
-    vals = np.zeros(sub.shape, dtype=complex)
-    hr, hj = np.nonzero(heads)
-    vals[hr, hj] = _series(s_list[hj], wr[hr], Tr[hr], t_pow[rows[hr], hj])
-    for j, s, up in steps:
-        if up is not None:
-            vals[:, j] = np.where(heads[:, j], vals[:, j], (s * vals[:, up] - t_pow[rows, j] * edge) / iw)
-    out = np.zeros(mask.shape, dtype=complex)
-    out[rows] = np.where(sub, vals, 0.0)
-    return out
+                 head: np.ndarray) -> np.ndarray:
+    """Tails of row i on rungs 0..head[i] of the ladder (0 above), all in
+    the direct regime at horizon T[i], with t_pow[i, j] = T[i]^(-s_j): the
+    series at each row's head, in one call, then the downward recurrence
+    below it."""
+    iw = 1j * w
+    edge = np.exp(iw * T)
+    rows = np.arange(w.size)
+    vals = np.zeros(t_pow.shape, dtype=complex)
+    vals[rows, head] = _series(s_list[head], w, T, t_pow[rows, head])
+    for j in range(int(head.max()) - 1, -1, -1):
+        vals[:, j] = np.where(head > j, (s_list[j] * vals[:, j + 1] - t_pow[:, j] * edge) / iw, vals[:, j])
+    return vals
 
 
-def _tail_bridged(s_list: np.ndarray, w: np.ndarray, T: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Tails at the (row, exponent) pairs of ``mask``, whose |w| T is below
-    the direct edge (T[i] the horizon of row i): t = T e^u on Gauss panels
-    of _BRIDGE_PANEL in u up to T* = (2 s_max + 32) / |w| (s_max the row's
-    largest masked exponent), plus the tails at T*, direct there.  The
-    panels are those of gl_panels(0, log(T* / T), _BRIDGE_PANEL,
-    _BRIDGE_NPTS); rows that share a panel layout are integrated together,
-    in blocks whose largest array stays within _BLOCK_BYTES.  Unmasked
-    pairs are 0."""
+def _tail_bridged(s_list: np.ndarray, w: np.ndarray, T: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Tails of row i on rungs low[i] and up of the ladder (0 below), whose
+    |w| T is below the direct edge: t = T e^u on Gauss panels of
+    _BRIDGE_PANEL in u up to T* = (2 s_max + 32) / |w|, s_max the top
+    rung, plus the tails at T*, direct there.  The panels are those of
+    gl_panels(0, log(T* / T), _BRIDGE_PANEL, _BRIDGE_NPTS); rows that share
+    a panel layout are integrated together, in blocks whose largest array
+    stays within _BLOCK_BYTES."""
     x0, w0 = (np.asarray(v) for v in _gl_nodes(_BRIDGE_NPTS))
-    out = np.zeros(mask.shape, dtype=complex)
-    rows = np.nonzero(mask.any(axis=1))[0]
-    s_max = np.where(mask[rows], s_list, -np.inf).max(axis=1)
-    t_star = (2.0 * s_max + 32.0) / _modulus(w[rows])
-    b = np.log(t_star / T[rows])
+    out = np.empty((w.size, s_list.size), dtype=complex)
+    t_star = (2.0 * s_list[-1] + 32.0) / _modulus(w)
+    b = np.log(t_star / T)
     n_panels = np.maximum(1, np.floor(b / _BRIDGE_PANEL).astype(int))
     # gl_panels' remainder rule: a short last panel, or the last edge moved to b
     extra = n_panels * _BRIDGE_PANEL < b - 1e-12 * np.maximum(1.0, np.abs(b))
@@ -220,13 +199,13 @@ def _tail_bridged(s_list: np.ndarray, w: np.ndarray, T: np.ndarray, mask: np.nda
             mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
             u = (mid[:, :, None] + half[:, :, None] * x0).reshape(g.size, -1)
             uw = (half[:, :, None] * w0).reshape(g.size, -1)
-            t = T[rows[g]][:, None] * np.exp(u)
-            phase = np.exp(1j * w[rows[g]][:, None] * t) * uw
+            t = T[g][:, None] * np.exp(u)
+            phase = np.exp(1j * w[g][:, None] * t) * uw
             powers = t[:, None, :] ** (1.0 - s_list[None, :, None])
-            out[rows[g]] = np.einsum("gsn,gn->gs", powers, phase)
-    t_pow = t_star[:, None] ** -s_list
-    out[rows] = np.where(mask[rows], out[rows], 0.0) + _tail_direct(s_list, w[rows], t_star, t_pow, mask[rows])
-    return out
+            out[g] = np.einsum("gsn,gn->gs", powers, phase)
+    top = np.full(w.size, s_list.size - 1)
+    out += _tail_direct(s_list, w, t_star, t_star[:, None] ** -s_list, top)
+    return np.where(np.arange(s_list.size) >= low[:, None], out, 0.0)
 
 
 def _check_tail_args(s: float, w: np.ndarray, T: float) -> None:
@@ -240,36 +219,41 @@ def _check_tail_args(s: float, w: np.ndarray, T: float) -> None:
 
 
 def tail_integral_vec(s_list: np.ndarray, w, T) -> np.ndarray:
-    """integral_T^inf t^(-s) exp(i w t) dt for each s > 1 in ``s_list`` at
-    each frequency w with Im(w) >= 0 and each horizon T > 0.
+    """integral_T^inf t^(-s) exp(i w t) dt for each s of the ladder
+    ``s_list`` = s0, s0 + 1, ..., s0 + n - 1 (s0 > 1; any other list is
+    refused) at each frequency w with Im(w) >= 0 and each horizon T > 0.
 
     ``w`` is one frequency (one entry per exponent) or an array of them
     (one row per frequency); ``T`` is one horizon or an array of them,
     which adds a leading axis, one block per horizon.  Every (horizon,
     frequency) row is computed on its own, so a row does not depend on the
     others in the call, and one horizon of several is the same bits as that
-    horizon alone.  The call is one pass over all rows: one downward
-    recurrence, one series call over every head pair, one bridge over the
-    bridged rows.  T^(-s) is Python's scalar power at each horizon and
+    horizon alone.  T^(-s) is Python's scalar power at each horizon and
     numpy's array power at the bridges' T*.
     """
     s_list = np.asarray(s_list, dtype=float)
+    if s_list.ndim != 1 or not s_list.size or not np.array_equal(s_list, s_list[0] + np.arange(s_list.size)):
+        raise ValueError(f"tail exponents must be a ladder s0, s0 + 1, ..., got {s_list.tolist()}")
     w_in = np.asarray(w, dtype=complex)
     T_in = np.asarray(T, dtype=float)
     horizons = T_in.ravel().tolist()
     w = np.tile(np.atleast_1d(w_in), len(horizons))
-    _check_tail_args(float(s_list.min()), w, min(horizons))
+    _check_tail_args(float(s_list[0]), w, min(horizons))
     # row i belongs to horizon at[i]
     at = np.repeat(np.arange(len(horizons)), w_in.size)
     T_rows = T_in.ravel()[at]
     xT = _modulus(w) * T_rows
     zero = xT < 1e-13
-    direct = (xT[:, None] >= 2.0 * s_list + 30.0) & ~zero[:, None]
-    bridged = ~direct & ~zero[:, None]
-    t_pow = np.array([[h ** -s for s in s_list.tolist()] for h in horizons])
-    out = _tail_direct(s_list, w, T_rows, t_pow[at], direct)
-    if bridged.any():
-        out += _tail_bridged(s_list, w, T_rows, bridged)
+    # per row: its number of direct rungs, the head's rung plus one
+    k = np.where(zero, 0, (xT[:, None] >= 2.0 * s_list + 30.0).sum(axis=1))
+    out = np.zeros((w.size, s_list.size), dtype=complex)
+    direct = np.nonzero(k)[0]
+    if direct.size:
+        t_pow = np.array([[h ** -s for s in s_list.tolist()] for h in horizons])
+        out[direct] = _tail_direct(s_list, w[direct], T_rows[direct], t_pow[at[direct]], k[direct] - 1)
+    bridged = np.nonzero(~zero & (k < s_list.size))[0]
+    if bridged.size:
+        out[bridged] += _tail_bridged(s_list, w[bridged], T_rows[bridged], k[bridged])
     if zero.any():
         out[zero] = np.array([h ** (1.0 - s_list) / (s_list - 1.0) for h in horizons])[at[zero]]
     return out.reshape(T_in.shape + w_in.shape + s_list.shape)

@@ -28,15 +28,23 @@ Every engine is array-at-a-time.  Its core takes a list of orbits (rows)
 and an array of lambdas (columns) and returns the whole block of values
 and error estimates.  ``green_many`` (interior, with the engine routing of
 ``green_auto`` or one forced engine) and ``green_boundary_many`` serve
-such blocks to determinant assembly; ``green_auto``, ``green_torus``,
-``green_time`` and ``green_boundary`` are their one-value cases.
+such blocks per site; ``green_orbits`` and ``green_boundary_orbits`` serve
+them to determinant assembly for sites already mapped to orbits, and
+``green_auto``, ``green_torus``, ``green_time`` and ``green_boundary``
+are the one-value cases.
 
+* An engine's per-orbit constants are built once per orbit set, in a
+  bounded cache (its plan), so a call does only per-lambda work.
+  ``_osc_plan`` holds each orbit's Gauss kernel (one Bessel grid per
+  max_j |n_j|, ``_osc_grid``), the index of its horizon T0, its mode
+  tails' phases, frequency rows and polynomials, and its prefactor;
+  ``_torus_plan`` holds both grids' cosine weights and, on green_auto's
+  floor grid, their sums over the index triples.
 * The oscillatory engine walks the lambda axis in chunks whose phase
   block stays within _CHUNK_BYTES (512 KB).  In a chunk the phases are
   built once and shared by every orbit, and the mode tails of every
   (T0, frequency, lambda) come from one tail_integral_vec call, shared by
-  the orbits with that T0 (T0 depends only on max_j |n_j|).  The Gauss
-  kernels of the orbits with one max_j |n_j| come from one Bessel grid.
+  the orbits with that T0 (T0 depends only on max_j |n_j|).
 * The torus engine builds 1 / (h(k) - lam) on the folded grid once per
   lambda, for a chunk of lambdas at a time, and contracts it against each
   orbit's separable cosine weights.  The integrand is symmetric in the
@@ -86,7 +94,9 @@ block looks every key up once, computes the missing ones in at most one
 core call and unfolds, in one pass.  Repeated evaluations during
 determinant assembly are therefore free and bit-identical.
 ``green_cache_info`` reports each memo's hits, misses and size;
-``clear_green_cache`` empties them all.
+``clear_green_cache`` empties them, the plans and ``support_orbits``, the
+orbit map of a support's differences that determinant assembly builds
+once per support.
 """
 
 from __future__ import annotations
@@ -179,8 +189,7 @@ _MEMOS = {"torus": _Memo(), "osc": _Memo()}
 def clear_green_cache() -> None:
     for memo in _MEMOS.values():
         memo.clear()
-    _OSC_KW.clear()
-    for cache in (_osc_nodes, _osc_tail_data, _one_chunk_triples, _torus_chunk_cached):
+    for cache in (support_orbits, _one_chunk_triples, _torus_plan, _osc_grid, _osc_plan):
         cache.cache_clear()
 
 
@@ -278,6 +287,14 @@ def _orbits(sites: "Sequence[Sequence[int]]", d: int) -> "tuple[list[Site], np.n
     return list(rows), np.array(index, dtype=int)
 
 
+@functools.lru_cache(maxsize=16)
+def support_orbits(support: "tuple[Site, ...]", d: int) -> "tuple[list[Site], np.ndarray]":
+    """_orbits of the differences x - y of the sites of ``support``, x
+    major (the entries of a Birman-Schwinger matrix in row order): built
+    once per support."""
+    return _orbits([tuple(a - b for a, b in zip(x, y)) for x in support for y in support], d)
+
+
 # ---------------------------------------------------------------- torus path
 
 def _torus_weights(canons: "list[Site]", N: int) -> np.ndarray:
@@ -321,18 +338,19 @@ def _symmetric_weights(u: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarra
     """Per orbit and sorted triple (a, b, c): the sum of u_0 u_1 u_2 over
     the distinct orderings of the triple, shape (orbits, triples)."""
     total = sum(u[:, 0, p] * u[:, 1, q] * u[:, 2, r] for p, q, r in itertools.permutations((a, b, c)))
-    # each distinct ordering appears 6 / (number of distinct orderings) times
-    return total / np.where(a == c, 6.0, np.where((a == b) | (b == c), 2.0, 1.0))
+    # each distinct ordering appears 6 / (number of distinct orderings) times;
+    # the gathers come out column-major, and the contraction must see each
+    # orbit's row laid out as for a single orbit
+    return np.ascontiguousarray(total / np.where(a == c, 6.0, np.where((a == b) | (b == c), 2.0, 1.0)))
 
 
-def _torus_chunk(canons: "list[Site]", n_quad: int, a, b, c) -> tuple:
+def _torus_chunk(coarse: np.ndarray, fine: np.ndarray, a, b, c) -> tuple:
     """One chunk of fine-grid triples: (a, b, c, even, fine weights, coarse
     weights), ``even`` indexing the triples of even points, which form the
     coarse grid."""
     even = np.nonzero((a % 2 == 0) & (b % 2 == 0) & (c % 2 == 0))[0]
-    return (a, b, c, even,
-            _symmetric_weights(_torus_weights(canons, 2 * n_quad), a, b, c),
-            _symmetric_weights(_torus_weights(canons, n_quad), a[even] // 2, b[even] // 2, c[even] // 2))
+    return (a, b, c, even, _symmetric_weights(fine, a, b, c),
+            _symmetric_weights(coarse, a[even] // 2, b[even] // 2, c[even] // 2))
 
 
 @functools.lru_cache(maxsize=4)
@@ -341,20 +359,16 @@ def _one_chunk_triples(m1: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _torus_chunk_cached(canon: Site, n_quad: int) -> tuple:
-    return _torus_chunk([canon], n_quad, *_one_chunk_triples(n_quad + 1))
-
-
-def _torus_chunks(canons: "list[Site]", n_quad: int):
-    """_torus_chunk over the fine grid's triples.  A grid of one chunk (the
-    n_quad = 32 floor that green_auto uses has 6,545 triples) is cached
-    per orbit; larger ones are built as they are walked."""
+def _torus_plan(canons: "tuple[Site, ...]", n_quad: int) -> tuple:
+    """The _torus_weights of an orbit set's coarse and fine grids and, from
+    d = 3 up, the fine grid's one chunk of triples with its weights, or
+    None where the grid has more (the n_quad = 32 floor that green_auto
+    uses has 6,545 triples): larger grids are built as they are walked."""
+    coarse, fine = _torus_weights(canons, n_quad), _torus_weights(canons, 2 * n_quad)
     m1 = n_quad + 1
-    if m1 * (m1 + 1) * (m1 + 2) // 6 > _TRIPLE_CHUNK:
-        return (_torus_chunk(canons, n_quad, *abc) for abc in _triple_chunks(m1))
-    parts = [_torus_chunk_cached(canon, n_quad) for canon in canons]
-    a, b, c, even = parts[0][:4]
-    return [(a, b, c, even, np.concatenate([p[4] for p in parts]), np.concatenate([p[5] for p in parts]))]
+    if len(canons[0]) < 3 or m1 * (m1 + 1) * (m1 + 2) // 6 > _TRIPLE_CHUNK:
+        return coarse, fine, None
+    return coarse, fine, [_torus_chunk(coarse, fine, *_one_chunk_triples(m1))]
 
 
 def _torus_block(canons: "list[Site]", lams: np.ndarray, n_quad: int):
@@ -371,8 +385,7 @@ def _torus_block(canons: "list[Site]", lams: np.ndarray, n_quad: int):
     orbit's weights summed over the orderings of a triple.  The coarse
     grid is the fine grid's even points, so it reads the same values.
     """
-    coarse = _torus_weights(canons, n_quad)
-    fine = _torus_weights(canons, 2 * n_quad)
+    coarse, fine, chunks = _torus_plan(tuple(canons), n_quad)
     n_orb, d, m1 = fine.shape
     if d < 3:
         vals = np.empty((n_orb, lams.size), dtype=complex)
@@ -385,7 +398,9 @@ def _torus_block(canons: "list[Site]", lams: np.ndarray, n_quad: int):
     cos_k = np.cos(2.0 * np.pi * np.arange(m1) / (2 * n_quad))
     acc_c = np.zeros((n_orb, lams.size), dtype=complex)
     acc_f = np.zeros((n_orb, lams.size), dtype=complex)
-    for a, b, c, even, s_f, s_c in _torus_chunks(canons, n_quad):
+    if chunks is None:
+        chunks = (_torus_chunk(coarse, fine, *abc) for abc in _triple_chunks(m1))
+    for a, b, c, even, s_f, s_c in chunks:
         h3 = cos_k[a] + cos_k[b] + cos_k[c]
         step = max(1, _CHUNK_BYTES // (24 * a.size))
         for idx in itertools.product(range(m1), repeat=d - 3):
@@ -514,50 +529,32 @@ def _time_block(canons: "list[Site]", lams: np.ndarray):
 
 # ------------------------------------------------------ oscillatory time path
 
-def _osc_t0(canon_n: Site) -> float:
-    return _OSC_T0 + _OSC_T0_PER_ORDER * canon_n[0]
+def _osc_t0(n0: int) -> float:
+    """The horizon T0 of the orbits with max_j |n_j| = n0."""
+    return _OSC_T0 + _OSC_T0_PER_ORDER * n0
 
 
 @functools.lru_cache(maxsize=32)
-def _osc_nodes(T0: float) -> tuple[np.ndarray, np.ndarray]:
+def _osc_grid(n0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gauss nodes and weights on [0, T0], T0 = _osc_t0(n0), and J_0 ..
+    J_n0 at the nodes: one Bessel grid serves every orbit with max_j |n_j|
+    = n0."""
+    T0 = _osc_t0(n0)
     nodes, weights = gl_panels(0.0, T0, _OSC_PANEL, npts=_OSC_NPTS)
     # _osc_main's factoring needs whole panels, all of length _OSC_PANEL
     assert nodes.size == _OSC_NPTS * T0 / _OSC_PANEL, f"T0={T0} is not a whole number of panels"
-    return nodes, weights
-
-
-# _osc_kw's values per orbit, least recently used first
-_OSC_KW: OrderedDict = OrderedDict()
-_OSC_KW_SIZE = 4096
-
-
-def _osc_kws(canons: "list[Site]") -> "list[np.ndarray]":
-    """_osc_kw of each orbit.  Its Bessel rows depend on the orbit only
-    through n0 = max_j |n_j| (the nodes through T0, the orders up to n0),
-    so the orbits not yet known share one bessel_j_grid call per n0."""
-    missing = [canon for canon in dict.fromkeys(canons) if canon not in _OSC_KW]
-    for n0 in sorted({canon[0] for canon in missing}):
-        group = [canon for canon in missing if canon[0] == n0]
-        nodes, weights = _osc_nodes(_osc_t0(group[0]))
-        rows = bessel_j_grid(nodes, n0)
-        for canon in group:
-            kern = rows[n0].copy()
-            for m in canon[1:]:
-                kern *= rows[m]
-            _OSC_KW[canon] = np.ascontiguousarray((weights * kern).reshape(-1, _OSC_NPTS).T)
-    for canon in canons:
-        _OSC_KW.move_to_end(canon)
-    kws = [_OSC_KW[canon] for canon in canons]
-    while len(_OSC_KW) > _OSC_KW_SIZE:
-        _OSC_KW.popitem(last=False)
-    return kws
+    return nodes, weights, bessel_j_grid(nodes, n0)
 
 
 def _osc_kw(canon_n: Site) -> np.ndarray:
     """Gauss weight times prod_j J_(n_j) at each numeric node, shape
     (_OSC_NPTS, panels): row j holds node j of every panel (real;
     _osc_main applies the phases)."""
-    return _osc_kws([canon_n])[0]
+    _, weights, rows = _osc_grid(canon_n[0])
+    kern = rows[canon_n[0]].copy()
+    for m in canon_n[1:]:
+        kern *= rows[m]
+    return np.ascontiguousarray((weights * kern).reshape(-1, _OSC_NPTS).T)
 
 
 def _osc_phases(lams: np.ndarray, n_panels: int) -> "tuple[np.ndarray, np.ndarray]":
@@ -588,23 +585,38 @@ def _osc_main(kw: np.ndarray, row: np.ndarray, panel: np.ndarray) -> np.ndarray:
     return np.einsum("kj,kj->k", sums[0] + 1j * sums[1], row)
 
 
-@functools.lru_cache(maxsize=4096)
 def _osc_tail_data(canon_n: Site) -> tuple:
-    """Per sign pattern s in {+,-}^d: (constant phase, integer frequency S,
-    coefficient polynomial of prod_j A or conj(A) truncated at _OSC_N_TERMS)."""
-    d = len(canon_n)
+    """Per sign pattern s in {+,-}^d, in pattern order: the constant phases
+    (a list), the integer frequencies S and the coefficient polynomials of
+    prod_j A or conj(A) truncated at _OSC_N_TERMS (one array each)."""
     amps = {m: hankel_amplitude_coeffs(m, _OSC_N_TERMS) for m in set(canon_n)}
-    out = []
-    for signs in itertools.product((1, -1), repeat=d):
-        s_freq = sum(signs)
-        arg = -(np.pi / 2) * sum(s * m for s, m in zip(signs, canon_n)) - (np.pi / 4) * s_freq
-        ph0 = complex(np.exp(1j * arg))
+    ph0s, s_freqs, polys = [], [], []
+    for signs in itertools.product((1, -1), repeat=len(canon_n)):
+        s_freqs.append(sum(signs))
+        arg = -(np.pi / 2) * sum(s * m for s, m in zip(signs, canon_n)) - (np.pi / 4) * s_freqs[-1]
+        ph0s.append(complex(np.exp(1j * arg)))
         poly = np.ones(1, dtype=complex)
         for s, m in zip(signs, canon_n):
-            factor = amps[m] if s > 0 else np.conj(amps[m])
-            poly = np.convolve(poly, factor)[:_OSC_N_TERMS]
-        out.append((ph0, s_freq, poly))
-    return tuple(out)
+            poly = np.convolve(poly, amps[m] if s > 0 else np.conj(amps[m]))[:_OSC_N_TERMS]
+        polys.append(poly)
+    return ph0s, np.array(s_freqs), np.array(polys)
+
+
+@functools.lru_cache(maxsize=64)
+def _osc_plan(canons: "tuple[Site, ...]") -> tuple:
+    """What _osc_block needs of an orbit set, built once: the panel count
+    of its longest T0, its horizons T0 in ascending order, and per orbit
+    its Gauss kernel (_osc_kw), the index of its T0 among the horizons, per
+    sign pattern the constant phase, the row (S + d) / 2 of its frequency S
+    and its polynomial (_osc_tail_data), and the prefactor -i i^|n|."""
+    d = len(canons[0])
+    horizons = sorted({_osc_t0(canon[0]) for canon in canons})
+    orbits = []
+    for canon in canons:
+        ph0s, s_freqs, polys = _osc_tail_data(canon)
+        orbits.append((_osc_kw(canon), horizons.index(_osc_t0(canon[0])), ph0s, (s_freqs + d) // 2, polys,
+                       -1j * _IPOW[sum(canon) % 4]))
+    return max(kw.shape[1] for kw, *_ in orbits), horizons, orbits
 
 
 def _osc_block(canons: "list[Site]", lams: np.ndarray):
@@ -618,26 +630,18 @@ def _osc_block(canons: "list[Site]", lams: np.ndarray):
     only through its frequency S, so each chunk of lambdas makes one
     tail_integral_vec call for all d + 1 frequencies at every T0 of the
     block, and an orbit sums its 2^d patterns' polynomials against them in
-    one stacked contraction, added up in pattern order.
+    one stacked contraction, added up in pattern order.  The per-orbit
+    constants come from the orbit set's _osc_plan; a call does only the
+    per-lambda work.
     """
     if (lams.imag > 1e-15).any():
         raise ValueError("oscillatory engine requires Im(lambda) <= 0")
     d = len(canons[0])
-    kws = _osc_kws(canons)
-    n_panels = max(kw.shape[1] for kw in kws)
+    n_panels, horizons, orbits = _osc_plan(tuple(canons))
     chunk = max(1, _CHUNK_BYTES // (16 * n_panels))
     freqs = np.arange(-d, d + 1, 2)
     s_exps = 0.5 * d + np.arange(_OSC_N_TERMS, dtype=float)
     mode_factor = (2.0 / np.pi) ** (0.5 * d) * 0.5 ** d
-    horizons = sorted({_osc_t0(canon) for canon in canons})
-    # per orbit: its horizon, and per sign pattern the constant phase, the
-    # frequency's row and the coefficient polynomial
-    patterns = []
-    for canon in canons:
-        data = _osc_tail_data(canon)
-        patterns.append((horizons.index(_osc_t0(canon)), [ph0 for ph0, _, _ in data],
-                         np.array([(s_freq + d) // 2 for _, s_freq, _ in data]),
-                         np.array([poly for _, _, poly in data])))
     vals = np.empty((len(canons), lams.size), dtype=complex)
     errs = np.empty(vals.shape)
     for lo in range(0, lams.size, chunk):
@@ -646,16 +650,12 @@ def _osc_block(canons: "list[Site]", lams: np.ndarray):
         row, panel = _osc_phases(lam, n_panels)
         w = (freqs[:, None] - lam).ravel()
         tails = tail_integral_vec(s_exps, w, horizons).reshape(len(horizons), freqs.size, lam.size, -1)
-        for u, (canon, (h, ph0s, at_freq, polys)) in enumerate(zip(canons, patterns)):
-            sums = np.einsum("pkj,pj->pk", tails[h][at_freq], polys)
-            cut = np.abs(polys[:, -1, None] * tails[h][at_freq, :, -1])
-            tail = np.zeros(lam.size, dtype=complex)
-            trunc = np.zeros(lam.size)
-            for p, ph0 in enumerate(ph0s):
-                tail += ph0 * sums[p]
-                trunc += cut[p]
-            pref = -1j * _IPOW[sum(canon) % 4]
-            vals[u, cols] = value = pref * (_osc_main(kws[u], row, panel) + mode_factor * tail)
+        for u, (kw, h, ph0s, at_freq, polys, pref) in enumerate(orbits):
+            pieces = tails[h][at_freq]
+            sums = np.einsum("pkj,pj->pk", pieces, polys)
+            tail = sum(ph0 * part for ph0, part in zip(ph0s, sums))
+            trunc = sum(np.abs(polys[:, -1, None] * pieces[:, :, -1]))
+            vals[u, cols] = value = pref * (_osc_main(kw, row, panel) + mode_factor * tail)
             errs[u, cols] = mode_factor * trunc + 1e-14 * (1.0 + np.abs(value))
     return vals, errs
 
@@ -682,8 +682,16 @@ def green_many(
     and ``green_time``.
     """
     d = validate_dimension(d)
+    return green_orbits(*_orbits(sites, d), lams, d, engine)
+
+
+def green_orbits(canons: "list[Site]", index: np.ndarray, lams: "Sequence[complex]", d: int,
+                 engine: str = "auto") -> "tuple[np.ndarray, np.ndarray]":
+    """``green_many`` for sites given by their orbits, as ``_orbits`` or
+    ``support_orbits`` gives them: the distinct orbits ``canons`` and the
+    orbit row of each site, ``index``.  Each orbit is one row of work, and
+    the rows are expanded to the sites at the end."""
     lams = np.asarray(lams, dtype=complex)
-    canons, index = _orbits(sites, d)
     if engine == "time":
         flat = np.abs(lams.imag) < 1e-6
         if flat.any():
@@ -752,11 +760,17 @@ def green_boundary_many(
     i0), for every site (rows) and band point lambda0 (columns), d >= 3,
     with error estimates; shapes as in ``green_many``."""
     d = require_dimension_3(d, "green_boundary")
+    return green_boundary_orbits(*_orbits(sites, d), lambda0s, plus, d)
+
+
+def green_boundary_orbits(canons: "list[Site]", index: np.ndarray, lambda0s: "Sequence[float]",
+                          plus: "Sequence[bool]", d: int) -> "tuple[np.ndarray, np.ndarray]":
+    """``green_boundary_many`` for sites given by their orbits, as in
+    ``green_orbits``."""
     lam0 = np.asarray(lambda0s, dtype=float)
     off = np.abs(lam0) > d
     if off.any():
         raise ValueError(f"lambda0={lam0[off][0]} is off the band [-{d},{d}]; use green_torus")
-    canons, index = _orbits(sites, d)
     vals, errs = _memo_block("osc", _osc_block, canons, lam0.astype(complex), up=plus)
     return vals[index], errs[index]
 

@@ -91,10 +91,14 @@ def test_missing_potential_file(tmp_path):
     assert rc == EXIT_VALIDATION
 
 
-def test_malformed_potential_file(tmp_path):
+def test_malformed_potential_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dimension": 3}')
     assert main(["eigs", "-p", str(bad)]) == EXIT_VALIDATION
+    # the top level takes d and entries only
+    bad.write_text(json.dumps({"d": 3, "entries": [{"site": [0, 0, 0], "re": 3.0}], "scale": 2.0}))
+    assert main(["eigs", "-p", str(bad)]) == EXIT_VALIDATION
+    assert "unknown key 'scale'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -107,13 +111,19 @@ def test_malformed_potential_file(tmp_path):
     ({"site": [0, 0, 0], "re": True}, "entry 1: 're' and 'im' must be numbers, got True and 0.0"),
     ({"site": [0, 0, 0], "re": 3.0, "im": "1"}, "entry 1: 're' and 'im' must be numbers, got 3.0 and '1'"),
     ({"site": 5, "re": 3.0}, "entry 1 must be an object with a 'site' list"),
+    ({"site": [0, 0, 0], "value": 3.0}, "entry 1 has an unknown key 'value'"),
+    ({"site": [0, 0, 0], "re": 3.0, "imag": 1.0}, "entry 1 has an unknown key 'imag'"),
+    ({"site": [0, 0, 0]}, "entry 1 needs 're' or 'im'"),
 ], ids=["fractional-site", "boolean-site", "nan-value", "infinite-value", "infinite-imaginary-part",
-        "boolean-value", "string-value", "scalar-site"])
+        "boolean-value", "string-value", "scalar-site", "misspelled-value-key", "misspelled-imaginary-key",
+        "site-only"])
 def test_eigs_refuses_bad_potential_entries(tmp_path, capsys, entry, message):
     # a coordinate is an integer, not truncated (0.5 as 0) or coerced (true
     # as 1); a value is a finite number, where NaN or Infinity would send
     # the zero search bisecting non-finite samples; each exits 2 before any
-    # sampling, with a message naming the entry
+    # sampling, with a message naming the entry; an entry has the keys
+    # site, re and im only, and re or im, where a misspelled value key was
+    # read as 0 and ran as the empty potential
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"d": 3, "entries": [{"site": [0, 1, 0], "re": 1.0}, entry]}))
     assert main(["eigs", "-p", str(path)]) == EXIT_VALIDATION
@@ -175,9 +185,16 @@ def test_eigs_subcommand(v3_file, tmp_path):
 
 
 def test_trace_check_and_thread_determinism(v3_file, tmp_path):
+    # a cold trace-check on V = 3 delta_0 also pins the Green work it does:
+    # the values each engine computes, counted as memo misses
+    from latspec import resolvent
+
     out1 = tmp_path / "t1.json"
     out8 = tmp_path / "t8.json"
+    resolvent.clear_green_cache()
     rc1 = main(["--threads", "1", "trace-check", "-p", v3_file, "-o", str(out1)])
+    info = resolvent.green_cache_info()
+    assert (info["torus"]["misses"], info["osc"]["misses"]) == (286, 1164)
     rc8 = main(["trace-check", "-p", v3_file, "--threads", "8", "-o", str(out8)])
     assert rc1 == rc8 == EXIT_OK
     a, b = _load(out1), _load(out8)

@@ -302,6 +302,28 @@ def test_batch_invariance(v3, mix3):
             assert det_eval(V, z).value == value
 
 
+def test_support_orbits_built_once_per_support(mix3, monkeypatch):
+    # the first call maps the support's 9 differences to their orbits; a
+    # second call on the same potential canonicalises no site, and with
+    # the Green memos emptied it computes the same values bit for bit
+    calls = []
+    canon = resolvent._canon
+
+    def counted(n):
+        calls.append(n)
+        return canon(n)
+
+    monkeypatch.setattr(resolvent, "_canon", counted)
+    zs = [0.3 - 0.45j, 0.8 * cmath.exp(0.4j), cmath.exp(0.7j), cmath.exp(-2.1j), -0.2 + 0.25j]
+    resolvent.clear_green_cache()
+    first = det_eval_many(mix3, zs)
+    assert len(calls) == 9
+    for memo in resolvent._MEMOS.values():
+        memo.clear()
+    assert det_eval_many(mix3, zs).tolist() == first.tolist()
+    assert len(calls) == 9
+
+
 def test_det_eval_many_refuses_like_det_eval(v3):
     with pytest.raises(ValueError, match="rim"):
         det_eval_many(v3, [0.5, 0.9995])

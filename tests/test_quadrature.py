@@ -29,7 +29,7 @@ def test_gl_panels_remainder_absorbed():
 
 def test_tail_integral_against_closed_form():
     # int_T^inf t^(-s) e^(iwt) dt for s > 1, w = 0 reduces to T^(1-s)/(s-1)
-    s_list = np.array([1.5, 2.0, 3.0])
+    s_list = np.array([1.5, 2.5, 3.5])
     got = tail_integral_vec(s_list, 0.0, 50.0)
     for k, s in enumerate(s_list):
         assert got[k] == pytest.approx(50.0 ** (1.0 - s) / (s - 1.0), rel=1e-10)
@@ -45,9 +45,9 @@ def _brute_tail(s_list, w, T):
 
 
 def test_tail_integral_oscillatory_vs_quadrature():
-    # moderate w: |w| T = 36 puts s = 1.5 on the direct series
+    # moderate w: |w| T = 36 puts s = 1.5 and 2.5 on the direct series
     # (|w| T >= 2 s + 30) and s = 3.5 on the logarithmic bridge
-    s_list, w, T = np.array([1.5, 3.5]), 0.9, 40.0
+    s_list, w, T = np.array([1.5, 2.5, 3.5]), 0.9, 40.0
     got = tail_integral_vec(s_list, w, T)
     for k, ref in enumerate(_brute_tail(s_list, w, T)):
         assert abs(got[k] - ref) <= 1e-11 * abs(ref)
@@ -98,7 +98,7 @@ def test_series_block_matches_sequential_series(rng):
     w.imag = np.minimum(w.imag, 1.25)
     for s_k in np.unique(s):
         at = s == s_k
-        got = quadrature._series(float(s_k), w[at], T[at])
+        got = quadrature._series(np.full(at.sum(), s_k), w[at], T[at], T[at] ** -s_k)
         for g, w_k, T_k in zip(got, w[at], T[at]):
             ref = _tail_series(float(s_k), complex(w_k), float(T_k))
             assert abs(g - ref) <= 4 * np.finfo(float).eps * abs(ref)
@@ -145,8 +145,9 @@ def test_tail_recurrence_matches_series_per_exponent():
 
 def test_tail_mixed_exponents_keep_the_bridge(monkeypatch):
     # |w| T = 40 puts s = 1.5 .. 4.5 in the direct regime and the rest on
-    # the logarithmic bridge, which must still run, once, for exactly those
-    # exponents; every exponent must also match the brute-force oracle
+    # the logarithmic bridge, which must still run, once, from the rung
+    # above the last direct one; every exponent must also match the
+    # brute-force oracle
     s_exps = 1.5 + np.arange(11, dtype=float)
     w, T = 40.0 / 240.0, 240.0
     direct = abs(w) * T >= 2.0 * s_exps + 30.0
@@ -154,13 +155,13 @@ def test_tail_mixed_exponents_keep_the_bridge(monkeypatch):
     bridged = []
     bridge = quadrature._tail_bridged
 
-    def counted(s_list, ws, T, mask):
-        bridged.append(mask.copy())
-        return bridge(s_list, ws, T, mask)
+    def counted(s_list, ws, T, low):
+        bridged.append(low.tolist())
+        return bridge(s_list, ws, T, low)
 
     monkeypatch.setattr(quadrature, "_tail_bridged", counted)
     got = tail_integral_vec(s_exps, w, T)
-    assert len(bridged) == 1 and np.array_equal(bridged[0], [~direct])
+    assert bridged == [[direct.sum()]] and direct[:direct.sum()].all()
     for k in np.nonzero(direct)[0]:
         ref = _tail_series(s_exps[k], w, T)
         assert abs(got[k] - ref) <= 1e-14 * abs(ref)
@@ -301,10 +302,18 @@ def test_multi_horizon_tail_matches_single_horizon_oracle(rng):
             ref = _ref_tail(s_exps, w, T)
             assert np.array_equal(got[h], ref)
             assert np.array_equal(tail_integral_vec(s_exps, w, T), ref)
-    # exponents that are not unit-spaced: a series at every direct one
-    s_list = np.array([1.5, 2.0, 3.5, 10.5])
+    # a ladder from 1.5 to 10.5 at two horizons far apart, and one
+    # frequency given as a scalar
+    s_list = 1.5 + np.arange(10, dtype=float)
     w = np.array([0.0, 0.05, 0.2206, 1.7 + 0.3j, 0.9])
     got = tail_integral_vec(s_list, w, [40.0, 250.0])
     for h, T in enumerate((40.0, 250.0)):
         assert np.array_equal(got[h], _ref_tail(s_list, w, T))
     assert np.array_equal(tail_integral_vec(s_list, 0.9, [40.0, 250.0]), got[:, -1])
+
+
+@pytest.mark.parametrize("s_list", [[1.5, 2.0, 3.0], [1.5, 3.5], [2.5, 1.5], [[1.5, 2.5]], []])
+def test_tail_integral_refuses_exponents_off_a_ladder(s_list):
+    # the pass serves the ladders s0, s0 + 1, ... of the Green engine only
+    with pytest.raises(ValueError, match="ladder"):
+        tail_integral_vec(s_list, 0.5, 40.0)

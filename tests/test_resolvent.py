@@ -279,12 +279,12 @@ def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
     s_exps = 1.5 + np.arange(resolvent._OSC_N_TERMS, dtype=float)
     mode_factor = (2.0 / np.pi) ** 1.5 * 0.5 ** 3
     for u, canon in enumerate(canons):
-        T0 = resolvent._osc_t0(canon)
+        T0 = resolvent._osc_t0(canon[0])
         kw = resolvent._osc_kw(canon)
         main = resolvent._osc_main(kw, *resolvent._osc_phases(lams, kw.shape[1]))
         tail = np.zeros(lams.size, dtype=complex)
         trunc = np.zeros(lams.size)
-        for ph0, s_freq, poly in resolvent._osc_tail_data(canon):
+        for ph0, s_freq, poly in zip(*resolvent._osc_tail_data(canon)):
             pieces = np.array([tail_vec(s_exps, s_freq - lam, T0) for lam in lams])
             tail += ph0 * np.einsum("kj,j->k", pieces, poly)
             trunc += np.abs(poly[-1] * pieces[:, -1])
@@ -300,7 +300,7 @@ def _osc_block_per_pattern(canons, lams):
     d = len(canons[0])
     kws = []
     for canon in canons:
-        nodes, weights = resolvent._osc_nodes(resolvent._osc_t0(canon))
+        nodes, weights, _ = resolvent._osc_grid(canon[0])
         rows = resolvent.bessel_j_grid(nodes, canon[0])
         kern = np.prod([rows[m] for m in canon], axis=0)
         kws.append(np.ascontiguousarray((weights * kern).reshape(-1, resolvent._OSC_NPTS).T))
@@ -317,12 +317,12 @@ def _osc_block_per_pattern(canons, lams):
         row, panel = resolvent._osc_phases(lam, n_panels)
         w = (freqs[:, None] - lam).ravel()
         tails = {T0: resolvent.tail_integral_vec(s_exps, w, T0).reshape(freqs.size, lam.size, -1)
-                 for T0 in sorted({resolvent._osc_t0(canon) for canon in canons})}
+                 for T0 in sorted({resolvent._osc_t0(canon[0]) for canon in canons})}
         for u, canon in enumerate(canons):
-            pieces = tails[resolvent._osc_t0(canon)]
+            pieces = tails[resolvent._osc_t0(canon[0])]
             tail = np.zeros(lam.size, dtype=complex)
             trunc = np.zeros(lam.size)
-            for ph0, s_freq, poly in resolvent._osc_tail_data(canon):
+            for ph0, s_freq, poly in zip(*resolvent._osc_tail_data(canon)):
                 at_s = pieces[(s_freq + d) // 2]
                 tail += ph0 * np.einsum("kj,j->k", at_s, poly)
                 trunc += np.abs(poly[-1] * at_s[:, -1])
@@ -371,6 +371,34 @@ def test_osc_block_shares_bessel_rows_per_leading_order(monkeypatch):
     assert len(calls) == 3
 
 
+def test_blocks_do_not_depend_on_the_orbit_set_or_the_lambdas():
+    # each engine core's block, on a mixed orbit set (max_j |n_j| = 0, 1
+    # and 2) whose per-orbit constants come from one cached plan, equals
+    # float for float each orbit computed alone and each lambda computed
+    # alone: the oscillatory engine on interior lambdas, band points and
+    # the band edges, with rows of zero tail frequency (lambda = S), the
+    # torus on its green_auto floor grid (one cached chunk) and on a grid
+    # built as it is walked
+    def check(core, lams, *extra):
+        vals, errs = core(_DRAW2_ORBITS, lams, *extra)
+        for u, canon in enumerate(_DRAW2_ORBITS):
+            alone = core([canon], lams, *extra)
+            assert np.array_equal(alone[0][0], vals[u]) and np.array_equal(alone[1][0], errs[u])
+        for k, lam in enumerate(lams):
+            alone = core(_DRAW2_ORBITS, lams[k:k + 1], *extra)
+            assert np.array_equal(alone[0][:, 0], vals[:, k]) and np.array_equal(alone[1][:, 0], errs[:, k])
+
+    resolvent.clear_green_cache()
+    check(resolvent._osc_block, np.array([0.7 - 0.3j, -2.2 - 1.2j, 3.0, -3.0, 1.0, -1.0, 2.4, 3.1 - 0.05j]))
+    for n_quad in (32, 40):
+        check(resolvent._torus_block, np.array([0.5 - 1.3j, -2.0 + 1.5j, 4.5 + 0.0j, -4.4 - 0.2j]), n_quad)
+    plans = (resolvent._osc_plan, resolvent._osc_grid, resolvent._torus_plan)
+    assert all(plan.cache_info().currsize for plan in plans)
+    resolvent.clear_green_cache()
+    for cache in plans + (resolvent._one_chunk_triples, resolvent.support_orbits):
+        assert cache.cache_info().currsize == 0
+
+
 def test_factored_gauss_phase_matches_direct_sum():
     # the per-panel factoring of e^(-i lam t) against the plain sum over the
     # nodes, on the band, at the Van Hove levels +-1 and the edges +-3, from
@@ -380,7 +408,7 @@ def test_factored_gauss_phase_matches_direct_sum():
     lams = np.array([complex(re, im) for re in (0.0, 1.0, -1.0, 3.0, -3.0)
                      for im in (0.0, -0.01, -0.5, -1.25)])
     for canon in ((0, 0, 0), (1, 0, 0), (2, 1, 0), (5, 3, 1)):
-        nodes, weights = resolvent._osc_nodes(resolvent._osc_t0(canon))
+        nodes, weights, _ = resolvent._osc_grid(canon[0])
         rows = resolvent.bessel_j_grid(nodes, canon[0])
         kern = np.prod([rows[m] for m in canon], axis=0)
         kw = resolvent._osc_kw(canon)
