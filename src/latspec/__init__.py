@@ -47,9 +47,7 @@ from .resolvent import (
     GreenValue,
     green_auto,
     green_boundary,
-    green_boundary_many,
     green_cache_info,
-    green_many,
     green_time,
     green_torus,
 )
@@ -87,9 +85,7 @@ __all__ = [
     "find_zeros",
     "green_auto",
     "green_boundary",
-    "green_boundary_many",
     "green_cache_info",
-    "green_many",
     "green_time",
     "green_torus",
     "integral_representation",

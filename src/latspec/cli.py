@@ -10,6 +10,7 @@ Reports are deterministic for a fixed config apart from the timestamp.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import datetime
 import json
@@ -77,6 +78,12 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
+def _parse_finite_complex(text: str, option: str) -> complex:
+    value = parse_complex(text)
+    _require(cmath.isfinite(value), f"{option} must be finite, got {value}")
+    return value
+
+
 def _require_search_options(args) -> None:
     """Checks shared by the subcommands that run the zero search: --r-outer,
     --tol, and --n-grid where the subcommand samples the boundary."""
@@ -93,7 +100,7 @@ def _require_search_options(args) -> None:
 def _cmd_green(args) -> tuple:
     d = args.d
     _require(d >= 1, "--d must be >= 1")
-    lam = parse_complex(args.lam)
+    lam = _parse_finite_complex(args.lam, "--lambda")
     site = _parse_site(args.site)
     _require(len(site) == d, f"site length {len(site)} != d={d}")
     method = args.method
@@ -126,7 +133,7 @@ def _cmd_green(args) -> tuple:
 
 def _cmd_det_eval(args) -> tuple:
     V = _load_potential(args.potential)
-    z = parse_complex(args.z)
+    z = _parse_finite_complex(args.z, "--z")
     _require(abs(z) <= 1.0 + 1e-12, "--z must lie in the closed unit disc")
     smp = det_eval(V, z)
     report = {
@@ -315,7 +322,8 @@ def _cmd_sweep(args) -> tuple:
         lo, hi, num = float(lo), float(hi), int(num)
     except ValueError:
         raise ValidationError(f"--scale-grid must be lo:hi:num, got {args.scale_grid!r}")
-    _require(num >= 1 and hi >= lo > 0.0, "--scale-grid must satisfy 0 < lo <= hi, num >= 1")
+    _require(num >= 1 and math.isfinite(hi) and hi >= lo > 0.0,
+             "--scale-grid must satisfy 0 < lo <= hi < inf, num >= 1")
     _require_search_options(args)
     _require(args.out is not None, "sweep requires -o/--out for the CSV file")
 
@@ -521,6 +529,10 @@ def main(argv: Optional[list] = None) -> int:
     try:
         _apply_config(parser, args, argv)
         _require(args.threads is None or args.threads >= 1, "--threads must be >= 1")
+        # no subcommand has a use for a float option that is not finite
+        for dest, value in sorted(vars(args).items()):
+            _require(not isinstance(value, float) or math.isfinite(value),
+                     f"--{dest.replace('_', '-')} must be finite, got {value}")
         handler = _HANDLERS[args.command]
         report, flags = handler(args)
     except ValidationError as exc:

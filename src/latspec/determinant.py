@@ -27,9 +27,10 @@ Sampling is array-at-a-time and returns values only.  A consumer that
 knows its points in advance (Taylor and Jensen circles, the boundary grid
 and kink windows, the initial nodes of a counting contour) passes them
 all to ``det_eval_many``.  That makes one block request per point group
-to the Green engines (support differences x lambdas; the engines chunk
-the lambda axis and memoize per value) and one stacked det over the (K,
-|S|, |S|) matrices.  Points that are not known in advance come in
+to the Green engines (orbits of the support differences x lambdas; the
+engines chunk the lambda axis and memoize per value), and stacked dets
+over the (K, |S|, |S|) matrices, gathered from that block _STACK_BYTES
+at a time.  Points that are not known in advance come in
 batches too: ``march_log`` asks for the bisection midpoints of all its
 curves one depth at a time, and the zero search merges the requests of
 all its live cells.  Batching changes no number: each value equals, bit
@@ -84,6 +85,9 @@ _BOUNDARY_TOL = 1e-12
 RIM_RADIUS = 1.0 - 1e-3
 # bisections of one marched step before march_log gives up on it
 _MARCH_MAX_DEPTH = 40
+# largest stack of Birman-Schwinger matrices that det_eval_many gathers
+# from the orbit block and factors in one det call
+_STACK_BYTES = 2 ** 20
 
 
 class NumericalError(ValueError):
@@ -136,24 +140,28 @@ class TaylorCoeffs:
 
 def _birman_schwinger(V: Potential, zs: np.ndarray, engine: str):
     """What the Birman-Schwinger matrices of the points of ``zs`` are built
-    from (``_stack`` builds them): (idx, v, G, Gerr), with the positions
-    idx of the points that need a matrix (interior first, then |z| = 1),
-    the support values v and the Green block G (s*s, K) with its error
-    bounds Gerr.  Points outside the disc or in the rim are refused (the
-    first such point is named); z = 0 and an empty support need no matrix,
-    since D is exactly 1 there.
+    from (``_stack`` builds them): (idx, v, index, G, Gerr), with the
+    positions idx of the points that need a matrix (interior first, then
+    |z| = 1), the support values v, the orbit row ``index`` of each support
+    difference and the Green block G (orbits, K) with its error bounds
+    Gerr.  Points not finite, outside the disc or in the rim are refused
+    (the first is named); z = 0 and an empty support need no matrix, since
+    D is exactly 1 there.
 
     The points are classified by masks on |z| = ``np.hypot``: outside,
     rim, interior and z = 0.  The interior points are mapped by one
-    ``lambda_of_z`` call and take one block of Green values (support
-    differences x lambdas) from ``green_orbits``, which routes the lambdas
-    to the oscillatory or the torus engine named by ``engine``; the
-    boundary points take one from ``green_boundary_orbits``.  Both read
-    the differences as ``support_orbits`` maps them to orbits, once per
+    ``lambda_of_z`` call and take one block of Green values (orbits x
+    lambdas) from ``green_orbits``, which routes the lambdas to the
+    oscillatory or the torus engine named by ``engine``; the boundary
+    points take one from ``green_boundary_orbits``.  Both take the orbits
+    of the support differences as ``support_orbits`` maps them, once per
     support.
     """
+    bad = ~np.isfinite(zs)
+    if bad.any():
+        raise ValueError(f"z={complex(zs[bad][0])} is not finite")
     if not V.support:
-        return [], None, None, None
+        return [], None, None, None, None
     d = V.d
     az = np.hypot(zs.real, zs.imag)
     rim = abs(az - 1.0) <= _BOUNDARY_TOL
@@ -172,15 +180,12 @@ def _birman_schwinger(V: Potential, zs: np.ndarray, engine: str):
     n_in = len(idx)
     idx += rim.nonzero()[0].tolist()
     if not idx:
-        return [], None, None, None
-    sites = V.support
-    orbits = support_orbits(sites, d)
-    vd = V.as_dict()
-    v = np.array([vd[x] for x in sites], dtype=complex)
-    G = np.empty((len(sites) ** 2, len(idx)), dtype=complex)
+        return [], None, None, None, None
+    canons, index = support_orbits(V.support, d)
+    G = np.empty((len(canons), len(idx)), dtype=complex)
     Gerr = np.empty(G.shape)
     if n_in:
-        G[:, :n_in], Gerr[:, :n_in] = green_orbits(*orbits, lambda_of_z(zs[inner], d), d, engine)
+        G[:, :n_in], Gerr[:, :n_in] = green_orbits(canons, lambda_of_z(zs[inner], d), d, engine)
     if n_in < len(idx):
         # z = e^{it} is approached radially from inside; lambda(z) then
         # tends to d*cos t with Im lambda -> -d*eps*sin t, so the upper
@@ -188,15 +193,16 @@ def _birman_schwinger(V: Potential, zs: np.ndarray, engine: str):
         # keeps lambda0 on the band, and it is exactly odd in z.
         zb = zs[rim]
         G[:, n_in:], Gerr[:, n_in:] = green_boundary_orbits(
-            *orbits, d * (zb.real / az[rim]), ~(zb.imag > 0.0), d)
-    return idx, v, G, Gerr
+            canons, d * (zb.real / az[rim]), ~(zb.imag > 0.0), d)
+    return idx, V.values, index, G, Gerr
 
 
-def _stack(v: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """The (K, s, s) matrices v_i G(x_i - y_j) of a Green block G (s*s, K):
-    row i of the Birman-Schwinger matrix is v_i G(x_i - y_j)."""
+def _stack(v: np.ndarray, index: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The (K, s, s) matrices v_i G(x_i - y_j) of an orbit block G (orbits,
+    K): entry (i, j) of a matrix reads G's row index[i * s + j].  This is
+    the one gather from orbit rows to matrix entries."""
     s = len(v)
-    return v[None, :, None] * G.T.reshape(-1, s, s)
+    return v[None, :, None] * G[index].T.reshape(-1, s, s)
 
 
 def _det(M: np.ndarray) -> np.ndarray:
@@ -243,16 +249,19 @@ def det_eval_many(
     outside the disc (the first such point is named).  z = 0 and an empty
     support give exactly 1.
 
-    One Birman-Schwinger assembly (``_birman_schwinger``) fills stacked
-    (K, |S|, |S|) matrices and one stacked det (``_det``) gives the
-    values.  No error bound is formed: ``det_eval`` is the one place that
-    returns it.  A value is computed the same way whichever batch it is in.
+    One Birman-Schwinger assembly (``_birman_schwinger``) gives the
+    (orbits, K) Green block; ``_stack`` gathers the (K, |S|, |S|) matrices
+    from it and ``_det`` factors them, a bounded stack at a time.  No
+    error bound is formed: ``det_eval`` is the one place that returns it.
+    A value is computed the same way whichever batch or stack it is in.
     """
     zs = np.asarray(zs, dtype=complex)
     out = np.ones(len(zs), dtype=complex)
-    idx, v, G, _ = _birman_schwinger(V, zs, policy.engine)
+    idx, v, index, G, _ = _birman_schwinger(V, zs, policy.engine)
     if idx:
-        out[idx] = _det(_stack(v, G))
+        step = max(1, _STACK_BYTES // (16 * index.size))
+        out[idx] = np.concatenate([_det(_stack(v, index, G[:, lo:lo + step]))
+                                   for lo in range(0, len(idx), step)])
     return out
 
 
@@ -282,11 +291,11 @@ def det_eval(V: Potential, z: complex, policy: QuadPolicy = QuadPolicy()) -> Det
     I + M and the 2-norm of its entrywise error bounds."""
     zs = np.array([z], dtype=complex)
     z = zs.tolist()[0]
-    idx, v, G, Gerr = _birman_schwinger(V, zs, policy.engine)
+    idx, v, index, G, Gerr = _birman_schwinger(V, zs, policy.engine)
     if not idx:
         return DeterminantSample(z=z, value=1.0 + 0.0j, err_estimate=0.0)
-    M = _stack(v, G)
-    err = _det_err(M, _stack(np.abs(v), Gerr))
+    M = _stack(v, index, G)
+    err = _det_err(M, _stack(np.abs(v), index, Gerr))
     return DeterminantSample(z=z, value=_det(M).tolist()[0], err_estimate=err.tolist()[0])
 
 
@@ -332,9 +341,13 @@ def march_log(curves: "Sequence[tuple]"):
     search runs many marches in lockstep.  Each step between neighbouring
     nodes is the principal log of the ratio of its end values.  A step
     whose phase turns by more than pi/2 is bisected in the parameter, and
-    its halves are checked in turn, so the march cannot drop a turn.  A
-    step still unresolved after _MARCH_MAX_DEPTH bisections, or a sample
-    that vanishes or is not finite, raises PathRefinementError.
+    its halves are checked in turn.  The rule checks end values only: an
+    accepted step's principal increment turns by at most pi/2, but a step
+    next to zeros can truly turn by close to 2 pi and lose that turn
+    (ROADMAP item 10); the zero search's ``_MIN_ABS_FRAC`` guard hides
+    this today.  A step still unresolved after _MARCH_MAX_DEPTH
+    bisections, or a sample that vanishes or is not finite, raises
+    PathRefinementError.
 
     The march goes level by level: it asks once for the unsampled nodes of
     every curve, and once per depth for the midpoints of all the steps of
@@ -433,8 +446,8 @@ def taylor_coeffs(
     Samples D on |z| = r at 2*m_samples equispaced points (the requested
     grid plus its refinement, so the error estimate is a strict byproduct),
     marches a continuous log around the circle with ``march_log`` (which
-    bisects between samples wherever the phase turns fast, so a zero close
-    to the circle cannot hide between them), checks that the loop closes
+    bisects between samples wherever the phase turns fast; see its
+    docstring for what that rule checks), checks that the loop closes
     with winding zero (no zeros inside), and reads off
 
         c_n = -(1/(2 pi i)) oint log D(z) / z^{n+1} dz .

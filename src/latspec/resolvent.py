@@ -26,20 +26,21 @@ the interior engines.
 
 Every engine is array-at-a-time.  Its core takes a list of orbits (rows)
 and an array of lambdas (columns) and returns the whole block of values
-and error estimates.  ``green_many`` (interior, with the engine routing of
-``green_auto`` or one forced engine) and ``green_boundary_many`` serve
-such blocks per site; ``green_orbits`` and ``green_boundary_orbits`` serve
-them to determinant assembly for sites already mapped to orbits, and
-``green_auto``, ``green_torus``, ``green_time`` and ``green_boundary``
-are the one-value cases.
+and error estimates; (orbits, lambdas) is the one shape of a Green block
+up to determinant assembly.  ``green_orbits`` (interior, with the engine
+routing of ``green_auto`` or one forced engine) and
+``green_boundary_orbits`` serve such blocks; ``green_auto``,
+``green_torus``, ``green_time`` and ``green_boundary`` are the one-value
+cases, on the orbit of their site.
 
 * An engine's per-orbit constants are built once per orbit set, in a
   bounded cache (its plan), so a call does only per-lambda work.
   ``_osc_plan`` holds each orbit's Gauss kernel (one Bessel grid per
   max_j |n_j|, ``_osc_grid``), the index of its horizon T0, its mode
   tails' phases, frequency rows and polynomials, and its prefactor;
-  ``_torus_plan`` holds both grids' cosine weights and, on green_auto's
-  floor grid, their sums over the index triples.
+  ``_torus_plan`` holds both grids' cosine weights and, on grids with
+  few enough index tuples (green_auto's floor grid among them), their
+  sums over the tuples.
 * The oscillatory engine walks the lambda axis in chunks whose phase
   block stays within _CHUNK_BYTES (512 KB).  In a chunk the phases are
   built once and shared by every orbit, and the mode tails of every
@@ -47,9 +48,10 @@ are the one-value cases.
   the orbits with that T0 (T0 depends only on max_j |n_j|).
 * The torus engine builds 1 / (h(k) - lam) on the folded grid once per
   lambda, for a chunk of lambdas at a time, and contracts it against each
-  orbit's separable cosine weights.  The integrand is symmetric in the
-  first three axes, so it is built on their sorted index triples only
-  (one sixth of the grid), against weights summed over the orderings.
+  orbit's separable cosine weights, by one contraction in every
+  dimension.  The integrand is symmetric in the first r = min(d, 3) axes,
+  so it is built on their sorted index tuples only (one sixth of the
+  grid for r = 3), against weights summed over the orderings.
 * Batching changes no number: a block entry is computed exactly as it is
   alone.  Array operations act elementwise along the lambda axis, and the
   contractions are ``np.einsum`` calls whose summation order is set by the
@@ -83,7 +85,7 @@ with one to rounding.
 
 The damped time engine is the oracle that the c02 gate checks the torus
 and oscillatory engines against, so it stays outside the fold and the
-memo: ``green_many(engine="time")`` calls ``_time_block`` directly, which
+memo: ``green_orbits(engine="time")`` calls ``_time_block`` directly, which
 conjugates for Im lam > 0 (its damping needs Im lam <= 0) and applies no
 other symmetry.
 
@@ -91,8 +93,9 @@ The torus and the oscillatory engine keep one memo each: a dict of at
 most _MEMO_SIZE values keyed by (orbit, quadrant image of lam), plus the
 grid size for the torus, evicting the least recently used entry.  A
 block looks every key up once, computes the missing ones in at most one
-core call and unfolds, in one pass.  Repeated evaluations during
-determinant assembly are therefore free and bit-identical.
+core call and unfolds with array operations, in one pass.  Repeated
+evaluations during determinant assembly are therefore free and
+bit-identical.
 ``green_cache_info`` reports each memo's hits, misses and size;
 ``clear_green_cache`` empties them, the plans and ``support_orbits``, the
 orbit map of a support's differences that determinant assembly builds
@@ -104,6 +107,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
@@ -211,7 +215,7 @@ def _memo_block(engine: str, core, canons: "list[Site]", lams: np.ndarray, extra
     |Re lam| - i |Im lam| there and unfolded by the exact symmetries of the
     module docstring: conjugated where up[k] differs from (Re lam < 0), and
     times -(-1)^|n| where Re lam < 0.  ``up`` defaults to Im lam > 0;
-    ``green_boundary_many`` passes its side, its lambdas being real.
+    ``green_boundary_orbits`` passes its side, its lambdas being real.
 
     Every (orbit, distinct image) key is looked up once.  core(canons, qs,
     *extra) is then called once, on the orbits and images that have a
@@ -219,20 +223,20 @@ def _memo_block(engine: str, core, canons: "list[Site]", lams: np.ndarray, extra
     are stored.  Each (orbit, lambda) pair counts once: a miss where its
     key was missing, else a hit (so a repeat of an image after its miss is
     a hit).  A lambda is a hit only when its image is bitwise a known key;
-    there is no tolerance.
+    there is no tolerance.  The block of distinct images is then unfolded
+    with array operations: a gather of each lambda's image column, and an
+    exact conjugation and negation under masks.
     """
     memo = _MEMOS[engine]
     data = memo.data
-    lam_list = lams.tolist()
-    if up is None:
-        up = [lam.imag > 0 for lam in lam_list]
-    quad = [complex(abs(lam.real), 0.0 - abs(lam.imag)) for lam in lam_list]
-    uniq = list(dict.fromkeys(quad))
+    at: dict = {}
+    col = [at.setdefault(complex(abs(lam.real), 0.0 - abs(lam.imag)), len(at)) for lam in lams.tolist()]
+    uniq = list(at)
     keys = [[(canon, q, *extra) for q in uniq] for canon in canons]
     got = [[data.get(key) for key in row] for row in keys]
     missing = [(u, k) for u, row in enumerate(got) for k, g in enumerate(row) if g is None]
     memo.misses += len(missing)
-    memo.hits += len(canons) * len(quad) - len(missing)
+    memo.hits += len(canons) * len(col) - len(missing)
     for row, known in zip(keys, got):
         for key, g in zip(row, known):
             if g is not None:
@@ -249,22 +253,16 @@ def _memo_block(engine: str, core, canons: "list[Site]", lams: np.ndarray, extra
             got[u][k] = data[keys[u][k]] = (v[i][j], e[i][j])
             if len(data) > _MEMO_SIZE:
                 data.popitem(last=False)
-    at = {q: k for k, q in enumerate(uniq)}
-    # per lambda: its image's column, whether the value is conjugated,
-    # whether lam -> -lam
-    folds = [(at[q], bool(u) != (lam.real < 0), lam.real < 0) for q, lam, u in zip(quad, lam_list, up)]
+    shape = (len(canons), len(uniq))
+    vals = np.array([[g[0] for g in row] for row in got], dtype=complex).reshape(shape)[:, col]
+    errs = np.array([[g[1] for g in row] for row in got], dtype=float).reshape(shape)[:, col]
+    up = lams.imag > 0 if up is None else np.asarray(up, dtype=bool)
+    negative = lams.real < 0
+    np.conjugate(vals, out=vals, where=up != negative)
     # the value changes sign under lam -> -lam where |n| is even
-    flips = [sum(canon) % 2 == 0 for canon in canons]
-    vals = np.array([[_unfold(row[k][0], c, n and f) for k, c, n in folds]
-                     for row, f in zip(got, flips)], dtype=complex).reshape(len(canons), len(quad))
-    errs = np.array([[row[k][1] for k, _, _ in folds] for row in got]).reshape(vals.shape)
+    even = np.array([sum(canon) % 2 == 0 for canon in canons], dtype=bool)
+    np.negative(vals, out=vals, where=even[:, None] & negative)
     return vals, errs
-
-
-def _unfold(value: complex, conj: bool, negate: bool) -> complex:
-    if conj:
-        value = value.conjugate()
-    return -value if negate else value
 
 
 def _canon(n: Sequence[int]) -> Site:
@@ -280,19 +278,15 @@ def _orbit(n: Sequence[int], d: int) -> Site:
     return canon
 
 
-def _orbits(sites: "Sequence[Sequence[int]]", d: int) -> "tuple[list[Site], np.ndarray]":
-    """The distinct orbits of ``sites`` and, per site, its orbit's row."""
-    rows: dict = {}
-    index = [rows.setdefault(_orbit(n, d), len(rows)) for n in sites]
-    return list(rows), np.array(index, dtype=int)
-
-
 @functools.lru_cache(maxsize=16)
 def support_orbits(support: "tuple[Site, ...]", d: int) -> "tuple[list[Site], np.ndarray]":
-    """_orbits of the differences x - y of the sites of ``support``, x
-    major (the entries of a Birman-Schwinger matrix in row order): built
-    once per support."""
-    return _orbits([tuple(a - b for a, b in zip(x, y)) for x in support for y in support], d)
+    """The distinct orbits of the differences x - y of the sites of
+    ``support`` and, per difference, its orbit's row, x major (the entries
+    of a Birman-Schwinger matrix in row order): built once per support."""
+    rows: dict = {}
+    index = [rows.setdefault(_orbit([a - b for a, b in zip(x, y)], d), len(rows))
+             for x in support for y in support]
+    return list(rows), np.array(index, dtype=int)
 
 
 # ---------------------------------------------------------------- torus path
@@ -308,67 +302,63 @@ def _torus_weights(canons: "list[Site]", N: int) -> np.ndarray:
     return np.array([[w * np.cos(n_j * k) for n_j in canon] for canon in canons])
 
 
-def _torus_low_d(u: np.ndarray, lam: complex, N: int) -> np.ndarray:
-    """Folded trapezoidal values with N points per dimension at d = 1, 2,
-    one per orbit of the weights u from _torus_weights."""
-    d = u.shape[1]
-    c = np.cos(2.0 * np.pi * np.arange(u.shape[2]) / N)
-    if d == 1:
-        return np.array([np.sum(uo[0] / (c - lam)) for uo in u]) / float(N)
-    r = 1.0 / (c[:, None] + c[None, :] - lam)
-    return np.array([np.einsum("a,a->", uo[0], np.einsum("ab,b->a", r, uo[1])) for uo in u]) / float(N) ** 2
-
-
 _TRIPLE_CHUNK = _CHUNK_BYTES // 64
 
 
-def _triple_chunks(m1: int):
-    """The index triples a <= b <= c of a folded grid axis of m1 points, in
-    chunks of at most _TRIPLE_CHUNK triples: (a, b, c) index arrays."""
+def _triple_chunks(m1: int, r: int):
+    """The sorted index tuples i_1 <= ... <= i_r (r <= 3) of a folded grid
+    axis of m1 points, the last index major and the others in lexicographic
+    order, in chunks of at most _TRIPLE_CHUNK tuples: r index arrays."""
     parts = []
     for c in range(m1):
-        a, b = np.triu_indices(c + 1)
-        parts.append((a, b, np.full(a.size, c)))
-        if sum(p[0].size for p in parts) >= _TRIPLE_CHUNK or c == m1 - 1:
+        # the sorted (r - 1)-tuples of 0..c, lexicographic
+        head = np.triu_indices(c + 1) if r == 3 else (np.arange(c + 1),) * (r - 1)
+        parts.append((*head, np.full(head[0].size if head else 1, c)))
+        if sum(p[-1].size for p in parts) >= _TRIPLE_CHUNK or c == m1 - 1:
             yield tuple(np.concatenate(x) for x in zip(*parts))
             parts = []
 
 
-def _symmetric_weights(u: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Per orbit and sorted triple (a, b, c): the sum of u_0 u_1 u_2 over
-    the distinct orderings of the triple, shape (orbits, triples)."""
-    total = sum(u[:, 0, p] * u[:, 1, q] * u[:, 2, r] for p, q, r in itertools.permutations((a, b, c)))
-    # each distinct ordering appears 6 / (number of distinct orderings) times;
-    # the gathers come out column-major, and the contraction must see each
-    # orbit's row laid out as for a single orbit
-    return np.ascontiguousarray(total / np.where(a == c, 6.0, np.where((a == b) | (b == c), 2.0, 1.0)))
+def _symmetric_weights(u: np.ndarray, *idx: np.ndarray) -> np.ndarray:
+    """Per orbit and sorted index tuple idx = (i_1, ..., i_r): the sum of
+    u_1 ... u_r over the distinct orderings of the tuple, shape (orbits,
+    tuples)."""
+    total = sum(functools.reduce(operator.mul, (u[:, j, p] for j, p in enumerate(perm)))
+                for perm in itertools.permutations(idx))
+    # permutations() yields each distinct ordering (e + 1)! times, e the
+    # number of equal neighbours in the sorted tuple (r <= 3); the gathers
+    # come out column-major, and the contraction must see each orbit's row
+    # laid out as for a single orbit
+    equal = sum(p == q for p, q in zip(idx, idx[1:]))
+    return np.ascontiguousarray(total / np.array([1.0, 2.0, 6.0])[equal])
 
 
-def _torus_chunk(coarse: np.ndarray, fine: np.ndarray, a, b, c) -> tuple:
-    """One chunk of fine-grid triples: (a, b, c, even, fine weights, coarse
-    weights), ``even`` indexing the triples of even points, which form the
-    coarse grid."""
-    even = np.nonzero((a % 2 == 0) & (b % 2 == 0) & (c % 2 == 0))[0]
-    return (a, b, c, even, _symmetric_weights(fine, a, b, c),
-            _symmetric_weights(coarse, a[even] // 2, b[even] // 2, c[even] // 2))
+def _torus_chunk(coarse: np.ndarray, fine: np.ndarray, idx: tuple) -> tuple:
+    """One chunk of the fine grid's sorted index tuples: (idx, even, fine
+    weights, coarse weights), ``even`` indexing the tuples of even points,
+    which form the coarse grid."""
+    even = np.nonzero(functools.reduce(np.logical_and, (i % 2 == 0 for i in idx)))[0]
+    return (idx, even, _symmetric_weights(fine, *idx),
+            _symmetric_weights(coarse, *(i[even] // 2 for i in idx)))
 
 
 @functools.lru_cache(maxsize=4)
-def _one_chunk_triples(m1: int) -> tuple:
-    return next(_triple_chunks(m1))
+def _one_chunk_triples(m1: int, r: int) -> tuple:
+    return next(_triple_chunks(m1, r))
 
 
 @functools.lru_cache(maxsize=64)
 def _torus_plan(canons: "tuple[Site, ...]", n_quad: int) -> tuple:
-    """The _torus_weights of an orbit set's coarse and fine grids and, from
-    d = 3 up, the fine grid's one chunk of triples with its weights, or
-    None where the grid has more (the n_quad = 32 floor that green_auto
-    uses has 6,545 triples): larger grids are built as they are walked."""
+    """The _torus_weights of an orbit set's coarse and fine grids and the
+    fine grid's one chunk of sorted index tuples (over the first r =
+    min(d, 3) axes) with its weights, or None where the grid has more (the
+    n_quad = 32 floor that green_auto uses at d >= 3 has 6,545 triples):
+    larger grids are built as they are walked."""
     coarse, fine = _torus_weights(canons, n_quad), _torus_weights(canons, 2 * n_quad)
-    m1 = n_quad + 1
-    if len(canons[0]) < 3 or m1 * (m1 + 1) * (m1 + 2) // 6 > _TRIPLE_CHUNK:
+    m1, r = n_quad + 1, min(len(canons[0]), 3)
+    if math.comb(m1 + r - 1, r) > _TRIPLE_CHUNK:
         return coarse, fine, None
-    return coarse, fine, [_torus_chunk(coarse, fine, *_one_chunk_triples(m1))]
+    return coarse, fine, [_torus_chunk(coarse, fine, _one_chunk_triples(m1, r))]
 
 
 def _torus_block(canons: "list[Site]", lams: np.ndarray, n_quad: int):
@@ -378,39 +368,32 @@ def _torus_block(canons: "list[Site]", lams: np.ndarray, n_quad: int):
 
     (2 pi)^(-d) int cos(n1 k1)...cos(nd kd) / (sum cos kj - lam) dk over the
     d-torus; evenness in each kj folds the grid to N/2 + 1 points per axis.
-    From d = 3 up, 1 / (h(k) - lam) = (x + i y) / (x^2 + y^2), x = h(k) -
-    Re lam and y = Im lam, is symmetric in the first three axes: it is
-    built on their sorted index triples only, per point of the other d - 3
-    axes, for a chunk of lambdas at a time, and contracted against each
-    orbit's weights summed over the orderings of a triple.  The coarse
-    grid is the fine grid's even points, so it reads the same values.
+    1 / (h(k) - lam) = (x + i y) / (x^2 + y^2), x = h(k) - Re lam and y =
+    Im lam, is symmetric in the first r = min(d, 3) axes: it is built on
+    their sorted index tuples only, per point of the other d - r axes, for
+    a chunk of lambdas at a time, and contracted against each orbit's
+    weights summed over the orderings of a tuple.  The coarse grid is the
+    fine grid's even points, so it reads the same values.
     """
     coarse, fine, chunks = _torus_plan(tuple(canons), n_quad)
     n_orb, d, m1 = fine.shape
-    if d < 3:
-        vals = np.empty((n_orb, lams.size), dtype=complex)
-        errs = np.empty(vals.shape)
-        for k, lam in enumerate(lams.tolist()):
-            v1, v2 = _torus_low_d(coarse, lam, n_quad), _torus_low_d(fine, lam, 2 * n_quad)
-            vals[:, k] = v2
-            errs[:, k] = np.abs(v2 - v1)
-        return vals, errs
+    r = min(d, 3)
     cos_k = np.cos(2.0 * np.pi * np.arange(m1) / (2 * n_quad))
     acc_c = np.zeros((n_orb, lams.size), dtype=complex)
     acc_f = np.zeros((n_orb, lams.size), dtype=complex)
     if chunks is None:
-        chunks = (_torus_chunk(coarse, fine, *abc) for abc in _triple_chunks(m1))
-    for a, b, c, even, s_f, s_c in chunks:
-        h3 = cos_k[a] + cos_k[b] + cos_k[c]
-        step = max(1, _CHUNK_BYTES // (24 * a.size))
-        for idx in itertools.product(range(m1), repeat=d - 3):
+        chunks = (_torus_chunk(coarse, fine, idx) for idx in _triple_chunks(m1, r))
+    for tuples, even, s_f, s_c in chunks:
+        h_r = sum(cos_k[i] for i in tuples)
+        step = max(1, _CHUNK_BYTES // (24 * tuples[0].size))
+        for idx in itertools.product(range(m1), repeat=d - r):
             w_f = np.ones(n_orb)
             w_c = np.ones(n_orb)
             for j, i in enumerate(idx):
-                w_f = w_f * fine[:, j + 3, i]
-                w_c = w_c * coarse[:, j + 3, i // 2]
+                w_f = w_f * fine[:, j + r, i]
+                w_c = w_c * coarse[:, j + r, i // 2]
             on_coarse = all(i % 2 == 0 for i in idx)
-            h = h3 + sum(cos_k[i] for i in idx)
+            h = h_r + sum(cos_k[i] for i in idx)
             for lo in range(0, lams.size, step):
                 lam = lams[lo:lo + step]
                 x = h - lam.real[:, None]
@@ -457,6 +440,7 @@ def green_torus(
     """
     d = validate_dimension(d)
     lam = complex(lam)
+    _require_finite(lam, "lambda")
     dist = _torus_distance(lam, d)
     if n_quad is None:
         n_quad = auto_n_quad(dist)
@@ -489,7 +473,8 @@ def green_time(n: Sequence[int], lam: complex, d: int) -> GreenValue:
     tail e^(T Im lam)/|Im lam| (using |K_n| <= 1) is below _TIME_TOL, capped
     at 1200 with the cap reflected honestly in err_estimate.
     """
-    return _one(green_many([n], [complex(lam)], d, engine="time"))
+    d = validate_dimension(d)
+    return _one(green_orbits([_orbit(n, d)], [complex(lam)], d, engine="time"))
 
 
 def _time_value(canon: Site, lam: complex) -> "tuple[complex, float]":
@@ -667,31 +652,27 @@ def _one(block) -> GreenValue:
     return GreenValue(complex(vals[0, 0]), float(errs[0, 0]))
 
 
-def green_many(
-    sites: "Sequence[Sequence[int]]",
-    lams: "Sequence[complex]",
-    d: int,
-    engine: str = "auto",
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Kernel values off the band for every site (rows) at every lambda
-    (columns), and their error estimates: two arrays of shape (len(sites),
-    len(lams)).  Sites of one orbit share a row of work.
+def _require_finite(lams, name: str) -> None:
+    """Refuse a non-finite lambda, scalar or array (the first is named)."""
+    lams = np.atleast_1d(lams)
+    bad = ~np.isfinite(lams)
+    if bad.any():
+        raise ValueError(f"{name}={lams[bad][0]} is not finite")
+
+
+def green_orbits(canons: "list[Site]", lams: "Sequence[complex]", d: int,
+                 engine: str = "auto") -> "tuple[np.ndarray, np.ndarray]":
+    """Kernel values off the band for every orbit (rows) at every lambda
+    (columns), and their error estimates: two arrays of shape
+    (len(canons), len(lams)).  The orbits are representatives, as
+    ``_orbit`` or ``support_orbits`` gives them.
 
     engine "auto" routes each lambda as ``green_auto`` does; "torus" and
     "time" force that engine, with the same refusals as ``green_torus``
     and ``green_time``.
     """
-    d = validate_dimension(d)
-    return green_orbits(*_orbits(sites, d), lams, d, engine)
-
-
-def green_orbits(canons: "list[Site]", index: np.ndarray, lams: "Sequence[complex]", d: int,
-                 engine: str = "auto") -> "tuple[np.ndarray, np.ndarray]":
-    """``green_many`` for sites given by their orbits, as ``_orbits`` or
-    ``support_orbits`` gives them: the distinct orbits ``canons`` and the
-    orbit row of each site, ``index``.  Each orbit is one row of work, and
-    the rows are expanded to the sites at the end."""
     lams = np.asarray(lams, dtype=complex)
+    _require_finite(lams, "lambda")
     if engine == "time":
         flat = np.abs(lams.imag) < 1e-6
         if flat.any():
@@ -699,8 +680,7 @@ def green_orbits(canons: "list[Site]", index: np.ndarray, lams: "Sequence[comple
                 f"green_time needs |Im lambda| >= 1e-6 (got {lams[flat][0].imag:.2e}): "
                 "the truncation tail is uncontrolled on the real axis; use green_boundary"
             )
-        vals, errs = _time_block(canons, lams)
-        return vals[index], errs[index]
+        return _time_block(canons, lams)
     if engine == "torus":
         dist = _torus_distance(lams, d)
         torus = np.ones(lams.size, dtype=bool)
@@ -727,11 +707,11 @@ def green_orbits(canons: "list[Site]", index: np.ndarray, lams: "Sequence[comple
         else:
             block = _memo_block("osc", _osc_block, canons, lams[cols])
         vals[:, cols], errs[:, cols] = block
-    return vals[index], errs[index]
+    return vals, errs
 
 
 def green_auto(n: Sequence[int], lam: complex, d: int) -> GreenValue:
-    """Dispatcher used by determinant assembly (through ``green_many``).
+    """Dispatcher used by determinant assembly (through ``green_orbits``).
 
     At d >= 3: the oscillatory time engine within _DIST_SWITCH =
     _NQ_RATE / _NQ_MIN (1.25) of the band, torus quadrature from there out.
@@ -745,34 +725,23 @@ def green_auto(n: Sequence[int], lam: complex, d: int) -> GreenValue:
     At d = 1, 2 the oscillatory engine does not exist: the torus serves
     distances >= _DIST_MIN_LOW_D (0.35) and closer points are refused.
     """
-    return _one(green_many([n], [complex(lam)], d))
+    d = validate_dimension(d)
+    return _one(green_orbits([_orbit(n, d)], [complex(lam)], d))
 
 
 # -------------------------------------------------------------- boundary path
 
-def green_boundary_many(
-    sites: "Sequence[Sequence[int]]",
-    lambda0s: "Sequence[float]",
-    plus: "Sequence[bool]",
-    d: int,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Boundary values G(n, lambda0 + i0) where plus[k], else G(n, lambda0 -
-    i0), for every site (rows) and band point lambda0 (columns), d >= 3,
-    with error estimates; shapes as in ``green_many``."""
-    d = require_dimension_3(d, "green_boundary")
-    return green_boundary_orbits(*_orbits(sites, d), lambda0s, plus, d)
-
-
-def green_boundary_orbits(canons: "list[Site]", index: np.ndarray, lambda0s: "Sequence[float]",
+def green_boundary_orbits(canons: "list[Site]", lambda0s: "Sequence[float]",
                           plus: "Sequence[bool]", d: int) -> "tuple[np.ndarray, np.ndarray]":
-    """``green_boundary_many`` for sites given by their orbits, as in
-    ``green_orbits``."""
+    """Boundary values G(n, lambda0 + i0) where plus[k], else G(n, lambda0 -
+    i0), for every orbit (rows) and band point lambda0 (columns), d >= 3,
+    with error estimates; shapes as in ``green_orbits``."""
     lam0 = np.asarray(lambda0s, dtype=float)
+    _require_finite(lam0, "lambda0")
     off = np.abs(lam0) > d
     if off.any():
         raise ValueError(f"lambda0={lam0[off][0]} is off the band [-{d},{d}]; use green_torus")
-    vals, errs = _memo_block("osc", _osc_block, canons, lam0.astype(complex), up=plus)
-    return vals[index], errs[index]
+    return _memo_block("osc", _osc_block, canons, lam0.astype(complex), up=plus)
 
 
 def green_boundary(n: Sequence[int], lambda0: float, side: str, d: int) -> GreenValue:
@@ -783,7 +752,7 @@ def green_boundary(n: Sequence[int], lambda0: float, side: str, d: int) -> Green
     gives the minus side; the plus side is its conjugate, served from the
     same cached value.  The band edges need no special treatment.
     """
+    d = require_dimension_3(d, "green_boundary")
     if side not in ("plus", "minus"):
-        require_dimension_3(d, "green_boundary")
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    return _one(green_boundary_many([n], [lambda0], [side == "plus"], d))
+    return _one(green_boundary_orbits([_orbit(n, d)], [lambda0], [side == "plus"], d))

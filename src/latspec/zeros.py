@@ -6,8 +6,11 @@ root-search for an analytic function we can only evaluate pointwise.
 The strategy is classical:
 
   1. count zeros in annular sectors by the argument principle, with the
-     phase marched adaptively (``determinant.march_log``) so no step can
-     hide a full turn;
+     phase marched adaptively (``determinant.march_log``), which checks
+     only that each step's end values turn by at most pi/2: a step next
+     to a pair of zeros can still hide a full turn (ROADMAP item 10).
+     The ``_MIN_ABS_FRAC`` guard hides that gap today, by refusing a
+     piece where |D| dips below that fraction of its maximum;
   2. quad-subdivide until every nonempty cell isolates one zero cluster;
      each cell is counted once, and carries its count and the centroid of
      its zeros (the z dlogD integral of the same march) to the polish;

@@ -74,6 +74,37 @@ def test_green_n_quad_only_with_torus(tmp_path):
     assert main(base + ["--method", "torus", "-o", str(tmp_path / "g.json")]) == EXIT_OK
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["green", "--d", "3", "--lambda", "nan", "--site", "0,0,0"], "--lambda must be finite, got (nan+0j)"),
+    (["green", "--d", "3", "--lambda", "nan", "--site", "0,0,0", "--method", "boundary-plus"],
+     "--lambda must be finite, got (nan+0j)"),
+    (["green", "--d", "3", "--lambda", "5,nan", "--site", "0,0,0", "--method", "torus"],
+     "--lambda must be finite, got (5+nanj)"),
+    (["green", "--d", "3", "--lambda", "1,nan", "--site", "0,0,0", "--method", "time"],
+     "--lambda must be finite, got (1+nanj)"),
+    (["det-eval", "-p", "{v3}", "--z", "inf,0"], "--z must be finite, got (inf+0j)"),
+    (["bessel-check", "--beta-T", "inf"], "--beta-T must be finite, got inf"),
+    (["bessel-check", "--t-max", "inf"], "--t-max must be finite, got inf"),
+    (["eigs", "-p", "{v3}", "--tol", "inf"], "--tol must be finite, got inf"),
+    (["taylor-check", "-p", "{v3}", "--r", "nan"], "--r must be finite, got nan"),
+    (["eigs", "-p", "{v3}", "--config", "{cfg}"], "--tol must be finite, got nan"),
+    (["sweep", "-p", "{v3}", "--scale-grid", "1:inf:2"],
+     "--scale-grid must satisfy 0 < lo <= hi < inf, num >= 1"),
+], ids=["green-auto", "green-boundary", "green-torus", "green-time", "det-eval-z", "bessel-beta-T",
+        "bessel-t-max", "eigs-tol", "taylor-r", "config-tol", "sweep-scale-grid"])
+def test_non_finite_inputs_exit_2_without_a_report(v3_file, tmp_path, capsys, argv, message):
+    # refused before any Green evaluation, with the value named; these
+    # ran the engines (printing RuntimeWarnings and writing "NaN", which
+    # is not JSON), exited 3, or exited 2 with an unrelated message
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": "nan"}))
+    out = tmp_path / "out.json"
+    argv = [a.replace("{v3}", v3_file).replace("{cfg}", str(cfg)) for a in argv]
+    assert main(argv + ["-o", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_det_eval_subcommand(v3_file, tmp_path):
     out = tmp_path / "d.json"
     rc = main(["det-eval", "-p", v3_file, "--z", "0.25,0.1", "-o", str(out)])

@@ -1,5 +1,7 @@
 import cmath
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +334,46 @@ def test_det_eval_many_refuses_like_det_eval(v3):
     assert det_eval_many(Potential(3, []), [0.4, 2.0])[1] == 1.0
 
 
+def test_det_eval_many_refuses_points_that_are_not_finite(v3, mix3):
+    # the point is named, for an empty support too, and det_eval refuses
+    # it the same way
+    for V in (v3, mix3, Potential(3, [])):
+        for z in (complex("nan"), complex(0.2, float("inf")), complex(float("-inf"), 0.0)):
+            with pytest.raises(ValueError, match=r"z=.* is not finite"):
+                det_eval_many(V, [0.3, z])
+            with pytest.raises(ValueError, match=r"z=.* is not finite"):
+                det_eval(V, z)
+
+
+def _decaying_cube(R, a):
+    # the real decaying potential V_n = a (1 + |n|_2)^-3 on {-R, ..., R}^3
+    return Potential(3, [(n, a * (1.0 + math.sqrt(sum(c * c for c in n))) ** -3)
+                         for n in itertools.product(range(-R, R + 1), repeat=3)])
+
+
+def test_det_eval_many_memory_stays_in_orbits(monkeypatch):
+    # a 2,048-point circle on the real 27-site cube: the Green block stays
+    # (orbits x points), 10 x 2,048, and the 27 x 27 matrices are gathered
+    # from it a bounded stack at a time, so the traced peak stays far
+    # below the 87 MB that a (|S|^2 x points) block of values and errors
+    # takes; a circle that spans three stacks gives the values of one
+    # stack bit for bit
+    V = _decaying_cube(1, 3.6)
+    resolvent.clear_green_cache()
+    tracemalloc.start()
+    try:
+        det_eval_many(V, circle_grid(0.6, 2048))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, f"{peak / 1e6:.1f} MB"
+    zs = circle_grid(0.6, 256)
+    assert 256 * 27 * 27 * 16 > 2 * determinant._STACK_BYTES
+    chunked = det_eval_many(V, zs)
+    monkeypatch.setattr(determinant, "_STACK_BYTES", 2 ** 40)
+    assert np.array_equal(det_eval_many(V, zs), chunked)
+
+
 def test_circle_grid_is_exact_mirror_images():
     # z[n - k] = conj z[k] and z[n/2 + k] = -z[k] bit for bit, the first
     # quadrant as r e^(2 pi i k / n) itself, the rest within the rounding of
@@ -413,16 +455,18 @@ def test_det_eval_error_bound_is_the_adjugate_bound(mix3):
         sites = V.support
         s = len(sites)
         diffs = [tuple(a - b for a, b in zip(x, y)) for x in sites for y in sites]
+        canons = sorted({resolvent._orbit(n, 3) for n in diffs})
+        index = [canons.index(resolvent._orbit(n, 3)) for n in diffs]
         v = np.array([V.as_dict()[x] for x in sites])
         for z in (0.3 + 0.4j, -0.5 + 0.2j, 0.05 - 0.7j, 0.6 + 0.8j, cmath.exp(-2.1j)):
             zs = np.array([z])
             az = np.hypot(zs.real, zs.imag)
             if abs(az[0] - 1.0) <= 1e-12:
-                G, Gerr = resolvent.green_boundary_many(diffs, 3 * (zs.real / az), ~(zs.imag > 0.0), 3)
+                G, Gerr = resolvent.green_boundary_orbits(canons, 3 * (zs.real / az), ~(zs.imag > 0.0), 3)
             else:
-                G, Gerr = resolvent.green_many(diffs, lambda_of_z(zs, 3), 3)
-            M = v[None, :, None] * G.T.reshape(-1, s, s)
-            E = np.abs(v)[None, :, None] * Gerr.T.reshape(-1, s, s)
+                G, Gerr = resolvent.green_orbits(canons, lambda_of_z(zs, 3), 3)
+            M = v[None, :, None] * G[index].T.reshape(-1, s, s)
+            E = np.abs(v)[None, :, None] * Gerr[index].T.reshape(-1, s, s)
             got = det_eval(V, z)
             assert got.err_estimate == _adjugate_bound(M, E)[0], (V, z)
             assert got.value == np.linalg.det(np.eye(s) + M)[0]

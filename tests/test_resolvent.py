@@ -186,7 +186,7 @@ def test_boundary_sides_share_one_evaluation(monkeypatch):
     assert calls == [1, 1]
     # both sides in one block: one value computed
     resolvent.clear_green_cache()
-    vals, errs = resolvent.green_boundary_many([(1, 0, 0)], [1.5, 1.5], [False, True], 3)
+    vals, errs = resolvent.green_boundary_orbits([(1, 0, 0)], [1.5, 1.5], [False, True], 3)
     assert calls == [1, 1, 1]
     assert vals[0, 1] == vals[0, 0].conjugate() == plus.value
     assert errs[0, 1] == errs[0, 0] == plus.err_estimate
@@ -206,6 +206,46 @@ def test_torus_matches_time_in_two_dimensions():
         for n in ((0, 0), (1, 0), (2, 1)):
             gap = abs(green_torus(n, lam, 2).value - green_time(n, lam, 2).value)
             assert gap <= 1e-8
+
+
+def test_engines_match_time_in_four_dimensions(monkeypatch):
+    # the torus's loop over the axes beyond the third, and the oscillatory
+    # engine at d = 4, against the damped time engine with the tolerance
+    # of the d = 3 tests: green_torus off the band, and green_auto on both
+    # sides of the 1.25 switch, beside the band and beyond both edges
+    sites = ((0, 0, 0, 0), (1, 0, 0, 0), (2, 1, 0, 0), (1, -1, 0, 2), (1, 1, 1, 1))
+    for lam in (5.5 + 0.4j, -1.0 - 1.5j, 2.5 + 2.0j, -4.8 - 0.9j):
+        for n in sites:
+            assert abs(green_torus(n, lam, 4).value - green_time(n, lam, 4).value) <= 1e-8
+    calls = _count_engines(monkeypatch)
+    for dist, engine in ((1.2, "osc"), (1.3, "torus")):
+        for lam in (0.5 - 1j * dist, -2.0 + 1j * dist, 4.0 + dist * cmath.exp(-0.6j),
+                    -4.0 - dist * cmath.exp(1.1j)):
+            resolvent.clear_green_cache()
+            calls.update(osc=0, torus=0)
+            for n in sites:
+                a, b = green_auto(n, lam, 4), green_time(n, lam, 4)
+                assert abs(a.value - b.value) <= 1e-8
+                assert abs(a.value - b.value) <= 10.0 * (a.err_estimate + b.err_estimate) + 1e-12
+            other = "torus" if engine == "osc" else "osc"
+            assert calls[engine] > 0 and calls[other] == 0, lam
+
+
+def test_front_doors_refuse_lambdas_that_are_not_finite():
+    nan, inf = float("nan"), float("inf")
+    refused = [
+        lambda: green_auto((0, 0, 0), complex(nan, 0.0), 3),
+        lambda: green_torus((0, 0, 0), complex(5.0, nan), 3),
+        lambda: green_time((0, 0, 0), complex(1.0, nan), 3),
+        lambda: green_time((0, 0, 0), complex(inf, 1.0), 3),
+        lambda: green_boundary((0, 0, 0), nan, "plus", 3),
+        lambda: green_boundary((0, 0, 0), -inf, "minus", 3),
+        lambda: resolvent.green_orbits([(0, 0, 0)], [2.0 - 1.0j, complex(nan, 1.0)], 3),
+        lambda: resolvent.green_boundary_orbits([(0, 0, 0)], [1.0, nan], [True, False], 3),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match=r"lambda0?=.* is not finite"):
+            call()
 
 
 def _count_engines(monkeypatch):
@@ -512,19 +552,20 @@ def test_mirror_images_share_one_value():
     # a lambda and its three mirror images are one memo entry per orbit,
     # in every engine; a lambda that is not an exact image is a miss
     sites = [(0, 0, 0), (1, 0, 0), (0, -1, 0), (1, 1, 0)]
+    canons, index = [(0, 0, 0), (1, 0, 0), (1, 1, 0)], [0, 1, 1, 2]
     for lam in (0.6 - 0.3j, 2.0 - 1.0j):  # oscillatory, torus
         resolvent.clear_green_cache()
-        vals, _ = resolvent.green_many(sites, [lam] + _mirrors(lam), 3)
+        vals = resolvent.green_orbits(canons, [lam] + _mirrors(lam), 3)[0][index]
         engine = "osc" if dist_to_band(lam, 3) < resolvent._DIST_SWITCH else "torus"
         assert resolvent.green_cache_info()[engine]["misses"] == 3
         for row, n in zip(vals, sites):
             sign = -(-1) ** sum(abs(c) for c in n)
             assert row[1] == row[0].conjugate()
             assert row[2] == sign * row[0] and row[3] == sign * row[0].conjugate()
-        resolvent.green_many(sites, [lam + 1e-15], 3)
+        resolvent.green_orbits(canons, [lam + 1e-15], 3)
         assert resolvent.green_cache_info()[engine]["misses"] == 6
     resolvent.clear_green_cache()
-    vals, _ = resolvent.green_boundary_many(sites, [1.5, 1.5, -1.5, -1.5], [False, True, False, True], 3)
+    vals = resolvent.green_boundary_orbits(canons, [1.5, 1.5, -1.5, -1.5], [False, True, False, True], 3)[0][index]
     assert resolvent.green_cache_info()["osc"]["misses"] == 3
     for row, n in zip(vals, sites):
         sign = -(-1) ** sum(abs(c) for c in n)
@@ -547,16 +588,16 @@ def test_memo_pass_computes_exactly_the_missing_keys(monkeypatch):
     monkeypatch.setattr(resolvent, "_torus_block", counted)
     q = [1.0 - 2.0j, 2.0 - 1.5j, 0.5 - 3.0j, 3.5 - 1.3j]  # torus images at n_quad 32
     o1, o2, o3 = (0, 0, 0), (1, 0, 0), (1, 1, 0)
-    sites = [o1, o2, (0, -1, 0), o3]
+    canons = [o1, o2, o3]
     lams = [q[0], q[1], -q[0], q[2], q[3], q[1].conjugate()]
     resolvent.clear_green_cache()
-    cold, cold_err = resolvent.green_many(sites, lams, 3)
+    cold, cold_err = resolvent.green_orbits(canons, lams, 3)
     resolvent.clear_green_cache()
-    resolvent.green_many([o3], q, 3)
-    resolvent.green_many([o1, o2], q[:1], 3)
+    resolvent.green_orbits([o3], q, 3)
+    resolvent.green_orbits([o1, o2], q[:1], 3)
     before = resolvent.green_cache_info()["torus"]
     calls.clear()
-    vals, errs = resolvent.green_many(sites, lams, 3)
+    vals, errs = resolvent.green_orbits(canons, lams, 3)
     assert calls == [([o1, o2], q[1:], 32)]
     after = resolvent.green_cache_info()["torus"]
     assert after["misses"] - before["misses"] == 6
@@ -564,7 +605,7 @@ def test_memo_pass_computes_exactly_the_missing_keys(monkeypatch):
     assert after["size"] == 12
     assert np.array_equal(vals, cold) and np.array_equal(errs, cold_err)
     # nothing missing: no core call, every pair a hit
-    resolvent.green_many(sites, lams, 3)
+    resolvent.green_orbits(canons, lams, 3)
     assert len(calls) == 1
     assert resolvent.green_cache_info()["torus"]["hits"] - after["hits"] == 3 * len(lams)
     resolvent.clear_green_cache()
