@@ -19,7 +19,7 @@ from .bessel import (
     check_uniform_bound,
     integral_representation,
 )
-from .bounds import BoundsReport, check_bounds, real_case_report
+from .bounds import check_bounds, real_case_report
 from .conformal import dist_to_band, lambda_of_z, z_of_lambda
 from .determinant import (
     DeterminantSample,
@@ -58,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlaschkeData",
     "BoundaryTrace",
-    "BoundsReport",
     "DeterminantSample",
     "GreenValue",
     "MomentSet",

@@ -11,28 +11,13 @@ the empirical ratio of the two sides, tracked across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .lattice import Potential, quasi_norm
-from .hardy import BoundaryTrace, build_blaschke
+from .hardy import BoundaryTrace, zero_sums
 from .zeros import ZeroRecord
 
-__all__ = ["BoundsReport", "check_bounds", "real_case_report"]
-
-
-@dataclass
-class BoundsReport:
-    blaschke_sum: float  # sum m_j (1 - |z_j|)
-    neg_b0: float  # -B0 = -sum m_j log|z_j|
-    exact_pass: bool  # blaschke_sum <= neg_b0, zero tolerance
-    quasi_norm: float
-    rho0: float
-    c_emp_log: float  # (-B0 + rho0) / ||V||_{2/3}
-    im_branch: "dict | None" = None  # entrywise Im V >= 0 case
-    pos_branch: "dict | None" = None  # entrywise real V >= 0 case
-    skipped: "list[str]" = field(default_factory=list)
-    real_case: "dict | None" = None
+__all__ = ["check_bounds", "real_case_report"]
 
 
 def _entrywise_im_nonneg(V: Potential) -> bool:
@@ -47,51 +32,40 @@ def check_bounds(
     V: Potential,
     zeros: "Sequence[ZeroRecord]",
     bt: BoundaryTrace,
-) -> BoundsReport:
+) -> dict:
     """Evaluate the eigenvalue-sum estimates for one pipeline run.
 
     (a) sum(1 - |z_j|) <= -B0 is exact and always asserted; the remaining
     entries are empirical constants against the l^{2/3} quasi-norm, with
     the conditional branches gated by the entrywise sign tests exactly as
     stated (Im V >= 0 for the imaginary-part bound, V >= 0 real for the
-    detachment bound).
+    detachment bound).  A branch that does not apply is None and named in
+    ``skipped``.
     """
-    d = V.d
-    bl = build_blaschke(zeros, n_max=1)
-    s_blaschke = math.fsum(r.multiplicity * (1.0 - abs(r.z)) for r in zeros)
-    neg_b0 = -bl.B0
+    sums = zero_sums(zeros, bt)
+    neg_b0 = -sums["B0"]
     qn = quasi_norm(V)
-    rho0 = bt.I0 + bl.B0
-    report = BoundsReport(
-        blaschke_sum=s_blaschke,
-        neg_b0=neg_b0,
-        exact_pass=s_blaschke <= neg_b0,
-        quasi_norm=qn,
-        rho0=rho0,
-        c_emp_log=((neg_b0 + rho0) / qn) if qn else 0.0,
-    )
+    report = {
+        "blaschke_sum": sums["blaschke_sum"],  # sum m_j (1 - |z_j|)
+        "neg_b0": neg_b0,  # -B0 = -sum m_j log|z_j|
+        "exact_pass": sums["blaschke_sum"] <= neg_b0,  # zero tolerance
+        "quasi_norm": qn,
+        "rho0": sums["rho0"],
+        "c_emp_log": ((neg_b0 + sums["rho0"]) / qn) if qn else 0.0,
+        "im_branch": None,  # entrywise Im V >= 0 case
+        "pos_branch": None,  # entrywise real V >= 0 case
+        "skipped": [],
+    }
     if _entrywise_im_nonneg(V):
-        lam_im = math.fsum(r.multiplicity * r.lam.imag for r in zeros)
-        tr_im = math.fsum(v.imag for _, v in V.entries)
-        lhs = lam_im - tr_im
-        report.im_branch = {
-            "lhs": lhs,
-            "c_emp": (lhs / qn) if qn else 0.0,
-        }
+        lhs = sums["lam_im"] - math.fsum(v.imag for _, v in V.entries)
+        report["im_branch"] = {"lhs": lhs, "c_emp": (lhs / qn) if qn else 0.0}
     else:
-        report.skipped.append("im_branch")
+        report["skipped"].append("im_branch")
     if _entrywise_pos_real(V):
-        sq = math.fsum(
-            r.multiplicity * (0.5 * d * (1.0 / r.z - r.z)).real for r in zeros
-        )
-        tr_v = math.fsum(v.real for _, v in V.entries)
-        lhs = sq - tr_v
-        report.pos_branch = {
-            "lhs": lhs,
-            "c_emp": (lhs / qn) if qn else 0.0,
-        }
+        lhs = sums["sqrt_re"] - math.fsum(v.real for _, v in V.entries)
+        report["pos_branch"] = {"lhs": lhs, "c_emp": (lhs / qn) if qn else 0.0}
     else:
-        report.skipped.append("pos_branch")
+        report["skipped"].append("pos_branch")
     return report
 
 
@@ -122,9 +96,7 @@ def real_case_report(
     tr_v = math.fsum(v.real for _, v in V.entries)
     tr_v2 = math.fsum(v.real ** 2 for _, v in V.entries)
     # for real zeros, sqrt(lam^2 - d^2) on our branch is real with sign(lam)
-    sq_signed = math.fsum(
-        r.multiplicity * (0.5 * d * (1.0 / r.z - r.z)).real for r in zeros
-    )
+    sq_signed = zero_sums(zeros, bt)["sqrt_re"]
     sq_weighted = math.fsum(
         r.multiplicity
         * abs(r.lam.real)

@@ -20,7 +20,7 @@ from typing import Optional
 
 from numpy.linalg import LinAlgError
 
-from ._util import complex_to_json, json_sanitize, parse_complex
+from ._util import json_sanitize, parse_complex
 from .lattice import Potential, brute_force_moments, trace_moments
 from .resolvent import green_auto, green_boundary, green_time, green_torus
 from .determinant import (
@@ -112,19 +112,17 @@ def _cmd_green(args) -> tuple:
         g = green_time(site, lam, d)
     elif method == "auto":
         g = green_auto(site, lam, d)
-    elif method in ("boundary-plus", "boundary-minus"):
+    else:  # boundary-plus or boundary-minus, the parser's last choices
         _require(abs(lam.imag) < 1e-12, "boundary evaluation takes a real lambda0")
         side = "plus" if method.endswith("plus") else "minus"
         g = green_boundary(site, lam.real, side, d)
-    else:
-        raise ValidationError(f"unknown method {method!r}")
     report = {
         "command": "green",
         "d": d,
-        "lambda": complex_to_json(lam),
+        "lambda": lam,
         "site": list(site),
         "method": method,
-        "value": complex_to_json(g.value),
+        "value": g.value,
         "err_estimate": g.err_estimate,
     }
     flags = ["err_estimate not finite"] if not math.isfinite(g.err_estimate) else []
@@ -138,8 +136,8 @@ def _cmd_det_eval(args) -> tuple:
     smp = det_eval(V, z)
     report = {
         "command": "det-eval",
-        "z": complex_to_json(z),
-        "value": complex_to_json(smp.value),
+        "z": z,
+        "value": smp.value,
         "err_estimate": smp.err_estimate,
         "potential": args.potential,
     }
@@ -156,7 +154,7 @@ def _cmd_taylor_check(args) -> tuple:
     report = {
         "command": "taylor-check",
         "r": tc.r,
-        "c": [complex_to_json(c) for c in tc.c],
+        "c": tc.c,
         "err_estimate": tc.err_estimate,
     }
     flags = []
@@ -166,15 +164,11 @@ def _cmd_taylor_check(args) -> tuple:
         report["winner"] = rel["winner"]
         if rel["winner"] == "none":
             flags.append("no moment relation matched the Cauchy coefficients")
-        mom = trace_moments(V)
+        mom = trace_moments(V).as_tuple()
         brute = brute_force_moments(V, n_max=4)
-        report["moments_closed_form"] = [
-            complex_to_json(v) for v in (mom.d1, mom.d2, mom.d3, mom.d4)
-        ]
-        report["moments_brute_force"] = [complex_to_json(v) for v in brute]
-        report["moments_max_diff"] = max(
-            abs(a - b) for a, b in zip((mom.d1, mom.d2, mom.d3, mom.d4), brute)
-        )
+        report["moments_closed_form"] = mom
+        report["moments_brute_force"] = brute
+        report["moments_max_diff"] = max(abs(a - b) for a, b in zip(mom, brute))
     return report, flags
 
 
@@ -188,8 +182,8 @@ def _cmd_eigs(args) -> tuple:
         "tol": args.tol,
         "zeros": [
             {
-                "z": complex_to_json(r.z),
-                "lambda": complex_to_json(r.lam),
+                "z": r.z,
+                "lambda": r.lam,
                 "multiplicity": r.multiplicity,
                 "residual": r.residual,
                 "newton_radius": r.newton_radius,
@@ -212,6 +206,19 @@ def _pipeline(V: Potential, n_grid: int, r_outer: float, tol: float, n_max: int,
     r_taylor = taylor_r if taylor_r is not None else min(0.3, 0.5 * r0)
     tc = taylor_coeffs(V, r_taylor, n_max, max(64, 8 * n_max))
     return zeros, bt, tc
+
+
+def _trace_flags(bt, rho0: float, where: str = "") -> list:
+    """The quality flags of every report built on a boundary trace: a
+    low-confidence trace, and rho0 below -1e-6, further below zero than
+    the quadrature floor.  ``where`` ends each message (the sweep names
+    its scale)."""
+    flags = []
+    if bt.low_confidence:
+        flags.append(f"boundary trace low-confidence (> 5% flagged points){where}")
+    if rho0 < -1e-6:
+        flags.append(f"rho0 = {rho0:.3e} below -1e-6{where}")
+    return flags
 
 
 def _cmd_trace_check(args) -> tuple:
@@ -241,23 +248,18 @@ def _cmd_trace_check(args) -> tuple:
         "I0": bt.I0,
         "B0": resid["B0"],
         "rho0": resid["rho0"],
-        "rho": [complex_to_json(r) for r in resid["rho"]],
+        "rho": resid["rho"],
         "t52": resid["t52"],
         "ratio_rho1": resid["ratio_rho1"],
         "ratio_rho1_reason": resid["ratio_rho1_reason"],
         "jensen": jensen,
         "outer_error": outer["max_rel_err"],
-        "zeros": [complex_to_json(r.z) for r in zeros],
+        "zeros": [r.z for r in zeros],
         "taylor_r": tc.r,
         "flagged_points": len(bt.flagged),
         "low_confidence": bt.low_confidence,
     }
-    flags = []
-    if bt.low_confidence:
-        flags.append("boundary trace low-confidence (> 5% flagged points)")
-    if resid["rho0"] < -1e-6:
-        flags.append(f"rho0 = {resid['rho0']:.3e} below -1e-6")
-    return report, flags
+    return report, _trace_flags(bt, resid["rho0"])
 
 
 def _cmd_bounds_report(args) -> tuple:
@@ -265,25 +267,11 @@ def _cmd_bounds_report(args) -> tuple:
     _require_search_options(args)
     zeros = find_zeros(V, args.r_outer, args.tol)
     bt = boundary_trace(V, args.n_grid)
-    rep = check_bounds(V, zeros, bt)
-    report = {
-        "command": "bounds-report",
-        "blaschke_sum": rep.blaschke_sum,
-        "neg_b0": rep.neg_b0,
-        "exact_pass": rep.exact_pass,
-        "quasi_norm": rep.quasi_norm,
-        "rho0": rep.rho0,
-        "c_emp_log": rep.c_emp_log,
-        "im_branch": rep.im_branch,
-        "pos_branch": rep.pos_branch,
-        "skipped": rep.skipped,
-    }
+    report = {"command": "bounds-report", **check_bounds(V, zeros, bt)}
     if V.is_real():
         report["real_case"] = real_case_report(V, zeros, bt)
-    flags = [] if rep.exact_pass else ["exact inequality sum(1-|z_j|) <= -B0 failed"]
-    if rep.rho0 < -1e-6:
-        flags.append(f"rho0 = {rep.rho0:.3e} below -1e-6")
-    return report, flags
+    flags = [] if report["exact_pass"] else ["exact inequality sum(1-|z_j|) <= -B0 failed"]
+    return report, flags + _trace_flags(bt, report["rho0"])
 
 
 def _cmd_bessel_check(args) -> tuple:
@@ -340,21 +328,22 @@ def _cmd_sweep(args) -> tuple:
         rows.append(
             {
                 "scale": t,
-                "quasi_norm": rep.quasi_norm,
+                "quasi_norm": rep["quasi_norm"],
                 "n_zeros": sum(r.multiplicity for r in zeros),
                 "z1_re": z1.real if zeros else "",
                 "z1_im": z1.imag if zeros else "",
                 "lambda1_re": lam1.real if zeros else "",
                 "lambda1_im": lam1.imag if zeros else "",
-                "blaschke_sum": rep.blaschke_sum,
-                "neg_b0": rep.neg_b0,
-                "rho0": rep.rho0,
-                "c_emp_log": rep.c_emp_log,
-                "exact_pass": rep.exact_pass,
+                "blaschke_sum": rep["blaschke_sum"],
+                "neg_b0": rep["neg_b0"],
+                "rho0": rep["rho0"],
+                "c_emp_log": rep["c_emp_log"],
+                "exact_pass": rep["exact_pass"],
             }
         )
-        if not rep.exact_pass:
+        if not rep["exact_pass"]:
             flags.append(f"exact inequality failed at scale {t}")
+        flags += _trace_flags(bt, rep["rho0"], f" at scale {t}")
     fieldnames = list(rows[0].keys())
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)

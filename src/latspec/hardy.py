@@ -50,6 +50,7 @@ __all__ = [
     "blaschke_eval",
     "jensen_check",
     "boundary_trace",
+    "zero_sums",
     "trace_residuals",
     "outer_reconstruct",
 ]
@@ -367,6 +368,25 @@ def boundary_trace(V: Potential, n_grid: int = 1024) -> BoundaryTrace:
 # Trace identities
 
 
+def zero_sums(zeros: "Sequence[ZeroRecord]", bt: BoundaryTrace) -> dict:
+    """The eigenvalue sums every report draws from the zeros, and rho0.
+
+    ``blaschke_sum`` = sum m_j (1 - |z_j|), ``B0`` = sum m_j log|z_j|,
+    ``lam_im`` = sum m_j Im lambda_j, ``sqrt_re`` = sum m_j Re (d/2)(1/z_j - z_j)
+    (the branch of sqrt(lambda_j^2 - d^2) that D uses), and
+    ``rho0`` = I0 + B0, the singular mass under the trivial-inner-factor
+    hypothesis.  Each sum is one ``math.fsum`` in zero order.
+    """
+    B0 = build_blaschke(zeros, n_max=0).B0
+    return {
+        "blaschke_sum": math.fsum(r.multiplicity * (1.0 - abs(r.z)) for r in zeros),
+        "B0": B0,
+        "lam_im": math.fsum(r.multiplicity * r.lam.imag for r in zeros),
+        "sqrt_re": math.fsum(r.multiplicity * (0.5 * bt.d * (1.0 / r.z - r.z)).real for r in zeros),
+        "rho0": bt.I0 + B0,
+    }
+
+
 def trace_residuals(
     V: Potential,
     zeros: "Sequence[ZeroRecord]",
@@ -389,7 +409,8 @@ def trace_residuals(
     d = V.d
     n_max = min(coeffs.n_max, len(bt.fourier))
     bl = build_blaschke(zeros, n_max=n_max)
-    rho0 = bt.I0 + bl.B0
+    sums = zero_sums(zeros, bt)
+    rho0 = sums["rho0"]
     rho = [
         (-coeffs.c[k] + bl.Bn[k]) - bt.fourier[k]
         for k in range(n_max)
@@ -397,10 +418,6 @@ def trace_residuals(
 
     tr_v = complex(sum(v for _, v in V.entries))
     f1 = bt.fourier[0] if bt.fourier else 0.0 + 0.0j
-    lam_sum_im = math.fsum(rec.multiplicity * rec.lam.imag for rec in zeros)
-    sqrt_sum_re = math.fsum(
-        rec.multiplicity * (0.5 * d * (1.0 / rec.z - rec.z)).real for rec in zeros
-    )
     rhs_complex = tr_v + 0.5 * d * f1
     rhs_sin = tr_v.imag + 0.5 * d * f1.imag
     rhs_cos = tr_v.real + 0.5 * d * f1.real
@@ -419,21 +436,20 @@ def trace_residuals(
         "rho": rho,
         "t52": {
             "sin": {
-                "lhs": lam_sum_im,
+                "lhs": sums["lam_im"],
                 "rhs": rhs_sin,
-                "residual": abs(lam_sum_im - rhs_sin),
+                "residual": abs(sums["lam_im"] - rhs_sin),
             },
             "cos": {
-                "lhs": sqrt_sum_re,
+                "lhs": sums["sqrt_re"],
                 "rhs": rhs_cos,
-                "residual": abs(sqrt_sum_re - rhs_cos),
+                "residual": abs(sums["sqrt_re"] - rhs_cos),
             },
             "internal_consistency": internal,
         },
         "ratio_rho1": ratio,
         "ratio_rho1_reason": reason,
-        "moment_interpretation": "boundary moment symbols read as Taylor coefficients of -log D",
-        "B0": bl.B0,
+        "B0": sums["B0"],
         "Bn": bl.Bn,
         "I0": bt.I0,
     }

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -216,25 +217,10 @@ def trace_moments(potential: Potential) -> MomentSet:
     return MomentSet(d1, d2, d3, d4)
 
 
-def _box_sites(d: int, radius: int) -> list[Site]:
-    rng = range(-radius, radius + 1)
-    sites: list[Site] = []
-
-    def rec(prefix: tuple[int, ...]):
-        if len(prefix) == d:
-            sites.append(prefix)
-            return
-        for c in rng:
-            rec(prefix + (c,))
-
-    rec(())
-    return sites
-
-
 @functools.lru_cache(maxsize=8)
 def _box_free_operator(d: int, radius: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """H0 on the box, its square, and the site index (cached: V-independent)."""
-    sites = _box_sites(d, radius)
+    sites = list(itertools.product(range(-radius, radius + 1), repeat=d))
     index = {s: i for i, s in enumerate(sites)}
     m = len(sites)
     h0 = np.zeros((m, m))

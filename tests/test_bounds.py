@@ -10,16 +10,16 @@ from latspec.zeros import find_zeros
 
 def test_check_bounds_real_attractive(v3, zeros_v3, bt_v3):
     rep = check_bounds(v3, zeros_v3, bt_v3)
-    assert rep.exact_pass
-    assert rep.quasi_norm == pytest.approx(3.0, rel=1e-14)
-    assert rep.blaschke_sum <= rep.neg_b0
+    assert rep["exact_pass"]
+    assert rep["quasi_norm"] == pytest.approx(3.0, rel=1e-14)
+    assert rep["blaschke_sum"] <= rep["neg_b0"]
     # log-modulus growth constant: positive, modest for this example
-    assert 0.0 < rep.c_emp_log < 1.0
+    assert 0.0 < rep["c_emp_log"] < 1.0
     # entrywise nonnegative imaginary part (zero) keeps the branch active
-    assert rep.im_branch is not None
-    assert abs(rep.im_branch["lhs"]) < 1e-8
-    assert rep.pos_branch is not None
-    assert rep.skipped == []
+    assert rep["im_branch"] is not None
+    assert abs(rep["im_branch"]["lhs"]) < 1e-8
+    assert rep["pos_branch"] is not None
+    assert rep["skipped"] == []
 
 
 def test_check_bounds_skips_inapplicable_branches():
@@ -28,8 +28,8 @@ def test_check_bounds_skips_inapplicable_branches():
     bt = boundary_trace(V, n_grid=256)
     rep = check_bounds(V, zr, bt)
     # purely imaginary site: the positive-part branch does not apply
-    assert any("pos" in s for s in rep.skipped)
-    assert rep.im_branch is not None
+    assert any("pos" in s for s in rep["skipped"])
+    assert rep["im_branch"] is not None
 
 
 def test_check_bounds_mixed_signs_skips_both():
@@ -37,9 +37,9 @@ def test_check_bounds_mixed_signs_skips_both():
     zr = find_zeros(V)
     bt = boundary_trace(V, n_grid=256)
     rep = check_bounds(V, zr, bt)
-    assert any("im" in s for s in rep.skipped)
-    assert any("pos" in s for s in rep.skipped)
-    assert rep.exact_pass
+    assert any("im" in s for s in rep["skipped"])
+    assert any("pos" in s for s in rep["skipped"])
+    assert rep["exact_pass"]
 
 
 def test_real_case_identities(v3, zeros_v3, bt_v3):
@@ -73,4 +73,4 @@ def test_real_case_rejects_complex_potential(mix3):
 
 def test_quasi_norm_consistency(v3, zeros_v3, bt_v3):
     rep = check_bounds(v3, zeros_v3, bt_v3)
-    assert rep.quasi_norm == pytest.approx(quasi_norm(v3), rel=0)
+    assert rep["quasi_norm"] == pytest.approx(quasi_norm(v3), rel=0)

@@ -295,6 +295,53 @@ def test_sweep_subcommand(v3_file, tmp_path):
                      "-o", str(out)]) == EXIT_VALIDATION
 
 
+# the 5-site complex potential of benchmark panel seed 1, draw 2: at the
+# default 256-point grid its rho0 is -2.78e-5, below the -1e-6 threshold
+DRAW2 = {"d": 3, "entries": [
+    {"site": [-1, -1, 0], "re": -0.7027842035027629, "im": 1.024389084315739},
+    {"site": [0, -1, 0], "re": 0.0922031016259035, "im": -1.3383064090232242},
+    {"site": [1, -1, 0], "re": 1.3982196432802514, "im": -0.6958356225452828},
+    {"site": [1, 0, 0], "re": 0.9797427736582445, "im": -0.5689165965531313},
+    {"site": [0, 1, 0], "re": 1.244065031143438, "im": 0.9038693903920579},
+]}
+
+
+def test_sweep_flags_rho0_like_bounds_report(tmp_path, capsys):
+    pot = tmp_path / "draw2.json"
+    pot.write_text(json.dumps(DRAW2))
+    out = tmp_path / "b.json"
+    assert main(["bounds-report", "-p", str(pot), "-o", str(out)]) == EXIT_NUMERICAL
+    assert _load(out)["flags"] == ["rho0 = -2.777e-05 below -1e-6"]
+    capsys.readouterr()
+    rc = main(["sweep", "-p", str(pot), "--scale-grid", "1:1:1", "-o", str(tmp_path / "s.csv")])
+    assert rc == EXIT_NUMERICAL
+    assert json.loads(capsys.readouterr().out)["flags"] == ["rho0 = -2.777e-05 below -1e-6 at scale 1.0"]
+
+
+def test_low_confidence_trace_flags_every_report(v3_file, tmp_path, monkeypatch, capsys):
+    # every point on the unit circle fails, as in the hardy test of the same
+    # failure (Jensen circles and outer probes lie inside): each report
+    # built on that trace says so and exits 3
+    from latspec import hardy
+    batched = hardy.det_eval_many
+
+    def fail_on_circle(V, zs, *args, **kwargs):
+        if any(abs(abs(complex(z)) - 1.0) < 1e-12 for z in zs):
+            raise np.linalg.LinAlgError("singular")
+        return batched(V, zs, *args, **kwargs)
+
+    monkeypatch.setattr(hardy, "det_eval_many", fail_on_circle)
+    low = "boundary trace low-confidence (> 5% flagged points)"
+    for command in ("trace-check", "bounds-report"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "-p", v3_file, "-o", str(out)]) == EXIT_NUMERICAL
+        assert low in _load(out)["flags"], command
+    capsys.readouterr()
+    rc = main(["sweep", "-p", v3_file, "--scale-grid", "1:1:1", "-o", str(tmp_path / "s.csv")])
+    assert rc == EXIT_NUMERICAL
+    assert low + " at scale 1.0" in json.loads(capsys.readouterr().out)["flags"]
+
+
 def test_config_defaults_and_override(v3_file, tmp_path):
     # config fills option defaults; flags given explicitly win; required
     # arguments must still be spelled out on the command line

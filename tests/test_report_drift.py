@@ -1,4 +1,5 @@
-"""Report-drift guard for the canonical V = 3 delta_0 pipeline.
+"""Report-drift guards for the canonical V = 3 delta_0 pipeline and the
+bounds layer.
 
 The trace-identity fields of the session fixtures (zeros at tol 1e-12, the
 boundary trace on 1024 points, Taylor data on r = 0.25) and the outer
@@ -8,11 +9,20 @@ Engine changes that move Green values at rounding level moved these fields
 by at most 2.0e-14 so far; a larger move is a change of numbers, not of
 speed.  ``newton_radius`` is not pinned: it is ten times the last Newton
 step, which moves a million times as much as D.
+
+The ``bounds-report`` fields of the real two-site potential
+3 delta_0 - 2.5 delta_(1,1,0) at that command's defaults (zeros at tol
+1e-10, the boundary trace on 256 points) are pinned at the same bound to
+the values of the release before ``check_bounds`` returned a dict.
 """
 
 import pytest
 
-from latspec.hardy import outer_reconstruct, trace_residuals
+from latspec.bounds import check_bounds, real_case_report
+from latspec.determinant import RIM_RADIUS
+from latspec.hardy import boundary_trace, outer_reconstruct, trace_residuals
+from latspec.lattice import Potential
+from latspec.zeros import find_zeros
 
 BOUND = 1e-13
 PINNED = {
@@ -61,3 +71,49 @@ def test_v3_report_field_pinned(fields, name):
 
 def test_v3_zero_count(zeros_v3):
     assert [rec.multiplicity for rec in zeros_v3] == [1]
+
+
+PINNED_BOUNDS = {
+    "blaschke_sum": 0.7470873772986996,
+    "neg_b0": 0.949779532585975,
+    "rho0": -6.308666662402374e-07,
+    "c_emp_log": 0.12227694940047053,
+    "im_branch_lhs": -1.0939034527525683e-15,
+    "pos_branch": None,  # V has a negative site: the branch does not apply
+    "n1_lhs": 0.3063848662392885,
+    "n1_rhs": 0.3063850319636875,
+    "n2_lhs": -5.070084354419608,
+    "n2_rhs_quarter": -2.535041107464401,
+    "n2_rhs_half": -5.070082214928802,
+}
+
+
+@pytest.fixture(scope="module")
+def bounds_fields():
+    V = Potential(3, [((0, 0, 0), 3.0 + 0.0j), ((1, 1, 0), -2.5 + 0.0j)])
+    zeros = find_zeros(V, RIM_RADIUS, 1e-10)
+    bt = boundary_trace(V, n_grid=256)
+    rep = check_bounds(V, zeros, bt)
+    real = real_case_report(V, zeros, bt)
+    return {
+        "blaschke_sum": rep["blaschke_sum"],
+        "neg_b0": rep["neg_b0"],
+        "rho0": rep["rho0"],
+        "c_emp_log": rep["c_emp_log"],
+        "im_branch_lhs": rep["im_branch"]["lhs"],
+        "pos_branch": rep["pos_branch"],
+        "n1_lhs": real["n1"]["lhs"],
+        "n1_rhs": real["n1"]["rhs"],
+        "n2_lhs": real["n2"]["lhs"],
+        "n2_rhs_quarter": real["n2"]["rhs_quarter"],
+        "n2_rhs_half": real["n2"]["rhs_half"],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BOUNDS))
+def test_two_site_bounds_field_pinned(bounds_fields, name):
+    got, want = bounds_fields[name], PINNED_BOUNDS[name]
+    if want is None:
+        assert got is None
+    else:
+        assert abs(got - want) <= BOUND
