@@ -165,7 +165,7 @@ def _cmd_taylor_check(args) -> tuple:
         if rel["winner"] == "none":
             flags.append("no moment relation matched the Cauchy coefficients")
         mom = trace_moments(V).as_tuple()
-        brute = brute_force_moments(V, n_max=4)
+        brute = brute_force_moments(V)
         report["moments_closed_form"] = mom
         report["moments_brute_force"] = brute
         report["moments_max_diff"] = max(abs(a - b) for a, b in zip(mom, brute))

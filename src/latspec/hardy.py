@@ -40,7 +40,7 @@ import numpy as np
 
 from .lattice import Potential, require_dimension_3
 from .quadrature import gl_panels
-from .determinant import RIM_RADIUS, TaylorCoeffs, circle_grid, det_eval_many
+from .determinant import RIM_RADIUS, NumericalError, TaylorCoeffs, circle_grid, det_eval_many
 from .zeros import ZeroRecord
 
 __all__ = [
@@ -296,9 +296,10 @@ def boundary_trace(V: Potential, n_grid: int = 1024) -> BoundaryTrace:
 
     The grid and every kink-window node are evaluated in one batch.
     Failed grid points are infilled by neighbor averaging and flagged;
-    more than 5% flags marks the whole trace low-confidence.  Kink windows
-    are skipped (falling back to plain trapezoid there) if any of their
-    node evaluations fails.
+    more than 5% flags marks the whole trace low-confidence, and a trace
+    with no measured grid point raises NumericalError.  Kink windows are
+    skipped (falling back to plain trapezoid there) if any of their node
+    evaluations fails.
     """
     check_grid(n_grid)
     d = require_dimension_3(V.d, "boundary trace")
@@ -318,11 +319,15 @@ def boundary_trace(V: Potential, n_grid: int = 1024) -> BoundaryTrace:
 
     raw = _boundary_logmod(V, np.concatenate([circle_grid(1.0, n_grid)] + [span[5] for span in spans]))
     flagged = [k for k in range(n_grid) if raw[k] is None]
-    log_mod = np.array([0.0 if v is None else v for v in raw[:n_grid]])
-    for k in flagged:
-        left = next((raw[(k - j) % n_grid] for j in range(1, n_grid) if raw[(k - j) % n_grid] is not None), 0.0)
-        right = next((raw[(k + j) % n_grid] for j in range(1, n_grid) if raw[(k + j) % n_grid] is not None), 0.0)
-        log_mod[k] = 0.5 * (left + right)
+    if len(flagged) == n_grid:
+        raise NumericalError(f"log|D| failed at every one of the {n_grid} boundary grid points")
+
+    def nearest(k: int, step: int) -> float:
+        # the nearest measured grid point from k in direction step
+        return next(v for j in range(1, n_grid) if (v := raw[(k + step * j) % n_grid]) is not None)
+
+    log_mod = np.array([0.5 * (nearest(k, -1) + nearest(k, 1)) if v is None else v
+                        for k, v in enumerate(raw[:n_grid])])
     low_confidence = len(flagged) > 0.05 * n_grid
 
     windows: "list[_Window]" = []

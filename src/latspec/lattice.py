@@ -11,7 +11,7 @@ reduces to short closed forms in V (odd powers of H0 are traceless on the
 bipartite lattice, and the diagonal of H0^2 equals d/2), which
 ``trace_moments`` implements.  ``brute_force_moments`` recomputes the same
 traces from dense matrices on a finite box and serves as the independent
-cross-check: the difference trace is exact once the box extends n_max sites
+cross-check: the difference trace is exact once the box extends 4 sites
 beyond the support of V, because closed paths that never visit the support
 contribute identically to H^n and H0^n.
 """
@@ -233,24 +233,23 @@ def _box_free_operator(d: int, radius: int) -> tuple[np.ndarray, np.ndarray, dic
     return h0, h0 @ h0, index
 
 
-def brute_force_moments(potential: Potential, n_max: int = 4, box_radius: int | None = None) -> list[complex]:
-    """Dense-matrix oracle for Tr(H^n - H0^n), n = 1..n_max.
+def brute_force_moments(potential: Potential, box_radius: int | None = None) -> list[complex]:
+    """Dense-matrix oracle for Tr(H^n - H0^n), n = 1..4 (the moments a
+    ``MomentSet`` holds).
 
     The operators are restricted to the box [-box_radius, box_radius]^d.  The
     difference trace is exact (not merely approximate) provided
-    box_radius >= support_radius + n_max, since any closed path of length at
-    most n_max that touches both the support and the box boundary would have
+    box_radius >= support_radius + 4, since any closed path of length at
+    most 4 that touches both the support and the box boundary would have
     to travel further than the box allows; smaller boxes are refused.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
     d = potential.d
     r_supp = potential.support_radius()
     if box_radius is None:
-        box_radius = r_supp + n_max
-    if box_radius < r_supp + n_max:
+        box_radius = r_supp + 4
+    if box_radius < r_supp + 4:
         raise ValueError(
-            f"box_radius={box_radius} too small: need >= support_radius + n_max = {r_supp + n_max}; "
+            f"box_radius={box_radius} too small: need >= support_radius + 4 = {r_supp + 4}; "
             "the truncated trace would be wrong, not approximate"
         )
     h0, h02, index = _box_free_operator(d, box_radius)
@@ -259,20 +258,13 @@ def brute_force_moments(potential: Potential, n_max: int = 4, box_radius: int | 
     for site, val in potential.entries:
         vdiag[index[site]] = val
     h = h0 + np.diag(vdiag)
-
-    out: list[complex] = [complex(np.sum(vdiag))]
-    if n_max >= 2:
-        # H^2 from the cached H0^2 in O(m^2): cross terms are row/col scalings.
-        h2 = h02 + h0 * vdiag[None, :] + vdiag[:, None] * h0 + np.diag(vdiag * vdiag)
-        out.append(complex(np.trace(h2) - np.trace(h02)))
-    if n_max >= 3:
-        # Tr(A^3) = sum(A^2 ∘ A^T) avoids another full matmul.
-        out.append(complex(np.sum(h2 * h.T) - np.sum(h02 * h0.T)))
-    if n_max >= 4:
-        out.append(complex(np.sum(h2 * h2.T) - np.sum(h02 * h02.T)))
-    if n_max >= 5:
-        hp, h0p = h2 @ h2, h02 @ h02  # holds H^4, H0^4
-        for n in range(5, n_max + 1):
-            hp, h0p = hp @ h, h0p @ h0
-            out.append(complex(np.trace(hp) - np.trace(h0p)))
-    return out
+    # H^2 from the cached H0^2 in O(m^2): cross terms are row/col scalings.
+    h2 = h02 + h0 * vdiag[None, :] + vdiag[:, None] * h0 + np.diag(vdiag * vdiag)
+    return [
+        complex(np.sum(vdiag)),
+        complex(np.trace(h2) - np.trace(h02)),
+        # Tr(A^3) = sum(A^2 ∘ A^T) and Tr(A^4) = sum(A^2 ∘ (A^2)^T) avoid a
+        # full matmul.
+        complex(np.sum(h2 * h.T) - np.sum(h02 * h0.T)),
+        complex(np.sum(h2 * h2.T) - np.sum(h02 * h02.T)),
+    ]

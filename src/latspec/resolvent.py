@@ -89,13 +89,14 @@ memo: ``green_orbits(engine="time")`` calls ``_time_block`` directly, which
 conjugates for Im lam > 0 (its damping needs Im lam <= 0) and applies no
 other symmetry.
 
-The torus and the oscillatory engine keep one memo each: a dict of at
-most _MEMO_SIZE values keyed by (orbit, quadrant image of lam), plus the
-grid size for the torus, evicting the least recently used entry.  A
-block looks every key up once, computes the missing ones in at most one
-core call and unfolds with array operations, in one pass.  Repeated
-evaluations during determinant assembly are therefore free and
-bit-identical.
+The torus and the oscillatory engine keep one memo each, keyed like the
+plans by the orbit set (a tuple): an entry (orbit set, quadrant image of
+lam, plus the grid size for the torus) holds the image's column of
+values and error estimates, at most _MEMO_SIZE values in all, evicting
+the least recently used.  A block looks every distinct image up once,
+computes the missing ones in at most one core call and unfolds with
+array operations, in one pass.  Repeated evaluations during determinant
+assembly are therefore free and bit-identical.
 ``green_cache_info`` reports each memo's hits, misses and size;
 ``clear_green_cache`` empties them, the plans and ``support_orbits``, the
 orbit map of a support's differences that determinant assembly builds
@@ -151,9 +152,9 @@ _OSC_PANEL = 0.5
 _OSC_NPTS = 10
 _OSC_OFFSETS = 0.5 * _OSC_PANEL * np.polynomial.legendre.leggauss(_OSC_NPTS)[0]
 _OSC_FINE = 16
-# values kept per engine cache; the largest benchmark run (a cold eigs on
-# the 5-site draw 2 of perfbench's panel) fills 5325 oscillatory entries,
-# so no benchmark run evicts
+# values (orbits times images) kept per engine memo; the largest benchmark
+# run (a cold eigs on the 5-site draw 2 of perfbench's panel) fills 5325
+# oscillatory values, so no benchmark run evicts
 _MEMO_SIZE = 8192
 # largest array of one chunk of lambdas: oscillatory phases, or torus
 # values on the grid's index triples
@@ -174,17 +175,17 @@ class GreenValue:
 
 
 class _Memo:
-    """Bounded map from a kernel key to (value, err_estimate), with hit and
-    miss counts; beyond _MEMO_SIZE entries the least recently used goes."""
+    """Bounded map from (orbit set, image[, n_quad]) to the image's column
+    (values, err_estimates), two lists; ``size`` counts the values held,
+    and while it exceeds _MEMO_SIZE the least recently used entry goes."""
 
     def __init__(self) -> None:
         self.data: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        self.size = self.hits = self.misses = 0
 
     def clear(self) -> None:
         self.data.clear()
-        self.hits = self.misses = 0
+        self.size = self.hits = self.misses = 0
 
 
 _MEMOS = {"torus": _Memo(), "osc": _Memo()}
@@ -193,69 +194,64 @@ _MEMOS = {"torus": _Memo(), "osc": _Memo()}
 def clear_green_cache() -> None:
     for memo in _MEMOS.values():
         memo.clear()
-    for cache in (support_orbits, _one_chunk_triples, _torus_plan, _osc_grid, _osc_plan):
+    for cache in (support_orbits, _torus_plan, _osc_grid, _osc_plan):
         cache.cache_clear()
 
 
 def green_cache_info() -> dict:
     """Per memoised engine ("torus", "osc"): memo hits, misses and size since
     the last ``clear_green_cache``.  A request counts once per (orbit,
-    lambda) pair, a hit when the value was already known."""
-    return {name: {"hits": m.hits, "misses": m.misses, "size": len(m.data)}
+    lambda) pair, a hit when the value was already known; ``size`` counts
+    the values held."""
+    return {name: {"hits": m.hits, "misses": m.misses, "size": m.size}
             for name, m in _MEMOS.items()}
 
 
-def _memo_block(engine: str, core, canons: "list[Site]", lams: np.ndarray, extra: tuple = (),
+def _memo_block(engine: str, core, canons: "tuple[Site, ...]", lams: np.ndarray, extra: tuple = (),
                 up: "Sequence[bool] | None" = None):
     """core's block (values, errors) of shape (len(canons), len(lams)),
     served from the engine's memo where it can be, in one pass.
 
     The memo holds values on the quadrant Re lam >= 0, Im lam <= 0 only,
-    keyed (canon, lam, *extra).  Each lambda is looked up as its image q =
-    |Re lam| - i |Im lam| there and unfolded by the exact symmetries of the
-    module docstring: conjugated where up[k] differs from (Re lam < 0), and
-    times -(-1)^|n| where Re lam < 0.  ``up`` defaults to Im lam > 0;
-    ``green_boundary_orbits`` passes its side, its lambdas being real.
+    one column per key (canons, lam, *extra).  Each lambda is looked up as
+    its image q = |Re lam| - i |Im lam| there and unfolded by the exact
+    symmetries of the module docstring: conjugated where up[k] differs
+    from (Re lam < 0), and times -(-1)^|n| where Re lam < 0.  ``up``
+    defaults to Im lam > 0; ``green_boundary_orbits`` passes its side, its
+    lambdas being real.
 
-    Every (orbit, distinct image) key is looked up once.  core(canons, qs,
-    *extra) is then called once, on the orbits and images that have a
-    missing key, or not at all when none is missing; only the missing keys
-    are stored.  Each (orbit, lambda) pair counts once: a miss where its
-    key was missing, else a hit (so a repeat of an image after its miss is
-    a hit).  A lambda is a hit only when its image is bitwise a known key;
-    there is no tolerance.  The block of distinct images is then unfolded
-    with array operations: a gather of each lambda's image column, and an
-    exact conjugation and negation under masks.
+    Every distinct image is looked up once.  core(canons, qs, *extra) is
+    then called once, on the whole orbit set and the missing images, or
+    not at all when none is missing; one column is stored per missing
+    image.  Each (orbit, lambda) pair counts once: a miss where its image
+    was missing, else a hit (so a repeat of an image after its miss is a
+    hit).  A lambda is a hit only when its image is bitwise a known key;
+    there is no tolerance.  The columns of the distinct images are then
+    unfolded with array operations: a gather of each lambda's image
+    column, and an exact conjugation and negation under masks.
     """
     memo = _MEMOS[engine]
     data = memo.data
     at: dict = {}
     col = [at.setdefault(complex(abs(lam.real), 0.0 - abs(lam.imag)), len(at)) for lam in lams.tolist()]
-    uniq = list(at)
-    keys = [[(canon, q, *extra) for q in uniq] for canon in canons]
-    got = [[data.get(key) for key in row] for row in keys]
-    missing = [(u, k) for u, row in enumerate(got) for k, g in enumerate(row) if g is None]
-    memo.misses += len(missing)
-    memo.hits += len(canons) * len(col) - len(missing)
-    for row, known in zip(keys, got):
-        for key, g in zip(row, known):
-            if g is not None:
-                data.move_to_end(key)
+    keys = [(canons, q, *extra) for q in at]
+    got = [data.get(key) for key in keys]
+    missing = [k for k, g in enumerate(got) if g is None]
+    memo.misses += len(canons) * len(missing)
+    memo.hits += len(canons) * (len(col) - len(missing))
+    for key, g in zip(keys, got):
+        if g is not None:
+            data.move_to_end(key)
     if missing:
-        rows = sorted({u for u, _ in missing})
-        cols = sorted({k for _, k in missing})
-        v, e = core([canons[u] for u in rows], np.array([uniq[k] for k in cols]), *extra)
-        v, e = v.tolist(), e.tolist()
-        at_row = {u: i for i, u in enumerate(rows)}
-        at_col = {k: j for j, k in enumerate(cols)}
-        for u, k in missing:
-            i, j = at_row[u], at_col[k]
-            got[u][k] = data[keys[u][k]] = (v[i][j], e[i][j])
-            if len(data) > _MEMO_SIZE:
-                data.popitem(last=False)
-    shape = (len(canons), len(uniq))
-    vals = np.array([[g[0] for g in row] for row in got], dtype=complex).reshape(shape)[:, col]
-    errs = np.array([[g[1] for g in row] for row in got], dtype=float).reshape(shape)[:, col]
+        v, e = core(canons, np.array([keys[k][1] for k in missing]), *extra)
+        for k, column in zip(missing, zip(v.T.tolist(), e.T.tolist())):
+            got[k] = data[keys[k]] = column
+        memo.size += len(canons) * len(missing)
+        while memo.size > _MEMO_SIZE:
+            memo.size -= len(data.popitem(last=False)[1][0])
+    shape = (len(keys), len(canons))
+    vals = np.array([g[0] for g in got], dtype=complex).reshape(shape).T[:, col]
+    errs = np.array([g[1] for g in got], dtype=float).reshape(shape).T[:, col]
     up = lams.imag > 0 if up is None else np.asarray(up, dtype=bool)
     negative = lams.real < 0
     np.conjugate(vals, out=vals, where=up != negative)
@@ -279,14 +275,15 @@ def _orbit(n: Sequence[int], d: int) -> Site:
 
 
 @functools.lru_cache(maxsize=16)
-def support_orbits(support: "tuple[Site, ...]", d: int) -> "tuple[list[Site], np.ndarray]":
-    """The distinct orbits of the differences x - y of the sites of
-    ``support`` and, per difference, its orbit's row, x major (the entries
-    of a Birman-Schwinger matrix in row order): built once per support."""
+def support_orbits(support: "tuple[Site, ...]", d: int) -> "tuple[tuple[Site, ...], np.ndarray]":
+    """The orbit set of the differences x - y of the sites of ``support``
+    (a tuple of distinct orbits, the key of every per-set cache) and, per
+    difference, its orbit's row, x major (the entries of a Birman-Schwinger
+    matrix in row order): built once per support."""
     rows: dict = {}
     index = [rows.setdefault(_orbit([a - b for a, b in zip(x, y)], d), len(rows))
              for x in support for y in support]
-    return list(rows), np.array(index, dtype=int)
+    return tuple(rows), np.array(index, dtype=int)
 
 
 # ---------------------------------------------------------------- torus path
@@ -342,11 +339,6 @@ def _torus_chunk(coarse: np.ndarray, fine: np.ndarray, idx: tuple) -> tuple:
             _symmetric_weights(coarse, *(i[even] // 2 for i in idx)))
 
 
-@functools.lru_cache(maxsize=4)
-def _one_chunk_triples(m1: int, r: int) -> tuple:
-    return next(_triple_chunks(m1, r))
-
-
 @functools.lru_cache(maxsize=64)
 def _torus_plan(canons: "tuple[Site, ...]", n_quad: int) -> tuple:
     """The _torus_weights of an orbit set's coarse and fine grids and the
@@ -358,7 +350,7 @@ def _torus_plan(canons: "tuple[Site, ...]", n_quad: int) -> tuple:
     m1, r = n_quad + 1, min(len(canons[0]), 3)
     if math.comb(m1 + r - 1, r) > _TRIPLE_CHUNK:
         return coarse, fine, None
-    return coarse, fine, [_torus_chunk(coarse, fine, _one_chunk_triples(m1, r))]
+    return coarse, fine, [_torus_chunk(coarse, fine, next(_triple_chunks(m1, r)))]
 
 
 def _torus_block(canons: "list[Site]", lams: np.ndarray, n_quad: int):
@@ -446,7 +438,7 @@ def green_torus(
         n_quad = auto_n_quad(dist)
     elif n_quad < 8 or n_quad % 2:
         raise ValueError(f"n_quad must be even and >= 8, got {n_quad}")
-    return _one(_memo_block("torus", _torus_block, [_orbit(n, d)], np.array([lam]), (n_quad,)))
+    return _one(_memo_block("torus", _torus_block, (_orbit(n, d),), np.array([lam]), (n_quad,)))
 
 
 def _torus_distance(lam, d: int):
@@ -474,7 +466,7 @@ def green_time(n: Sequence[int], lam: complex, d: int) -> GreenValue:
     at 1200 with the cap reflected honestly in err_estimate.
     """
     d = validate_dimension(d)
-    return _one(green_orbits([_orbit(n, d)], [complex(lam)], d, engine="time"))
+    return _one(green_orbits((_orbit(n, d),), [complex(lam)], d, engine="time"))
 
 
 def _time_value(canon: Site, lam: complex) -> "tuple[complex, float]":
@@ -660,17 +652,19 @@ def _require_finite(lams, name: str) -> None:
         raise ValueError(f"{name}={lams[bad][0]} is not finite")
 
 
-def green_orbits(canons: "list[Site]", lams: "Sequence[complex]", d: int,
+def green_orbits(canons: "Sequence[Site]", lams: "Sequence[complex]", d: int,
                  engine: str = "auto") -> "tuple[np.ndarray, np.ndarray]":
     """Kernel values off the band for every orbit (rows) at every lambda
     (columns), and their error estimates: two arrays of shape
     (len(canons), len(lams)).  The orbits are representatives, as
-    ``_orbit`` or ``support_orbits`` gives them.
+    ``_orbit`` or ``support_orbits`` gives them; as a tuple they are the
+    orbit set that keys the memo and the plans.
 
     engine "auto" routes each lambda as ``green_auto`` does; "torus" and
     "time" force that engine, with the same refusals as ``green_torus``
     and ``green_time``.
     """
+    canons = tuple(canons)
     lams = np.asarray(lams, dtype=complex)
     _require_finite(lams, "lambda")
     if engine == "time":
@@ -726,12 +720,12 @@ def green_auto(n: Sequence[int], lam: complex, d: int) -> GreenValue:
     distances >= _DIST_MIN_LOW_D (0.35) and closer points are refused.
     """
     d = validate_dimension(d)
-    return _one(green_orbits([_orbit(n, d)], [complex(lam)], d))
+    return _one(green_orbits((_orbit(n, d),), [complex(lam)], d))
 
 
 # -------------------------------------------------------------- boundary path
 
-def green_boundary_orbits(canons: "list[Site]", lambda0s: "Sequence[float]",
+def green_boundary_orbits(canons: "Sequence[Site]", lambda0s: "Sequence[float]",
                           plus: "Sequence[bool]", d: int) -> "tuple[np.ndarray, np.ndarray]":
     """Boundary values G(n, lambda0 + i0) where plus[k], else G(n, lambda0 -
     i0), for every orbit (rows) and band point lambda0 (columns), d >= 3,
@@ -741,7 +735,7 @@ def green_boundary_orbits(canons: "list[Site]", lambda0s: "Sequence[float]",
     off = np.abs(lam0) > d
     if off.any():
         raise ValueError(f"lambda0={lam0[off][0]} is off the band [-{d},{d}]; use green_torus")
-    return _memo_block("osc", _osc_block, canons, lam0.astype(complex), up=plus)
+    return _memo_block("osc", _osc_block, tuple(canons), lam0.astype(complex), up=plus)
 
 
 def green_boundary(n: Sequence[int], lambda0: float, side: str, d: int) -> GreenValue:
@@ -755,4 +749,4 @@ def green_boundary(n: Sequence[int], lambda0: float, side: str, d: int) -> Green
     d = require_dimension_3(d, "green_boundary")
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    return _one(green_boundary_orbits([_orbit(n, d)], [lambda0], [side == "plus"], d))
+    return _one(green_boundary_orbits((_orbit(n, d),), [lambda0], [side == "plus"], d))

@@ -318,19 +318,46 @@ def test_sweep_flags_rho0_like_bounds_report(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["flags"] == ["rho0 = -2.777e-05 below -1e-6 at scale 1.0"]
 
 
-def test_low_confidence_trace_flags_every_report(v3_file, tmp_path, monkeypatch, capsys):
-    # every point on the unit circle fails, as in the hardy test of the same
-    # failure (Jensen circles and outer probes lie inside): each report
-    # built on that trace says so and exits 3
+TWO_SITE = {"d": 3, "entries": [{"site": [0, 0, 0], "re": 3.0}, {"site": [1, 1, 0], "re": -2.5}]}
+
+
+def test_cli_runs_reach_the_green_memo_with_one_orbit_set(tmp_path):
+    # the memo holds one column per (orbit set, image): eigs, bounds-report
+    # and sweep (whose scalings keep the support) reach the Green engines
+    # with the support's orbit set only, so no value is computed twice
+    from latspec import resolvent
+    from latspec.lattice import Potential
+
+    pot = tmp_path / "two.json"
+    pot.write_text(json.dumps(TWO_SITE))
+    resolvent.clear_green_cache()
+    assert main(["eigs", "-p", str(pot), "-o", str(tmp_path / "e.json")]) == EXIT_OK
+    assert main(["bounds-report", "-p", str(pot), "-o", str(tmp_path / "b.json")]) == EXIT_OK
+    assert main(["sweep", "-p", str(pot), "--scale-grid", "0.8:1.2:2", "-o", str(tmp_path / "s.csv")]) == EXIT_OK
+    canons = resolvent.support_orbits(Potential.from_file(str(pot)).support, 3)[0]
+    keys = [key for memo in resolvent._MEMOS.values() for key in memo.data]
+    assert keys and {key[0] for key in keys} == {canons}
+
+
+def _fail_on_circle(monkeypatch, upper_only):
+    # hardy's D evaluations fail on the unit circle, or on its points with
+    # Im z > 0 only (Jensen circles and outer probes lie inside)
     from latspec import hardy
     batched = hardy.det_eval_many
 
-    def fail_on_circle(V, zs, *args, **kwargs):
-        if any(abs(abs(complex(z)) - 1.0) < 1e-12 for z in zs):
+    def det_eval_many(V, zs, *args, **kwargs):
+        if any(abs(abs(complex(z)) - 1.0) < 1e-12 and (complex(z).imag > 0 or not upper_only) for z in zs):
             raise np.linalg.LinAlgError("singular")
         return batched(V, zs, *args, **kwargs)
 
-    monkeypatch.setattr(hardy, "det_eval_many", fail_on_circle)
+    monkeypatch.setattr(hardy, "det_eval_many", det_eval_many)
+
+
+def test_low_confidence_trace_flags_every_report(v3_file, tmp_path, monkeypatch, capsys):
+    # about half the points on the unit circle fail, as in the hardy test
+    # of the same failure: each report built on that trace says so and
+    # exits 3
+    _fail_on_circle(monkeypatch, upper_only=True)
     low = "boundary trace low-confidence (> 5% flagged points)"
     for command in ("trace-check", "bounds-report"):
         out = tmp_path / f"{command}.json"
@@ -340,6 +367,20 @@ def test_low_confidence_trace_flags_every_report(v3_file, tmp_path, monkeypatch,
     rc = main(["sweep", "-p", v3_file, "--scale-grid", "1:1:1", "-o", str(tmp_path / "s.csv")])
     assert rc == EXIT_NUMERICAL
     assert low + " at scale 1.0" in json.loads(capsys.readouterr().out)["flags"]
+
+
+def test_trace_with_no_measured_point_reports_nothing(v3_file, tmp_path, monkeypatch, capsys):
+    # every point on the unit circle fails: no report carries numbers from
+    # an infill with nothing to infill from; each command exits 3
+    _fail_on_circle(monkeypatch, upper_only=False)
+    for command, name in (("trace-check", "t.json"), ("bounds-report", "b.json"), ("sweep", "s.csv")):
+        out = tmp_path / name
+        argv = [command, "-p", v3_file, "-o", str(out)] + (["--scale-grid", "1:1:1"] if command == "sweep" else [])
+        assert main(argv) == EXIT_NUMERICAL, command
+        assert not out.exists(), command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: log|D| failed at every one of the 256 boundary grid points\n"
 
 
 def test_config_defaults_and_override(v3_file, tmp_path):

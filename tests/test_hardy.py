@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from latspec import hardy, resolvent
+from latspec.determinant import NumericalError
 from latspec.hardy import (
     blaschke_eval,
     boundary_trace,
@@ -134,8 +135,9 @@ def test_boundary_trace_requires_power_of_two(v3):
 
 
 def test_boundary_trace_flags_only_numerical_failures(v3, monkeypatch):
-    # a numerical failure is flagged and infilled, point by point; a
-    # programming error raises
+    # a numerical failure is flagged and infilled, point by point; a trace
+    # with no measured point raises NumericalError; a programming error
+    # raises as itself
     batched = hardy.det_eval_many
 
     def fail_with(exc, at=None):
@@ -147,8 +149,8 @@ def test_boundary_trace_flags_only_numerical_failures(v3, monkeypatch):
         return det_eval_many
 
     monkeypatch.setattr(hardy, "det_eval_many", fail_with(np.linalg.LinAlgError("singular")))
-    bt = boundary_trace(v3, n_grid=256)
-    assert len(bt.flagged) == 256 and bt.low_confidence
+    with pytest.raises(NumericalError, match="every one of the 256 boundary grid points"):
+        boundary_trace(v3, n_grid=256)
     # one grid point away from every kink window fails: only it is flagged
     k = 20
     at = cmath.exp(2j * math.pi * k / 256)

@@ -435,7 +435,7 @@ def test_blocks_do_not_depend_on_the_orbit_set_or_the_lambdas():
     plans = (resolvent._osc_plan, resolvent._osc_grid, resolvent._torus_plan)
     assert all(plan.cache_info().currsize for plan in plans)
     resolvent.clear_green_cache()
-    for cache in plans + (resolvent._one_chunk_triples, resolvent.support_orbits):
+    for cache in plans + (resolvent.support_orbits,):
         assert cache.cache_info().currsize == 0
 
 
@@ -574,9 +574,9 @@ def test_mirror_images_share_one_value():
 
 
 def test_memo_pass_computes_exactly_the_missing_keys(monkeypatch):
-    # a block of 3 orbits x 4 images with half its 12 keys known: the core
-    # is called once, on exactly the orbits and images with a missing key;
-    # each (orbit, lambda) pair counts once, a hit unless its key was
+    # a block of 3 orbits x 4 images with 2 images known for the set: the
+    # core is called once, on the whole set and exactly the missing images;
+    # each (orbit, lambda) pair counts once, a hit unless its image was
     # missing, so a mirror or repeat of an image counts as a hit
     calls = []
     torus = resolvent._torus_block
@@ -587,18 +587,16 @@ def test_memo_pass_computes_exactly_the_missing_keys(monkeypatch):
 
     monkeypatch.setattr(resolvent, "_torus_block", counted)
     q = [1.0 - 2.0j, 2.0 - 1.5j, 0.5 - 3.0j, 3.5 - 1.3j]  # torus images at n_quad 32
-    o1, o2, o3 = (0, 0, 0), (1, 0, 0), (1, 1, 0)
-    canons = [o1, o2, o3]
+    canons = [(0, 0, 0), (1, 0, 0), (1, 1, 0)]
     lams = [q[0], q[1], -q[0], q[2], q[3], q[1].conjugate()]
     resolvent.clear_green_cache()
     cold, cold_err = resolvent.green_orbits(canons, lams, 3)
     resolvent.clear_green_cache()
-    resolvent.green_orbits([o3], q, 3)
-    resolvent.green_orbits([o1, o2], q[:1], 3)
+    resolvent.green_orbits(canons, [q[0], q[2]], 3)
     before = resolvent.green_cache_info()["torus"]
     calls.clear()
     vals, errs = resolvent.green_orbits(canons, lams, 3)
-    assert calls == [([o1, o2], q[1:], 32)]
+    assert calls == [(canons, [q[1], q[3]], 32)]
     after = resolvent.green_cache_info()["torus"]
     assert after["misses"] - before["misses"] == 6
     assert after["hits"] - before["hits"] == 3 * len(lams) - 6
@@ -608,6 +606,42 @@ def test_memo_pass_computes_exactly_the_missing_keys(monkeypatch):
     resolvent.green_orbits(canons, lams, 3)
     assert len(calls) == 1
     assert resolvent.green_cache_info()["torus"]["hits"] - after["hits"] == 3 * len(lams)
+    resolvent.clear_green_cache()
+
+
+def test_memo_bound_counts_values_and_evicts_the_least_recently_used(monkeypatch):
+    # room for 12 values holds 4 images of a 3-orbit set: the size never
+    # exceeds the bound, the least recently used images are misses again,
+    # and their recomputed values are bitwise the cold ones
+    monkeypatch.setattr(resolvent, "_MEMO_SIZE", 12)
+    canons = [(0, 0, 0), (1, 0, 0), (1, 1, 0)]
+    q = [1.0 - 2.0j, 2.0 - 1.5j, 0.5 - 3.0j, 3.5 - 1.3j, 2.5 - 2.0j, 1.5 - 2.5j]  # torus at n_quad 32
+    cold = []
+    for lam in q:
+        resolvent.clear_green_cache()
+        cold.append(resolvent.green_orbits(canons, [lam], 3))
+
+    def misses_of(lams):
+        before = resolvent.green_cache_info()["torus"]["misses"]
+        vals, errs = resolvent.green_orbits(canons, lams, 3)
+        for k, lam in enumerate(lams):
+            ref = cold[q.index(lam)]
+            assert np.array_equal(vals[:, k:k + 1], ref[0]) and np.array_equal(errs[:, k:k + 1], ref[1])
+        assert resolvent.green_cache_info()["torus"]["size"] <= 12
+        return resolvent.green_cache_info()["torus"]["misses"] - before
+
+    resolvent.clear_green_cache()
+    assert [misses_of([lam]) for lam in q] == [3] * 6
+    assert resolvent.green_cache_info()["torus"]["size"] == 12
+    # q[2:] are held; a hit on q[2] makes q[3] and q[4] the oldest
+    assert misses_of([q[2]]) == 0
+    assert misses_of([q[0], q[1]]) == 6
+    assert misses_of([q[5], q[2], q[0], q[1]]) == 0
+    assert misses_of([q[3]]) == misses_of([q[4]]) == 3
+    # one block larger than the bound is served whole and keeps 4 images
+    resolvent.clear_green_cache()
+    assert misses_of(q) == 18
+    assert resolvent.green_cache_info()["torus"]["size"] == 12
     resolvent.clear_green_cache()
 
 
