@@ -14,6 +14,7 @@ import math
 from typing import Sequence
 
 from .lattice import Potential, quasi_norm
+from .determinant import NumericalError
 from .hardy import BoundaryTrace, zero_sums
 from .zeros import ZeroRecord
 
@@ -91,7 +92,7 @@ def real_case_report(
         raise ValueError("real_case_report requires a real-valued potential")
     d = V.d
     if any(abs(r.z.imag) > 1e-8 for r in zeros):
-        raise ValueError("real potential but non-real zeros; upstream data inconsistent")
+        raise NumericalError("real potential but non-real zeros; upstream data inconsistent")
 
     tr_v = math.fsum(v.real for _, v in V.entries)
     tr_v2 = math.fsum(v.real ** 2 for _, v in V.entries)

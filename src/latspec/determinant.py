@@ -96,8 +96,8 @@ class NumericalError(ValueError):
 
 
 class PathRefinementError(NumericalError):
-    """Raised when march_log cannot resolve the phase along a step: the
-    step passes through, or numerically next to, a zero of D."""
+    """The phase of D along a contour cannot be trusted: a march_log step
+    stays unresolved, or (in the zero search) |D| dips next to a zero."""
 
 
 @dataclass(frozen=True)
@@ -439,12 +439,13 @@ def taylor_coeffs(
     V: Potential,
     r: float,
     n_max: int = 4,
-    m_samples: int = 64,
+    m_samples: "int | None" = None,
 ) -> TaylorCoeffs:
     """Taylor coefficients c_n of -log D at 0 from the Cauchy integral.
 
     Samples D on |z| = r at 2*m_samples equispaced points (the requested
-    grid plus its refinement, so the error estimate is a strict byproduct),
+    grid plus its refinement, so the error estimate is a strict byproduct;
+    m_samples must be at least 8*n_max, and None means max(64, 8*n_max)),
     marches a continuous log around the circle with ``march_log`` (which
     bisects between samples wherever the phase turns fast; see its
     docstring for what that rule checks), checks that the loop closes
@@ -456,6 +457,7 @@ def taylor_coeffs(
         raise ValueError(f"radius must lie in (0, {RIM_RADIUS:g})")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    m_samples = max(64, 8 * n_max) if m_samples is None else m_samples
     if m_samples < 8 * n_max:
         raise ValueError(f"m_samples={m_samples} < 8*n_max={8 * n_max}")
     if not V.support:

@@ -11,12 +11,21 @@ The strategy is classical:
      to a pair of zeros can still hide a full turn (ROADMAP item 10).
      The ``_MIN_ABS_FRAC`` guard hides that gap today, by refusing a
      piece where |D| dips below that fraction of its maximum;
-  2. quad-subdivide until every nonempty cell isolates one zero cluster;
-     each cell is counted once, and carries its count and the centroid of
+  2. quad-subdivide until every nonempty cell isolates one zero cluster:
+     each split cuts the longer side of a cell at its middle, once, and
+     each cell is counted once and carries its count and the centroid of
      its zeros (the z dlogD integral of the same march) to the polish;
   3. polish from that centroid with a multiplicity-aware Newton step
-     (derivative by central differences) and re-verify each root by a
-     small winding circle.
+     (derivative by central differences) and re-verify each root by one
+     small winding circle, of radius ten times the last Newton step.
+
+The one recovery perturbs a sector whose contour meets a zero
+(``_count_with_retry``).  Any other failure raises a NumericalError:
+PathRefinementError for a contour whose phase cannot be marched,
+ZeroIsolationError for a non-integer winding, child counts that miss
+their parent's, the depth cap, a failed verification circle or spent
+retries, and NumericalError itself for zeros inside the root's inner
+circle.
 
 Every step of the search is a sampling generator: it yields the points
 it needs and is sent their values (``_winding`` over a marching
@@ -44,7 +53,7 @@ from typing import Sequence
 from .lattice import Potential
 from .conformal import lambda_of_z
 from .resolvent import green_boundary
-from .determinant import RIM_RADIUS, PathRefinementError, det_eval_many, drive, march_log
+from .determinant import RIM_RADIUS, NumericalError, PathRefinementError, det_eval_many, drive, march_log
 from ._util import GOLDEN_FRAC
 
 __all__ = [
@@ -104,12 +113,8 @@ class ZeroRecord:
     newton_radius: float
 
 
-class ZeroIsolationError(RuntimeError):
+class ZeroIsolationError(NumericalError):
     """A cell could not be resolved within the subdivision/verification budget."""
-
-
-class _BoundaryTooClose(Exception):
-    """Internal: |D| dipped below threshold on a counting contour."""
 
 
 class _DetCache:
@@ -169,7 +174,7 @@ def _grids(pieces):
 
 
 def _winding(pieces, where: str):
-    """(winding, centroid) of D around a closed contour: a sampling
+    """(winding, centroid, turns) of D around a closed contour: a sampling
     generator.
 
     ``pieces`` are (z_fun, s0, s1, n_init): curves z_fun([s0, s1]) that
@@ -177,24 +182,22 @@ def _winding(pieces, where: str):
     One march_log marches all the pieces, so their initial nodes are one
     request, and so are the bisection points of every piece at each
     depth.  The centroid is sum (1/2 pi i) oint z dlogD, the sum of the
-    enclosed zeros.  Raises _BoundaryTooClose when the phase cannot be
-    marched or |D| dips below _MIN_ABS_FRAC of its maximum on a piece.
+    enclosed zeros; ``turns`` holds the phase change along each piece.
+    Raises PathRefinementError when the phase cannot be marched or |D|
+    dips below _MIN_ABS_FRAC of its maximum on a piece.
     """
-    try:
-        marches = yield from march_log([(z_fun, params, None) for z_fun, params in _grids(pieces)])
-    except PathRefinementError:
-        raise _BoundaryTooClose from None
-    total = 0.0
+    marches = yield from march_log([(z_fun, params, None) for z_fun, params in _grids(pieces)])
+    turns = []
     centroid = 0.0 + 0.0j
     for march in marches:
         if march.min_abs < _MIN_ABS_FRAC * max(march.max_abs, 1e-30):
-            raise _BoundaryTooClose
-        total += (march.logs[-1] - march.logs[0]).imag
+            raise PathRefinementError(f"|D| dips below {_MIN_ABS_FRAC:g} of its maximum on {where}")
+        turns.append((march.logs[-1] - march.logs[0]).imag)
         centroid += march.z_dlog / (2.0j * math.pi)
-    w = total / _TWO_PI
+    w = sum(turns) / _TWO_PI
     if abs(w - round(w)) > _WINDING_GUARD:
         raise ZeroIsolationError(f"non-integer winding {w:.4f} on {where}")
-    return int(round(w)), centroid
+    return int(round(w)), centroid, turns
 
 
 def _sector_pieces(sec: AnnularSector):
@@ -217,14 +220,14 @@ def _sector_pieces(sec: AnnularSector):
 
 
 def _count_with_retry(sec: AnnularSector):
-    """(count, centroid, sector) of a sector's winding, with a deterministic
-    golden-ratio perturbation of the sector when a zero sits (numerically)
-    on the contour; ``sector`` is the one that was counted.  A sampling
-    generator."""
+    """(count, centroid, turns, sector) of a sector's winding (see
+    ``_winding``), with a deterministic golden-ratio perturbation of the
+    sector when a zero sits (numerically) on the contour; ``sector`` is the
+    one that was counted.  A sampling generator."""
     for attempt in range(_MAX_RETRIES + 1):
         try:
             return (*(yield from _winding(_sector_pieces(sec), f"sector {sec}")), sec)
-        except _BoundaryTooClose:
+        except PathRefinementError:
             bump_t = GOLDEN_FRAC * (sec.t_hi - sec.t_lo) * 1e-3 * (attempt + 1)
             bump_r = GOLDEN_FRAC * (sec.r_hi - sec.r_lo) * 1e-3 * (attempt + 1)
             sec = AnnularSector(
@@ -236,27 +239,22 @@ def _count_with_retry(sec: AnnularSector):
     raise ZeroIsolationError(f"contour keeps landing on zeros near {sec}")
 
 
-def count_zeros(V: Potential, region: "AnnularSector | Sequence[float]") -> int:
+def count_zeros(V: Potential, region: AnnularSector) -> int:
     """Number of zeros of D in an annular sector, counted with multiplicity."""
-    if not isinstance(region, AnnularSector):
-        region = AnnularSector(*region)
     if not V.support:
         return 0
     return drive(_count_with_retry(region), _DetCache(V).many)[0]
 
 
-def _split(sec: AnnularSector, attempt: int = 0) -> "list[AnnularSector]":
-    # Cut along the longer side; split fraction drifts by a golden-ratio
-    # offset on retries so a zero on the cut cannot pin the subdivision.
-    frac = 0.5 + (attempt * (GOLDEN_FRAC - 0.5) * 0.2 if attempt else 0.0)
-    radial = (sec.r_hi - sec.r_lo) > sec.r_hi * (sec.t_hi - sec.t_lo)
-    if radial:
-        rm = sec.r_lo + frac * (sec.r_hi - sec.r_lo)
+def _split(sec: AnnularSector) -> "list[AnnularSector]":
+    """The two halves of a sector, cut across its longer side."""
+    if (sec.r_hi - sec.r_lo) > sec.r_hi * (sec.t_hi - sec.t_lo):
+        rm = sec.r_lo + 0.5 * (sec.r_hi - sec.r_lo)
         return [
             AnnularSector(sec.r_lo, rm, sec.t_lo, sec.t_hi),
             AnnularSector(rm, sec.r_hi, sec.t_lo, sec.t_hi),
         ]
-    tm = sec.t_lo + frac * (sec.t_hi - sec.t_lo)
+    tm = sec.t_lo + 0.5 * (sec.t_hi - sec.t_lo)
     return [
         AnnularSector(sec.r_lo, sec.r_hi, sec.t_lo, tm),
         AnnularSector(sec.r_lo, sec.r_hi, tm, sec.t_hi),
@@ -264,19 +262,15 @@ def _split(sec: AnnularSector, attempt: int = 0) -> "list[AnnularSector]":
 
 
 def _split_counted(sec: AnnularSector, m: int):
-    """Split a sector and count the children together, retrying with
-    drifted cut fractions until the counts exist and add up to the
-    parent's.  Returns (count, centroid, child) per child, the child as
-    cut.  A sampling generator."""
-    for attempt in range(4):
-        children = _split(sec, attempt)
-        try:
-            counted = yield from _together(_count_with_retry(ch) for ch in children)
-        except ZeroIsolationError:
-            continue
-        if sum(c for c, _, _ in counted) == m:
-            return [(c, centroid, ch) for (c, centroid, _), ch in zip(counted, children)]
-    raise ZeroIsolationError(f"child counts never matched parent count {m} in {sec}")
+    """Split a sector and count the children together; their counts must
+    add up to the parent's.  Returns (count, centroid, child) per child,
+    the child as cut.  A sampling generator."""
+    children = _split(sec)
+    counted = yield from _together(_count_with_retry(ch) for ch in children)
+    counts = [c for c, _, _, _ in counted]
+    if sum(counts) != m:
+        raise ZeroIsolationError(f"child counts {counts} do not add up to parent count {m} in {sec}")
+    return [(c, centroid, ch) for (c, centroid, _, _), ch in zip(counted, children)]
 
 
 def _newton_polish(x0: complex, m: int, scale: float, tol: float, cell: float):
@@ -325,8 +319,8 @@ def _resolve(sec: AnnularSector, m: int, centroid: complex, depth: int, tol: flo
     A cell that is not yet small is split, and its nonempty children are
     resolved together.  A small one holds one cluster: the polish starts
     from the centroid of its zeros, with D at the cell's midpoint setting
-    the residual scale, and a small circle around the polished root must
-    then wind m times.
+    the residual scale, and one small circle around the polished root,
+    of radius ten times the last Newton step, must then wind m times.
     """
     if sec.diameter > (1.2e-1 if m == 1 else 1e-3):
         if depth >= _MAX_DEPTH:
@@ -341,20 +335,15 @@ def _resolve(sec: AnnularSector, m: int, centroid: complex, depth: int, tol: flo
     (mid,) = yield [sec.midpoint()]
     scale = max(abs(mid), 1.0)
     z_hat, resid, last_step = yield from _newton_polish(centroid / m, m, scale, tol, sec.diameter)
-    # re-verify: a small circle around the polished root must wind m times
     rad = max(10.0 * last_step, 1e-7)
-    for _ in range(8):
-        if rad > 0.25:
-            break
+    if rad <= 0.25:
         circle = (lambda t: z_hat + rad * cmath.exp(1j * t), 0.0, _TWO_PI, 16)
         try:
-            wv, _ = yield from _winding([circle], f"circle center={z_hat}, r={rad:g}")
-        except (_BoundaryTooClose, ZeroIsolationError):
-            rad *= 3.0
-            continue
+            wv, _, _ = yield from _winding([circle], f"circle center={z_hat}, r={rad:g}")
+        except NumericalError:
+            wv = None
         if wv == m:
             return [(z_hat, m, resid, rad)]
-        rad *= 3.0
     raise ZeroIsolationError(f"could not re-verify multiplicity {m} around z={z_hat}")
 
 
@@ -363,11 +352,13 @@ def find_zeros(
     r_outer: float = RIM_RADIUS,
     tol: float = 1e-10,
 ) -> "list[ZeroRecord]":
-    """All zeros of D in {1e-3 <= |z| <= r_outer}, polished and verified.
+    """All zeros of D in {|z| <= r_outer}, polished and verified.
 
-    D(0) = 1 so the origin is safe to exclude; zeros outside r_outer
-    (eigenvalues collapsing onto the band) are out of scope and their
-    absence from the output is the caller's responsibility to mind.
+    The search covers {1e-3 <= |z| <= r_outer}.  D(0) = 1, and zeros inside
+    |z| = 1e-3 (|lambda| above about 500 d) make the root's inner circle
+    wind, which raises NumericalError.  Zeros outside r_outer (eigenvalues
+    collapsing onto the band) are out of scope and their absence from the
+    output is the caller's responsibility to mind.
     """
     if r_outer > RIM_RADIUS + 1e-12:
         raise ValueError(f"r_outer must be <= {RIM_RADIUS:g}")
@@ -377,7 +368,11 @@ def find_zeros(
     # angular datum at an irrational-ish angle: real potentials put zeros on
     # the real axis, which must not coincide with any subdivision seam
     root = AnnularSector(1e-3, r_outer, GOLDEN_FRAC, GOLDEN_FRAC + _TWO_PI)
-    total, centroid, root = drive(_count_with_retry(root), cache.many)
+    total, centroid, turns, root = drive(_count_with_retry(root), cache.many)
+    inner = -round(turns[1] / _TWO_PI)  # the inner circle is marched clockwise
+    if inner:
+        raise NumericalError(f"{inner} zero(s) of D lie inside |z| = {root.r_lo:g}, below the searched "
+                             f"annulus: eigenvalues with |lambda| >~ {abs(lambda_of_z(root.r_lo, V.d)):.0f}")
     if total == 0:
         return []
     records = [

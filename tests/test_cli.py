@@ -185,6 +185,18 @@ def test_linalg_error_is_a_numerical_failure(v3_file, monkeypatch, capsys):
     assert capsys.readouterr().err == "numerical failure: SVD did not converge\n"
 
 
+def test_a_bare_runtime_error_is_a_bug(v3_file, monkeypatch):
+    # every failure of the pipeline is a NumericalError, an ArithmeticError
+    # or a LinAlgError (exit 3) or a ValueError (exit 2); anything else
+    # propagates instead of reading as a numerical failure
+    def fail(*args, **kwargs):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "det_eval", fail)
+    with pytest.raises(RuntimeError, match="unexpected"):
+        main(["det-eval", "-p", v3_file, "--z", "0.3"])
+
+
 def test_taylor_check_subcommand(v3_file, tmp_path):
     out = tmp_path / "t.json"
     rc = main(["taylor-check", "-p", v3_file, "--r", "0.03", "-o", str(out)])
@@ -203,6 +215,30 @@ def test_taylor_check_around_a_zero_is_a_numerical_failure(v3_file, tmp_path, ca
     rc = main(["taylor-check", "-p", v3_file, "--r", "0.7", "-o", str(out)])
     assert rc == EXIT_NUMERICAL
     assert "encloses 1 zero(s)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_taylor_check_sample_count_rule_lives_in_the_library(v3_file, tmp_path, capsys):
+    # without --m-samples, taylor_coeffs picks max(64, 8 n_max); a count
+    # below 8 n_max is bad input
+    out = tmp_path / "t.json"
+    assert main(["taylor-check", "-p", v3_file, "--r", "0.3", "--n-max", "9", "-o", str(out)]) == EXIT_OK
+    assert len(_load(out)["c"]) == 9
+    rc = main(["taylor-check", "-p", v3_file, "--r", "0.3", "--m-samples", "16", "-o", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: m_samples=16 < 8*n_max=32\n"
+
+
+def test_eigs_refuses_a_zero_inside_the_searched_annulus(tmp_path, capsys):
+    # V = 2000 delta_0 has its zero at |z| ~ 7.5e-4, inside the root's inner
+    # circle |z| = 1e-3; eigs exited 0 with "zeros": [], and now refuses
+    path = tmp_path / "v2000.json"
+    path.write_text(json.dumps({"d": 3, "entries": [{"site": [0, 0, 0], "re": 2000.0}]}))
+    out = tmp_path / "e.json"
+    assert main(["eigs", "-p", str(path), "-o", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical failure: 1 zero(s) of D lie inside |z| = 0.001, below the searched "
+        "annulus: eigenvalues with |lambda| >~ 1500\n")
     assert not out.exists()
 
 
@@ -266,6 +302,21 @@ def test_bounds_report_complex_has_no_real_case(mix_file, tmp_path):
     rc = main(["bounds-report", "-p", mix_file, "-o", str(out)])
     assert rc == EXIT_OK
     assert "real_case" not in _load(out)
+
+
+def test_bounds_report_non_real_zeros_of_a_real_potential_are_a_numerical_failure(tmp_path, capsys):
+    # V = 3 (delta_0 + delta_(6,0,0)) has two real zeros 2.7e-4 apart; the
+    # search returns one double zero 8e-7 off the real axis (ROADMAP item
+    # 5), which the real-case report refuses: a numerical failure (exit
+    # 3), where it used to read as bad input (exit 2)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"d": 3, "entries": [{"site": [0, 0, 0], "re": 3.0},
+                                                   {"site": [6, 0, 0], "re": 3.0}]}))
+    out = tmp_path / "b.json"
+    assert main(["bounds-report", "-p", str(path), "-o", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical failure: real potential but non-real zeros; upstream data inconsistent\n")
+    assert not out.exists()
 
 
 def test_bessel_check_subcommand(tmp_path):

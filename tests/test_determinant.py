@@ -274,6 +274,16 @@ def test_taylor_rejects_enclosed_zero(v3):
         taylor_coeffs(V, 0.537322 + 1e-4, m_samples=32)
 
 
+def test_taylor_default_sample_count_follows_n_max(v3):
+    # m_samples=None means max(64, 8 n_max): n_max = 9 needs 72 samples,
+    # which the old fixed default of 64 refused
+    r = 0.3
+    assert taylor_coeffs(v3, r, n_max=9) == taylor_coeffs(v3, r, n_max=9, m_samples=72)
+    assert taylor_coeffs(v3, r) == taylor_coeffs(v3, r, m_samples=64)
+    with pytest.raises(ValueError, match="m_samples=64 < 8"):
+        taylor_coeffs(v3, r, n_max=9, m_samples=64)
+
+
 def test_moment_relation_unique_winner(v3, tc_v3):
     rep = moment_relation_check(v3, tc_v3)
     assert rep["winner"] in ("A", "B")

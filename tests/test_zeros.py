@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import warnings
 
@@ -7,6 +8,8 @@ from scipy.optimize import brentq
 
 from latspec.conformal import lambda_of_z
 from latspec import zeros
+from latspec.determinant import NumericalError
+from latspec.hardy import jensen_check
 from latspec.lattice import Potential
 from latspec.resolvent import green_auto
 from latspec.zeros import (
@@ -48,6 +51,19 @@ def test_count_zeros_sector_additivity(v3):
     left = count_zeros(v3, AnnularSector(0.3, 0.8, 0.9, 0.9 + math.pi))
     right = count_zeros(v3, AnnularSector(0.3, 0.8, 0.9 + math.pi, 0.9 + 2.0 * math.pi))
     assert left + right == whole == 1
+
+
+def test_split_halves_the_longer_side():
+    # one cut at the middle: across the angle of a wide sector, across the
+    # radius of a long thin one
+    wide = AnnularSector(0.5, 0.6, 1.0, 3.0)
+    assert zeros._split(wide) == [AnnularSector(0.5, 0.6, 1.0, 2.0), AnnularSector(0.5, 0.6, 2.0, 3.0)]
+    thin = AnnularSector(0.2, 0.6, 1.0, 1.1)
+    assert zeros._split(thin) == [AnnularSector(0.2, 0.4, 1.0, 1.1), AnnularSector(0.4, 0.6, 1.0, 1.1)]
+
+
+def test_every_search_failure_is_a_numerical_error():
+    assert issubclass(zeros.ZeroIsolationError, NumericalError)
 
 
 def test_find_zeros_strong_single_site(v3, zeros_v3):
@@ -217,3 +233,81 @@ def test_find_zeros_single_site_next_to_the_rim(c):
         recs = find_zeros(Potential(3, [((0, 0, 0), complex(sign * v))]))
         assert [rec.multiplicity for rec in recs] == [1]
         assert abs(recs[0].z - sign * x_ref) <= 1e-12
+
+
+def test_find_zeros_refuses_zeros_inside_the_root_circle():
+    # V = c delta_0 with c in the thousands has one zero near z = d / (2c):
+    # at c = 1000 it lies at |z| ~ 1.5e-3, inside the searched annulus, and
+    # is found; at c = 2000 it lies inside the root's inner circle
+    # |z| = 1e-3, which then winds once, and the search refuses instead of
+    # returning no zeros.  Oracle: brentq on 1 + c G(0, lambda) with the
+    # Laplace kernel below, and z of lambda on the real axis.
+    lam_ref = brentq(lambda lam: 1.0 + 1000.0 * _laplace_green_origin(lam), 1000.0, 1010.0,
+                     xtol=1e-12)
+    z_ref = (lam_ref - math.sqrt(lam_ref ** 2 - 9.0)) / 3.0
+    recs = find_zeros(Potential(3, [((0, 0, 0), 1000.0 + 0j)]))
+    assert [rec.multiplicity for rec in recs] == [1]
+    assert abs(recs[0].z - z_ref) <= 1e-12
+    with pytest.raises(NumericalError, match="1 zero\\(s\\) of D lie inside"):
+        find_zeros(Potential(3, [((0, 0, 0), 2000.0 + 0j)]))
+
+
+def _assert_complete(V, recs):
+    # Jensen's formula on two circles, one near 0.995 and one near 0.5,
+    # each kept 0.005 from every returned zero: the returned zeros must
+    # account for the mean of log|D| on both
+    for start in (0.995, 0.5):
+        r = start
+        while any(abs(r - abs(rec.z)) < 0.005 for rec in recs):
+            r = round(r - 0.001, 3)
+        assert jensen_check(V, recs, r, n_grid=4096) <= 1e-6
+
+
+_ITEM_10 = "ROADMAP item 10: the phase march can drop a turn next to a pair of zeros"
+
+
+@pytest.mark.parametrize("entries", [
+    # benchmark panel seed 4, draw 1: the children of the root's first
+    # split count [2, 0] under a parent count of 1
+    pytest.param([
+        ((0, 0, 0), 0.8723866092649852 - 0.42754343263553024j),
+        ((-1, 1, 0), 0.5098849334716791 - 1.3714169399951721j),
+        ((1, -1, 0), 0.5012009042562224 + 1.350344253119822j),
+        ((-1, -1, 0), -0.7317085507629885 - 0.7501033392462589j),
+        ((1, 0, 0), 0.846771491183013 - 1.0966457872123705j),
+    ], id="panel4-draw1", marks=pytest.mark.xfail(
+        raises=zeros.ZeroIsolationError, strict=True, reason=_ITEM_10)),
+    # panel seed 14, draw 3: no zeros returned, but Jensen reads 0.044 at
+    # r = 0.995; the missed zero has |z| ~ 0.952
+    pytest.param([
+        ((0, -1, 0), -1.4385869744150412 - 0.004339816970605918j),
+        ((0, 0, 0), 0.3661008846321496 - 0.8023668598926801j),
+        ((1, 1, 0), -0.16692303543281192 + 0.8554954138673004j),
+        ((1, 0, 0), -0.04987886388414298 - 0.8208839412791938j),
+        ((-1, 0, 0), -0.8794489739353002 - 0.14362510062856249j),
+        ((1, -1, 0), -0.8677900783299105 + 0.10720508498839179j),
+    ], id="panel14-draw3", marks=pytest.mark.xfail(
+        raises=AssertionError, strict=True, reason=_ITEM_10)),
+    # panel seed 18, draw 3: two zeros returned, a third with |z| ~ 0.982
+    # missed
+    pytest.param([
+        ((0, -1, 0), 0.9802870172288368 + 1.0620512274803209j),
+        ((1, 1, 0), -1.0831333554910088 - 0.5411286040288954j),
+        ((0, 1, 0), 0.4614187220729608 + 1.4586050313823988j),
+        ((1, -1, 0), 0.5613771325569105 - 0.8366394156623789j),
+    ], id="panel18-draw3", marks=pytest.mark.xfail(
+        raises=AssertionError, strict=True, reason=_ITEM_10)),
+    # the real 27-site cube V_n = 3.6 (1 + |n|_2)^-3 on {-1,0,1}^3: D
+    # changes sign on the real axis between 0.43 and 0.44, and Jensen with
+    # no zeros reads 0.142 = log(0.5 / 0.434) at r = 0.5, yet the root
+    # count fails, as min |D| on the marched root circle is 0.0167 against
+    # a maximum of 402
+    pytest.param([
+        (n, complex(3.6 * (1.0 + math.sqrt(sum(c * c for c in n))) ** -3))
+        for n in itertools.product((-1, 0, 1), repeat=3)
+    ], id="real-27-site-cube", marks=pytest.mark.xfail(
+        raises=zeros.ZeroIsolationError, strict=True, reason=_ITEM_10)),
+])
+def test_find_zeros_returns_every_zero(entries):
+    V = Potential(3, entries)
+    _assert_complete(V, find_zeros(V))
