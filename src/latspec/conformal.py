@@ -55,46 +55,46 @@ def lambda_of_z(z, d: int):
     return complex(lam[0]) if scalar else lam
 
 
-def _principal_like_sqrt(lam: complex, d: int) -> complex:
-    """sqrt(lam^2 - d^2) with branch cut on [-d, d], ~ lam at infinity.
+def z_of_lambda(lam, d: int, side: str = "auto"):
+    """Inverse of ``lambda_of_z``, mapped into the closed unit disk,
+    elementwise on a scalar (which gives a Python complex) or an array.
 
-    Written as sqrt(lam - d) * sqrt(lam + d) with principal square roots;
-    the two cuts outside the band cancel, leaving the single finite cut.
-    """
-    return np.sqrt(lam - d) * np.sqrt(lam + d)
-
-
-def z_of_lambda(lam: complex, d: int, side: str = "auto") -> complex:
-    """Inverse of ``lambda_of_z``, mapped into the closed unit disk.
-
-    ``side`` only matters when lam lies on the segment (-d, d) (within
-    1e-14 absolute imaginary part): "plus" selects the limit from the upper
-    half plane, "minus" from the lower.  "auto" raises on the cut so that an
-    accidental on-band evaluation is loud rather than silently one-sided.
+    Off the band z = d / (lam + sqrt(lam^2 - d^2)), the root written as
+    sqrt(lam - d) * sqrt(lam + d) with principal square roots (the two cuts
+    outside the band cancel, leaving the single cut [-d, d]), and the other
+    root taken where rounding puts that z outside the disk.  ``side`` only
+    matters for a lam on the segment (-d, d) (within 1e-14 absolute
+    imaginary part): "plus" selects the limit from the upper half plane,
+    "minus" from the lower.  "auto" raises on the cut (naming the first
+    such lam) so that an accidental on-band evaluation is loud rather than
+    silently one-sided.  An array gives, bit for bit, what each point gives
+    alone.
     """
     validate_dimension(d)
-    lam = complex(lam)
-    on_band = abs(lam.imag) <= _BAND_TOL and abs(lam.real) <= d
-    if on_band:
+    lam = np.asarray(lam, dtype=complex)
+    scalar = lam.ndim == 0
+    lam = lam.reshape(-1) if scalar else lam
+    on_band = (np.abs(lam.imag) <= _BAND_TOL) & (np.abs(lam.real) <= d)
+    if on_band.any():
         if side == "auto":
             raise ValueError(
-                f"lambda={lam} lies on the band [-{d},{d}]; pass side='plus' or side='minus'"
+                f"lambda={complex(lam[on_band][0])} lies on the band [-{d},{d}]; "
+                "pass side='plus' or side='minus'"
             )
         if side not in ("plus", "minus"):
             raise ValueError(f"side must be 'plus', 'minus' or 'auto', got {side!r}")
-        x = min(max(lam.real / d, -1.0), 1.0)
-        t = np.arccos(x)  # in [0, pi]
-        # lam + i0 corresponds to z = e^{-it}: the upper half plane maps to
-        # the lower half disk under lam(z).
-        return np.exp(-1j * t) if side == "plus" else np.exp(1j * t)
-    root = _principal_like_sqrt(lam, d)
+    root = np.sqrt(lam - d) * np.sqrt(lam + d)
     z = d / (lam + root)
-    if abs(z) > 1.0 + 1e-12:
-        z = d / (lam - root)
-    # Guard against rounding pushing a boundary point just outside.
-    if abs(z) > 1.0:
-        z /= abs(z)
-    return z
+    flip = np.abs(z) > 1.0 + 1e-12
+    z[flip] = d / (lam[flip] - root[flip])
+    # guard against rounding pushing a boundary point just outside
+    out = np.abs(z) > 1.0
+    z[out] /= np.abs(z[out])
+    # lam + i0 corresponds to z = e^{-it}, t in [0, pi]: the upper half
+    # plane maps to the lower half disk under lam(z)
+    t = np.arccos(np.clip(lam.real[on_band] / d, -1.0, 1.0))
+    z[on_band] = np.exp(-1j * t if side == "plus" else 1j * t)
+    return complex(z[0]) if scalar else z
 
 
 def dist_to_band(lam, d: int):

@@ -1,7 +1,11 @@
 """Free resolvent kernel G(n, lam) = (H0 - lam)^(-1)(n, 0) on Z^d.
 
-Three interior evaluators, independent of each other:
+Four interior evaluators, independent of each other:
 
+* the exact series: G(n, lam(z)) = sum_k g_k z^k in the disc variable z of
+  ``conformal``, each g_k an integer sum over lattice walk counts divided
+  once with correct rounding (``_series_coeffs``), summed by Horner's rule
+  up to a K set by the coefficients' tail at the largest |z| served.
 * ``green_torus``: the momentum-space form, a d-fold periodic integral of
   cos(n.k) / (h(k) - lam) with h(k) = sum_j cos k_j, by tensor-product
   trapezoidal quadrature folded onto the half-period (the integrand is even
@@ -15,10 +19,12 @@ Three interior evaluators, independent of each other:
   large-argument Bessel expansion.  It stays accurate arbitrarily close
   to, and on, the band, for d >= 3.
 
-``green_auto`` picks, at d >= 3, the oscillatory engine within distance
-1.25 of the band, where the torus grid is larger than its floor, and the
-torus engine from there out; at d = 1 and 2 only the torus exists, and
-distances below 0.35 are refused at the entry (see ``green_auto``).
+``green_auto`` picks, at d >= 3, the series where |z(lam)| <= 0.8 and the
+oscillatory engine inside that circle's image, the ellipse of points
+within about 0.675 of the band; at d = 1 and 2 the series serves every
+lambda at distance >= 0.35, and closer ones are refused at the entry (see
+``green_auto``).  The torus is a forced engine only (``green_torus``,
+``green_orbits(engine="torus")``).
 ``green_boundary`` gives the boundary values G(n, lambda0 -/+ i0) on the
 band through the oscillatory engine alone; its independent checks
 are Watson's closed form at the band edge and the small-epsilon limit of
@@ -35,14 +41,21 @@ cases, on the orbit of their site.
 
 * An engine's per-orbit constants are built once per orbit set, in a
   bounded cache (its plan), so a call does only per-lambda work.
-  ``_osc_plan`` holds each orbit's Gauss kernel (one Bessel grid per
-  max_j |n_j|, ``_osc_grid``), the index of its horizon T0, its mode
-  tails' phases, frequency rows and polynomials, and its prefactor;
-  ``_torus_plan`` holds both grids' cosine weights and, on grids with
-  few enough index tuples (green_auto's floor grid among them), their
-  sums over the tuples.
+  ``_series_plan`` stacks the orbits' coefficients, each orbit's built
+  once (``_series_coeffs``) from shared tables of Pascal's rows, one
+  axis's walk-count weights and the weights of the substitution 1/lam =
+  (2/d) z / (1 + z^2); nothing is built at import.  ``_osc_plan`` holds
+  each orbit's Gauss kernel (one Bessel grid per max_j |n_j|,
+  ``_osc_grid``), the index of its horizon T0, its mode tails' phases,
+  frequency rows and polynomials, and its prefactor; ``_torus_plan``
+  holds both grids' cosine weights and, on grids with few enough index
+  tuples (the floor grid of auto_n_quad among them), their sums over the
+  tuples.
+* The series runs Estrin's scheme in w = z^2 over every orbit at once, in
+  real arithmetic, on a chunk of lambdas whose arrays stay within
+  _CHUNK_BYTES (512 KB).
 * The oscillatory engine walks the lambda axis in chunks whose phase
-  block stays within _CHUNK_BYTES (512 KB).  In a chunk the phases are
+  block stays within _CHUNK_BYTES.  In a chunk the phases are
   built once and shared by every orbit, and the mode tails of every
   (T0, frequency, lambda) come from one tail_integral_vec call, shared by
   the orbits with that T0 (T0 depends only on max_j |n_j|).
@@ -69,8 +82,8 @@ each is applied in one place.
   |n_j|: shifting every k_j by pi turns h(k) into -h(k) and cos(n.k) into
   (-1)^|n| cos(n.k).
 
-``_memo_block`` applies the last two for the torus, oscillatory and
-boundary paths: it asks the engine only for the image of each lambda in
+``_memo_block`` applies the last two for the series, torus, oscillatory
+and boundary paths: it asks the engine only for the image of each lambda in
 the quadrant Re lam >= 0, Im lam <= 0, and unfolds the value by
 conjugation and the factor -(-1)^|n|.  The oscillatory engine needs that
 quadrant's half plane anyway: its integrand pairs e^(-i lam t) with the
@@ -84,23 +97,24 @@ evaluation (the engine negates Im lam exactly); the other folds agree
 with one to rounding.
 
 The damped time engine is the oracle that the c02 gate checks the torus
-and oscillatory engines against, so it stays outside the fold and the
-memo: ``green_orbits(engine="time")`` calls ``_time_block`` directly, which
+and oscillatory engines against, and the tests the series, so it stays
+outside the fold and the memo: ``green_orbits(engine="time")`` calls ``_time_block`` directly, which
 conjugates for Im lam > 0 (its damping needs Im lam <= 0) and applies no
 other symmetry.
 
-The torus and the oscillatory engine keep one memo each, keyed like the
-plans by the orbit set (a tuple): an entry (orbit set, quadrant image of
+The series, the oscillatory engine and the torus keep one memo each,
+keyed like the plans by the orbit set (a tuple): an entry (orbit set, quadrant image of
 lam, plus the grid size for the torus) holds the image's column of
 values and error estimates, at most _MEMO_SIZE values in all, evicting
 the least recently used.  A block looks every distinct image up once,
 computes the missing ones in at most one core call and unfolds with
 array operations, in one pass.  Repeated evaluations during determinant
 assembly are therefore free and bit-identical.
-``green_cache_info`` reports each memo's hits, misses and size;
-``clear_green_cache`` empties them, the plans and ``support_orbits``, the
-orbit map of a support's differences that determinant assembly builds
-once per support.
+``green_cache_info`` reports each memo's hits, misses and size, and the
+number of orbits whose series coefficients were built;
+``clear_green_cache`` empties them, the plans, the series tables and
+``support_orbits``, the orbit map of a support's differences that
+determinant assembly builds once per support.
 """
 
 from __future__ import annotations
@@ -116,7 +130,7 @@ from typing import Sequence
 import numpy as np
 
 from .bessel import bessel_j_grid, hankel_amplitude_coeffs
-from .conformal import dist_to_band
+from .conformal import dist_to_band, z_of_lambda
 from .lattice import require_dimension_3, validate_dimension
 from .quadrature import gl_panels, tail_integral_vec
 
@@ -129,11 +143,19 @@ _IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 _NQ_RATE = 40.0
 _NQ_MIN = 32
 _NQ_MAX = 512
-# green_auto's torus/oscillatory switch at d >= 3: the distance to the band
-# at which auto_n_quad reaches its floor
-_DIST_SWITCH = _NQ_RATE / _NQ_MIN
-# green_auto's torus refuses distances below this at d = 1, 2
+# green_auto's series/oscillatory switch at d >= 3: the series serves
+# |z(lambda)| <= _SERIES_RADIUS (at d = 3 every lambda at distance >= 0.675
+# from the band, and more beyond its edges), the oscillatory engine the rest
+_SERIES_RADIUS = 0.8
+# green_auto refuses distances below this at d = 1, 2
 _DIST_MIN_LOW_D = 0.35
+# an orbit's series stops at the first K where the largest |g_k| of the
+# last _SERIES_WINDOW coefficients times r^(K+1) / (1 - r), r the largest
+# |z| served, is below _SERIES_TOL (K = 156-162 for the orbits up to
+# (2, 2, 0) at d = 3), or at _SERIES_K_MAX
+_SERIES_TOL = 2.0 ** -60
+_SERIES_WINDOW = 16
+_SERIES_K_MAX = 400
 # green_torus refuses lambda closer to the band than this
 _TORUS_DELTA_MIN = 1e-3
 # green_time truncates its horizon where the neglected tail drops below this
@@ -188,23 +210,27 @@ class _Memo:
         self.size = self.hits = self.misses = 0
 
 
-_MEMOS = {"torus": _Memo(), "osc": _Memo()}
+_MEMOS = {"series": _Memo(), "osc": _Memo(), "torus": _Memo()}
 
 
 def clear_green_cache() -> None:
     for memo in _MEMOS.values():
         memo.clear()
-    for cache in (support_orbits, _torus_plan, _osc_grid, _osc_plan):
+    for cache in (support_orbits, _torus_plan, _osc_grid, _osc_plan, _series_plan, _series_coeffs,
+                  _pascal_row, _axis_row, _subst_row):
         cache.cache_clear()
 
 
 def green_cache_info() -> dict:
-    """Per memoised engine ("torus", "osc"): memo hits, misses and size since
-    the last ``clear_green_cache``.  A request counts once per (orbit,
-    lambda) pair, a hit when the value was already known; ``size`` counts
-    the values held."""
-    return {name: {"hits": m.hits, "misses": m.misses, "size": m.size}
+    """Per memoised engine ("series", "osc", "torus"): memo hits, misses
+    and size since the last ``clear_green_cache``.  A request counts once
+    per (orbit, lambda) pair, a hit when the value was already known;
+    ``size`` counts the values held.  The series entry also counts the
+    orbits whose coefficients were built ("orbits")."""
+    info = {name: {"hits": m.hits, "misses": m.misses, "size": m.size}
             for name, m in _MEMOS.items()}
+    info["series"]["orbits"] = _series_coeffs.cache_info().misses
+    return info
 
 
 def _memo_block(engine: str, core, canons: "tuple[Site, ...]", lams: np.ndarray, extra: tuple = (),
@@ -344,7 +370,7 @@ def _torus_plan(canons: "tuple[Site, ...]", n_quad: int) -> tuple:
     """The _torus_weights of an orbit set's coarse and fine grids and the
     fine grid's one chunk of sorted index tuples (over the first r =
     min(d, 3) axes) with its weights, or None where the grid has more (the
-    n_quad = 32 floor that green_auto uses at d >= 3 has 6,545 triples):
+    n_quad = 32 floor of auto_n_quad has 6,545 triples at d >= 3):
     larger grids are built as they are walked."""
     coarse, fine = _torus_weights(canons, n_quad), _torus_weights(canons, 2 * n_quad)
     m1, r = n_quad + 1, min(len(canons[0]), 3)
@@ -453,6 +479,182 @@ def _torus_distance(lam, d: int):
             "(dist={:.3e}); use green_boundary for on-band limits".format(float(np.ravel(dist)[k]))
         )
     return dist
+
+
+# ------------------------------------------------------------ exact series path
+
+def _series_radius(d: int) -> float:
+    """The largest |z| the series serves: _SERIES_RADIUS at d >= 3; at d = 1,
+    2 every lambda green_auto accepts, whose largest |z| lies at distance
+    _DIST_MIN_LOW_D beside the middle of the band."""
+    return _SERIES_RADIUS if d >= 3 else abs(z_of_lambda(1j * _DIST_MIN_LOW_D, d))
+
+
+@functools.lru_cache(maxsize=None)
+def _pascal_row(j: int) -> tuple:
+    """C(j, 0), ..., C(j, j), from the row before (the builds ask for the
+    rows in order, so the recursion is one level deep)."""
+    if j == 0:
+        return (1,)
+    prev = _pascal_row(j - 1)
+    return (1, *map(operator.add, prev, prev[1:]), 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_row(n: int, j: int) -> tuple:
+    """The weights of one binomial convolution: C(j, i) C(j - i, (j - i +
+    n) / 2) for i = (j - n) % 2, ..., j - n in steps of 2, the ways to place
+    j - i of j steps on a new axis and to walk from 0 to n with them."""
+    i0 = (j - n) % 2
+    return tuple(map(operator.mul, _pascal_row(j)[i0:j - n + 1:2],
+                     [_pascal_row(l)[(l + n) // 2] for l in range(j - i0, n - 1, -2)]))
+
+
+@functools.lru_cache(maxsize=None)
+def _subst_row(d: int, k: int) -> tuple:
+    """(-1)^m C(k - 1 - m, m) d^(2m) for m = 0, ..., (k - 1) // 2: the
+    weight of the walk count W_(k-1-2m) in the integer -g_k d^k / 2 (see
+    _series_coeffs), by Pascal's rule along the diagonal from rows k - 1
+    and k - 2 (the builds ask for the rows in order)."""
+    if k <= 2:
+        return (1,)
+    a, b = _subst_row(d, k - 1), _subst_row(d, k - 2)
+    return tuple(map(operator.sub, a + (0,) * (k % 2), (0, *map(operator.mul, b, itertools.repeat(d * d)))))
+
+
+@functools.lru_cache(maxsize=256)
+def _series_coeffs(canon: Site) -> "tuple[np.ndarray, float]":
+    """The Taylor coefficients g_0, ..., g_K of G(n, lambda(z)) for the
+    orbit n, and the largest |g_k| among the last _SERIES_WINDOW.
+
+    With W_j(n) the number of walks of j steps from 0 to n,
+    G = -sum_j W_j 2^(-j) lambda^(-(j+1)), and 1/lambda = (2/d) z / (1 + z^2)
+    turns it into g_k = -2 d^(-k) sum_(j+1+2m=k) (-1)^m C(j+m, m) W_j
+    d^(k-1-j).  The walk counts of the first two axes have the closed form
+    C(j, (j+n1+n2)/2) C(j, (j+n1-n2)/2) (one axis: C(j, (j+n1)/2)); each
+    further axis takes one binomial convolution.  The sum is an exact
+    integer, and each g_k one correctly rounded division of two integers.
+    g_k vanishes unless k - 1 >= |n| has the parity of |n|.  The build
+    stops at the first K beyond 2|n| + _SERIES_WINDOW (the coefficients of
+    a far orbit rise from tiny values and peak by k ~ 2|n|) at which that
+    largest |g_k| times r^(K+1) / (1 - r), r = _series_radius(d), is below
+    _SERIES_TOL, and at _SERIES_K_MAX in any case, which bounds the tables.
+    An orbit with |n| >= _SERIES_K_MAX so gets only zeros and a zero tail:
+    |g_k| <= e (k + 1) / d (Cauchy's estimate with |G| <= 1 / dist), so its
+    values at |z| <= 0.84 are below 1e-26.
+    """
+    d = len(canon)
+    r = _series_radius(d)
+    comb = math.comb
+    # levels[L][j]: the walk counts over the axes of level L (the first two,
+    # then one more per level), zero below starts[L] and off its parity
+    starts = list(itertools.accumulate(canon[2:], initial=sum(canon[:2])))
+    plus, minus = sum(canon[:2]), canon[0] - sum(canon[1:2])
+    levels: "list[list[int]]" = [[] for _ in starts]
+    s = starts[-1]
+    g, dk, top = [0.0], 1, 0.0
+    for k in range(1, _SERIES_K_MAX + 1):
+        j, dk = k - 1, dk * d
+        if d > 2:
+            _pascal_row(j)  # the convolutions' rows, built in order
+        subst = _subst_row(d, k)
+        for L, lo in enumerate(starts):
+            if j < lo or (j - lo) % 2:
+                w = 0
+            elif L == 0:
+                w = comb(j, (j + plus) // 2) * (comb(j, (j + minus) // 2) if d > 1 else 1)
+            else:
+                n, prev = canon[L + 1], starts[L - 1]
+                w = sum(map(operator.mul, _axis_row(n, j)[(prev - (j - n) % 2) // 2:],
+                            levels[L - 1][prev:j - n + 1:2]))
+            levels[L].append(w)
+        if j < s or (j - s) % 2:
+            g.append(0.0)
+            continue
+        g.append(-2 * sum(map(operator.mul, subst[:(j - s) // 2 + 1], levels[-1][j::-2])) / dk)
+        top = max(map(abs, g[-_SERIES_WINDOW:]))
+        if k > 2 * s + _SERIES_WINDOW and top * r ** (k + 1) / (1.0 - r) <= _SERIES_TOL:
+            break
+    return np.array(g), top
+
+
+@functools.lru_cache(maxsize=64)
+def _series_plan(canons: "tuple[Site, ...]") -> tuple:
+    """What _series_block needs of an orbit set, built once.  Per orbit
+    (rows), as a polynomial in w = z^2: the coefficients g_(p+2i), p the
+    parity of the orbit's nonzero g_k, zero beyond the orbit's last and up
+    to a power of two, stored in bit-reversed order of i (the order in
+    which Estrin's scheme pairs them); their absolute values; whether p = 1
+    (the sum takes one more factor z); the number of terms; and the largest
+    |g_k| among the last _SERIES_WINDOW."""
+    built = [_series_coeffs(canon) for canon in canons]
+    odd = np.array([sum(canon) % 2 == 0 for canon in canons])
+    rows = [g[int(p)::2] for (g, _), p in zip(built, odd)]
+    terms = np.array([row.size for row in rows])
+    order = np.zeros(1, dtype=int)
+    while order.size < terms.max():
+        order = np.concatenate([2 * order, 2 * order + 1])
+    coef = np.zeros((len(canons), order.size))
+    for u, row in enumerate(rows):
+        coef[u, :row.size] = row
+    coef = np.ascontiguousarray(coef[:, order])
+    top = np.array([t for _, t in built])
+    return coef, np.abs(coef), odd[:, None], terms[:, None], top[:, None]
+
+
+def _series_block(canons: "list[Site]", lams: np.ndarray):
+    """Series values sum_k g_k z^k, z = z(lambda), per orbit (rows) and
+    lambda (columns), with error estimates.
+
+    Estrin's scheme in w = z^2 runs over every orbit at once on a chunk of
+    lambdas whose arrays stay within _CHUNK_BYTES: each level pairs the
+    first half of the coefficients with the second, c + c' W, and squares
+    W (w, w^2, w^4, ...), so a chunk costs a few array operations per
+    level, not per term.  It runs in real arithmetic: each entry is one
+    sequence of correctly rounded products and sums, whatever the chunk
+    and the orbit set.  The error estimate is the tail, the largest |g_k|
+    of the last _SERIES_WINDOW times |z|^(K+2) / (1 - |z|^2), plus 4 eps
+    per term of sum_k |g_k| |z|^k (the same scheme on |g_k| and |w|) for
+    rounding.
+    """
+    coef, size, odd, terms, top = _series_plan(tuple(canons))
+    z = z_of_lambda(lams, len(canons[0]))
+    half = coef.shape[1] // 2
+    chunk = max(1, _CHUNK_BYTES // (64 * half * len(canons)))
+    rounding = 4.0 * np.finfo(float).eps * terms
+    vals = np.empty((len(canons), lams.size), dtype=complex)
+    errs = np.empty(vals.shape)
+    for lo in range(0, lams.size, chunk):
+        zr, zi = z.real[lo:lo + chunk], z.imag[lo:lo + chunk]
+        cols = slice(lo, lo + zr.size)
+        x, y = zr * zr - zi * zi, 2.0 * zr * zi
+        aw = zr * zr + zi * zi
+        # first level: real coefficients, c + c' w
+        re = coef[:, half:, None] * x
+        re += coef[:, :half, None]
+        im = coef[:, half:, None] * y
+        bound = size[:, half:, None] * aw
+        bound += size[:, :half, None]
+        m, ax, ay, aa = half, x, y, aw
+        while m > 1:
+            ax, ay, aa = ax * ax - ay * ay, 2.0 * ax * ay, aa * aa
+            m //= 2
+            # (re + i im)[:m] + (re + i im)[m:] (ax + i ay)
+            r2, i2 = re[:, m:], im[:, m:]
+            new_re = r2 * ax
+            new_re -= i2 * ay
+            new_re += re[:, :m]
+            new_im = i2 * ax
+            new_im += r2 * ay
+            new_im += im[:, :m]
+            re, im = new_re, new_im
+            bound = bound[:, m:] * aa + bound[:, :m]
+        re, im, bound = re[:, 0], im[:, 0], bound[:, 0]
+        vals.real[:, cols] = np.where(odd, re * zr - im * zi, re)
+        vals.imag[:, cols] = np.where(odd, re * zi + im * zr, im)
+        tail = top * np.power(aw, terms) / (1.0 - aw)
+        errs[:, cols] = (rounding * bound + tail) * np.where(odd, np.sqrt(aw), 1.0)
+    return vals, errs
 
 
 # ----------------------------------------------------------- damped time path
@@ -660,9 +862,9 @@ def green_orbits(canons: "Sequence[Site]", lams: "Sequence[complex]", d: int,
     ``_orbit`` or ``support_orbits`` gives them; as a tuple they are the
     orbit set that keys the memo and the plans.
 
-    engine "auto" routes each lambda as ``green_auto`` does; "torus" and
-    "time" force that engine, with the same refusals as ``green_torus``
-    and ``green_time``.
+    engine "auto" routes each lambda as ``green_auto`` does (to the series
+    or the oscillatory engine); "torus" and "time" force that engine, with
+    the same refusals as ``green_torus`` and ``green_time``.
     """
     canons = tuple(canons)
     lams = np.asarray(lams, dtype=complex)
@@ -676,48 +878,50 @@ def green_orbits(canons: "Sequence[Site]", lams: "Sequence[complex]", d: int,
             )
         return _time_block(canons, lams)
     if engine == "torus":
-        dist = _torus_distance(lams, d)
-        torus = np.ones(lams.size, dtype=bool)
+        # one memoised block per torus grid size auto_n_quad(dist)
+        n_quad = auto_n_quad(_torus_distance(lams, d))
+        routes = [("torus", _torus_block, n_quad == nq, (nq,)) for nq in sorted(set(n_quad.tolist()))]
     elif engine == "auto":
         dist = dist_to_band(lams, d)
         on_band = dist == 0.0
         if on_band.any():
             raise ValueError(f"lambda={lams[on_band][0]} lies on the band; use green_boundary")
-        torus = dist >= (_DIST_SWITCH if d >= 3 else _DIST_MIN_LOW_D)
-        if not torus.all():
-            require_dimension_3(d, f"green_auto within {_DIST_MIN_LOW_D} of the band")
+        if d >= 3:
+            # by the quadrant image, as the memo keys are: mirror images take one route
+            image = np.abs(lams.real) - 1j * np.abs(lams.imag)
+            series = np.abs(z_of_lambda(image, d)) <= _SERIES_RADIUS
+        else:
+            series = dist >= _DIST_MIN_LOW_D
+            if not series.all():
+                require_dimension_3(d, f"green_auto within {_DIST_MIN_LOW_D} of the band")
+        routes = [("series", _series_block, series, ()), ("osc", _osc_block, ~series, ())]
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    # per lambda: the torus grid size auto_n_quad(dist), or 0 for the
-    # oscillatory engine; one memoised block per value
-    n_quad = np.zeros(lams.size, dtype=int)
-    n_quad[torus] = auto_n_quad(dist[torus])
     vals = np.empty((len(canons), lams.size), dtype=complex)
     errs = np.empty(vals.shape)
-    for nq in sorted(set(n_quad.tolist())):
-        cols = n_quad == nq
-        if nq:
-            block = _memo_block("torus", _torus_block, canons, lams[cols], (nq,))
-        else:
-            block = _memo_block("osc", _osc_block, canons, lams[cols])
-        vals[:, cols], errs[:, cols] = block
+    for name, core, cols, extra in routes:
+        if cols.any():
+            vals[:, cols], errs[:, cols] = _memo_block(name, core, canons, lams[cols], extra)
     return vals, errs
 
 
 def green_auto(n: Sequence[int], lam: complex, d: int) -> GreenValue:
-    """Dispatcher used by determinant assembly (through ``green_orbits``).
+    """Dispatcher used by determinant assembly (through ``green_orbits``),
+    routing by z = z(lam) of lam's quadrant image (so mirror images take
+    one route).
 
-    At d >= 3: the oscillatory time engine within _DIST_SWITCH =
-    _NQ_RATE / _NQ_MIN (1.25) of the band, torus quadrature from there out.
-    The oscillatory engine costs about the same at every distance.  The
-    torus grid has _NQ_RATE / dist points per axis until it reaches its
-    _NQ_MIN floor at 1.25, so closer in it costs more the closer lam is.
-    From 1.25 out its cost is flat, and it stays accurate for every lam,
-    whereas the oscillatory engine's fixed Gauss panels stop resolving
-    e^(-i lam t) once |lam| is large.
+    At d >= 3: the exact series where |z| <= _SERIES_RADIUS (0.8), the
+    oscillatory time engine inside that circle's image, the ellipse with
+    semi-axes 1.025 d and 0.225 d (every lam there is within 0.675 of the
+    band at d = 3).  The series is exact to rounding with about 160 terms
+    there and costs a few microseconds per value; the oscillatory engine,
+    about the same at every distance, keeps the points where the series
+    would need many more terms, and its fixed Gauss panels never see a
+    large |lam|.
 
-    At d = 1, 2 the oscillatory engine does not exist: the torus serves
-    distances >= _DIST_MIN_LOW_D (0.35) and closer points are refused.
+    At d = 1, 2 the oscillatory engine does not exist: the series serves
+    distances >= _DIST_MIN_LOW_D (0.35), out to |z| = 0.71 (d = 1) and
+    0.84 (d = 2), and closer points are refused.  No lam reaches the torus.
     """
     d = validate_dimension(d)
     return _one(green_orbits((_orbit(n, d),), [complex(lam)], d))

@@ -261,7 +261,7 @@ def test_trace_check_and_thread_determinism(v3_file, tmp_path):
     resolvent.clear_green_cache()
     rc1 = main(["--threads", "1", "trace-check", "-p", v3_file, "-o", str(out1)])
     info = resolvent.green_cache_info()
-    assert (info["torus"]["misses"], info["osc"]["misses"]) == (286, 1164)
+    assert (info["torus"]["misses"], info["osc"]["misses"], info["series"]["misses"]) == (0, 691, 759)
     rc8 = main(["trace-check", "-p", v3_file, "--threads", "8", "-o", str(out8)])
     assert rc1 == rc8 == EXIT_OK
     a, b = _load(out1), _load(out8)

@@ -130,3 +130,32 @@ def test_array_map_refuses_like_a_point():
         lambda_of_z(np.array([0.5, 1.5j]), 3)
     with pytest.raises(TypeError):
         dist_to_band(np.array([4.0]), 3.0)
+
+
+def test_inverse_map_on_arrays_is_bitwise_pointwise():
+    # z_of_lambda on an array, on and off the band, against each point alone
+    # (bit for bit, sign of zero included) and as the inverse of lambda_of_z;
+    # on-band points follow the side rule of a single point
+    z = _map_points()
+    for d in (1, 2, 3, 4):
+        lam = lambda_of_z(z, d)
+        back = z_of_lambda(lam, d)
+        assert np.array_equal(_bits(back), _bits([z_of_lambda(p, d) for p in lam.tolist()]))
+        assert np.abs(back - z).max() <= 1e-9
+        band = np.array([-d, -0.5 * d, 0.0, 0.3, d], dtype=complex)
+        for side in ("plus", "minus"):
+            got = z_of_lambda(np.concatenate([band, lam[:5]]), d, side=side)
+            assert np.array_equal(_bits(got[:5]), _bits([z_of_lambda(p, d, side=side) for p in band.tolist()]))
+            assert np.array_equal(_bits(got[5:]), _bits(back[:5]))
+            assert np.abs(np.abs(got[:5]) - 1.0).max() <= 1e-15
+            assert (got[1:4].imag < 0.0).all() == (side == "plus")
+    assert type(z_of_lambda(4.0 - 1.0j, 3)) is complex
+
+
+def test_inverse_map_on_arrays_refuses_like_a_point():
+    with pytest.raises(ValueError, match=r"lambda=\(1\+0j\) lies on the band"):
+        z_of_lambda(np.array([5.0, 1.0, 2.0]), 3)
+    with pytest.raises(ValueError, match="side must be"):
+        z_of_lambda(np.array([5.0, 1.0]), 3, side="up")
+    with pytest.raises(TypeError):
+        z_of_lambda(np.array([5.0]), 3.0)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latspec.conformal import dist_to_band, lambda_of_z
+from latspec.conformal import lambda_of_z
 from latspec import determinant
 from latspec.determinant import (
     PathRefinementError,
@@ -61,11 +61,11 @@ def test_conjugation_symmetry_real_potential():
 
 
 def test_engine_consistency(mix3):
-    # "auto" against both forced engines on each of its routes: lambda(z)
-    # at distance 1.12 from the band (oscillatory engine) and 1.63 (torus)
-    near, far = 0.35 - 0.55j, 0.3 - 0.45j
-    dist = [dist_to_band(lambda_of_z(z, 3), 3) for z in (near, far)]
-    assert dist[0] < resolvent._DIST_SWITCH < dist[1]
+    # "auto" against both forced engines on each of its routes: |z| = 0.85
+    # (oscillatory engine, lambda(z) at distance 0.49 from the band) and
+    # |z| = 0.54 (series, distance 1.63)
+    near, far = 0.85j, 0.3 - 0.45j
+    assert abs(far) <= resolvent._SERIES_RADIUS < abs(near)
     for z in (near, far):
         auto = det_eval(mix3, z, QuadPolicy(engine="auto")).value
         torus = det_eval(mix3, z, QuadPolicy(engine="torus")).value

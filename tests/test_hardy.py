@@ -82,14 +82,16 @@ def test_jensen_grid_validation(v3, zeros_v3):
 def test_jensen_circle_costs_a_quadrant(v3, mix3):
     # a cold-memo Jensen circle of 1,024 points needs the Green values of
     # its first quadrant only: at most 257 per orbit of support differences
-    # (one orbit for a single site, three for mix3), over both engines at
-    # r = 0.5, where the circle crosses the engine switch
+    # (one orbit for a single site, three for mix3), on the engine of each
+    # side of the |z| = 0.8 switch: the series at r = 0.5, the oscillatory
+    # engine at r = 0.9
     for V, orbits in ((v3, 1), (mix3, 3)):
-        resolvent.clear_green_cache()
-        jensen_check(V, [], 0.5, n_grid=1024)
-        info = resolvent.green_cache_info()
-        assert info["torus"]["misses"] > 0 and info["osc"]["misses"] > 0
-        assert info["torus"]["misses"] + info["osc"]["misses"] <= 257 * orbits
+        for r, engine in ((0.5, "series"), (0.9, "osc")):
+            resolvent.clear_green_cache()
+            jensen_check(V, [], r, n_grid=1024)
+            info = resolvent.green_cache_info()
+            assert info[engine]["misses"] > 0
+            assert sum(v["misses"] for v in info.values()) == info[engine]["misses"] <= 257 * orbits
 
 
 def test_kink_windows_are_exact_images(v3):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from latspec.conformal import dist_to_band, z_of_lambda
+from latspec.conformal import dist_to_band, lambda_of_z, z_of_lambda
 from latspec.lattice import validate_dimension
 from latspec import resolvent
 from latspec.resolvent import green_auto, green_boundary, green_time, green_torus
@@ -82,19 +82,19 @@ def test_free_green_large_lambda_asymptote():
 
 
 def test_green_auto_continuity_at_switch():
-    # at the switching distance both engines of green_auto must give the
-    # same value within their own error estimates: beside the band segment
-    # and beyond both band edges (lower half plane, where _green_osc works)
-    dist = resolvent._DIST_SWITCH
-    lams = [x - 1j * dist for x in (0.0, 1.7, -2.5)]
-    lams += [3.0 + dist * cmath.exp(-1j * t) for t in (0.0, 0.6, 1.4)]
-    lams += [-3.0 - dist * cmath.exp(1j * t) for t in (0.3, 1.1)]
+    # on the switching circle |z| = 0.8 both engines of green_auto must give
+    # the same value within their own error estimates: beside the band
+    # segment and beyond both band edges (lower half plane, where the
+    # oscillatory engine works)
+    radius = resolvent._SERIES_RADIUS
+    lams = [lambda_of_z(radius * cmath.exp(1j * t), 3) for t in (0.0, 0.4, 1.1, 1.5708, 2.0, 2.7, math.pi)]
     for lam in lams:
-        assert dist_to_band(lam, 3) == pytest.approx(dist, rel=1e-12)
+        assert lam.imag <= 0.0 and abs(z_of_lambda(lam, 3)) == pytest.approx(radius, rel=1e-12)
         for n in ((0, 0, 0), (1, 1, 0), (2, 1, 0)):
-            torus = green_torus(n, lam, 3)
-            osc, osc_err = resolvent._osc_block([resolvent._canon(n)], np.array([lam]))
-            assert abs(torus.value - osc[0, 0]) <= torus.err_estimate + osc_err[0, 0]
+            canon = [resolvent._canon(n)]
+            series, series_err = resolvent._series_block(canon, np.array([lam]))
+            osc, osc_err = resolvent._osc_block(canon, np.array([lam]))
+            assert abs(series[0, 0] - osc[0, 0]) <= series_err[0, 0] + osc_err[0, 0]
 
 
 def test_boundary_two_sides_conjugate():
@@ -209,26 +209,25 @@ def test_torus_matches_time_in_two_dimensions():
 
 
 def test_engines_match_time_in_four_dimensions(monkeypatch):
-    # the torus's loop over the axes beyond the third, and the oscillatory
-    # engine at d = 4, against the damped time engine with the tolerance
-    # of the d = 3 tests: green_torus off the band, and green_auto on both
-    # sides of the 1.25 switch, beside the band and beyond both edges
+    # the torus's loop over the axes beyond the third, the series's second
+    # binomial convolution and the oscillatory engine at d = 4, against the
+    # damped time engine with the tolerance of the d = 3 tests: green_torus
+    # off the band, and green_auto on both sides of the |z| = 0.8 switch,
+    # beside the band and beyond both edges
     sites = ((0, 0, 0, 0), (1, 0, 0, 0), (2, 1, 0, 0), (1, -1, 0, 2), (1, 1, 1, 1))
     for lam in (5.5 + 0.4j, -1.0 - 1.5j, 2.5 + 2.0j, -4.8 - 0.9j):
         for n in sites:
             assert abs(green_torus(n, lam, 4).value - green_time(n, lam, 4).value) <= 1e-8
     calls = _count_engines(monkeypatch)
-    for dist, engine in ((1.2, "osc"), (1.3, "torus")):
-        for lam in (0.5 - 1j * dist, -2.0 + 1j * dist, 4.0 + dist * cmath.exp(-0.6j),
-                    -4.0 - dist * cmath.exp(1.1j)):
+    for radius, engine in ((0.81, "osc"), (0.79, "series")):
+        for lam in (lambda_of_z(radius * cmath.exp(1j * t), 4) for t in (1.5, -1.2, 0.5, -2.6)):
             resolvent.clear_green_cache()
-            calls.update(osc=0, torus=0)
+            calls.update(osc=0, torus=0, series=0)
             for n in sites:
                 a, b = green_auto(n, lam, 4), green_time(n, lam, 4)
                 assert abs(a.value - b.value) <= 1e-8
                 assert abs(a.value - b.value) <= 10.0 * (a.err_estimate + b.err_estimate) + 1e-12
-            other = "torus" if engine == "osc" else "osc"
-            assert calls[engine] > 0 and calls[other] == 0, lam
+            assert calls[engine] > 0 and sum(calls.values()) == calls[engine], lam
 
 
 def test_front_doors_refuse_lambdas_that_are_not_finite():
@@ -250,45 +249,48 @@ def test_front_doors_refuse_lambdas_that_are_not_finite():
 
 def _count_engines(monkeypatch):
     # values computed by each engine core
-    calls = {"osc": 0, "torus": 0}
-    osc, torus = resolvent._osc_block, resolvent._torus_block
+    calls = {"osc": 0, "torus": 0, "series": 0}
 
-    def counted_osc(canons, lams):
-        calls["osc"] += len(canons) * lams.size
-        return osc(canons, lams)
+    def counted(name):
+        core = getattr(resolvent, f"_{name}_block")
 
-    def counted_torus(canons, lams, n_quad):
-        calls["torus"] += len(canons) * lams.size
-        return torus(canons, lams, n_quad)
+        def count(canons, lams, *extra):
+            calls[name] += len(canons) * lams.size
+            return core(canons, lams, *extra)
 
-    monkeypatch.setattr(resolvent, "_osc_block", counted_osc)
-    monkeypatch.setattr(resolvent, "_torus_block", counted_torus)
+        monkeypatch.setattr(resolvent, f"_{name}_block", count)
+
+    for name in calls:
+        counted(name)
     return calls
 
 
 def test_green_auto_routes_by_distance_at_d3(monkeypatch):
-    # the oscillatory engine up to distance _NQ_RATE / _NQ_MIN = 1.25 from
-    # the band, the torus beyond; both sides of the segment and an edge
-    assert resolvent._DIST_SWITCH == 1.25
+    # the oscillatory engine where |z(lambda)| > 0.8, the series from there
+    # out; both sides of the segment and an edge, beside the band (distance
+    # 0.675 at |z| = 0.8) and on the real axis beyond the edge (3.075)
+    assert resolvent._SERIES_RADIUS == 0.8
     calls = _count_engines(monkeypatch)
-    for lam, engine in ((0.5 - 1.2j, "osc"), (-1.0 + 1.2j, "osc"), (4.2, "osc"),
-                        (0.5 - 1.3j, "torus"), (-1.0 + 1.3j, "torus"), (4.3, "torus")):
+    for lam, engine in ((0.0 - 0.67j, "osc"), (-1.0 + 0.6j, "osc"), (3.07, "osc"),
+                        (0.0 - 0.68j, "series"), (-1.0 + 0.7j, "series"), (3.08, "series")):
         resolvent.clear_green_cache()
-        calls.update(osc=0, torus=0)
+        calls.update(osc=0, torus=0, series=0)
         got = green_auto((1, 0, 0), lam, 3)
         assert np.isfinite(got.value)
-        other = "torus" if engine == "osc" else "osc"
-        assert calls[engine] > 0 and calls[other] == 0, lam
+        assert (abs(z_of_lambda(lam, 3)) > 0.8) == (engine == "osc")
+        assert calls[engine] > 0 and sum(calls.values()) == calls[engine], lam
 
 
 def test_green_auto_routes_low_dimensions_unchanged(monkeypatch):
-    # d = 2 has no oscillatory engine: the torus serves distance 0.5, and
-    # distance 0.3 is refused as before
+    # d = 2 has no oscillatory engine: the series serves distance 0.5, in
+    # agreement with the torus, and distance 0.3 is refused as before
     calls = _count_engines(monkeypatch)
     resolvent.clear_green_cache()
     got = green_auto((1, 0), 0.5 - 0.5j, 2)
-    assert got.value == green_torus((1, 0), 0.5 - 0.5j, 2).value
-    assert calls["torus"] > 0 and calls["osc"] == 0
+    assert got.value == resolvent._series_block([(1, 0)], np.array([0.5 - 0.5j]))[0][0, 0]
+    torus = green_torus((1, 0), 0.5 - 0.5j, 2)
+    assert abs(got.value - torus.value) <= got.err_estimate + torus.err_estimate
+    assert calls["series"] > 0 and calls["osc"] == 0
     with pytest.raises(ValueError, match="d >= 3"):
         green_auto((1, 0), 0.5 - 0.3j, 2)
     assert calls["osc"] == 0
@@ -472,16 +474,16 @@ def test_green_cache_counters_repeat(v3):
     infos = []
     for _ in range(2):
         resolvent.clear_green_cache()
-        assert all(v == {"hits": 0, "misses": 0, "size": 0}
-                   for v in resolvent.green_cache_info().values())
+        assert all(not any(v.values()) for v in resolvent.green_cache_info().values())
         find_zeros(v3)
         boundary_trace(v3, n_grid=256)
         taylor_coeffs(v3, 0.25)
         infos.append(resolvent.green_cache_info())
     assert infos[0] == infos[1]
-    osc, torus = infos[0]["osc"], infos[0]["torus"]
+    osc, series = infos[0]["osc"], infos[0]["series"]
     assert osc["misses"] == osc["size"] > 0 and osc["hits"] > 0
-    assert torus["misses"] == torus["size"] > 0
+    assert series["misses"] == series["size"] > 0 and series["orbits"] == 1
+    assert infos[0]["torus"]["misses"] == 0
 
 
 def _mirrors(lam):
@@ -520,7 +522,8 @@ def test_watson_band_edge_value_at_the_lower_edge():
 def test_fold_against_direct_cores():
     # each engine core called directly at a lambda outside the quadrant
     # Re >= 0, Im <= 0 against the folded front door: bitwise for the
-    # torus's conjugate fold, to rounding for every other fold
+    # torus's conjugate fold, to rounding for every other fold (the series
+    # core evaluates at z(lambda) of any lambda off the band)
     def close(a, b):
         return abs(a - b) <= 1e-15 * (1.0 + abs(b))
 
@@ -534,6 +537,11 @@ def test_fold_against_direct_cores():
                 assert folded == direct
             else:
                 assert close(folded, direct), (canon, lam)
+        # the series, at the same lambdas (|z| <= 0.8 all)
+        for lam in (0.4 + 1.6j, -0.4 + 1.6j, -0.7 - 2.1j, -3.5 + 0.0j):
+            resolvent.clear_green_cache()
+            direct = resolvent._series_block([canon], np.array([lam]))[0][0, 0]
+            assert close(green_auto(canon, lam, 3).value, direct), (canon, lam)
         # the time engine applies no fold: it is its core
         lam = -0.8 - 0.9j
         direct = resolvent._time_block([canon], np.array([lam]))[0][0, 0]
@@ -553,10 +561,10 @@ def test_mirror_images_share_one_value():
     # in every engine; a lambda that is not an exact image is a miss
     sites = [(0, 0, 0), (1, 0, 0), (0, -1, 0), (1, 1, 0)]
     canons, index = [(0, 0, 0), (1, 0, 0), (1, 1, 0)], [0, 1, 1, 2]
-    for lam in (0.6 - 0.3j, 2.0 - 1.0j):  # oscillatory, torus
+    for lam in (0.6 - 0.3j, 2.0 - 1.0j):  # oscillatory, series
         resolvent.clear_green_cache()
         vals = resolvent.green_orbits(canons, [lam] + _mirrors(lam), 3)[0][index]
-        engine = "osc" if dist_to_band(lam, 3) < resolvent._DIST_SWITCH else "torus"
+        engine = "osc" if abs(z_of_lambda(lam, 3)) > resolvent._SERIES_RADIUS else "series"
         assert resolvent.green_cache_info()[engine]["misses"] == 3
         for row, n in zip(vals, sites):
             sign = -(-1) ** sum(abs(c) for c in n)
@@ -579,25 +587,25 @@ def test_memo_pass_computes_exactly_the_missing_keys(monkeypatch):
     # each (orbit, lambda) pair counts once, a hit unless its image was
     # missing, so a mirror or repeat of an image counts as a hit
     calls = []
-    torus = resolvent._torus_block
+    series = resolvent._series_block
 
-    def counted(canons, lams, n_quad):
-        calls.append((list(canons), lams.tolist(), n_quad))
-        return torus(canons, lams, n_quad)
+    def counted(canons, lams):
+        calls.append((list(canons), lams.tolist()))
+        return series(canons, lams)
 
-    monkeypatch.setattr(resolvent, "_torus_block", counted)
-    q = [1.0 - 2.0j, 2.0 - 1.5j, 0.5 - 3.0j, 3.5 - 1.3j]  # torus images at n_quad 32
+    monkeypatch.setattr(resolvent, "_series_block", counted)
+    q = [1.0 - 2.0j, 2.0 - 1.5j, 0.5 - 3.0j, 3.5 - 1.3j]  # series images
     canons = [(0, 0, 0), (1, 0, 0), (1, 1, 0)]
     lams = [q[0], q[1], -q[0], q[2], q[3], q[1].conjugate()]
     resolvent.clear_green_cache()
     cold, cold_err = resolvent.green_orbits(canons, lams, 3)
     resolvent.clear_green_cache()
     resolvent.green_orbits(canons, [q[0], q[2]], 3)
-    before = resolvent.green_cache_info()["torus"]
+    before = resolvent.green_cache_info()["series"]
     calls.clear()
     vals, errs = resolvent.green_orbits(canons, lams, 3)
-    assert calls == [(canons, [q[1], q[3]], 32)]
-    after = resolvent.green_cache_info()["torus"]
+    assert calls == [(canons, [q[1], q[3]])]
+    after = resolvent.green_cache_info()["series"]
     assert after["misses"] - before["misses"] == 6
     assert after["hits"] - before["hits"] == 3 * len(lams) - 6
     assert after["size"] == 12
@@ -605,7 +613,7 @@ def test_memo_pass_computes_exactly_the_missing_keys(monkeypatch):
     # nothing missing: no core call, every pair a hit
     resolvent.green_orbits(canons, lams, 3)
     assert len(calls) == 1
-    assert resolvent.green_cache_info()["torus"]["hits"] - after["hits"] == 3 * len(lams)
+    assert resolvent.green_cache_info()["series"]["hits"] - after["hits"] == 3 * len(lams)
     resolvent.clear_green_cache()
 
 
@@ -615,24 +623,24 @@ def test_memo_bound_counts_values_and_evicts_the_least_recently_used(monkeypatch
     # and their recomputed values are bitwise the cold ones
     monkeypatch.setattr(resolvent, "_MEMO_SIZE", 12)
     canons = [(0, 0, 0), (1, 0, 0), (1, 1, 0)]
-    q = [1.0 - 2.0j, 2.0 - 1.5j, 0.5 - 3.0j, 3.5 - 1.3j, 2.5 - 2.0j, 1.5 - 2.5j]  # torus at n_quad 32
+    q = [1.0 - 2.0j, 2.0 - 1.5j, 0.5 - 3.0j, 3.5 - 1.3j, 2.5 - 2.0j, 1.5 - 2.5j]  # series images
     cold = []
     for lam in q:
         resolvent.clear_green_cache()
         cold.append(resolvent.green_orbits(canons, [lam], 3))
 
     def misses_of(lams):
-        before = resolvent.green_cache_info()["torus"]["misses"]
+        before = resolvent.green_cache_info()["series"]["misses"]
         vals, errs = resolvent.green_orbits(canons, lams, 3)
         for k, lam in enumerate(lams):
             ref = cold[q.index(lam)]
             assert np.array_equal(vals[:, k:k + 1], ref[0]) and np.array_equal(errs[:, k:k + 1], ref[1])
-        assert resolvent.green_cache_info()["torus"]["size"] <= 12
-        return resolvent.green_cache_info()["torus"]["misses"] - before
+        assert resolvent.green_cache_info()["series"]["size"] <= 12
+        return resolvent.green_cache_info()["series"]["misses"] - before
 
     resolvent.clear_green_cache()
     assert [misses_of([lam]) for lam in q] == [3] * 6
-    assert resolvent.green_cache_info()["torus"]["size"] == 12
+    assert resolvent.green_cache_info()["series"]["size"] == 12
     # q[2:] are held; a hit on q[2] makes q[3] and q[4] the oldest
     assert misses_of([q[2]]) == 0
     assert misses_of([q[0], q[1]]) == 6
@@ -641,7 +649,7 @@ def test_memo_bound_counts_values_and_evicts_the_least_recently_used(monkeypatch
     # one block larger than the bound is served whole and keeps 4 images
     resolvent.clear_green_cache()
     assert misses_of(q) == 18
-    assert resolvent.green_cache_info()["torus"]["size"] == 12
+    assert resolvent.green_cache_info()["series"]["size"] == 12
     resolvent.clear_green_cache()
 
 
@@ -660,4 +668,150 @@ def test_time_engine_is_outside_the_fold():
                 assert got.err_estimate == below.err_estimate
     info = resolvent.green_cache_info()
     assert "time" not in info
-    assert all(v == {"hits": 0, "misses": 0, "size": 0} for v in info.values())
+    assert all(not any(v.values()) for v in info.values())
+
+
+# ------------------------------------------------------------ exact series
+
+def _walks(canon, j):
+    # walks of j steps from 0 to n: the first two axes in closed form, then
+    # one binomial convolution per further axis (math.comb throughout)
+    def one(n, l):
+        return math.comb(l, (l + n) // 2) if l >= n and (l - n) % 2 == 0 else 0
+
+    def two(n1, n2, l):
+        return one(n1 + n2, l) * one(abs(n1 - n2), l)
+
+    if len(canon) == 1:
+        return one(canon[0], j)
+    if len(canon) == 2:
+        return two(*canon, j)
+    return sum(math.comb(j, i) * _walks(canon[:-1], i) * one(canon[-1], j - i) for i in range(j + 1))
+
+
+def _coeffs(canon, k_max):
+    # g_k = -2 d^(-k) sum_(j+1+2m=k) (-1)^m C(j+m, m) W_j d^(k-1-j), one
+    # correctly rounded integer division per k
+    d = len(canon)
+    walks = [_walks(canon, j) for j in range(k_max)]
+    g = [0.0]
+    for k in range(1, k_max + 1):
+        num = sum((-1) ** m * math.comb(k - 1 - m, m) * walks[k - 1 - 2 * m] * d ** (2 * m)
+                  for m in range((k - 1) // 2 + 1))
+        g.append(-2 * num / d ** k)
+    return g
+
+
+def test_series_coefficients_and_tail_estimate():
+    # the cached build gives bit for bit the coefficients of the plain
+    # formula, and its tail estimate covers the terms K + 1 .. 2K at the
+    # radius it serves (|z| = 0.8 at d = 3, 0.84 at d = 2, 0.71 at d = 1)
+    resolvent.clear_green_cache()
+    for canon in ((0, 0, 0), (2, 1, 0), (1, 1, 1), (1, 0), (2,)):
+        d = len(canon)
+        g, top = resolvent._series_coeffs(canon)
+        K = g.size - 1
+        ref = _coeffs(canon, 2 * K)
+        assert g.tolist() == ref[:K + 1]
+        assert top == max(abs(c) for c in ref[K + 1 - resolvent._SERIES_WINDOW:K + 1])
+        r = resolvent._series_radius(d)
+        assert r == (0.8 if d == 3 else abs(z_of_lambda(0.35j, d)))
+        for t in (0.0, 0.7, 1.6, 2.9):
+            z = r * cmath.exp(1j * t)
+            beyond = abs(sum(ref[k] * z ** k for k in range(K + 1, 2 * K + 1)))
+            assert beyond <= top * r ** (K + 2) / (1.0 - r * r)
+    assert resolvent.green_cache_info()["series"]["orbits"] == 5
+    resolvent.clear_green_cache()
+    assert resolvent.green_cache_info()["series"]["orbits"] == 0
+    for cache in (resolvent._series_coeffs, resolvent._pascal_row, resolvent._axis_row, resolvent._subst_row):
+        assert cache.cache_info().currsize == 0
+
+
+def test_series_matches_time_off_the_band():
+    # d = 3 and 4, orbits up to (2, 2, 0), on three circles |z| in the disc;
+    # the points lie on both sides of distance 1.25 from the band, where the
+    # torus used to take over
+    dists = []
+    for d in (3, 4):
+        canons = [c + (0,) * (d - 3) for c in ((0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (2, 2, 0))]
+        for radius in (0.3, 0.6, 0.8):
+            lams = [lambda_of_z(radius * cmath.exp(1j * t), d) for t in (0.4, 1.2, 1.9, 2.7)]
+            dists += [dist_to_band(lam, d) for lam in lams]
+            vals, errs = resolvent._series_block(canons, np.array(lams))
+            ref, ref_err = resolvent.green_orbits(canons, lams, d, engine="time")
+            assert np.abs(vals - ref).max() <= 1e-9
+            assert (np.abs(vals - ref) <= 10.0 * (errs + ref_err) + 1e-12).all()
+    assert min(dists) < 1.25 < max(dists)
+
+
+def test_series_matches_closed_form_in_one_dimension():
+    # G(n, lam) = 2 z^(|n|+1) / (z^2 - 1), z = z(lam), to rounding, over the
+    # four quadrants and out to distance 0.35 from the band (|z| = 0.71)
+    eps = np.finfo(float).eps
+    for lam in (0.35j, -0.35j, 2.5 + 0.3j, -1.7 - 0.6j, 0.2 + 1.1j, 1.35, -1.0 - 0.35j, 40.0 + 3.0j):
+        z = z_of_lambda(lam, 1)
+        for n in range(6):
+            exact = 2.0 * z ** (n + 1) / (z * z - 1.0)
+            got = green_auto((n,), lam, 1)
+            assert abs(got.value - exact) <= 4.0 * eps * (1.0 + abs(exact))
+            assert abs(got.value - exact) <= got.err_estimate
+
+
+def test_series_blocks_are_bitwise_their_columns(monkeypatch):
+    # a series block equals, float for float, each orbit computed alone and
+    # each lambda computed alone, across chunks of 3 lambdas; at d = 1 and 2
+    # mirror images share one value exactly, as at d = 3
+    resolvent.clear_green_cache()
+    width = resolvent._series_plan(tuple(_DRAW2_ORBITS))[0].shape[1]
+    monkeypatch.setattr(resolvent, "_CHUNK_BYTES", 32 * width * len(_DRAW2_ORBITS) * 3)
+    lams = np.array([0.5 - 1.3j, 2.0 - 1.5j, 4.5 + 0.0j, 3.1 - 0.01j, 1.0 - 3.0j, 0.0 - 0.7j, 9.0 - 0.5j])
+    vals, errs = resolvent._series_block(_DRAW2_ORBITS, lams)
+    for u, canon in enumerate(_DRAW2_ORBITS):
+        alone = resolvent._series_block([canon], lams)
+        assert np.array_equal(alone[0][0], vals[u]) and np.array_equal(alone[1][0], errs[u])
+    for k in range(lams.size):
+        alone = resolvent._series_block(_DRAW2_ORBITS, lams[k:k + 1])
+        assert np.array_equal(alone[0][:, 0], vals[:, k]) and np.array_equal(alone[1][:, 0], errs[:, k])
+    for d, canons in ((1, [(0,), (1,), (2,)]), (2, [(0, 0), (1, 0), (1, 1)])):
+        lam = 0.6 - 0.5j
+        resolvent.clear_green_cache()
+        got = resolvent.green_orbits(canons, [lam] + _mirrors(lam), d)[0]
+        assert resolvent.green_cache_info()["series"]["misses"] == len(canons)
+        for row, canon in zip(got, canons):
+            sign = -(-1) ** sum(canon)
+            assert row[1] == row[0].conjugate()
+            assert row[2] == sign * row[0] and row[3] == sign * row[0].conjugate()
+
+
+def test_auto_reaches_no_torus_at_any_dimension(monkeypatch):
+    # green_auto sends every lambda it accepts to the series or, at d >= 3
+    # and |z(lambda)| > 0.8 only, to the oscillatory engine: never to the torus
+    calls = _count_engines(monkeypatch)
+    grid = [complex(x, y) for x in (-9.0, -4.1, -3.0, -1.2, 0.0, 0.8, 2.5, 3.5, 6.0)
+            for y in (-5.0, -1.3, -0.7, -0.36, -0.05, 0.05, 0.36, 0.7, 1.3)]
+    for d in (1, 2, 3, 4):
+        lams = [lam for lam in grid if dist_to_band(lam, d) >= (0.35 if d < 3 else 0.0)]
+        resolvent.clear_green_cache()
+        calls.update(osc=0, torus=0, series=0)
+        vals = resolvent.green_orbits([(1,) + (0,) * (d - 1)], lams, d)[0]
+        assert np.isfinite(vals).all() and calls["torus"] == 0
+        # one value per quadrant image
+        images = {complex(abs(lam.real), 0.0 - abs(lam.imag)) for lam in lams}
+        inner = sum(abs(z_of_lambda(q, d)) > 0.8 for q in images) if d >= 3 else 0
+        assert calls["osc"] == inner and calls["series"] == len(images) - inner
+
+
+def test_import_builds_no_series_coefficients():
+    # importing the package and the CLI computes no walk counts or tables
+    import os
+    import subprocess
+    import sys
+
+    code = ("import latspec, latspec.cli\n"
+            "from latspec import resolvent as r\n"
+            "assert r.green_cache_info()['series']['orbits'] == 0\n"
+            "assert not any(f.cache_info().currsize for f in (r._series_coeffs, r._series_plan, "
+            "r._pascal_row, r._axis_row, r._subst_row))\n")
+    src = os.path.dirname(os.path.dirname(resolvent.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
