@@ -15,6 +15,7 @@ import csv
 import datetime
 import json
 import math
+import re
 import sys
 from typing import Optional
 
@@ -503,9 +504,22 @@ def _apply_config(parser: argparse.ArgumentParser, args, argv: "list[str]") -> N
             setattr(args, attr, _config_value(actions[attr], key, value))
 
 
+def _attach_negative_values(argv: "list[str]") -> "list[str]":
+    """argv with each value that starts with a minus sign and a digit or a
+    point written onto the option before it (``--lambda -1.1,0.4`` becomes
+    ``--lambda=-1.1,0.4``): argparse takes such a token for an option unless
+    it is a plain negative number, and no option of this CLI starts so."""
+    out: "list[str]" = []
+    for arg in argv:
+        if out and re.match(r"-[\d.]", arg) and out[-1].startswith("-") and "=" not in out[-1]:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[list] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     parser = _build_parser()
     args = parser.parse_args(argv)
     # the shared options use SUPPRESS so a pre-subcommand value survives the

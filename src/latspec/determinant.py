@@ -105,9 +105,9 @@ class QuadPolicy:
     """Which Green engine det_eval uses at interior points.
 
     engine "auto" (the default, and the only mode the pipeline uses) lets
-    green_auto pick torus quadrature or the oscillatory time engine by
-    distance to the band.  "torus" and "time" force one interior engine, so
-    a determinant can be cross-checked against an independent route.  The
+    green_auto pick the exact series or the oscillatory time engine by
+    |z|.  "torus" and "time" force one interior reference engine, so a
+    determinant can be cross-checked against an independent route.  The
     forced engines refuse points that "auto" handles: "torus" within 1e-3
     of the band, "time" on the real axis.  Samples on |z| = 1 always go
     through green_boundary.
@@ -151,8 +151,8 @@ def _birman_schwinger(V: Potential, zs: np.ndarray, engine: str):
     The points are classified by masks on |z| = ``np.hypot``: outside,
     rim, interior and z = 0.  The interior points are mapped by one
     ``lambda_of_z`` call and take one block of Green values (orbits x
-    lambdas) from ``green_orbits``, which routes the lambdas to the
-    oscillatory or the torus engine named by ``engine``; the boundary
+    lambdas) from ``green_orbits``, which routes the lambdas as
+    ``green_auto`` does or to the engine named by ``engine``; the boundary
     points take one from ``green_boundary_orbits``.  Both take the orbits
     of the support differences as ``support_orbits`` maps them, once per
     support.

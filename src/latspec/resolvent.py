@@ -4,13 +4,14 @@ Four interior evaluators, independent of each other:
 
 * the exact series: G(n, lam(z)) = sum_k g_k z^k in the disc variable z of
   ``conformal``, each g_k an integer sum over lattice walk counts divided
-  once with correct rounding (``_series_coeffs``), summed by Horner's rule
+  once with correct rounding (``_series_coeffs``), summed by Estrin's scheme
   up to a K set by the coefficients' tail at the largest |z| served.
 * ``green_torus``: the momentum-space form, a d-fold periodic integral of
-  cos(n.k) / (h(k) - lam) with h(k) = sum_j cos k_j, by tensor-product
-  trapezoidal quadrature folded onto the half-period (the integrand is even
-  in every k_j).  Geometrically convergent with rate set by the distance of
-  lam to the band [-d, d].
+  cos(n.k) / (h(k) - lam) with h(k) = sum_j cos k_j: one axis integrated
+  exactly by the 1-D kernel, the other d - 1 by tensor-product trapezoidal
+  quadrature folded onto the half-period (the integrand is even in every
+  k_j).  Geometrically convergent with rate set by the distance of lam to
+  the band [-d, d].
 * ``green_time``: the damped time representation, -i times the Fourier-
   Laplace transform of the free propagator, truncated at a horizon T where
   the factor e^(t Im lam) is negligible.  Needs Im(lam) bounded away from 0.
@@ -30,41 +31,34 @@ band through the oscillatory engine alone; its independent checks
 are Watson's closed form at the band edge and the small-epsilon limit of
 the interior engines.
 
-Every engine is array-at-a-time.  Its core takes a list of orbits (rows)
-and an array of lambdas (columns) and returns the whole block of values
-and error estimates; (orbits, lambdas) is the one shape of a Green block
-up to determinant assembly.  ``green_orbits`` (interior, with the engine
-routing of ``green_auto`` or one forced engine) and
-``green_boundary_orbits`` serve such blocks; ``green_auto``,
-``green_torus``, ``green_time`` and ``green_boundary`` are the one-value
-cases, on the orbit of their site.
+Every engine's core takes a list of orbits (rows) and an array of lambdas
+(columns) and returns the whole block of values and error estimates;
+(orbits, lambdas) is the one shape of a Green block up to determinant
+assembly.  ``green_orbits`` (interior, with the engine routing of
+``green_auto`` or one forced engine) and ``green_boundary_orbits`` serve
+such blocks; ``green_auto``, ``green_torus``, ``green_time`` and
+``green_boundary`` are the one-value cases, on the orbit of their site.
 
-* An engine's per-orbit constants are built once per orbit set, in a
-  bounded cache (its plan), so a call does only per-lambda work.
+* The production engines (series and oscillatory) are array-at-a-time.
+  Their per-orbit constants are built once per orbit set, in a bounded
+  cache (its plan), so a call does only per-lambda work.
   ``_series_plan`` stacks the orbits' coefficients, each orbit's built
   once (``_series_coeffs``) from shared tables of Pascal's rows, one
   axis's walk-count weights and the weights of the substitution 1/lam =
   (2/d) z / (1 + z^2); nothing is built at import.  ``_osc_plan`` holds
   each orbit's Gauss kernel (one Bessel grid per max_j |n_j|,
   ``_osc_grid``), the index of its horizon T0, its mode tails' phases,
-  frequency rows and polynomials, and its prefactor; ``_torus_plan``
-  holds both grids' cosine weights and, on grids with few enough index
-  tuples (the floor grid of auto_n_quad among them), their sums over the
-  tuples.
+  frequency rows and polynomials, and its prefactor.
 * The series runs Estrin's scheme in w = z^2 over every orbit at once, in
   real arithmetic, on a chunk of lambdas whose arrays stay within
   _CHUNK_BYTES (512 KB).
 * The oscillatory engine walks the lambda axis in chunks whose phase
-  block stays within _CHUNK_BYTES.  In a chunk the phases are
-  built once and shared by every orbit, and the mode tails of every
+  block stays within _CHUNK_BYTES.  In a chunk the phases are built once
+  and shared by every orbit, and the mode tails of every
   (T0, frequency, lambda) come from one tail_integral_vec call, shared by
   the orbits with that T0 (T0 depends only on max_j |n_j|).
-* The torus engine builds 1 / (h(k) - lam) on the folded grid once per
-  lambda, for a chunk of lambdas at a time, and contracts it against each
-  orbit's separable cosine weights, by one contraction in every
-  dimension.  The integrand is symmetric in the first r = min(d, 3) axes,
-  so it is built on their sorted index tuples only (one sixth of the
-  grid for r = 3), against weights summed over the orderings.
+* The two reference engines, torus and damped time, work one lambda at a
+  time.
 * Batching changes no number: a block entry is computed exactly as it is
   alone.  Array operations act elementwise along the lambda axis, and the
   contractions are ``np.einsum`` calls whose summation order is set by the
@@ -82,8 +76,8 @@ each is applied in one place.
   |n_j|: shifting every k_j by pi turns h(k) into -h(k) and cos(n.k) into
   (-1)^|n| cos(n.k).
 
-``_memo_block`` applies the last two for the series, torus, oscillatory
-and boundary paths: it asks the engine only for the image of each lambda in
+``_memo_block`` applies the last two for the series, oscillatory and
+boundary paths: it asks the engine only for the image of each lambda in
 the quadrant Re lam >= 0, Im lam <= 0, and unfolds the value by
 conjugation and the factor -(-1)^|n|.  The oscillatory engine needs that
 quadrant's half plane anyway: its integrand pairs e^(-i lam t) with the
@@ -92,24 +86,25 @@ Fourier expansion of e^(i t cos k), and damping requires Im(lam) <= 0.
 On the band a point lambda0 -/+ i0 has the image |lambda0| (the minus
 side), conjugated where the side is plus XOR lambda0 < 0.  Unfolding is
 exact, so a lambda and its mirror images share one memo entry bit for
-bit.  For the torus the conjugate fold is even bitwise equal to a direct
-evaluation (the engine negates Im lam exactly); the other folds agree
-with one to rounding.
+bit; a fold agrees with a direct evaluation to rounding.
 
 The damped time engine is the oracle that the c02 gate checks the torus
-and oscillatory engines against, and the tests the series, so it stays
-outside the fold and the memo: ``green_orbits(engine="time")`` calls ``_time_block`` directly, which
+against, and the tests the series and the oscillatory engine; the torus
+is a second reference, which shares no code with the production engines
+but ``_orbit``.  Both stay outside the fold and the memo:
+``green_orbits(engine="time")`` and ``green_orbits(engine="torus")`` call
+``_time_block`` and ``_torus_block`` directly.  The time engine
 conjugates for Im lam > 0 (its damping needs Im lam <= 0) and applies no
-other symmetry.
+other symmetry; the torus evaluates every lambda as it is.
 
-The series, the oscillatory engine and the torus keep one memo each,
-keyed like the plans by the orbit set (a tuple): an entry (orbit set, quadrant image of
-lam, plus the grid size for the torus) holds the image's column of
-values and error estimates, at most _MEMO_SIZE values in all, evicting
-the least recently used.  A block looks every distinct image up once,
-computes the missing ones in at most one core call and unfolds with
-array operations, in one pass.  Repeated evaluations during determinant
-assembly are therefore free and bit-identical.
+The series and the oscillatory engine keep one memo each, keyed like the
+plans by the orbit set (a tuple): an entry (orbit set, quadrant image of
+lam) holds the image's column of values and error estimates, at most
+_MEMO_SIZE values in all, evicting the least recently used.  A block
+looks every distinct image up once, computes the missing ones in at most
+one core call and unfolds with array operations, in one pass.  Repeated
+evaluations during determinant assembly are therefore free and
+bit-identical.
 ``green_cache_info`` reports each memo's hits, misses and size, and the
 number of orbits whose series coefficients were built;
 ``clear_green_cache`` empties them, the plans, the series tables and
@@ -178,8 +173,8 @@ _OSC_FINE = 16
 # run (a cold eigs on the 5-site draw 2 of perfbench's panel) fills 5325
 # oscillatory values, so no benchmark run evicts
 _MEMO_SIZE = 8192
-# largest array of one chunk of lambdas: oscillatory phases, or torus
-# values on the grid's index triples
+# largest array of one chunk of lambdas: oscillatory phases, or series
+# partial sums
 _CHUNK_BYTES = 2 ** 19
 
 
@@ -197,7 +192,7 @@ class GreenValue:
 
 
 class _Memo:
-    """Bounded map from (orbit set, image[, n_quad]) to the image's column
+    """Bounded map from (orbit set, image) to the image's column
     (values, err_estimates), two lists; ``size`` counts the values held,
     and while it exceeds _MEMO_SIZE the least recently used entry goes."""
 
@@ -210,44 +205,44 @@ class _Memo:
         self.size = self.hits = self.misses = 0
 
 
-_MEMOS = {"series": _Memo(), "osc": _Memo(), "torus": _Memo()}
+_MEMOS = {"series": _Memo(), "osc": _Memo()}
 
 
 def clear_green_cache() -> None:
     for memo in _MEMOS.values():
         memo.clear()
-    for cache in (support_orbits, _torus_plan, _osc_grid, _osc_plan, _series_plan, _series_coeffs,
-                  _pascal_row, _axis_row, _subst_row):
+    for cache in (support_orbits, _osc_grid, _osc_plan, _series_plan, _series_coeffs, _pascal_row, _axis_row,
+                  _subst_row):
         cache.cache_clear()
 
 
 def green_cache_info() -> dict:
-    """Per memoised engine ("series", "osc", "torus"): memo hits, misses
-    and size since the last ``clear_green_cache``.  A request counts once
-    per (orbit, lambda) pair, a hit when the value was already known;
-    ``size`` counts the values held.  The series entry also counts the
-    orbits whose coefficients were built ("orbits")."""
+    """Per memoised engine ("series", "osc"): memo hits, misses and size
+    since the last ``clear_green_cache``.  A request counts once per
+    (orbit, lambda) pair, a hit when the value was already known; ``size``
+    counts the values held.  The series entry also counts the orbits whose
+    coefficients were built ("orbits")."""
     info = {name: {"hits": m.hits, "misses": m.misses, "size": m.size}
             for name, m in _MEMOS.items()}
     info["series"]["orbits"] = _series_coeffs.cache_info().misses
     return info
 
 
-def _memo_block(engine: str, core, canons: "tuple[Site, ...]", lams: np.ndarray, extra: tuple = (),
+def _memo_block(engine: str, core, canons: "tuple[Site, ...]", lams: np.ndarray,
                 up: "Sequence[bool] | None" = None):
     """core's block (values, errors) of shape (len(canons), len(lams)),
     served from the engine's memo where it can be, in one pass.
 
     The memo holds values on the quadrant Re lam >= 0, Im lam <= 0 only,
-    one column per key (canons, lam, *extra).  Each lambda is looked up as
-    its image q = |Re lam| - i |Im lam| there and unfolded by the exact
+    one column per key (canons, lam).  Each lambda is looked up as its
+    image q = |Re lam| - i |Im lam| there and unfolded by the exact
     symmetries of the module docstring: conjugated where up[k] differs
     from (Re lam < 0), and times -(-1)^|n| where Re lam < 0.  ``up``
     defaults to Im lam > 0; ``green_boundary_orbits`` passes its side, its
     lambdas being real.
 
-    Every distinct image is looked up once.  core(canons, qs, *extra) is
-    then called once, on the whole orbit set and the missing images, or
+    Every distinct image is looked up once.  core(canons, qs) is then
+    called once, on the whole orbit set and the missing images, or
     not at all when none is missing; one column is stored per missing
     image.  Each (orbit, lambda) pair counts once: a miss where its image
     was missing, else a hit (so a repeat of an image after its miss is a
@@ -260,7 +255,7 @@ def _memo_block(engine: str, core, canons: "tuple[Site, ...]", lams: np.ndarray,
     data = memo.data
     at: dict = {}
     col = [at.setdefault(complex(abs(lam.real), 0.0 - abs(lam.imag)), len(at)) for lam in lams.tolist()]
-    keys = [(canons, q, *extra) for q in at]
+    keys = [(canons, q) for q in at]
     got = [data.get(key) for key in keys]
     missing = [k for k, g in enumerate(got) if g is None]
     memo.misses += len(canons) * len(missing)
@@ -269,7 +264,7 @@ def _memo_block(engine: str, core, canons: "tuple[Site, ...]", lams: np.ndarray,
         if g is not None:
             data.move_to_end(key)
     if missing:
-        v, e = core(canons, np.array([keys[k][1] for k in missing]), *extra)
+        v, e = core(canons, np.array([keys[k][1] for k in missing]))
         for k, column in zip(missing, zip(v.T.tolist(), e.T.tolist())):
             got[k] = data[keys[k]] = column
         memo.size += len(canons) * len(missing)
@@ -314,123 +309,69 @@ def support_orbits(support: "tuple[Site, ...]", d: int) -> "tuple[tuple[Site, ..
 
 # ---------------------------------------------------------------- torus path
 
-def _torus_weights(canons: "list[Site]", N: int) -> np.ndarray:
-    """Trapezoid weight times cos(n_j k) on the folded grid k = 2 pi i / N,
-    i = 0..N/2, per orbit and axis: shape (orbits, d, N/2 + 1)."""
-    m = N // 2
-    k = 2.0 * np.pi * np.arange(m + 1) / N
-    w = np.full(m + 1, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0
-    return np.array([[w * np.cos(n_j * k) for n_j in canon] for canon in canons])
+def _torus_block(canons: "list[Site]", lams: np.ndarray, n_quad):
+    """Torus values on the doubled grid (2 n_quad points per quadrature
+    axis) with the difference from n_quad points as error estimate, per
+    orbit (rows) and lambda (columns); ``n_quad`` is one grid size or one
+    per lambda.  One lambda at a time, with no memo and no symmetry fold:
+    this engine is a reference for the others (see ``_torus_column``)."""
+    vals = np.empty((len(canons), lams.size), dtype=complex)
+    errs = np.empty(vals.shape)
+    for k, (lam, nq) in enumerate(zip(lams.tolist(), np.broadcast_to(n_quad, lams.shape).tolist())):
+        vals[:, k], errs[:, k] = _torus_column(canons, lam, nq)
+    return vals, errs
 
 
-_TRIPLE_CHUNK = _CHUNK_BYTES // 64
+def _torus_column(canons: "list[Site]", lam: complex, n_quad: int):
+    """(2 pi)^(-d) int cos(n1 k1)...cos(nd kd) / (sum cos kj - lam) dk over
+    the d-torus, per orbit, with error estimates.
 
-
-def _triple_chunks(m1: int, r: int):
-    """The sorted index tuples i_1 <= ... <= i_r (r <= 3) of a folded grid
-    axis of m1 points, the last index major and the others in lexicographic
-    order, in chunks of at most _TRIPLE_CHUNK tuples: r index arrays."""
-    parts = []
-    for c in range(m1):
-        # the sorted (r - 1)-tuples of 0..c, lexicographic
-        head = np.triu_indices(c + 1) if r == 3 else (np.arange(c + 1),) * (r - 1)
-        parts.append((*head, np.full(head[0].size if head else 1, c)))
-        if sum(p[-1].size for p in parts) >= _TRIPLE_CHUNK or c == m1 - 1:
-            yield tuple(np.concatenate(x) for x in zip(*parts))
-            parts = []
-
-
-def _symmetric_weights(u: np.ndarray, *idx: np.ndarray) -> np.ndarray:
-    """Per orbit and sorted index tuple idx = (i_1, ..., i_r): the sum of
-    u_1 ... u_r over the distinct orderings of the tuple, shape (orbits,
-    tuples)."""
-    total = sum(functools.reduce(operator.mul, (u[:, j, p] for j, p in enumerate(perm)))
-                for perm in itertools.permutations(idx))
-    # permutations() yields each distinct ordering (e + 1)! times, e the
-    # number of equal neighbours in the sorted tuple (r <= 3); the gathers
-    # come out column-major, and the contraction must see each orbit's row
-    # laid out as for a single orbit
-    equal = sum(p == q for p, q in zip(idx, idx[1:]))
-    return np.ascontiguousarray(total / np.array([1.0, 2.0, 6.0])[equal])
-
-
-def _torus_chunk(coarse: np.ndarray, fine: np.ndarray, idx: tuple) -> tuple:
-    """One chunk of the fine grid's sorted index tuples: (idx, even, fine
-    weights, coarse weights), ``even`` indexing the tuples of even points,
-    which form the coarse grid."""
-    even = np.nonzero(functools.reduce(np.logical_and, (i % 2 == 0 for i in idx)))[0]
-    return (idx, even, _symmetric_weights(fine, *idx),
-            _symmetric_weights(coarse, *(i[even] // 2 for i in idx)))
-
-
-@functools.lru_cache(maxsize=64)
-def _torus_plan(canons: "tuple[Site, ...]", n_quad: int) -> tuple:
-    """The _torus_weights of an orbit set's coarse and fine grids and the
-    fine grid's one chunk of sorted index tuples (over the first r =
-    min(d, 3) axes) with its weights, or None where the grid has more (the
-    n_quad = 32 floor of auto_n_quad has 6,545 triples at d >= 3):
-    larger grids are built as they are walked."""
-    coarse, fine = _torus_weights(canons, n_quad), _torus_weights(canons, 2 * n_quad)
-    m1, r = n_quad + 1, min(len(canons[0]), 3)
-    if math.comb(m1 + r - 1, r) > _TRIPLE_CHUNK:
-        return coarse, fine, None
-    return coarse, fine, [_torus_chunk(coarse, fine, next(_triple_chunks(m1, r)))]
-
-
-def _torus_block(canons: "list[Site]", lams: np.ndarray, n_quad: int):
-    """Torus values on the doubled grid (2 n_quad points per dimension) with
-    the difference from n_quad points as error estimate, per orbit (rows)
-    and lambda (columns).
-
-    (2 pi)^(-d) int cos(n1 k1)...cos(nd kd) / (sum cos kj - lam) dk over the
-    d-torus; evenness in each kj folds the grid to N/2 + 1 points per axis.
-    1 / (h(k) - lam) = (x + i y) / (x^2 + y^2), x = h(k) - Re lam and y =
-    Im lam, is symmetric in the first r = min(d, 3) axes: it is built on
-    their sorted index tuples only, per point of the other d - r axes, for
-    a chunk of lambdas at a time, and contracted against each orbit's
-    weights summed over the orderings of a tuple.  The coarse grid is the
-    fine grid's even points, so it reads the same values.
+    The axis of n1 = max_j |n_j| is integrated exactly: with mu = lam -
+    sum_(j>=2) cos k_j, it gives the 1-D kernel G1(n1, mu) = 2 zeta^(n1+1)
+    / (zeta^2 - 1), zeta = mu - sqrt(mu - 1) sqrt(mu + 1), computed as
+    1 / (mu + sqrt(mu - 1) sqrt(mu + 1)) to avoid cancellation.  The other
+    d - 1 axes take the trapezoid rule on N = 2 n_quad points, folded onto
+    the N/2 + 1 points of the half-period by evenness in each k_j.  The
+    first two of them form a slab, built at once; the axes beyond are
+    walked one slab at a time.  The coarse grid is the fine grid's even
+    points, so it reads the same values.  The error estimate is the
+    difference of the two grids plus 4 eps times sum |w G1| for rounding,
+    which is all of it at d = 1, where no axis is quadrature.
     """
-    coarse, fine, chunks = _torus_plan(tuple(canons), n_quad)
-    n_orb, d, m1 = fine.shape
-    r = min(d, 3)
-    cos_k = np.cos(2.0 * np.pi * np.arange(m1) / (2 * n_quad))
-    acc_c = np.zeros((n_orb, lams.size), dtype=complex)
-    acc_f = np.zeros((n_orb, lams.size), dtype=complex)
-    if chunks is None:
-        chunks = (_torus_chunk(coarse, fine, idx) for idx in _triple_chunks(m1, r))
-    for tuples, even, s_f, s_c in chunks:
-        h_r = sum(cos_k[i] for i in tuples)
-        step = max(1, _CHUNK_BYTES // (24 * tuples[0].size))
-        for idx in itertools.product(range(m1), repeat=d - r):
-            w_f = np.ones(n_orb)
-            w_c = np.ones(n_orb)
-            for j, i in enumerate(idx):
-                w_f = w_f * fine[:, j + r, i]
-                w_c = w_c * coarse[:, j + r, i // 2]
-            on_coarse = all(i % 2 == 0 for i in idx)
-            h = h_r + sum(cos_k[i] for i in idx)
-            for lo in range(0, lams.size, step):
-                lam = lams[lo:lo + step]
-                x = h - lam.real[:, None]
-                inv = x * x
-                inv += (lam.imag * lam.imag)[:, None]
-                np.reciprocal(inv, out=inv)
-                x *= inv
-                inv *= lam.imag[:, None]
-                cols = slice(lo, lo + lam.size)
-                acc_f[:, cols] += w_f[:, None] * (np.einsum("ol,kl->ok", s_f, x)
-                                                  + 1j * np.einsum("ol,kl->ok", s_f, inv))
-                if on_coarse:
-                    # gathered columns come out column-major; the contraction
-                    # must see rows laid out as for a single lambda
-                    x_c, inv_c = (np.ascontiguousarray(f[:, even]) for f in (x, inv))
-                    acc_c[:, cols] += w_c[:, None] * (np.einsum("ol,kl->ok", s_c, x_c)
-                                                      + 1j * np.einsum("ol,kl->ok", s_c, inv_c))
-    v2 = acc_f / float(2 * n_quad) ** d
-    return v2, np.abs(v2 - acc_c / float(n_quad) ** d)
+    d = len(canons[0])
+    m1 = n_quad + 1
+    k = np.pi * np.arange(m1) / n_quad
+    cos_k = np.cos(k)
+    w = np.full(m1, 2.0)
+    w[0] = w[-1] = 1.0
+    # per orbit, the trapezoid weight times cos(n_j k) of each quadrature axis
+    weights = [[w * np.cos(n_j * k) for n_j in canon[1:]] for canon in canons]
+    # the slab's s axes and its contraction with their weights: "ij,i,j->"
+    # at d >= 3, "i,i->" at d = 2 and "->" (the value itself) at d = 1
+    s = min(d - 1, 2)
+    spec = ",".join(["ij"[:s], *"ij"[:s]]) + "->"
+    h = functools.reduce(np.add.outer, [cos_k] * s, np.float64(0.0))
+    even = (slice(None, None, 2),) * s
+    fine = np.zeros(len(canons), dtype=complex)
+    coarse = np.zeros(len(canons), dtype=complex)
+    abs_sum = np.zeros(len(canons))
+    for idx in itertools.product(range(m1), repeat=d - 1 - s):
+        mu = lam - (h + sum(cos_k[i] for i in idx))
+        zeta = 1.0 / (mu + np.sqrt(mu - 1.0) * np.sqrt(mu + 1.0))
+        on_coarse = all(i % 2 == 0 for i in idx)
+        g1 = {n1: 2.0 * zeta ** (n1 + 1) / (zeta * zeta - 1.0) for n1 in {canon[0] for canon in canons}}
+        for o, canon in enumerate(canons):
+            g = g1[canon[0]]
+            slab, rest = weights[o][:s], weights[o][s:]
+            factor = math.prod(u[i] for u, i in zip(rest, idx))
+            fine[o] += factor * np.einsum(spec, g, *slab)
+            abs_sum[o] += abs(factor) * np.einsum(spec, np.abs(g), *map(np.abs, slab))
+            if on_coarse:
+                coarse[o] += factor * np.einsum(spec, g[even], *(u[::2] for u in slab))
+    fine /= float(2 * n_quad) ** (d - 1)
+    coarse /= float(n_quad) ** (d - 1)
+    abs_sum /= float(2 * n_quad) ** (d - 1)
+    return fine, np.abs(fine - coarse) + 4.0 * np.finfo(float).eps * abs_sum
 
 
 def auto_n_quad(dist):
@@ -453,8 +394,9 @@ def green_torus(
     """Momentum-representation kernel value with a doubled-grid error estimate.
 
     The returned value is computed on the doubled grid (2 n_quad points per
-    dimension); err_estimate is the difference between the two resolutions.
-    An explicit n_quad must be even and >= 8.
+    quadrature axis; see ``_torus_column``); err_estimate is the difference
+    between the two resolutions plus a rounding floor.  An explicit n_quad
+    must be even and >= 8.
     """
     d = validate_dimension(d)
     lam = complex(lam)
@@ -464,7 +406,7 @@ def green_torus(
         n_quad = auto_n_quad(dist)
     elif n_quad < 8 or n_quad % 2:
         raise ValueError(f"n_quad must be even and >= 8, got {n_quad}")
-    return _one(_memo_block("torus", _torus_block, (_orbit(n, d),), np.array([lam]), (n_quad,)))
+    return _one(_torus_block((_orbit(n, d),), np.array([lam]), n_quad))
 
 
 def _torus_distance(lam, d: int):
@@ -864,7 +806,8 @@ def green_orbits(canons: "Sequence[Site]", lams: "Sequence[complex]", d: int,
 
     engine "auto" routes each lambda as ``green_auto`` does (to the series
     or the oscillatory engine); "torus" and "time" force that engine, with
-    the same refusals as ``green_torus`` and ``green_time``.
+    the same refusals as ``green_torus`` and ``green_time``, the torus on
+    each lambda's grid size auto_n_quad(dist).
     """
     canons = tuple(canons)
     lams = np.asarray(lams, dtype=complex)
@@ -878,30 +821,26 @@ def green_orbits(canons: "Sequence[Site]", lams: "Sequence[complex]", d: int,
             )
         return _time_block(canons, lams)
     if engine == "torus":
-        # one memoised block per torus grid size auto_n_quad(dist)
-        n_quad = auto_n_quad(_torus_distance(lams, d))
-        routes = [("torus", _torus_block, n_quad == nq, (nq,)) for nq in sorted(set(n_quad.tolist()))]
-    elif engine == "auto":
-        dist = dist_to_band(lams, d)
-        on_band = dist == 0.0
-        if on_band.any():
-            raise ValueError(f"lambda={lams[on_band][0]} lies on the band; use green_boundary")
-        if d >= 3:
-            # by the quadrant image, as the memo keys are: mirror images take one route
-            image = np.abs(lams.real) - 1j * np.abs(lams.imag)
-            series = np.abs(z_of_lambda(image, d)) <= _SERIES_RADIUS
-        else:
-            series = dist >= _DIST_MIN_LOW_D
-            if not series.all():
-                require_dimension_3(d, f"green_auto within {_DIST_MIN_LOW_D} of the band")
-        routes = [("series", _series_block, series, ()), ("osc", _osc_block, ~series, ())]
-    else:
+        return _torus_block(canons, lams, auto_n_quad(_torus_distance(lams, d)))
+    if engine != "auto":
         raise ValueError(f"unknown engine {engine!r}")
+    dist = dist_to_band(lams, d)
+    on_band = dist == 0.0
+    if on_band.any():
+        raise ValueError(f"lambda={lams[on_band][0]} lies on the band; use green_boundary")
+    if d >= 3:
+        # by the quadrant image, as the memo keys are: mirror images take one route
+        image = np.abs(lams.real) - 1j * np.abs(lams.imag)
+        series = np.abs(z_of_lambda(image, d)) <= _SERIES_RADIUS
+    else:
+        series = dist >= _DIST_MIN_LOW_D
+        if not series.all():
+            require_dimension_3(d, f"green_auto within {_DIST_MIN_LOW_D} of the band")
     vals = np.empty((len(canons), lams.size), dtype=complex)
     errs = np.empty(vals.shape)
-    for name, core, cols, extra in routes:
+    for name, core, cols in (("series", _series_block, series), ("osc", _osc_block, ~series)):
         if cols.any():
-            vals[:, cols], errs[:, cols] = _memo_block(name, core, canons, lams[cols], extra)
+            vals[:, cols], errs[:, cols] = _memo_block(name, core, canons, lams[cols])
     return vals, errs
 
 
@@ -938,7 +877,7 @@ def green_boundary_orbits(canons: "Sequence[Site]", lambda0s: "Sequence[float]",
     _require_finite(lam0, "lambda0")
     off = np.abs(lam0) > d
     if off.any():
-        raise ValueError(f"lambda0={lam0[off][0]} is off the band [-{d},{d}]; use green_torus")
+        raise ValueError(f"lambda0={lam0[off][0]} is off the band [-{d},{d}]; use green_auto")
     return _memo_block("osc", _osc_block, tuple(canons), lam0.astype(complex), up=plus)
 
 

@@ -261,7 +261,7 @@ def test_trace_check_and_thread_determinism(v3_file, tmp_path):
     resolvent.clear_green_cache()
     rc1 = main(["--threads", "1", "trace-check", "-p", v3_file, "-o", str(out1)])
     info = resolvent.green_cache_info()
-    assert (info["torus"]["misses"], info["osc"]["misses"], info["series"]["misses"]) == (0, 691, 759)
+    assert (info["osc"]["misses"], info["series"]["misses"]) == (691, 759)
     rc8 = main(["trace-check", "-p", v3_file, "--threads", "8", "-o", str(out8)])
     assert rc1 == rc8 == EXIT_OK
     a, b = _load(out1), _load(out8)
@@ -487,6 +487,37 @@ def test_seed_position_agnostic(tmp_path):
     assert main(["--seed", "3"] + base + ["-o", str(out1)]) == EXIT_OK
     assert main(base + ["--seed", "3", "-o", str(out2)]) == EXIT_OK
     assert _load(out1)["seed"] == _load(out2)["seed"] == 3
+
+
+@pytest.mark.parametrize("command, option, value", [
+    (["green", "--d", "2", "--site", "1,2"], "--lambda", "-1.1,0.4"),
+    (["green", "--d", "3", "--site", "1,0,0", "--method", "time"], "--lambda", "-.5,-1e-1"),
+    (["det-eval", "-p", "{v3}"], "--z", "-0.3,0.1"),
+])
+def test_negative_values_parse_with_or_without_equals(v3_file, tmp_path, command, option, value):
+    # argparse reads "-1.1,0.4" as an option unless it is attached with "="
+    # (it exited 2 with "expected one argument"): both spellings give one report
+    command = [a.replace("{v3}", v3_file) for a in command]
+    reports = []
+    for spelled in ([option, value], [f"{option}={value}"]):
+        out = tmp_path / "r.json"
+        assert main(command + spelled + ["-o", str(out)]) == EXIT_OK
+        rep = _load(out)
+        rep.pop("generated_at")
+        reports.append(rep)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["green", "--d", "2", "--lambda", "1,0.4", "--site", "1,2", "--frobnicate", "-1,2"],
+    ["green", "--d", "2", "--lambda", "1,0.4", "--site", "1,2", "--frobnicate", "1"],
+    ["det-eval", "-p", "{v3}", "--z", "-0.3,0.1", "--tol", "-1"],
+])
+def test_an_unknown_option_still_exits_2(v3_file, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([a.replace("{v3}", v3_file) for a in argv])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs(v3_file, tmp_path):

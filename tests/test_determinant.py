@@ -297,10 +297,9 @@ def test_moment_relation_unique_winner(v3, tc_v3):
 
 def test_batch_invariance(v3, mix3):
     # a sample is the same, bit for bit, in a mixed batch and alone, with
-    # every Green memo cleared before each evaluation: torus (distance 1.63
-    # and beyond, several per block) and oscillatory (1.12, and next to the
-    # rim) interior points, both
-    # sides of the boundary, a conjugate pair, a repeat and z = 0, for
+    # every Green memo cleared before each evaluation: series (|z| <= 0.8,
+    # several per block) and oscillatory (|z| just above 0.8) interior
+    # points, both sides of the boundary, a conjugate pair, a repeat and z = 0, for
     # |S| = 1 and |S| = 3
     zs = [0.3 - 0.45j, 0.35 - 0.55j, 0.8 * cmath.exp(0.4j), 0.8 * cmath.exp(-0.4j),
           cmath.exp(0.7j), cmath.exp(-2.1j), 1.0, 0.0, -0.62 + 0.1j, 0.3 - 0.45j,
@@ -428,7 +427,7 @@ _FIVE_SITE = Potential(3, [
 def test_det_eval_many_values_are_det_eval_values(v3, mix3):
     # det_eval_many returns the values alone, as one complex array; each
     # equals det_eval's value at its point bit for bit, in a mixed batch of
-    # interior points (torus and oscillatory engine), points of both
+    # interior points (series and oscillatory engine), points of both
     # semicircles of |z| = 1, a repeat and z = 0, for |S| = 1, 3 and 5
     zs = [0.3 - 0.45j, 0.8 * cmath.exp(0.4j), -0.62 + 0.1j, 0.12j, 0.6 + 0.8j,
           cmath.exp(-2.1j), 1.0, -1.0, 0.0, 0.3 - 0.45j]

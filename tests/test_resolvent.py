@@ -153,7 +153,7 @@ def test_error_estimates_are_honest():
 
 
 def test_green_auto_checks_site_length_on_both_branches():
-    # near the band (oscillatory branch) as well as far from it (torus)
+    # near the band (oscillatory branch) as well as far from it (series)
     for lam in (2.0 - 0.1j, 5.0):
         for n in ((0, 0), (0, 0, 0, 0)):
             with pytest.raises(ValueError, match="coordinates"):
@@ -193,19 +193,46 @@ def test_boundary_sides_share_one_evaluation(monkeypatch):
 
 
 def test_torus_matches_closed_form_in_one_dimension():
-    # G(n, lam) = 2 z^(|n|+1) / (z^2 - 1) with z = z(lam) in the unit disc
+    # G(n, lam) = 2 z^(|n|+1) / (z^2 - 1) with z = z(lam) in the unit disc;
+    # no axis is quadrature at d = 1, so the estimate is the rounding floor
     for lam in (2.5 + 0.3j, -1.7 - 0.6j, 0.2 + 1.1j, 3.0, -4.0 + 0.2j):
         z = z_of_lambda(lam, 1)
         for n in (0, 1, 3):
             exact = 2.0 * z ** (n + 1) / (z * z - 1.0)
-            assert abs(green_torus((n,), lam, 1).value - exact) <= 1e-13
+            got = green_torus((n,), lam, 1)
+            assert abs(got.value - exact) <= 1e-13
+            assert 0.0 < got.err_estimate and abs(got.value - exact) <= got.err_estimate
 
 
 def test_torus_matches_time_in_two_dimensions():
     for lam in (3.5 + 0.2j, -1.0 - 1.0j, 0.5 + 1.5j, -3.2 + 0.9j):
         for n in ((0, 0), (1, 0), (2, 1)):
-            gap = abs(green_torus(n, lam, 2).value - green_time(n, lam, 2).value)
+            a, b = green_torus(n, lam, 2), green_time(n, lam, 2)
+            gap = abs(a.value - b.value)
             assert gap <= 1e-8
+            assert 0.0 < a.err_estimate and gap <= a.err_estimate + b.err_estimate
+
+
+def test_torus_matches_the_oscillatory_engine_near_the_band():
+    # distance 1e-3 to 0.05 at d = 3, beside the band, at the Van Hove level
+    # and beyond an edge, on the finest grid (n_quad 512) against green_auto's
+    # oscillatory engine, with the rule of test_error_estimates_are_honest
+    for lam in (2.9 - 0.01j, 0.5 - 0.05j, -1.0 + 0.02j, 3.002 + 0.0j, -0.2 - 1e-3j, 3.01 + 0.04j):
+        assert 1e-3 <= dist_to_band(lam, 3) <= 0.05 and abs(z_of_lambda(lam, 3)) > 0.8
+        for n in ((0, 0, 0), (1, 0, 0), (2, 1, 0)):
+            a, b = green_torus(n, lam, 3, n_quad=512), green_auto(n, lam, 3)
+            assert abs(a.value - b.value) <= 10.0 * (a.err_estimate + b.err_estimate) + 1e-12, (n, lam)
+
+
+def test_torus_matches_the_series_in_three_and_four_dimensions():
+    # |z| <= 0.8, where green_auto serves the exact series, at d = 3 and 4
+    for d in (3, 4):
+        canons = [c + (0,) * (d - 3) for c in ((0, 0, 0), (1, 0, 0), (2, 1, 0), (2, 2, 1))]
+        for radius in (0.3, 0.6, 0.8):
+            lams = [lambda_of_z(radius * cmath.exp(1j * t), d) for t in (0.3, 1.4, -2.2, 3.0)]
+            vals, errs = resolvent.green_orbits(canons, lams, d, engine="torus")
+            ref, ref_err = resolvent.green_orbits(canons, lams, d)
+            assert (np.abs(vals - ref) <= 10.0 * (errs + ref_err) + 1e-12).all(), (d, radius)
 
 
 def test_engines_match_time_in_four_dimensions(monkeypatch):
@@ -415,12 +442,11 @@ def test_osc_block_shares_bessel_rows_per_leading_order(monkeypatch):
 
 def test_blocks_do_not_depend_on_the_orbit_set_or_the_lambdas():
     # each engine core's block, on a mixed orbit set (max_j |n_j| = 0, 1
-    # and 2) whose per-orbit constants come from one cached plan, equals
-    # float for float each orbit computed alone and each lambda computed
-    # alone: the oscillatory engine on interior lambdas, band points and
-    # the band edges, with rows of zero tail frequency (lambda = S), the
-    # torus on its green_auto floor grid (one cached chunk) and on a grid
-    # built as it is walked
+    # and 2), equals float for float each orbit computed alone and each
+    # lambda computed alone: the oscillatory engine, whose per-orbit
+    # constants come from one cached plan, on interior lambdas, band points and
+    # the band edges, with rows of zero tail frequency (lambda = S), and the
+    # torus on two grid sizes
     def check(core, lams, *extra):
         vals, errs = core(_DRAW2_ORBITS, lams, *extra)
         for u, canon in enumerate(_DRAW2_ORBITS):
@@ -434,7 +460,7 @@ def test_blocks_do_not_depend_on_the_orbit_set_or_the_lambdas():
     check(resolvent._osc_block, np.array([0.7 - 0.3j, -2.2 - 1.2j, 3.0, -3.0, 1.0, -1.0, 2.4, 3.1 - 0.05j]))
     for n_quad in (32, 40):
         check(resolvent._torus_block, np.array([0.5 - 1.3j, -2.0 + 1.5j, 4.5 + 0.0j, -4.4 - 0.2j]), n_quad)
-    plans = (resolvent._osc_plan, resolvent._osc_grid, resolvent._torus_plan)
+    plans = (resolvent._osc_plan, resolvent._osc_grid)
     assert all(plan.cache_info().currsize for plan in plans)
     resolvent.clear_green_cache()
     for cache in plans + (resolvent.support_orbits,):
@@ -463,14 +489,15 @@ def test_factored_gauss_phase_matches_direct_sum():
             assert abs(value - direct) <= bound
 
 
-def test_green_cache_counters_repeat(v3):
+def test_green_cache_counters_repeat(v3, monkeypatch):
     # the memo counters of a pipeline are deterministic: two cold runs of
     # zeros, boundary trace and Taylor data on V = 3 delta_0 count the same
-    # hits, misses and sizes per engine
+    # hits, misses and sizes per engine, and the torus computes nothing
     from latspec.determinant import taylor_coeffs
     from latspec.hardy import boundary_trace
     from latspec.zeros import find_zeros
 
+    calls = _count_engines(monkeypatch)
     infos = []
     for _ in range(2):
         resolvent.clear_green_cache()
@@ -483,7 +510,7 @@ def test_green_cache_counters_repeat(v3):
     osc, series = infos[0]["osc"], infos[0]["series"]
     assert osc["misses"] == osc["size"] > 0 and osc["hits"] > 0
     assert series["misses"] == series["size"] > 0 and series["orbits"] == 1
-    assert infos[0]["torus"]["misses"] == 0
+    assert calls["torus"] == 0
 
 
 def _mirrors(lam):
@@ -493,17 +520,17 @@ def _mirrors(lam):
 def test_fold_matches_closed_form_in_one_dimension():
     # G(n, lam) = 2 z^(|n|+1) / (z^2 - 1), z = z(lam), at Re lam < 0 and
     # both parities of |n|: once computed directly (cold memo) and once
-    # served from the memo entry of a mirror image
+    # served from the series memo entry of a mirror image
     for lam in (-1.7 - 0.6j, -4.0 + 0.2j, -0.3 + 1.1j, -2.5 - 0.01j):
         z = z_of_lambda(lam, 1)
         for n in (0, 1, 2, 3):
             exact = 2.0 * z ** (n + 1) / (z * z - 1.0)
             resolvent.clear_green_cache()
-            assert abs(green_torus((n,), lam, 1).value - exact) <= 1e-13
+            assert abs(green_auto((n,), lam, 1).value - exact) <= 1e-13
             for image in _mirrors(lam):
-                green_torus((n,), image, 1)
-            served = green_torus((n,), lam, 1).value
-            assert resolvent.green_cache_info()["torus"]["misses"] == 1
+                green_auto((n,), image, 1)
+            served = green_auto((n,), lam, 1).value
+            assert resolvent.green_cache_info()["series"]["misses"] == 1
             assert abs(served - exact) <= 1e-13
 
 
@@ -520,24 +547,15 @@ def test_watson_band_edge_value_at_the_lower_edge():
 
 
 def test_fold_against_direct_cores():
-    # each engine core called directly at a lambda outside the quadrant
-    # Re >= 0, Im <= 0 against the folded front door: bitwise for the
-    # torus's conjugate fold, to rounding for every other fold (the series
-    # core evaluates at z(lambda) of any lambda off the band)
+    # each memoised engine core called directly at a lambda outside the
+    # quadrant Re >= 0, Im <= 0 against the folded front door, to rounding
+    # (the series core evaluates at z(lambda) of any lambda off the band)
     def close(a, b):
         return abs(a - b) <= 1e-15 * (1.0 + abs(b))
 
     canons = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)]
     for canon in canons:
-        for lam in (0.4 + 1.6j, -0.4 + 1.6j, -0.7 - 2.1j, -3.5 + 0.0j):
-            resolvent.clear_green_cache()
-            direct = resolvent._torus_block([canon], np.array([lam]), 32)[0][0, 0]
-            folded = green_torus(canon, lam, 3, n_quad=32).value
-            if lam.real >= 0:
-                assert folded == direct
-            else:
-                assert close(folded, direct), (canon, lam)
-        # the series, at the same lambdas (|z| <= 0.8 all)
+        # the series (|z| <= 0.8 at every lambda here)
         for lam in (0.4 + 1.6j, -0.4 + 1.6j, -0.7 - 2.1j, -3.5 + 0.0j):
             resolvent.clear_green_cache()
             direct = resolvent._series_block([canon], np.array([lam]))[0][0, 0]
