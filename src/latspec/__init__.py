@@ -7,7 +7,7 @@ The package is organised bottom-up:
 - ``bessel``: Bessel functions and dispersive propagator bounds.
 - ``resolvent``: free lattice Green function (interior and boundary).
 - ``determinant``: perturbation determinant on the disk, Taylor data.
-- ``zeros``: argument-principle zero localisation and eigenvalue reports.
+- ``zeros``: all zeros of the determinant from contour moments on one circle.
 - ``hardy``: Blaschke/Jensen machinery and boundary trace identities.
 - ``bounds``: eigenvalue-sum inequality reports.
 - ``cli``: the ``latspec`` command line front end.
@@ -24,7 +24,6 @@ from .conformal import dist_to_band, lambda_of_z, z_of_lambda
 from .determinant import (
     DeterminantSample,
     NumericalError,
-    PathRefinementError,
     QuadPolicy,
     TaylorCoeffs,
     det_eval,
@@ -51,7 +50,7 @@ from .resolvent import (
     green_time,
     green_torus,
 )
-from .zeros import ZeroIsolationError, ZeroRecord, coupling_threshold, count_zeros, find_zeros
+from .zeros import ZeroIsolationError, ZeroRecord, coupling_threshold, find_zeros
 
 __version__ = "0.1.0"
 
@@ -62,7 +61,6 @@ __all__ = [
     "GreenValue",
     "MomentSet",
     "NumericalError",
-    "PathRefinementError",
     "Potential",
     "QuadPolicy",
     "TaylorCoeffs",
@@ -77,7 +75,6 @@ __all__ = [
     "check_bounds",
     "check_uniform_bound",
     "coupling_threshold",
-    "count_zeros",
     "det_eval",
     "det_eval_many",
     "dist_to_band",

@@ -1,13 +1,8 @@
-"""Small shared helpers: the subdivision jitter constant and JSON codecs."""
+"""Small shared helpers: complex parsing and JSON codecs."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-# Golden-ratio fraction used for deterministic jitter of subdivision angles.
-GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def complex_to_json(value: complex) -> dict:

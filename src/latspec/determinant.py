@@ -8,54 +8,44 @@ factorization, trace residuals) consumes the entry points here:
     det_eval_many   D at many points of the closed disc, as a complex
                     array: the one sampling path
     det_eval        one point, with its error bound
-    march_log       the one phase marcher: a continuous branch of log D
-                    along parametrised curves, bisecting every step whose
-                    phase turns by more than pi/2, level by level; a
-                    generator that yields the points it needs, run by
-                    ``drive`` or, in the zero search, in lockstep with
-                    other marches
-    taylor_coeffs   c_n with  log D(z) = -sum_n c_n z^n,  via the Cauchy
-                    integral on a circle that march_log shows encloses no
-                    zeros
+    taylor_coeffs   c_n with  log D(z) = -sum_n c_n z^n,  from the FFT of
+                    D on a circle and the power-series logarithm
 
 plus ``moment_relation_check`` which arbitrates, numerically, between
 the two candidate closed forms tying c_n to the lattice trace moments.
-The argument-principle zero search in ``zeros`` marches its contours
-with ``march_log`` too.
+The zero search in ``zeros`` builds the same matrices through
+``_birman_schwinger`` and ``_stack`` and inverts them for its contour
+moments.  No phase of D is marched anywhere.
 
-Sampling is array-at-a-time and returns values only.  A consumer that
-knows its points in advance (Taylor and Jensen circles, the boundary grid
-and kink windows, the initial nodes of a counting contour) passes them
-all to ``det_eval_many``.  That makes one block request per point group
-to the Green engines (orbits of the support differences x lambdas; the
-engines chunk the lambda axis and memoize per value), and stacked dets
-over the (K, |S|, |S|) matrices, gathered from that block _STACK_BYTES
-at a time.  Points that are not known in advance come in
-batches too: ``march_log`` asks for the bisection midpoints of all its
-curves one depth at a time, and the zero search merges the requests of
-all its live cells.  Batching changes no number: each value equals, bit
-for bit, the one ``det_eval`` returns for its point alone.  Only
-``det_eval`` forms the error bound, from a singular value decomposition
-of each |S| x |S| matrix (|S| >= 2) and the 2-norm of its entrywise
-error bounds; the CLI's ``det-eval`` reports it.
+Sampling is array-at-a-time and returns values only.  A consumer passes
+all its points to ``det_eval_many``: the Taylor and Jensen circles, the
+boundary grid and kink windows, and each round of the zero search's
+Newton polish.  That makes one block request per point group to the
+Green engines (orbits of the support differences x lambdas; the engines
+chunk the lambda axis and memoize per value), and stacked dets over the
+(K, |S|, |S|) matrices, gathered from that block _STACK_BYTES at a time.
+Batching changes no number: each value equals, bit for bit, the one
+``det_eval`` returns for its point alone.  Only ``det_eval`` forms the
+error bound, from a singular value decomposition of each |S| x |S|
+matrix (|S| >= 2) and the 2-norm of its entrywise error bounds; the
+CLI's ``det-eval`` reports it.
 
 The circles are sampled as exact mirror images.  ``circle_grid`` builds
-its first quadrant and fills the rest by exact conjugation and
-negation; the Taylor circle here and the Jensen circles and boundary grid
-in ``hardy`` use it.  ``lambda_of_z`` is exactly odd and conjugate-
-equivariant in IEEE arithmetic, and a boundary point's band value
-lambda0 = d Re z / |z| is exactly odd in z, with its side set by the sign
-of Im z.  So the Green values of mirrored points are mirror images of one
-memo entry (see ``resolvent``), and a circle costs about a quarter of its
-points in Green evaluations.
+its first quadrant and fills the rest by exact conjugation and negation;
+the Taylor circle here, the zero search's circle and the Jensen circles
+and boundary grid in ``hardy`` use it.  ``lambda_of_z`` is exactly odd
+and conjugate-equivariant in IEEE arithmetic, and a boundary point's band
+value lambda0 = d Re z / |z| is exactly odd in z, with its side set by
+the sign of Im z.  So the Green values of mirrored points are mirror
+images of one memo entry (see ``resolvent``), and a circle costs about a
+quarter of its points in Green evaluations.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,13 +58,9 @@ __all__ = [
     "DeterminantSample",
     "TaylorCoeffs",
     "NumericalError",
-    "PathRefinementError",
-    "PhaseMarch",
     "det_eval",
     "det_eval_many",
     "circle_grid",
-    "march_log",
-    "drive",
     "taylor_coeffs",
     "moment_relation_check",
 ]
@@ -83,8 +69,6 @@ _BOUNDARY_TOL = 1e-12
 # interior samples must satisfy |z| <= RIM_RADIUS; the rim between it and
 # the unit circle is refused
 RIM_RADIUS = 1.0 - 1e-3
-# bisections of one marched step before march_log gives up on it
-_MARCH_MAX_DEPTH = 40
 # largest stack of Birman-Schwinger matrices that det_eval_many gathers
 # from the orbit block and factors in one det call
 _STACK_BYTES = 2 ** 20
@@ -93,11 +77,6 @@ _STACK_BYTES = 2 ** 20
 class NumericalError(ValueError):
     """A computation on valid input that cannot deliver a trustworthy
     result (the CLI exits 3 on it, not 2)."""
-
-
-class PathRefinementError(NumericalError):
-    """The phase of D along a contour cannot be trusted: a march_log step
-    stays unresolved, or (in the zero search) |D| dips next to a zero."""
 
 
 @dataclass(frozen=True)
@@ -299,159 +278,26 @@ def det_eval(V: Potential, z: complex, policy: QuadPolicy = QuadPolicy()) -> Det
     return DeterminantSample(z=z, value=_det(M).tolist()[0], err_estimate=err.tolist()[0])
 
 
-@dataclass
-class PhaseMarch:
-    """What march_log returns for one curve.
-
-    logs: continuous log D at the nodes; logs[0] is the principal log.
-    min_abs, max_abs: extremes of |D| over every sample, bisection points
-    included.
-    z_dlog: sum over the marched steps of midpoint(z) * (increment of
-    log D); over a closed contour, z_dlog / (2 pi i) approximates the sum
-    of the enclosed zeros.
-    """
-
-    logs: np.ndarray
-    min_abs: float
-    max_abs: float
-    z_dlog: complex
-
-
-class _Step:
-    """One step of a march, from parameter sa to sb: the principal log of
-    the ratio of its end values, and its two halves once it is bisected."""
-
-    __slots__ = ("curve", "sa", "sb", "za", "zb", "fa", "fb", "inc", "halves")
-
-    def __init__(self, curve, sa, sb, za, zb, fa, fb):
-        self.curve = curve
-        self.sa, self.sb, self.za, self.zb, self.fa, self.fb = sa, sb, za, zb, fa, fb
-        self.inc = cmath.log(fb / fa)
-        self.halves = None
-
-
-def march_log(curves: "Sequence[tuple]"):
-    """Phase-continuous log of D along each of ``curves``: a generator.
-
-    A curve is (z_of, params, values): the points z_of(s) over the nodes
-    ``params``, with ``values`` holding D at them already, or None to
-    sample them.  The generator yields each list of points whose values it
-    needs, is sent the list of values back, and returns one PhaseMarch per
-    curve; ``drive`` runs it against a sampling function, and the zero
-    search runs many marches in lockstep.  Each step between neighbouring
-    nodes is the principal log of the ratio of its end values.  A step
-    whose phase turns by more than pi/2 is bisected in the parameter, and
-    its halves are checked in turn.  The rule checks end values only: an
-    accepted step's principal increment turns by at most pi/2, but a step
-    next to zeros can truly turn by close to 2 pi and lose that turn
-    (ROADMAP item 10); the zero search's ``_MIN_ABS_FRAC`` guard hides
-    this today.  A step still unresolved after _MARCH_MAX_DEPTH
-    bisections, or a sample that vanishes or is not finite, raises
-    PathRefinementError.
-
-    The march goes level by level: it asks once for the unsampled nodes of
-    every curve, and once per depth for the midpoints of all the steps of
-    all the curves that are unresolved there.  A step's refinement depends
-    only on its end values, so the points sampled are those of a
-    depth-first bisection, and each step's increment is summed as left
-    half + right half, with z_dlog accumulated over the resolved steps in
-    depth-first order.  The results equal, bit for bit, those of marching
-    each curve on its own with a one-point f.
-    """
-    zss = [[z_of(s) for s in params] for z_of, params, _ in curves]
-    missing = [z for (_, _, values), zs in zip(curves, zss) if values is None for z in zs]
-    fresh = iter((yield missing) if missing else [])
-    valss = [[next(fresh) for _ in zs] if values is None else list(values)
-             for (_, _, values), zs in zip(curves, zss)]
-    if not all(cmath.isfinite(v) for vals in valss for v in vals):
-        raise PathRefinementError("D is not finite at a node of the march")
-    min_abs = [min(abs(v) for v in vals) for vals in valss]
-    max_abs = [max(abs(v) for v in vals) for vals in valss]
-    if min(min_abs) == 0.0:
-        raise PathRefinementError("D vanishes at a node of the march")
-
-    top = [
-        [_Step(c, params[k - 1], params[k], zs[k - 1], zs[k], vals[k - 1], vals[k])
-         for k in range(1, len(vals))]
-        for c, ((_, params, _), zs, vals) in enumerate(zip(curves, zss, valss))
-    ]
-    level = [st for steps in top for st in steps]
-    for depth in range(_MARCH_MAX_DEPTH + 1):
-        level = [st for st in level if not abs(st.inc.imag) <= 0.5 * math.pi]
-        if not level:
-            break
-        if depth == _MARCH_MAX_DEPTH:
-            st = level[0]
-            raise PathRefinementError(
-                f"phase step from z={st.za} to z={st.zb} still turns by {st.inc.imag:+.3f} "
-                f"after {depth} bisections; a zero of D lies on or next to the path"
-            )
-        sms = [0.5 * (st.sa + st.sb) for st in level]
-        zms = [curves[st.curve][0](sm) for st, sm in zip(level, sms)]
-        halves = []
-        for st, sm, zm, fm in zip(level, sms, zms, (yield zms)):
-            if not cmath.isfinite(fm):
-                raise PathRefinementError(f"D is not finite at z={zm}")
-            c = st.curve
-            min_abs[c] = min(min_abs[c], abs(fm))
-            max_abs[c] = max(max_abs[c], abs(fm))
-            if fm == 0:
-                raise PathRefinementError(f"D vanishes at z={zm}")
-            st.halves = (_Step(c, st.sa, sm, st.za, zm, st.fa, fm),
-                         _Step(c, sm, st.sb, zm, st.zb, fm, st.fb))
-            halves.extend(st.halves)
-        level = halves
-
-    def total(st):
-        nonlocal z_dlog
-        if st.halves is not None:
-            return total(st.halves[0]) + total(st.halves[1])
-        # log(|fb|/|fa|) equals inc.real to rounding; this form keeps the
-        # zero finder's reported roots bit-identical to earlier releases
-        z_dlog += 0.5 * (st.za + st.zb) * complex(math.log(abs(st.fb) / abs(st.fa)), st.inc.imag)
-        return st.inc
-
-    marches = []
-    for c, steps in enumerate(top):
-        z_dlog = 0.0 + 0.0j
-        vals = valss[c]
-        logs = np.empty(len(vals), dtype=complex)
-        logs[0] = cmath.log(vals[0])
-        for k, st in enumerate(steps, 1):
-            logs[k] = logs[k - 1] + total(st)
-        marches.append(PhaseMarch(logs=logs, min_abs=min_abs[c], max_abs=max_abs[c], z_dlog=z_dlog))
-    return marches
-
-
-def drive(gen, f_many: Callable[["list[complex]"], "list[complex]"]):
-    """Run a sampling generator (``march_log``, or a task built on it) to
-    its return value, answering each list of points it yields with
-    f_many's list of values at them."""
-    try:
-        zs = next(gen)
-        while True:
-            zs = gen.send(f_many(zs))
-    except StopIteration as stop:
-        return stop.value
-
-
 def taylor_coeffs(
     V: Potential,
     r: float,
     n_max: int = 4,
     m_samples: "int | None" = None,
 ) -> TaylorCoeffs:
-    """Taylor coefficients c_n of -log D at 0 from the Cauchy integral.
+    """Taylor coefficients c_n of -log D at 0, from D's own Taylor
+    coefficients on the circle |z| = r.
 
-    Samples D on |z| = r at 2*m_samples equispaced points (the requested
-    grid plus its refinement, so the error estimate is a strict byproduct;
-    m_samples must be at least 8*n_max, and None means max(64, 8*n_max)),
-    marches a continuous log around the circle with ``march_log`` (which
-    bisects between samples wherever the phase turns fast; see its
-    docstring for what that rule checks), checks that the loop closes
-    with winding zero (no zeros inside), and reads off
+    Samples D on ``circle_grid(r, 2 * m_samples)`` (m_samples must be at
+    least 8*n_max, and None means max(64, 8*n_max)).  D is analytic in the
+    disc, so the FFT of the samples gives its Taylor coefficients
+    a_0 = D(0) = 1, a_1, ..., a_n_max whatever zeros the circle encloses.
+    The power series of log D = sum_n b_n z^n follows from the recurrence
 
-        c_n = -(1/(2 pi i)) oint log D(z) / z^{n+1} dz .
+        n b_n = n a_n - sum_{k<n} k b_k a_{n-k},
+
+    and c_n = -b_n.  The error estimate is the difference from the same
+    coefficients on every other sample, and at least the rounding of the
+    samples amplified by r^-n.
     """
     if not 0.0 < r < RIM_RADIUS:
         raise ValueError(f"radius must lie in (0, {RIM_RADIUS:g})")
@@ -464,38 +310,21 @@ def taylor_coeffs(
         zeros = [0.0 + 0.0j] * n_max
         return TaylorCoeffs(r=r, c=zeros, err_estimate=[0.0] * n_max)
 
-    m2 = 2 * m_samples
-    ts = 2.0 * math.pi * np.arange(m2 + 1) / m2  # the last node closes the loop
-    vals = det_eval_many(V, circle_grid(r, m2)).tolist()
-    (march,) = drive(
-        march_log([(lambda t: r * cmath.exp(1j * t), ts, vals + vals[:1])]),
-        lambda zs: det_eval_many(V, zs).tolist(),
-    )
-    winding = int(round((march.logs[-1] - march.logs[0]).imag / (2.0 * math.pi)))
-    if winding != 0:
-        raise NumericalError(
-            f"circle |z|={r:g} encloses {winding} zero(s) of the determinant; "
-            "shrink the radius below r0"
-        )
-    if march.min_abs <= 1e-13:
-        raise NumericalError(f"determinant vanishes on the sampling circle |z|={r:g}")
-    logs = march.logs[:-1]
+    vals = det_eval_many(V, circle_grid(r, 2 * m_samples))
 
-    def coeffs_from(logvals: np.ndarray) -> np.ndarray:
-        m = len(logvals)
-        hat = np.fft.fft(logvals) / m
-        n = np.arange(1, n_max + 1)
-        return -hat[1 : n_max + 1] * r ** (-n.astype(float))
+    def coeffs_from(samples: np.ndarray) -> np.ndarray:
+        a = (np.fft.fft(samples)[:n_max + 1] / len(samples)).tolist()
+        a = [1.0] + [ak * r ** -k for k, ak in enumerate(a[1:], 1)]
+        b = [0.0] * (n_max + 1)
+        for n in range(1, n_max + 1):
+            b[n] = a[n] - sum(k * b[k] * a[n - k] for k in range(1, n)) / n
+        return -np.array(b[1:])
 
-    fine = coeffs_from(logs)
-    coarse = coeffs_from(logs[::2])
-    err = np.abs(fine - coarse)
-    # rounding in each log D sample is amplified by r^{-n}; the subsampling
+    fine = coeffs_from(vals)
+    # rounding in each sample of D is amplified by r^{-n}; the subsampling
     # difference cannot see that floor, so add it explicitly
-    log_scale = max(1e-16, float(np.max(np.abs(logs))))
-    ns = np.arange(1, n_max + 1, dtype=float)
-    noise_floor = 8.0 * 2.3e-16 * log_scale * r ** (-ns)
-    err = np.maximum(err, noise_floor)
+    noise_floor = 8.0 * 2.3e-16 * float(np.abs(vals).max()) * r ** -np.arange(1.0, n_max + 1)
+    err = np.maximum(np.abs(fine - coeffs_from(vals[::2])), noise_floor)
     return TaylorCoeffs(r=r, c=[complex(c) for c in fine], err_estimate=[float(e) for e in err])
 
 

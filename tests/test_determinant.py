@@ -9,13 +9,10 @@ import pytest
 from latspec.conformal import lambda_of_z
 from latspec import determinant
 from latspec.determinant import (
-    PathRefinementError,
     QuadPolicy,
     circle_grid,
     det_eval,
     det_eval_many,
-    drive,
-    march_log,
     moment_relation_check,
     taylor_coeffs,
 )
@@ -95,155 +92,6 @@ def test_det_error_estimate_scales_with_matrix(mix3):
     assert s.err_estimate < 1e-10 * max(1.0, abs(s.value))
 
 
-def _det_many(V):
-    return lambda zs: det_eval_many(V, zs).tolist()
-
-
-def _march_log_dfs(f, z_of, params, values=None):
-    """The depth-first recursive marcher that march_log replaced, with a
-    one-point f: the oracle for its level-by-level batched march."""
-    zs = [z_of(s) for s in params]
-    vals = [f(z) for z in zs] if values is None else list(values)
-    min_abs = min(abs(v) for v in vals)
-    max_abs = max(abs(v) for v in vals)
-    if min_abs == 0.0:
-        raise PathRefinementError("D vanishes at a node of the march")
-    z_dlog = 0.0 + 0.0j
-
-    def step(sa, sb, za, zb, fa, fb, depth):
-        nonlocal min_abs, max_abs, z_dlog
-        inc = cmath.log(fb / fa)
-        if abs(inc.imag) <= 0.5 * math.pi:
-            z_dlog += 0.5 * (za + zb) * complex(math.log(abs(fb) / abs(fa)), inc.imag)
-            return inc
-        if depth >= determinant._MARCH_MAX_DEPTH:
-            raise PathRefinementError(f"after {depth} bisections")
-        sm = 0.5 * (sa + sb)
-        zm = z_of(sm)
-        fm = f(zm)
-        min_abs = min(min_abs, abs(fm))
-        max_abs = max(max_abs, abs(fm))
-        if fm == 0:
-            raise PathRefinementError(f"D vanishes at z={zm}")
-        return step(sa, sm, za, zm, fa, fm, depth + 1) + step(sm, sb, zm, zb, fm, fb, depth + 1)
-
-    logs = np.empty(len(vals), dtype=complex)
-    logs[0] = cmath.log(vals[0])
-    for k in range(1, len(vals)):
-        inc = step(params[k - 1], params[k], zs[k - 1], zs[k], vals[k - 1], vals[k], 0)
-        logs[k] = logs[k - 1] + inc
-    return determinant.PhaseMarch(logs=logs, min_abs=min_abs, max_abs=max_abs, z_dlog=z_dlog)
-
-
-def test_march_log_matches_principal_log(mix3):
-    # a short radial path from near zero: continuous log equals principal log
-    def z_of(s):
-        return 0.01 * s * (0.6 + 0.3j)
-
-    params = range(1, 101)
-    (march,) = drive(march_log([(z_of, params, None)]), _det_many(mix3))
-    for s, log_value in list(zip(params, march.logs))[::20]:
-        direct = cmath.log(det_eval(mix3, z_of(s)).value)
-        assert log_value == pytest.approx(direct, abs=1e-9)
-
-
-def test_march_log_winding_continuity(v3):
-    # once round the lone zero z1 ~ 0.55 on |z| = 0.715: the phase must
-    # advance by 2 pi, whichever node the circle starts from
-    def z_of(t):
-        return 0.715 * cmath.exp(1j * t)
-
-    n = 160
-    params = [0.3 + 2.0 * math.pi * k / n for k in range(n + 1)]
-    values = det_eval_many(v3, [z_of(t) for t in params]).tolist()
-    (march,) = drive(march_log([(z_of, params, values)]), _det_many(v3))
-    dphi = march.logs[-1].imag - march.logs[0].imag
-    assert dphi == pytest.approx(2.0 * math.pi, abs=1e-6)
-
-
-def test_march_log_batched_equals_depth_first(v3, mix3):
-    # the level-by-level march equals the depth-first recursion bit for bit
-    # (logs, |D| extremes, z_dlog) and samples the same points, on curves
-    # marched together that need several bisection levels: coarse 8-step
-    # circles at |z| = 0.715 and 0.6 around the v3 zero z1 ~ 0.55, and a
-    # four-piece sector contour with a corner next to the zero
-    # 0.329 e^(-0.368i) of mix3 scaled by 4
-    def circle(r):
-        return lambda t: r * cmath.exp(1j * t)
-
-    ts = [0.3 + 2.0 * math.pi * k / 8 for k in range(9)]
-    r_lo, r_hi, t_lo, t_hi = 0.325, 0.6, -0.38, 0.4
-    t_mid = 0.5 * (t_lo + t_hi)
-    cases = [
-        (v3, [(circle(0.715), ts), (circle(0.6), ts)], 2),
-        (mix3.scale(4.0), [
-            (lambda t: cmath.rect(r_hi, t), [t_lo, t_mid, t_hi]),
-            (lambda r: cmath.rect(r, t_hi), [r_hi, r_lo]),
-            (lambda t: cmath.rect(r_lo, t), [t_hi, t_mid, t_lo]),
-            (lambda r: cmath.rect(r, t_lo), [r_lo, r_hi]),
-        ], 1),
-    ]
-    for V, pieces, loops in cases:
-        batches, ones = [], []
-
-        def f_many(zs):
-            batches.append(list(zs))
-            return _det_many(V)(zs)
-
-        def f(z):
-            ones.append(z)
-            return det_eval(V, z).value
-
-        marches = drive(march_log([(z_of, params, None) for z_of, params in pieces]), f_many)
-        for (z_of, params), got in zip(pieces, marches):
-            want = _march_log_dfs(f, z_of, params)
-            assert got.logs.tobytes() == want.logs.tobytes()
-            assert (got.min_abs, got.max_abs, got.z_dlog) == (want.min_abs, want.max_abs, want.z_dlog)
-        assert sorted((z.real, z.imag) for zs in batches for z in zs) == sorted((z.real, z.imag) for z in ones)
-        # one call for the nodes, then one per depth, several levels deep,
-        # with the steps of more than one curve or piece in some level
-        assert len(batches) >= 4
-        assert max(len(zs) for zs in batches[1:]) >= 2
-        # each closed loop winds once around its zero
-        turns = sum((m.logs[-1] - m.logs[0]).imag for m in marches) / (2.0 * math.pi)
-        assert turns == pytest.approx(loops, abs=1e-9)
-
-
-def test_march_log_refuses_after_max_depth(v3):
-    # the segment 0.05 -> 0.56 runs right over the real zero z1 ~ 0.55, where
-    # D changes sign: every bisection keeps a half-turn step, and the march
-    # gives up after _MARCH_MAX_DEPTH of them, one sample each
-    calls = []
-
-    def f_many(zs):
-        calls.extend(zs)
-        return _det_many(v3)(zs)
-
-    with pytest.raises(PathRefinementError, match=f"after {determinant._MARCH_MAX_DEPTH} bisections"):
-        drive(march_log([(lambda s: complex(s), [0.05, 0.56], None)]), f_many)
-    assert len(calls) == 2 + determinant._MARCH_MAX_DEPTH
-
-
-def test_march_log_refuses_a_sample_that_is_not_finite(v3):
-    # a NaN or infinite sample stops the march at once, as a vanishing one
-    # does, instead of being bisected to _MARCH_MAX_DEPTH with the batch
-    # doubling at each level: at a node after the 2 nodes, and at the first
-    # midpoint (0.305, where the step over the zero z1 ~ 0.55 is bisected)
-    # after 3 points
-    for bad, where, asked in ((lambda z: z.real > 0.5, "at a node", 2),
-                              (lambda z: 0.3 < z.real < 0.31, "at z=", 3)):
-        for poison in (complex(math.nan, 0.0), complex(math.inf, 1.0)):
-            calls = []
-
-            def f_many(zs):
-                calls.extend(zs)
-                return [poison if bad(z) else v for z, v in zip(zs, _det_many(v3)(zs))]
-
-            with pytest.raises(PathRefinementError, match=f"not finite {where}"):
-                drive(march_log([(lambda s: complex(s), [0.05, 0.56], None)]), f_many)
-            assert len(calls) == asked
-
-
 def test_taylor_radius_independence(v3):
     # c stores [c1..c4]; the constant term vanishes identically and is not kept
     a = taylor_coeffs(v3, 0.03)
@@ -260,18 +108,20 @@ def test_taylor_c1_matches_trace(v3):
     assert tc.c[0] == pytest.approx(2.0, abs=1e-8)
 
 
-def test_taylor_rejects_enclosed_zero(v3):
-    # r = 0.7 circle encloses z1 ~ 0.55: winding makes the log ill-defined
-    with pytest.raises(ValueError):
-        taylor_coeffs(v3, 0.7)
-    # a zero just inside the circle turns the phase by ~2 pi between two
-    # neighbouring samples; only bisection between them sees the winding.
-    # V = 3 e^{0.3i} delta_0 has z1 ~ 0.503197 - 0.188434i, |z1| ~ 0.537322
+def test_taylor_circle_around_a_zero_gives_the_same_coefficients(v3, tc_v3):
+    # D is analytic in the disc, so a circle that encloses z1 ~ 0.55 gives
+    # the Taylor coefficients of log D at 0 as well as one that does not
+    around = taylor_coeffs(v3, 0.7)
+    for n in range(4):
+        assert abs(around.c[n] - tc_v3.c[n]) <= around.err_estimate[n] + tc_v3.err_estimate[n]
+
+
+def test_taylor_circle_next_to_a_zero():
+    # V = 3 e^{0.3i} delta_0 has z1 ~ 0.503197 - 0.188434i, |z1| ~ 0.537322,
+    # 1e-5 inside the circle; c_1 = (2/d) sum V = 2 e^{0.3i}
     V = Potential(3, [((0, 0, 0), 3.0 * cmath.exp(0.3j))])
-    with pytest.raises(ValueError):
-        taylor_coeffs(V, 0.537322 + 1e-5)
-    with pytest.raises(ValueError):
-        taylor_coeffs(V, 0.537322 + 1e-4, m_samples=32)
+    tc = taylor_coeffs(V, 0.537322 + 1e-5)
+    assert abs(tc.c[0] - 2.0 * cmath.exp(0.3j)) <= tc.err_estimate[0]
 
 
 def test_taylor_default_sample_count_follows_n_max(v3):

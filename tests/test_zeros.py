@@ -8,16 +8,11 @@ from scipy.optimize import brentq
 
 from latspec.conformal import lambda_of_z
 from latspec import zeros
-from latspec.determinant import NumericalError
+from latspec.determinant import NumericalError, det_eval
 from latspec.hardy import jensen_check
 from latspec.lattice import Potential
 from latspec.resolvent import green_auto
-from latspec.zeros import (
-    AnnularSector,
-    coupling_threshold,
-    count_zeros,
-    find_zeros,
-)
+from latspec.zeros import coupling_threshold, find_zeros
 
 
 def _scalar_eigenvalue(v: float) -> float:
@@ -26,40 +21,17 @@ def _scalar_eigenvalue(v: float) -> float:
     return brentq(f, 3.0 + 1e-6, 12.0, xtol=1e-13)
 
 
-def test_annular_sector_validation():
-    AnnularSector(0.1, 0.9)
-    with pytest.raises(ValueError):
-        AnnularSector(0.9, 0.1)
-    with pytest.raises(ValueError):
-        AnnularSector(0.1, 1.5)
-    with pytest.raises(ValueError):
-        AnnularSector(0.1, 0.9, 0.0, 7.0)  # angular span > 2 pi
-
-
-def test_count_zeros_full_disc(v3):
-    assert count_zeros(v3, AnnularSector(1e-3, 0.999)) == 1
-
-
-def test_count_zeros_empty_region(v3):
-    # z1 ~ 0.55: an annulus that excludes it must count zero
-    assert count_zeros(v3, AnnularSector(0.7, 0.999)) == 0
-    assert count_zeros(v3, AnnularSector(1e-3, 0.4)) == 0
-
-
-def test_count_zeros_sector_additivity(v3):
-    whole = count_zeros(v3, AnnularSector(0.3, 0.8))
-    left = count_zeros(v3, AnnularSector(0.3, 0.8, 0.9, 0.9 + math.pi))
-    right = count_zeros(v3, AnnularSector(0.3, 0.8, 0.9 + math.pi, 0.9 + 2.0 * math.pi))
-    assert left + right == whole == 1
-
-
-def test_split_halves_the_longer_side():
-    # one cut at the middle: across the angle of a wide sector, across the
-    # radius of a long thin one
-    wide = AnnularSector(0.5, 0.6, 1.0, 3.0)
-    assert zeros._split(wide) == [AnnularSector(0.5, 0.6, 1.0, 2.0), AnnularSector(0.5, 0.6, 2.0, 3.0)]
-    thin = AnnularSector(0.2, 0.6, 1.0, 1.1)
-    assert zeros._split(thin) == [AnnularSector(0.2, 0.4, 1.0, 1.1), AnnularSector(0.4, 0.6, 1.0, 1.1)]
+def test_find_zeros_inside_a_smaller_circle(v3, zeros_v3):
+    # the moments are taken on |z| = r_outer: z1 ~ 0.55 lies outside 0.4
+    # and inside 0.7, where it is found at the same place
+    assert find_zeros(v3, 0.4) == []
+    recs = find_zeros(v3, 0.7, tol=1e-12)
+    assert [rec.multiplicity for rec in recs] == [1]
+    assert abs(recs[0].z - zeros_v3[0].z) <= 1e-13
+    # a circle of radius 0 or below, or in the rim, is refused
+    for r_outer in (0.0, -0.5, 0.9995):
+        with pytest.raises(ValueError, match="r_outer must lie in"):
+            find_zeros(v3, r_outer)
 
 
 def test_every_search_failure_is_a_numerical_error():
@@ -110,53 +82,38 @@ def test_find_zeros_complex_multi_site(mix3):
 
 
 def test_find_zeros_batches_its_samples(mix3, monkeypatch):
-    # the search runs every live cell in lockstep: each round merges the
-    # march levels of all contours, the Newton stencils, the box midpoints
-    # and the verification circles into one request, so the search on
-    # mix3 x 4 makes exactly 24 batched and 2 one-point det_eval_many calls
-    # on the 891 distinct points that a cell-by-cell search samples, and
-    # finds the zeros of test_find_zeros_complex_multi_site
-    sizes = []
-    points = set()
-    real = zeros.det_eval_many
+    # the circle is assembled at most 512 points at a time, each node once
+    # (doubling N reuses the old nodes), and the polish makes one
+    # det_eval_many call per Newton round: x, x + h and x - h for every
+    # unfinished zero of mix3 x 4, which has three
+    chunks, points, rounds = [], set(), []
+    real_assembly, real_many = zeros._birman_schwinger, zeros.det_eval_many
 
-    def counting(V, zs, *args, **kwargs):
-        sizes.append(len(zs))
-        points.update(zs)
-        return real(V, zs, *args, **kwargs)
+    def assembly(V, zs, engine):
+        chunks.append(len(zs))
+        points.update(zs.tolist())
+        return real_assembly(V, zs, engine)
 
-    monkeypatch.setattr(zeros, "det_eval_many", counting)
+    def many(V, zs, *args, **kwargs):
+        rounds.append(len(zs))
+        return real_many(V, zs, *args, **kwargs)
+
+    monkeypatch.setattr(zeros, "_birman_schwinger", assembly)
+    monkeypatch.setattr(zeros, "det_eval_many", many)
     recs = find_zeros(mix3.scale(4.0), tol=1e-11)
-    assert (sizes.count(1), sum(n > 1 for n in sizes)) == (2, 24)
-    assert len(points) == sum(sizes) == 891
     assert len(recs) == 3
-    assert all(rec.residual < 1e-9 and abs(rec.z) < 1.0 for rec in recs)
-    assert any(abs(r.z.imag) > 0.05 for r in recs)
-
-
-def test_find_zeros_counts_each_cell_once(mix3, v3, monkeypatch):
-    # every march_log generator counts the root, a child of a split or a
-    # verification circle: a cell carries the centroid its own count
-    # measured to the polish and is never counted a second time
-    calls = []
-    real = zeros.march_log
-
-    def counting(*args, **kwargs):
-        gen = real(*args, **kwargs)
-        calls.append(gen)
-        return gen
-
-    monkeypatch.setattr(zeros, "march_log", counting)
-    assert len(find_zeros(mix3.scale(4.0), tol=1e-11)) == 3
-    assert len(calls) == 52
-    calls.clear()
-    assert len(find_zeros(v3, tol=1e-12)) == 1
-    assert len(calls) == 20
+    n = sum(chunks)
+    assert max(chunks) <= 512 and len(points) == n >= 512 and n & (n - 1) == 0
+    assert rounds[0] == 9 and all(k % 3 == 0 and k <= 9 for k in rounds)
 
 
 def test_find_zeros_five_site_complex():
     # the 5-site potential of benchmark panel draw 2 (panel seed 1): five
-    # simple zeros spread over the disc, each pinned to 1e-12
+    # simple zeros spread over the disc, each pinned to 1e-12, where |D|
+    # lies within det_eval's error bound.  The fourth pin was 2.2e-11 off
+    # until the polish took a step from inside the tolerance: |D| is
+    # 6.0e-11 at 0.5314116132228796 - 0.7476848810280294j, against a bound
+    # of 1.8e-13.
     V = Potential(3, [
         ((-1, -1, 0), -0.7027842035027629 + 1.024389084315739j),
         ((0, -1, 0), 0.0922031016259035 - 1.3383064090232242j),
@@ -168,13 +125,15 @@ def test_find_zeros_five_site_complex():
         0.009610715447570715 + 0.8269159187266535j,
         0.7245397339338525 + 0.5388924776565649j,
         -0.31195915778077293 - 0.8510759384387299j,
-        0.5314116132228796 - 0.7476848810280294j,
+        0.5314116132300106 - 0.7476848810069967j,
         0.41508030750663205 + 0.8839040147988874j,
     ]
     recs = find_zeros(V)
     assert [rec.multiplicity for rec in recs] == [1] * 5
     for rec, z in zip(recs, pinned):
         assert abs(rec.z - z) <= 1e-12
+        sample = det_eval(V, rec.z)
+        assert abs(sample.value) <= sample.err_estimate
 
 
 def test_find_zeros_deterministic(v3, zeros_v3):
@@ -222,8 +181,9 @@ def _laplace_green_origin(lam: float) -> float:
 ])
 def test_find_zeros_single_site_next_to_the_rim(c):
     # V = +-c thr delta_0 just above the threshold: one real zero next to
-    # the rim.  At c = 1.0008 the cell's centroid lay in the rim, outside
-    # the evaluable disc, and the polish started there (exit 2, bad input).
+    # the rim.  At c = 1.0008 it lies 4.6e-4 inside the circle |z| = 0.999,
+    # which takes the most nodes the search samples; at c = 1.0005 it lies
+    # outside that circle, next to it, and the search refuses.
     # Oracle: brentq on 1 + v G(0, lambda(x)) for real x with the Laplace
     # kernel above; the zero of -v is the mirror image (staggering).
     v = c * coupling_threshold(3)
@@ -238,10 +198,10 @@ def test_find_zeros_single_site_next_to_the_rim(c):
 def test_find_zeros_refuses_zeros_inside_the_root_circle():
     # V = c delta_0 with c in the thousands has one zero near z = d / (2c):
     # at c = 1000 it lies at |z| ~ 1.5e-3, inside the searched annulus, and
-    # is found; at c = 2000 it lies inside the root's inner circle
-    # |z| = 1e-3, which then winds once, and the search refuses instead of
-    # returning no zeros.  Oracle: brentq on 1 + c G(0, lambda) with the
-    # Laplace kernel below, and z of lambda on the real axis.
+    # is found; at c = 2000 it lies inside |z| = 1e-3, where the contour
+    # moments see it and the search refuses instead of returning it.
+    # Oracle: brentq on 1 + c G(0, lambda) with the Laplace kernel below,
+    # and z of lambda on the real axis.
     lam_ref = brentq(lambda lam: 1.0 + 1000.0 * _laplace_green_origin(lam), 1000.0, 1010.0,
                      xtol=1e-12)
     z_ref = (lam_ref - math.sqrt(lam_ref ** 2 - 9.0)) / 3.0
@@ -263,22 +223,18 @@ def _assert_complete(V, recs):
         assert jensen_check(V, recs, r, n_grid=4096) <= 1e-6
 
 
-_ITEM_10 = "ROADMAP item 10: the phase march can drop a turn next to a pair of zeros"
-
-
 @pytest.mark.parametrize("entries", [
-    # benchmark panel seed 4, draw 1: the children of the root's first
-    # split count [2, 0] under a parent count of 1
+    # the draws below are where an argument-principle count with a marched
+    # phase lost a turn or refused.  Benchmark panel seed 4, draw 1: three
+    # zeros, at |z| ~ 0.815, 0.819 and 0.891
     pytest.param([
         ((0, 0, 0), 0.8723866092649852 - 0.42754343263553024j),
         ((-1, 1, 0), 0.5098849334716791 - 1.3714169399951721j),
         ((1, -1, 0), 0.5012009042562224 + 1.350344253119822j),
         ((-1, -1, 0), -0.7317085507629885 - 0.7501033392462589j),
         ((1, 0, 0), 0.846771491183013 - 1.0966457872123705j),
-    ], id="panel4-draw1", marks=pytest.mark.xfail(
-        raises=zeros.ZeroIsolationError, strict=True, reason=_ITEM_10)),
-    # panel seed 14, draw 3: no zeros returned, but Jensen reads 0.044 at
-    # r = 0.995; the missed zero has |z| ~ 0.952
+    ], id="panel4-draw1"),
+    # panel seed 14, draw 3: one zero, at |z| ~ 0.952
     pytest.param([
         ((0, -1, 0), -1.4385869744150412 - 0.004339816970605918j),
         ((0, 0, 0), 0.3661008846321496 - 0.8023668598926801j),
@@ -286,28 +242,81 @@ _ITEM_10 = "ROADMAP item 10: the phase march can drop a turn next to a pair of z
         ((1, 0, 0), -0.04987886388414298 - 0.8208839412791938j),
         ((-1, 0, 0), -0.8794489739353002 - 0.14362510062856249j),
         ((1, -1, 0), -0.8677900783299105 + 0.10720508498839179j),
-    ], id="panel14-draw3", marks=pytest.mark.xfail(
-        raises=AssertionError, strict=True, reason=_ITEM_10)),
-    # panel seed 18, draw 3: two zeros returned, a third with |z| ~ 0.982
-    # missed
+    ], id="panel14-draw3"),
+    # panel seed 18, draw 3: three zeros, the third at |z| ~ 0.982
     pytest.param([
         ((0, -1, 0), 0.9802870172288368 + 1.0620512274803209j),
         ((1, 1, 0), -1.0831333554910088 - 0.5411286040288954j),
         ((0, 1, 0), 0.4614187220729608 + 1.4586050313823988j),
         ((1, -1, 0), 0.5613771325569105 - 0.8366394156623789j),
-    ], id="panel18-draw3", marks=pytest.mark.xfail(
-        raises=AssertionError, strict=True, reason=_ITEM_10)),
-    # the real 27-site cube V_n = 3.6 (1 + |n|_2)^-3 on {-1,0,1}^3: D
-    # changes sign on the real axis between 0.43 and 0.44, and Jensen with
-    # no zeros reads 0.142 = log(0.5 / 0.434) at r = 0.5, yet the root
-    # count fails, as min |D| on the marched root circle is 0.0167 against
-    # a maximum of 402
+    ], id="panel18-draw3"),
+    # the real 27-site cube V_n = 3.6 (1 + |n|_2)^-3 on {-1,0,1}^3: one
+    # zero, where D changes sign on the real axis between 0.43 and 0.44;
+    # min |D| on |z| = 0.999 is 0.0167 against a maximum of 402
     pytest.param([
         (n, complex(3.6 * (1.0 + math.sqrt(sum(c * c for c in n))) ** -3))
         for n in itertools.product((-1, 0, 1), repeat=3)
-    ], id="real-27-site-cube", marks=pytest.mark.xfail(
-        raises=zeros.ZeroIsolationError, strict=True, reason=_ITEM_10)),
+    ], id="real-27-site-cube"),
+    # panel seed 1, draw 3 (benchmark draw 3): four zeros, at |z| ~ 0.90667,
+    # 0.91983, 0.97010 and 0.98770
+    pytest.param([
+        ((0, 0, 0), 1.019157025891015 - 0.6451156434083732j),
+        ((-1, 0, 0), -0.20273665995050216 + 0.9300392295778187j),
+        ((0, 1, 0), -1.5787484413115083 + 0.006328145650932794j),
+        ((-1, 1, 0), -1.216987901738925 + 0.9643201408980512j),
+        ((1, 1, 0), -1.4712028857039334 + 0.18372494244239618j),
+        ((0, -1, 0), -1.150245772206626 + 0.789250585286258j),
+    ], id="panel1-draw3"),
+    # panel seed 2, draw 0: one zero; min |D| on |z| = 0.999 is 1.35e-3
+    # against a maximum of 19.2
+    pytest.param([
+        ((-1, 0, 0), -0.6711084868981062 - 1.21585860719869j),
+        ((1, 1, 0), -0.8230848377984518 - 0.6463070357481626j),
+        ((-1, 1, 0), -1.1217238988795573 - 0.6277699051964934j),
+        ((1, 0, 0), -0.8401616525352027 + 0.39104086363596957j),
+    ], id="panel2-draw0"),
+    # panel seed 19, draw 1: four zeros on four sites, so the rank of A_0
+    # reaches |S| and the second block Hankel row decides
+    pytest.param([
+        ((0, -1, 0), -0.11516269152543483 - 1.1048638186481288j),
+        ((-1, 0, 0), -1.2389728643983269 + 0.7386483591232188j),
+        ((0, 0, 0), -0.12121272955928095 - 0.8710937862769109j),
+        ((1, 1, 0), -1.1155234205248492 + 0.8534128300822298j),
+    ], id="panel19-draw1"),
 ])
 def test_find_zeros_returns_every_zero(entries):
     V = Potential(3, entries)
-    _assert_complete(V, find_zeros(V))
+    recs = find_zeros(V)
+    assert all(rec.multiplicity == 1 for rec in recs)
+    _assert_complete(V, recs)
+
+
+def _laplace_green_axis(n: int, lam: float) -> float:
+    # G((n, 0, 0), lam) for real lam > 3 at d = 3, as _laplace_green_origin:
+    # e^(t H0)((n, 0, 0), 0) = I_n(t) I_0(t)^2
+    from scipy import integrate, special
+
+    a = lam - 3.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return -integrate.quad(lambda t: math.exp(-a * t) * special.ive(n, t) * special.ive(0, t) ** 2,
+                               0.0, math.inf, epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+
+
+def test_find_zeros_separates_a_cluster_pair():
+    # V = 3 (delta_0 + delta_(6,0,0)): D factors into 1 + 3 (G_0 +- G_6),
+    # each with one simple real zero, 2.7e-4 apart.  The subdivision search
+    # returned one zero of multiplicity 2 between them (ROADMAP item 5).
+    # Oracle: brentq on each factor with the Laplace kernels above.
+    V = Potential(3, [((0, 0, 0), 3.0 + 0j), ((6, 0, 0), 3.0 + 0j)])
+    refs = sorted(
+        brentq(lambda x: 1.0 + 3.0 * (_laplace_green_axis(0, 1.5 * (x + 1.0 / x))
+                                      + sign * _laplace_green_axis(6, 1.5 * (x + 1.0 / x))),
+               0.5, 0.6, xtol=1e-15, rtol=1e-15)
+        for sign in (1.0, -1.0)
+    )
+    assert refs == pytest.approx([0.549954, 0.550228], abs=1e-6)
+    recs = find_zeros(V)
+    assert [rec.multiplicity for rec in recs] == [1, 1]
+    for rec, x in zip(recs, refs):
+        assert abs(rec.z - x) <= 1e-10
