@@ -34,6 +34,14 @@ def test_find_zeros_inside_a_smaller_circle(v3, zeros_v3):
             find_zeros(v3, r_outer)
 
 
+def test_count_zeros_full_disc(v3):
+    # the full disc holds exactly one zero of V = 3 delta_0, counted with
+    # multiplicity, and Jensen's formula on the circle agrees
+    recs = find_zeros(v3)
+    assert sum(rec.multiplicity for rec in recs) == 1
+    assert jensen_check(v3, recs, 0.9, n_grid=256) <= 1e-10
+
+
 def test_every_search_failure_is_a_numerical_error():
     assert issubclass(zeros.ZeroIsolationError, NumericalError)
 
@@ -105,6 +113,25 @@ def test_find_zeros_batches_its_samples(mix3, monkeypatch):
     n = sum(chunks)
     assert max(chunks) <= 512 and len(points) == n >= 512 and n & (n - 1) == 0
     assert rounds[0] == 9 and all(k % 3 == 0 and k <= 9 for k in rounds)
+
+
+def test_find_zeros_counts_each_cell_once(mix3, v3, monkeypatch):
+    # the one cell is the circle: each of its nodes is assembled exactly
+    # once, also across a doubling of N.  V = 3 delta_0 is certified on the
+    # first 512 nodes; mix3 x 4 needs one doubling
+    points = []
+    real = zeros._birman_schwinger
+
+    def assembly(V, zs, engine):
+        points.extend(zs.tolist())
+        return real(V, zs, engine)
+
+    monkeypatch.setattr(zeros, "_birman_schwinger", assembly)
+    assert len(find_zeros(mix3.scale(4.0), tol=1e-11)) == 3
+    assert len(points) == len(set(points)) == 1024
+    points.clear()
+    assert len(find_zeros(v3, tol=1e-12)) == 1
+    assert len(points) == len(set(points)) == 512
 
 
 def test_find_zeros_five_site_complex():
