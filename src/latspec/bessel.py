@@ -35,9 +35,17 @@ from .quadrature import gl_panels
 
 _RESCALE = 1e250
 _INV_RESCALE = 1e-250
+# terms of the power series and of the large-argument expansion at most
+_SERIES_TERMS = 120
+_ASYMPTOTIC_TERMS = 28
+# check_uniform_bound's grid: this many orders by arguments, spread evenly
+# over its ranges
+_UNIFORM_GRID = (100, 400)
+# beta_estimate's Simpson step
+_BETA_DT = 0.05
 
 
-def _series_value(m: int, t: float, max_terms: int = 120) -> float:
+def _series_value(m: int, t: float) -> float:
     """Ascending power series; m >= 0, t >= 0 small enough that terms decay."""
     if t == 0.0:
         return 1.0 if m == 0 else 0.0
@@ -48,7 +56,7 @@ def _series_value(m: int, t: float, max_terms: int = 120) -> float:
     q = -0.25 * t * t
     term = 1.0
     total = 1.0
-    for k in range(1, max_terms):
+    for k in range(1, _SERIES_TERMS):
         term *= q / (k * (m + k))
         total += term
         if abs(term) < 1e-17 * abs(total):
@@ -70,13 +78,13 @@ def hankel_amplitude_coeffs(m: int, n_terms: int) -> np.ndarray:
     return a
 
 
-def _asymptotic_value(m: int, t: float, n_terms: int = 28) -> float:
+def _asymptotic_value(m: int, t: float) -> float:
     """Large-argument expansion; m >= 0, t large versus m^2."""
     mu = 4.0 * m * m
     amp = 1.0 + 0.0j
     term = 1.0 + 0.0j
     prev = math.inf
-    for j in range(1, n_terms):
+    for j in range(1, _ASYMPTOTIC_TERMS):
         term *= 1j * (mu - (2 * j - 1) ** 2) / (8.0 * j * t)
         mag = abs(term)
         if mag >= prev:
@@ -167,16 +175,15 @@ def bessel_j(m: int, t: float) -> float:
     return sign * float(col[mm, 0])
 
 
-def integral_representation(m: int, t: float, n_panels: int | None = None) -> float:
+def integral_representation(m: int, t: float) -> float:
     """(1/pi) int_0^pi cos(m theta - t sin theta) d theta, by panel quadrature.
 
     Independent cross-check of bessel_j.  The phase swings through O(m + t)
-    cycles on [0, pi], so the default panel count grows with m + |t| to keep
+    cycles on [0, pi], so the panel count grows with m + |t| to keep
     roughly four panels (48 Gauss nodes) per cycle.
     """
-    if n_panels is None:
-        cycles = (m + abs(t)) / (2.0 * math.pi)
-        n_panels = max(64, int(4.0 * cycles) + 8)
+    cycles = (m + abs(t)) / (2.0 * math.pi)
+    n_panels = max(64, int(4.0 * cycles) + 8)
     nodes, weights = gl_panels(0.0, math.pi, math.pi / n_panels, npts=12)
     vals = np.cos(m * nodes - t * np.sin(nodes))
     return float(np.sum(vals * weights) / math.pi)
@@ -186,7 +193,6 @@ def check_uniform_bound(
     eps: float,
     m_range: tuple[int, int] = (1, 200),
     t_range: tuple[float, float] = (1.0, 400.0),
-    grid: tuple[int, int] = (100, 400),
 ) -> dict:
     """Empirical constants for the three large-parameter regimes of J_m(t).
 
@@ -198,9 +204,7 @@ def check_uniform_bound(
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0,1), got {eps}")
-    nm, nt = grid
-    if nm < 1 or nt < 1:
-        raise ValueError("grid must be nonempty")
+    nm, nt = _UNIFORM_GRID
     m_vals = np.unique(np.linspace(m_range[0], m_range[1], nm).round().astype(int))
     m_vals = m_vals[m_vals >= 0]
     t_vals = np.linspace(t_range[0], t_range[1], nt)
@@ -239,16 +243,16 @@ def check_uniform_bound(
         "exponential_max_ratio": exp_ratio,
         "exponential_point": exp_pt,
         "excluded_points_t_lt_1": excluded,
-        "grid_spec": {"m_range": list(m_range), "t_range": list(t_range), "grid": list(grid)},
+        "grid_spec": {"m_range": list(m_range), "t_range": list(t_range), "grid": list(_UNIFORM_GRID)},
     }
 
 
-def beta_estimate(d: int, m_max: int = 200, T: float = 1000.0, dt: float = 0.05) -> dict:
+def beta_estimate(d: int, m_max: int = 200, T: float = 1000.0) -> dict:
     """Estimate beta = sup_m int_1^inf |J_m(t)|^d dt.
 
-    The finite part [1, T] uses Simpson's rule on a uniform grid with a
-    coarse/fine comparison as the error estimate; the tail beyond T is
-    bounded analytically through |J_m(t)| <= sqrt(2/(pi t)):
+    The finite part [1, T] uses Simpson's rule on a uniform grid of step
+    _BETA_DT, with a coarse/fine comparison as the error estimate; the tail
+    beyond T is bounded analytically through |J_m(t)| <= sqrt(2/(pi t)):
     tail <= (2/pi)^(d/2) * (2/(d-2)) * T^(1-d/2).
     """
     # imported here, not at the top: loading scipy would add most of a fresh
@@ -258,7 +262,7 @@ def beta_estimate(d: int, m_max: int = 200, T: float = 1000.0, dt: float = 0.05)
     d = require_dimension_3(d, "beta_estimate")
     if T < 10.0:
         raise ValueError(f"T must be >= 10, got {T}")
-    n_steps = int(math.ceil((T - 1.0) / dt))
+    n_steps = int(math.ceil((T - 1.0) / _BETA_DT))
     if n_steps % 2:
         n_steps += 1
     t = np.linspace(1.0, T, n_steps + 1)

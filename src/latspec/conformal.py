@@ -10,10 +10,9 @@ through the numerically stable root
 
 choosing the square root with the same sign as lam at infinity so |z| < 1
 always holds; no cancellation occurs for large |lam|.  On the band itself the
-limits from above and below differ, and ``z_of_lambda`` takes a ``side``
-argument to select the boundary value: side "plus" means lam + i0 and lands
-on the upper or lower unit semicircle so that Im z < 0 (the image of the
-upper half plane is the lower half disk).
+limits from above and below differ, so ``z_of_lambda`` refuses it: the
+boundary values of the resolvent go through ``green_boundary``, and a point
+e^{it} of the unit circle maps to the band value d cos t directly.
 """
 
 from __future__ import annotations
@@ -55,20 +54,18 @@ def lambda_of_z(z, d: int):
     return complex(lam[0]) if scalar else lam
 
 
-def z_of_lambda(lam, d: int, side: str = "auto"):
+def z_of_lambda(lam, d: int):
     """Inverse of ``lambda_of_z``, mapped into the closed unit disk,
     elementwise on a scalar (which gives a Python complex) or an array.
 
     Off the band z = d / (lam + sqrt(lam^2 - d^2)), the root written as
     sqrt(lam - d) * sqrt(lam + d) with principal square roots (the two cuts
     outside the band cancel, leaving the single cut [-d, d]), and the other
-    root taken where rounding puts that z outside the disk.  ``side`` only
-    matters for a lam on the segment (-d, d) (within 1e-14 absolute
-    imaginary part): "plus" selects the limit from the upper half plane,
-    "minus" from the lower.  "auto" raises on the cut (naming the first
-    such lam) so that an accidental on-band evaluation is loud rather than
-    silently one-sided.  An array gives, bit for bit, what each point gives
-    alone.
+    root taken where rounding puts that z outside the disk.  A lam on the
+    segment [-d, d] (within 1e-14 absolute imaginary part) is refused,
+    naming the first such lam, so that an accidental on-band evaluation is
+    loud rather than silently one-sided.  An array gives, bit for bit, what
+    each point gives alone.
     """
     validate_dimension(d)
     lam = np.asarray(lam, dtype=complex)
@@ -76,24 +73,17 @@ def z_of_lambda(lam, d: int, side: str = "auto"):
     lam = lam.reshape(-1) if scalar else lam
     on_band = (np.abs(lam.imag) <= _BAND_TOL) & (np.abs(lam.real) <= d)
     if on_band.any():
-        if side == "auto":
-            raise ValueError(
-                f"lambda={complex(lam[on_band][0])} lies on the band [-{d},{d}]; "
-                "pass side='plus' or side='minus'"
-            )
-        if side not in ("plus", "minus"):
-            raise ValueError(f"side must be 'plus', 'minus' or 'auto', got {side!r}")
+        raise ValueError(
+            f"lambda={complex(lam[on_band][0])} lies on the band [-{d},{d}]; "
+            "boundary values of the resolvent go through green_boundary"
+        )
     root = np.sqrt(lam - d) * np.sqrt(lam + d)
     z = d / (lam + root)
     flip = np.abs(z) > 1.0 + 1e-12
     z[flip] = d / (lam[flip] - root[flip])
-    # guard against rounding pushing a boundary point just outside
+    # guard against rounding pushing a point next to the band just outside
     out = np.abs(z) > 1.0
     z[out] /= np.abs(z[out])
-    # lam + i0 corresponds to z = e^{-it}, t in [0, pi]: the upper half
-    # plane maps to the lower half disk under lam(z)
-    t = np.arccos(np.clip(lam.real[on_band] / d, -1.0, 1.0))
-    z[on_band] = np.exp(-1j * t if side == "plus" else 1j * t)
     return complex(z[0]) if scalar else z
 
 

@@ -13,17 +13,18 @@ factorization, trace residuals) consumes the entry points here:
 
 plus ``moment_relation_check`` which arbitrates, numerically, between
 the two candidate closed forms tying c_n to the lattice trace moments.
-The zero search in ``zeros`` builds the same matrices through
-``_birman_schwinger`` and ``_stack`` and inverts them for its contour
-moments.  No phase of D is marched anywhere.
+The zero search in ``zeros`` takes the same matrices from ``_stacks``
+and inverts them for its contour moments.  No phase of D is marched
+anywhere.
 
 Sampling is array-at-a-time and returns values only.  A consumer passes
 all its points to ``det_eval_many``: the Taylor and Jensen circles, the
 boundary grid and kink windows, and each round of the zero search's
-Newton polish.  That makes one block request per point group to the
-Green engines (orbits of the support differences x lambdas; the engines
-chunk the lambda axis and memoize per value), and stacked dets over the
-(K, |S|, |S|) matrices, gathered from that block _STACK_BYTES at a time.
+Newton polish.  ``_stacks``, the one generator of Birman-Schwinger
+matrices, asks the Green engines for one block per _BLOCK_POINTS points
+(orbits of the support differences x lambdas; the engines chunk the
+lambda axis and memoize per value) and gathers the (K, |S|, |S|)
+matrices from it _STACK_BYTES at a time, for stacked dets.
 Batching changes no number: each value equals, bit for bit, the one
 ``det_eval`` returns for its point alone.  Only ``det_eval`` forms the
 error bound, from a singular value decomposition of each |S| x |S|
@@ -69,9 +70,13 @@ _BOUNDARY_TOL = 1e-12
 # interior samples must satisfy |z| <= RIM_RADIUS; the rim between it and
 # the unit circle is refused
 RIM_RADIUS = 1.0 - 1e-3
-# largest stack of Birman-Schwinger matrices that det_eval_many gathers
-# from the orbit block and factors in one det call
+# most points of one Green block, and largest stack of Birman-Schwinger
+# matrices gathered from it and factored or inverted in one call
+_BLOCK_POINTS = 512
 _STACK_BYTES = 2 ** 20
+# moment_relation_check passes a relation whose relative residuals for
+# n = 2..4 all lie below this
+_RELATION_TOL = 1e-6
 
 
 class NumericalError(ValueError):
@@ -117,31 +122,18 @@ class TaylorCoeffs:
         return len(self.c)
 
 
-def _birman_schwinger(V: Potential, zs: np.ndarray, engine: str):
-    """What the Birman-Schwinger matrices of the points of ``zs`` are built
-    from (``_stack`` builds them): (idx, v, index, G, Gerr), with the
-    positions idx of the points that need a matrix (interior first, then
-    |z| = 1), the support values v, the orbit row ``index`` of each support
-    difference and the Green block G (orbits, K) with its error bounds
-    Gerr.  Points not finite, outside the disc or in the rim are refused
-    (the first is named); z = 0 and an empty support need no matrix, since
-    D is exactly 1 there.
-
-    The points are classified by masks on |z| = ``np.hypot``: outside,
-    rim, interior and z = 0.  The interior points are mapped by one
-    ``lambda_of_z`` call and take one block of Green values (orbits x
-    lambdas) from ``green_orbits``, which routes the lambdas as
-    ``green_auto`` does or to the engine named by ``engine``; the boundary
-    points take one from ``green_boundary_orbits``.  Both take the orbits
-    of the support differences as ``support_orbits`` maps them, once per
-    support.
-    """
+def _matrix_points(V: Potential, zs: np.ndarray) -> "tuple[np.ndarray, int]":
+    """The positions in ``zs`` of the points that need a Birman-Schwinger
+    matrix, interior first, then |z| = 1, and the number of interior ones.
+    Points not finite, outside the disc or in the rim are refused (the
+    first is named); z = 0 and an empty support need no matrix, since D is
+    exactly 1 there.  The points are classified by masks on |z| =
+    ``np.hypot``: outside, rim, interior and z = 0."""
     bad = ~np.isfinite(zs)
     if bad.any():
         raise ValueError(f"z={complex(zs[bad][0])} is not finite")
     if not V.support:
-        return [], None, None, None, None
-    d = V.d
+        return np.zeros(0, dtype=int), 0
     az = np.hypot(zs.real, zs.imag)
     rim = abs(az - 1.0) <= _BOUNDARY_TOL
     bad = (az >= 1.0 + _BOUNDARY_TOL) | ((az > RIM_RADIUS + 1e-12) & ~rim)
@@ -154,26 +146,55 @@ def _birman_schwinger(V: Potential, zs: np.ndarray, engine: str):
             "evaluate on |z|=1 or deeper inside the disc"
         )
     # D(0) = 1 exactly: lambda -> infinity and V R0 -> 0
-    inner = (az != 0.0) & ~rim
-    idx = inner.nonzero()[0].tolist()
-    n_in = len(idx)
-    idx += rim.nonzero()[0].tolist()
-    if not idx:
-        return [], None, None, None, None
+    inner = ((az != 0.0) & ~rim).nonzero()[0]
+    return np.concatenate([inner, rim.nonzero()[0]]), len(inner)
+
+
+def _green_block(V: Potential, zs: np.ndarray, n_in: int, engine: str):
+    """What the Birman-Schwinger matrices of the points ``zs``, the first
+    ``n_in`` interior and the rest on |z| = 1, are built from (``_stack``
+    builds them): (index, G, Gerr), the orbit row ``index`` of each support
+    difference and the Green block G (orbits, K) with its error bounds.
+
+    The interior points are mapped by one ``lambda_of_z`` call and take one
+    block from ``green_orbits``, which routes the lambdas as ``green_auto``
+    does or to the engine named by ``engine``; the boundary points take one
+    from ``green_boundary_orbits``.  Both take the orbits of the support
+    differences as ``support_orbits`` maps them, once per support.
+    """
+    d = V.d
     canons, index = support_orbits(V.support, d)
-    G = np.empty((len(canons), len(idx)), dtype=complex)
+    G = np.empty((len(canons), len(zs)), dtype=complex)
     Gerr = np.empty(G.shape)
     if n_in:
-        G[:, :n_in], Gerr[:, :n_in] = green_orbits(canons, lambda_of_z(zs[inner], d), d, engine)
-    if n_in < len(idx):
+        G[:, :n_in], Gerr[:, :n_in] = green_orbits(canons, lambda_of_z(zs[:n_in], d), d, engine)
+    if n_in < len(zs):
         # z = e^{it} is approached radially from inside; lambda(z) then
         # tends to d*cos t with Im lambda -> -d*eps*sin t, so the upper
         # semicircle means the lower side of the cut.  Re z / |z| <= 1
         # keeps lambda0 on the band, and it is exactly odd in z.
-        zb = zs[rim]
+        zb = zs[n_in:]
         G[:, n_in:], Gerr[:, n_in:] = green_boundary_orbits(
-            canons, d * (zb.real / az[rim]), ~(zb.imag > 0.0), d)
-    return idx, V.values, index, G, Gerr
+            canons, d * (zb.real / np.hypot(zb.real, zb.imag)), ~(zb.imag > 0.0), d)
+    return index, G, Gerr
+
+
+def _stacks(V: Potential, zs: np.ndarray):
+    """The Birman-Schwinger matrices of the points of ``zs`` that need one
+    (``_matrix_points``, which refuses before any Green value is taken), as
+    (positions, M): M (K, |S|, |S|) holds the matrices of the K points at
+    those positions of ``zs``.  At most _BLOCK_POINTS points take one Green
+    block (``_green_block``, routed as ``green_auto`` routes), and
+    ``_stack`` gathers the matrices from it _STACK_BYTES at a time, so the
+    memory stays bounded however many points are asked for."""
+    pos, n_in = _matrix_points(V, zs)
+    v = V.values
+    for lo in range(0, len(pos), _BLOCK_POINTS):
+        block = pos[lo:lo + _BLOCK_POINTS]
+        index, G, _ = _green_block(V, zs[block], min(max(n_in - lo, 0), len(block)), "auto")
+        step = max(1, _STACK_BYTES // (16 * index.size))
+        for k in range(0, len(block), step):
+            yield block[k:k + step], _stack(v, index, G[:, k:k + step])
 
 
 def _stack(v: np.ndarray, index: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -214,33 +235,25 @@ def _det_err(M: np.ndarray, E: np.ndarray) -> np.ndarray:
     return adj_norm * (de + s * 2.3e-16 * sigma[:, 0])
 
 
-def det_eval_many(
-    V: Potential,
-    zs: "Sequence[complex]",
-    policy: QuadPolicy = QuadPolicy(),
-) -> np.ndarray:
+def det_eval_many(V: Potential, zs: "Sequence[complex]") -> np.ndarray:
     """D at every z of ``zs`` in the closed unit disc, as a complex array.
 
     This is the one sampling path.  Interior points (|z| <= 1 - margin) go
-    through the off-spectrum Green engines that ``policy`` names, |z| = 1
-    through the two-sided boundary limit with the side fixed by the
-    semicircle; the thin rim in between is refused, as is any point
+    through the off-spectrum Green engines as ``green_auto`` routes them,
+    |z| = 1 through the two-sided boundary limit with the side fixed by
+    the semicircle; the thin rim in between is refused, as is any point
     outside the disc (the first such point is named).  z = 0 and an empty
     support give exactly 1.
 
-    One Birman-Schwinger assembly (``_birman_schwinger``) gives the
-    (orbits, K) Green block; ``_stack`` gathers the (K, |S|, |S|) matrices
-    from it and ``_det`` factors them, a bounded stack at a time.  No
-    error bound is formed: ``det_eval`` is the one place that returns it.
-    A value is computed the same way whichever batch or stack it is in.
+    ``_det`` factors each bounded stack of matrices that ``_stacks``
+    yields.  No error bound is formed: ``det_eval`` is the one place that
+    returns it.  A value is computed the same way whichever batch, Green
+    block or stack it is in.
     """
     zs = np.asarray(zs, dtype=complex)
     out = np.ones(len(zs), dtype=complex)
-    idx, v, index, G, _ = _birman_schwinger(V, zs, policy.engine)
-    if idx:
-        step = max(1, _STACK_BYTES // (16 * index.size))
-        out[idx] = np.concatenate([_det(_stack(v, index, G[:, lo:lo + step]))
-                                   for lo in range(0, len(idx), step)])
+    for pos, M in _stacks(V, zs):
+        out[pos] = _det(M)
     return out
 
 
@@ -270,9 +283,11 @@ def det_eval(V: Potential, z: complex, policy: QuadPolicy = QuadPolicy()) -> Det
     I + M and the 2-norm of its entrywise error bounds."""
     zs = np.array([z], dtype=complex)
     z = zs.tolist()[0]
-    idx, v, index, G, Gerr = _birman_schwinger(V, zs, policy.engine)
-    if not idx:
+    pos, n_in = _matrix_points(V, zs)
+    if not len(pos):
         return DeterminantSample(z=z, value=1.0 + 0.0j, err_estimate=0.0)
+    index, G, Gerr = _green_block(V, zs, n_in, policy.engine)
+    v = V.values
     M = _stack(v, index, G)
     err = _det_err(M, _stack(np.abs(v), index, Gerr))
     return DeterminantSample(z=z, value=_det(M).tolist()[0], err_estimate=err.tolist()[0])
@@ -353,16 +368,12 @@ def _relation_predictions(d: int, moments: "list[complex]") -> "dict[str, list[c
     return {"A": [ca1, ca2, ca3, ca4], "B": [cb1, cb2, cb3, cb4]}
 
 
-def moment_relation_check(
-    V: Potential,
-    coeffs: TaylorCoeffs,
-    rel_tol: float = 1e-6,
-) -> dict:
+def moment_relation_check(V: Potential, coeffs: TaylorCoeffs) -> dict:
     """Compare measured c_1..c_4 against both moment relations.
 
     The Cauchy-integral coefficients are authoritative; this reports the
     relative residual vector of each candidate and names the winner (the
-    unique relation whose n = 2..4 residuals all fall below ``rel_tol``),
+    unique relation whose n = 2..4 residuals all fall below _RELATION_TOL),
     or "both"/"none" when the data cannot separate them (e.g. V empty).
     """
     if coeffs.n_max < 4:
@@ -375,7 +386,7 @@ def moment_relation_check(
     passing = []
     for name, pred in preds.items():
         resid = [abs(m - p) / scale for m, p in zip(measured, pred)]
-        ok = all(rv <= rel_tol for rv in resid[1:4])
+        ok = all(rv <= _RELATION_TOL for rv in resid[1:4])
         report["relations"][name] = {
             "predicted": pred,
             "residual_rel": resid,

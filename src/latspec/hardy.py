@@ -61,6 +61,12 @@ _N_FOURIER = 4
 # half-width (radians) of the graded-quadrature window around each kink
 # angle, shrunk where kinks sit closer together
 _KINK_WINDOW = 0.12
+# each half of a kink window: _GRADED_LEVELS panels, each half the one
+# before, toward the kink and one more up to it, _GRADED_NPTS Gauss nodes each
+_GRADED_LEVELS = 6
+_GRADED_NPTS = 10
+# trace_residuals reports |rho_1| / rho_0 only where rho_0 exceeds this
+_RHO0_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +210,18 @@ def _window_orbit(t_star: float, mirrors: list, width: float, h: float, n_grid: 
     return out
 
 
-def _graded_nodes(edge: float, t_star: float, levels: int = 6, npts: int = 10):
+def _graded_nodes(edge: float, t_star: float):
     """Gauss nodes/weights on [edge, t_star] (either orientation), graded
     dyadically toward t_star where the integrand kinks."""
     length = t_star - edge
-    cuts = [edge + length * (1.0 - 0.5 ** j) for j in range(levels + 1)] + [t_star]
+    cuts = [edge + length * (1.0 - 0.5 ** j) for j in range(_GRADED_LEVELS + 1)] + [t_star]
     nodes = []
     weights = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         if a == b:
             continue
         lo, hi = (a, b) if b > a else (b, a)
-        x, w = gl_panels(lo, hi, panel_len=abs(hi - lo), npts=npts)
+        x, w = gl_panels(lo, hi, panel_len=abs(hi - lo), npts=_GRADED_NPTS)
         nodes.append(x)
         weights.append(w)
     return np.concatenate(nodes), np.concatenate(weights)
@@ -397,16 +403,15 @@ def trace_residuals(
     zeros: "Sequence[ZeroRecord]",
     bt: BoundaryTrace,
     coeffs: TaylorCoeffs,
-    tol: float = 1e-6,
 ) -> dict:
     """Residuals of the eigenvalue/boundary trace identities under the
     hypothesis that the singular inner factor is trivial.
 
-    rho_0 estimates the total singular mass (must be >= -tol up to
+    rho_0 estimates the total singular mass (must be >= -_RHO0_TOL up to
     quadrature); ``ratio_rho1`` = |rho_1| / rho_0 is reported only where
-    rho_0 > tol.  Below that rho_0 is quadrature noise, and dividing by it
-    (or by tol) would turn rounding-level changes of rho_1 into changes of
-    the ratio a million times larger, so the ratio is None and
+    rho_0 > _RHO0_TOL.  Below that rho_0 is quadrature noise, and dividing
+    by it (or by _RHO0_TOL) would turn rounding-level changes of rho_1 into
+    changes of the ratio a million times larger, so the ratio is None and
     ``ratio_rho1_reason`` says why.  rho_n pair the Taylor coefficients of -log D with the
     Blaschke moments and the boundary Fourier data; the two real-form
     identities recombine the n = 1 moment with the eigenvalue sums.
@@ -431,10 +436,10 @@ def trace_residuals(
     internal = abs(complex(rhs_cos, rhs_sin) - rhs_complex)
     if not rho:
         ratio, reason = None, "no boundary moments"
-    elif rho0 > tol:
+    elif rho0 > _RHO0_TOL:
         ratio, reason = abs(rho[0]) / rho0, None
     else:
-        ratio, reason = None, f"rho0 = {rho0:.3e} is not above tol = {tol:g}"
+        ratio, reason = None, f"rho0 = {rho0:.3e} is not above tol = {_RHO0_TOL:g}"
 
     return {
         "rho0": rho0,

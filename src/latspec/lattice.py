@@ -30,6 +30,9 @@ import numpy as np
 
 Site = tuple[int, ...]
 
+# the exponent q of the l^q quasi-norm that the eigenvalue bounds use
+_QUASI_NORM_Q = 2.0 / 3.0
+
 
 def validate_dimension(d: int) -> int:
     """Check that d is a positive integer lattice dimension."""
@@ -120,15 +123,6 @@ class Potential:
     def is_real(self) -> bool:
         return all(v.imag == 0.0 for _, v in self.entries)
 
-    def to_json(self) -> str:
-        payload = {
-            "d": self.d,
-            "entries": [
-                {"site": list(site), "re": v.real, "im": v.imag} for site, v in self.entries
-            ],
-        }
-        return json.dumps(payload, indent=2)
-
     @staticmethod
     def from_json(text: str) -> "Potential":
         payload = json.loads(text)
@@ -173,14 +167,12 @@ class MomentSet:
         return (self.d1, self.d2, self.d3, self.d4)
 
 
-def quasi_norm(potential: Potential, q: float = 2.0 / 3.0) -> float:
-    """The l^q quasi-norm (sum |V_n|^q)^(1/q); q defaults to 2/3."""
-    if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
+def quasi_norm(potential: Potential) -> float:
+    """The l^(2/3) quasi-norm (sum |V_n|^(2/3))^(3/2) of the bounds."""
     if not potential.entries:
         return 0.0
-    total = math.fsum(abs(v) ** q for _, v in potential.entries)
-    return total ** (1.0 / q)
+    total = math.fsum(abs(v) ** _QUASI_NORM_Q for _, v in potential.entries)
+    return total ** (1.0 / _QUASI_NORM_Q)
 
 
 def _neighbour_sum(potential: Potential) -> complex:

@@ -169,9 +169,10 @@ _OSC_PANEL = 0.5
 _OSC_NPTS = 10
 _OSC_OFFSETS = 0.5 * _OSC_PANEL * np.polynomial.legendre.leggauss(_OSC_NPTS)[0]
 _OSC_FINE = 16
-# values (orbits times images) kept per engine memo; the largest benchmark
-# run (a cold eigs on the 5-site draw 2 of perfbench's panel) fills 5325
-# oscillatory values, so no benchmark run evicts
+# values (orbits times images) kept per engine memo.  Cold eigs runs on the
+# four draws of perfbench's panel (seed 1) fill 6216, 1028, 1540 and 5305
+# oscillatory values; the largest, draw 0, samples its circle on up to
+# 8192 nodes (draw 3 on 4096), so no benchmark run evicts
 _MEMO_SIZE = 8192
 # largest array of one chunk of lambdas: oscillatory phases, or series
 # partial sums
@@ -396,7 +397,8 @@ def green_torus(
     The returned value is computed on the doubled grid (2 n_quad points per
     quadrature axis; see ``_torus_column``); err_estimate is the difference
     between the two resolutions plus a rounding floor.  An explicit n_quad
-    must be even and >= 8.
+    must be even and lie in [8, _NQ_MAX], the grids ``auto_n_quad`` picks
+    from.
     """
     d = validate_dimension(d)
     lam = complex(lam)
@@ -404,8 +406,8 @@ def green_torus(
     dist = _torus_distance(lam, d)
     if n_quad is None:
         n_quad = auto_n_quad(dist)
-    elif n_quad < 8 or n_quad % 2:
-        raise ValueError(f"n_quad must be even and >= 8, got {n_quad}")
+    elif not 8 <= n_quad <= _NQ_MAX or n_quad % 2:
+        raise ValueError(f"n_quad must be even and in [8, {_NQ_MAX}], got {n_quad}")
     return _one(_torus_block((_orbit(n, d),), np.array([lam]), n_quad))
 
 

@@ -8,8 +8,8 @@ the eigenvalues of the nonlinear eigenproblem T(z) v = 0, and
 moments (Beyn, "An integral method for solving nonlinear eigenvalue
 problems", Linear Algebra Appl. 436, 2012):
 
-  1. T is sampled on ``circle_grid(rho, N)``, at most _CHUNK points per
-     assembly, and the trapezoid sums of the moments
+  1. T is sampled on ``circle_grid(rho, N)``, in the bounded stacks of
+     ``determinant._stacks``, and the trapezoid sums of the moments
      A_p = (1/2 pi i) oint z^p T(z)^-1 dz, p = 0..3, and of the mean of
      log|D| are accumulated from the same samples.  N starts at _N_START
      and doubles, reusing the old nodes; the nested estimate of each sum
@@ -46,9 +46,7 @@ import numpy as np
 from .lattice import Potential
 from .conformal import lambda_of_z
 from .resolvent import green_boundary
-from .determinant import (
-    _STACK_BYTES, RIM_RADIUS, NumericalError, _birman_schwinger, _det, _stack, circle_grid, det_eval_many,
-)
+from .determinant import RIM_RADIUS, NumericalError, _det, _stacks, circle_grid, det_eval_many
 
 __all__ = [
     "ZeroRecord",
@@ -57,10 +55,9 @@ __all__ = [
     "coupling_threshold",
 ]
 
-# circle nodes: the first count, the largest, and the most per assembly
+# circle nodes: the first count and the largest
 _N_START = 512
 _N_CAP = 2 ** 16
-_CHUNK = 512
 # moments A_0..A_3: two block Hankel rows
 _N_MOMENTS = 4
 # the moments' nested estimate must fall below this, on the scale of
@@ -109,24 +106,18 @@ class _Sums:
 
 def _circle_sums(V: Potential, zs: np.ndarray) -> _Sums:
     """The sums of ``_Sums`` over the points ``zs`` (all inside the disc,
-    none zero).  Each chunk of at most _CHUNK points takes one Green block
-    from ``_birman_schwinger``; ``_stack`` gathers its matrices
-    _STACK_BYTES at a time, and each stack is inverted and its
-    determinants taken as ``det_eval_many`` takes them."""
+    none zero).  Each stack of matrices that ``_stacks`` yields is
+    inverted, and its determinants taken as ``det_eval_many`` takes
+    them."""
     s = len(V.support)
     powers = np.arange(1, _N_MOMENTS + 1)
     out = _Sums(np.zeros((_N_MOMENTS, s, s), dtype=complex), 0.0, 0.0)
-    for lo in range(0, len(zs), _CHUNK):
-        z = zs[lo:lo + _CHUNK]
-        _, v, index, G, _ = _birman_schwinger(V, z, "auto")
-        step = max(1, _STACK_BYTES // (16 * index.size))
-        for k in range(0, len(z), step):
-            M = _stack(v, index, G[:, k:k + step])
-            inv = np.linalg.inv(np.eye(s) + M)
-            zk = z[k:k + step]
-            out += _Sums(np.einsum("np,nij->pij", zk[:, None] ** powers, inv),
-                         float(np.log(np.abs(_det(M))).sum()),
-                         float(np.abs(inv).max() * abs(zk[0])))
+    for pos, M in _stacks(V, zs):
+        inv = np.linalg.inv(np.eye(s) + M)
+        zk = zs[pos]
+        out += _Sums(np.einsum("np,nij->pij", zk[:, None] ** powers, inv),
+                     float(np.log(np.abs(_det(M))).sum()),
+                     float(np.abs(inv).max() * abs(zk[0])))
     return out
 
 
@@ -272,16 +263,13 @@ def find_zeros(
         n *= 2
 
 
-def coupling_threshold(d: int, site_value_sign: int = 1) -> float:
-    """Critical single-site coupling: |v| above which V = {0 -> sign*v}
-    produces a bound state, from 1 + v G(0, band edge) = 0.
+def coupling_threshold(d: int) -> float:
+    """Critical single-site coupling: v above which V = {0 -> v} produces a
+    bound state, from 1 + v G(0, band edge) = 0.
 
     Finite for d >= 3 because the edge Green value is finite there.
     """
     if d < 3:
         raise ValueError("coupling threshold needs d >= 3 (edge Green value finite)")
-    if site_value_sign not in (1, -1):
-        raise ValueError("site_value_sign must be +1 or -1")
-    lam0 = float(site_value_sign * d)
-    g = green_boundary((0,) * d, lam0, "plus", d)
+    g = green_boundary((0,) * d, float(d), "plus", d)
     return 1.0 / abs(g.value)

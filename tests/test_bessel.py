@@ -81,11 +81,11 @@ def test_propagator_dispersive_decay_bounded():
 
 
 def test_check_uniform_bound_report():
-    rep = check_uniform_bound(0.5, m_range=(1, 120), t_range=(1.0, 200.0), grid=(60, 120))
+    rep = check_uniform_bound(0.5, m_range=(1, 120), t_range=(1.0, 200.0))
     assert math.isfinite(rep["C_emp"]) and rep["C_emp"] > 0.0
     assert rep["worst_point"]["t"] >= 1.0
     with pytest.raises(ValueError):
-        check_uniform_bound(0.5, grid=(0, 10))
+        check_uniform_bound(0.5, t_range=(0.0, 0.5))
 
 
 def test_beta_estimate_d3():

@@ -59,13 +59,14 @@ def test_green_rejects_complex_boundary():
     assert rc == EXIT_VALIDATION
 
 
-@pytest.mark.parametrize("n_quad", ["4", "9"])
+@pytest.mark.parametrize("n_quad", ["4", "9", "1026"])
 def test_green_torus_refuses_bad_n_quad(n_quad, capsys):
-    # green_torus owns the rule: even and >= 8
+    # green_torus owns the rule: even and in [8, 512], the grids auto_n_quad
+    # picks from; a larger grid would allocate (n_quad + 1)^2 per slab
     rc = main(["green", "--d", "3", "--lambda", "5", "--site", "0,0,0",
                "--method", "torus", "--n-quad", n_quad])
     assert rc == EXIT_VALIDATION
-    assert "n_quad must be even and >= 8" in capsys.readouterr().err
+    assert "n_quad must be even and in [8, 512]" in capsys.readouterr().err
 
 
 def test_green_n_quad_only_with_torus(tmp_path):

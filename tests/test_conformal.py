@@ -51,18 +51,17 @@ def test_z_of_lambda_lands_inside_disc():
 
 
 def test_z_of_lambda_on_band_two_sides():
-    # approaching the open band from above/below gives conjugate points on
-    # the unit circle, and the one-sided limits pick them: lam + i0 lands
-    # in the lower half disc
+    # approaching the open band from above/below gives conjugate points next
+    # to the unit circle: lam + i0 lands in the lower half disc, at
+    # e^(-it) with d cos t = lam; the band itself is refused
     d = 3
-    up = z_of_lambda(1.0 + 1e-12j, d, side="auto")
-    dn = z_of_lambda(1.0 - 1e-12j, d, side="auto")
+    up = z_of_lambda(1.0 + 1e-12j, d)
+    dn = z_of_lambda(1.0 - 1e-12j, d)
     assert up == pytest.approx(dn.conjugate(), rel=1e-6)
-    plus = z_of_lambda(1.0, d, side="plus")
-    minus = z_of_lambda(1.0, d, side="minus")
-    assert plus == pytest.approx(minus.conjugate(), rel=1e-12)
-    assert abs(plus) == pytest.approx(1.0, abs=1e-15) and plus.imag < 0.0
-    assert plus == pytest.approx(up, abs=1e-6)
+    assert abs(up) == pytest.approx(1.0, abs=1e-9) and up.imag < 0.0
+    assert up == pytest.approx(cmath.exp(-1j * math.acos(1.0 / d)), abs=1e-6)
+    with pytest.raises(ValueError, match="lies on the band"):
+        z_of_lambda(1.0, d)
 
 def test_dist_to_band():
     assert dist_to_band(3.5, 3) == pytest.approx(0.5, abs=1e-14)
@@ -133,29 +132,19 @@ def test_array_map_refuses_like_a_point():
 
 
 def test_inverse_map_on_arrays_is_bitwise_pointwise():
-    # z_of_lambda on an array, on and off the band, against each point alone
-    # (bit for bit, sign of zero included) and as the inverse of lambda_of_z;
-    # on-band points follow the side rule of a single point
+    # z_of_lambda on an array against each point alone (bit for bit, sign
+    # of zero included) and as the inverse of lambda_of_z
     z = _map_points()
     for d in (1, 2, 3, 4):
         lam = lambda_of_z(z, d)
         back = z_of_lambda(lam, d)
         assert np.array_equal(_bits(back), _bits([z_of_lambda(p, d) for p in lam.tolist()]))
         assert np.abs(back - z).max() <= 1e-9
-        band = np.array([-d, -0.5 * d, 0.0, 0.3, d], dtype=complex)
-        for side in ("plus", "minus"):
-            got = z_of_lambda(np.concatenate([band, lam[:5]]), d, side=side)
-            assert np.array_equal(_bits(got[:5]), _bits([z_of_lambda(p, d, side=side) for p in band.tolist()]))
-            assert np.array_equal(_bits(got[5:]), _bits(back[:5]))
-            assert np.abs(np.abs(got[:5]) - 1.0).max() <= 1e-15
-            assert (got[1:4].imag < 0.0).all() == (side == "plus")
     assert type(z_of_lambda(4.0 - 1.0j, 3)) is complex
 
 
 def test_inverse_map_on_arrays_refuses_like_a_point():
     with pytest.raises(ValueError, match=r"lambda=\(1\+0j\) lies on the band"):
         z_of_lambda(np.array([5.0, 1.0, 2.0]), 3)
-    with pytest.raises(ValueError, match="side must be"):
-        z_of_lambda(np.array([5.0, 1.0]), 3, side="up")
     with pytest.raises(TypeError):
         z_of_lambda(np.array([5.0]), 3.0)

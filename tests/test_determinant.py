@@ -211,21 +211,33 @@ def _decaying_cube(R, a):
 
 
 def test_det_eval_many_memory_stays_in_orbits(monkeypatch):
-    # a 2,048-point circle on the real 27-site cube: the Green block stays
-    # (orbits x points), 10 x 2,048, and the 27 x 27 matrices are gathered
+    # a 2,048-point circle on the real 27-site cube: each Green block stays
+    # (orbits x points), 10 x 512, and the 27 x 27 matrices are gathered
     # from it a bounded stack at a time, so the traced peak stays far
     # below the 87 MB that a (|S|^2 x points) block of values and errors
-    # takes; a circle that spans three stacks gives the values of one
-    # stack bit for bit
+    # takes; the circle in one Green block, and a circle that spans three
+    # stacks in one stack, give the same values bit for bit
     V = _decaying_cube(1, 3.6)
+    blocks = []
+    real_block = determinant._green_block
+
+    def block(V, zs, n_in, engine):
+        blocks.append(len(zs))
+        return real_block(V, zs, n_in, engine)
+
+    monkeypatch.setattr(determinant, "_green_block", block)
     resolvent.clear_green_cache()
     tracemalloc.start()
     try:
-        det_eval_many(V, circle_grid(0.6, 2048))
+        blocked = det_eval_many(V, circle_grid(0.6, 2048))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32e6, f"{peak / 1e6:.1f} MB"
+    assert blocks == [512] * 4
+    monkeypatch.setattr(determinant, "_BLOCK_POINTS", 2 ** 40)
+    resolvent.clear_green_cache()
+    assert np.array_equal(det_eval_many(V, circle_grid(0.6, 2048)), blocked)
     zs = circle_grid(0.6, 256)
     assert 256 * 27 * 27 * 16 > 2 * determinant._STACK_BYTES
     chunked = det_eval_many(V, zs)

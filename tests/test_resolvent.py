@@ -128,12 +128,22 @@ def resolvent_identity_residual(n, lam1, lam2, d, m_radius):
     truncated to the box |m|_inf <= m_radius:
     (G(lam1) - G(lam2))(n) = (lam1 - lam2) sum_m G(n - m, lam1) G(m, lam2)."""
     d = validate_dimension(d)
-    lhs = green_torus(n, lam1, d).value - green_torus(n, lam2, d).value
+    cache = {}
+
+    def g(site, lam):
+        # G depends on the site through its orbit alone: one torus call per
+        # (orbit, lambda)
+        key = (resolvent._orbit(site, d), lam)
+        if key not in cache:
+            cache[key] = green_torus(site, lam, d).value
+        return cache[key]
+
+    lhs = g(n, lam1) - g(n, lam2)
     total = 0.0 + 0.0j
     n = tuple(int(c) for c in n)
     for m in itertools.product(range(-m_radius, m_radius + 1), repeat=d):
         shifted = tuple(a - b for a, b in zip(n, m))
-        total += green_torus(shifted, lam1, d).value * green_torus(m, lam2, d).value
+        total += g(shifted, lam1) * g(m, lam2)
     return abs(lhs - (lam1 - lam2) * total)
 
 

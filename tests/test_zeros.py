@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from latspec.conformal import lambda_of_z
-from latspec import zeros
+from latspec import determinant, zeros
 from latspec.determinant import NumericalError, det_eval
 from latspec.hardy import jensen_check
 from latspec.lattice import Potential
@@ -89,29 +89,42 @@ def test_find_zeros_complex_multi_site(mix3):
     assert keys == sorted(keys)
 
 
+def _record_circle_blocks(monkeypatch):
+    """The points of each Green block that the zero search's circle takes
+    (``determinant._green_block``), and of each det_eval_many call of its
+    Newton polish, whose own blocks are left out."""
+    blocks, rounds, polishing = [], [], [False]
+    real_block, real_many = determinant._green_block, zeros.det_eval_many
+
+    def block(V, zs, n_in, engine):
+        if not polishing[0]:
+            blocks.append(zs.tolist())
+        return real_block(V, zs, n_in, engine)
+
+    def many(V, zs):
+        rounds.append(len(zs))
+        polishing[0] = True
+        try:
+            return real_many(V, zs)
+        finally:
+            polishing[0] = False
+
+    monkeypatch.setattr(determinant, "_green_block", block)
+    monkeypatch.setattr(zeros, "det_eval_many", many)
+    return blocks, rounds
+
+
 def test_find_zeros_batches_its_samples(mix3, monkeypatch):
     # the circle is assembled at most 512 points at a time, each node once
     # (doubling N reuses the old nodes), and the polish makes one
     # det_eval_many call per Newton round: x, x + h and x - h for every
     # unfinished zero of mix3 x 4, which has three
-    chunks, points, rounds = [], set(), []
-    real_assembly, real_many = zeros._birman_schwinger, zeros.det_eval_many
-
-    def assembly(V, zs, engine):
-        chunks.append(len(zs))
-        points.update(zs.tolist())
-        return real_assembly(V, zs, engine)
-
-    def many(V, zs, *args, **kwargs):
-        rounds.append(len(zs))
-        return real_many(V, zs, *args, **kwargs)
-
-    monkeypatch.setattr(zeros, "_birman_schwinger", assembly)
-    monkeypatch.setattr(zeros, "det_eval_many", many)
+    blocks, rounds = _record_circle_blocks(monkeypatch)
     recs = find_zeros(mix3.scale(4.0), tol=1e-11)
     assert len(recs) == 3
-    n = sum(chunks)
-    assert max(chunks) <= 512 and len(points) == n >= 512 and n & (n - 1) == 0
+    n = sum(map(len, blocks))
+    points = {z for block in blocks for z in block}
+    assert max(map(len, blocks)) <= 512 and len(points) == n >= 512 and n & (n - 1) == 0
     assert rounds[0] == 9 and all(k % 3 == 0 and k <= 9 for k in rounds)
 
 
@@ -119,18 +132,13 @@ def test_find_zeros_counts_each_cell_once(mix3, v3, monkeypatch):
     # the one cell is the circle: each of its nodes is assembled exactly
     # once, also across a doubling of N.  V = 3 delta_0 is certified on the
     # first 512 nodes; mix3 x 4 needs one doubling
-    points = []
-    real = zeros._birman_schwinger
-
-    def assembly(V, zs, engine):
-        points.extend(zs.tolist())
-        return real(V, zs, engine)
-
-    monkeypatch.setattr(zeros, "_birman_schwinger", assembly)
+    blocks, _ = _record_circle_blocks(monkeypatch)
     assert len(find_zeros(mix3.scale(4.0), tol=1e-11)) == 3
+    points = [z for block in blocks for z in block]
     assert len(points) == len(set(points)) == 1024
-    points.clear()
+    blocks.clear()
     assert len(find_zeros(v3, tol=1e-12)) == 1
+    points = [z for block in blocks for z in block]
     assert len(points) == len(set(points)) == 512
 
 
@@ -172,8 +180,6 @@ def test_find_zeros_deterministic(v3, zeros_v3):
 def test_coupling_threshold_value():
     thr = coupling_threshold(3)
     assert 1.968 <= thr <= 1.989
-    # threshold is where the band-edge determinant hits zero
-    assert coupling_threshold(3, site_value_sign=-1) == pytest.approx(thr, rel=1e-12)
     with pytest.raises(ValueError):
         coupling_threshold(2)
 
