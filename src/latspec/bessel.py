@@ -41,8 +41,15 @@ _ASYMPTOTIC_TERMS = 28
 # check_uniform_bound's grid: this many orders by arguments, spread evenly
 # over its ranges
 _UNIFORM_GRID = (100, 400)
-# beta_estimate's Simpson step
+# largest order and argument check_uniform_bound accepts: its Bessel grid
+# has (m + 1) x 400 values, at most 32 MB, and Miller's recurrence starts
+# above both
+_UNIFORM_MAX = 10_000
+# beta_estimate's Simpson step, and its largest order and horizon T: the
+# grid of (m_max + 1) x (T - 1) / _BETA_DT values stays under 65 MB
 _BETA_DT = 0.05
+_BETA_M_MAX = 200
+_BETA_T_MAX = 2000.0
 
 
 def _series_value(m: int, t: float) -> float:
@@ -204,6 +211,9 @@ def check_uniform_bound(
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0,1), got {eps}")
+    if not (m_range[1] <= _UNIFORM_MAX and t_range[1] <= _UNIFORM_MAX):
+        raise ValueError(f"orders and arguments must not exceed {_UNIFORM_MAX}, "
+                         f"got m up to {m_range[1]} and t up to {t_range[1]}")
     nm, nt = _UNIFORM_GRID
     m_vals = np.unique(np.linspace(m_range[0], m_range[1], nm).round().astype(int))
     m_vals = m_vals[m_vals >= 0]
@@ -253,15 +263,18 @@ def beta_estimate(d: int, m_max: int = 200, T: float = 1000.0) -> dict:
     The finite part [1, T] uses Simpson's rule on a uniform grid of step
     _BETA_DT, with a coarse/fine comparison as the error estimate; the tail
     beyond T is bounded analytically through |J_m(t)| <= sqrt(2/(pi t)):
-    tail <= (2/pi)^(d/2) * (2/(d-2)) * T^(1-d/2).
+    tail <= (2/pi)^(d/2) * (2/(d-2)) * T^(1-d/2).  T must lie in [10, 2000]
+    and m_max in [0, 200].
     """
     # imported here, not at the top: loading scipy would add most of a fresh
     # interpreter's start-up to every CLI run
     from scipy.integrate import simpson
 
     d = require_dimension_3(d, "beta_estimate")
-    if T < 10.0:
-        raise ValueError(f"T must be >= 10, got {T}")
+    if not 10.0 <= T <= _BETA_T_MAX:
+        raise ValueError(f"T must lie in [10, {_BETA_T_MAX:g}], got {T}")
+    if not 0 <= m_max <= _BETA_M_MAX:
+        raise ValueError(f"m_max must lie in [0, {_BETA_M_MAX}], got {m_max}")
     n_steps = int(math.ceil((T - 1.0) / _BETA_DT))
     if n_steps % 2:
         n_steps += 1

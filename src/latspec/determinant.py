@@ -70,6 +70,9 @@ _BOUNDARY_TOL = 1e-12
 # interior samples must satisfy |z| <= RIM_RADIUS; the rim between it and
 # the unit circle is refused
 RIM_RADIUS = 1.0 - 1e-3
+# most points of any sampled circle (boundary grid, Jensen and Taylor
+# circles): 2^16 points already take a few MB per array
+MAX_CIRCLE_POINTS = 2 ** 16
 # most points of one Green block, and largest stack of Birman-Schwinger
 # matrices gathered from it and factored or inverted in one call
 _BLOCK_POINTS = 512
@@ -303,7 +306,8 @@ def taylor_coeffs(
     coefficients on the circle |z| = r.
 
     Samples D on ``circle_grid(r, 2 * m_samples)`` (m_samples must be at
-    least 8*n_max, and None means max(64, 8*n_max)).  D is analytic in the
+    least 8*n_max, and None means max(64, 8*n_max); 2 * m_samples must not
+    exceed MAX_CIRCLE_POINTS).  D is analytic in the
     disc, so the FFT of the samples gives its Taylor coefficients
     a_0 = D(0) = 1, a_1, ..., a_n_max whatever zeros the circle encloses.
     The power series of log D = sum_n b_n z^n follows from the recurrence
@@ -321,6 +325,8 @@ def taylor_coeffs(
     m_samples = max(64, 8 * n_max) if m_samples is None else m_samples
     if m_samples < 8 * n_max:
         raise ValueError(f"m_samples={m_samples} < 8*n_max={8 * n_max}")
+    if 2 * m_samples > MAX_CIRCLE_POINTS:
+        raise ValueError(f"2*m_samples={2 * m_samples} exceeds {MAX_CIRCLE_POINTS} circle points")
     if not V.support:
         zeros = [0.0 + 0.0j] * n_max
         return TaylorCoeffs(r=r, c=zeros, err_estimate=[0.0] * n_max)

@@ -14,9 +14,12 @@ integrand log|D(e^{it})| is continuous but has derivative kinks at the
 angles where lambda = d*cos(t) crosses a Van Hove level of the lattice
 symbol (and at the band edges t = 0, pi), which would drag the trapezoid
 error to O(h^2) with a sizable constant.  Around each such analytically
-known angle the rule is therefore replaced by graded Gauss panels; the
-correction nodes are stored so any later moment against a smooth kernel
-can reuse them via ``BoundaryTrace.integrate_kernel``.
+known angle the rule is therefore replaced by graded Gauss panels.
+``boundary_trace`` builds the result once, as one quadrature rule: the
+grid and window nodes, their weights (the trapezoid share of each window's
+span excised, its Euler-Maclaurin endpoint terms restored as weights) and
+log|D| at every node.  Every boundary functional, I0, the Fourier moments
+and the outer kernel, is one sum over it (``BoundaryTrace.integrate_kernel``).
 
 Every circle is sampled as exact mirror images (``circle_grid``): the
 Jensen circles and the boundary grid are built on their first quadrant
@@ -33,14 +36,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .lattice import Potential, require_dimension_3
 from .quadrature import gl_panels
-from .determinant import RIM_RADIUS, NumericalError, TaylorCoeffs, circle_grid, det_eval_many
+from .determinant import (
+    MAX_CIRCLE_POINTS, RIM_RADIUS, NumericalError, TaylorCoeffs, circle_grid, det_eval_many,
+)
 from .zeros import ZeroRecord
 
 __all__ = [
@@ -112,10 +117,11 @@ def blaschke_eval(data: BlaschkeData, z: complex) -> complex:
 
 
 def check_grid(n_grid: int, name: str = "n_grid") -> None:
-    """Raise ValueError unless ``n_grid`` is a power of two >= 256, the
-    size of every circle grid here (Jensen circle, boundary grid)."""
-    if n_grid < 256 or n_grid & (n_grid - 1):
-        raise ValueError(f"{name} must be a power of two >= 256")
+    """Raise ValueError unless ``n_grid`` is a power of two in [256,
+    MAX_CIRCLE_POINTS], the size of every circle grid here (Jensen circle,
+    boundary grid)."""
+    if not 256 <= n_grid <= MAX_CIRCLE_POINTS or n_grid & (n_grid - 1):
+        raise ValueError(f"{name} must be a power of two in [256, {MAX_CIRCLE_POINTS}]")
 
 
 def jensen_check(
@@ -128,8 +134,7 @@ def jensen_check(
 
     Jensen's formula makes this exactly zero, so the return value is a
     joint accuracy measure of determinant sampling and zero locations.
-    The mean is the trapezoid rule on ``n_grid`` points, a power of two
-    >= 256.
+    The mean is the trapezoid rule on ``n_grid`` points (``check_grid``).
     """
     if not 0.0 < r < RIM_RADIUS:
         raise ValueError(f"Jensen radius must lie in (0, {RIM_RADIUS:g})")
@@ -148,23 +153,6 @@ def jensen_check(
 
 # ---------------------------------------------------------------------------
 # Boundary trace
-
-
-@dataclass
-class _Window:
-    """Graded-quadrature correction around one derivative-kink angle.
-
-    Replaces the trapezoid contribution of the grid span [k_lo, k_hi]*h
-    (angles may exceed [0, 2pi); indices wrap) by Gauss panels refined
-    dyadically toward the kink at t_star.
-    """
-
-    t_star: float
-    k_lo: int
-    k_hi: int
-    nodes: np.ndarray  # angles, unwrapped (may be negative / > 2pi)
-    weights: np.ndarray
-    log_mod: np.ndarray  # log|D| at nodes
 
 
 # the mirrors of the circle grid as (sign, half turns): t -> sign * t +
@@ -229,48 +217,49 @@ def _graded_nodes(edge: float, t_star: float):
 
 @dataclass
 class BoundaryTrace:
-    """log|D| on the unit circle plus corrected integral functionals."""
+    """log|D| on the unit circle as one quadrature rule for its integrals.
+
+    ``nodes`` holds the ``n_grid`` grid angles 2 pi k / n_grid first, then
+    the Gauss nodes of each kept kink window (unwrapped: they may be
+    negative or exceed 2 pi); ``log_mod`` is log|D| at every node, infilled
+    on the grid where the evaluation failed.  ``weights`` make
+    sum(weights * log_mod * kernel(nodes)) the integral over [0, 2 pi].
+    """
 
     d: int
-    t_grid: np.ndarray
+    n_grid: int
+    nodes: np.ndarray
+    weights: np.ndarray
     log_mod: np.ndarray
     I0: float
     fourier: "list[complex]"  # (1/pi) int e^{-int} log|D| dt, n = 1.._N_FOURIER
     flagged: "list[int]"
     low_confidence: bool
-    windows: "list[_Window]" = field(default_factory=list, repr=False)
-    dropped_windows: int = 0
+    dropped_windows: int
 
-    @property
-    def n_grid(self) -> int:
-        return len(self.t_grid)
+    def integrate_kernel(self, kernel: "Callable[[np.ndarray], np.ndarray]") -> np.ndarray:
+        """integral_0^{2pi} kernel(t) log|D(e^{it})| dt by the stored rule.
 
-    def integrate_kernel(self, kernel: "Callable[[np.ndarray], np.ndarray]") -> complex:
-        """integral_0^{2pi} kernel(t) log|D(e^{it})| dt with the trapezoid
-        base rule and the stored kink-window corrections.
-
-        ``kernel`` must accept an angle array and be smooth; it is evaluated
-        on the dyadic grid and on the window nodes.
+        ``kernel`` takes the node array and must be smooth; it may return
+        rows of kernels, one integral each (the sum runs over the last axis).
         """
-        n = self.n_grid
-        h = _TWO_PI / n
-        base_terms = self.log_mod * np.asarray(kernel(self.t_grid))
-        total = complex(h * np.sum(base_terms))
-        for win in self.windows:
-            # trapezoid share of the window span, with periodic wrapping
-            idx = np.arange(win.k_lo, win.k_hi + 1)
-            vals = base_terms[idx % n]
-            span = h * (np.sum(vals) - 0.5 * vals[0] - 0.5 * vals[-1])
-            fine = np.sum(win.weights * win.log_mod * np.asarray(kernel(win.nodes)))
-            # Excising the window leaves composite-trapezoid arcs whose
-            # Euler-Maclaurin h^2/12 endpoint terms no longer cancel around
-            # the circle; restore them with central-difference derivatives
-            # (the integrand is smooth at window edges).
-            dg_lo = (base_terms[(win.k_lo + 1) % n] - base_terms[(win.k_lo - 1) % n]) / (2.0 * h)
-            dg_hi = (base_terms[(win.k_hi + 1) % n] - base_terms[(win.k_hi - 1) % n]) / (2.0 * h)
-            em = -(h * h / 12.0) * (dg_lo - dg_hi)
-            total += complex(fine - span + em)
-        return total
+        # np.sum, not a BLAS dot: its pairwise order does not depend on the
+        # BLAS thread count, so the reports stay the same bit for bit
+        return np.sum(self.weights * self.log_mod * kernel(self.nodes), axis=-1)
+
+
+def _window_weights(weights: np.ndarray, k_lo: int, k_hi: int, h: float) -> None:
+    """Excise the trapezoid share of the grid span [k_lo, k_hi] (indices
+    mod N) from ``weights``, in place.  The composite-trapezoid arcs left
+    around the span have Euler-Maclaurin h^2/12 endpoint terms that no
+    longer cancel around the circle; they are restored as the weights of
+    central-difference derivatives (the integrand is smooth at the edges)."""
+    n = weights.size
+    weights[np.arange(k_lo, k_hi + 1) % n] -= h
+    for k, sign in ((k_lo, 1.0), (k_hi, -1.0)):
+        weights[k % n] += 0.5 * h
+        weights[(k + 1) % n] -= sign * h / 24.0
+        weights[(k - 1) % n] += sign * h / 24.0
 
 
 def _boundary_logmod(V: Potential, zs: np.ndarray) -> "list[float | None]":
@@ -298,8 +287,10 @@ def _boundary_logmod(V: Potential, zs: np.ndarray) -> "list[float | None]":
 
 
 def boundary_trace(V: Potential, n_grid: int = 1024) -> BoundaryTrace:
-    """Sample log|D| on the boundary circle and integrate it.
+    """Sample log|D| on the boundary circle and build its quadrature rule.
 
+    The rule is the periodic trapezoid rule on the grid, with the span of
+    each kink window replaced by graded Gauss panels (``_window_weights``).
     The grid and every kink-window node are evaluated in one batch.
     Failed grid points are infilled by neighbor averaging and flagged;
     more than 5% flags marks the whole trace low-confidence, and a trace
@@ -309,7 +300,6 @@ def boundary_trace(V: Potential, n_grid: int = 1024) -> BoundaryTrace:
     """
     check_grid(n_grid)
     d = require_dimension_3(V.d, "boundary trace")
-    ts = _TWO_PI * np.arange(n_grid) / n_grid
     h = _TWO_PI / n_grid
 
     # kink windows: snap edges outward to grid nodes, grade toward the kink;
@@ -332,47 +322,39 @@ def boundary_trace(V: Potential, n_grid: int = 1024) -> BoundaryTrace:
         # the nearest measured grid point from k in direction step
         return next(v for j in range(1, n_grid) if (v := raw[(k + step * j) % n_grid]) is not None)
 
-    log_mod = np.array([0.5 * (nearest(k, -1) + nearest(k, 1)) if v is None else v
-                        for k, v in enumerate(raw[:n_grid])])
-    low_confidence = len(flagged) > 0.05 * n_grid
-
-    windows: "list[_Window]" = []
+    nodes = [_TWO_PI * np.arange(n_grid) / n_grid]
+    weights = [np.full(n_grid, h)]
+    log_mod = [np.array([0.5 * (nearest(k, -1) + nearest(k, 1)) if v is None else v
+                         for k, v in enumerate(raw[:n_grid])])]
     dropped_windows = 0
     at = n_grid
-    for t_star, k_lo, k_hi, nodes, weights, _ in spans:
-        node_vals = raw[at:at + nodes.size]
-        at += nodes.size
+    for _, k_lo, k_hi, x, w, _ in spans:
+        node_vals = raw[at:at + x.size]
+        at += x.size
         if any(v is None for v in node_vals):
             dropped_windows += 1
             continue
-        windows.append(
-            _Window(
-                t_star=t_star,
-                k_lo=k_lo,
-                k_hi=k_hi,
-                nodes=nodes,
-                weights=weights,
-                log_mod=np.array(node_vals, dtype=float),
-            )
-        )
+        _window_weights(weights[0], k_lo, k_hi, h)
+        nodes.append(x)
+        weights.append(w)
+        log_mod.append(np.array(node_vals))
+    nodes, weights, log_mod = (np.concatenate(a) for a in (nodes, weights, log_mod))
 
-    bt = BoundaryTrace(
+    # the sums of integrate_kernel, for the kernels 1 and e^{-int}
+    weighted = weights * log_mod
+    moments = np.sum(weighted * np.exp(-1j * np.arange(1, _N_FOURIER + 1)[:, None] * nodes), axis=-1)
+    return BoundaryTrace(
         d=d,
-        t_grid=ts,
+        n_grid=n_grid,
+        nodes=nodes,
+        weights=weights,
         log_mod=log_mod,
-        I0=0.0,
-        fourier=[],
+        I0=float(np.sum(weighted)) / _TWO_PI,
+        fourier=[m / math.pi for m in moments.tolist()],
         flagged=flagged,
-        low_confidence=low_confidence,
-        windows=windows,
+        low_confidence=len(flagged) > 0.05 * n_grid,
         dropped_windows=dropped_windows,
     )
-    bt.I0 = float(bt.integrate_kernel(lambda t: np.ones_like(t)).real) / _TWO_PI
-    bt.fourier = [
-        complex(bt.integrate_kernel(lambda t, n=n: np.exp(-1j * n * t))) / math.pi
-        for n in range(1, _N_FOURIER + 1)
-    ]
-    return bt
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +468,13 @@ def outer_reconstruct(
     if any(abs(z) > 0.9 for z in probes):
         raise ValueError("outer-reconstruction probes must satisfy |z| <= 0.9")
     bl = build_blaschke(zeros, n_max=1)
+    zs = np.array(probes, dtype=complex)[:, None]
+    k_vals = bt.integrate_kernel(lambda t: (np.exp(1j * t) + zs) / (np.exp(1j * t) - zs)) / _TWO_PI
     worst = 0.0
     worst_z = None
     details = []
     d_vals = det_eval_many(V, probes).tolist()
-    for z, d_val in zip(probes, d_vals):
-        k_val = bt.integrate_kernel(
-            lambda t, z=z: (np.exp(1j * t) + z) / (np.exp(1j * t) - z)
-        ) / _TWO_PI
+    for z, d_val, k_val in zip(probes, d_vals, k_vals.tolist()):
         recon = blaschke_eval(bl, z) * cmath.exp(k_val)
         rel = abs(d_val - recon) / abs(d_val)
         details.append({"z": z, "rel_err": rel})

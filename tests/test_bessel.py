@@ -86,6 +86,10 @@ def test_check_uniform_bound_report():
     assert rep["worst_point"]["t"] >= 1.0
     with pytest.raises(ValueError):
         check_uniform_bound(0.5, t_range=(0.0, 0.5))
+    # orders and arguments above 10,000 are refused before any grid is built
+    for m_range, t_range in (((1, 10_001), (1.0, 400.0)), ((1, 200), (1.0, 10_001.0))):
+        with pytest.raises(ValueError, match="must not exceed 10000"):
+            check_uniform_bound(0.5, m_range=m_range, t_range=t_range)
 
 
 def test_beta_estimate_d3():
@@ -96,3 +100,6 @@ def test_beta_estimate_d3():
     assert rep["argmax_m"] <= 5
     with pytest.raises(ValueError):
         beta_estimate(2)
+    for kwargs in ({"m_max": 201}, {"T": 2001.0}, {"T": math.nan}):
+        with pytest.raises(ValueError, match="must lie in"):
+            beta_estimate(3, **kwargs)

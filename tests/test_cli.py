@@ -228,6 +228,12 @@ def test_taylor_check_sample_count_rule_lives_in_the_library(v3_file, tmp_path, 
     rc = main(["taylor-check", "-p", v3_file, "--r", "0.3", "--m-samples", "16", "-o", str(out)])
     assert rc == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: m_samples=16 < 8*n_max=32\n"
+    # the circle holds at most 2^16 points, the derived count too: refused
+    # before any sample, where numpy used to fail allocating GiBs (exit 1)
+    for flag, value in (("--m-samples", "32769"), ("--n-max", "4097")):
+        rc = main(["taylor-check", "-p", v3_file, "--r", "0.3", flag, value, "-o", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "exceeds 65536 circle points" in capsys.readouterr().err
 
 
 def test_eigs_refuses_a_zero_inside_the_searched_annulus(tmp_path, capsys):
@@ -273,7 +279,8 @@ def test_trace_check_and_thread_determinism(v3_file, tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--n-grid", "300"), ("--jensen-grid", "0"), ("--jensen-grid", "-4"), ("--jensen-grid", "3"),
+    ("--n-grid", "300"), ("--n-grid", "131072"), ("--jensen-grid", "0"), ("--jensen-grid", "-4"),
+    ("--jensen-grid", "3"), ("--jensen-grid", "131072"),
     ("--taylor-r", "0"), ("--taylor-r", "2"), ("--taylor-r", "-0.1"), ("--taylor-r", "0.9995"),
 ])
 def test_trace_check_validates_grid_and_taylor_radius_first(v3_file, tmp_path, flag, value):
@@ -345,6 +352,15 @@ def test_bessel_check_subcommand(tmp_path):
     assert rep["integral_representation_worst"] < 1e-10
     assert rep["beta_d3"]["tail_bound"] <= 0.033
     assert math.isfinite(rep["uniform_bound"]["C_emp"])
+
+
+@pytest.mark.parametrize("flag, value", [("--m-max", "10001"), ("--t-max", "10001"), ("--beta-T", "2001")])
+def test_bessel_check_bounds_its_grids(tmp_path, flag, value):
+    # each just above its cap, which keeps every Bessel grid under 65 MB;
+    # --m-max 10000000 used to fail allocating 29.8 GiB (exit 1)
+    out = tmp_path / "bes.json"
+    assert main(["bessel-check", flag, value, "-o", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
 
 
 def test_sweep_subcommand(v3_file, tmp_path):

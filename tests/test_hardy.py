@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -73,8 +74,9 @@ def test_jensen_radius_validation(v3, zeros_v3):
 
 
 def test_jensen_grid_validation(v3, zeros_v3):
-    # the trapezoid mean needs a power of two >= 256, as the boundary grid
-    for n_grid in (0, -4, 3, 128, 300):
+    # the trapezoid mean needs a power of two in [256, 2^16], as the
+    # boundary grid
+    for n_grid in (0, -4, 3, 128, 300, 2 ** 17):
         with pytest.raises(ValueError, match="power of two"):
             jensen_check(v3, zeros_v3, 0.5, n_grid=n_grid)
 
@@ -94,38 +96,58 @@ def test_jensen_circle_costs_a_quadrant(v3, mix3):
             assert sum(v["misses"] for v in info.values()) == info[engine]["misses"] <= 257 * orbits
 
 
+def _window_rows(bt):
+    # the rule's window nodes, weights and log|D| values, one row per kink
+    # window in angle order: d = 3 has six, at 0, t1, pi - t1, pi, pi + t1
+    # and -t1 (mod 2 pi) for t1 = acos(1/3)
+    return tuple(a[bt.n_grid:].reshape(6, -1) for a in (bt.nodes, bt.weights, bt.log_mod))
+
+
 def test_kink_windows_are_exact_images(v3):
     # one window per orbit {t*, -t*, pi - t*, pi + t*} of kink angles is
-    # built, the others mirror it: same weights, nodes -x, pi - x, pi + x
-    # and grid spans mirrored; for a real potential the window at -t* sees
-    # log|D| at conjugate points, bit for bit the values at t*
+    # built, the others mirror it: same weights, nodes -x, pi - x, pi + x,
+    # and grid weights mirrored under k -> -k and k -> k + N/2; for a real
+    # potential the window at -t* sees log|D| at conjugate points, bit for
+    # bit the values at t*
     bt = boundary_trace(v3, n_grid=256)
     n = bt.n_grid
-    by_angle = {round(win.t_star, 12): win for win in bt.windows}
-    assert len(by_angle) == 6
+    nodes, weights, log_mod = _window_rows(bt)
     t1 = math.acos(1.0 / 3.0)
-    base = by_angle[round(t1, 12)]
-    for angle, sign, shift in ((-t1 % (2 * math.pi), -1, 0.0), (math.pi - t1, -1, math.pi),
-                               (math.pi + t1, 1, math.pi)):
-        win = by_angle[round(angle, 12)]
-        assert np.array_equal(win.weights, base.weights)
-        assert np.array_equal(win.nodes, shift + sign * base.nodes)
-        lo, hi = (base.k_lo, base.k_hi) if sign > 0 else (-base.k_hi, -base.k_lo)
-        assert (win.k_lo, win.k_hi) == (lo + round(shift / math.pi) * n // 2, hi + round(shift / math.pi) * n // 2)
-    assert np.array_equal(by_angle[round(-t1 % (2 * math.pi), 12)].log_mod, base.log_mod)
+    for row, angle in enumerate((0.0, t1, math.pi - t1, math.pi, math.pi + t1, -t1)):
+        assert np.min(np.abs(nodes[row] % (2 * math.pi) - angle % (2 * math.pi))) < 1e-3
+    for row, sign, shift in ((5, -1, 0.0), (2, -1, math.pi), (4, 1, math.pi)):
+        assert np.array_equal(weights[row], weights[1])
+        assert np.array_equal(nodes[row], shift + sign * nodes[1])
+    assert np.array_equal(log_mod[5], log_mod[1])
     # the band-edge orbit {0, pi} has two windows
-    edge, far = by_angle[0.0], by_angle[round(math.pi, 12)]
-    assert np.array_equal(far.nodes, math.pi + edge.nodes)
-    assert (far.k_lo, far.k_hi) == (edge.k_lo + n // 2, edge.k_hi + n // 2)
+    assert np.array_equal(weights[3], weights[0])
+    assert np.array_equal(nodes[3], math.pi + nodes[0])
+    k = np.arange(n)
+    grid = bt.weights[:n]
+    assert np.array_equal(grid[(-k) % n], grid) and np.array_equal(grid[(k + n // 2) % n], grid)
+
+
+def test_boundary_rule_integrates_known_functions(v3):
+    # the rule alone, on integrands with known integrals: the weights sum
+    # to 2 pi, and |sin t|, whose kinks at 0 and pi sit in the band-edge
+    # windows, integrates to 4
+    bt = boundary_trace(v3, n_grid=256)
+    assert abs(np.sum(bt.weights) - 2 * math.pi) <= 1e-14
+    abs_sin = dataclasses.replace(bt, log_mod=np.abs(np.sin(bt.nodes)))
+    assert abs(abs_sin.integrate_kernel(np.ones_like) - 4.0) <= 1e-7
 
 
 def test_boundary_trace_structure(bt_v3):
     assert bt_v3.n_grid == 1024
     assert bt_v3.low_confidence is False
     assert len([k for k in bt_v3.flagged if k >= 0]) == 0
-    # d = 3 has Van Hove kinks at cos(t) in {-1,..,1}: several windows
-    assert len(bt_v3.windows) >= 4
+    # d = 3 has Van Hove kinks at cos(t) in {-1,..,1}: six windows of
+    # Gauss nodes follow the grid in the rule, all near their kinks
+    nodes = _window_rows(bt_v3)[0]
+    assert nodes.shape[0] == 6 and nodes.shape[1] > 0
+    assert np.all(np.ptp(nodes, axis=1) < 0.3)
     assert bt_v3.dropped_windows == 0
+    assert bt_v3.nodes.shape == bt_v3.weights.shape == bt_v3.log_mod.shape
     assert np.all(np.isfinite(bt_v3.log_mod))
 
 
