@@ -35,6 +35,10 @@ from .quadrature import gl_panels
 
 _RESCALE = 1e250
 _INV_RESCALE = 1e-250
+# bessel_j_grid refuses a grid larger than this (64 MiB), which every
+# grid of bessel-check and of the oscillatory engine's orbits up to
+# max_j |n_j| = 192 stays within
+_GRID_BYTES = 2 ** 26
 # terms of the power series and of the large-argument expansion at most
 _SERIES_TERMS = 120
 _ASYMPTOTIC_TERMS = 28
@@ -112,6 +116,9 @@ def _miller_grid(tp: np.ndarray, m_max: int) -> np.ndarray:
     Unnormalized iterates grow by orders of magnitude; columns are rescaled
     by 1e-250 whenever they exceed 1e250, with per-column counts recorded at
     storage time so each stored row can be mapped back to the final scale.
+    The counts take the narrowest integer type that holds the number of
+    steps, and the stored rows are normalized and mapped back in place, one
+    row at a time, so the peak stays near the output's size.
     """
     tp = np.asarray(tp, dtype=float)
     nt = tp.size
@@ -126,7 +133,7 @@ def _miller_grid(tp: np.ndarray, m_max: int) -> np.ndarray:
     sc_now = np.zeros(nt, dtype=np.int64)
     norm = np.zeros(nt)
     rows = np.zeros((m_max + 1, nt))
-    sc_at = np.zeros((m_max + 1, nt), dtype=np.int64)
+    sc_at = np.zeros((m_max + 1, nt), dtype=np.min_scalar_type(start))
     for k in range(start, -1, -1):
         if k <= m_max:
             rows[k] = jc
@@ -143,18 +150,30 @@ def _miller_grid(tp: np.ndarray, m_max: int) -> np.ndarray:
                 norm[big] *= _INV_RESCALE
                 sc_now[big] += 1
     with np.errstate(under="ignore"):
-        return rows / norm * float(_INV_RESCALE) ** (sc_now[None, :] - sc_at)
+        for row, sc in zip(rows, sc_at):
+            row /= norm
+            row *= float(_INV_RESCALE) ** (sc_now - sc)
+    return rows
 
 
 def bessel_j_grid(t: Sequence[float] | np.ndarray, m_max: int) -> np.ndarray:
-    """J_m(t) for m = 0..m_max over an array of t >= 0; shape (m_max+1, len(t))."""
+    """J_m(t) for m = 0..m_max over an array of t >= 0; shape (m_max+1, len(t)).
+
+    A grid of more than _GRID_BYTES is refused before anything is allocated.
+    """
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if (t < 0).any():
         raise ValueError("bessel_j_grid requires t >= 0; use parity for negative arguments")
-    out = np.zeros((m_max + 1, t.size))
+    size = 8 * (m_max + 1) * t.size
+    if size > _GRID_BYTES:
+        raise ValueError(f"a Bessel grid of {m_max + 1} orders x {t.size} arguments takes "
+                         f"{size / 2 ** 20:.0f} MiB, above the bound of {_GRID_BYTES // 2 ** 20} MiB")
     pos = t > 0
+    if pos.all():
+        return _miller_grid(t, m_max)
+    out = np.zeros((m_max + 1, t.size))
     out[0, ~pos] = 1.0
     if pos.any():
         out[:, pos] = _miller_grid(t[pos], m_max)

@@ -46,9 +46,19 @@ such blocks; ``green_auto``, ``green_torus``, ``green_time`` and
   once (``_series_coeffs``) from shared tables of Pascal's rows, one
   axis's walk-count weights and the weights of the substitution 1/lam =
   (2/d) z / (1 + z^2); nothing is built at import.  ``_osc_plan`` holds
-  each orbit's Gauss kernel (one Bessel grid per max_j |n_j|,
-  ``_osc_grid``), the index of its horizon T0, its mode tails' phases,
-  frequency rows and polynomials, and its prefactor.
+  each orbit's Gauss kernel (one Bessel grid per horizon, ``_osc_grid``),
+  the index of its horizon T0, its mode tails' phases, frequency rows and
+  polynomials, and its prefactor.
+* The horizon rule: every orbit with n0 = max_j |n_j| <= _OSC_NEAR (6)
+  has the one horizon T0 = _OSC_T0 (240), a farther orbit T0 = 240 + 10
+  n0.  Up to n0 = 6 the engine's own estimate at T0 = 240 exceeds the
+  one at 240 + 10 n0 by less than a tenth of a rounding unit eps (1 +
+  |G|) of the value, at band points and near them; at n0 = 7 the excess
+  nears a whole unit.  The orbits of a horizon share one Bessel grid,
+  with the orders up to the largest they need; its rows do not depend on
+  that order (Miller's start is set by the largest node), so an orbit is
+  the same alone and in a set, and a far orbit's values are those of its
+  own horizon as before.
 * The series runs Estrin's scheme in w = z^2 over every orbit at once, in
   real arithmetic, on a chunk of lambdas whose arrays stay within
   _CHUNK_BYTES (512 KB).
@@ -56,7 +66,8 @@ such blocks; ``green_auto``, ``green_torus``, ``green_time`` and
   block stays within _CHUNK_BYTES.  In a chunk the phases are built once
   and shared by every orbit, and the mode tails of every
   (T0, frequency, lambda) come from one tail_integral_vec call, shared by
-  the orbits with that T0 (T0 depends only on max_j |n_j|).
+  the orbits with that T0: one row per (frequency, lambda) when every
+  orbit lies within n0 <= 6.
 * The two reference engines, torus and damped time, work one lambda at a
   time.
 * Batching changes no number: a block entry is computed exactly as it is
@@ -105,8 +116,9 @@ looks every distinct image up once, computes the missing ones in at most
 one core call and unfolds with array operations, in one pass.  Repeated
 evaluations during determinant assembly are therefore free and
 bit-identical.
-``green_cache_info`` reports each memo's hits, misses and size, and the
-number of orbits whose series coefficients were built;
+``green_cache_info`` reports each memo's hits, misses and size, the
+number of orbits whose series coefficients were built and the number of
+the oscillatory engine's Bessel grids built;
 ``clear_green_cache`` empties them, the plans, the series tables and
 ``support_orbits``, the orbit map of a support's differences that
 determinant assembly builds once per support.
@@ -155,10 +167,12 @@ _SERIES_K_MAX = 400
 _TORUS_DELTA_MIN = 1e-3
 # green_time truncates its horizon where the neglected tail drops below this
 _TIME_TOL = 1e-10
-# the oscillatory engine integrates numerically up to
-# T0 = _OSC_T0 + _OSC_T0_PER_ORDER * max_j |n_j| and keeps _OSC_N_TERMS
-# terms of each mode's large-t expansion beyond it
+# the oscillatory engine integrates numerically up to the horizon T0 and
+# keeps _OSC_N_TERMS terms of each mode's large-t expansion beyond it: T0 =
+# _OSC_T0 for every orbit with n0 = max_j |n_j| <= _OSC_NEAR, else _OSC_T0
+# + _OSC_T0_PER_ORDER * n0 (the horizon rule of the module docstring)
 _OSC_T0 = 240.0
+_OSC_NEAR = 6
 _OSC_T0_PER_ORDER = 10.0
 _OSC_N_TERMS = 11
 # its Gauss panels on [0, T0]: T0 / _OSC_PANEL panels (T0 is a whole number
@@ -222,10 +236,13 @@ def green_cache_info() -> dict:
     since the last ``clear_green_cache``.  A request counts once per
     (orbit, lambda) pair, a hit when the value was already known; ``size``
     counts the values held.  The series entry also counts the orbits whose
-    coefficients were built ("orbits")."""
+    coefficients were built ("orbits"), the oscillatory entry the Bessel
+    grids built ("grids"; as with a miss, a grid refused for its size
+    counts too)."""
     info = {name: {"hits": m.hits, "misses": m.misses, "size": m.size}
             for name, m in _MEMOS.items()}
     info["series"]["orbits"] = _series_coeffs.cache_info().misses
+    info["osc"]["grids"] = _osc_grid.cache_info().misses
     return info
 
 
@@ -653,30 +670,32 @@ def _time_block(canons: "list[Site]", lams: np.ndarray):
 # ------------------------------------------------------ oscillatory time path
 
 def _osc_t0(n0: int) -> float:
-    """The horizon T0 of the orbits with max_j |n_j| = n0."""
-    return _OSC_T0 + _OSC_T0_PER_ORDER * n0
+    """The horizon T0 of the orbits with max_j |n_j| = n0: _OSC_T0 up to
+    n0 = _OSC_NEAR, one per n0 beyond."""
+    return _OSC_T0 if n0 <= _OSC_NEAR else _OSC_T0 + _OSC_T0_PER_ORDER * n0
 
 
 @functools.lru_cache(maxsize=32)
-def _osc_grid(n0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Gauss nodes and weights on [0, T0], T0 = _osc_t0(n0), and J_0 ..
-    J_n0 at the nodes: one Bessel grid serves every orbit with max_j |n_j|
-    = n0."""
-    T0 = _osc_t0(n0)
+def _osc_grid(T0: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gauss nodes and weights on [0, T0], and J_0 .. J_m at the nodes:
+    one Bessel grid serves every orbit of a set at horizon T0.  Its rows
+    do not depend on m while m <= T0 (Miller's start is then set by the
+    largest node), so an orbit's kernel is the same alone and in a set."""
     nodes, weights = gl_panels(0.0, T0, _OSC_PANEL, npts=_OSC_NPTS)
     # _osc_main's factoring needs whole panels, all of length _OSC_PANEL
     assert nodes.size == _OSC_NPTS * T0 / _OSC_PANEL, f"T0={T0} is not a whole number of panels"
-    return nodes, weights, bessel_j_grid(nodes, n0)
+    return nodes, weights, bessel_j_grid(nodes, m)
 
 
-def _osc_kw(canon_n: Site) -> np.ndarray:
-    """Gauss weight times prod_j J_(n_j) at each numeric node, shape
-    (_OSC_NPTS, panels): row j holds node j of every panel (real;
-    _osc_main applies the phases)."""
-    _, weights, rows = _osc_grid(canon_n[0])
+def _osc_kw(canon_n: Site, m: int) -> np.ndarray:
+    """Gauss weight times prod_j J_(n_j) at each numeric node on [0, T0],
+    T0 = _osc_t0(n0), from the grid _osc_grid(T0, m), m >= n0 = max_j
+    |n_j|; shape (_OSC_NPTS, panels): row j holds node j of every panel
+    (real; _osc_main applies the phases)."""
+    _, weights, rows = _osc_grid(_osc_t0(canon_n[0]), m)
     kern = rows[canon_n[0]].copy()
-    for m in canon_n[1:]:
-        kern *= rows[m]
+    for n_j in canon_n[1:]:
+        kern *= rows[n_j]
     return np.ascontiguousarray((weights * kern).reshape(-1, _OSC_NPTS).T)
 
 
@@ -729,15 +748,22 @@ def _osc_tail_data(canon_n: Site) -> tuple:
 def _osc_plan(canons: "tuple[Site, ...]") -> tuple:
     """What _osc_block needs of an orbit set, built once: the panel count
     of its longest T0, its horizons T0 in ascending order, and per orbit
-    its Gauss kernel (_osc_kw), the index of its T0 among the horizons, per
-    sign pattern the constant phase, the row (S + d) / 2 of its frequency S
-    and its polynomial (_osc_tail_data), and the prefactor -i i^|n|."""
+    its Gauss kernel (_osc_kw, from the one grid of its horizon, with the
+    largest order any orbit there needs), the index of its T0 among the
+    horizons, per sign pattern the constant phase, the row (S + d) / 2 of
+    its frequency S and its polynomial (_osc_tail_data), and the prefactor
+    -i i^|n|."""
     d = len(canons[0])
-    horizons = sorted({_osc_t0(canon[0]) for canon in canons})
+    orders: dict = {}
+    for canon in canons:
+        T0 = _osc_t0(canon[0])
+        orders[T0] = max(orders.get(T0, 0), canon[0])
+    horizons = sorted(orders)
     orbits = []
     for canon in canons:
+        T0 = _osc_t0(canon[0])
         ph0s, s_freqs, polys = _osc_tail_data(canon)
-        orbits.append((_osc_kw(canon), horizons.index(_osc_t0(canon[0])), ph0s, (s_freqs + d) // 2, polys,
+        orbits.append((_osc_kw(canon, orders[T0]), horizons.index(T0), ph0s, (s_freqs + d) // 2, polys,
                        -1j * _IPOW[sum(canon) % 4]))
     return max(kw.shape[1] for kw, *_ in orbits), horizons, orbits
 

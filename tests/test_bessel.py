@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from latspec import bessel
 from latspec.bessel import (
     bessel_j,
     bessel_j_grid,
@@ -52,6 +54,67 @@ def test_grid_agrees_with_scalar():
     for j, tj in enumerate(t):
         for m in range(7):
             assert grid[m, j] == pytest.approx(bessel_j(m, float(tj)), abs=1e-13)
+
+
+def _miller_grid_reference(tp, m_max):
+    # Miller's recurrence as it was before the in-place rescale: an int64
+    # count per stored value and one whole-grid expression at the end
+    nt = tp.size
+    base = max(m_max, int(math.ceil(float(tp.max()))), 1)
+    start = base + int(8.0 * base ** (1.0 / 3.0)) + 50
+    start += start % 2
+    inv_t = 1.0 / tp
+    jp, jc = np.zeros(nt), np.full(nt, 1e-300)
+    sc_now = np.zeros(nt, dtype=np.int64)
+    norm = np.zeros(nt)
+    rows = np.zeros((m_max + 1, nt))
+    sc_at = np.zeros((m_max + 1, nt), dtype=np.int64)
+    for k in range(start, -1, -1):
+        if k <= m_max:
+            rows[k] = jc
+            sc_at[k] = sc_now
+        if k % 2 == 0:
+            norm += (1.0 if k == 0 else 2.0) * jc
+        if k > 0:
+            jp, jc = jc, (2.0 * k) * inv_t * jc - jp
+            big = np.abs(jc) > 1e250
+            if big.any():
+                jc[big] *= 1e-250
+                jp[big] *= 1e-250
+                norm[big] *= 1e-250
+                sc_now[big] += 1
+    with np.errstate(under="ignore"):
+        return rows / norm * 1e-250 ** (sc_now[None, :] - sc_at)
+
+
+def test_miller_grid_peak_memory_and_values():
+    # a 201 x 20,000 grid (beta_estimate's orders) peaks at most 2.5 times
+    # its output under tracemalloc (the whole-grid rescale peaked at 5) and
+    # equals the reference bit for bit, here and where the rescale counts
+    # differ between rows (orders far above the arguments)
+    t = np.linspace(1.0, 1000.0, 20_000)
+    tracemalloc.start()
+    try:
+        grid = bessel._miller_grid(t, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * grid.nbytes
+    assert np.array_equal(grid, _miller_grid_reference(t, 200))
+    t = np.geomspace(1e-3, 50.0, 300)
+    assert np.array_equal(bessel._miller_grid(t, 2000), _miller_grid_reference(t, 2000))
+
+
+def test_grid_larger_than_its_bound_is_refused_before_the_recurrence(monkeypatch):
+    def unreachable(tp, m_max):
+        raise AssertionError("the recurrence ran")
+
+    monkeypatch.setattr(bessel, "_miller_grid", unreachable)
+    rows = bessel._GRID_BYTES // 8 // 1000
+    with pytest.raises(ValueError, match="above the bound of 64 MiB"):
+        bessel_j_grid(np.ones(1000), rows)
+    with pytest.raises(AssertionError, match="the recurrence ran"):
+        bessel_j_grid(np.ones(1000), rows - 1)
 
 
 def test_integral_representation_cross_check(rng):

@@ -59,6 +59,24 @@ def test_green_rejects_complex_boundary():
     assert rc == EXIT_VALIDATION
 
 
+def test_green_refuses_a_far_orbit_whose_bessel_grid_exceeds_its_bound(monkeypatch, capsys, tmp_path):
+    # the orbit (1000, 0, 0) integrates to T0 = 10240 on 204,800 Gauss
+    # nodes, a Bessel grid of 1.53 GiB: refused with exit 2 before Miller's
+    # recurrence runs (it used to fail allocating, exit 1); (40, 0, 0)
+    # needs 4 MiB and is served
+    from latspec import bessel
+
+    miller = bessel._miller_grid
+    monkeypatch.setattr(bessel, "_miller_grid", lambda *a: pytest.fail("the recurrence ran"))
+    rc = main(["green", "--d", "3", "--lambda", "2.9,-0.01", "--site", "1000,0,0"])
+    assert rc == EXIT_VALIDATION
+    assert "1001 orders x 204800 arguments" in capsys.readouterr().err
+    monkeypatch.setattr(bessel, "_miller_grid", miller)
+    out = tmp_path / "g.json"
+    assert main(["green", "--d", "3", "--lambda", "2.9,-0.01", "--site", "40,0,0", "-o", str(out)]) == EXIT_OK
+    assert math.isfinite(_load(out)["value"]["re"])
+
+
 @pytest.mark.parametrize("n_quad", ["4", "9", "1026"])
 def test_green_torus_refuses_bad_n_quad(n_quad, capsys):
     # green_torus owns the rule: even and in [8, 512], the grids auto_n_quad
@@ -260,7 +278,8 @@ def test_eigs_subcommand(v3_file, tmp_path):
 
 def test_trace_check_and_thread_determinism(v3_file, tmp_path):
     # a cold trace-check on V = 3 delta_0 also pins the Green work it does:
-    # the values each engine computes, counted as memo misses
+    # the values each engine computes, counted as memo misses, and the one
+    # Bessel grid of the oscillatory engine
     from latspec import resolvent
 
     out1 = tmp_path / "t1.json"
@@ -268,7 +287,7 @@ def test_trace_check_and_thread_determinism(v3_file, tmp_path):
     resolvent.clear_green_cache()
     rc1 = main(["--threads", "1", "trace-check", "-p", v3_file, "-o", str(out1)])
     info = resolvent.green_cache_info()
-    assert (info["osc"]["misses"], info["series"]["misses"]) == (735, 490)
+    assert (info["osc"]["misses"], info["series"]["misses"], info["osc"]["grids"]) == (735, 490, 1)
     rc8 = main(["trace-check", "-p", v3_file, "--threads", "8", "-o", str(out8)])
     assert rc1 == rc8 == EXIT_OK
     a, b = _load(out1), _load(out8)

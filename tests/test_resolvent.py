@@ -334,13 +334,14 @@ def test_green_auto_routes_low_dimensions_unchanged(monkeypatch):
 
 
 def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
-    # the 8 sign patterns at d = 3 have 4 distinct frequencies S, and T0
-    # depends on the orbit only through max_j |n_j|: one block makes one
-    # tail_integral_vec call over its T0s and every (S, lambda) pair, and must
-    # equal, bit for bit, the engine's numeric sum plus one tail evaluation
-    # per sign pattern and lambda
+    # the 8 sign patterns at d = 3 have 4 distinct frequencies S, and every
+    # orbit with max_j |n_j| <= _OSC_NEAR has the one horizon T0 = 240: one
+    # block makes one tail_integral_vec call over that T0 and every (S,
+    # lambda) pair, and must equal, bit for bit, the engine's numeric sum on
+    # the orbit's own Bessel grid plus one tail evaluation per sign pattern
+    # and lambda.  A farther orbit adds its own horizon to the same call.
     lams = np.array([1.7 - 0.4j, -0.3 - 0.1j, 2.9 + 0.0j, -3.0 + 0.0j])
-    canons = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)]
+    far = resolvent._OSC_NEAR + 1
     tail_vec = resolvent.tail_integral_vec
     calls = []
 
@@ -349,37 +350,38 @@ def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
         return tail_vec(s, w, T)
 
     monkeypatch.setattr(resolvent, "tail_integral_vec", counted)
-    vals, errs = resolvent._osc_block(canons, lams)
     freqs = np.arange(-3, 4, 2)
-    assert len(calls) == 1 and list(calls[0][1]) == [240.0, 250.0, 260.0]
-    for w, _ in calls:
-        assert np.array_equal(w, (freqs[:, None] - lams).ravel())
-
     s_exps = 1.5 + np.arange(resolvent._OSC_N_TERMS, dtype=float)
     mode_factor = (2.0 / np.pi) ** 1.5 * 0.5 ** 3
-    for u, canon in enumerate(canons):
-        T0 = resolvent._osc_t0(canon[0])
-        kw = resolvent._osc_kw(canon)
-        main = resolvent._osc_main(kw, *resolvent._osc_phases(lams, kw.shape[1]))
-        tail = np.zeros(lams.size, dtype=complex)
-        trunc = np.zeros(lams.size)
-        for ph0, s_freq, poly in zip(*resolvent._osc_tail_data(canon)):
-            pieces = np.array([tail_vec(s_exps, s_freq - lam, T0) for lam in lams])
-            tail += ph0 * np.einsum("kj,j->k", pieces, poly)
-            trunc += np.abs(poly[-1] * pieces[:, -1])
-        ref = -1j * resolvent._IPOW[sum(canon) % 4] * (main + mode_factor * tail)
-        assert np.array_equal(vals[u], ref)
-        assert np.array_equal(errs[u], mode_factor * trunc + 1e-14 * (1.0 + np.abs(ref)))
+    for canons, horizons in (([(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)], [240.0]),
+                             ([(0, 0, 0), (far, 0, 0)], [240.0, 240.0 + 10.0 * far])):
+        calls.clear()
+        vals, errs = resolvent._osc_block(canons, lams)
+        assert len(calls) == 1 and list(calls[0][1]) == horizons
+        assert np.array_equal(calls[0][0], (freqs[:, None] - lams).ravel())
+        for u, canon in enumerate(canons):
+            T0 = resolvent._osc_t0(canon[0])
+            kw = resolvent._osc_kw(canon, canon[0])
+            main = resolvent._osc_main(kw, *resolvent._osc_phases(lams, kw.shape[1]))
+            tail = np.zeros(lams.size, dtype=complex)
+            trunc = np.zeros(lams.size)
+            for ph0, s_freq, poly in zip(*resolvent._osc_tail_data(canon)):
+                pieces = np.array([tail_vec(s_exps, s_freq - lam, T0) for lam in lams])
+                tail += ph0 * np.einsum("kj,j->k", pieces, poly)
+                trunc += np.abs(poly[-1] * pieces[:, -1])
+            ref = -1j * resolvent._IPOW[sum(canon) % 4] * (main + mode_factor * tail)
+            assert np.array_equal(vals[u], ref)
+            assert np.array_equal(errs[u], mode_factor * trunc + 1e-14 * (1.0 + np.abs(ref)))
 
 
 def _osc_block_per_pattern(canons, lams):
     # the oscillatory block as it was before one tail call served every T0:
-    # per orbit its own Bessel grid, per T0 its own tail call, per sign
-    # pattern its own contraction
+    # per orbit its own Bessel grid (orders up to its own max_j |n_j|), per
+    # T0 its own tail call, per sign pattern its own contraction
     d = len(canons[0])
     kws = []
     for canon in canons:
-        nodes, weights, _ = resolvent._osc_grid(canon[0])
+        nodes, weights, _ = resolvent._osc_grid(resolvent._osc_t0(canon[0]), canon[0])
         rows = resolvent.bessel_j_grid(nodes, canon[0])
         kern = np.prod([rows[m] for m in canon], axis=0)
         kws.append(np.ascontiguousarray((weights * kern).reshape(-1, resolvent._OSC_NPTS).T))
@@ -430,51 +432,107 @@ def test_osc_block_matches_per_pattern_loop(rng):
     assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
-def test_osc_block_shares_bessel_rows_per_leading_order(monkeypatch):
-    # an orbit's Bessel rows depend on it only through n0 = max_j |n_j|: a
-    # cold block over orbits with n0 in {0, 1, 2} builds three grids, and a
-    # warm one none
+def test_osc_block_shares_one_bessel_grid_per_horizon(monkeypatch):
+    # every orbit with max_j |n_j| <= _OSC_NEAR has the horizon T0 = 240: a
+    # cold block over orbits with max_j |n_j| in {0, 1, 2} builds one grid,
+    # with the orders up to 2, and a warm one none, in any orbit order
     grid = resolvent.bessel_j_grid
     calls = []
 
     def counted(t, m_max):
-        calls.append(m_max)
+        calls.append((t.size, m_max))
         return grid(t, m_max)
 
     monkeypatch.setattr(resolvent, "bessel_j_grid", counted)
     resolvent.clear_green_cache()
     lams = np.array([0.5 - 0.2j, 2.0 + 0.0j])
     resolvent._osc_block(_DRAW2_ORBITS, lams)
-    assert sorted(calls) == [0, 1, 2]
+    assert calls == [(resolvent._OSC_NPTS * 480, 2)]
+    assert resolvent.green_cache_info()["osc"]["grids"] == 1
     resolvent._osc_block(_DRAW2_ORBITS[::-1], lams)
-    assert len(calls) == 3
+    assert len(calls) == 1 and resolvent.green_cache_info()["osc"]["grids"] == 1
 
 
 def test_blocks_do_not_depend_on_the_orbit_set_or_the_lambdas():
     # each engine core's block, on a mixed orbit set (max_j |n_j| = 0, 1
-    # and 2), equals float for float each orbit computed alone and each
-    # lambda computed alone: the oscillatory engine, whose per-orbit
-    # constants come from one cached plan, on interior lambdas, band points and
-    # the band edges, with rows of zero tail frequency (lambda = S), and the
-    # torus on two grid sizes
-    def check(core, lams, *extra):
-        vals, errs = core(_DRAW2_ORBITS, lams, *extra)
-        for u, canon in enumerate(_DRAW2_ORBITS):
+    # and 2, all on one horizon and one Bessel grid; for the oscillatory
+    # engine also one orbit beyond _OSC_NEAR, on a horizon of its own),
+    # equals float for float each orbit computed alone, on the grid of its
+    # own orders, and each lambda computed alone: the oscillatory engine,
+    # whose per-orbit constants come from one cached plan, on interior
+    # lambdas, band points and the band edges, with rows of zero tail
+    # frequency (lambda = S), and the torus on two grid sizes
+    def check(core, canons, lams, *extra):
+        vals, errs = core(canons, lams, *extra)
+        for u, canon in enumerate(canons):
             alone = core([canon], lams, *extra)
             assert np.array_equal(alone[0][0], vals[u]) and np.array_equal(alone[1][0], errs[u])
         for k, lam in enumerate(lams):
-            alone = core(_DRAW2_ORBITS, lams[k:k + 1], *extra)
+            alone = core(canons, lams[k:k + 1], *extra)
             assert np.array_equal(alone[0][:, 0], vals[:, k]) and np.array_equal(alone[1][:, 0], errs[:, k])
 
     resolvent.clear_green_cache()
-    check(resolvent._osc_block, np.array([0.7 - 0.3j, -2.2 - 1.2j, 3.0, -3.0, 1.0, -1.0, 2.4, 3.1 - 0.05j]))
+    lams = np.array([0.7 - 0.3j, -2.2 - 1.2j, 3.0, -3.0, 1.0, -1.0, 2.4, 3.1 - 0.05j])
+    resolvent._osc_block(_DRAW2_ORBITS, lams)
+    assert resolvent._osc_grid.cache_info().currsize == 1
+    check(resolvent._osc_block, _DRAW2_ORBITS + [(resolvent._OSC_NEAR + 1, 1, 0)], lams)
+    # one grid per (horizon, largest order): the set's two, and the lone
+    # orbits' own at orders 0, 1 and 2 (2 is the set's)
+    assert resolvent._osc_grid.cache_info().currsize == 4
     for n_quad in (32, 40):
-        check(resolvent._torus_block, np.array([0.5 - 1.3j, -2.0 + 1.5j, 4.5 + 0.0j, -4.4 - 0.2j]), n_quad)
+        check(resolvent._torus_block, _DRAW2_ORBITS, np.array([0.5 - 1.3j, -2.0 + 1.5j, 4.5 + 0.0j, -4.4 - 0.2j]),
+              n_quad)
     plans = (resolvent._osc_plan, resolvent._osc_grid)
     assert all(plan.cache_info().currsize for plan in plans)
     resolvent.clear_green_cache()
     for cache in plans + (resolvent.support_orbits,):
         assert cache.cache_info().currsize == 0
+
+
+def _orbits_up_to(n0):
+    return [(a, b, c) for a in range(n0 + 1) for b in range(a + 1) for c in range(b + 1)]
+
+
+def test_shared_horizon_keeps_the_engine_estimate(monkeypatch):
+    # _OSC_NEAR is the largest leading order at which T0 = 240 costs the
+    # engine no accuracy by its own estimate: at band points (edges and
+    # Van Hove levels included) and interior points near the band, the
+    # estimate of every orbit up to (K, K, K) at T0 = 240 exceeds the one
+    # at the horizon 240 + 10 K of its leading order K by less than a
+    # tenth of a rounding unit eps (1 + |G|) of the value, and the values
+    # agree within that estimate; at (K + 1)^3 the excess is larger
+    eps = np.finfo(float).eps
+    lams = np.array([0.0, 1.0, 3.0, 2.999, 0.5 - 1e-3j, 1.0 - 1e-2j, 2.999 - 1e-4j, 3.0 - 0.05j, 1.7 - 0.3j])
+    near = resolvent._OSC_NEAR
+
+    def block(canons, k):
+        # with orbits up to leading order k on the horizon 240
+        monkeypatch.setattr(resolvent, "_OSC_NEAR", k)
+        resolvent.clear_green_cache()
+        return resolvent._osc_block(canons, lams)
+
+    try:
+        (old, old_errs), (vals, errs) = block(_orbits_up_to(near), -1), block(_orbits_up_to(near), near)
+        assert np.array_equal(vals[0], old[0])  # (0, 0, 0) had T0 = 240 already
+        assert (errs - old_errs <= 0.1 * eps * (1.0 + np.abs(vals))).all()
+        assert (np.abs(vals - old) <= errs).all()
+        (_, old_errs), (vals, errs) = block([(near + 1,) * 3], -1), block([(near + 1,) * 3], near + 1)
+        assert (errs - old_errs > 0.1 * eps * (1.0 + np.abs(vals))).any()
+    finally:
+        # no plan built under another _OSC_NEAR outlives the test
+        resolvent.clear_green_cache()
+
+
+def test_shared_horizon_matches_the_series():
+    # every orbit up to (K, K, K), K = _OSC_NEAR, on the horizon T0 = 240
+    # against the exact series on the circles |z| = 0.75 and 0.8 (the
+    # series' own reach), within the oscillatory engine's estimate
+    lams = np.array([lambda_of_z(r * cmath.exp(1j * t), 3) for r in (0.75, 0.8)
+                     for t in (0.0, 0.4, 1.1, 1.5708, 2.0, 2.7, math.pi)])
+    canons = _orbits_up_to(resolvent._OSC_NEAR)
+    series, _ = resolvent._series_block(canons, lams)
+    osc, osc_err = resolvent._osc_block(canons, lams)
+    assert (np.abs(series - osc) <= osc_err).all()
 
 
 def test_factored_gauss_phase_matches_direct_sum():
@@ -485,11 +543,11 @@ def test_factored_gauss_phase_matches_direct_sum():
     eps = np.finfo(float).eps
     lams = np.array([complex(re, im) for re in (0.0, 1.0, -1.0, 3.0, -3.0)
                      for im in (0.0, -0.01, -0.5, -1.25)])
-    for canon in ((0, 0, 0), (1, 0, 0), (2, 1, 0), (5, 3, 1)):
-        nodes, weights, _ = resolvent._osc_grid(canon[0])
+    for canon in ((0, 0, 0), (1, 0, 0), (2, 1, 0), (5, 3, 1), (resolvent._OSC_NEAR + 2, 3, 1)):
+        nodes, weights, _ = resolvent._osc_grid(resolvent._osc_t0(canon[0]), canon[0])
         rows = resolvent.bessel_j_grid(nodes, canon[0])
         kern = np.prod([rows[m] for m in canon], axis=0)
-        kw = resolvent._osc_kw(canon)
+        kw = resolvent._osc_kw(canon, canon[0])
         assert kw.shape == (10, nodes.size // 10)
         bound = 4.0 * eps * float(np.sum(np.abs(weights * kern)))
         # phases built for a longer T0 serve a shorter one
@@ -502,7 +560,8 @@ def test_factored_gauss_phase_matches_direct_sum():
 def test_green_cache_counters_repeat(v3, monkeypatch):
     # the memo counters of a pipeline are deterministic: two cold runs of
     # zeros, boundary trace and Taylor data on V = 3 delta_0 count the same
-    # hits, misses and sizes per engine, and the torus computes nothing
+    # hits, misses and sizes per engine and the same built orbits and
+    # Bessel grids, and the torus computes nothing
     from latspec.determinant import taylor_coeffs
     from latspec.hardy import boundary_trace
     from latspec.zeros import find_zeros
@@ -518,7 +577,7 @@ def test_green_cache_counters_repeat(v3, monkeypatch):
         infos.append(resolvent.green_cache_info())
     assert infos[0] == infos[1]
     osc, series = infos[0]["osc"], infos[0]["series"]
-    assert osc["misses"] == osc["size"] > 0 and osc["hits"] > 0
+    assert osc["misses"] == osc["size"] > 0 and osc["hits"] > 0 and osc["grids"] == 1
     assert series["misses"] == series["size"] > 0 and series["orbits"] == 1
     assert calls["torus"] == 0
 
