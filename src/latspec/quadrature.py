@@ -3,9 +3,9 @@ asymptotic tail of oscillatory integrals with power-law decay.
 
 ``tail_integral_vec`` computes I(s, w, T) = integral over [T, inf) of
 t^(-s) * exp(i w t) dt on an exponent ladder s = s0, s0 + 1, ..., s0 + n - 1
-with s0 > 1 (the Green engine's d/2 + 0..10), at each frequency w with Im(w)
->= 0 (so the exponential is bounded on the ray) and each horizon T.  Three
-regimes:
+with s0 > 1 (the Green engine's d/2 + 0..10), at one horizon T and each
+frequency w with Im(w) >= 0 (so the exponential is bounded on the ray).
+Three regimes:
 
 * w == 0: the integral is elementary, T^(1-s)/(s-1).
 * |w| T >= 2 s + 30 (direct): integration by parts gives the asymptotic
@@ -32,13 +32,13 @@ to rounding, since the series' terms obey the same recurrence.  The bridge
 serves rungs k and up: at T* its head is the top rung, and the recurrence
 runs down to rung k.
 
-A call is one pass over all its (horizon, frequency) rows: one series call
-over every row's head, one recurrence, and one bridge over the bridged
-rows.  The series lays its terms out term-major, one row of the array per
-term, so each product and sum runs across all rows at once; it first sums
-a window of _SERIES_WINDOW terms (24) and sums all _SERIES_TERMS (60)
-again only for the rows whose stop lies beyond the window; most stop near
-term 12.
+A call is one pass over all its frequency rows: one series call over
+every row's head, one recurrence, and one bridge over the bridged rows.
+The series lays its terms out term-major, one row of the array per term,
+so each product and sum runs across all rows at once; it first sums a
+window of _SERIES_WINDOW terms (24) and sums all _SERIES_TERMS (60) again
+only for the rows whose stop lies beyond the window; most stop near term
+12.
 
 At the crossover |w| T = 2 s + 30 itself the series' smallest term, hence
 its error, is about 3e-13 of I at s = 1.5 and 1.4e-11 at s = 11.5 (against
@@ -171,14 +171,14 @@ def _tail_direct(s_list: np.ndarray, w: np.ndarray, T: np.ndarray, t_pow: np.nda
     return vals
 
 
-def _tail_bridged(s_list: np.ndarray, w: np.ndarray, T: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """Tails of row i on rungs low[i] and up of the ladder (0 below), whose
-    |w| T is below the direct edge: t = T e^u on Gauss panels of
-    _BRIDGE_PANEL in u up to T* = (2 s_max + 32) / |w|, s_max the top
-    rung, plus the tails at T*, direct there.  The panels are those of
-    gl_panels(0, log(T* / T), _BRIDGE_PANEL, _BRIDGE_NPTS); rows that share
-    a panel layout are integrated together, in blocks whose largest array
-    stays within _BLOCK_BYTES."""
+def _tail_bridged(s_list: np.ndarray, w: np.ndarray, T: float, low: np.ndarray) -> np.ndarray:
+    """Tails of row i on rungs low[i] and up of the ladder (0 below) at the
+    horizon T, whose |w| T is below the direct edge: t = T e^u on Gauss
+    panels of _BRIDGE_PANEL in u up to T* = (2 s_max + 32) / |w|, s_max
+    the top rung, plus the tails at T*, direct there.  The panels are those
+    of gl_panels(0, log(T* / T), _BRIDGE_PANEL, _BRIDGE_NPTS); rows that
+    share a panel layout are integrated together, in blocks whose largest
+    array stays within _BLOCK_BYTES."""
     x0, w0 = (np.asarray(v) for v in _gl_nodes(_BRIDGE_NPTS))
     out = np.empty((w.size, s_list.size), dtype=complex)
     t_star = (2.0 * s_list[-1] + 32.0) / _modulus(w)
@@ -199,7 +199,7 @@ def _tail_bridged(s_list: np.ndarray, w: np.ndarray, T: np.ndarray, low: np.ndar
             mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
             u = (mid[:, :, None] + half[:, :, None] * x0).reshape(g.size, -1)
             uw = (half[:, :, None] * w0).reshape(g.size, -1)
-            t = T[g][:, None] * np.exp(u)
+            t = T * np.exp(u)
             phase = np.exp(1j * w[g][:, None] * t) * uw
             powers = t[:, None, :] ** (1.0 - s_list[None, :, None])
             out[g] = np.einsum("gsn,gn->gs", powers, phase)
@@ -218,42 +218,32 @@ def _check_tail_args(s: float, w: np.ndarray, T: float) -> None:
         raise ValueError(f"tail requires Im(w) >= 0 for convergence, got w={complex(w[bad][0])}")
 
 
-def tail_integral_vec(s_list: np.ndarray, w, T) -> np.ndarray:
+def tail_integral_vec(s_list: np.ndarray, w: np.ndarray, T: float) -> np.ndarray:
     """integral_T^inf t^(-s) exp(i w t) dt for each s of the ladder
     ``s_list`` = s0, s0 + 1, ..., s0 + n - 1 (s0 > 1; any other list is
-    refused) at each frequency w with Im(w) >= 0 and each horizon T > 0.
-
-    ``w`` is one frequency (one entry per exponent) or an array of them
-    (one row per frequency); ``T`` is one horizon or an array of them,
-    which adds a leading axis, one block per horizon.  Every (horizon,
-    frequency) row is computed on its own, so a row does not depend on the
-    others in the call, and one horizon of several is the same bits as that
-    horizon alone.  T^(-s) is Python's scalar power at each horizon and
-    numpy's array power at the bridges' T*.
+    refused) at each frequency of the 1-D array ``w`` (Im(w) >= 0) and the
+    horizon T > 0: shape (len(w), len(s_list)).  Every frequency row is
+    computed on its own, so a row does not depend on the others in the
+    call.  T^(-s) is Python's scalar power at T and numpy's array power at
+    the bridges' T*.
     """
     s_list = np.asarray(s_list, dtype=float)
     if s_list.ndim != 1 or not s_list.size or not np.array_equal(s_list, s_list[0] + np.arange(s_list.size)):
         raise ValueError(f"tail exponents must be a ladder s0, s0 + 1, ..., got {s_list.tolist()}")
-    w_in = np.asarray(w, dtype=complex)
-    T_in = np.asarray(T, dtype=float)
-    horizons = T_in.ravel().tolist()
-    w = np.tile(np.atleast_1d(w_in), len(horizons))
-    _check_tail_args(float(s_list[0]), w, min(horizons))
-    # row i belongs to horizon at[i]
-    at = np.repeat(np.arange(len(horizons)), w_in.size)
-    T_rows = T_in.ravel()[at]
-    xT = _modulus(w) * T_rows
+    w = np.asarray(w, dtype=complex)
+    T = float(T)
+    _check_tail_args(float(s_list[0]), w, T)
+    xT = _modulus(w) * T
     zero = xT < 1e-13
     # per row: its number of direct rungs, the head's rung plus one
     k = np.where(zero, 0, (xT[:, None] >= 2.0 * s_list + 30.0).sum(axis=1))
     out = np.zeros((w.size, s_list.size), dtype=complex)
     direct = np.nonzero(k)[0]
     if direct.size:
-        t_pow = np.array([[h ** -s for s in s_list.tolist()] for h in horizons])
-        out[direct] = _tail_direct(s_list, w[direct], T_rows[direct], t_pow[at[direct]], k[direct] - 1)
+        t_pow = np.tile([T ** -s for s in s_list.tolist()], (direct.size, 1))
+        out[direct] = _tail_direct(s_list, w[direct], np.full(direct.size, T), t_pow, k[direct] - 1)
     bridged = np.nonzero(~zero & (k < s_list.size))[0]
     if bridged.size:
-        out[bridged] += _tail_bridged(s_list, w[bridged], T_rows[bridged], k[bridged])
-    if zero.any():
-        out[zero] = np.array([h ** (1.0 - s_list) / (s_list - 1.0) for h in horizons])[at[zero]]
-    return out.reshape(T_in.shape + w_in.shape + s_list.shape)
+        out[bridged] += _tail_bridged(s_list, w[bridged], T, k[bridged])
+    out[zero] = T ** (1.0 - s_list) / (s_list - 1.0)
+    return out

@@ -46,28 +46,29 @@ such blocks; ``green_auto``, ``green_torus``, ``green_time`` and
   once (``_series_coeffs``) from shared tables of Pascal's rows, one
   axis's walk-count weights and the weights of the substitution 1/lam =
   (2/d) z / (1 + z^2); nothing is built at import.  ``_osc_plan`` holds
-  each orbit's Gauss kernel (one Bessel grid per horizon, ``_osc_grid``),
-  the index of its horizon T0, its mode tails' phases, frequency rows and
+  the set's horizon T0 and each orbit's Gauss kernel (from the set's one
+  Bessel grid, ``_osc_grid``), its mode tails' phases, frequency rows and
   polynomials, and its prefactor.
-* The horizon rule: every orbit with n0 = max_j |n_j| <= _OSC_NEAR (6)
-  has the one horizon T0 = _OSC_T0 (240), a farther orbit T0 = 240 + 10
-  n0.  Up to n0 = 6 the engine's own estimate at T0 = 240 exceeds the
-  one at 240 + 10 n0 by less than a tenth of a rounding unit eps (1 +
-  |G|) of the value, at band points and near them; at n0 = 7 the excess
-  nears a whole unit.  The orbits of a horizon share one Bessel grid,
-  with the orders up to the largest they need; its rows do not depend on
-  that order (Miller's start is set by the largest node), so an orbit is
-  the same alone and in a set, and a far orbit's values are those of its
-  own horizon as before.
+* The horizon rule: an orbit set has one horizon T0, set by its largest
+  leading order n0 = max_j |n_j| over its orbits: T0 = _OSC_T0 (240)
+  when n0 <= _OSC_NEAR (6), else T0 = 240 + 10 n0.  Up to n0 = 6 the
+  engine's own estimate at T0 = 240 exceeds the one at 240 + 10 n0 by
+  less than a tenth of a rounding unit eps (1 + |G|) of the value, at
+  band points and near them; at n0 = 7 the excess nears a whole unit.
+  Every orbit of the set is integrated to T0 on one Bessel grid, with
+  the orders up to n0.  Its rows do not depend on that order (Miller's
+  start is set by the largest node), so an orbit of a set whose orbits
+  all lie within n0 <= 6 is the same alone and in the set, bit for bit;
+  in a set with a farther orbit it is integrated to the longer horizon,
+  which agrees with its own to rounding.
 * The series runs Estrin's scheme in w = z^2 over every orbit at once, in
   real arithmetic, on a chunk of lambdas whose arrays stay within
   _CHUNK_BYTES (512 KB).
 * The oscillatory engine walks the lambda axis in chunks whose phase
   block stays within _CHUNK_BYTES.  In a chunk the phases are built once
-  and shared by every orbit, and the mode tails of every
-  (T0, frequency, lambda) come from one tail_integral_vec call, shared by
-  the orbits with that T0: one row per (frequency, lambda) when every
-  orbit lies within n0 <= 6.
+  and shared by every orbit, and the mode tails come from one
+  tail_integral_vec call at T0, one row per (frequency, lambda), shared
+  by every orbit.
 * The two reference engines, torus and damped time, work one lambda at a
   time.
 * Batching changes no number: a block entry is computed exactly as it is
@@ -169,8 +170,9 @@ _TORUS_DELTA_MIN = 1e-3
 _TIME_TOL = 1e-10
 # the oscillatory engine integrates numerically up to the horizon T0 and
 # keeps _OSC_N_TERMS terms of each mode's large-t expansion beyond it: T0 =
-# _OSC_T0 for every orbit with n0 = max_j |n_j| <= _OSC_NEAR, else _OSC_T0
-# + _OSC_T0_PER_ORDER * n0 (the horizon rule of the module docstring)
+# _OSC_T0 for an orbit set whose largest n0 = max_j |n_j| is <= _OSC_NEAR,
+# else _OSC_T0 + _OSC_T0_PER_ORDER * n0 (the horizon rule of the module
+# docstring)
 _OSC_T0 = 240.0
 _OSC_NEAR = 6
 _OSC_T0_PER_ORDER = 10.0
@@ -237,8 +239,9 @@ def green_cache_info() -> dict:
     (orbit, lambda) pair, a hit when the value was already known; ``size``
     counts the values held.  The series entry also counts the orbits whose
     coefficients were built ("orbits"), the oscillatory entry the Bessel
-    grids built ("grids"; as with a miss, a grid refused for its size
-    counts too)."""
+    grids built ("grids", one per largest leading order n0 of the orbit
+    sets served; as with a miss, a grid refused for its size counts
+    too)."""
     info = {name: {"hits": m.hits, "misses": m.misses, "size": m.size}
             for name, m in _MEMOS.items()}
     info["series"]["orbits"] = _series_coeffs.cache_info().misses
@@ -670,33 +673,22 @@ def _time_block(canons: "list[Site]", lams: np.ndarray):
 # ------------------------------------------------------ oscillatory time path
 
 def _osc_t0(n0: int) -> float:
-    """The horizon T0 of the orbits with max_j |n_j| = n0: _OSC_T0 up to
-    n0 = _OSC_NEAR, one per n0 beyond."""
+    """The horizon T0 of an orbit set whose largest max_j |n_j| is n0:
+    _OSC_T0 up to n0 = _OSC_NEAR, one per n0 beyond."""
     return _OSC_T0 if n0 <= _OSC_NEAR else _OSC_T0 + _OSC_T0_PER_ORDER * n0
 
 
 @functools.lru_cache(maxsize=32)
-def _osc_grid(T0: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Gauss nodes and weights on [0, T0], and J_0 .. J_m at the nodes:
-    one Bessel grid serves every orbit of a set at horizon T0.  Its rows
-    do not depend on m while m <= T0 (Miller's start is then set by the
-    largest node), so an orbit's kernel is the same alone and in a set."""
+def _osc_grid(n0: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The horizon T0 = _osc_t0(n0) of an orbit set whose largest max_j
+    |n_j| is n0, the Gauss weights on [0, T0], and J_0 .. J_n0 at the
+    nodes: one Bessel grid serves every orbit of the set.  Its rows do not
+    depend on n0 (Miller's start is set by the largest node)."""
+    T0 = _osc_t0(n0)
     nodes, weights = gl_panels(0.0, T0, _OSC_PANEL, npts=_OSC_NPTS)
     # _osc_main's factoring needs whole panels, all of length _OSC_PANEL
     assert nodes.size == _OSC_NPTS * T0 / _OSC_PANEL, f"T0={T0} is not a whole number of panels"
-    return nodes, weights, bessel_j_grid(nodes, m)
-
-
-def _osc_kw(canon_n: Site, m: int) -> np.ndarray:
-    """Gauss weight times prod_j J_(n_j) at each numeric node on [0, T0],
-    T0 = _osc_t0(n0), from the grid _osc_grid(T0, m), m >= n0 = max_j
-    |n_j|; shape (_OSC_NPTS, panels): row j holds node j of every panel
-    (real; _osc_main applies the phases)."""
-    _, weights, rows = _osc_grid(_osc_t0(canon_n[0]), m)
-    kern = rows[canon_n[0]].copy()
-    for n_j in canon_n[1:]:
-        kern *= rows[n_j]
-    return np.ascontiguousarray((weights * kern).reshape(-1, _OSC_NPTS).T)
+    return T0, weights, bessel_j_grid(nodes, n0)
 
 
 def _osc_phases(lams: np.ndarray, n_panels: int) -> "tuple[np.ndarray, np.ndarray]":
@@ -707,8 +699,7 @@ def _osc_phases(lams: np.ndarray, n_panels: int) -> "tuple[np.ndarray, np.ndarra
     in column p.  The panel phases are the outer product of _OSC_FINE
     consecutive panel steps and ceil(n_panels / _OSC_FINE) coarse ones:
     _OSC_FINE + ceil(n_panels / _OSC_FINE) exponentials per lambda in place
-    of one per panel.  Panel p's phase does not depend on n_panels, so one
-    set serves every orbit with a shorter T0."""
+    of one per panel.  Panel p's phase does not depend on n_panels."""
     mlam = -1j * lams[:, None]
     row = np.exp(mlam * _OSC_OFFSETS)
     fine = np.exp(mlam * (_OSC_PANEL * np.arange(_OSC_FINE)))
@@ -723,7 +714,7 @@ def _osc_main(kw: np.ndarray, row: np.ndarray, panel: np.ndarray) -> np.ndarray:
     are summed against each node row of kw first, in real arithmetic (a
     dot product over the panels per lambda, node and part), then the
     offset phases against those _OSC_NPTS sums."""
-    sums = np.einsum("rkp,jp->rkj", panel[:, :, :kw.shape[1]], kw)
+    sums = np.einsum("rkp,jp->rkj", panel, kw)
     return np.einsum("kj,kj->k", sums[0] + 1j * sums[1], row)
 
 
@@ -746,26 +737,25 @@ def _osc_tail_data(canon_n: Site) -> tuple:
 
 @functools.lru_cache(maxsize=64)
 def _osc_plan(canons: "tuple[Site, ...]") -> tuple:
-    """What _osc_block needs of an orbit set, built once: the panel count
-    of its longest T0, its horizons T0 in ascending order, and per orbit
-    its Gauss kernel (_osc_kw, from the one grid of its horizon, with the
-    largest order any orbit there needs), the index of its T0 among the
-    horizons, per sign pattern the constant phase, the row (S + d) / 2 of
-    its frequency S and its polynomial (_osc_tail_data), and the prefactor
+    """What _osc_block needs of an orbit set, built once: its horizon T0
+    and, per orbit, its Gauss kernel from the set's one grid _osc_grid(n0),
+    n0 the set's largest max_j |n_j| (the Gauss weight times prod_j
+    J_(n_j) at each node on [0, T0], shape (_OSC_NPTS, panels), row j
+    holding node j of every panel; real, _osc_main applies the phases),
+    per sign pattern the constant phase, the row (S + d) / 2 of its
+    frequency S and its polynomial (_osc_tail_data), and the prefactor
     -i i^|n|."""
     d = len(canons[0])
-    orders: dict = {}
-    for canon in canons:
-        T0 = _osc_t0(canon[0])
-        orders[T0] = max(orders.get(T0, 0), canon[0])
-    horizons = sorted(orders)
+    T0, weights, rows = _osc_grid(max(canon[0] for canon in canons))
     orbits = []
     for canon in canons:
-        T0 = _osc_t0(canon[0])
+        kern = rows[canon[0]].copy()
+        for n_j in canon[1:]:
+            kern *= rows[n_j]
+        kw = np.ascontiguousarray((weights * kern).reshape(-1, _OSC_NPTS).T)
         ph0s, s_freqs, polys = _osc_tail_data(canon)
-        orbits.append((_osc_kw(canon, orders[T0]), horizons.index(T0), ph0s, (s_freqs + d) // 2, polys,
-                       -1j * _IPOW[sum(canon) % 4]))
-    return max(kw.shape[1] for kw, *_ in orbits), horizons, orbits
+        orbits.append((kw, ph0s, (s_freqs + d) // 2, polys, -1j * _IPOW[sum(canon) % 4]))
+    return T0, orbits
 
 
 def _osc_block(canons: "list[Site]", lams: np.ndarray):
@@ -777,16 +767,17 @@ def _osc_block(canons: "list[Site]", lams: np.ndarray):
     expansion, turning the remainder into sums of t^(-d/2-q) e^(i(S-lam)t)
     integrals with integer S in [-d, d].  They depend on a sign pattern
     only through its frequency S, so each chunk of lambdas makes one
-    tail_integral_vec call for all d + 1 frequencies at every T0 of the
-    block, and an orbit sums its 2^d patterns' polynomials against them in
-    one stacked contraction, added up in pattern order.  The per-orbit
+    tail_integral_vec call for all d + 1 frequencies at the set's T0, and
+    an orbit sums its 2^d patterns' polynomials against them in one
+    stacked contraction, added up in pattern order.  The per-orbit
     constants come from the orbit set's _osc_plan; a call does only the
     per-lambda work.
     """
     if (lams.imag > 1e-15).any():
         raise ValueError("oscillatory engine requires Im(lambda) <= 0")
     d = len(canons[0])
-    n_panels, horizons, orbits = _osc_plan(tuple(canons))
+    T0, orbits = _osc_plan(tuple(canons))
+    n_panels = int(T0 / _OSC_PANEL)
     chunk = max(1, _CHUNK_BYTES // (16 * n_panels))
     freqs = np.arange(-d, d + 1, 2)
     s_exps = 0.5 * d + np.arange(_OSC_N_TERMS, dtype=float)
@@ -798,9 +789,9 @@ def _osc_block(canons: "list[Site]", lams: np.ndarray):
         cols = slice(lo, lo + lam.size)
         row, panel = _osc_phases(lam, n_panels)
         w = (freqs[:, None] - lam).ravel()
-        tails = tail_integral_vec(s_exps, w, horizons).reshape(len(horizons), freqs.size, lam.size, -1)
-        for u, (kw, h, ph0s, at_freq, polys, pref) in enumerate(orbits):
-            pieces = tails[h][at_freq]
+        tails = tail_integral_vec(s_exps, w, T0).reshape(freqs.size, lam.size, -1)
+        for u, (kw, ph0s, at_freq, polys, pref) in enumerate(orbits):
+            pieces = tails[at_freq]
             sums = np.einsum("pkj,pj->pk", pieces, polys)
             tail = sum(ph0 * part for ph0, part in zip(ph0s, sums))
             trunc = sum(np.abs(polys[:, -1, None] * pieces[:, :, -1]))

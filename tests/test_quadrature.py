@@ -30,7 +30,7 @@ def test_gl_panels_remainder_absorbed():
 def test_tail_integral_against_closed_form():
     # int_T^inf t^(-s) e^(iwt) dt for s > 1, w = 0 reduces to T^(1-s)/(s-1)
     s_list = np.array([1.5, 2.5, 3.5])
-    got = tail_integral_vec(s_list, 0.0, 50.0)
+    got = tail_integral_vec(s_list, np.array([0.0]), 50.0)[0]
     for k, s in enumerate(s_list):
         assert got[k] == pytest.approx(50.0 ** (1.0 - s) / (s - 1.0), rel=1e-10)
 
@@ -39,7 +39,7 @@ def _brute_tail(s_list, w, T):
     # brute-force finite quadrature on [T, T + 2000] (many cycles), plus the
     # remaining tail beyond it, which is ~1e-5 of the whole at s = 1.5
     nodes, weights = gl_panels(T, T + 2000.0, 0.5, npts=12)
-    rest = tail_integral_vec(s_list, w, T + 2000.0)
+    rest = tail_integral_vec(s_list, np.array([w]), T + 2000.0)[0]
     return [np.sum(weights * nodes ** (-s) * np.exp(1j * w * nodes)) + rest[k]
             for k, s in enumerate(s_list)]
 
@@ -48,7 +48,7 @@ def test_tail_integral_oscillatory_vs_quadrature():
     # moderate w: |w| T = 36 puts s = 1.5 and 2.5 on the direct series
     # (|w| T >= 2 s + 30) and s = 3.5 on the logarithmic bridge
     s_list, w, T = np.array([1.5, 2.5, 3.5]), 0.9, 40.0
-    got = tail_integral_vec(s_list, w, T)
+    got = tail_integral_vec(s_list, np.array([w]), T)[0]
     for k, ref in enumerate(_brute_tail(s_list, w, T)):
         assert abs(got[k] - ref) <= 1e-11 * abs(ref)
 
@@ -58,7 +58,7 @@ def test_tail_series_stops_relative_to_its_sum():
     # term and came out 19% off (exactly the first omitted term)
     s_list, w, T = np.array([10.5]), 0.2206, 250.0
     assert abs(w) * T >= 2.0 * s_list[0] + 30.0
-    got = tail_integral_vec(s_list, w, T)[0]
+    got = tail_integral_vec(s_list, np.array([w]), T)[0, 0]
     ref = _brute_tail(s_list, w, T)[0]
     assert abs(got - ref) <= 1e-11 * abs(ref)
 
@@ -110,8 +110,7 @@ def test_tail_rows_do_not_depend_on_the_batch():
     s_exps = 1.5 + np.arange(11, dtype=float)
     ws = np.array([0.0, 1e-3 + 2e-4j, 0.05, 0.1 - 0.0j, 0.21 + 0.03j, 1.7, -2.3 + 0.4j, 6.0])
     got = tail_integral_vec(s_exps, ws, 240.0)
-    for k, w in enumerate(ws):
-        assert np.array_equal(tail_integral_vec(s_exps, w, 240.0), got[k])
+    for k in range(ws.size):
         assert np.array_equal(tail_integral_vec(s_exps, ws[k:k + 1], 240.0)[0], got[k])
 
 
@@ -137,7 +136,7 @@ def test_tail_recurrence_matches_series_per_exponent():
                     w = _direct_w(w_t, theta, T)
                     if w.imag > 1.25:
                         continue
-                    got = tail_integral_vec(s_exps, w, T)
+                    got = tail_integral_vec(s_exps, np.array([w]), T)[0]
                     for k, s in enumerate(s_exps):
                         ref = _tail_series(s, w, T)
                         assert abs(got[k] - ref) <= 1e-14 * abs(ref)
@@ -160,7 +159,7 @@ def test_tail_mixed_exponents_keep_the_bridge(monkeypatch):
         return bridge(s_list, ws, T, low)
 
     monkeypatch.setattr(quadrature, "_tail_bridged", counted)
-    got = tail_integral_vec(s_exps, w, T)
+    got = tail_integral_vec(s_exps, np.array([w]), T)[0]
     assert bridged == [[direct.sum()]] and direct[:direct.sum()].all()
     for k in np.nonzero(direct)[0]:
         ref = _tail_series(s_exps[k], w, T)
@@ -173,12 +172,12 @@ def test_tail_integral_refuses_divergent_exponents():
     # at w = 0 the tail of t^(-s) diverges for s <= 1
     for s in (0.5, 1.0):
         with pytest.raises(ValueError, match="s > 1"):
-            tail_integral_vec([s], 0.0, 2.0)
+            tail_integral_vec([s], np.array([0.0]), 2.0)
 
 
-# ---- the single-horizon tail pass as it was before the multi-horizon
-# pass, kept as the bit-for-bit oracle: one exponent's series per call
-# over all 60 terms, the recurrence and the bridge per horizon
+# ---- the tail pass as it was before the one-pass rewrite, kept as the
+# bit-for-bit oracle: one exponent's series per call over all 60 terms,
+# then the recurrence and the bridge
 
 def _ref_series(s, w, T):
     # (value, stopping index) per row
@@ -273,14 +272,15 @@ def _w_with_stop(s, stop, T, theta):
     return w[at[0]]
 
 
-def test_multi_horizon_tail_matches_single_horizon_oracle(rng):
-    # one pass over the horizons (240, 250, 260) equals, bit for bit and
-    # per horizon, the single-horizon pass it replaced: rows in the w = 0,
-    # direct and bridged regimes, series stopping just inside the first
-    # pass's window, at its edge, just beyond it and late (the 60-term
-    # pass), including the rows that stop at no term
-    horizons = np.array([240.0, 250.0, 260.0])
+def test_tail_matches_single_horizon_oracle(rng):
+    # one pass at each horizon T equals, bit for bit, the single-horizon
+    # oracle: rows in the w = 0, direct and bridged regimes, series
+    # stopping just inside the first pass's window, at its edge, just
+    # beyond it and late (the 60-term pass), including the rows that stop
+    # at no term, and a ladder from 1.5 to 10.5
     window = quadrature._SERIES_WINDOW
+    targets = [window - 2, window - 1, window, window + 12, 59]
+    cases = []
     for d in (3, 4):
         s_exps = 0.5 * d + np.arange(11, dtype=float)
         freqs = np.arange(-d, d + 1, 2)
@@ -288,32 +288,23 @@ def test_multi_horizon_tail_matches_single_horizon_oracle(rng):
                                rng.uniform(-d, d, 6), [float(d), -1.0, 0.0],
                                [d - 0.02, d - 0.15 - 0.01j, 1e-3, -1.0 + 0.2 - 0.05j]])
         # rows whose head, where the series runs, is the largest exponent
-        targets = [window - 2, window - 1, window, window + 12, 59]
         crafted = [_w_with_stop(s_exps[-1], stop, 250.0, theta) for theta in (0.4, 2.0) for stop in targets]
-        w = np.concatenate([(freqs[:, None] - lams).ravel(), crafted])
         assert _ref_series(s_exps[-1], np.array(crafted), 250.0)[1].tolist() == targets * 2
-        assert (w == 0).any()
-        got = tail_integral_vec(s_exps, w, horizons)
-        assert got.shape == (3, w.size, s_exps.size)
-        for h, T in enumerate(horizons.tolist()):
+        cases.append((s_exps, np.concatenate([(freqs[:, None] - lams).ravel(), crafted])))
+    cases.append((1.5 + np.arange(10, dtype=float), np.array([0.0, 0.05, 0.2206, 1.7 + 0.3j, 0.9])))
+    for T in (40.0, 240.0, 250.0, 260.0):
+        for s_exps, w in cases:
+            assert (w == 0).any()
             xT = quadrature._modulus(w) * T
             direct = xT[:, None] >= 2.0 * s_exps + 30.0
             assert direct.all(axis=1).any() and (~direct & (xT[:, None] > 0)).any()
-            ref = _ref_tail(s_exps, w, T)
-            assert np.array_equal(got[h], ref)
-            assert np.array_equal(tail_integral_vec(s_exps, w, T), ref)
-    # a ladder from 1.5 to 10.5 at two horizons far apart, and one
-    # frequency given as a scalar
-    s_list = 1.5 + np.arange(10, dtype=float)
-    w = np.array([0.0, 0.05, 0.2206, 1.7 + 0.3j, 0.9])
-    got = tail_integral_vec(s_list, w, [40.0, 250.0])
-    for h, T in enumerate((40.0, 250.0)):
-        assert np.array_equal(got[h], _ref_tail(s_list, w, T))
-    assert np.array_equal(tail_integral_vec(s_list, 0.9, [40.0, 250.0]), got[:, -1])
+            got = tail_integral_vec(s_exps, w, T)
+            assert got.shape == (w.size, s_exps.size)
+            assert np.array_equal(got, _ref_tail(s_exps, w, T))
 
 
 @pytest.mark.parametrize("s_list", [[1.5, 2.0, 3.0], [1.5, 3.5], [2.5, 1.5], [[1.5, 2.5]], []])
 def test_tail_integral_refuses_exponents_off_a_ladder(s_list):
     # the pass serves the ladders s0, s0 + 1, ... of the Green engine only
     with pytest.raises(ValueError, match="ladder"):
-        tail_integral_vec(s_list, 0.5, 40.0)
+        tail_integral_vec(s_list, np.array([0.5]), 40.0)

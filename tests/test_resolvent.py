@@ -333,13 +333,28 @@ def test_green_auto_routes_low_dimensions_unchanged(monkeypatch):
     assert calls["osc"] == 0
 
 
+def _gauss_kernel(canon, T0):
+    # the Gauss nodes, weights and kernel prod_j J_(n_j) on [0, T0], on a
+    # Bessel grid of the orbit's own orders, and the weighted kernel laid
+    # out as _osc_main takes it (row j holds node j of every panel)
+    nodes, weights = resolvent.gl_panels(0.0, T0, resolvent._OSC_PANEL, npts=resolvent._OSC_NPTS)
+    rows = resolvent.bessel_j_grid(nodes, canon[0])
+    kern = np.prod([rows[m] for m in canon], axis=0)
+    return nodes, weights, kern, np.ascontiguousarray((weights * kern).reshape(-1, resolvent._OSC_NPTS).T)
+
+
+def _set_horizon(canons):
+    return resolvent._osc_t0(max(canon[0] for canon in canons))
+
+
 def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
-    # the 8 sign patterns at d = 3 have 4 distinct frequencies S, and every
-    # orbit with max_j |n_j| <= _OSC_NEAR has the one horizon T0 = 240: one
-    # block makes one tail_integral_vec call over that T0 and every (S,
-    # lambda) pair, and must equal, bit for bit, the engine's numeric sum on
-    # the orbit's own Bessel grid plus one tail evaluation per sign pattern
-    # and lambda.  A farther orbit adds its own horizon to the same call.
+    # the 8 sign patterns at d = 3 have 4 distinct frequencies S, and an
+    # orbit set has one horizon T0, 240 while every max_j |n_j| <=
+    # _OSC_NEAR and 240 + 10 n0 for a set whose largest is n0 beyond: one
+    # block makes one tail_integral_vec call at that T0 over every (S,
+    # lambda) pair, and must equal, bit for bit, the engine's numeric sum
+    # on a Bessel grid of the orbit's own orders plus one tail evaluation
+    # per sign pattern and lambda
     lams = np.array([1.7 - 0.4j, -0.3 - 0.1j, 2.9 + 0.0j, -3.0 + 0.0j])
     far = resolvent._OSC_NEAR + 1
     tail_vec = resolvent.tail_integral_vec
@@ -353,20 +368,19 @@ def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
     freqs = np.arange(-3, 4, 2)
     s_exps = 1.5 + np.arange(resolvent._OSC_N_TERMS, dtype=float)
     mode_factor = (2.0 / np.pi) ** 1.5 * 0.5 ** 3
-    for canons, horizons in (([(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)], [240.0]),
-                             ([(0, 0, 0), (far, 0, 0)], [240.0, 240.0 + 10.0 * far])):
+    for canons, T0 in (([(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)], 240.0),
+                       ([(0, 0, 0), (far, 0, 0)], 240.0 + 10.0 * far)):
         calls.clear()
         vals, errs = resolvent._osc_block(canons, lams)
-        assert len(calls) == 1 and list(calls[0][1]) == horizons
+        assert len(calls) == 1 and calls[0][1] == T0 == _set_horizon(canons)
         assert np.array_equal(calls[0][0], (freqs[:, None] - lams).ravel())
         for u, canon in enumerate(canons):
-            T0 = resolvent._osc_t0(canon[0])
-            kw = resolvent._osc_kw(canon, canon[0])
+            kw = _gauss_kernel(canon, T0)[3]
             main = resolvent._osc_main(kw, *resolvent._osc_phases(lams, kw.shape[1]))
             tail = np.zeros(lams.size, dtype=complex)
             trunc = np.zeros(lams.size)
             for ph0, s_freq, poly in zip(*resolvent._osc_tail_data(canon)):
-                pieces = np.array([tail_vec(s_exps, s_freq - lam, T0) for lam in lams])
+                pieces = np.array([tail_vec(s_exps, np.array([s_freq - lam]), T0)[0] for lam in lams])
                 tail += ph0 * np.einsum("kj,j->k", pieces, poly)
                 trunc += np.abs(poly[-1] * pieces[:, -1])
             ref = -1j * resolvent._IPOW[sum(canon) % 4] * (main + mode_factor * tail)
@@ -375,17 +389,14 @@ def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
 
 
 def _osc_block_per_pattern(canons, lams):
-    # the oscillatory block as it was before one tail call served every T0:
-    # per orbit its own Bessel grid (orders up to its own max_j |n_j|), per
-    # T0 its own tail call, per sign pattern its own contraction
+    # the oscillatory block as it was before one stacked contraction served
+    # every sign pattern: per orbit its own Bessel grid (orders up to its
+    # own max_j |n_j|) on the set's horizon, per chunk one tail call, per
+    # sign pattern its own contraction
     d = len(canons[0])
-    kws = []
-    for canon in canons:
-        nodes, weights, _ = resolvent._osc_grid(resolvent._osc_t0(canon[0]), canon[0])
-        rows = resolvent.bessel_j_grid(nodes, canon[0])
-        kern = np.prod([rows[m] for m in canon], axis=0)
-        kws.append(np.ascontiguousarray((weights * kern).reshape(-1, resolvent._OSC_NPTS).T))
-    n_panels = max(kw.shape[1] for kw in kws)
+    T0 = _set_horizon(canons)
+    kws = [_gauss_kernel(canon, T0)[3] for canon in canons]
+    n_panels = kws[0].shape[1]
     chunk = max(1, resolvent._CHUNK_BYTES // (16 * n_panels))
     freqs = np.arange(-d, d + 1, 2)
     s_exps = 0.5 * d + np.arange(resolvent._OSC_N_TERMS, dtype=float)
@@ -397,10 +408,8 @@ def _osc_block_per_pattern(canons, lams):
         cols = slice(lo, lo + lam.size)
         row, panel = resolvent._osc_phases(lam, n_panels)
         w = (freqs[:, None] - lam).ravel()
-        tails = {T0: resolvent.tail_integral_vec(s_exps, w, T0).reshape(freqs.size, lam.size, -1)
-                 for T0 in sorted({resolvent._osc_t0(canon[0]) for canon in canons})}
+        pieces = resolvent.tail_integral_vec(s_exps, w, T0).reshape(freqs.size, lam.size, -1)
         for u, canon in enumerate(canons):
-            pieces = tails[resolvent._osc_t0(canon[0])]
             tail = np.zeros(lam.size, dtype=complex)
             trunc = np.zeros(lam.size)
             for ph0, s_freq, poly in zip(*resolvent._osc_tail_data(canon)):
@@ -416,26 +425,32 @@ def _osc_block_per_pattern(canons, lams):
 # the orbits of the site differences of the benchmark's five-site panel
 # draw 2, and (2, 2, 0)
 _DRAW2_ORBITS = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0), (2, 2, 0)]
+# orbit sets with near orbits and one beyond _OSC_NEAR
+_MIXED_SETS = [_DRAW2_ORBITS + [(resolvent._OSC_NEAR + 1, 1, 0)], [(0, 0, 0), (resolvent._OSC_NEAR + 2, 0, 0)]]
 
 
 def test_osc_block_matches_per_pattern_loop(rng):
-    # one tail call over every T0, the stacked pattern contraction and the
-    # shared Bessel rows give the per-T0, per-pattern values bit for bit:
-    # interior lambdas out to the switching distance, band lambdas (edges
-    # and Van Hove levels included), and more lambdas than one chunk holds
+    # the stacked pattern contraction and the shared Bessel rows give the
+    # per-orbit, per-pattern values bit for bit, on a near orbit set and on
+    # one with an orbit beyond _OSC_NEAR: interior lambdas out to the
+    # switching distance, band lambdas (edges and Van Hove levels
+    # included), and more lambdas than one chunk holds
     interior = rng.uniform(-4.0, 4.0, 60) - 1j * rng.uniform(1e-3, 1.25, 60)
     band = np.concatenate([rng.uniform(-3.0, 3.0, 20), [-3.0, -1.0, 0.0, 1.0, 3.0]])
     lams = np.concatenate([interior, band.astype(complex)])
     resolvent.clear_green_cache()
-    got = resolvent._osc_block(_DRAW2_ORBITS, lams)
-    ref = _osc_block_per_pattern(_DRAW2_ORBITS, lams)
-    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    for canons in (_DRAW2_ORBITS, _MIXED_SETS[0]):
+        got = resolvent._osc_block(canons, lams)
+        ref = _osc_block_per_pattern(canons, lams)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
 def test_osc_block_shares_one_bessel_grid_per_horizon(monkeypatch):
-    # every orbit with max_j |n_j| <= _OSC_NEAR has the horizon T0 = 240: a
-    # cold block over orbits with max_j |n_j| in {0, 1, 2} builds one grid,
-    # with the orders up to 2, and a warm one none, in any orbit order
+    # an orbit set has one horizon and one Bessel grid: a cold block over
+    # orbits with max_j |n_j| in {0, 1, 2} builds one grid on [0, 240],
+    # with the orders up to 2, and a warm one none, in any orbit order; a
+    # set with an orbit of order n0 > _OSC_NEAR builds one grid on [0, 240
+    # + 10 n0] with the orders up to n0
     grid = resolvent.bessel_j_grid
     calls = []
 
@@ -451,20 +466,29 @@ def test_osc_block_shares_one_bessel_grid_per_horizon(monkeypatch):
     assert resolvent.green_cache_info()["osc"]["grids"] == 1
     resolvent._osc_block(_DRAW2_ORBITS[::-1], lams)
     assert len(calls) == 1 and resolvent.green_cache_info()["osc"]["grids"] == 1
+    for canons in _MIXED_SETS:
+        n0 = max(canon[0] for canon in canons)
+        resolvent.clear_green_cache()
+        calls.clear()
+        resolvent._osc_block(canons, lams)
+        assert calls == [(resolvent._OSC_NPTS * (480 + 20 * n0), n0)]
+        assert resolvent.green_cache_info()["osc"]["grids"] == 1
 
 
 def test_blocks_do_not_depend_on_the_orbit_set_or_the_lambdas():
     # each engine core's block, on a mixed orbit set (max_j |n_j| = 0, 1
-    # and 2, all on one horizon and one Bessel grid; for the oscillatory
-    # engine also one orbit beyond _OSC_NEAR, on a horizon of its own),
-    # equals float for float each orbit computed alone, on the grid of its
-    # own orders, and each lambda computed alone: the oscillatory engine,
-    # whose per-orbit constants come from one cached plan, on interior
-    # lambdas, band points and the band edges, with rows of zero tail
-    # frequency (lambda = S), and the torus on two grid sizes
-    def check(core, canons, lams, *extra):
+    # and 2, all on one horizon and one Bessel grid), equals float for
+    # float each orbit computed alone, on the grid of its own orders, and
+    # each lambda computed alone: the oscillatory engine, whose per-orbit
+    # constants come from one cached plan, on interior lambdas, band
+    # points and the band edges, with rows of zero tail frequency (lambda
+    # = S), and the torus on two grid sizes.  A set with an orbit beyond
+    # _OSC_NEAR integrates its near orbits to its longer horizon, which
+    # agrees with their own to rounding only; its columns still do not
+    # depend on the other lambdas
+    def check(core, canons, lams, *extra, orbits_alone=True):
         vals, errs = core(canons, lams, *extra)
-        for u, canon in enumerate(canons):
+        for u, canon in enumerate(canons if orbits_alone else ()):
             alone = core([canon], lams, *extra)
             assert np.array_equal(alone[0][0], vals[u]) and np.array_equal(alone[1][0], errs[u])
         for k, lam in enumerate(lams):
@@ -475,10 +499,11 @@ def test_blocks_do_not_depend_on_the_orbit_set_or_the_lambdas():
     lams = np.array([0.7 - 0.3j, -2.2 - 1.2j, 3.0, -3.0, 1.0, -1.0, 2.4, 3.1 - 0.05j])
     resolvent._osc_block(_DRAW2_ORBITS, lams)
     assert resolvent._osc_grid.cache_info().currsize == 1
-    check(resolvent._osc_block, _DRAW2_ORBITS + [(resolvent._OSC_NEAR + 1, 1, 0)], lams)
-    # one grid per (horizon, largest order): the set's two, and the lone
-    # orbits' own at orders 0, 1 and 2 (2 is the set's)
-    assert resolvent._osc_grid.cache_info().currsize == 4
+    check(resolvent._osc_block, _DRAW2_ORBITS, lams)
+    # one grid per largest order: the set's, and the lone orbits' own at
+    # orders 0 and 1 (2 is the set's)
+    assert resolvent._osc_grid.cache_info().currsize == 3
+    check(resolvent._osc_block, _MIXED_SETS[0], lams, orbits_alone=False)
     for n_quad in (32, 40):
         check(resolvent._torus_block, _DRAW2_ORBITS, np.array([0.5 - 1.3j, -2.0 + 1.5j, 4.5 + 0.0j, -4.4 - 0.2j]),
               n_quad)
@@ -506,10 +531,12 @@ def test_shared_horizon_keeps_the_engine_estimate(monkeypatch):
     near = resolvent._OSC_NEAR
 
     def block(canons, k):
-        # with orbits up to leading order k on the horizon 240
+        # each orbit alone, with the orbits up to leading order k on the
+        # horizon 240 and the others on the horizon of their own order
         monkeypatch.setattr(resolvent, "_OSC_NEAR", k)
         resolvent.clear_green_cache()
-        return resolvent._osc_block(canons, lams)
+        parts = [resolvent._osc_block([canon], lams) for canon in canons]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
     try:
         (old, old_errs), (vals, errs) = block(_orbits_up_to(near), -1), block(_orbits_up_to(near), near)
@@ -535,6 +562,40 @@ def test_shared_horizon_matches_the_series():
     assert (np.abs(series - osc) <= osc_err).all()
 
 
+def test_mixed_orbit_set_has_one_horizon(monkeypatch):
+    # a set of near orbits and one of leading order n0 > _OSC_NEAR is
+    # integrated to the one horizon 240 + 10 n0, with one tail call and one
+    # Bessel grid: its near orbits still agree with the exact series on
+    # the circles |z| = 0.75 and 0.8 within the oscillatory estimate, and
+    # its far orbit with the damped time engine at an interior point
+    # within the time engine's estimate
+    tail_vec = resolvent.tail_integral_vec
+    horizons = []
+
+    def counted(s, w, T):
+        horizons.append(T)
+        return tail_vec(s, w, T)
+
+    monkeypatch.setattr(resolvent, "tail_integral_vec", counted)
+    circles = np.array([lambda_of_z(r * cmath.exp(1j * t), 3) for r in (0.75, 0.8)
+                        for t in (0.0, 0.4, 1.1, 1.5708, 2.0, 2.7, math.pi)])
+    lams = np.append(circles, 2.9 - 0.05j)
+    for canons in _MIXED_SETS:
+        n0 = max(canon[0] for canon in canons)
+        resolvent.clear_green_cache()
+        horizons.clear()
+        osc, osc_err = resolvent._osc_block(canons, lams)
+        assert horizons == [240.0 + 10.0 * n0]
+        assert resolvent.green_cache_info()["osc"]["grids"] == 1
+        near = [u for u, canon in enumerate(canons) if canon[0] <= resolvent._OSC_NEAR]
+        series, _ = resolvent._series_block([canons[u] for u in near], circles)
+        assert (np.abs(series - osc[near, :-1]) <= osc_err[near, :-1]).all()
+        far = canons[-1]
+        assert far[0] == n0
+        time = green_time(far, lams[-1], 3)
+        assert abs(osc[-1, -1] - time.value) <= time.err_estimate
+
+
 def test_factored_gauss_phase_matches_direct_sum():
     # the per-panel factoring of e^(-i lam t) against the plain sum over the
     # nodes, on the band, at the Van Hove levels +-1 and the edges +-3, from
@@ -543,15 +604,13 @@ def test_factored_gauss_phase_matches_direct_sum():
     eps = np.finfo(float).eps
     lams = np.array([complex(re, im) for re in (0.0, 1.0, -1.0, 3.0, -3.0)
                      for im in (0.0, -0.01, -0.5, -1.25)])
-    for canon in ((0, 0, 0), (1, 0, 0), (2, 1, 0), (5, 3, 1), (resolvent._OSC_NEAR + 2, 3, 1)):
-        nodes, weights, _ = resolvent._osc_grid(resolvent._osc_t0(canon[0]), canon[0])
-        rows = resolvent.bessel_j_grid(nodes, canon[0])
-        kern = np.prod([rows[m] for m in canon], axis=0)
-        kw = resolvent._osc_kw(canon, canon[0])
+    # (7, 3, 1) has 620 panels, not a whole number of _OSC_FINE steps
+    for canon in ((0, 0, 0), (1, 0, 0), (2, 1, 0), (5, 3, 1), (resolvent._OSC_NEAR + 1, 3, 1)):
+        nodes, weights, kern, kw = _gauss_kernel(canon, resolvent._osc_t0(canon[0]))
         assert kw.shape == (10, nodes.size // 10)
+        assert np.array_equal(resolvent._osc_plan((canon,))[1][0][0], kw)
         bound = 4.0 * eps * float(np.sum(np.abs(weights * kern)))
-        # phases built for a longer T0 serve a shorter one
-        got = resolvent._osc_main(kw, *resolvent._osc_phases(lams, kw.shape[1] + 37))
+        got = resolvent._osc_main(kw, *resolvent._osc_phases(lams, kw.shape[1]))
         for lam, value in zip(lams, got):
             direct = np.sum(weights * np.exp(-1j * lam * nodes) * kern)
             assert abs(value - direct) <= bound
