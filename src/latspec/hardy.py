@@ -43,6 +43,7 @@ import numpy as np
 
 from .lattice import Potential, require_dimension_3
 from .quadrature import gl_panels
+from .resolvent import require_osc_dimension
 from .determinant import (
     MAX_CIRCLE_POINTS, RIM_RADIUS, NumericalError, TaylorCoeffs, circle_grid, det_eval_many,
 )
@@ -296,10 +297,12 @@ def boundary_trace(V: Potential, n_grid: int = 1024) -> BoundaryTrace:
     more than 5% flags marks the whole trace low-confidence, and a trace
     with no measured grid point raises NumericalError.  Kink windows are
     skipped (falling back to plain trapezoid there) if any of their node
-    evaluations fails.
+    evaluations fails.  It serves the oscillatory engine's dimensions, 3 <=
+    d <= 10, and refuses any other d before the first evaluation.
     """
     check_grid(n_grid)
     d = require_dimension_3(V.d, "boundary trace")
+    require_osc_dimension(d, "boundary trace")
     h = _TWO_PI / n_grid
 
     # kink windows: snap edges outward to grid nodes, grade toward the kink;

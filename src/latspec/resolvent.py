@@ -18,7 +18,8 @@ Four interior evaluators, independent of each other:
 * an oscillatory time engine: the same integral split at a moderate T0,
   with the remainder summed analytically mode by mode from the
   large-argument Bessel expansion.  It stays accurate arbitrarily close
-  to, and on, the band, for d >= 3.
+  to, and on, the band, for 3 <= d <= _OSC_D_MAX (10); beyond, its fixed
+  Gauss panels stop resolving the integrand, and it refuses.
 
 ``green_auto`` picks, at d >= 3, the series where |z(lam)| <= 0.8 and the
 oscillatory engine inside that circle's image, the ellipse of points
@@ -47,8 +48,8 @@ such blocks; ``green_auto``, ``green_torus``, ``green_time`` and
   axis's walk-count weights and the weights of the substitution 1/lam =
   (2/d) z / (1 + z^2); nothing is built at import.  ``_osc_plan`` holds
   the set's horizon T0 and each orbit's Gauss kernel (from the set's one
-  Bessel grid, ``_osc_grid``), its mode tails' phases, frequency rows and
-  polynomials, and its prefactor.
+  Bessel grid, ``_osc_grid``), its mode-tail polynomial per frequency
+  (``_osc_tail_coeffs``) and its prefactor.
 * The horizon rule: an orbit set has one horizon T0, set by its largest
   leading order n0 = max_j |n_j| over its orbits: T0 = _OSC_T0 (240)
   when n0 <= _OSC_NEAR (6), else T0 = 240 + 10 n0.  Up to n0 = 6 the
@@ -68,9 +69,11 @@ such blocks; ``green_auto``, ``green_torus``, ``green_time`` and
   block stays within _CHUNK_BYTES.  In a chunk the phases are built once
   and shared by every orbit, and the mode tails come from one
   tail_integral_vec call at T0, one row per (frequency, lambda), shared
-  by every orbit.
+  by every orbit, which contracts each row with its polynomial of that
+  frequency.
 * The two reference engines, torus and damped time, work one lambda at a
-  time.
+  time.  The torus refuses a grid of more than _TORUS_MAX_POINTS folded
+  points before its first lambda.
 * Batching changes no number: a block entry is computed exactly as it is
   alone.  Array operations act elementwise along the lambda axis, and the
   contractions are ``np.einsum`` calls whose summation order is set by the
@@ -164,8 +167,12 @@ _DIST_MIN_LOW_D = 0.35
 _SERIES_TOL = 2.0 ** -60
 _SERIES_WINDOW = 16
 _SERIES_K_MAX = 400
-# green_torus refuses lambda closer to the band than this
+# green_torus refuses lambda closer to the band than this, and a grid of
+# more than _TORUS_MAX_POINTS folded points (n_quad + 1)^(d - 1), about 5 s
+# at 140 ns a point on a 2-core box: every d = 3 grid, d = 4 up to n_quad
+# 320, d = 5 up to 74
 _TORUS_DELTA_MIN = 1e-3
+_TORUS_MAX_POINTS = 2 ** 25
 # green_time truncates its horizon where the neglected tail drops below this
 _TIME_TOL = 1e-10
 # the oscillatory engine integrates numerically up to the horizon T0 and
@@ -177,6 +184,10 @@ _OSC_T0 = 240.0
 _OSC_NEAR = 6
 _OSC_T0_PER_ORDER = 10.0
 _OSC_N_TERMS = 11
+# the engine serves d <= _OSC_D_MAX: beyond it the fixed panels below stop
+# resolving the integrand (against a fine reference its error reaches 0.44
+# of its estimate at d = 10, 1.6 times it at 11 and 84 times at 14)
+_OSC_D_MAX = 10
 # its Gauss panels on [0, T0]: T0 / _OSC_PANEL panels (T0 is a whole number
 # of them) of _OSC_NPTS nodes at _OSC_OFFSETS from the panel's midpoint;
 # _osc_phases builds the per-panel phases from _OSC_FINE consecutive panels
@@ -335,7 +346,14 @@ def _torus_block(canons: "list[Site]", lams: np.ndarray, n_quad):
     axis) with the difference from n_quad points as error estimate, per
     orbit (rows) and lambda (columns); ``n_quad`` is one grid size or one
     per lambda.  One lambda at a time, with no memo and no symmetry fold:
-    this engine is a reference for the others (see ``_torus_column``)."""
+    this engine is a reference for the others (see ``_torus_column``).  A
+    grid of more than _TORUS_MAX_POINTS folded points is refused before the
+    first lambda."""
+    d = len(canons[0])
+    largest = int(np.max(n_quad))
+    if (largest + 1) ** (d - 1) > _TORUS_MAX_POINTS:
+        raise ValueError(f"the torus grid n_quad={largest} at d={d} has (n_quad + 1)^(d - 1) = "
+                         f"{(largest + 1) ** (d - 1)} folded points, more than {_TORUS_MAX_POINTS}")
     vals = np.empty((len(canons), lams.size), dtype=complex)
     errs = np.empty(vals.shape)
     for k, (lam, nq) in enumerate(zip(lams.tolist(), np.broadcast_to(n_quad, lams.shape).tolist())):
@@ -672,6 +690,16 @@ def _time_block(canons: "list[Site]", lams: np.ndarray):
 
 # ------------------------------------------------------ oscillatory time path
 
+def require_osc_dimension(d: int, context: str) -> None:
+    """Refuse d > _OSC_D_MAX, where the oscillatory engine's fixed Gauss
+    panels stop resolving its integrand."""
+    if d > _OSC_D_MAX:
+        raise ValueError(
+            f"{context} requires lattice dimension d <= {_OSC_D_MAX} (got d={d}): the oscillatory "
+            "engine's fixed Gauss panels do not resolve the time integral beyond it"
+        )
+
+
 def _osc_t0(n0: int) -> float:
     """The horizon T0 of an orbit set whose largest max_j |n_j| is n0:
     _OSC_T0 up to n0 = _OSC_NEAR, one per n0 beyond."""
@@ -718,21 +746,22 @@ def _osc_main(kw: np.ndarray, row: np.ndarray, panel: np.ndarray) -> np.ndarray:
     return np.einsum("kj,kj->k", sums[0] + 1j * sums[1], row)
 
 
-def _osc_tail_data(canon_n: Site) -> tuple:
-    """Per sign pattern s in {+,-}^d, in pattern order: the constant phases
-    (a list), the integer frequencies S and the coefficient polynomials of
-    prod_j A or conj(A) truncated at _OSC_N_TERMS (one array each)."""
-    amps = {m: hankel_amplitude_coeffs(m, _OSC_N_TERMS) for m in set(canon_n)}
-    ph0s, s_freqs, polys = [], [], []
-    for signs in itertools.product((1, -1), repeat=len(canon_n)):
-        s_freqs.append(sum(signs))
-        arg = -(np.pi / 2) * sum(s * m for s, m in zip(signs, canon_n)) - (np.pi / 4) * s_freqs[-1]
-        ph0s.append(complex(np.exp(1j * arg)))
-        poly = np.ones(1, dtype=complex)
-        for s, m in zip(signs, canon_n):
-            poly = np.convolve(poly, amps[m] if s > 0 else np.conj(amps[m]))[:_OSC_N_TERMS]
-        polys.append(poly)
-    return ph0s, np.array(s_freqs), np.array(polys)
+def _osc_tail_coeffs(canon: Site) -> np.ndarray:
+    """The mode-tail coefficients of an orbit, shape (d + 1, _OSC_N_TERMS):
+    row (S + d) / 2 holds the polynomial in 1/t of frequency S.  They are
+    the product over the axes of one two-term factor, e^(-i(pi/2 n_j +
+    pi/4)) A_(n_j) at frequency +1 and its conjugate at -1 (A_m the
+    large-t amplitude of J_m), truncated at _OSC_N_TERMS after each axis,
+    times (2/pi)^(d/2) 2^(-d)."""
+    coef = np.ones((1, 1), dtype=complex)
+    for n_j in canon:
+        plus = np.exp(-1j * (np.pi / 2 * n_j + np.pi / 4)) * hankel_amplitude_coeffs(n_j, _OSC_N_TERMS)
+        grown = np.zeros((len(coef) + 1, _OSC_N_TERMS), dtype=complex)
+        for f, row in enumerate(coef):
+            grown[f] += np.convolve(row, plus.conj())[:_OSC_N_TERMS]
+            grown[f + 1] += np.convolve(row, plus)[:_OSC_N_TERMS]
+        coef = grown
+    return coef * ((2.0 / np.pi) ** (0.5 * len(canon)) * 0.5 ** len(canon))
 
 
 @functools.lru_cache(maxsize=64)
@@ -742,10 +771,8 @@ def _osc_plan(canons: "tuple[Site, ...]") -> tuple:
     n0 the set's largest max_j |n_j| (the Gauss weight times prod_j
     J_(n_j) at each node on [0, T0], shape (_OSC_NPTS, panels), row j
     holding node j of every panel; real, _osc_main applies the phases),
-    per sign pattern the constant phase, the row (S + d) / 2 of its
-    frequency S and its polynomial (_osc_tail_data), and the prefactor
-    -i i^|n|."""
-    d = len(canons[0])
+    its mode-tail coefficients per frequency (_osc_tail_coeffs) and the
+    prefactor -i i^|n|."""
     T0, weights, rows = _osc_grid(max(canon[0] for canon in canons))
     orbits = []
     for canon in canons:
@@ -753,8 +780,7 @@ def _osc_plan(canons: "tuple[Site, ...]") -> tuple:
         for n_j in canon[1:]:
             kern *= rows[n_j]
         kw = np.ascontiguousarray((weights * kern).reshape(-1, _OSC_NPTS).T)
-        ph0s, s_freqs, polys = _osc_tail_data(canon)
-        orbits.append((kw, ph0s, (s_freqs + d) // 2, polys, -1j * _IPOW[sum(canon) % 4]))
+        orbits.append((kw, _osc_tail_coeffs(canon), -1j * _IPOW[sum(canon) % 4]))
     return T0, orbits
 
 
@@ -762,14 +788,15 @@ def _osc_block(canons: "list[Site]", lams: np.ndarray):
     """High-accuracy kernel values for Im(lam) <= 0, including real lam, per
     orbit (rows) and lambda (columns), with error estimates.
 
-    Numeric Gauss-Legendre integral on [0, T0] plus 2^d analytic mode tails:
+    Numeric Gauss-Legendre integral on [0, T0] plus analytic mode tails:
     beyond T0 each J-product factor is replaced by its two-sided large-t
     expansion, turning the remainder into sums of t^(-d/2-q) e^(i(S-lam)t)
-    integrals with integer S in [-d, d].  They depend on a sign pattern
-    only through its frequency S, so each chunk of lambdas makes one
-    tail_integral_vec call for all d + 1 frequencies at the set's T0, and
-    an orbit sums its 2^d patterns' polynomials against them in one
-    stacked contraction, added up in pattern order.  The per-orbit
+    integrals with integer S in [-d, d], one polynomial in 1/t per
+    frequency S.  Each chunk of lambdas makes one tail_integral_vec call
+    for all d + 1 frequencies at the set's T0, and an orbit contracts each
+    frequency's row of integrals with its polynomial, adding the rows up
+    in frequency order.  The truncation estimate is the last term kept,
+    summed in absolute value over the frequencies.  The per-orbit
     constants come from the orbit set's _osc_plan; a call does only the
     per-lambda work.
     """
@@ -781,7 +808,6 @@ def _osc_block(canons: "list[Site]", lams: np.ndarray):
     chunk = max(1, _CHUNK_BYTES // (16 * n_panels))
     freqs = np.arange(-d, d + 1, 2)
     s_exps = 0.5 * d + np.arange(_OSC_N_TERMS, dtype=float)
-    mode_factor = (2.0 / np.pi) ** (0.5 * d) * 0.5 ** d
     vals = np.empty((len(canons), lams.size), dtype=complex)
     errs = np.empty(vals.shape)
     for lo in range(0, lams.size, chunk):
@@ -790,13 +816,11 @@ def _osc_block(canons: "list[Site]", lams: np.ndarray):
         row, panel = _osc_phases(lam, n_panels)
         w = (freqs[:, None] - lam).ravel()
         tails = tail_integral_vec(s_exps, w, T0).reshape(freqs.size, lam.size, -1)
-        for u, (kw, ph0s, at_freq, polys, pref) in enumerate(orbits):
-            pieces = tails[at_freq]
-            sums = np.einsum("pkj,pj->pk", pieces, polys)
-            tail = sum(ph0 * part for ph0, part in zip(ph0s, sums))
-            trunc = sum(np.abs(polys[:, -1, None] * pieces[:, :, -1]))
-            vals[u, cols] = value = pref * (_osc_main(kw, row, panel) + mode_factor * tail)
-            errs[u, cols] = mode_factor * trunc + 1e-14 * (1.0 + np.abs(value))
+        for u, (kw, coef, pref) in enumerate(orbits):
+            tail = sum(np.einsum("fkj,fj->fk", tails, coef))
+            trunc = sum(np.abs(coef[:, -1, None] * tails[:, :, -1]))
+            vals[u, cols] = value = pref * (_osc_main(kw, row, panel) + tail)
+            errs[u, cols] = trunc + 1e-14 * (1.0 + np.abs(value))
     return vals, errs
 
 
@@ -851,6 +875,8 @@ def green_orbits(canons: "Sequence[Site]", lams: "Sequence[complex]", d: int,
         # by the quadrant image, as the memo keys are: mirror images take one route
         image = np.abs(lams.real) - 1j * np.abs(lams.imag)
         series = np.abs(z_of_lambda(image, d)) <= _SERIES_RADIUS
+        if not series.all():
+            require_osc_dimension(d, f"green_auto outside |z| <= {_SERIES_RADIUS}")
     else:
         series = dist >= _DIST_MIN_LOW_D
         if not series.all():
@@ -875,7 +901,8 @@ def green_auto(n: Sequence[int], lam: complex, d: int) -> GreenValue:
     there and costs a few microseconds per value; the oscillatory engine,
     about the same at every distance, keeps the points where the series
     would need many more terms, and its fixed Gauss panels never see a
-    large |lam|.
+    large |lam|.  Above d = _OSC_D_MAX (10) the series' disc alone is
+    served, and a lam beyond it is refused.
 
     At d = 1, 2 the oscillatory engine does not exist: the series serves
     distances >= _DIST_MIN_LOW_D (0.35), out to |z| = 0.71 (d = 1) and
@@ -890,18 +917,19 @@ def green_auto(n: Sequence[int], lam: complex, d: int) -> GreenValue:
 def green_boundary_orbits(canons: "Sequence[Site]", lambda0s: "Sequence[float]",
                           plus: "Sequence[bool]", d: int) -> "tuple[np.ndarray, np.ndarray]":
     """Boundary values G(n, lambda0 + i0) where plus[k], else G(n, lambda0 -
-    i0), for every orbit (rows) and band point lambda0 (columns), d >= 3,
-    with error estimates; shapes as in ``green_orbits``."""
+    i0), for every orbit (rows) and band point lambda0 (columns), 3 <= d <=
+    _OSC_D_MAX (10), with error estimates; shapes as in ``green_orbits``."""
     lam0 = np.asarray(lambda0s, dtype=float)
     _require_finite(lam0, "lambda0")
     off = np.abs(lam0) > d
     if off.any():
         raise ValueError(f"lambda0={lam0[off][0]} is off the band [-{d},{d}]; use green_auto")
+    require_osc_dimension(d, "green_boundary")
     return _memo_block("osc", _osc_block, tuple(canons), lam0.astype(complex), up=plus)
 
 
 def green_boundary(n: Sequence[int], lambda0: float, side: str, d: int) -> GreenValue:
-    """Boundary value G(n, lambda0 +/- i0) on the band [-d, d], d >= 3.
+    """Boundary value G(n, lambda0 +/- i0) on the band [-d, d], 3 <= d <= 10.
 
     The oscillatory time engine evaluates directly at real lambda0: its
     analytic tail sums are valid on the closed lower half plane, which

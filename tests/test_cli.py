@@ -87,6 +87,19 @@ def test_green_torus_refuses_bad_n_quad(n_quad, capsys):
     assert "n_quad must be even and in [8, 512]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--d", "11", "--lambda", "10.9,-0.01", "--site", ",".join("0" * 11)], "d <= 10"),
+    (["--d", "11", "--lambda", "5", "--site", ",".join("0" * 11), "--method", "boundary-plus"], "d <= 10"),
+    (["--d", "4", "--lambda", "3.9,-0.01", "--site", "0,0,0,0", "--method", "torus"], "folded points"),
+    (["--d", "5", "--lambda", "4.9,-0.01", "--site", "0,0,0,0,0", "--method", "torus"], "folded points"),
+], ids=["osc-d11", "boundary-d11", "torus-d4", "torus-d5"])
+def test_green_refuses_engines_beyond_their_reach(argv, message, capsys):
+    # the oscillatory engine above d = 10 and a torus grid above its bound
+    # are bad input, refused before any work
+    assert main(["green", *argv]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
 def test_green_n_quad_only_with_torus(tmp_path):
     base = ["green", "--d", "3", "--lambda", "5", "--site", "0,0,0", "--n-quad", "40"]
     assert main(base + ["--method", "auto"]) == EXIT_VALIDATION

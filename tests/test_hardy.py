@@ -158,6 +158,14 @@ def test_boundary_trace_requires_power_of_two(v3):
         boundary_trace(v3, n_grid=128)
 
 
+def test_boundary_trace_refuses_dimensions_beyond_the_oscillatory_engine(monkeypatch):
+    # d = 11 is refused up front as bad input, before any evaluation, not
+    # turned into a NumericalError by the per-point fallback
+    monkeypatch.setattr(hardy, "det_eval_many", lambda *args: pytest.fail("evaluated"))
+    with pytest.raises(ValueError, match="d <= 10"):
+        boundary_trace(Potential(11, [((0,) * 11, 3.0 + 0.0j)]))
+
+
 def test_boundary_trace_flags_only_numerical_failures(v3, monkeypatch):
     # a numerical failure is flagged and infilled, point by point; a trace
     # with no measured point raises NumericalError; a programming error

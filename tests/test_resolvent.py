@@ -348,13 +348,14 @@ def _set_horizon(canons):
 
 
 def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
-    # the 8 sign patterns at d = 3 have 4 distinct frequencies S, and an
-    # orbit set has one horizon T0, 240 while every max_j |n_j| <=
-    # _OSC_NEAR and 240 + 10 n0 for a set whose largest is n0 beyond: one
-    # block makes one tail_integral_vec call at that T0 over every (S,
-    # lambda) pair, and must equal, bit for bit, the engine's numeric sum
-    # on a Bessel grid of the orbit's own orders plus one tail evaluation
-    # per sign pattern and lambda
+    # the mode tails at d = 3 have 4 frequencies S, and an orbit set has
+    # one horizon T0, 240 while every max_j |n_j| <= _OSC_NEAR and 240 + 10
+    # n0 for a set whose largest is n0 beyond: one block makes one
+    # tail_integral_vec call at that T0 over every (S, lambda) pair, and
+    # must equal, bit for bit, the engine's numeric sum on a Bessel grid of
+    # the orbit's own orders plus one tail evaluation per frequency and
+    # lambda, contracted with the orbit's polynomial of that frequency and
+    # added up in frequency order
     lams = np.array([1.7 - 0.4j, -0.3 - 0.1j, 2.9 + 0.0j, -3.0 + 0.0j])
     far = resolvent._OSC_NEAR + 1
     tail_vec = resolvent.tail_integral_vec
@@ -367,7 +368,6 @@ def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
     monkeypatch.setattr(resolvent, "tail_integral_vec", counted)
     freqs = np.arange(-3, 4, 2)
     s_exps = 1.5 + np.arange(resolvent._OSC_N_TERMS, dtype=float)
-    mode_factor = (2.0 / np.pi) ** 1.5 * 0.5 ** 3
     for canons, T0 in (([(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)], 240.0),
                        ([(0, 0, 0), (far, 0, 0)], 240.0 + 10.0 * far)):
         calls.clear()
@@ -379,20 +379,40 @@ def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
             main = resolvent._osc_main(kw, *resolvent._osc_phases(lams, kw.shape[1]))
             tail = np.zeros(lams.size, dtype=complex)
             trunc = np.zeros(lams.size)
-            for ph0, s_freq, poly in zip(*resolvent._osc_tail_data(canon)):
+            for s_freq, poly in zip(freqs, resolvent._osc_tail_coeffs(canon)):
                 pieces = np.array([tail_vec(s_exps, np.array([s_freq - lam]), T0)[0] for lam in lams])
-                tail += ph0 * np.einsum("kj,j->k", pieces, poly)
+                tail += np.einsum("kj,j->k", pieces, poly)
                 trunc += np.abs(poly[-1] * pieces[:, -1])
-            ref = -1j * resolvent._IPOW[sum(canon) % 4] * (main + mode_factor * tail)
+            ref = -1j * resolvent._IPOW[sum(canon) % 4] * (main + tail)
             assert np.array_equal(vals[u], ref)
-            assert np.array_equal(errs[u], mode_factor * trunc + 1e-14 * (1.0 + np.abs(ref)))
+            assert np.array_equal(errs[u], trunc + 1e-14 * (1.0 + np.abs(ref)))
+
+
+def _per_pattern_tail_data(canon):
+    # per sign pattern s in {+,-}^d, in pattern order: the constant phase
+    # e^(-i sum_j s_j (pi/2 n_j + pi/4)), the frequency S = sum_j s_j and
+    # the polynomial prod_j A_(n_j) or conj(A_(n_j)), truncated at
+    # _OSC_N_TERMS after each axis (the engine's tails before they were
+    # grouped by frequency)
+    n_terms = resolvent._OSC_N_TERMS
+    amps = {m: resolvent.hankel_amplitude_coeffs(m, n_terms) for m in set(canon)}
+    ph0s, s_freqs, polys = [], [], []
+    for signs in itertools.product((1, -1), repeat=len(canon)):
+        s_freqs.append(sum(signs))
+        arg = -(np.pi / 2) * sum(s * m for s, m in zip(signs, canon)) - (np.pi / 4) * s_freqs[-1]
+        ph0s.append(complex(np.exp(1j * arg)))
+        poly = np.ones(1, dtype=complex)
+        for s, m in zip(signs, canon):
+            poly = np.convolve(poly, amps[m] if s > 0 else np.conj(amps[m]))[:n_terms]
+        polys.append(poly)
+    return ph0s, np.array(s_freqs), np.array(polys)
 
 
 def _osc_block_per_pattern(canons, lams):
-    # the oscillatory block as it was before one stacked contraction served
-    # every sign pattern: per orbit its own Bessel grid (orders up to its
-    # own max_j |n_j|) on the set's horizon, per chunk one tail call, per
-    # sign pattern its own contraction
+    # the oscillatory block as it was before the tails were grouped by
+    # frequency: per orbit its own Bessel grid (orders up to its own max_j
+    # |n_j|) on the set's horizon, per chunk one tail call, per sign
+    # pattern its own contraction
     d = len(canons[0])
     T0 = _set_horizon(canons)
     kws = [_gauss_kernel(canon, T0)[3] for canon in canons]
@@ -412,7 +432,7 @@ def _osc_block_per_pattern(canons, lams):
         for u, canon in enumerate(canons):
             tail = np.zeros(lam.size, dtype=complex)
             trunc = np.zeros(lam.size)
-            for ph0, s_freq, poly in zip(*resolvent._osc_tail_data(canon)):
+            for ph0, s_freq, poly in zip(*_per_pattern_tail_data(canon)):
                 at_s = pieces[(s_freq + d) // 2]
                 tail += ph0 * np.einsum("kj,j->k", at_s, poly)
                 trunc += np.abs(poly[-1] * at_s[:, -1])
@@ -420,6 +440,29 @@ def _osc_block_per_pattern(canons, lams):
             vals[u, cols] = value = pref * (resolvent._osc_main(kws[u], row, panel) + mode_factor * tail)
             errs[u, cols] = mode_factor * trunc + 1e-14 * (1.0 + np.abs(value))
     return vals, errs
+
+
+def test_osc_tail_coeffs_group_the_sign_patterns_by_frequency():
+    # one row per frequency S, (d + 1, _OSC_N_TERMS) at d = 10, equal to
+    # the sum of the phased polynomials of the sign patterns of that S
+    # times (2/pi)^(d/2) 2^(-d), to 4 eps per axis of the sum of their
+    # sizes (each pattern's size the truncated product of the |A_(n_j)|)
+    eps = np.finfo(float).eps
+    n_terms = resolvent._OSC_N_TERMS
+    for canon in ((0, 0, 0), (2, 1, 0), (resolvent._OSC_NEAR + 1, 3, 1), (3, 2, 2, 1, 1, 0, 0, 0, 0, 0)):
+        d = len(canon)
+        coef = resolvent._osc_tail_coeffs(canon)
+        assert coef.shape == (d + 1, n_terms)
+        mode_factor = (2.0 / np.pi) ** (0.5 * d) * 0.5 ** d
+        size = np.ones(1)
+        for m in canon:
+            size = np.convolve(size, np.abs(resolvent.hankel_amplitude_coeffs(m, n_terms)))[:n_terms]
+        ph0s, s_freqs, polys = _per_pattern_tail_data(canon)
+        for f in range(d + 1):
+            at = s_freqs == 2 * f - d
+            ref = mode_factor * (np.array(ph0s)[at, None] * polys[at]).sum(axis=0)
+            bound = 4 * d * eps * mode_factor * math.comb(d, f) * size
+            assert (np.abs(coef[f] - ref) <= bound).all(), (canon, f)
 
 
 # the orbits of the site differences of the benchmark's five-site panel
@@ -430,19 +473,71 @@ _MIXED_SETS = [_DRAW2_ORBITS + [(resolvent._OSC_NEAR + 1, 1, 0)], [(0, 0, 0), (r
 
 
 def test_osc_block_matches_per_pattern_loop(rng):
-    # the stacked pattern contraction and the shared Bessel rows give the
-    # per-orbit, per-pattern values bit for bit, on a near orbit set and on
-    # one with an orbit beyond _OSC_NEAR: interior lambdas out to the
-    # switching distance, band lambdas (edges and Van Hove levels
-    # included), and more lambdas than one chunk holds
+    # the frequency rows and the shared Bessel rows give the per-orbit,
+    # per-pattern values to within a rounding unit eps (1 + |G|), with an
+    # estimate no larger, on a near orbit set and on one with an orbit
+    # beyond _OSC_NEAR: interior lambdas out to the switching distance,
+    # band lambdas (edges and Van Hove levels included), and more lambdas
+    # than one chunk holds
+    eps = np.finfo(float).eps
     interior = rng.uniform(-4.0, 4.0, 60) - 1j * rng.uniform(1e-3, 1.25, 60)
     band = np.concatenate([rng.uniform(-3.0, 3.0, 20), [-3.0, -1.0, 0.0, 1.0, 3.0]])
     lams = np.concatenate([interior, band.astype(complex)])
     resolvent.clear_green_cache()
     for canons in (_DRAW2_ORBITS, _MIXED_SETS[0]):
-        got = resolvent._osc_block(canons, lams)
-        ref = _osc_block_per_pattern(canons, lams)
-        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        (vals, errs), (ref, ref_errs) = resolvent._osc_block(canons, lams), _osc_block_per_pattern(canons, lams)
+        assert (np.abs(vals - ref) <= eps * (1.0 + np.abs(ref))).all()
+        assert (errs <= ref_errs).all()
+
+
+def test_oscillatory_engine_within_its_estimate_up_to_its_largest_dimension():
+    # at d = 6, 8 and 10 every value near the band lies within the engine's
+    # estimate of -i i^|n| int_0^1200 e^(-i lam t) prod_j J_(n_j)(t) dt,
+    # with scipy's J_m on 16-point Gauss panels of width 0.25: at Im lam <=
+    # -0.05 the neglected tail is below e^(-60) / 0.05 < 1e-20.  (0, ..., 0)
+    # at 10.05 - 0.05i uses 0.44 of its estimate; at d = 11 the worst such
+    # value exceeds its estimate 1.6 times, and every door refuses d = 11
+    from scipy.special import jv
+
+    x, w = np.polynomial.legendre.leggauss(16)
+    mids = 0.25 * (np.arange(4800) + 0.5)
+    nodes = (mids[:, None] + 0.125 * x).ravel()
+    weights = np.tile(0.125 * w, mids.size)
+    rows = [jv(m, nodes) for m in range(3)]
+    for d in (6, 8, 10):
+        canons = [(0,) * d, (1,) + (0,) * (d - 1), (2, 1) + (0,) * (d - 2)]
+        lams = np.array([complex(re, im) for re in (0.5 * d, 0.8 * d, d - 0.5, d - 0.1, d + 0.05)
+                         for im in (-0.05, -0.2)])
+        vals, errs = resolvent._osc_block(canons, lams)
+        for u, canon in enumerate(canons):
+            kern = weights * np.prod([rows[m] for m in canon], axis=0)
+            ref = -1j * resolvent._IPOW[sum(canon) % 4] * (np.exp(-1j * lams[:, None] * nodes) @ kern)
+            assert (np.abs(vals[u] - ref) <= errs[u]).all(), (d, canon)
+    d = resolvent._OSC_D_MAX + 1
+    site = (0,) * d
+    for call in (lambda: green_auto(site, d - 0.1 - 0.01j, d), lambda: green_boundary(site, 1.0, "minus", d)):
+        with pytest.raises(ValueError, match="d <= 10"):
+            call()
+    # the series still serves |z| <= 0.8 there
+    assert np.isfinite(green_auto(site, 30.0j, d).value)
+
+
+def test_torus_refuses_an_oversized_grid_before_its_first_lambda(monkeypatch):
+    # (n_quad + 1)^(d - 1) folded points above _TORUS_MAX_POINTS are
+    # refused before any lambda is integrated, also where a smaller grid
+    # comes first; every d = 3 grid stays accepted
+    calls = []
+    monkeypatch.setattr(resolvent, "_torus_column", lambda *args: calls.append(args))
+    refused = [
+        lambda: green_torus((0, 0, 0, 0), 3.9 - 0.01j, 4),
+        lambda: green_torus((0,) * 5, 7.0 - 1.0j, 5, n_quad=80),
+        lambda: resolvent.green_orbits([(0,) * 5], [9.0 - 2.0j, 4.9 - 0.01j], 5, engine="torus"),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match="folded points"):
+            call()
+    assert calls == []
+    assert 513 ** 2 <= resolvent._TORUS_MAX_POINTS
 
 
 def test_osc_block_shares_one_bessel_grid_per_horizon(monkeypatch):
