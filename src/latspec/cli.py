@@ -1,7 +1,9 @@
 """Command-line entry point: reproducible batch runs over the pipeline.
 
-Every subcommand validates its options fully before the first Green
-evaluation, writes one JSON report (CSV for sweeps), and exits with
+Every bad option is refused before the first Green evaluation: by the
+library call it reaches, or here where a stage that needs it runs after
+an earlier one.  Every subcommand writes one JSON report (CSV for
+sweeps), and exits with
 0 = ok, 2 = validation error, 3 = numerical-quality flags raised or a
 numerical failure (no report is written then).
 Reports are deterministic for a fixed config apart from the timestamp.
@@ -85,25 +87,14 @@ def _parse_finite_complex(text: str, option: str) -> complex:
     return value
 
 
-def _require_search_options(args) -> None:
-    """Checks shared by the subcommands that run the zero search: --r-outer,
-    --tol, and --n-grid where the subcommand samples the boundary."""
-    if hasattr(args, "n_grid"):
-        check_grid(args.n_grid, "--n-grid")  # a ValueError: main exits 2
-    _require(0.0 < args.r_outer <= RIM_RADIUS, f"--r-outer must lie in (0, {RIM_RADIUS:g}]")
-    _require(args.tol > 0.0, "--tol must be positive")
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (report dict, flags list)
 
 
 def _cmd_green(args) -> tuple:
     d = args.d
-    _require(d >= 1, "--d must be >= 1")
     lam = _parse_finite_complex(args.lam, "--lambda")
     site = _parse_site(args.site)
-    _require(len(site) == d, f"site length {len(site)} != d={d}")
     method = args.method
     # green_torus owns the rule for the value
     _require(args.n_quad is None or method == "torus", "--n-quad applies only to --method torus")
@@ -133,7 +124,6 @@ def _cmd_green(args) -> tuple:
 def _cmd_det_eval(args) -> tuple:
     V = _load_potential(args.potential)
     z = _parse_finite_complex(args.z, "--z")
-    _require(abs(z) <= 1.0 + 1e-12, "--z must lie in the closed unit disc")
     smp = det_eval(V, z)
     report = {
         "command": "det-eval",
@@ -147,8 +137,6 @@ def _cmd_det_eval(args) -> tuple:
 
 def _cmd_taylor_check(args) -> tuple:
     V = _load_potential(args.potential)
-    _require(0.0 < args.r < RIM_RADIUS, f"--r must lie in (0, {RIM_RADIUS:g})")
-    _require(args.n_max >= 1, "--n-max must be >= 1")
     tc = taylor_coeffs(V, args.r, args.n_max, args.m_samples)
     report = {
         "command": "taylor-check",
@@ -173,7 +161,6 @@ def _cmd_taylor_check(args) -> tuple:
 
 def _cmd_eigs(args) -> tuple:
     V = _load_potential(args.potential)
-    _require_search_options(args)
     recs = find_zeros(V, args.r_outer, args.tol)
     report = {
         "command": "eigs",
@@ -222,7 +209,8 @@ def _trace_flags(bt, rho0: float, where: str = "") -> list:
 
 def _cmd_trace_check(args) -> tuple:
     V = _load_potential(args.potential)
-    _require_search_options(args)
+    # the boundary grid and the options of the stages after the zero search
+    check_grid(args.n_grid, "--n-grid")  # a ValueError: main exits 2
     _require(args.n_max >= 1, "--n-max must be >= 1")
     try:
         r_list = [float(x) for x in args.r_list.split(",") if x]
@@ -263,7 +251,7 @@ def _cmd_trace_check(args) -> tuple:
 
 def _cmd_bounds_report(args) -> tuple:
     V = _load_potential(args.potential)
-    _require_search_options(args)
+    check_grid(args.n_grid, "--n-grid")
     zeros = find_zeros(V, args.r_outer, args.tol)
     bt = boundary_trace(V, args.n_grid)
     report = {"command": "bounds-report", **check_bounds(V, zeros, bt)}
@@ -311,7 +299,7 @@ def _cmd_sweep(args) -> tuple:
         raise ValidationError(f"--scale-grid must be lo:hi:num, got {args.scale_grid!r}")
     _require(num >= 1 and math.isfinite(hi) and hi >= lo > 0.0,
              "--scale-grid must satisfy 0 < lo <= hi < inf, num >= 1")
-    _require_search_options(args)
+    check_grid(args.n_grid, "--n-grid")
     _require(args.out is not None, "sweep requires -o/--out for the CSV file")
 
     rows = []

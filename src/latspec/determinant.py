@@ -129,14 +129,12 @@ def _matrix_points(V: Potential, zs: np.ndarray) -> "tuple[np.ndarray, int]":
     """The positions in ``zs`` of the points that need a Birman-Schwinger
     matrix, interior first, then |z| = 1, and the number of interior ones.
     Points not finite, outside the disc or in the rim are refused (the
-    first is named); z = 0 and an empty support need no matrix, since D is
-    exactly 1 there.  The points are classified by masks on |z| =
-    ``np.hypot``: outside, rim, interior and z = 0."""
+    first is named), for an empty support too; z = 0 and an empty support
+    need no matrix, since D is exactly 1 there.  The points are classified
+    by masks on |z| = ``np.hypot``: outside, rim, interior and z = 0."""
     bad = ~np.isfinite(zs)
     if bad.any():
         raise ValueError(f"z={complex(zs[bad][0])} is not finite")
-    if not V.support:
-        return np.zeros(0, dtype=int), 0
     az = np.hypot(zs.real, zs.imag)
     rim = abs(az - 1.0) <= _BOUNDARY_TOL
     bad = (az >= 1.0 + _BOUNDARY_TOL) | ((az > RIM_RADIUS + 1e-12) & ~rim)
@@ -148,6 +146,8 @@ def _matrix_points(V: Potential, zs: np.ndarray) -> "tuple[np.ndarray, int]":
             f"|z|={az[k]:.6g} lies in the rim {RIM_RADIUS:g} < |z| < 1; "
             "evaluate on |z|=1 or deeper inside the disc"
         )
+    if not V.support:
+        return np.zeros(0, dtype=int), 0
     # D(0) = 1 exactly: lambda -> infinity and V R0 -> 0
     inner = ((az != 0.0) & ~rim).nonzero()[0]
     return np.concatenate([inner, rim.nonzero()[0]]), len(inner)
@@ -245,8 +245,8 @@ def det_eval_many(V: Potential, zs: "Sequence[complex]") -> np.ndarray:
     through the off-spectrum Green engines as ``green_auto`` routes them,
     |z| = 1 through the two-sided boundary limit with the side fixed by
     the semicircle; the thin rim in between is refused, as is any point
-    outside the disc (the first such point is named).  z = 0 and an empty
-    support give exactly 1.
+    outside the disc (the first such point is named), for an empty support
+    too.  z = 0 and an empty support give exactly 1.
 
     ``_det`` factors each bounded stack of matrices that ``_stacks``
     yields.  No error bound is formed: ``det_eval`` is the one place that

@@ -41,9 +41,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import Potential, require_dimension_3
+from .lattice import Potential
 from .quadrature import gl_panels
-from .resolvent import require_osc_dimension
 from .determinant import (
     MAX_CIRCLE_POINTS, RIM_RADIUS, NumericalError, TaylorCoeffs, circle_grid, det_eval_many,
 )
@@ -223,7 +222,7 @@ class BoundaryTrace:
     ``nodes`` holds the ``n_grid`` grid angles 2 pi k / n_grid first, then
     the Gauss nodes of each kept kink window (unwrapped: they may be
     negative or exceed 2 pi); ``log_mod`` is log|D| at every node, infilled
-    on the grid where the evaluation failed.  ``weights`` make
+    on the grid where |D| was not finite or collapsed.  ``weights`` make
     sum(weights * log_mod * kernel(nodes)) the integral over [0, 2 pi].
     """
 
@@ -263,51 +262,26 @@ def _window_weights(weights: np.ndarray, k_lo: int, k_hi: int, h: float) -> None
         weights[(k - 1) % n] += sign * h / 24.0
 
 
-def _boundary_logmod(V: Potential, zs: np.ndarray) -> "list[float | None]":
-    """log|D(z)| at every point of ``zs`` on the unit circle, None where
-    the evaluation fails numerically: the point raises ValueError or
-    ArithmeticError (LinAlgError is a ValueError), or |D| is not finite or
-    collapses.  One batched evaluation; if it raises such an error, the
-    points are evaluated one by one to find the failing ones.  Any other
-    exception propagates."""
-    zs = zs.tolist()
-    try:
-        vals = det_eval_many(V, zs).tolist()
-    except (ValueError, ArithmeticError):
-        vals = []
-        for z in zs:
-            try:
-                vals.append(det_eval_many(V, [z]).tolist()[0])
-            except (ValueError, ArithmeticError):
-                vals.append(None)
-    out: "list[float | None]" = []
-    for val in vals:
-        a = abs(val) if val is not None else math.nan
-        out.append(math.log(a) if math.isfinite(a) and a > 1e-300 else None)
-    return out
-
-
 def boundary_trace(V: Potential, n_grid: int = 1024) -> BoundaryTrace:
     """Sample log|D| on the boundary circle and build its quadrature rule.
 
     The rule is the periodic trapezoid rule on the grid, with the span of
     each kink window replaced by graded Gauss panels (``_window_weights``).
-    The grid and every kink-window node are evaluated in one batch.
-    Failed grid points are infilled by neighbor averaging and flagged;
-    more than 5% flags marks the whole trace low-confidence, and a trace
-    with no measured grid point raises NumericalError.  Kink windows are
-    skipped (falling back to plain trapezoid there) if any of their node
-    evaluations fails.  It serves the oscillatory engine's dimensions, 3 <=
-    d <= 10, and refuses any other d before the first evaluation.
+    The grid and every kink-window node are evaluated in one
+    ``det_eval_many`` call, whose exceptions propagate with their class;
+    ``green_boundary_orbits`` refuses a d outside 3 <= d <= 10 before its
+    first Green value.  Grid points where |D| is not finite or collapses
+    are infilled by neighbor averaging and flagged; more than 5% flags
+    marks the whole trace low-confidence, and a trace with no measured
+    grid point raises NumericalError.  Kink windows are skipped (falling
+    back to plain trapezoid there) if |D| fails so at any of their nodes.
     """
     check_grid(n_grid)
-    d = require_dimension_3(V.d, "boundary trace")
-    require_osc_dimension(d, "boundary trace")
     h = _TWO_PI / n_grid
 
     # kink windows: snap edges outward to grid nodes, grade toward the kink;
     # one window per orbit of kink angles, the rest mirrored
-    orbits = _kink_orbits(d) if V.support else []
+    orbits = _kink_orbits(V.d) if V.support else []
     kinks = sorted(_mirror_angle(t, sign, turns) for t, mirrors in orbits for sign, turns in mirrors)
     min_gap = min((b - a for a, b in zip(kinks, kinks[1:])), default=_TWO_PI)
     width = min(_KINK_WINDOW, 0.35 * min_gap)
@@ -316,7 +290,10 @@ def boundary_trace(V: Potential, n_grid: int = 1024) -> BoundaryTrace:
         key=lambda span: span[0],
     )
 
-    raw = _boundary_logmod(V, np.concatenate([circle_grid(1.0, n_grid)] + [span[5] for span in spans]))
+    zs = np.concatenate([circle_grid(1.0, n_grid)] + [span[5] for span in spans])
+    # log|D| per node, None where |D| is not finite or collapses
+    raw = [math.log(a) if math.isfinite(a) and a > 1e-300 else None
+           for a in map(abs, det_eval_many(V, zs).tolist())]
     flagged = [k for k in range(n_grid) if raw[k] is None]
     if len(flagged) == n_grid:
         raise NumericalError(f"log|D| failed at every one of the {n_grid} boundary grid points")
@@ -347,7 +324,7 @@ def boundary_trace(V: Potential, n_grid: int = 1024) -> BoundaryTrace:
     weighted = weights * log_mod
     moments = np.sum(weighted * np.exp(-1j * np.arange(1, _N_FOURIER + 1)[:, None] * nodes), axis=-1)
     return BoundaryTrace(
-        d=d,
+        d=V.d,
         n_grid=n_grid,
         nodes=nodes,
         weights=weights,

@@ -786,7 +786,8 @@ def _osc_plan(canons: "tuple[Site, ...]") -> tuple:
 
 def _osc_block(canons: "list[Site]", lams: np.ndarray):
     """High-accuracy kernel values for Im(lam) <= 0, including real lam, per
-    orbit (rows) and lambda (columns), with error estimates.
+    orbit (rows) and lambda (columns), with error estimates; only
+    ``_memo_block`` calls it, with quadrant images.
 
     Numeric Gauss-Legendre integral on [0, T0] plus analytic mode tails:
     beyond T0 each J-product factor is replaced by its two-sided large-t
@@ -800,8 +801,6 @@ def _osc_block(canons: "list[Site]", lams: np.ndarray):
     constants come from the orbit set's _osc_plan; a call does only the
     per-lambda work.
     """
-    if (lams.imag > 1e-15).any():
-        raise ValueError("oscillatory engine requires Im(lambda) <= 0")
     d = len(canons[0])
     T0, orbits = _osc_plan(tuple(canons))
     n_panels = int(T0 / _OSC_PANEL)
@@ -917,14 +916,17 @@ def green_auto(n: Sequence[int], lam: complex, d: int) -> GreenValue:
 def green_boundary_orbits(canons: "Sequence[Site]", lambda0s: "Sequence[float]",
                           plus: "Sequence[bool]", d: int) -> "tuple[np.ndarray, np.ndarray]":
     """Boundary values G(n, lambda0 + i0) where plus[k], else G(n, lambda0 -
-    i0), for every orbit (rows) and band point lambda0 (columns), 3 <= d <=
-    _OSC_D_MAX (10), with error estimates; shapes as in ``green_orbits``."""
+    i0), for every orbit (rows) and band point lambda0 (columns), with error
+    estimates; shapes as in ``green_orbits``.  This is the one owner of the
+    boundary path's dimension rule: it refuses d < 3, where the time
+    integral diverges, and d > _OSC_D_MAX (10) before any Green value."""
+    d = require_dimension_3(d, "green_boundary")
+    require_osc_dimension(d, "green_boundary")
     lam0 = np.asarray(lambda0s, dtype=float)
     _require_finite(lam0, "lambda0")
     off = np.abs(lam0) > d
     if off.any():
         raise ValueError(f"lambda0={lam0[off][0]} is off the band [-{d},{d}]; use green_auto")
-    require_osc_dimension(d, "green_boundary")
     return _memo_block("osc", _osc_block, tuple(canons), lam0.astype(complex), up=plus)
 
 
@@ -935,8 +937,8 @@ def green_boundary(n: Sequence[int], lambda0: float, side: str, d: int) -> Green
     analytic tail sums are valid on the closed lower half plane, which
     gives the minus side; the plus side is its conjugate, served from the
     same cached value.  The band edges need no special treatment.
+    ``green_boundary_orbits`` checks the dimension.
     """
-    d = require_dimension_3(d, "green_boundary")
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     return _one(green_boundary_orbits((_orbit(n, d),), [lambda0], [side == "plus"], d))

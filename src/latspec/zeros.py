@@ -30,7 +30,7 @@ problems", Linear Algebra Appl. 436, 2012):
      estimate.  A zero the rank missed, deeper inside than that estimate,
      breaks it.
 
-A set that is not certified doubles N; past _N_CAP the search raises
+A set that is not certified doubles N; past MAX_CIRCLE_POINTS the search raises
 ZeroIsolationError.  No phase is marched and no contour is subdivided, so
 no turn can be lost.
 """
@@ -46,7 +46,9 @@ import numpy as np
 from .lattice import Potential
 from .conformal import lambda_of_z
 from .resolvent import green_boundary
-from .determinant import RIM_RADIUS, NumericalError, _det, _stacks, circle_grid, det_eval_many
+from .determinant import (
+    MAX_CIRCLE_POINTS, RIM_RADIUS, NumericalError, _det, _stacks, circle_grid, det_eval_many,
+)
 
 __all__ = [
     "ZeroRecord",
@@ -55,9 +57,8 @@ __all__ = [
     "coupling_threshold",
 ]
 
-# circle nodes: the first count and the largest
+# circle nodes: the first count (the largest is MAX_CIRCLE_POINTS)
 _N_START = 512
-_N_CAP = 2 ** 16
 # moments A_0..A_3: two block Hankel rows
 _N_MOMENTS = 4
 # the moments' nested estimate must fall below this, on the scale of
@@ -241,10 +242,12 @@ def find_zeros(
     collapsing onto the band) are out of scope and their absence from the
     output is the caller's responsibility to mind.  A zero within about
     1e-4 of the circle, inside or outside it, keeps the moments from
-    converging by _N_CAP nodes and raises ZeroIsolationError.
+    converging by MAX_CIRCLE_POINTS nodes and raises ZeroIsolationError.
     """
     if not 0.0 < r_outer <= RIM_RADIUS + 1e-12:
         raise ValueError(f"r_outer must lie in (0, {RIM_RADIUS:g}]")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     if not V.support:
         return []
     nodes = circle_grid(r_outer, _N_START)
@@ -255,7 +258,7 @@ def find_zeros(
         records = _certified(V, r_outer, n, full, half, tol)
         if records is not None:
             return records
-        if n >= _N_CAP:
+        if n >= MAX_CIRCLE_POINTS:
             raise ZeroIsolationError(
                 f"the contour moments on |z| = {r_outer:g} are not certified at {n} nodes, the most "
                 f"sampled: a zero of D lies on or next to the circle")
@@ -267,9 +270,8 @@ def coupling_threshold(d: int) -> float:
     """Critical single-site coupling: v above which V = {0 -> v} produces a
     bound state, from 1 + v G(0, band edge) = 0.
 
-    Finite for d >= 3 because the edge Green value is finite there.
+    Finite for d >= 3 because the edge Green value is finite there;
+    ``green_boundary`` refuses any other d.
     """
-    if d < 3:
-        raise ValueError("coupling threshold needs d >= 3 (edge Green value finite)")
     g = green_boundary((0,) * d, float(d), "plus", d)
     return 1.0 / abs(g.value)

@@ -149,6 +149,32 @@ def test_det_eval_outside_disc(v3_file):
     assert main(["det-eval", "-p", v3_file, "--z", "1.2,0"]) == EXIT_VALIDATION
 
 
+def test_det_eval_on_the_circle_refuses_low_dimensions(tmp_path, capsys):
+    # the boundary values need d >= 3; at d = 1 the time integral reached
+    # the quadrature and failed there with "tail requires s > 1"
+    path = tmp_path / "d1.json"
+    path.write_text(json.dumps({"d": 1, "entries": [{"site": [0], "re": 3.0}]}))
+    out = tmp_path / "d.json"
+    assert main(["det-eval", "-p", str(path), "--z", "0.6,0.8", "-o", str(out)]) == EXIT_VALIDATION
+    assert "d >= 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bounds_report_refuses_a_far_orbit_at_the_boundary(tmp_path, capsys):
+    # V = 3 delta_0 + delta_(200,0,0): the zero search inside |z| = 0.5 runs
+    # on the series, then the boundary trace's one batched evaluation meets
+    # the Bessel-grid bound of the far orbit, bad input (exit 2); a retry
+    # point by point turned it into "failed at every one of the 256
+    # boundary grid points" (exit 3)
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"d": 3, "entries": [{"site": [0, 0, 0], "re": 3.0},
+                                                    {"site": [200, 0, 0], "re": 1.0}]}))
+    out = tmp_path / "b.json"
+    assert main(["bounds-report", "-p", str(path), "--r-outer", "0.5", "-o", str(out)]) == EXIT_VALIDATION
+    assert "above the bound of 64 MiB" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_potential_file(tmp_path):
     rc = main(["det-eval", "-p", str(tmp_path / "nope.json"), "--z", "0,0"])
     assert rc == EXIT_VALIDATION
@@ -456,15 +482,16 @@ def test_cli_runs_reach_the_green_memo_with_one_orbit_set(tmp_path):
 
 
 def _fail_on_circle(monkeypatch, upper_only):
-    # hardy's D evaluations fail on the unit circle, or on its points with
-    # Im z > 0 only (Jensen circles and outer probes lie inside)
+    # hardy's D evaluations are NaN on the unit circle, or on its points
+    # with Im z > 0 only (Jensen circles and outer probes lie inside)
     from latspec import hardy
     batched = hardy.det_eval_many
 
     def det_eval_many(V, zs, *args, **kwargs):
-        if any(abs(abs(complex(z)) - 1.0) < 1e-12 and (complex(z).imag > 0 or not upper_only) for z in zs):
-            raise np.linalg.LinAlgError("singular")
-        return batched(V, zs, *args, **kwargs)
+        zs = np.asarray(zs, dtype=complex)
+        vals = batched(V, zs, *args, **kwargs)
+        vals[(np.abs(np.abs(zs) - 1.0) < 1e-12) & ((zs.imag > 0) | (not upper_only))] = np.nan
+        return vals
 
     monkeypatch.setattr(hardy, "det_eval_many", det_eval_many)
 

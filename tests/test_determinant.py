@@ -190,7 +190,14 @@ def test_det_eval_many_refuses_like_det_eval(v3):
         det_eval_many(v3, [0.5, 0.9995])
     with pytest.raises(ValueError, match="outside"):
         det_eval_many(v3, [0.5, 1.2j])
-    assert det_eval_many(Potential(3, []), [0.4, 2.0])[1] == 1.0
+    # the empty potential is refused the same way: it returned D = 1 there
+    with pytest.raises(ValueError, match="outside"):
+        det_eval(Potential(3), 2.0)
+    with pytest.raises(ValueError, match="outside"):
+        det_eval_many(Potential(3), [2.0, 0.9995])
+    with pytest.raises(ValueError, match="rim"):
+        det_eval_many(Potential(3), [0.4, 0.9995])
+    assert det_eval_many(Potential(3), [0.4, 1j, 0.0]).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_det_eval_many_refuses_points_that_are_not_finite(v3, mix3):

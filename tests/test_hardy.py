@@ -158,41 +158,62 @@ def test_boundary_trace_requires_power_of_two(v3):
         boundary_trace(v3, n_grid=128)
 
 
-def test_boundary_trace_refuses_dimensions_beyond_the_oscillatory_engine(monkeypatch):
-    # d = 11 is refused up front as bad input, before any evaluation, not
-    # turned into a NumericalError by the per-point fallback
-    monkeypatch.setattr(hardy, "det_eval_many", lambda *args: pytest.fail("evaluated"))
-    with pytest.raises(ValueError, match="d <= 10"):
-        boundary_trace(Potential(11, [((0,) * 11, 3.0 + 0.0j)]))
+def test_boundary_trace_refuses_dimensions_beyond_the_oscillatory_engine():
+    # d < 3 and d > 10 are bad input, refused by green_boundary_orbits
+    # before any Green value is computed (every memo and plan count stays
+    # 0), not turned into a NumericalError; d = 1 used to reach the
+    # quadrature and fail there with "tail requires s > 1"
+    for d, message in ((1, "d >= 3"), (2, "d >= 3"), (11, "d <= 10")):
+        resolvent.clear_green_cache()
+        with pytest.raises(ValueError, match=message) as raised:
+            boundary_trace(Potential(d, [((0,) * d, 3.0 + 0.0j)]), n_grid=256)
+        assert not isinstance(raised.value, NumericalError)
+        assert all(count == 0 for info in resolvent.green_cache_info().values() for count in info.values())
+    # the empty potential takes no Green value: D = 1 exactly, at d = 1 too
+    bt = boundary_trace(Potential(1), n_grid=256)
+    assert bt.I0 == 0.0 and bt.flagged == [] and bt.dropped_windows == 0
 
 
 def test_boundary_trace_flags_only_numerical_failures(v3, monkeypatch):
-    # a numerical failure is flagged and infilled, point by point; a trace
-    # with no measured point raises NumericalError; a programming error
-    # raises as itself
+    # the trace is one batched evaluation: a |D| of 0 or NaN at a grid point
+    # is flagged and infilled with the mean of its neighbours; a trace whose
+    # every grid point collapsed raises NumericalError; an exception of the
+    # batch propagates as itself, after that one call
     batched = hardy.det_eval_many
+    calls = []
 
-    def fail_with(exc, at=None):
-        # raise for every batch, or for any batch holding the point ``at``
-        def det_eval_many(V, zs, *args, **kwargs):
-            if at is None or any(abs(complex(z) - at) < 1e-12 for z in zs):
-                raise exc
-            return batched(V, zs, *args, **kwargs)
+    def fabricate(bad, at=None):
+        # D set to ``bad`` at the point ``at``, or at every point
+        def det_eval_many(V, zs):
+            calls.append(len(zs))
+            vals = batched(V, zs)
+            vals[slice(None) if at is None else np.abs(np.asarray(zs) - at) < 1e-12] = bad
+            return vals
         return det_eval_many
 
-    monkeypatch.setattr(hardy, "det_eval_many", fail_with(np.linalg.LinAlgError("singular")))
-    with pytest.raises(NumericalError, match="every one of the 256 boundary grid points"):
-        boundary_trace(v3, n_grid=256)
-    # one grid point away from every kink window fails: only it is flagged
+    # one grid point away from every kink window: only it is flagged
     k = 20
     at = cmath.exp(2j * math.pi * k / 256)
-    monkeypatch.setattr(hardy, "det_eval_many", fail_with(ArithmeticError("collapsed"), at))
-    bt = boundary_trace(v3, n_grid=256)
-    assert bt.flagged == [k] and not bt.low_confidence and bt.dropped_windows == 0
-    assert bt.log_mod[k] == 0.5 * (bt.log_mod[k - 1] + bt.log_mod[k + 1])
-    monkeypatch.setattr(hardy, "det_eval_many", fail_with(TypeError("bad call")))
-    with pytest.raises(TypeError):
+    for bad in (0.0, math.nan):
+        calls.clear()
+        monkeypatch.setattr(hardy, "det_eval_many", fabricate(bad, at))
+        bt = boundary_trace(v3, n_grid=256)
+        assert len(calls) == 1
+        assert bt.flagged == [k] and not bt.low_confidence and bt.dropped_windows == 0
+        assert bt.log_mod[k] == 0.5 * (bt.log_mod[k - 1] + bt.log_mod[k + 1])
+    monkeypatch.setattr(hardy, "det_eval_many", fabricate(0.0))
+    with pytest.raises(NumericalError, match="every one of the 256 boundary grid points"):
         boundary_trace(v3, n_grid=256)
+    for exc in (np.linalg.LinAlgError("singular"), ValueError("refused"), TypeError("bad call")):
+        calls.clear()
+
+        def raising(V, zs, exc=exc):
+            calls.append(len(zs))
+            raise exc
+        monkeypatch.setattr(hardy, "det_eval_many", raising)
+        with pytest.raises(type(exc)) as raised:
+            boundary_trace(v3, n_grid=256)
+        assert raised.value is exc and len(calls) == 1
 
 
 def test_trace_residuals_suite(v3, zeros_v3, bt_v3, tc_v3):

@@ -235,10 +235,14 @@ def test_torus_matches_the_oscillatory_engine_near_the_band():
 
 
 def test_torus_matches_the_series_in_three_and_four_dimensions():
-    # |z| <= 0.8, where green_auto serves the exact series, at d = 3 and 4
-    for d in (3, 4):
+    # |z| <= 0.8, where green_auto serves the exact series, at d = 3 and 4.
+    # At d = 4 the circle |z| = 0.8 would need torus grids of 287^3 and
+    # 153^3 points (the suite's largest); the series next to the switch is
+    # checked there against the time engine at |z| = 0.79, by
+    # test_engines_match_time_in_four_dimensions
+    for d, radii in ((3, (0.3, 0.6, 0.8)), (4, (0.3, 0.6))):
         canons = [c + (0,) * (d - 3) for c in ((0, 0, 0), (1, 0, 0), (2, 1, 0), (2, 2, 1))]
-        for radius in (0.3, 0.6, 0.8):
+        for radius in radii:
             lams = [lambda_of_z(radius * cmath.exp(1j * t), d) for t in (0.3, 1.4, -2.2, 3.0)]
             vals, errs = resolvent.green_orbits(canons, lams, d, engine="torus")
             ref, ref_err = resolvent.green_orbits(canons, lams, d)

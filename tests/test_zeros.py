@@ -34,6 +34,14 @@ def test_find_zeros_inside_a_smaller_circle(v3, zeros_v3):
             find_zeros(v3, r_outer)
 
 
+def test_find_zeros_refuses_a_tolerance_that_is_not_positive(v3):
+    # the Newton tolerance is the library's rule, for the empty potential too
+    for V in (v3, Potential(3)):
+        for tol in (0.0, -1e-10, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                find_zeros(V, tol=tol)
+
+
 def test_count_zeros_full_disc(v3):
     # the full disc holds exactly one zero of V = 3 delta_0, counted with
     # multiplicity, and Jensen's formula on the circle agrees
