@@ -27,7 +27,7 @@ from ._util import json_sanitize, parse_complex
 from .lattice import Potential, brute_force_moments, trace_moments
 from .resolvent import green_auto, green_boundary, green_time, green_torus
 from .determinant import (
-    RIM_RADIUS, NumericalError, det_eval, moment_relation_check, taylor_coeffs,
+    RIM_RADIUS, NumericalError, check_radius, det_eval, moment_relation_check, taylor_coeffs,
 )
 from .zeros import find_zeros
 from .hardy import boundary_trace, check_grid, jensen_check, outer_reconstruct, trace_residuals
@@ -216,10 +216,11 @@ def _cmd_trace_check(args) -> tuple:
         r_list = [float(x) for x in args.r_list.split(",") if x]
     except ValueError:
         raise ValidationError(f"bad --r-list {args.r_list!r}")
-    _require(all(0.0 < r < RIM_RADIUS for r in r_list), f"jensen radii must lie in (0, {RIM_RADIUS:g})")
+    for r in r_list:
+        check_radius(r, "--r-list radius")
     check_grid(args.jensen_grid, "--jensen-grid")
-    _require(args.taylor_r is None or 0.0 < args.taylor_r < RIM_RADIUS,
-             f"--taylor-r must lie in (0, {RIM_RADIUS:g})")
+    if args.taylor_r is not None:
+        check_radius(args.taylor_r, "--taylor-r")
 
     zeros, bt, tc = _pipeline(V, args.n_grid, args.r_outer, args.tol, args.n_max, args.taylor_r)
     resid = trace_residuals(V, zeros, bt, tc)

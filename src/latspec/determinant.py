@@ -278,6 +278,13 @@ def circle_grid(r: float, n: int) -> np.ndarray:
     return z
 
 
+def check_radius(r: float, name: str) -> None:
+    """Raise ValueError unless the circle |z| = r is interior as
+    ``_matrix_points`` bounds it: 0 < r <= RIM_RADIUS, to 1e-12."""
+    if not 0.0 < r <= RIM_RADIUS + 1e-12:
+        raise ValueError(f"{name} must lie in (0, {RIM_RADIUS:g}]")
+
+
 def det_eval(V: Potential, z: complex, policy: QuadPolicy = QuadPolicy()) -> DeterminantSample:
     """One determinant sample at z in the closed unit disc, with its error
     bound.  The value comes from the assembly and the det of
@@ -318,8 +325,7 @@ def taylor_coeffs(
     coefficients on every other sample, and at least the rounding of the
     samples amplified by r^-n.
     """
-    if not 0.0 < r < RIM_RADIUS:
-        raise ValueError(f"radius must lie in (0, {RIM_RADIUS:g})")
+    check_radius(r, "radius")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     m_samples = max(64, 8 * n_max) if m_samples is None else m_samples

@@ -44,7 +44,7 @@ import numpy as np
 from .lattice import Potential
 from .quadrature import gl_panels
 from .determinant import (
-    MAX_CIRCLE_POINTS, RIM_RADIUS, NumericalError, TaylorCoeffs, circle_grid, det_eval_many,
+    MAX_CIRCLE_POINTS, NumericalError, TaylorCoeffs, check_radius, circle_grid, det_eval_many,
 )
 from .zeros import ZeroRecord
 
@@ -136,8 +136,7 @@ def jensen_check(
     joint accuracy measure of determinant sampling and zero locations.
     The mean is the trapezoid rule on ``n_grid`` points (``check_grid``).
     """
-    if not 0.0 < r < RIM_RADIUS:
-        raise ValueError(f"Jensen radius must lie in (0, {RIM_RADIUS:g})")
+    check_radius(r, "Jensen radius")
     check_grid(n_grid)
     # a zero sitting on the circle makes the integral singular; nudge r
     for rec in zeros:
@@ -390,12 +389,8 @@ def trace_residuals(
 
     tr_v = complex(sum(v for _, v in V.entries))
     f1 = bt.fourier[0] if bt.fourier else 0.0 + 0.0j
-    rhs_complex = tr_v + 0.5 * d * f1
     rhs_sin = tr_v.imag + 0.5 * d * f1.imag
     rhs_cos = tr_v.real + 0.5 * d * f1.real
-    # the sin/cos forms are the real and imaginary parts of the same
-    # complex moment; their recombination must agree to the bit
-    internal = abs(complex(rhs_cos, rhs_sin) - rhs_complex)
     if not rho:
         ratio, reason = None, "no boundary moments"
     elif rho0 > _RHO0_TOL:
@@ -417,7 +412,6 @@ def trace_residuals(
                 "rhs": rhs_cos,
                 "residual": abs(sums["sqrt_re"] - rhs_cos),
             },
-            "internal_consistency": internal,
         },
         "ratio_rho1": ratio,
         "ratio_rho1_reason": reason,

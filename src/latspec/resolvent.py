@@ -21,11 +21,10 @@ Four interior evaluators, independent of each other:
   to, and on, the band, for 3 <= d <= _OSC_D_MAX (10); beyond, its fixed
   Gauss panels stop resolving the integrand, and it refuses.
 
-``green_auto`` picks, at d >= 3, the series where |z(lam)| <= 0.8 and the
-oscillatory engine inside that circle's image, the ellipse of points
-within about 0.675 of the band; at d = 1 and 2 the series serves every
-lambda at distance >= 0.35, and closer ones are refused at the entry (see
-``green_auto``).  The torus is a forced engine only (``green_torus``,
+``green_auto`` picks, at every d, the series where |z(lam)| <= r(d) (0.8
+at d >= 3, 0.71 and 0.84 at d = 1, 2) and the oscillatory engine inside
+that circle's image, an ellipse around the band, refused where that
+engine does not run (see ``green_auto``).  The torus is a forced engine only (``green_torus``,
 ``green_orbits(engine="torus")``).
 ``green_boundary`` gives the boundary values G(n, lambda0 -/+ i0) on the
 band through the oscillatory engine alone; its independent checks
@@ -154,11 +153,10 @@ _IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 _NQ_RATE = 40.0
 _NQ_MIN = 32
 _NQ_MAX = 512
-# green_auto's series/oscillatory switch at d >= 3: the series serves
-# |z(lambda)| <= _SERIES_RADIUS (at d = 3 every lambda at distance >= 0.675
-# from the band, and more beyond its edges), the oscillatory engine the rest
+# the series serves |z(lambda)| <= r(d) = _series_radius(d): _SERIES_RADIUS
+# at d >= 3 (at d = 3 every lambda at distance >= 0.675 from the band),
+# |z(i _DIST_MIN_LOW_D)| at d = 1, 2
 _SERIES_RADIUS = 0.8
-# green_auto refuses distances below this at d = 1, 2
 _DIST_MIN_LOW_D = 0.35
 # an orbit's series stops at the first K where the largest |g_k| of the
 # last _SERIES_WINDOW coefficients times r^(K+1) / (1 - r), r the largest
@@ -320,7 +318,8 @@ def _canon(n: Sequence[int]) -> Site:
 
 
 def _orbit(n: Sequence[int], d: int) -> Site:
-    """_canon(n) for a site that must have exactly d coordinates."""
+    """_canon(n) for a site of exactly d coordinates, d checked first."""
+    d = validate_dimension(d)
     canon = _canon(n)
     if len(canon) != d:
         raise ValueError(f"site {tuple(n)} has {len(canon)} coordinates, expected {d}")
@@ -438,7 +437,6 @@ def green_torus(
     must be even and lie in [8, _NQ_MAX], the grids ``auto_n_quad`` picks
     from.
     """
-    d = validate_dimension(d)
     lam = complex(lam)
     _require_finite(lam, "lambda")
     dist = _torus_distance(lam, d)
@@ -466,9 +464,9 @@ def _torus_distance(lam, d: int):
 # ------------------------------------------------------------ exact series path
 
 def _series_radius(d: int) -> float:
-    """The largest |z| the series serves: _SERIES_RADIUS at d >= 3; at d = 1,
-    2 every lambda green_auto accepts, whose largest |z| lies at distance
-    _DIST_MIN_LOW_D beside the middle of the band."""
+    """r(d), the largest |z| the series serves: _SERIES_RADIUS at d >= 3,
+    |z(i _DIST_MIN_LOW_D)| at d = 1, 2, a circle whose image lies within
+    _DIST_MIN_LOW_D of the band and reaches that distance mid-band."""
     return _SERIES_RADIUS if d >= 3 else abs(z_of_lambda(1j * _DIST_MIN_LOW_D, d))
 
 
@@ -649,7 +647,6 @@ def green_time(n: Sequence[int], lam: complex, d: int) -> GreenValue:
     tail e^(T Im lam)/|Im lam| (using |K_n| <= 1) is below _TIME_TOL, capped
     at 1200 with the cap reflected honestly in err_estimate.
     """
-    d = validate_dimension(d)
     return _one(green_orbits((_orbit(n, d),), [complex(lam)], d, engine="time"))
 
 
@@ -690,14 +687,17 @@ def _time_block(canons: "list[Site]", lams: np.ndarray):
 
 # ------------------------------------------------------ oscillatory time path
 
-def require_osc_dimension(d: int, context: str) -> None:
-    """Refuse d > _OSC_D_MAX, where the oscillatory engine's fixed Gauss
+def require_osc_dimension(d: int, context: str) -> int:
+    """The oscillatory engine's range 3 <= d <= _OSC_D_MAX, returning d:
+    below it the time integral diverges, beyond it the engine's fixed Gauss
     panels stop resolving its integrand."""
+    d = require_dimension_3(d, context)
     if d > _OSC_D_MAX:
         raise ValueError(
             f"{context} requires lattice dimension d <= {_OSC_D_MAX} (got d={d}): the oscillatory "
             "engine's fixed Gauss panels do not resolve the time integral beyond it"
         )
+    return d
 
 
 def _osc_t0(n0: int) -> float:
@@ -866,20 +866,15 @@ def green_orbits(canons: "Sequence[Site]", lams: "Sequence[complex]", d: int,
         return _torus_block(canons, lams, auto_n_quad(_torus_distance(lams, d)))
     if engine != "auto":
         raise ValueError(f"unknown engine {engine!r}")
-    dist = dist_to_band(lams, d)
-    on_band = dist == 0.0
+    on_band = dist_to_band(lams, d) == 0.0
     if on_band.any():
         raise ValueError(f"lambda={lams[on_band][0]} lies on the band; use green_boundary")
-    if d >= 3:
-        # by the quadrant image, as the memo keys are: mirror images take one route
-        image = np.abs(lams.real) - 1j * np.abs(lams.imag)
-        series = np.abs(z_of_lambda(image, d)) <= _SERIES_RADIUS
-        if not series.all():
-            require_osc_dimension(d, f"green_auto outside |z| <= {_SERIES_RADIUS}")
-    else:
-        series = dist >= _DIST_MIN_LOW_D
-        if not series.all():
-            require_dimension_3(d, f"green_auto within {_DIST_MIN_LOW_D} of the band")
+    # by the quadrant image, as the memo keys are: mirror images take one route
+    image = np.abs(lams.real) - 1j * np.abs(lams.imag)
+    radius = _series_radius(d)
+    series = np.abs(z_of_lambda(image, d)) <= radius
+    if not series.all():
+        require_osc_dimension(d, f"green_auto outside |z| <= {radius:.4g}")
     vals = np.empty((len(canons), lams.size), dtype=complex)
     errs = np.empty(vals.shape)
     for name, core, cols in (("series", _series_block, series), ("osc", _osc_block, ~series)):
@@ -893,21 +888,19 @@ def green_auto(n: Sequence[int], lam: complex, d: int) -> GreenValue:
     routing by z = z(lam) of lam's quadrant image (so mirror images take
     one route).
 
-    At d >= 3: the exact series where |z| <= _SERIES_RADIUS (0.8), the
-    oscillatory time engine inside that circle's image, the ellipse with
-    semi-axes 1.025 d and 0.225 d (every lam there is within 0.675 of the
-    band at d = 3).  The series is exact to rounding with about 160 terms
-    there and costs a few microseconds per value; the oscillatory engine,
-    about the same at every distance, keeps the points where the series
-    would need many more terms, and its fixed Gauss panels never see a
-    large |lam|.  Above d = _OSC_D_MAX (10) the series' disc alone is
-    served, and a lam beyond it is refused.
-
-    At d = 1, 2 the oscillatory engine does not exist: the series serves
-    distances >= _DIST_MIN_LOW_D (0.35), out to |z| = 0.71 (d = 1) and
-    0.84 (d = 2), and closer points are refused.  No lam reaches the torus.
+    One rule at every d: the exact series where |z| <= r(d) =
+    _series_radius(d), the oscillatory time engine inside that circle's
+    image at 3 <= d <= _OSC_D_MAX (10) only; at other d a lam there is
+    refused.  At d >= 3 r = 0.8, whose image is the ellipse with semi-axes
+    1.025 d and 0.225 d (every lam there is within 0.675 of the band at
+    d = 3).  The series is exact to rounding with about 160 terms there
+    and costs a few microseconds per value; the oscillatory engine, about
+    the same at every distance, keeps the points where the series would
+    need many more terms, and its fixed Gauss panels never see a large
+    |lam|.  At d = 1, 2 r is 0.71 and 0.84: the series serves every lam at
+    distance >= 0.35 from the band, and nearer ones next to its ends.  No
+    lam reaches the torus.
     """
-    d = validate_dimension(d)
     return _one(green_orbits((_orbit(n, d),), [complex(lam)], d))
 
 
@@ -917,11 +910,9 @@ def green_boundary_orbits(canons: "Sequence[Site]", lambda0s: "Sequence[float]",
                           plus: "Sequence[bool]", d: int) -> "tuple[np.ndarray, np.ndarray]":
     """Boundary values G(n, lambda0 + i0) where plus[k], else G(n, lambda0 -
     i0), for every orbit (rows) and band point lambda0 (columns), with error
-    estimates; shapes as in ``green_orbits``.  This is the one owner of the
-    boundary path's dimension rule: it refuses d < 3, where the time
-    integral diverges, and d > _OSC_D_MAX (10) before any Green value."""
-    d = require_dimension_3(d, "green_boundary")
-    require_osc_dimension(d, "green_boundary")
+    estimates; shapes as in ``green_orbits``.  ``require_osc_dimension``
+    runs before any Green value."""
+    d = require_osc_dimension(d, "green_boundary")
     lam0 = np.asarray(lambda0s, dtype=float)
     _require_finite(lam0, "lambda0")
     off = np.abs(lam0) > d
@@ -936,9 +927,10 @@ def green_boundary(n: Sequence[int], lambda0: float, side: str, d: int) -> Green
     The oscillatory time engine evaluates directly at real lambda0: its
     analytic tail sums are valid on the closed lower half plane, which
     gives the minus side; the plus side is its conjugate, served from the
-    same cached value.  The band edges need no special treatment.
-    ``green_boundary_orbits`` checks the dimension.
+    same cached value.  The band edges need no special treatment.  The
+    dimension rule runs before the site's length is checked.
     """
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    d = require_osc_dimension(d, "green_boundary")
     return _one(green_boundary_orbits((_orbit(n, d),), [lambda0], [side == "plus"], d))

@@ -47,7 +47,7 @@ from .lattice import Potential
 from .conformal import lambda_of_z
 from .resolvent import green_boundary
 from .determinant import (
-    MAX_CIRCLE_POINTS, RIM_RADIUS, NumericalError, _det, _stacks, circle_grid, det_eval_many,
+    MAX_CIRCLE_POINTS, RIM_RADIUS, NumericalError, _det, _stacks, check_radius, circle_grid, det_eval_many,
 )
 
 __all__ = [
@@ -244,8 +244,7 @@ def find_zeros(
     1e-4 of the circle, inside or outside it, keeps the moments from
     converging by MAX_CIRCLE_POINTS nodes and raises ZeroIsolationError.
     """
-    if not 0.0 < r_outer <= RIM_RADIUS + 1e-12:
-        raise ValueError(f"r_outer must lie in (0, {RIM_RADIUS:g}]")
+    check_radius(r_outer, "r_outer")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not V.support:

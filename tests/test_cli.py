@@ -92,10 +92,15 @@ def test_green_torus_refuses_bad_n_quad(n_quad, capsys):
     (["--d", "11", "--lambda", "5", "--site", ",".join("0" * 11), "--method", "boundary-plus"], "d <= 10"),
     (["--d", "4", "--lambda", "3.9,-0.01", "--site", "0,0,0,0", "--method", "torus"], "folded points"),
     (["--d", "5", "--lambda", "4.9,-0.01", "--site", "0,0,0,0,0", "--method", "torus"], "folded points"),
-], ids=["osc-d11", "boundary-d11", "torus-d4", "torus-d5"])
+    (["--d", "0", "--lambda", "1", "--site", "0", "--method", "boundary-plus"], "dimension must be >= 1"),
+    (["--d", "2", "--lambda", "1", "--site", "0,0,0", "--method", "boundary-minus"], "d >= 3"),
+    (["--d", "11", "--lambda", "1", "--site", "0,0", "--method", "boundary-plus"], "d <= 10"),
+], ids=["osc-d11", "boundary-d11", "torus-d4", "torus-d5", "boundary-d0-site", "boundary-d2-site",
+        "boundary-d11-site"])
 def test_green_refuses_engines_beyond_their_reach(argv, message, capsys):
     # the oscillatory engine above d = 10 and a torus grid above its bound
-    # are bad input, refused before any work
+    # are bad input, refused before any work; at the boundary the dimension
+    # rule runs before the site's length is checked
     assert main(["green", *argv]) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
 
@@ -274,6 +279,35 @@ def test_taylor_check_around_a_zero(v3_file, tmp_path):
     rep = _load(out)
     assert rep["winner"] == "B" and rep["flags"] == []
     assert rep["c"][0]["re"] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_taylor_check_brute_force_box_follows_the_support(v3_file, tmp_path, capsys):
+    # the dense box is centred on the support: delta_(8,0,0) reports the
+    # moments of delta_0 (it needed more than 1.5 GB); two sites 40 apart
+    # need a box above the bound, bad input (it failed allocating 3.62 TiB)
+    out = tmp_path / "t.json"
+    assert main(["taylor-check", "-p", v3_file, "--r", "0.2", "-o", str(out)]) == EXIT_OK
+    ref = _load(out)["moments_brute_force"]
+    for entries, rc in (([[8, 0, 0]], EXIT_OK), ([[0, 0, 0], [40, 0, 0]], EXIT_VALIDATION)):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"d": 3, "entries": [{"site": site, "re": 3.0} for site in entries]}))
+        assert main(["taylor-check", "-p", str(path), "--r", "0.2", "-o", str(out)]) == rc
+    assert _load(out)["moments_brute_force"] == ref
+    assert "sites, more than 2197" in capsys.readouterr().err
+
+
+def test_eigs_in_one_dimension_inside_the_series_disc(tmp_path, capsys):
+    # at d = 1 the series serves |z| <= 0.7095: the circle |z| = 0.7 finds
+    # the zero sqrt(5) - 2 of z^2 - 1 + 4z (V = 2 delta_0); the default
+    # circle needs the oscillatory engine, which d = 1 does not have
+    path = tmp_path / "d1.json"
+    path.write_text(json.dumps({"d": 1, "entries": [{"site": [0], "re": 2.0}]}))
+    out = tmp_path / "e.json"
+    assert main(["eigs", "-p", str(path), "--r-outer", "0.7", "-o", str(out)]) == EXIT_OK
+    zeros = _load(out)["zeros"]
+    assert len(zeros) == 1 and abs(zeros[0]["z"]["re"] - (math.sqrt(5.0) - 2.0)) <= 1e-13
+    assert main(["eigs", "-p", str(path)]) == EXIT_VALIDATION
+    assert "requires lattice dimension d >= 3" in capsys.readouterr().err
 
 
 def test_taylor_check_sample_count_rule_lives_in_the_library(v3_file, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latspec import lattice
 from latspec.lattice import (
     MomentSet,
     Potential,
@@ -110,6 +111,38 @@ def test_brute_force_box_radius_converged():
     # a box that can clip the walk is rejected outright
     with pytest.raises(ValueError):
         brute_force_moments(V, box_radius=3)
+
+
+def test_brute_force_box_is_centred_on_the_support():
+    # the box was [-R-4, R+4]^d with R the distance of the support from the
+    # origin: delta_(3,0,0) took 738 MB, delta_(4,0,0) over 1.5 GB.  The
+    # traces are translation-invariant, so a translated potential gives the
+    # same moments bit for bit, on the same box
+    for entries in ([((0, 0, 0), 3.0)], [((0, 0, 0), 3.0), ((1, 1, 0), -2.5 + 0.5j)]):
+        ref = brute_force_moments(Potential(3, entries))
+        for shift in ((4, 0, 0), (8, 0, 0), (-7, 3, 50)):
+            moved = [(tuple(c + s for c, s in zip(site, shift)), v) for site, v in entries]
+            assert brute_force_moments(Potential(3, moved)) == ref
+    # two corners of the 125-site cube {-2..2}^3 need its box, 13^3 sites,
+    # the largest accepted
+    V = Potential(3, [((-2, -2, -2), 0.5), ((2, 2, 2), -0.25j)])
+    got = brute_force_moments(V)
+    for a, b in zip(trace_moments(V).as_tuple(), got):
+        assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+    assert lattice._box_free_operator.cache_info().currsize
+    lattice._box_free_operator.cache_clear()
+
+
+def test_brute_force_refuses_an_oversized_box_before_building_it():
+    # sites 0 and (40,0,0) centre to +-(20,0,0): a box of 49^3 sites, which
+    # asked for 3.62 TiB and failed with a traceback; refused before any
+    # matrix is built.  So is an explicit box_radius beyond the bound.
+    lattice._box_free_operator.cache_clear()
+    for V, box_radius in ((Potential(3, [((0, 0, 0), 1.0), ((40, 0, 0), 1.0)]), None),
+                          (Potential(3, [((0, 0, 0), 1.0)]), 7)):
+        with pytest.raises(ValueError, match=f"sites, more than {13 ** 3}"):
+            brute_force_moments(V, box_radius)
+    assert lattice._box_free_operator.cache_info().misses == 0
 
 
 def test_moment_set_tuple_roundtrip():

@@ -123,6 +123,21 @@ def test_boundary_rejects_outside_band():
         green_boundary((0, 0, 0), 1.0, "sideways", 3)
 
 
+def test_boundary_doors_check_the_dimension_before_the_site():
+    # a wrong-length site at a dimension the boundary path refuses names the
+    # dimension rule (it read "site ... has k coordinates, expected d"); the
+    # site's length is checked once the dimension is served
+    for d, message in ((0, "dimension must be >= 1"), (2, "requires lattice dimension d >= 3"),
+                       (11, "requires lattice dimension d <= 10")):
+        for site in ((0,), (0, 0, 0)):
+            with pytest.raises(ValueError, match=message):
+                green_boundary(site, 1.0, "plus", d)
+        with pytest.raises(ValueError, match=message):
+            resolvent.green_boundary_orbits([(0, 0, 0)], [1.0], [True], d)
+    with pytest.raises(ValueError, match=r"site \(0, 0\) has 2 coordinates, expected 3"):
+        green_boundary((0, 0), 1.0, "plus", 3)
+
+
 def resolvent_identity_residual(n, lam1, lam2, d, m_radius):
     """Residual of the first resolvent identity with the convolution sum
     truncated to the box |m|_inf <= m_radius:
@@ -335,6 +350,32 @@ def test_green_auto_routes_low_dimensions_unchanged(monkeypatch):
     with pytest.raises(ValueError, match="d >= 3"):
         green_auto((1, 0), 0.5 - 0.3j, 2)
     assert calls["osc"] == 0
+
+
+def test_low_dimensions_serve_the_series_disc_next_to_the_band_ends(monkeypatch):
+    # at d = 1, 2 the series serves |z| <= r(d) = |z(0.35i)|, as r = 0.8 is
+    # served at d >= 3: next to the band's ends these points lie as near as
+    # 0.06 (d = 1) and 0.035 (d = 2) to it, and were refused as lying
+    # within 0.35 of the band.  Oracles: the closed form 2 z^(|n|+1) / (z^2 - 1) at d = 1,
+    # the torus at d = 2.  Just outside the disc the refusal names d >= 3.
+    calls = _count_engines(monkeypatch)
+    eps = np.finfo(float).eps
+    for lam in (1.06, -1.06, 1.07 - 0.02j, -1.08 + 0.03j, 1.2 - 0.12j):
+        z = z_of_lambda(lam, 1)
+        for n in range(4):
+            exact = 2.0 * z ** (n + 1) / (z * z - 1.0)
+            got = green_auto((n,), lam, 1)
+            assert abs(got.value - exact) <= min(4.0 * eps * (1.0 + abs(exact)), got.err_estimate)
+    for lam in (2.035, -2.035, 2.04 - 0.01j, -2.05 + 0.02j, 2.1 - 0.06j):
+        for n in ((0, 0), (1, 0), (2, 1)):
+            got = green_auto(n, lam, 2)
+            torus = green_torus(n, lam, 2)
+            assert abs(got.value - torus.value) <= got.err_estimate + torus.err_estimate
+    assert calls["osc"] == 0 and calls["series"] > 0
+    for n, lam, d in (((0,), 1.05, 1), ((0, 0), 2.03, 2), ((0, 0), -2.03 + 0.001j, 2)):
+        assert abs(z_of_lambda(lam, d)) > resolvent._series_radius(d)
+        with pytest.raises(ValueError, match=r"outside \|z\| <= 0\.\d+ requires lattice dimension d >= 3"):
+            green_auto(n, lam, d)
 
 
 def _gauss_kernel(canon, T0):
@@ -1035,7 +1076,10 @@ def test_auto_reaches_no_torus_at_any_dimension(monkeypatch):
     grid = [complex(x, y) for x in (-9.0, -4.1, -3.0, -1.2, 0.0, 0.8, 2.5, 3.5, 6.0)
             for y in (-5.0, -1.3, -0.7, -0.36, -0.05, 0.05, 0.36, 0.7, 1.3)]
     for d in (1, 2, 3, 4):
-        lams = [lam for lam in grid if dist_to_band(lam, d) >= (0.35 if d < 3 else 0.0)]
+        # at d = 1, 2 the lambdas whose quadrant image lies in the series' disc
+        radius = resolvent._series_radius(d)
+        lams = [lam for lam in grid
+                if d >= 3 or abs(z_of_lambda(complex(abs(lam.real), -abs(lam.imag)), d)) <= radius]
         resolvent.clear_green_cache()
         calls.update(osc=0, torus=0, series=0)
         vals = resolvent.green_orbits([(1,) + (0,) * (d - 1)], lams, d)[0]

@@ -3,7 +3,9 @@ import itertools
 import math
 import warnings
 
+import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from scipy.optimize import brentq
 
 from latspec.conformal import lambda_of_z
@@ -361,3 +363,59 @@ def test_find_zeros_separates_a_cluster_pair():
     assert [rec.multiplicity for rec in recs] == [1, 1]
     for rec, x in zip(recs, refs):
         assert abs(rec.z - x) <= 1e-10
+
+
+def _exact_zeros_1d(entries, r):
+    # at d = 1, G(n, lambda(z)) = 2 z^(|n|+1) / (z^2 - 1), so (z^2 - 1)^|S|
+    # D(z) = det((z^2 - 1) I + 2 V Z), Z_ij = z^(|n_i - n_j| + 1), is a
+    # polynomial (Leibniz's formula on coefficient arrays); its roots
+    # inside |z| < r, by numpy.roots, sorted as find_zeros sorts its zeros
+    sites = [n for (n,), _ in entries]
+    v = [complex(val) for _, val in entries]
+
+    def entry(i, j):
+        c = np.zeros(abs(sites[i] - sites[j]) + 2, dtype=complex)
+        c[-1] = 2.0 * v[i]
+        return P.polyadd(c, [-1.0, 0.0, 1.0]) if i == j else c
+
+    det = np.zeros(1, dtype=complex)
+    for perm in itertools.permutations(range(len(sites))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = np.ones(1, dtype=complex)
+        for i, j in enumerate(perm):
+            term = P.polymul(term, entry(i, j))
+        det = P.polyadd(det, (-1) ** inversions * term)
+    roots = np.roots(det[::-1])
+    return sorted(roots[np.abs(roots) < r].tolist(), key=lambda z: (abs(z), cmath.phase(z)))
+
+
+@pytest.mark.parametrize("entries", [
+    [((0,), 2.0)],
+    [((0,), 1.2 - 0.7j)],
+    [((0,), 1.5), ((2,), 1.5)],
+    [((0,), 1.0 + 0.5j), ((1,), -2.0)],
+    [((-1,), 0.8 + 0.3j), ((0,), -1.1), ((2,), 0.6 - 0.9j)],
+    [((0,), 2.0), ((1,), 0.5j), ((3,), -1.5 + 0.2j)],
+], ids=["site", "complex-site", "equal-pair", "pair", "three-a", "three-b"])
+def test_find_zeros_in_one_dimension_matches_the_exact_polynomial(entries):
+    # the circle |z| = 0.7 lies inside the series' disc |z| <= 0.7095 at
+    # d = 1, so every sample is a series value; it was refused as lying
+    # within 0.35 of the band.  Oracle: the roots of (z^2 - 1)^|S| D(z)
+    exact = _exact_zeros_1d(entries, 0.7)
+    if len(entries) == 2 and entries[0][1] == entries[1][1]:
+        # equal couplings at distance |n|: (z^2 - 1 + 2v(z + z^(|n|+1))) times
+        # (z^2 - 1 + 2v(z - z^(|n|+1))), each factor with simple roots
+        (n0,), v = entries[0]
+        n = abs(entries[1][0][0] - n0)
+        factors = []
+        for sign in (1.0, -1.0):
+            c = np.zeros(n + 2, dtype=complex)
+            c[1] += 2.0 * v
+            c[n + 1] += sign * 2.0 * v
+            roots = np.roots(P.polyadd(c, [-1.0, 0.0, 1.0])[::-1])
+            factors += roots[np.abs(roots) < 0.7].tolist()
+        assert np.allclose(sorted(factors, key=abs), sorted(exact, key=abs), rtol=0, atol=1e-14)
+    recs = find_zeros(Potential(1, entries), 0.7)
+    got = [rec.z for rec in recs for _ in range(rec.multiplicity)]
+    assert len(got) == len(exact) >= 1
+    assert max(abs(a - b) for a, b in zip(got, exact)) <= 1e-13
