@@ -95,7 +95,7 @@ class QuadPolicy:
     green_auto pick the exact series or the oscillatory time engine by
     |z|.  "torus" and "time" force one interior reference engine, so a
     determinant can be cross-checked against an independent route.  The
-    forced engines refuse points that "auto" handles: "torus" within 1e-3
+    forced engines refuse points that "auto" handles: "torus" within 5e-3
     of the band, "time" on the real axis.  Samples on |z| = 1 always go
     through green_boundary.
     """

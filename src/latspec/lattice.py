@@ -10,17 +10,16 @@ function on the lattice; H = H0 + V.  For n = 1..4 the trace of H^n - H0^n
 reduces to short closed forms in V (odd powers of H0 are traceless on the
 bipartite lattice, and the diagonal of H0^2 equals d/2), which
 ``trace_moments`` implements.  ``brute_force_moments`` recomputes the same
-traces from dense matrices on a finite box and serves as the independent
-cross-check: the difference trace is exact once the box extends 4 sites
-beyond the support of V, because closed paths that never visit the support
-contribute identically to H^n and H0^n.
+traces by applying the stencil itself and serves as the independent
+cross-check: closed walks that never visit the support contribute
+identically to H^n and H0^n, so only the diagonal entries at sites within
+l1 distance 2 of the support differ, and each follows from H and H0
+applied twice to that site's unit vector.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -32,9 +31,9 @@ Site = tuple[int, ...]
 
 # the exponent q of the l^q quasi-norm that the eigenvalue bounds use
 _QUASI_NORM_Q = 2.0 / 3.0
-# most sites of brute_force_moments' box: 13^3, the box of the 125-site
-# cube {-2, ..., 2}^3 (0.7 s and 333 MB peak on a 2-core box)
-_BOX_MAX_SITES = 13 ** 3
+# most (site, ball site) entries of brute_force_moments' arrays; the
+# 343-site cube {-3, ..., 3}^3 takes 25,375
+_WALK_MAX_ENTRIES = 2 ** 20
 
 
 def validate_dimension(d: int) -> int:
@@ -206,63 +205,48 @@ def trace_moments(potential: Potential) -> MomentSet:
     return MomentSet(d1, d2, d3, d4)
 
 
-@functools.lru_cache(maxsize=8)
-def _box_free_operator(d: int, radius: int) -> tuple[np.ndarray, np.ndarray, dict]:
-    """H0 on the box, its square, and the site index (cached: V-independent)."""
-    sites = list(itertools.product(range(-radius, radius + 1), repeat=d))
-    index = {s: i for i, s in enumerate(sites)}
-    m = len(sites)
-    h0 = np.zeros((m, m))
-    for s, i in index.items():
-        for j in range(d):
-            for sgn in (1, -1):
-                nb = tuple(c + (sgn if k == j else 0) for k, c in enumerate(s))
-                if nb in index:
-                    h0[i, index[nb]] = 0.5
-    return h0, h0 @ h0, index
+def _plus(a: Site, b: Site) -> Site:
+    return tuple(x + y for x, y in zip(a, b))
 
 
-def brute_force_moments(potential: Potential, box_radius: int | None = None) -> list[complex]:
-    """Dense-matrix oracle for Tr(H^n - H0^n), n = 1..4 (the moments a
-    ``MomentSet`` holds).
+def brute_force_moments(potential: Potential) -> list[complex]:
+    """Oracle for Tr(H^n - H0^n), n = 1..4 (the moments a ``MomentSet``
+    holds), from the stencil applied literally.
 
-    The traces are translation-invariant: the support is centred on the
-    origin (by the midpoint of its bounding box, rounded down) and the
-    operators restricted to the box [-box_radius, box_radius]^d.  The
-    difference trace is exact (not merely approximate) provided box_radius
-    >= R + 4, R the centred support's sup-norm radius, since any closed
-    path of length at most 4 that touches both the support and the box
-    boundary would have to travel further than the box allows; smaller
-    boxes are refused, and so are boxes of more than _BOX_MAX_SITES sites,
-    before any matrix is built.
+    A closed walk of length at most 4 never leaves the l1 ball of radius 2
+    around its start, so (H^n - H0^n)_yy vanishes unless y lies within l1
+    distance 2 of the support.  For each such y, H e_y and H^2 e_y are
+    exact on that ball, and H is complex symmetric: (H^2)_yy = sum
+    (H e_y)^2, (H^3)_yy = sum (H^2 e_y)(H e_y) and (H^4)_yy = sum
+    (H^2 e_y)^2, and likewise for H0.  All y are taken at once, as arrays
+    of (y, ball site) entries; an input that needs more than
+    _WALK_MAX_ENTRIES of them is refused before any array is built.
     """
     d = potential.d
-    shift = [(min(c) + max(c)) // 2 for c in zip(*potential.support)]
-    sites = [tuple(c - s for c, s in zip(site, shift)) for site in potential.support]
-    r_supp = max((abs(c) for site in sites for c in site), default=0)
-    if box_radius is None:
-        box_radius = r_supp + 4
-    if box_radius < r_supp + 4:
-        raise ValueError(
-            f"box_radius={box_radius} too small: need >= the centred support's radius + 4 = {r_supp + 4}; "
-            "the truncated trace would be wrong, not approximate"
-        )
-    if (2 * box_radius + 1) ** d > _BOX_MAX_SITES:
-        raise ValueError(f"the brute-force box of radius {box_radius} at d={d} has "
-                         f"{(2 * box_radius + 1) ** d} sites, more than {_BOX_MAX_SITES}")
-    h0, h02, index = _box_free_operator(d, box_radius)
-    m = h0.shape[0]
-    vdiag = np.zeros(m, dtype=complex)
-    for site, val in zip(sites, potential.values):
-        vdiag[index[site]] = val
-    h = h0 + np.diag(vdiag)
-    # H^2 from the cached H0^2 in O(m^2): cross terms are row/col scalings.
-    h2 = h02 + h0 * vdiag[None, :] + vdiag[:, None] * h0 + np.diag(vdiag * vdiag)
-    return [
-        complex(np.sum(vdiag)),
-        complex(np.trace(h2) - np.trace(h02)),
-        # Tr(A^3) = sum(A^2 ∘ A^T) and Tr(A^4) = sum(A^2 ∘ (A^2)^T) avoid a
-        # full matmul.
-        complex(np.sum(h2 * h.T) - np.sum(h02 * h0.T)),
-        complex(np.sum(h2 * h2.T) - np.sum(h02 * h02.T)),
-    ]
+    origin = (0,) * d
+    steps = [tuple(s * (k == j) for k in range(d)) for j in range(d) for s in (1, -1)]
+    ball = sorted({_plus(a, b) for a in (origin, *steps) for b in (origin, *steps)})
+    ys = sorted({_plus(y, o) for y in potential.support for o in ball})
+    if len(ys) * len(ball) > _WALK_MAX_ENTRIES:
+        raise ValueError(f"the walks from {len(ys)} sites over a ball of {len(ball)} sites take "
+                         f"{len(ys) * len(ball)} entries, more than {_WALK_MAX_ENTRIES}")
+    index = {o: i for i, o in enumerate(ball)}
+    # row k: the ball index of each ball site's k-th neighbour, or len(ball)
+    # for one outside the ball, which reads a padded 0 (H e_y and H^2 e_y
+    # vanish there)
+    nbr = np.array([[index.get(_plus(o, s), len(ball)) for s in steps] for o in ball]).T
+    table = potential.as_dict()
+    vs = np.array([[table.get(_plus(y, o), 0.0) for o in ball] for y in ys], dtype=complex).reshape(-1, len(ball))
+    e = np.array([[o == origin for o in ball]], dtype=complex)
+
+    def diagonals(v: np.ndarray) -> np.ndarray:
+        """(H^n)_yy, n = 1..4, one column per y, for H = H0 + v on each ball."""
+        def apply(f: np.ndarray) -> np.ndarray:
+            padded = np.pad(f, ((0, 0), (0, 1)))
+            return 0.5 * sum(padded[:, k] for k in nbr) + v * f
+
+        u = apply(e)
+        w = apply(u)
+        return np.stack([u[:, index[origin]], np.sum(u * u, axis=1), np.sum(w * u, axis=1), np.sum(w * w, axis=1)])
+
+    return [complex(m) for m in np.sum(diagonals(vs) - diagonals(np.zeros_like(e)), axis=1)]

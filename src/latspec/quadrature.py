@@ -85,9 +85,6 @@ _SERIES_TERMS = 60
 # terms of the series' first pass; a row whose stop lies beyond it is
 # summed again over all _SERIES_TERMS
 _SERIES_WINDOW = 24
-# (row, term) entries of one block of series rows, which bounds the
-# series' working arrays
-_SERIES_BLOCK = 2 ** 12
 # largest array of one block of bridged rows
 _BLOCK_BYTES = 2 ** 19
 _BRIDGE_PANEL = 0.25
@@ -139,19 +136,11 @@ def _series(s: np.ndarray, w: np.ndarray, T: np.ndarray, t_pow: np.ndarray) -> n
     _SERIES_TERMS.  The first pass builds _SERIES_WINDOW terms; only the
     rows whose stop it does not reach get all _SERIES_TERMS.  Products and
     sums run term by term, so a row's stop and sum are the same bits in
-    either pass.  Each pass takes its rows in blocks of _SERIES_BLOCK
-    (row, term) entries.
+    either pass.
     """
-    out = np.empty(w.shape, dtype=complex)
-    found = np.empty(w.shape, dtype=bool)
-
-    def run(rows: np.ndarray, n_terms: int) -> None:
-        step = _SERIES_BLOCK // n_terms
-        for r in (rows[lo:lo + step] for lo in range(0, rows.size, step)):
-            out[r], found[r] = _series_terms(s[r], w[r], T[r], t_pow[r], n_terms)
-
-    run(np.arange(w.size), _SERIES_WINDOW)
-    run(np.nonzero(~found)[0], _SERIES_TERMS)
+    out, found = _series_terms(s, w, T, t_pow, _SERIES_WINDOW)
+    r = np.nonzero(~found)[0]
+    out[r] = _series_terms(s[r], w[r], T[r], t_pow[r], _SERIES_TERMS)[0]
     return out
 
 

@@ -165,11 +165,13 @@ _DIST_MIN_LOW_D = 0.35
 _SERIES_TOL = 2.0 ** -60
 _SERIES_WINDOW = 16
 _SERIES_K_MAX = 400
-# green_torus refuses lambda closer to the band than this, and a grid of
-# more than _TORUS_MAX_POINTS folded points (n_quad + 1)^(d - 1), about 5 s
-# at 140 ns a point on a 2-core box: every d = 3 grid, d = 4 up to n_quad
+# green_torus refuses lambda closer to the band than this, where its
+# doubled-grid estimate falls below the true error (at d = 3, 2.9 times
+# it at distance 1e-3, 0.13 times it at 5e-3), and a grid of more than
+# _TORUS_MAX_POINTS folded points (n_quad + 1)^(d - 1), about 5 s at
+# 140 ns a point on a 2-core box: every d = 3 grid, d = 4 up to n_quad
 # 320, d = 5 up to 74
-_TORUS_DELTA_MIN = 1e-3
+_TORUS_DELTA_MIN = 5e-3
 _TORUS_MAX_POINTS = 2 ** 25
 # green_time truncates its horizon where the neglected tail drops below this
 _TIME_TOL = 1e-10

@@ -293,6 +293,35 @@ _FIVE_SITE = Potential(3, [
 ])
 
 
+def _log_det_series(V, n_max):
+    # c_n = -[z^n] log det(I + A(z)) for n = 1..n_max, from log det(I + A) =
+    # sum_m (-1)^(m+1) / m tr(A^m), with A(z) = V G(z) and G(x - y,
+    # lambda(z)) = sum_k g_k z^k, the exact series of the Green function.
+    # g_0 = 0, so A^m starts at z^m and m <= n_max suffices
+    g = [[resolvent._series_coeffs(resolvent._orbit(np.subtract(x, y), V.d))[0][:n_max + 1]
+          for y in V.support] for x in V.support]
+    a = np.moveaxis(V.values[:, None, None] * np.array(g), 2, 0)
+    power, log_d = a, np.zeros(n_max + 1, dtype=complex)
+    for m in range(1, n_max + 1):
+        log_d += (-1) ** (m + 1) / m * np.trace(power, axis1=1, axis2=2)
+        power = np.array([sum(power[j] @ a[k - j] for j in range(k + 1)) for k in range(n_max + 1)])
+    return -log_d[1:]
+
+
+def test_taylor_coeffs_match_the_matrix_power_series():
+    # the FFT route (D sampled on a circle, its Taylor coefficients, then
+    # the recurrence for the logarithm) against the matrix power series of
+    # log det(I + V G) from the same g_k that serve those samples
+    for V in (Potential(3, [((0, 0, 0), 3.0)]),
+              Potential(3, [((0, 0, 0), 3.0), ((1, 1, 0), -2.5)]),
+              _FIVE_SITE):
+        ref = _log_det_series(V, 6)
+        for r in (0.25, 0.5):
+            tc = taylor_coeffs(V, r, n_max=6)
+            for n in range(6):
+                assert abs(tc.c[n] - ref[n]) <= tc.err_estimate[n], (len(V.support), r, n + 1)
+
+
 def test_det_eval_many_values_are_det_eval_values(v3, mix3):
     # det_eval_many returns the values alone, as one complex array; each
     # equals det_eval's value at its point bit for bit, in a mixed batch of
