@@ -11,7 +11,22 @@ The package is organised bottom-up:
 - ``hardy``: Blaschke/Jensen machinery and boundary trace identities.
 - ``bounds``: eigenvalue-sum inequality reports.
 - ``cli``: the ``latspec`` command line front end.
+
+Importing the package pins OpenBLAS to one thread unless the caller has
+set ``OPENBLAS_NUM_THREADS``; this holds only when latspec is imported
+before numpy.
 """
+
+import os
+
+# Set before any submodule imports numpy, so OpenBLAS loads with no worker
+# thread.  Two reasons.  The stacks here are |S| x |S| with |S| mostly
+# below 30, where a second thread gains nothing, yet OpenBLAS's idle worker
+# spins for about 0.1 s of CPU after it starts.  And from |S| = 100 on
+# OpenBLAS factors a stacked determinant in parallel, so D, and every
+# report built on it, would depend on the thread count (ROADMAP item 14).
+# A caller who exports the variable keeps that choice.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .bessel import (
     bessel_j,

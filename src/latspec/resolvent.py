@@ -64,12 +64,12 @@ such blocks; ``green_auto``, ``green_torus``, ``green_time`` and
 * The series runs Estrin's scheme in w = z^2 over every orbit at once, in
   real arithmetic, on a chunk of lambdas whose arrays stay within
   _CHUNK_BYTES (512 KB).
-* The oscillatory engine walks the lambda axis in chunks whose phase
-  block stays within _CHUNK_BYTES.  In a chunk the phases are built once
-  and shared by every orbit, and the mode tails come from one
-  tail_integral_vec call at T0, one row per (frequency, lambda), shared
-  by every orbit, which contracts each row with its polynomial of that
-  frequency.
+* The oscillatory engine takes its mode tails from one tail_integral_vec
+  call per block at T0, one row per (frequency, lambda), shared by every
+  orbit, which contracts each row with its polynomial of that frequency.
+  It then walks the lambda axis in chunks whose phase block stays within
+  _CHUNK_BYTES; in a chunk the phases are built once and shared by every
+  orbit.
 * The two reference engines, torus and damped time, work one lambda at a
   time.  The torus refuses a grid of more than _TORUS_MAX_POINTS folded
   points before its first lambda.
@@ -795,13 +795,14 @@ def _osc_block(canons: "list[Site]", lams: np.ndarray):
     beyond T0 each J-product factor is replaced by its two-sided large-t
     expansion, turning the remainder into sums of t^(-d/2-q) e^(i(S-lam)t)
     integrals with integer S in [-d, d], one polynomial in 1/t per
-    frequency S.  Each chunk of lambdas makes one tail_integral_vec call
-    for all d + 1 frequencies at the set's T0, and an orbit contracts each
-    frequency's row of integrals with its polynomial, adding the rows up
-    in frequency order.  The truncation estimate is the last term kept,
-    summed in absolute value over the frequencies.  The per-orbit
-    constants come from the orbit set's _osc_plan; a call does only the
-    per-lambda work.
+    frequency S.  The block makes one tail_integral_vec call for all d + 1
+    frequencies and every lambda at the set's T0 (its rows are independent,
+    so a row is the same bits as in a call of its own); per chunk of
+    lambdas an orbit contracts each frequency's row of integrals with its
+    polynomial, adding the rows up in frequency order.  The truncation
+    estimate is the last term kept, summed in absolute value over the
+    frequencies.  The per-orbit constants come from the orbit set's
+    _osc_plan; a call does only the per-lambda work.
     """
     d = len(canons[0])
     T0, orbits = _osc_plan(tuple(canons))
@@ -809,14 +810,15 @@ def _osc_block(canons: "list[Site]", lams: np.ndarray):
     chunk = max(1, _CHUNK_BYTES // (16 * n_panels))
     freqs = np.arange(-d, d + 1, 2)
     s_exps = 0.5 * d + np.arange(_OSC_N_TERMS, dtype=float)
+    w = (freqs[:, None] - lams).ravel()
+    block_tails = tail_integral_vec(s_exps, w, T0).reshape(freqs.size, lams.size, -1)
     vals = np.empty((len(canons), lams.size), dtype=complex)
     errs = np.empty(vals.shape)
     for lo in range(0, lams.size, chunk):
         lam = lams[lo:lo + chunk]
         cols = slice(lo, lo + lam.size)
         row, panel = _osc_phases(lam, n_panels)
-        w = (freqs[:, None] - lam).ravel()
-        tails = tail_integral_vec(s_exps, w, T0).reshape(freqs.size, lam.size, -1)
+        tails = block_tails[:, cols]
         for u, (kw, coef, pref) in enumerate(orbits):
             tail = sum(np.einsum("fkj,fj->fk", tails, coef))
             trunc = sum(np.abs(coef[:, -1, None] * tails[:, :, -1]))

@@ -1,6 +1,10 @@
+import cmath
 import csv
+import itertools
 import json
 import math
+import os
+import random
 import subprocess
 import sys
 
@@ -656,6 +660,64 @@ def test_module_entry_point_runs(v3_file, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert len(_load(out)["zeros"]) == 1
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _env_without_blas_vars(**extra):
+    # built from scratch: this process's own environment holds
+    # OPENBLAS_NUM_THREADS=1 since it imported latspec
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    env.update(extra)
+    return env
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_importing_latspec_pins_one_blas_thread_unless_the_caller_set_one(preset):
+    # by default OpenBLAS loads with no worker thread, so the process has
+    # one thread; a count the caller exported is kept
+    script = ("import os\n"
+              "import latspec.cli\n"
+              "threads = [ln.split()[1] for ln in open('/proc/self/status') if ln.startswith('Threads:')]\n"
+              "print(os.environ['OPENBLAS_NUM_THREADS'], *threads)\n")
+    env = _env_without_blas_vars(**({} if preset is None else {"OPENBLAS_NUM_THREADS": preset}))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.split()
+    if preset is None:
+        assert (value, threads) == ("1", "1")
+    else:
+        assert value == preset
+
+
+def test_taylor_check_on_the_125_site_cube_does_not_depend_on_the_blas_default(tmp_path):
+    # ROADMAP item 12's R = 2 cube (a = 7.2, seed 5): from |S| = 100 on
+    # OpenBLAS factors the stacked determinants in parallel, so with the
+    # library's default thread count c[0] moved in its last digits; under
+    # the default environment the report equals the one-thread report
+    rnd = random.Random(5)
+    entries = [{"site": list(n), "re": v.real, "im": v.imag}
+               for n in itertools.product(range(-2, 3), repeat=3)
+               for v in [7.2 * (1 + math.sqrt(sum(c * c for c in n))) ** -3
+                         * cmath.exp(1j * rnd.uniform(0, 2 * math.pi))]]
+    pot = tmp_path / "cube125.json"
+    pot.write_text(json.dumps({"d": 3, "entries": entries}))
+    reports = []
+    for name, extra in (("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / f"{name}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "latspec.cli", "taylor-check", "-p", str(pot), "--r", "0.15", "-o", str(out)],
+            env=_env_without_blas_vars(**extra), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        rep = _load(out)
+        rep.pop("generated_at")
+        reports.append(json.dumps(rep, sort_keys=True))
+    assert reports[0] == reports[1]
 
 
 def test_pipeline_never_imports_scipy(v3_file, tmp_path):

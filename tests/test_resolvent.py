@@ -401,12 +401,14 @@ def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
     # the mode tails at d = 3 have 4 frequencies S, and an orbit set has
     # one horizon T0, 240 while every max_j |n_j| <= _OSC_NEAR and 240 + 10
     # n0 for a set whose largest is n0 beyond: one block makes one
-    # tail_integral_vec call at that T0 over every (S, lambda) pair, and
-    # must equal, bit for bit, the engine's numeric sum on a Bessel grid of
-    # the orbit's own orders plus one tail evaluation per frequency and
-    # lambda, contracted with the orbit's polynomial of that frequency and
-    # added up in frequency order
-    lams = np.array([1.7 - 0.4j, -0.3 - 0.1j, 2.9 + 0.0j, -3.0 + 0.0j])
+    # tail_integral_vec call at that T0 over every (S, lambda) pair, also
+    # when its lambdas span several phase chunks (68 lambdas at T0 = 240,
+    # 52 at 310), and must equal, bit for bit, the engine's numeric sum on
+    # a Bessel grid of the orbit's own orders plus one tail evaluation per
+    # frequency and lambda, contracted with the orbit's polynomial of that
+    # frequency and added up in frequency order
+    short = np.array([1.7 - 0.4j, -0.3 - 0.1j, 2.9 + 0.0j, -3.0 + 0.0j])
+    long = np.concatenate([short, np.linspace(-3.5, 3.5, 100) - 0.02j, np.linspace(0.1, 2.9, 46) + 0.0j])
     far = resolvent._OSC_NEAR + 1
     tail_vec = resolvent.tail_integral_vec
     calls = []
@@ -420,22 +422,25 @@ def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
     s_exps = 1.5 + np.arange(resolvent._OSC_N_TERMS, dtype=float)
     for canons, T0 in (([(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)], 240.0),
                        ([(0, 0, 0), (far, 0, 0)], 240.0 + 10.0 * far)):
-        calls.clear()
-        vals, errs = resolvent._osc_block(canons, lams)
-        assert len(calls) == 1 and calls[0][1] == T0 == _set_horizon(canons)
-        assert np.array_equal(calls[0][0], (freqs[:, None] - lams).ravel())
-        for u, canon in enumerate(canons):
-            kw = _gauss_kernel(canon, T0)[3]
-            main = resolvent._osc_main(kw, *resolvent._osc_phases(lams, kw.shape[1]))
-            tail = np.zeros(lams.size, dtype=complex)
-            trunc = np.zeros(lams.size)
-            for s_freq, poly in zip(freqs, resolvent._osc_tail_coeffs(canon)):
-                pieces = np.array([tail_vec(s_exps, np.array([s_freq - lam]), T0)[0] for lam in lams])
-                tail += np.einsum("kj,j->k", pieces, poly)
-                trunc += np.abs(poly[-1] * pieces[:, -1])
-            ref = -1j * resolvent._IPOW[sum(canon) % 4] * (main + tail)
-            assert np.array_equal(vals[u], ref)
-            assert np.array_equal(errs[u], trunc + 1e-14 * (1.0 + np.abs(ref)))
+        assert long.size > 2 * resolvent._CHUNK_BYTES // (16 * int(T0 / resolvent._OSC_PANEL))
+        for lams in (short, long):
+            calls.clear()
+            vals, errs = resolvent._osc_block(canons, lams)
+            assert len(calls) == 1 and calls[0][1] == T0 == _set_horizon(canons)
+            assert np.array_equal(calls[0][0], (freqs[:, None] - lams).ravel())
+            pieces = [np.array([tail_vec(s_exps, np.array([s_freq - lam]), T0)[0] for lam in lams])
+                      for s_freq in freqs]
+            for u, canon in enumerate(canons):
+                kw = _gauss_kernel(canon, T0)[3]
+                main = resolvent._osc_main(kw, *resolvent._osc_phases(lams, kw.shape[1]))
+                tail = np.zeros(lams.size, dtype=complex)
+                trunc = np.zeros(lams.size)
+                for at_s, poly in zip(pieces, resolvent._osc_tail_coeffs(canon)):
+                    tail += np.einsum("kj,j->k", at_s, poly)
+                    trunc += np.abs(poly[-1] * at_s[:, -1])
+                ref = -1j * resolvent._IPOW[sum(canon) % 4] * (main + tail)
+                assert np.array_equal(vals[u], ref)
+                assert np.array_equal(errs[u], trunc + 1e-14 * (1.0 + np.abs(ref)))
 
 
 def _per_pattern_tail_data(canon):
