@@ -62,21 +62,13 @@ def z_of_lambda(lam, d: int):
     sqrt(lam - d) * sqrt(lam + d) with principal square roots (the two cuts
     outside the band cancel, leaving the single cut [-d, d]), and the other
     root taken where rounding puts that z outside the disk.  A lam on the
-    segment [-d, d] (within 1e-14 absolute imaginary part) is refused,
-    naming the first such lam, so that an accidental on-band evaluation is
-    loud rather than silently one-sided.  An array gives, bit for bit, what
-    each point gives alone.
+    band is refused by ``require_off_band``.  An array gives, bit for bit,
+    what each point gives alone.
     """
-    validate_dimension(d)
+    require_off_band(lam, d)
     lam = np.asarray(lam, dtype=complex)
     scalar = lam.ndim == 0
     lam = lam.reshape(-1) if scalar else lam
-    on_band = (np.abs(lam.imag) <= _BAND_TOL) & (np.abs(lam.real) <= d)
-    if on_band.any():
-        raise ValueError(
-            f"lambda={complex(lam[on_band][0])} lies on the band [-{d},{d}]; "
-            "boundary values of the resolvent go through green_boundary"
-        )
     root = np.sqrt(lam - d) * np.sqrt(lam + d)
     z = d / (lam + root)
     flip = np.abs(z) > 1.0 + 1e-12
@@ -85,6 +77,21 @@ def z_of_lambda(lam, d: int):
     out = np.abs(z) > 1.0
     z[out] /= np.abs(z[out])
     return complex(z[0]) if scalar else z
+
+
+def require_off_band(lam, d: int) -> None:
+    """Refuse a lam on the segment [-d, d], within _BAND_TOL (1e-14)
+    absolute imaginary part, scalar or array, naming the first such lam as
+    given: the band has two one-sided limits, and an accidental on-band
+    evaluation is loud rather than silently one-sided."""
+    validate_dimension(d)
+    lam = np.ravel(np.asarray(lam, dtype=complex))
+    on_band = (np.abs(lam.imag) <= _BAND_TOL) & (np.abs(lam.real) <= d)
+    if on_band.any():
+        raise ValueError(
+            f"lambda={complex(lam[on_band][0])} lies on the band [-{d},{d}]; "
+            "boundary values of the resolvent go through green_boundary"
+        )
 
 
 def dist_to_band(lam, d: int):

@@ -17,7 +17,10 @@ Three regimes:
   |w|, where the series is safe for every rung, by integrating t = T e^u on
   log-spaced Gauss-Legendre panels (the integrand is smooth and barely
   oscillatory over each short panel), then add the tails at T*, all direct
-  there.
+  there.  The panels start at T and have one length in u, so every whole
+  panel is the same in every bridged row of a call: its nodes, weights and
+  powers t^(1 - s) are computed once per call, and a row adds only its
+  last, shorter or stretched, panel.
 
 The direct edge 2 s + 30 grows with s, so the direct rungs of a row are a
 prefix of the ladder, its first k.  The series runs at the last of them,
@@ -160,37 +163,58 @@ def _tail_direct(s_list: np.ndarray, w: np.ndarray, T: np.ndarray, t_pow: np.nda
     return vals
 
 
+def _bridge_panels(lo: np.ndarray, hi: np.ndarray, T: float):
+    """The Gauss nodes of the panels [lo[k], hi[k]] in u: their weights and
+    t = T e^u, each of shape (k, node)."""
+    x0, w0 = (np.asarray(v) for v in _gl_nodes(_BRIDGE_NPTS))
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    return half[:, None] * w0, T * np.exp(mid[:, None] + half[:, None] * x0)
+
+
+def _join(shared: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Per row of ``own`` (nodes on the last axis), the nodes ``shared``
+    by every row and then its own: one contiguous array."""
+    n = shared.shape[-1]
+    out = np.empty(own.shape[:-1] + (n + own.shape[-1],))
+    out[..., :n] = shared
+    out[..., n:] = own
+    return out
+
+
 def _tail_bridged(s_list: np.ndarray, w: np.ndarray, T: float, low: np.ndarray) -> np.ndarray:
     """Tails of row i on rungs low[i] and up of the ladder (0 below) at the
     horizon T, whose |w| T is below the direct edge: t = T e^u on Gauss
     panels of _BRIDGE_PANEL in u up to T* = (2 s_max + 32) / |w|, s_max
     the top rung, plus the tails at T*, direct there.  The panels are those
-    of gl_panels(0, log(T* / T), _BRIDGE_PANEL, _BRIDGE_NPTS); rows that
-    share a panel layout are integrated together, in blocks whose largest
-    array stays within _BLOCK_BYTES."""
-    x0, w0 = (np.asarray(v) for v in _gl_nodes(_BRIDGE_NPTS))
+    of gl_panels(0, log(T* / T), _BRIDGE_PANEL, _BRIDGE_NPTS): whole panels
+    [k, k + 1] _BRIDGE_PANEL, then a last one that ends at log(T* / T).
+    The whole panels are the same in every row of the call, so their
+    weights, nodes and powers t^(1 - s) are computed once, for the longest
+    row; a row computes only its last panel.  Rows with as many panels are
+    integrated together, in blocks whose largest array stays within
+    _BLOCK_BYTES, each block's panels laid out row by row as one
+    contiguous (row, rung, node) array of powers."""
     out = np.empty((w.size, s_list.size), dtype=complex)
     t_star = (2.0 * s_list[-1] + 32.0) / _modulus(w)
     b = np.log(t_star / T)
     n_panels = np.maximum(1, np.floor(b / _BRIDGE_PANEL).astype(int))
     # gl_panels' remainder rule: a short last panel, or the last edge moved to b
     extra = n_panels * _BRIDGE_PANEL < b - 1e-12 * np.maximum(1.0, np.abs(b))
-    for n_p, ext in sorted(set(zip(n_panels.tolist(), extra.tolist()))):
-        group = np.nonzero((n_panels == n_p) & (extra == ext))[0]
-        step = max(1, _BLOCK_BYTES // (8 * s_list.size * _BRIDGE_NPTS * (n_p + ext)))
+    whole = n_panels - 1 + extra
+    edges = _BRIDGE_PANEL * np.arange(whole.max() + 1, dtype=float)
+    # the whole panels node after node, as every row lays them out
+    uw, t = (a.ravel() for a in _bridge_panels(edges[:-1], edges[1:], T))
+    t_pow = t ** (1.0 - s_list[:, None])
+    uw_last, t_last = _bridge_panels(edges[whole], b, T)
+    for m in sorted(set(whole.tolist())):
+        group = np.nonzero(whole == m)[0]
+        n = _BRIDGE_NPTS * m
+        step = max(1, _BLOCK_BYTES // (8 * s_list.size * (n + _BRIDGE_NPTS)))
         for g in (group[i:i + step] for i in range(0, group.size, step)):
-            edges = np.tile(_BRIDGE_PANEL * np.arange(n_p + 1, dtype=float), (g.size, 1))
-            if ext:
-                edges = np.column_stack([edges, b[g]])
-            else:
-                edges[:, -1] = b[g]
-            half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-            mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-            u = (mid[:, :, None] + half[:, :, None] * x0).reshape(g.size, -1)
-            uw = (half[:, :, None] * w0).reshape(g.size, -1)
-            t = T * np.exp(u)
-            phase = np.exp(1j * w[g][:, None] * t) * uw
-            powers = t[:, None, :] ** (1.0 - s_list[None, :, None])
+            rows_t = _join(t[:n], t_last[g])
+            powers = _join(t_pow[:, :n], rows_t[:, None, n:] ** (1.0 - s_list[:, None]))
+            phase = np.exp(1j * w[g][:, None] * rows_t) * _join(uw[:n], uw_last[g])
             out[g] = np.einsum("gsn,gn->gs", powers, phase)
     top = np.full(w.size, s_list.size - 1)
     out += _tail_direct(s_list, w, t_star, t_star[:, None] ** -s_list, top)

@@ -111,14 +111,18 @@ but ``_orbit``.  Both stay outside the fold and the memo:
 conjugates for Im lam > 0 (its damping needs Im lam <= 0) and applies no
 other symmetry; the torus evaluates every lambda as it is.
 
-The series and the oscillatory engine keep one memo each, keyed like the
-plans by the orbit set (a tuple): an entry (orbit set, quadrant image of
-lam) holds the image's column of values and error estimates, at most
-_MEMO_SIZE values in all, evicting the least recently used.  A block
-looks every distinct image up once, computes the missing ones in at most
-one core call and unfolds with array operations, in one pass.  Repeated
-evaluations during determinant assembly are therefore free and
-bit-identical.
+The series and the oscillatory engine keep one memo each.  An orbit set
+(a tuple, the key of the plans too) holds its values in slots
+(``_Slots``): a complex array of values and a real array of error
+estimates, one row per orbit and one column per quadrant image of lam
+held.  An entry, keyed by the set's slots and the image, names the
+image's column; the memo holds at most _MEMO_SIZE values in all,
+evicting the least recently used entry.  A block folds its lambdas to
+their images and takes the distinct ones with array operations, looks
+each distinct image up once, computes the missing ones in at most one
+core call, stores them in the set's slots, and serves the block by one
+gather of columns, unfolded with array operations.  Repeated evaluations
+during determinant assembly are therefore free and bit-identical.
 ``green_cache_info`` reports each memo's hits, misses and size, the
 number of orbits whose series coefficients were built and the number of
 the oscillatory engine's Bessel grids built;
@@ -140,7 +144,7 @@ from typing import Sequence
 import numpy as np
 
 from .bessel import bessel_j_grid, hankel_amplitude_coeffs
-from .conformal import dist_to_band, z_of_lambda
+from .conformal import dist_to_band, require_off_band, z_of_lambda
 from .lattice import require_dimension_3, validate_dimension
 from .quadrature import gl_panels, tail_integral_vec
 
@@ -197,7 +201,7 @@ _OSC_NPTS = 10
 _OSC_OFFSETS = 0.5 * _OSC_PANEL * np.polynomial.legendre.leggauss(_OSC_NPTS)[0]
 _OSC_FINE = 16
 # values (orbits times images) kept per engine memo.  Cold eigs runs on the
-# four draws of perfbench's panel (seed 1) fill 6216, 1028, 1540 and 5305
+# four draws of perfbench's panel (seed 1) fill 6219, 1028, 1555 and 5305
 # oscillatory values; the largest, draw 0, samples its circle on up to
 # 8192 nodes (draw 3 on 4096), so no benchmark run evicts
 _MEMO_SIZE = 8192
@@ -219,17 +223,52 @@ class GreenValue:
     err_estimate: float
 
 
+class _Slots:
+    """One orbit set's values in a memo: column k of ``vals`` and ``errs``
+    holds, per orbit (rows), the value and error estimate of the image
+    whose memo key maps to k.  ``used`` columns have been handed out, and
+    ``free`` lists those that evicted entries left, which are reused
+    first; ``even`` marks the orbits with |n| even."""
+
+    def __init__(self, canons: "tuple[Site, ...]") -> None:
+        self.canons = canons
+        self.vals = np.empty((len(canons), 0), dtype=complex)
+        self.errs = np.empty((len(canons), 0))
+        self.used = 0
+        self.free: list = []
+        self.even = np.array([sum(canon) % 2 == 0 for canon in canons], dtype=bool)
+
+    def take(self, count: int) -> np.ndarray:
+        """count columns for new entries: the free ones, then fresh ones,
+        the arrays at least doubled when they run out."""
+        split = len(self.free) - min(count, len(self.free))
+        reused = self.free[split:]
+        del self.free[split:]
+        fresh = range(self.used, self.used + count - len(reused))
+        self.used = fresh.stop
+        if self.used > self.vals.shape[1]:
+            grow = max(self.used, 2 * self.vals.shape[1]) - self.vals.shape[1]
+            self.vals = np.concatenate([self.vals, np.empty((len(self.canons), grow), dtype=complex)], axis=1)
+            self.errs = np.concatenate([self.errs, np.empty((len(self.canons), grow))], axis=1)
+        return np.array([*reused, *fresh], dtype=int)
+
+
 class _Memo:
-    """Bounded map from (orbit set, image) to the image's column
-    (values, err_estimates), two lists; ``size`` counts the values held,
-    and while it exceeds _MEMO_SIZE the least recently used entry goes."""
+    """Bounded map from (orbit set, image) to the image's values and error
+    estimates.  ``sets`` maps each orbit set held to its _Slots; ``data``
+    maps a key (slots, image) to the image's column there, in least
+    recently used order.  ``size`` counts the values held, and while it
+    exceeds _MEMO_SIZE the least recently used entry goes; an orbit set
+    left without entries goes with its arrays."""
 
     def __init__(self) -> None:
         self.data: OrderedDict = OrderedDict()
+        self.sets: dict = {}
         self.size = self.hits = self.misses = 0
 
     def clear(self) -> None:
         self.data.clear()
+        self.sets.clear()
         self.size = self.hits = self.misses = 0
 
 
@@ -273,44 +312,62 @@ def _memo_block(engine: str, core, canons: "tuple[Site, ...]", lams: np.ndarray,
     defaults to Im lam > 0; ``green_boundary_orbits`` passes its side, its
     lambdas being real.
 
-    Every distinct image is looked up once.  core(canons, qs) is then
-    called once, on the whole orbit set and the missing images, or
-    not at all when none is missing; one column is stored per missing
-    image.  Each (orbit, lambda) pair counts once: a miss where its image
-    was missing, else a hit (so a repeat of an image after its miss is a
-    hit).  A lambda is a hit only when its image is bitwise a known key;
-    there is no tolerance.  The columns of the distinct images are then
-    unfolded with array operations: a gather of each lambda's image
-    column, and an exact conjugation and negation under masks.
+    The images are folded with array operations (a zero imaginary part
+    stays +0.0, so no image has a signed zero) and their distinct values,
+    in order of first appearance, taken with one np.unique.  Every
+    distinct image is looked up once, keyed by the orbit set's _Slots and
+    the image.  core(canons, qs) is then called once, on the whole orbit
+    set and the missing images, or not at all when none is missing; its
+    columns are stored in the set's slots.  Each (orbit, lambda) pair
+    counts once: a miss where its image was missing, else a hit (so a
+    repeat of an image after its miss is a hit).  A lambda is a hit only
+    when its image is bitwise a known key; there is no tolerance.  The
+    block is then one gather of each lambda's column from the slots,
+    unfolded by an exact conjugation and negation under masks; only then
+    are the least recently used entries evicted.
     """
     memo = _MEMOS[engine]
     data = memo.data
-    at: dict = {}
-    col = [at.setdefault(complex(abs(lam.real), 0.0 - abs(lam.imag)), len(at)) for lam in lams.tolist()]
-    keys = [(canons, q) for q in at]
-    got = [data.get(key) for key in keys]
-    missing = [k for k, g in enumerate(got) if g is None]
+    slots = memo.sets.get(canons)
+    if slots is None:
+        slots = memo.sets[canons] = _Slots(canons)
+    image = np.empty_like(lams)
+    image.real = np.abs(lams.real)
+    image.imag = 0.0 - np.abs(lams.imag)
+    qs, first, inverse = np.unique(image, return_index=True, return_inverse=True)
+    # the distinct images in order of first appearance
+    is_first = np.zeros(lams.size, dtype=bool)
+    is_first[first] = True
+    order = inverse[is_first]
+    keys = [(slots, q) for q in qs[order].tolist()]
+    col = list(map(data.get, keys))
+    missing = [k for k, c in enumerate(col) if c is None]
     memo.misses += len(canons) * len(missing)
-    memo.hits += len(canons) * (len(col) - len(missing))
-    for key, g in zip(keys, got):
-        if g is not None:
+    memo.hits += len(canons) * (lams.size - len(missing))
+    for key, c in zip(keys, col):
+        if c is not None:
             data.move_to_end(key)
     if missing:
-        v, e = core(canons, np.array([keys[k][1] for k in missing]))
-        for k, column in zip(missing, zip(v.T.tolist(), e.T.tolist())):
-            got[k] = data[keys[k]] = column
+        fresh = slots.take(len(missing))
+        slots.vals[:, fresh], slots.errs[:, fresh] = core(canons, qs[order[missing]])
+        for k, c in zip(missing, fresh.tolist()):
+            col[k] = data[keys[k]] = c
         memo.size += len(canons) * len(missing)
-        while memo.size > _MEMO_SIZE:
-            memo.size -= len(data.popitem(last=False)[1][0])
-    shape = (len(keys), len(canons))
-    vals = np.array([g[0] for g in got], dtype=complex).reshape(shape).T[:, col]
-    errs = np.array([g[1] for g in got], dtype=float).reshape(shape).T[:, col]
+    at = np.empty(qs.size, dtype=int)
+    at[order] = col
+    at = at[inverse]
+    vals, errs = slots.vals[:, at], slots.errs[:, at]
+    while memo.size > _MEMO_SIZE:
+        (owner, _), c = data.popitem(last=False)
+        owner.free.append(c)
+        memo.size -= len(owner.canons)
+        if len(owner.free) == owner.used:
+            del memo.sets[owner.canons]
     up = lams.imag > 0 if up is None else np.asarray(up, dtype=bool)
     negative = lams.real < 0
     np.conjugate(vals, out=vals, where=up != negative)
     # the value changes sign under lam -> -lam where |n| is even
-    even = np.array([sum(canon) % 2 == 0 for canon in canons], dtype=bool)
-    np.negative(vals, out=vals, where=even[:, None] & negative)
+    np.negative(vals, out=vals, where=slots.even[:, None] & negative)
     return vals, errs
 
 
@@ -870,9 +927,8 @@ def green_orbits(canons: "Sequence[Site]", lams: "Sequence[complex]", d: int,
         return _torus_block(canons, lams, auto_n_quad(_torus_distance(lams, d)))
     if engine != "auto":
         raise ValueError(f"unknown engine {engine!r}")
-    on_band = dist_to_band(lams, d) == 0.0
-    if on_band.any():
-        raise ValueError(f"lambda={lams[on_band][0]} lies on the band; use green_boundary")
+    # the caller's lambdas, before the fold: a refusal names the lambda given
+    require_off_band(lams, d)
     # by the quadrant image, as the memo keys are: mirror images take one route
     image = np.abs(lams.real) - 1j * np.abs(lams.imag)
     radius = _series_radius(d)

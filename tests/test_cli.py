@@ -109,6 +109,16 @@ def test_green_refuses_engines_beyond_their_reach(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lam, named", [("-2,1e-15", "(-2+1e-15j)"), ("-2,0", "(-2+0j)")])
+def test_green_refuses_the_band_naming_the_lambda_given(lam, named, capsys):
+    # one rule, |Im lambda| <= 1e-14 on [-d, d], applied to the lambda as
+    # given, before its quadrant image is taken: an exact zero imaginary
+    # part and a tiny one read the same
+    assert main(["green", "--d", "3", f"--lambda={lam}", "--site", "0,0,0"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"lambda={named} lies on the band [-3,3]; boundary values of the resolvent go through green_boundary" in err
+
+
 def test_green_n_quad_only_with_torus(tmp_path):
     base = ["green", "--d", "3", "--lambda", "5", "--site", "0,0,0", "--n-quad", "40"]
     assert main(base + ["--method", "auto"]) == EXIT_VALIDATION
@@ -503,9 +513,10 @@ TWO_SITE = {"d": 3, "entries": [{"site": [0, 0, 0], "re": 3.0}, {"site": [1, 1, 
 
 
 def test_cli_runs_reach_the_green_memo_with_one_orbit_set(tmp_path):
-    # the memo holds one column per (orbit set, image): eigs, bounds-report
-    # and sweep (whose scalings keep the support) reach the Green engines
-    # with the support's orbit set only, so no value is computed twice
+    # the memo holds one column per (orbit set, image), keyed by the orbit
+    # set's slots: eigs, bounds-report and sweep (whose scalings keep the
+    # support) reach the Green engines with the support's orbit set only,
+    # so no value is computed twice
     from latspec import resolvent
     from latspec.lattice import Potential
 
@@ -517,7 +528,34 @@ def test_cli_runs_reach_the_green_memo_with_one_orbit_set(tmp_path):
     assert main(["sweep", "-p", str(pot), "--scale-grid", "0.8:1.2:2", "-o", str(tmp_path / "s.csv")]) == EXIT_OK
     canons = resolvent.support_orbits(Potential.from_file(str(pot)).support, 3)[0]
     keys = [key for memo in resolvent._MEMOS.values() for key in memo.data]
-    assert keys and {key[0] for key in keys} == {canons}
+    assert keys and {key[0].canons for key in keys} == {canons}
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("v3", ["trace-check"]),
+    ("draw2", ["eigs"]),
+    ("two", ["sweep", "--scale-grid", "0.8:1.2:2"]),
+])
+def test_warm_memo_repeats_a_report_without_a_miss(name, argv, tmp_path, capsys):
+    # a run repeated in one process finds every Green value in the memo:
+    # no miss, and the same report bytes apart from generated_at
+    from latspec import resolvent
+
+    pot = tmp_path / f"{name}.json"
+    pot.write_text(json.dumps({"v3": {"d": 3, "entries": [{"site": [0, 0, 0], "re": 3.0}]},
+                               "draw2": DRAW2, "two": TWO_SITE}[name]))
+    suffix = ".csv" if argv[0] == "sweep" else ".json"
+    resolvent.clear_green_cache()
+    codes, texts, misses = [], [], []
+    for k in range(2):
+        before = sum(m["misses"] for m in resolvent.green_cache_info().values())
+        out = tmp_path / f"out{k}{suffix}"
+        codes.append(main([argv[0], "-p", str(pot), *argv[1:], "-o", str(out)]))
+        misses.append(sum(m["misses"] for m in resolvent.green_cache_info().values()) - before)
+        texts.append("\n".join(line for line in out.read_text().splitlines() if '"generated_at"' not in line))
+    capsys.readouterr()
+    assert codes == [EXIT_OK] * 2 and misses[0] > 0 and misses[1] == 0
+    assert texts[0] == texts[1]
 
 
 def _fail_on_circle(monkeypatch, upper_only):

@@ -308,3 +308,67 @@ def test_tail_integral_refuses_exponents_off_a_ladder(s_list):
     # the pass serves the ladders s0, s0 + 1, ... of the Green engine only
     with pytest.raises(ValueError, match="ladder"):
         tail_integral_vec(s_list, np.array([0.5]), 40.0)
+
+
+# ---- the bridge as it was before its whole panels were shared across
+# rows, kept as the bit-for-bit oracle: every row builds all its panels,
+# their nodes and powers t^(1 - s) itself
+
+def _per_row_bridged(s_list, w, T, low):
+    x0, w0 = (np.asarray(v) for v in quadrature._gl_nodes(quadrature._BRIDGE_NPTS))
+    out = np.empty((w.size, s_list.size), dtype=complex)
+    t_star = (2.0 * s_list[-1] + 32.0) / quadrature._modulus(w)
+    b = np.log(t_star / T)
+    n_panels = np.maximum(1, np.floor(b / quadrature._BRIDGE_PANEL).astype(int))
+    # gl_panels' remainder rule: a short last panel, or the last edge moved to b
+    extra = n_panels * quadrature._BRIDGE_PANEL < b - 1e-12 * np.maximum(1.0, np.abs(b))
+    for n_p, ext in sorted(set(zip(n_panels.tolist(), extra.tolist()))):
+        group = np.nonzero((n_panels == n_p) & (extra == ext))[0]
+        step = max(1, quadrature._BLOCK_BYTES // (8 * s_list.size * quadrature._BRIDGE_NPTS * (n_p + ext)))
+        for g in (group[i:i + step] for i in range(0, group.size, step)):
+            edges = np.tile(quadrature._BRIDGE_PANEL * np.arange(n_p + 1, dtype=float), (g.size, 1))
+            if ext:
+                edges = np.column_stack([edges, b[g]])
+            else:
+                edges[:, -1] = b[g]
+            half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+            mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+            u = (mid[:, :, None] + half[:, :, None] * x0).reshape(g.size, -1)
+            uw = (half[:, :, None] * w0).reshape(g.size, -1)
+            t = T * np.exp(u)
+            phase = np.exp(1j * w[g][:, None] * t) * uw
+            powers = t[:, None, :] ** (1.0 - s_list[None, :, None])
+            out[g] = np.einsum("gsn,gn->gs", powers, phase)
+    top = np.full(w.size, s_list.size - 1)
+    out += quadrature._tail_direct(s_list, w, t_star, t_star[:, None] ** -s_list, top)
+    return np.where(np.arange(s_list.size) >= low[:, None], out, 0.0)
+
+
+def test_shared_bridge_panels_match_the_per_row_bridge(monkeypatch):
+    # the engine's ladders at d = 3, 4 and 10 and horizons 240, 310 and
+    # 2160, |w| log-spaced from 1e-12 to the direct edge, real and with
+    # Im w > 0, plus rows whose panel count T* / T lands on a whole
+    # number of panels: every tail equals the per-row bridge's bit for bit,
+    # over rows with one panel and rows with and without the extra one
+    def layout(s_list, w, T):
+        b = np.log((2.0 * s_list[-1] + 32.0) / quadrature._modulus(w) / T)
+        n_panels = np.maximum(1, np.floor(b / quadrature._BRIDGE_PANEL).astype(int))
+        return n_panels, n_panels * quadrature._BRIDGE_PANEL < b - 1e-12 * np.maximum(1.0, np.abs(b))
+
+    counts, extras = set(), set()
+    for d in (3, 4, 10):
+        s_list = 0.5 * d + np.arange(11, dtype=float)
+        for T in (240.0, 310.0, 2160.0):
+            mags = np.logspace(-12.0, np.log10((2.0 * s_list[-1] + 30.0) / T), 300)
+            on_edges = (2.0 * s_list[-1] + 32.0) / (T * np.exp(quadrature._BRIDGE_PANEL * np.arange(1, 9)))
+            w = np.concatenate([mags, mags * np.exp(0.3j), -mags * np.exp(-1.1j), on_edges])
+            n_panels, extra = layout(s_list, w, T)
+            counts.update(n_panels.tolist())
+            extras.update(zip((n_panels == 1).tolist(), extra.tolist()))
+            got = tail_integral_vec(s_list, w, T)
+            with monkeypatch.context() as m:
+                m.setattr(quadrature, "_tail_bridged", _per_row_bridged)
+                ref = tail_integral_vec(s_list, w, T)
+            assert np.array_equal(got, ref), (d, T)
+    assert 1 in counts and max(counts) > 100
+    assert extras == {(True, False), (True, True), (False, False), (False, True)}

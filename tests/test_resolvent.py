@@ -949,6 +949,46 @@ def test_memo_bound_counts_values_and_evicts_the_least_recently_used(monkeypatch
     resolvent.clear_green_cache()
 
 
+def test_memo_evicts_across_orbit_sets_and_reuses_their_columns(monkeypatch):
+    # room for 6 values: two images of a 3-orbit set, then images of a
+    # 2-orbit set push them out oldest first; the emptied set leaves the
+    # memo, its values come back bitwise as computed cold, and the freed
+    # columns of the other set serve new images with their own values
+    monkeypatch.setattr(resolvent, "_MEMO_SIZE", 6)
+    big, small = ((0, 0, 0), (1, 0, 0), (1, 1, 0)), ((0, 0, 0), (2, 1, 0))
+    q = [1.0 - 2.0j, 2.0 - 1.5j, 0.5 - 3.0j, 3.5 - 1.3j, 2.5 - 2.0j]  # series images
+    cold = {}
+    for canons in (big, small):
+        for lam in q:
+            resolvent.clear_green_cache()
+            cold[canons, lam] = resolvent.green_orbits(canons, [lam], 3)
+    memo = resolvent._MEMOS["series"]
+
+    def serve(canons, lams):
+        vals, errs = resolvent.green_orbits(canons, lams, 3)
+        for k, lam in enumerate(lams):
+            ref = cold[canons, lam]
+            assert np.array_equal(vals[:, k:k + 1], ref[0]) and np.array_equal(errs[:, k:k + 1], ref[1])
+        assert memo.size <= 6
+
+    resolvent.clear_green_cache()
+    serve(big, q[:2])
+    serve(small, [q[2]])
+    assert set(memo.sets) == {big, small} and memo.size == 5
+    serve(small, [q[3]])
+    assert set(memo.sets) == {small} and memo.size == 4
+    serve(small, [q[4], q[0]])
+    assert set(memo.sets) == {small} and memo.size == 6
+    assert memo.sets[small].used == 4 and len(memo.sets[small].free) == 1
+    serve(small, [q[1]])
+    assert memo.sets[small].used == 4 and len(memo.sets[small].free) == 1
+    serve(big, [q[0]])
+    assert set(memo.sets) == {big, small} and memo.size == 5
+    serve(small, [q[1], q[4], q[3]])
+    assert resolvent.green_cache_info()["series"]["misses"] == 6 + 2 + 2 + 4 + 2 + 3 + 4
+    resolvent.clear_green_cache()
+
+
 def test_time_engine_is_outside_the_fold():
     # green_time is its core in all four quadrants, bit for bit; the upper
     # half plane is the exact conjugate of the lower, and no memo is kept
