@@ -115,14 +115,16 @@ The series and the oscillatory engine keep one memo each.  An orbit set
 (a tuple, the key of the plans too) holds its values in slots
 (``_Slots``): a complex array of values and a real array of error
 estimates, one row per orbit and one column per quadrant image of lam
-held.  An entry, keyed by the set's slots and the image, names the
-image's column; the memo holds at most _MEMO_SIZE values in all,
-evicting the least recently used entry.  A block folds its lambdas to
-their images and takes the distinct ones with array operations, looks
-each distinct image up once, computes the missing ones in at most one
-core call, stores them in the set's slots, and serves the block by one
-gather of columns, unfolded with array operations.  Repeated evaluations
-during determinant assembly are therefore free and bit-identical.
+held, and an index from each image to its column.  The memo holds at
+most _MEMO_SIZE values in all, save one block's own: a block whose new
+values would pass the bound first forgets every other orbit set and
+every image of its own set that it does not use.  A block folds its
+lambdas to their images and takes the distinct ones with array
+operations, looks each distinct image up once, computes the missing ones
+in at most one core call, stores them in the set's slots, and serves the
+block by one gather of columns, unfolded with array operations.
+Repeated evaluations during determinant assembly are therefore free and
+bit-identical.
 ``green_cache_info`` reports each memo's hits, misses and size, the
 number of orbits whose series coefficients were built and the number of
 the oscillatory engine's Bessel grids built;
@@ -137,7 +139,6 @@ import functools
 import itertools
 import math
 import operator
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -203,7 +204,7 @@ _OSC_FINE = 16
 # values (orbits times images) kept per engine memo.  Cold eigs runs on the
 # four draws of perfbench's panel (seed 1) fill 6219, 1028, 1555 and 5305
 # oscillatory values; the largest, draw 0, samples its circle on up to
-# 8192 nodes (draw 3 on 4096), so no benchmark run evicts
+# 8192 nodes (draw 3 on 4096), so no benchmark run forgets a value
 _MEMO_SIZE = 8192
 # largest array of one chunk of lambdas: oscillatory phases, or series
 # partial sums
@@ -224,50 +225,52 @@ class GreenValue:
 
 
 class _Slots:
-    """One orbit set's values in a memo: column k of ``vals`` and ``errs``
-    holds, per orbit (rows), the value and error estimate of the image
-    whose memo key maps to k.  ``used`` columns have been handed out, and
-    ``free`` lists those that evicted entries left, which are reused
-    first; ``even`` marks the orbits with |n| even."""
+    """One orbit set's values in a memo: ``index`` maps each image held to
+    its column k of ``vals`` and ``errs``, which hold, per orbit (rows), the
+    image's value and error estimate; the columns held are 0 .. len(index)
+    - 1.  A block that would take the memo past _MEMO_SIZE keeps only its
+    own images here before it stores its new ones.  ``even`` marks the
+    orbits with |n| even."""
 
     def __init__(self, canons: "tuple[Site, ...]") -> None:
         self.canons = canons
         self.vals = np.empty((len(canons), 0), dtype=complex)
         self.errs = np.empty((len(canons), 0))
-        self.used = 0
-        self.free: list = []
+        self.index: dict = {}
         self.even = np.array([sum(canon) % 2 == 0 for canon in canons], dtype=bool)
 
-    def take(self, count: int) -> np.ndarray:
-        """count columns for new entries: the free ones, then fresh ones,
-        the arrays at least doubled when they run out."""
-        split = len(self.free) - min(count, len(self.free))
-        reused = self.free[split:]
-        del self.free[split:]
-        fresh = range(self.used, self.used + count - len(reused))
-        self.used = fresh.stop
-        if self.used > self.vals.shape[1]:
-            grow = max(self.used, 2 * self.vals.shape[1]) - self.vals.shape[1]
+    def keep(self, images: list, cols: np.ndarray) -> np.ndarray:
+        """Hold only ``images``, now at columns ``cols``, moved to columns 0,
+        1, ... in their order, which it returns."""
+        self.vals, self.errs = self.vals[:, cols], self.errs[:, cols]
+        self.index = dict(zip(images, range(len(images))))
+        return np.arange(len(images))
+
+    def store(self, images: list, vals: np.ndarray, errs: np.ndarray) -> np.ndarray:
+        """Append the columns of new ``images`` after the held ones, the
+        arrays at least doubled when they run out; returns their columns."""
+        start, stop = len(self.index), len(self.index) + len(images)
+        if stop > self.vals.shape[1]:
+            grow = max(stop, 2 * self.vals.shape[1]) - self.vals.shape[1]
             self.vals = np.concatenate([self.vals, np.empty((len(self.canons), grow), dtype=complex)], axis=1)
             self.errs = np.concatenate([self.errs, np.empty((len(self.canons), grow))], axis=1)
-        return np.array([*reused, *fresh], dtype=int)
+        self.vals[:, start:stop], self.errs[:, start:stop] = vals, errs
+        self.index.update(zip(images, range(start, stop)))
+        return np.arange(start, stop)
 
 
 class _Memo:
-    """Bounded map from (orbit set, image) to the image's values and error
-    estimates.  ``sets`` maps each orbit set held to its _Slots; ``data``
-    maps a key (slots, image) to the image's column there, in least
-    recently used order.  ``size`` counts the values held, and while it
-    exceeds _MEMO_SIZE the least recently used entry goes; an orbit set
-    left without entries goes with its arrays."""
+    """Map from (orbit set, image) to the image's values and error
+    estimates: ``sets`` maps each orbit set held to its _Slots, and
+    ``size`` counts the values held.  A block that would take ``size``
+    past _MEMO_SIZE first forgets every other orbit set and every image
+    of its own that it does not use (see ``_memo_block``)."""
 
     def __init__(self) -> None:
-        self.data: OrderedDict = OrderedDict()
         self.sets: dict = {}
         self.size = self.hits = self.misses = 0
 
     def clear(self) -> None:
-        self.data.clear()
         self.sets.clear()
         self.size = self.hits = self.misses = 0
 
@@ -313,56 +316,44 @@ def _memo_block(engine: str, core, canons: "tuple[Site, ...]", lams: np.ndarray,
     lambdas being real.
 
     The images are folded with array operations (a zero imaginary part
-    stays +0.0, so no image has a signed zero) and their distinct values,
-    in order of first appearance, taken with one np.unique.  Every
-    distinct image is looked up once, keyed by the orbit set's _Slots and
-    the image.  core(canons, qs) is then called once, on the whole orbit
-    set and the missing images, or not at all when none is missing; its
-    columns are stored in the set's slots.  Each (orbit, lambda) pair
-    counts once: a miss where its image was missing, else a hit (so a
-    repeat of an image after its miss is a hit).  A lambda is a hit only
-    when its image is bitwise a known key; there is no tolerance.  The
-    block is then one gather of each lambda's column from the slots,
-    unfolded by an exact conjugation and negation under masks; only then
-    are the least recently used entries evicted.
+    stays +0.0, so no image has a signed zero) and their distinct values
+    taken with one np.unique, each then looked up once in the orbit set's
+    ``_Slots.index``.  core(canons, qs) is called once, on the whole orbit
+    set and the missing images in np.unique's order, or not at all when
+    none is missing.  Where storing them would take the memo past
+    _MEMO_SIZE values, the memo first forgets every other orbit set and
+    every image of this set that the block does not use; the new columns
+    are then appended, so a block larger than the bound is held whole
+    until the next block that overflows.  Each (orbit, lambda) pair counts
+    once: a miss where its image was missing, else a hit (so a repeat of
+    an image after its miss is a hit).  A lambda is a hit only when its
+    image is bitwise a known key; there is no tolerance.  The block is
+    then one gather of each lambda's column from the slots, unfolded by an
+    exact conjugation and negation under masks.
     """
     memo = _MEMOS[engine]
-    data = memo.data
     slots = memo.sets.get(canons)
     if slots is None:
         slots = memo.sets[canons] = _Slots(canons)
     image = np.empty_like(lams)
     image.real = np.abs(lams.real)
     image.imag = 0.0 - np.abs(lams.imag)
-    qs, first, inverse = np.unique(image, return_index=True, return_inverse=True)
-    # the distinct images in order of first appearance
-    is_first = np.zeros(lams.size, dtype=bool)
-    is_first[first] = True
-    order = inverse[is_first]
-    keys = [(slots, q) for q in qs[order].tolist()]
-    col = list(map(data.get, keys))
-    missing = [k for k, c in enumerate(col) if c is None]
-    memo.misses += len(canons) * len(missing)
-    memo.hits += len(canons) * (lams.size - len(missing))
-    for key, c in zip(keys, col):
-        if c is not None:
-            data.move_to_end(key)
-    if missing:
-        fresh = slots.take(len(missing))
-        slots.vals[:, fresh], slots.errs[:, fresh] = core(canons, qs[order[missing]])
-        for k, c in zip(missing, fresh.tolist()):
-            col[k] = data[keys[k]] = c
-        memo.size += len(canons) * len(missing)
-    at = np.empty(qs.size, dtype=int)
-    at[order] = col
-    at = at[inverse]
+    qs, inverse = np.unique(image, return_inverse=True)
+    col = np.array([slots.index.get(q, -1) for q in qs.tolist()], dtype=int)
+    missing = col < 0
+    new = int(missing.sum())
+    memo.misses += len(canons) * new
+    memo.hits += len(canons) * (lams.size - new)
+    if new:
+        if memo.size + len(canons) * new > _MEMO_SIZE:
+            held = ~missing
+            col[held] = slots.keep(qs[held].tolist(), col[held])
+            memo.sets = {canons: slots}
+            memo.size = len(canons) * (qs.size - new)
+        col[missing] = slots.store(qs[missing].tolist(), *core(canons, qs[missing]))
+        memo.size += len(canons) * new
+    at = col[inverse]
     vals, errs = slots.vals[:, at], slots.errs[:, at]
-    while memo.size > _MEMO_SIZE:
-        (owner, _), c = data.popitem(last=False)
-        owner.free.append(c)
-        memo.size -= len(owner.canons)
-        if len(owner.free) == owner.used:
-            del memo.sets[owner.canons]
     up = lams.imag > 0 if up is None else np.asarray(up, dtype=bool)
     negative = lams.real < 0
     np.conjugate(vals, out=vals, where=up != negative)

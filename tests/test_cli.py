@@ -513,8 +513,8 @@ TWO_SITE = {"d": 3, "entries": [{"site": [0, 0, 0], "re": 3.0}, {"site": [1, 1, 
 
 
 def test_cli_runs_reach_the_green_memo_with_one_orbit_set(tmp_path):
-    # the memo holds one column per (orbit set, image), keyed by the orbit
-    # set's slots: eigs, bounds-report and sweep (whose scalings keep the
+    # the memo holds one column per (orbit set, image), in the orbit set's
+    # slots: eigs, bounds-report and sweep (whose scalings keep the
     # support) reach the Green engines with the support's orbit set only,
     # so no value is computed twice
     from latspec import resolvent
@@ -527,8 +527,63 @@ def test_cli_runs_reach_the_green_memo_with_one_orbit_set(tmp_path):
     assert main(["bounds-report", "-p", str(pot), "-o", str(tmp_path / "b.json")]) == EXIT_OK
     assert main(["sweep", "-p", str(pot), "--scale-grid", "0.8:1.2:2", "-o", str(tmp_path / "s.csv")]) == EXIT_OK
     canons = resolvent.support_orbits(Potential.from_file(str(pot)).support, 3)[0]
-    keys = [key for memo in resolvent._MEMOS.values() for key in memo.data]
-    assert keys and {key[0].canons for key in keys} == {canons}
+    sets = [key for memo in resolvent._MEMOS.values() for key in memo.sets]
+    assert sets and set(sets) == {canons}
+
+
+def _memo_run(argv, path, capsys):
+    # one cold run: its exit code, its output without generated_at, and the
+    # memo counters it leaves
+    from latspec import resolvent
+
+    resolvent.clear_green_cache()
+    rc = main([*argv, "-o", str(path)])
+    capsys.readouterr()
+    info = resolvent.green_cache_info()
+    text = "\n".join(line for line in path.read_text().splitlines() if '"generated_at"' not in line)
+    return rc, text, info
+
+
+def test_memo_traffic_of_trace_check_on_the_real_27_site_cube(tmp_path, monkeypatch, capsys):
+    # V_n = 3.6 (1 + |n|_2)^-3 on {-1,0,1}^3: 10 orbits, and 8,630
+    # oscillatory values, more than the memo holds, so blocks forget under
+    # the default bound and under a bound of 64 too.  Every reuse on this
+    # input is within a block or of the block before it, which the memo
+    # keeps, so the traffic and the report bytes are the same under both
+    from latspec import resolvent
+
+    pot = tmp_path / "cube27.json"
+    pot.write_text(json.dumps({"d": 3, "entries": [
+        {"site": list(n), "re": 3.6 * (1.0 + math.sqrt(sum(c * c for c in n))) ** -3}
+        for n in itertools.product((-1, 0, 1), repeat=3)]}))
+    argv = ["trace-check", "-p", str(pot)]
+    rc, text, info = _memo_run(argv, tmp_path / "default.json", capsys)
+    assert (info["osc"]["hits"], info["osc"]["misses"]) == (25730, 8630)
+    assert (info["series"]["hits"], info["series"]["misses"]) == (14120, 4960)
+    assert info["osc"]["size"] < info["osc"]["misses"]
+    monkeypatch.setattr(resolvent, "_MEMO_SIZE", 64)
+    rc64, text64, info64 = _memo_run(argv, tmp_path / "small.json", capsys)
+    assert (rc64, text64) == (rc, text)
+    assert {k: (m["hits"], m["misses"]) for k, m in info64.items()} == \
+        {k: (m["hits"], m["misses"]) for k, m in info.items()}
+    assert info64["osc"]["size"] < 64 and info64["series"]["size"] < 64
+
+
+def test_a_sweep_that_forgets_its_earlier_scales_writes_the_same_csv(tmp_path, monkeypatch, capsys):
+    # the sweep's later scales reuse the first one's boundary values; under
+    # a bound of 64 values the memo forgets them between scales, so they
+    # are computed again, and the CSV stays byte-identical
+    from latspec import resolvent
+
+    pot = tmp_path / "two.json"
+    pot.write_text(json.dumps(TWO_SITE))
+    argv = ["sweep", "-p", str(pot), "--scale-grid", "0.6:1.4:5"]
+    rc, text, info = _memo_run(argv, tmp_path / "default.csv", capsys)
+    assert info["osc"]["misses"] == 1064
+    monkeypatch.setattr(resolvent, "_MEMO_SIZE", 64)
+    rc64, text64, info64 = _memo_run(argv, tmp_path / "small.csv", capsys)
+    assert rc == rc64 == EXIT_OK and text64 == text
+    assert info64["osc"]["misses"] > info["osc"]["misses"]
 
 
 @pytest.mark.parametrize("name, argv", [

@@ -238,6 +238,34 @@ def test_torus_matches_time_in_two_dimensions():
             assert 0.0 < a.err_estimate and gap <= a.err_estimate + b.err_estimate
 
 
+def _green_origin_2d(lam: complex) -> complex:
+    # G(0, lam) = -(2 / (pi lam)) K(k), k = 2 / lam, at d = 2, with
+    # K(k) = pi / (2 AGM(1, k')), k'^2 = 1 - k^2 = (lam - 2)(lam + 2) / lam^2
+    # formed without cancellation next to the band edges; each AGM step
+    # takes the root b with |a - b| <= |a + b|, and 30 steps converge
+    # quadratically from any k' the test uses
+    a, b = 1.0 + 0.0j, cmath.sqrt((lam - 2.0) * (lam + 2.0) / (lam * lam))
+    for _ in range(30):
+        a, b = 0.5 * (a + b), cmath.sqrt(a * b)
+        if abs(a - b) > abs(a + b):
+            b = -b
+    return -2.0 / (math.pi * lam) * (math.pi / (2.0 * a))
+
+
+def test_torus_matches_the_elliptic_integral_next_to_the_band_in_two_dimensions():
+    # off the band the torus is the closed form to rounding; at distance
+    # 5e-3 to 0.05 from the band (mid-band, at both edges, both half
+    # planes) its doubled-grid estimate covers the true error, and
+    # overstates it there (by a factor 1.9 to 7e6)
+    for lam in (3.0, 2.5 - 0.3j, 1.5 - 0.5j):
+        assert abs(green_torus((0, 0), lam, 2).value - _green_origin_2d(lam)) <= 1e-15
+    for lam in (1.5 - 0.01j, -1.2 - 0.01j, 1.9 - 0.006j, 0.3 - 0.005j, -0.8 + 0.005j, 1.0 - 0.05j,
+                -1.7 - 0.02j, 0.5 + 0.01j, 1.99 - 0.005j, 2.0 - 0.005j, 2.01, -0.005j):
+        assert 5e-3 <= dist_to_band(lam, 2) <= 0.05
+        got = green_torus((0, 0), lam, 2)
+        assert abs(got.value - _green_origin_2d(lam)) <= got.err_estimate, lam
+
+
 def test_torus_matches_the_oscillatory_engine_near_the_band():
     # distance 0.01 to 0.05 at d = 3, beside the band, at the Van Hove level
     # and beyond an edge, on the finest grid (n_quad 512) against green_auto's
@@ -913,79 +941,79 @@ def test_memo_pass_computes_exactly_the_missing_keys(monkeypatch):
     resolvent.clear_green_cache()
 
 
-def test_memo_bound_counts_values_and_evicts_the_least_recently_used(monkeypatch):
-    # room for 12 values holds 4 images of a 3-orbit set: the size never
-    # exceeds the bound, the least recently used images are misses again,
-    # and their recomputed values are bitwise the cold ones
-    monkeypatch.setattr(resolvent, "_MEMO_SIZE", 12)
-    canons = [(0, 0, 0), (1, 0, 0), (1, 1, 0)]
-    q = [1.0 - 2.0j, 2.0 - 1.5j, 0.5 - 3.0j, 3.5 - 1.3j, 2.5 - 2.0j, 1.5 - 2.5j]  # series images
-    cold = []
-    for lam in q:
-        resolvent.clear_green_cache()
-        cold.append(resolvent.green_orbits(canons, [lam], 3))
-
-    def misses_of(lams):
-        before = resolvent.green_cache_info()["series"]["misses"]
-        vals, errs = resolvent.green_orbits(canons, lams, 3)
-        for k, lam in enumerate(lams):
-            ref = cold[q.index(lam)]
-            assert np.array_equal(vals[:, k:k + 1], ref[0]) and np.array_equal(errs[:, k:k + 1], ref[1])
-        assert resolvent.green_cache_info()["series"]["size"] <= 12
-        return resolvent.green_cache_info()["series"]["misses"] - before
-
-    resolvent.clear_green_cache()
-    assert [misses_of([lam]) for lam in q] == [3] * 6
-    assert resolvent.green_cache_info()["series"]["size"] == 12
-    # q[2:] are held; a hit on q[2] makes q[3] and q[4] the oldest
-    assert misses_of([q[2]]) == 0
-    assert misses_of([q[0], q[1]]) == 6
-    assert misses_of([q[5], q[2], q[0], q[1]]) == 0
-    assert misses_of([q[3]]) == misses_of([q[4]]) == 3
-    # one block larger than the bound is served whole and keeps 4 images
-    resolvent.clear_green_cache()
-    assert misses_of(q) == 18
-    assert resolvent.green_cache_info()["series"]["size"] == 12
-    resolvent.clear_green_cache()
-
-
-def test_memo_evicts_across_orbit_sets_and_reuses_their_columns(monkeypatch):
-    # room for 6 values: two images of a 3-orbit set, then images of a
-    # 2-orbit set push them out oldest first; the emptied set leaves the
-    # memo, its values come back bitwise as computed cold, and the freed
-    # columns of the other set serve new images with their own values
-    monkeypatch.setattr(resolvent, "_MEMO_SIZE", 6)
-    big, small = ((0, 0, 0), (1, 0, 0), (1, 1, 0)), ((0, 0, 0), (2, 1, 0))
-    q = [1.0 - 2.0j, 2.0 - 1.5j, 0.5 - 3.0j, 3.5 - 1.3j, 2.5 - 2.0j]  # series images
+def _memo_server(canon_sets, q):
+    """serve(canons, lams) -> the series misses of one green_orbits block,
+    whose values and error estimates it checks bitwise against each
+    (orbit set, image) computed cold, and whose orbit set it checks holds
+    its columns 0 .. len(index) - 1."""
     cold = {}
-    for canons in (big, small):
+    for canons in canon_sets:
         for lam in q:
             resolvent.clear_green_cache()
             cold[canons, lam] = resolvent.green_orbits(canons, [lam], 3)
     memo = resolvent._MEMOS["series"]
+    resolvent.clear_green_cache()
 
     def serve(canons, lams):
+        before = memo.misses
         vals, errs = resolvent.green_orbits(canons, lams, 3)
         for k, lam in enumerate(lams):
             ref = cold[canons, lam]
             assert np.array_equal(vals[:, k:k + 1], ref[0]) and np.array_equal(errs[:, k:k + 1], ref[1])
-        assert memo.size <= 6
+        assert sorted(memo.sets[canons].index.values()) == list(range(len(memo.sets[canons].index)))
+        return memo.misses - before
 
+    return memo, serve
+
+
+def test_memo_forgets_by_block_within_one_orbit_set(monkeypatch):
+    # room for 12 values holds 4 images of a 3-orbit set: blocks that fit
+    # keep every image; a block that overflows keeps exactly its own
+    # images, and the forgotten ones come back as misses, bitwise cold
+    monkeypatch.setattr(resolvent, "_MEMO_SIZE", 12)
+    canons = ((0, 0, 0), (1, 0, 0), (1, 1, 0))
+    q = [1.0 - 2.0j, 2.0 - 1.5j, 0.5 - 3.0j, 3.5 - 1.3j, 2.5 - 2.0j, 1.5 - 2.5j, 3.0 - 2.2j]  # series images
+    memo, serve = _memo_server([canons], q)
+    assert [serve(canons, [q[0]]), serve(canons, [q[1], q[2]]), serve(canons, [q[3]])] == [3, 6, 3]
+    assert memo.size == 12 and set(memo.sets[canons].index) == set(q[:4])
+    # q[4] would make 15 values: only the block's q[2] stays, then q[4] joins
+    assert serve(canons, [q[4], q[2]]) == 3
+    assert memo.size == 6 and set(memo.sets[canons].index) == {q[2], q[4]}
+    assert serve(canons, [q[0], q[1], q[2], q[4]]) == 6
+    assert memo.size == 12 and set(memo.sets[canons].index) == {q[0], q[1], q[2], q[4]}
+    # a block larger than the bound is served and held whole, until the
+    # next block that overflows
     resolvent.clear_green_cache()
-    serve(big, q[:2])
-    serve(small, [q[2]])
+    assert serve(canons, q[:6]) == 18
+    assert memo.size == 18 and set(memo.sets[canons].index) == set(q[:6])
+    assert serve(canons, q[:6]) == serve(canons, [q[5]]) == 0
+    assert serve(canons, [q[6], q[1]]) == 3
+    assert memo.size == 6 and set(memo.sets[canons].index) == {q[1], q[6]}
+    resolvent.clear_green_cache()
+
+
+def test_memo_forgets_other_orbit_sets_when_a_block_overflows(monkeypatch):
+    # room for 6 values: a block that fits keeps every orbit set; one that
+    # overflows drops the other sets and keeps only its own images, so
+    # ``size`` counts them alone, and a dropped set's values come back
+    # bitwise as computed cold
+    monkeypatch.setattr(resolvent, "_MEMO_SIZE", 6)
+    big, small = ((0, 0, 0), (1, 0, 0), (1, 1, 0)), ((0, 0, 0), (2, 1, 0))
+    q = [1.0 - 2.0j, 2.0 - 1.5j, 0.5 - 3.0j, 3.5 - 1.3j, 2.5 - 2.0j]  # series images
+    memo, serve = _memo_server([big, small], q)
+    assert serve(big, [q[0]]) == 3 and serve(small, [q[1]]) == 2
     assert set(memo.sets) == {big, small} and memo.size == 5
-    serve(small, [q[3]])
+    assert serve(small, [q[2], q[1]]) == 2
     assert set(memo.sets) == {small} and memo.size == 4
-    serve(small, [q[4], q[0]])
-    assert set(memo.sets) == {small} and memo.size == 6
-    assert memo.sets[small].used == 4 and len(memo.sets[small].free) == 1
-    serve(small, [q[1]])
-    assert memo.sets[small].used == 4 and len(memo.sets[small].free) == 1
-    serve(big, [q[0]])
-    assert set(memo.sets) == {big, small} and memo.size == 5
-    serve(small, [q[1], q[4], q[3]])
-    assert resolvent.green_cache_info()["series"]["misses"] == 6 + 2 + 2 + 4 + 2 + 3 + 4
+    assert serve(small, [q[3]]) == 2 and memo.size == 6
+    assert serve(small, [q[4], q[3]]) == 2
+    assert set(memo.sets) == {small} and memo.size == 4 and set(memo.sets[small].index) == {q[3], q[4]}
+    assert serve(big, [q[0]]) == 3
+    assert set(memo.sets) == {big} and memo.size == 3
+    # a block of 9 values is held whole
+    assert serve(big, [q[1], q[0], q[2]]) == 6
+    assert set(memo.sets) == {big} and memo.size == 9
+    assert resolvent.green_cache_info()["series"]["misses"] == 5 + 2 + 2 + 2 + 3 + 6
     resolvent.clear_green_cache()
 
 
