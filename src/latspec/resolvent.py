@@ -67,17 +67,25 @@ such blocks; ``green_auto``, ``green_torus``, ``green_time`` and
 * The oscillatory engine takes its mode tails from one tail_integral_vec
   call per block at T0, one row per (frequency, lambda), shared by every
   orbit, which contracts each row with its polynomial of that frequency.
-  It then walks the lambda axis in chunks whose phase block stays within
-  _CHUNK_BYTES; in a chunk the phases are built once and shared by every
-  orbit.
+  It then walks the lambda axis in chunks of whole _OSC_TILE-row tiles of
+  panel phases within _CHUNK_BYTES, so only a block's last chunk pads; in
+  a chunk the phases are built once and shared by every orbit, and each
+  orbit takes its panel sums as one stacked BLAS product of its own.
 * The two reference engines, torus and damped time, work one lambda at a
   time.  The torus refuses a grid of more than _TORUS_MAX_POINTS folded
   points before its first lambda.
 * Batching changes no number: a block entry is computed exactly as it is
   alone.  Array operations act elementwise along the lambda axis, and the
   contractions are ``np.einsum`` calls whose summation order is set by the
-  grid, never by the number of lambdas (a BLAS product across lambdas
-  could block differently for different batch sizes).
+  grid, never by the number of lambdas, save the oscillatory panel sums.
+  Those are BLAS products, which may round a row differently for a
+  different number of rows, so they run on zero-padded tiles of exactly
+  _OSC_TILE (64) rows, one GEMM shape per orbit set: a row's sums are then
+  the same in any tile and next to any rows.  Under a BLAS thread count
+  above 1, which a caller must export (the package pins one), they also
+  stay the same up to n0 = 54 (T0 = 780); OpenBLAS 0.3.31 runs a larger
+  tile's product on its threads, and from n0 = 55 the values then depend
+  on their count at rounding level.
 
 Three exact symmetries of the free kernel hold for every lambda, and
 each is applied in one place.
@@ -201,13 +209,17 @@ _OSC_PANEL = 0.5
 _OSC_NPTS = 10
 _OSC_OFFSETS = 0.5 * _OSC_PANEL * np.polynomial.legendre.leggauss(_OSC_NPTS)[0]
 _OSC_FINE = 16
+# _osc_main's panel product runs on zero-padded tiles of this many rows,
+# one GEMM shape for every batch (the batching rule of the module docstring)
+_OSC_TILE = 64
 # values (orbits times images) kept per engine memo.  Cold eigs runs on the
 # four draws of perfbench's panel (seed 1) fill 6219, 1028, 1555 and 5305
 # oscillatory values; the largest, draw 0, samples its circle on up to
 # 8192 nodes (draw 3 on 4096), so no benchmark run forgets a value
 _MEMO_SIZE = 8192
-# largest array of one chunk of lambdas: oscillatory phases, or series
-# partial sums
+# largest array of one chunk of lambdas: the oscillatory panel phases (whole
+# _OSC_TILE-row tiles, two rows per lambda, so 64 lambdas at T0 = 240), or
+# the series partial sums
 _CHUNK_BYTES = 2 ** 19
 
 
@@ -770,30 +782,43 @@ def _osc_grid(n0: int) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def _osc_phases(lams: np.ndarray, n_panels: int) -> "tuple[np.ndarray, np.ndarray]":
-    """e^(-i lam t) on the Gauss nodes of n_panels panels, factored, one row
-    per lambda: (row, panel).  row[:, j] is the phase of node j's offset
-    from its panel's midpoint; panel[0] and panel[1] are the real and
-    imaginary parts of the phase of panel p's midpoint (t = 0.25 + 0.5 p)
-    in column p.  The panel phases are the outer product of _OSC_FINE
-    consecutive panel steps and ceil(n_panels / _OSC_FINE) coarse ones:
-    _OSC_FINE + ceil(n_panels / _OSC_FINE) exponentials per lambda in place
-    of one per panel.  Panel p's phase does not depend on n_panels."""
+    """e^(-i lam t) on the Gauss nodes of n_panels panels, factored: (row,
+    panel).  row[k, j] is lambda k's phase of node j's offset from its
+    panel's midpoint.  panel holds the phases of the panel midpoints (t =
+    0.25 + 0.5 p in column p) as real rows, whole _OSC_TILE-row tiles of
+    shape (tiles, _OSC_TILE, n_panels): the lambdas' real parts in rows 0
+    .. K - 1 of the tiles read in order, their imaginary parts in rows K ..
+    2K - 1, and zeros after.  The panel phases are the outer product of
+    _OSC_FINE consecutive panel steps and ceil(n_panels / _OSC_FINE) coarse
+    ones: _OSC_FINE + ceil(n_panels / _OSC_FINE) exponentials per lambda in
+    place of one per panel.  Panel p's phase does not depend on n_panels."""
+    k = lams.size
     mlam = -1j * lams[:, None]
     row = np.exp(mlam * _OSC_OFFSETS)
     fine = np.exp(mlam * (_OSC_PANEL * np.arange(_OSC_FINE)))
     coarse_t = 0.5 * _OSC_PANEL + _OSC_FINE * _OSC_PANEL * np.arange(-(-n_panels // _OSC_FINE))
-    panel = (np.exp(mlam * coarse_t)[:, :, None] * fine[:, None, :]).reshape(lams.size, -1)
-    return row, np.stack([panel.real[:, :n_panels], panel.imag[:, :n_panels]])
+    phase = (np.exp(mlam * coarse_t)[:, :, None] * fine[:, None, :]).reshape(k, -1)[:, :n_panels]
+    panel = np.zeros((-(-2 * k // _OSC_TILE), _OSC_TILE, n_panels))
+    rows = panel.reshape(-1, n_panels)
+    rows[:k] = phase.real
+    rows[k:2 * k] = phase.imag
+    return row, panel
 
 
 def _osc_main(kw: np.ndarray, row: np.ndarray, panel: np.ndarray) -> np.ndarray:
     """The numeric part sum_t kw(t) e^(-i lam t) over the Gauss nodes, per
     lambda of the phases (row, panel) from _osc_phases: the panel phases
-    are summed against each node row of kw first, in real arithmetic (a
-    dot product over the panels per lambda, node and part), then the
-    offset phases against those _OSC_NPTS sums."""
-    sums = np.einsum("rkp,jp->rkj", panel, kw)
-    return np.einsum("kj,kj->k", sums[0] + 1j * sums[1], row)
+    are summed against each node row of kw first, in real arithmetic, as
+    one stacked BLAS product (tiles, _OSC_TILE, P) @ (P, _OSC_NPTS), then
+    the offset phases against those _OSC_NPTS sums per lambda.  Every tile
+    has the same shape, so a row's sums do not depend on the other rows of
+    its tile or on the number of tiles: a lambda's value is the same alone
+    and in any batch.  kw is one orbit's: a column's sums can also round
+    differently in a product of more columns, so orbits are not stacked
+    side by side."""
+    k = row.shape[0]
+    sums = (panel @ kw.T).reshape(-1, _OSC_NPTS)
+    return np.einsum("kj,kj->k", sums[:k] + 1j * sums[k:2 * k], row)
 
 
 def _osc_tail_coeffs(canon: Site) -> np.ndarray:
@@ -855,7 +880,7 @@ def _osc_block(canons: "list[Site]", lams: np.ndarray):
     d = len(canons[0])
     T0, orbits = _osc_plan(tuple(canons))
     n_panels = int(T0 / _OSC_PANEL)
-    chunk = max(1, _CHUNK_BYTES // (16 * n_panels))
+    chunk = max(1, _CHUNK_BYTES // (8 * _OSC_TILE * n_panels)) * _OSC_TILE // 2
     freqs = np.arange(-d, d + 1, 2)
     s_exps = 0.5 * d + np.arange(_OSC_N_TERMS, dtype=float)
     w = (freqs[:, None] - lams).ravel()

@@ -430,8 +430,8 @@ def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
     # one horizon T0, 240 while every max_j |n_j| <= _OSC_NEAR and 240 + 10
     # n0 for a set whose largest is n0 beyond: one block makes one
     # tail_integral_vec call at that T0 over every (S, lambda) pair, also
-    # when its lambdas span several phase chunks (68 lambdas at T0 = 240,
-    # 52 at 310), and must equal, bit for bit, the engine's numeric sum on
+    # when its lambdas span several phase chunks (64 lambdas at T0 = 240,
+    # 32 at 310), and must equal, bit for bit, the engine's numeric sum on
     # a Bessel grid of the orbit's own orders plus one tail evaluation per
     # frequency and lambda, contracted with the orbit's polynomial of that
     # frequency and added up in frequency order
@@ -446,21 +446,30 @@ def test_oscillatory_tails_computed_once_per_frequency(monkeypatch):
         return tail_vec(s, w, T)
 
     monkeypatch.setattr(resolvent, "tail_integral_vec", counted)
+    phases = resolvent._osc_phases
+    chunks = []
+
+    def chunked(lams, n_panels):
+        chunks.append(lams.size)
+        return phases(lams, n_panels)
+
+    monkeypatch.setattr(resolvent, "_osc_phases", chunked)
     freqs = np.arange(-3, 4, 2)
     s_exps = 1.5 + np.arange(resolvent._OSC_N_TERMS, dtype=float)
     for canons, T0 in (([(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)], 240.0),
                        ([(0, 0, 0), (far, 0, 0)], 240.0 + 10.0 * far)):
-        assert long.size > 2 * resolvent._CHUNK_BYTES // (16 * int(T0 / resolvent._OSC_PANEL))
         for lams in (short, long):
             calls.clear()
+            chunks.clear()
             vals, errs = resolvent._osc_block(canons, lams)
             assert len(calls) == 1 and calls[0][1] == T0 == _set_horizon(canons)
+            assert sum(chunks) == lams.size and (len(chunks) > 2) == (lams is long)
             assert np.array_equal(calls[0][0], (freqs[:, None] - lams).ravel())
             pieces = [np.array([tail_vec(s_exps, np.array([s_freq - lam]), T0)[0] for lam in lams])
                       for s_freq in freqs]
             for u, canon in enumerate(canons):
                 kw = _gauss_kernel(canon, T0)[3]
-                main = resolvent._osc_main(kw, *resolvent._osc_phases(lams, kw.shape[1]))
+                main = resolvent._osc_main(kw, *phases(lams, kw.shape[1]))
                 tail = np.zeros(lams.size, dtype=complex)
                 trunc = np.zeros(lams.size)
                 for at_s, poly in zip(pieces, resolvent._osc_tail_coeffs(canon)):
@@ -690,6 +699,91 @@ def test_blocks_do_not_depend_on_the_orbit_set_or_the_lambdas():
     resolvent.clear_green_cache()
     for cache in plans + (resolvent.support_orbits,):
         assert cache.cache_info().currsize == 0
+
+
+# the orbit set of benchmark panel draw 0 (panel seed 1)
+_DRAW0_ORBITS = [(0, 0, 0), (1, 0, 0), (1, 1, 0)]
+
+
+def _circle_band_lambdas():
+    # the 513 first-quadrant nodes of |z| = 0.999 at N = 2048, whose images
+    # lie in the quadrant Re lam >= 0, Im lam <= 0 next to the band; 89
+    # band points; and the four lambdas lam = S at which a mode tail has
+    # frequency 0: 606 lambdas, ten chunks of 64-row tiles at T0 = 240
+    zs = 0.999 * np.exp(0.5j * np.pi * np.arange(513) / 512)
+    band = np.linspace(0.0, 3.0, 91)[1:-1].astype(complex)
+    return np.concatenate([lambda_of_z(zs, 3), band, np.array([-3.0, -1.0, 1.0, 3.0], dtype=complex)])
+
+
+def test_osc_block_is_batch_invariant_at_scale():
+    # the panel sums are stacked 64-row BLAS products, so a lambda's row may
+    # sit in any tile and next to any rows: on 606 lambdas, more than
+    # one chunk, each lambda alone, a seeded permutation of the block and
+    # its consecutive sub-batches of 1, 63, 64, 65 and 129 lambdas give the
+    # values and estimates of the whole block, bit for bit
+    lams = _circle_band_lambdas()
+    assert lams.size >= 600 and (lams.imag <= 0.0).all()
+    vals, errs = resolvent._osc_block(_DRAW0_ORBITS, lams)
+    for k in range(lams.size):
+        alone = resolvent._osc_block(_DRAW0_ORBITS, lams[k:k + 1])
+        assert np.array_equal(alone[0][:, 0], vals[:, k]) and np.array_equal(alone[1][:, 0], errs[:, k])
+    perm = np.random.default_rng(36).permutation(lams.size)
+    for size in (lams.size, 63, 64, 65, 129):
+        for lo in range(0, lams.size, size):
+            cols = perm[lo:lo + size]
+            part = resolvent._osc_block(_DRAW0_ORBITS, lams[cols])
+            assert np.array_equal(part[0], vals[:, cols]) and np.array_equal(part[1], errs[:, cols]), size
+
+
+def test_osc_block_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the same large blocks computed in fresh processes under one and two
+    # OpenBLAS threads have the same bytes, values and estimates: on draw
+    # 0's orbits (480 panels) and on a set reaching (16,0,0) (800 panels;
+    # with OpenBLAS 0.3.31 the values depend on the count from 1,580
+    # panels, n0 = 55, where a tile's product leaves its one-thread path)
+    import os
+    import subprocess
+    import sys
+
+    orbit_sets = [_DRAW0_ORBITS, [(0, 0, 0), (2, 1, 0), (16, 0, 0)]]
+    lams = _circle_band_lambdas()
+    np.save(tmp_path / "lams.npy", lams)
+    src = os.path.dirname(os.path.dirname(resolvent.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from latspec import resolvent\n"
+            "lams = np.load(sys.argv[1])\n"
+            f"blocks = [resolvent._osc_block(canons, lams) for canons in {orbit_sets!r}]\n"
+            "sys.stdout.buffer.write(b''.join(a.tobytes() for block in blocks for a in block))\n")
+    out = {}
+    for threads in ("1", "2"):
+        out[threads] = subprocess.run([sys.executable, "-c", code, str(tmp_path / "lams.npy")],
+                                      env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True,
+                                      capture_output=True, timeout=300).stdout
+    assert len(out["1"]) == 24 * 6 * lams.size
+    assert out["1"] == out["2"]
+
+
+def test_osc_main_matches_an_exactly_rounded_sum():
+    # the main sum against an independent oracle: sum_t w K(t) e^(-i lam t)
+    # over the 4,800 Gauss nodes on [0, 240], each part summed by
+    # math.fsum, at a point of the |z| = 0.999 circle next to the band, a
+    # band point and lam = S = 1 and 3, within 8 eps sum |w K| (at most
+    # 0.12 of it seen)
+    eps = np.finfo(float).eps
+    lams = np.array([lambda_of_z(0.999 * cmath.exp(0.7j), 3), 2.2, 1.0, 3.0], dtype=complex)
+    worst = 0.0
+    for canon in ((0, 0, 0), (1, 1, 0), (2, 1, 0)):
+        nodes, weights, kern, kw = _gauss_kernel(canon, resolvent._OSC_T0)
+        assert nodes.size == 4800
+        main = resolvent._osc_main(kw, *resolvent._osc_phases(lams, kw.shape[1]))
+        scale = 8.0 * eps * math.fsum(np.abs(weights * kern))
+        for lam, value in zip(lams, main):
+            terms = weights * kern * np.exp(-1j * lam * nodes)
+            ref = complex(math.fsum(terms.real), math.fsum(terms.imag))
+            worst = max(worst, abs(value - ref) / scale)
+    assert worst <= 1.0
 
 
 def _orbits_up_to(n0):
